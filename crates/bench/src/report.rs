@@ -27,7 +27,7 @@
 //! | `final_retired` | int | Retired-but-unreclaimed population at run end. |
 //! | `total_retired` | int | Total retire calls. |
 //! | `total_reclaimed` | int | Total nodes reclaimed. |
-//! | `reclaim_latency` | object | Log₂ histogram of retire→reclaim latency in logical ticks (empty for untraced runs). |
+//! | `reclaim_latency` | object | Log₂ histogram of retire→reclaim latency in logical ticks — protocol events, not operations (empty for untraced runs). |
 //! | `hook_counts` | object | Per-hook event counts (empty `{}` for untraced runs). |
 //! | `footprint_curve` | array | `[logical_ts, retired_now]` pairs from the sampler (empty for untraced runs). |
 //! | `trace_dropped` | int | Trace events lost to ring overwrite (0 = complete or untraced). |

@@ -17,7 +17,11 @@
 //! - **Per-thread sections with delta timestamps** — events are grouped
 //!   by producing thread and their logical timestamps stored as varint
 //!   deltas; within one thread the clock is monotone, so deltas are
-//!   small and most timestamps cost one byte instead of eight.
+//!   small and most timestamps cost one byte instead of eight (zero
+//!   for a run of per-operation events, which read the clock without
+//!   advancing it). The decoder re-merges the sections by
+//!   [`Event::merge_key`], the same key the recorder's drain sorts by,
+//!   so a drained log comes back in exactly the order it went in.
 //! - **Honest truncation** — every source section carries the
 //!   cumulative ring-overwrite drop count, and the header carries the
 //!   total, so a truncated trace can never silently read as complete.
@@ -154,7 +158,7 @@ pub struct SourceDump {
     /// happened, were drained, and were then aged out — distinct from
     /// `dropped`, which the recorder never saw at all).
     pub trimmed: u64,
-    /// Drained events in ascending `ts` order.
+    /// Drained events in ascending [`Event::merge_key`] order.
     pub events: Vec<Event>,
     /// Aggregate metrics of the source's recorder, when captured.
     pub metrics: Option<MetricsDump>,
@@ -351,9 +355,9 @@ fn encode_source(buf: &mut Vec<u8>, source: &SourceDump, label_idx: u32) {
     put_varint(buf, source.dropped);
     put_varint(buf, source.trimmed);
 
-    // Group events into per-thread sections, preserving ts order
-    // within each thread (the input is globally ts-ordered, so a
-    // stable partition keeps each section ordered too).
+    // Group events into per-thread sections, preserving log order
+    // within each thread (the input is merge-key-ordered, so a stable
+    // partition keeps each section ordered too).
     let mut threads: Vec<u16> = source.events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
     threads.dedup();
@@ -459,8 +463,10 @@ fn decode_source(r: &mut Reader<'_>, strings: &StringTable) -> Result<SourceDump
             events.push(event);
         }
     }
-    // Restore the merged per-source timeline order.
-    events.sort_by_key(|e| e.ts);
+    // Restore the merged per-source timeline: the mirror of the sort
+    // in `Recorder::drain_since`. Stable, over sections that each kept
+    // their log order, so position within a thread breaks the last tie.
+    events.sort_by_key(Event::merge_key);
 
     let metrics = match r.byte("metrics flag")? {
         0 => None,
@@ -744,7 +750,7 @@ mod tests {
             era: 6,
         });
         let metrics = Metrics::new(4);
-        metrics.count_hook(Hook::Retire);
+        metrics.hook_block().bump(Hook::Retire);
         metrics.blame(2);
         metrics.footprint_peak.record(12);
         metrics.reclaim_latency.record(5);
@@ -873,6 +879,32 @@ mod tests {
         };
         let back = FlightDump::decode(&dump.encode(true)).unwrap();
         assert_eq!(back.sources[0].events, src.events);
+    }
+
+    #[test]
+    fn tied_timestamps_decode_in_merge_key_order() {
+        let mut src = SourceDump::new("ties");
+        // What a drain produces when per-operation events read the
+        // clock between two ticks: at ts 5, readers (by thread, each
+        // thread in emit order) before the event that ticked 5 → 6.
+        src.events = vec![
+            ev(1, 5, Hook::BeginOp, 0, 0),
+            ev(1, 5, Hook::Load, 1, 0),
+            ev(1, 5, Hook::Load, 2, 0),
+            ev(4, 5, Hook::Load, 9, 0),
+            ev(0, 5, Hook::Retire, 7, 1),
+            ev(0, 6, Hook::Load, 3, 0),
+            ev(1, 6, Hook::EndOp, 0, 0),
+            ev(4, 6, Hook::Reclaim, 7, 1),
+        ];
+        let dump = FlightDump {
+            sources: vec![src.clone()],
+            ..FlightDump::new()
+        };
+        for compress in [false, true] {
+            let back = FlightDump::decode(&dump.encode(compress)).unwrap();
+            assert_eq!(back.sources[0].events, src.events);
+        }
     }
 
     #[test]

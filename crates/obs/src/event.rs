@@ -26,7 +26,10 @@ pub enum Hook {
     /// (`a` = address, `b` = retired-population after the call).
     Retire = 3,
     /// A retired node was actually freed (`a` = address, `b` =
-    /// retire→reclaim latency in trace ticks).
+    /// retire→reclaim latency in trace ticks — the clock is advanced
+    /// by protocol events only, see [`Hook::advances_clock`], so this
+    /// counts the retires, reclaims, epoch advances, … in between, not
+    /// operations).
     Reclaim = 4,
     /// A reservation was published (HP/HE/IBR protect, EBR/QSBR pin;
     /// `a` = slot, `b` = value/era).
@@ -136,6 +139,24 @@ impl Hook {
     pub fn from_u8(raw: u8) -> Option<Hook> {
         Hook::ALL.get(raw as usize).copied()
     }
+
+    /// Whether emitting this hook *advances* the recorder's logical
+    /// clock (`true`) or merely *reads* it (`false`).
+    ///
+    /// The per-operation hooks — the ones a scheme emits on every
+    /// operation or every protected load — only read the clock, so a
+    /// read-mostly workload never writes a word another thread reads.
+    /// Everything else (the reclamation protocol, the navigator, the
+    /// serving front-end, the simulator's oracle and driver) ticks. A
+    /// reading event stamped `v` read the clock before the tick that
+    /// issued `v`, which is why [`Event::merge_key`] orders readers
+    /// before the ticker at equal `ts`.
+    pub const fn advances_clock(self) -> bool {
+        !matches!(
+            self,
+            Hook::BeginOp | Hook::EndOp | Hook::Load | Hook::Reserve
+        )
+    }
 }
 
 impl fmt::Display for Hook {
@@ -217,12 +238,14 @@ impl fmt::Display for SchemeId {
 ///
 /// `ts` comes from the recorder's global logical clock, so events from
 /// different threads (and different schemes sharing a recorder) merge
-/// into a single total order. `a`/`b` are hook-specific payloads — see
-/// the [`Hook`] variant docs.
+/// into one timeline ordered by [`Event::merge_key`]. `a`/`b` are
+/// hook-specific payloads — see the [`Hook`] variant docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct Event {
-    /// Logical timestamp (global, totally ordered).
+    /// Logical timestamp: unique among clock-advancing events, shared
+    /// by the per-operation events that read the clock between two
+    /// ticks (see [`Hook::advances_clock`]).
     pub ts: u64,
     /// First hook-specific payload word.
     pub a: u64,
@@ -270,6 +293,21 @@ impl Event {
     /// The scheme id, decoded.
     pub fn scheme(&self) -> SchemeId {
         SchemeId(self.scheme)
+    }
+
+    /// The key a merged log is sorted by: `(ts, advances_clock,
+    /// thread)`, completed by a *stable* sort so that events equal in
+    /// all three keep their ring (push) order.
+    ///
+    /// Readers sort before the ticker they tie with because they read
+    /// the clock before that tick; a tie between two reading events of
+    /// different threads means "concurrent" and is broken by thread
+    /// slot only to make the order deterministic — and reproducible by
+    /// the dump decoder, which stores events per thread. Hook bytes
+    /// from a newer vocabulary count as clock-advancing.
+    pub fn merge_key(&self) -> (u64, bool, u16) {
+        let ticks = Hook::from_u8(self.hook).is_none_or(Hook::advances_clock);
+        (self.ts, ticks, self.thread)
     }
 }
 
@@ -329,6 +367,30 @@ mod tests {
             );
         }
         assert_eq!(Hook::from_u8(Hook::COUNT as u8), None);
+    }
+
+    #[test]
+    fn only_the_per_operation_hooks_read_the_clock() {
+        let readers: Vec<Hook> = Hook::ALL
+            .into_iter()
+            .filter(|h| !h.advances_clock())
+            .collect();
+        assert_eq!(
+            readers,
+            [Hook::BeginOp, Hook::EndOp, Hook::Load, Hook::Reserve]
+        );
+        // At equal `ts` a reader sorts before the ticker, then by
+        // thread; an unknown hook byte is treated as a ticker.
+        let at = |hook: Hook, thread: u16| {
+            let mut e = Event::new(thread, SchemeId::HP, hook, 0, 0);
+            e.ts = 7;
+            e
+        };
+        assert!(at(Hook::Load, 9).merge_key() < at(Hook::Retire, 0).merge_key());
+        assert!(at(Hook::Load, 0).merge_key() < at(Hook::EndOp, 1).merge_key());
+        let mut future = at(Hook::Load, 0);
+        future.hook = 200;
+        assert_eq!(future.merge_key(), (7, true, 0));
     }
 
     #[test]

@@ -72,6 +72,11 @@ impl FlightSource {
                 self.checkpoints.pop_front();
             }
             if let Some(cutoff) = cutoff {
+                // `cutoff` is the clock as read at that checkpoint. An
+                // event stamped exactly `cutoff` is a per-operation
+                // event that read the same value — possibly after the
+                // checkpoint — or the protocol event that ticked it:
+                // neither is provably outside the window, so both stay.
                 let keep_from = self.retained.partition_point(|e| e.ts < cutoff);
                 self.trimmed += keep_from as u64;
                 self.retained.drain(..keep_from);
@@ -371,6 +376,31 @@ mod tests {
         );
         assert!(src.trimmed >= 1);
         assert_eq!(dump.window_ms, 5);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
+    fn window_cut_keeps_the_events_tied_with_the_cutoff() {
+        let recorder = Recorder::new(2);
+        let flight = FlightRecorder::with_window(Duration::from_secs(1));
+        flight.add_source("w", &recorder);
+        let mut t = recorder.tracer(0, SchemeId::HP);
+        let poll_at = |now: Instant| {
+            for source in flight.lock().iter_mut() {
+                source.poll(now, flight.window, flight.max_retained);
+            }
+        };
+        let start = Instant::now();
+        t.emit(Hook::Retire, 1, 0); // ts 1, clock → 2
+        poll_at(start); // checkpoint (start, 2)
+        t.emit(Hook::Load, 2, 0); // ts 2: reads what the checkpoint read
+        t.emit(Hook::Retire, 3, 0); // ts 2, clock → 3
+        t.emit(Hook::Load, 4, 0); // ts 3
+        poll_at(start + Duration::from_secs(10)); // cutoff = 2
+        let log = flight.retained_log(0);
+        let kept: Vec<(u64, u64)> = log.events.iter().map(|e| (e.ts, e.a)).collect();
+        assert_eq!(kept, [(2, 2), (2, 3), (3, 4)], "only ts < cutoff ages out");
+        assert_eq!(flight.snapshot().sources[0].trimmed, 1);
     }
 
     #[test]

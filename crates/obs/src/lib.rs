@@ -10,11 +10,15 @@
 //!   fixed-size 32-byte [`Event`] records into its own preallocated
 //!   drop-oldest ring. The hot path is two atomic stores around a
 //!   plain copy — no allocation, no locks, no cross-thread contention.
-//! - **Global logical clock**: one `fetch_add(1)` per event gives a
-//!   total order across threads and schemes, so a drained trace is a
-//!   single coherent timeline without OS-clock skew.
+//! - **Global logical clock**: protocol events (retire, reclaim,
+//!   advance, … — [`Hook::advances_clock`]) draw a timestamp with one
+//!   `fetch_add(1)`; per-operation events (`BeginOp`, `EndOp`, `Load`,
+//!   `Reserve`) only *read* it, so operations write no shared word. A
+//!   drained trace is still one coherent timeline across threads and
+//!   schemes, ordered by [`Event::merge_key`], without OS-clock skew.
 //! - **Aggregate metrics** ([`Metrics`]): always-exact counters beside
-//!   the lossy rings — per-hook call counts, a retire→reclaim latency
+//!   the lossy rings — per-hook call counts (summed over per-tracer,
+//!   single-writer blocks), a retire→reclaim latency
 //!   [`Log2Histogram`], a footprint [`HighWater`] mark, and per-thread
 //!   *blame* counters attributing blocked reclamation to the stalled
 //!   thread (the robustness axis of the ERA trade-off).

@@ -2,10 +2,14 @@
 //! histograms, and per-thread blame.
 //!
 //! Unlike the event rings these never drop data — they are single
-//! atomic words (or small arrays of them) updated with relaxed RMWs,
-//! cheap enough to leave on even when full event tracing is not.
+//! atomic words (or small arrays of them), cheap enough to leave on
+//! even when full event tracing is not. The protocol-path metrics
+//! (latency, footprint, blame) are shared words updated with relaxed
+//! RMWs; the per-hook call counters sit on the emit hot path, so each
+//! tracer owns a private [`HookCounts`] block and a read sums them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::Hook;
 
@@ -175,12 +179,42 @@ impl HistogramSnapshot {
     }
 }
 
+/// One tracer's per-hook call counters: a cache-line-aligned block
+/// with exactly one writer (the owning [`crate::ThreadTracer`]), so a
+/// bump is a relaxed load and a relaxed store — no RMW, and no line
+/// another emitting thread writes. [`Metrics`] keeps every block it
+/// issued, so the counts outlive the tracer.
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct HookCounts([AtomicU64; Hook::COUNT]);
+
+impl HookCounts {
+    /// Counts one call of `hook`. Single-writer: only the tracer that
+    /// owns this block may call it (a second writer would lose counts,
+    /// nothing worse — the cells are atomics).
+    #[inline]
+    pub(crate) fn bump(&self, hook: Hook) {
+        let cell = &self.0[hook as u8 as usize];
+        // SAFETY(ordering): Relaxed load + Relaxed store instead of a
+        // fetch_add — this block has one writer, so the load sees that
+        // writer's own last store; readers (`Metrics::hook_count`) only
+        // sum telemetry and synchronize through whatever made them
+        // wait for the writer (a join, a tracer drop), not through this
+        // word.
+        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
+
 /// The aggregate metric block owned by a [`crate::Recorder`].
 #[derive(Debug)]
 pub struct Metrics {
-    /// Calls per instrumented hook, across all threads and schemes.
-    hook_counts: [Counter; Hook::COUNT],
-    /// Retire→reclaim latency in trace ticks.
+    /// Every per-tracer hook-counter block ever issued (cold: pushed
+    /// at tracer creation, walked by [`Metrics::hook_count`]).
+    hook_blocks: Mutex<Vec<Arc<HookCounts>>>,
+    /// Retire→reclaim latency in trace ticks. The trace clock is
+    /// advanced by protocol events only ([`Hook::advances_clock`]), so
+    /// a latency of `n` means `n` retires, reclaims, epoch advances,
+    /// … happened on this recorder in between — not `n` operations.
     pub reclaim_latency: Log2Histogram,
     /// Highest retired-but-unreclaimed population ever observed.
     pub footprint_peak: HighWater,
@@ -194,7 +228,7 @@ impl Metrics {
     /// Metrics sized for `max_threads` blame slots.
     pub fn new(max_threads: usize) -> Metrics {
         Metrics {
-            hook_counts: std::array::from_fn(|_| Counter::default()),
+            hook_blocks: Mutex::new(Vec::new()),
             reclaim_latency: Log2Histogram::default(),
             footprint_peak: HighWater::default(),
             blame: (0..max_threads.max(1))
@@ -203,15 +237,30 @@ impl Metrics {
         }
     }
 
-    /// Bumps the call counter for `hook`.
-    #[inline]
-    pub fn count_hook(&self, hook: Hook) {
-        self.hook_counts[hook as u8 as usize].add(1);
+    /// Issues (and keeps) a fresh hook-counter block for one tracer.
+    /// Allocates and locks — tracer creation, never the emit path.
+    pub(crate) fn hook_block(&self) -> Arc<HookCounts> {
+        let block = Arc::new(HookCounts(std::array::from_fn(|_| AtomicU64::new(0))));
+        self.lock_hook_blocks().push(Arc::clone(&block));
+        block
     }
 
-    /// Calls observed for `hook`.
+    /// Calls observed for `hook`, across all threads and schemes: the
+    /// sum over every tracer's block, live or dropped. Exact once the
+    /// emitting threads are quiescent; a lower bound while they run.
     pub fn hook_count(&self, hook: Hook) -> u64 {
-        self.hook_counts[hook as u8 as usize].get()
+        self.lock_hook_blocks()
+            .iter()
+            .map(|block| block.0[hook as u8 as usize].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn lock_hook_blocks(&self) -> MutexGuard<'_, Vec<Arc<HookCounts>>> {
+        // The crash dump reads hook counts from a panic hook: inherit
+        // the (plain-data) list rather than propagate a poison.
+        self.hook_blocks
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Blames thread slot `thread` for blocking reclamation once.
@@ -251,7 +300,8 @@ impl Metrics {
         self.blame.iter().map(|c| c.0.get()).sum()
     }
 
-    /// p99 retire→reclaim latency upper bound in trace ticks (0 when
+    /// p99 retire→reclaim latency upper bound in trace ticks — i.e.
+    /// protocol events, see [`Metrics::reclaim_latency`] (0 when
     /// nothing has been reclaimed yet). Coarse (within 2×) but
     /// monotone under load, which is all a degradation classifier
     /// needs.
@@ -350,8 +400,18 @@ mod tests {
         m.blame(9); // clamps to last slot
         assert_eq!(m.blame_counts(), vec![0, 2, 0, 1]);
         assert_eq!(m.most_blamed(), Some((1, 2)));
-        m.count_hook(Hook::Retire);
-        assert_eq!(m.hook_count(Hook::Retire), 1);
+    }
+
+    #[test]
+    fn hook_count_sums_every_block_issued() {
+        let m = Metrics::new(1);
+        let (a, b) = (m.hook_block(), m.hook_block());
+        a.bump(Hook::Retire);
+        b.bump(Hook::Retire);
+        b.bump(Hook::Load);
+        drop(a); // the metrics keep the block: counts outlive writers
+        assert_eq!(m.hook_count(Hook::Retire), 2);
+        assert_eq!(m.hook_count(Hook::Load), 1);
         assert_eq!(m.hook_count(Hook::Reclaim), 0);
     }
 }

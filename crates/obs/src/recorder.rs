@@ -2,15 +2,39 @@
 //!
 //! A `Recorder` owns the global logical clock, the aggregate
 //! [`Metrics`], and one [`Ring`] per issued tracer. Tracers are the
-//! only write path: each holds an exclusive `Arc` to its own ring, so
-//! the single-writer contract is enforced by construction. Draining
-//! merges every ring into one timestamp-ordered log.
+//! only write path: each holds an exclusive `Arc` to its own ring and
+//! its own hook-counter block, so the single-writer contract is
+//! enforced by construction. Draining merges every ring into one log
+//! ordered by [`Event::merge_key`].
+//!
+//! # The clock
+//!
+//! The clock is one shared word, and the emit path is written so that
+//! the *per-operation* hooks never write it. Protocol events — every
+//! hook for which [`Hook::advances_clock`] holds: retire, reclaim,
+//! epoch advance, restart, blame, adoption, faults, the navigator, the
+//! serving front-end, the simulator's oracle and driver — draw a fresh
+//! timestamp with a `fetch_add`. `BeginOp`, `EndOp`, `Load` and
+//! `Reserve` stamp themselves with a plain *load* of it, so between
+//! two protocol events the clock's cache line sits Shared in every
+//! core and an operation writes nothing another thread reads.
+//!
+//! Ordering stays sound by the coherence of that single word: an event
+//! that happens-after a ticking event reads a strictly larger value,
+//! and a reading event stamped `v` read the clock before the tick that
+//! issued `v`. Hence the merge key `(ts, advances_clock, thread)` plus
+//! ring order: readers sort before the ticker they tie with, one
+//! thread's events keep their program order, and a tie between reading
+//! events of two threads means "concurrent": no protocol event — no
+//! retire, no reclaim, no epoch advance — separates them.
 //!
 //! With the `rt` feature disabled, [`ThreadTracer`] is a zero-sized
 //! type and every emit is an empty inline function — the instrumented
 //! code compiles to exactly what it was before instrumentation.
 
 use crate::event::{Event, Hook, SchemeId};
+#[cfg(feature = "rt")]
+use crate::metrics::HookCounts;
 use crate::metrics::Metrics;
 #[cfg(feature = "rt")]
 use crate::ring::Ring;
@@ -24,10 +48,19 @@ use std::sync::Mutex;
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
+/// The logical clock, alone on its cache-line pair: per-operation
+/// emits only read it, so nothing else a recorder writes (metrics, the
+/// ring registry, the `Arc` counts) may share — and so invalidate —
+/// its line.
+#[cfg(feature = "rt")]
+#[derive(Debug)]
+#[repr(align(128))]
+struct Clock(AtomicU64);
+
 #[cfg(feature = "rt")]
 #[derive(Debug)]
 struct RecorderCore {
-    clock: AtomicU64,
+    clock: Clock,
     metrics: Metrics,
     rings: Mutex<Vec<Arc<Ring>>>,
     ring_capacity: usize,
@@ -58,7 +91,7 @@ impl Recorder {
         {
             Recorder {
                 core: Arc::new(RecorderCore {
-                    clock: AtomicU64::new(1),
+                    clock: Clock(AtomicU64::new(1)),
                     metrics: Metrics::new(max_threads),
                     rings: Mutex::new(Vec::new()),
                     ring_capacity,
@@ -86,27 +119,13 @@ impl Recorder {
         }
     }
 
-    /// Current logical time (next timestamp to be issued).
+    /// Current logical time: the timestamp the next protocol event
+    /// will be issued, and the one a per-operation event emitted now
+    /// would carry. Never 0 on a live recorder; a read, never a tick.
     pub fn now(&self) -> u64 {
         #[cfg(feature = "rt")]
         {
-            self.core.clock.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            0
-        }
-    }
-
-    /// Draws a fresh timestamp from the global clock.
-    #[inline]
-    pub fn tick(&self) -> u64 {
-        #[cfg(feature = "rt")]
-        {
-            // SAFETY(ordering): Relaxed — the clock is a Lamport-style
-            // tick for log interleaving, not a synchronization point;
-            // per-thread monotonicity is all analysis needs.
-            self.core.clock.fetch_add(1, Ordering::Relaxed)
+            self.core.clock.0.load(Ordering::Relaxed)
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -115,8 +134,9 @@ impl Recorder {
     }
 
     /// Issues a tracer for thread slot `thread` attributed to
-    /// `scheme`. Allocates (and registers) a private ring — call at
-    /// registration time, not on the hot path.
+    /// `scheme`. Allocates (and registers) a private ring and a
+    /// private hook-counter block — call at registration time, not on
+    /// the hot path.
     pub fn tracer(&self, thread: u16, scheme: SchemeId) -> ThreadTracer {
         #[cfg(feature = "rt")]
         {
@@ -126,6 +146,7 @@ impl Recorder {
                 inner: Some(TracerInner {
                     recorder: Arc::clone(&self.core),
                     ring,
+                    hooks: self.core.metrics.hook_block(),
                     thread,
                     scheme,
                 }),
@@ -138,10 +159,11 @@ impl Recorder {
         }
     }
 
-    /// Drains every ring and returns the merged, timestamp-ordered
-    /// log. Safe to call while writers are active (in-flight events
-    /// appear in a later drain); safe to call repeatedly (each event
-    /// is returned once).
+    /// Drains every ring and returns the merged log, ordered by
+    /// [`Event::merge_key`] (ascending `ts`; see the module docs for
+    /// what a tie means). Safe to call while writers are active
+    /// (in-flight events appear in a later drain); safe to call
+    /// repeatedly (each event is returned once).
     pub fn drain(&self) -> TraceLog {
         self.drain_since(0)
     }
@@ -171,7 +193,10 @@ impl Recorder {
             if since > 0 {
                 events.retain(|e| e.ts >= since);
             }
-            events.sort_by_key(|e| e.ts);
+            // Stable, over rings concatenated in push order: events
+            // equal in the key keep their ring position, so the same
+            // ring contents always merge to the same log.
+            events.sort_by_key(Event::merge_key);
             TraceLog { events, dropped }
         }
         #[cfg(not(feature = "rt"))]
@@ -210,7 +235,8 @@ impl Default for Recorder {
 /// A drained, merged, timestamp-ordered batch of events.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    /// Events in ascending `ts` order.
+    /// Events in ascending [`Event::merge_key`] order (so ascending,
+    /// not strictly ascending, `ts`).
     pub events: Vec<Event>,
     /// Cumulative events lost to ring overwrite across the session.
     pub dropped: u64,
@@ -234,8 +260,32 @@ impl TraceLog {
 struct TracerInner {
     recorder: Arc<RecorderCore>,
     ring: Arc<Ring>,
+    hooks: Arc<HookCounts>,
     thread: u16,
     scheme: SchemeId,
+}
+
+#[cfg(feature = "rt")]
+impl TracerInner {
+    /// The one emit path. `hook` is a constant at every call site, so
+    /// after inlining the clock branch is decided at compile time.
+    #[inline]
+    fn record(&self, thread: u16, hook: Hook, a: u64, b: u64) {
+        let clock = &self.recorder.clock.0;
+        let mut event = Event::new(thread, self.scheme, hook, a, b);
+        // SAFETY(ordering): Relaxed on both arms — the clock orders the
+        // merged log by the coherence of this one word (module docs),
+        // it publishes nothing; the ring's seqlock Release publishes
+        // the event itself. Only protocol hooks pay the RMW: a
+        // per-operation hook must not write a recorder-shared word.
+        event.ts = if hook.advances_clock() {
+            clock.fetch_add(1, Ordering::Relaxed)
+        } else {
+            clock.load(Ordering::Relaxed)
+        };
+        self.hooks.bump(hook);
+        self.ring.push(event);
+    }
 }
 
 /// A per-thread emit handle. One tracer = one writer = one ring; hand
@@ -276,18 +326,16 @@ impl ThreadTracer {
     }
 
     /// Emits one event under this tracer's thread and scheme. Hot
-    /// path: a clock `fetch_add`, a hook-counter `fetch_add`, and a
-    /// ring push. Never allocates, never blocks.
+    /// path: a clock read (a clock `fetch_add` only for the protocol
+    /// hooks, see [`Hook::advances_clock`]), a bump of this tracer's
+    /// own hook counter, and a push into this tracer's own ring — for
+    /// a per-operation hook, no store to anything another thread
+    /// writes. Never allocates, never blocks.
     #[inline]
     pub fn emit(&mut self, hook: Hook, a: u64, b: u64) {
         #[cfg(feature = "rt")]
         if let Some(inner) = &self.inner {
-            let mut event = Event::new(inner.thread, inner.scheme, hook, a, b);
-            // SAFETY(ordering): Relaxed — timestamp tick; the ring's
-            // seqlock Release publishes the event itself.
-            event.ts = inner.recorder.clock.fetch_add(1, Ordering::Relaxed);
-            inner.recorder.metrics.count_hook(hook);
-            inner.ring.push(event);
+            inner.record(inner.thread, hook, a, b);
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -301,11 +349,7 @@ impl ThreadTracer {
     pub fn emit_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
         #[cfg(feature = "rt")]
         if let Some(inner) = &self.inner {
-            let mut event = Event::new(thread, inner.scheme, hook, a, b);
-            // SAFETY(ordering): Relaxed — timestamp tick, as in `emit`.
-            event.ts = inner.recorder.clock.fetch_add(1, Ordering::Relaxed);
-            inner.recorder.metrics.count_hook(hook);
-            inner.ring.push(event);
+            inner.record(thread, hook, a, b);
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -326,25 +370,6 @@ impl ThreadTracer {
             None
         }
     }
-
-    /// A fresh timestamp from the backing clock (0 when disabled).
-    /// Used to stamp retire times for latency measurement.
-    #[inline]
-    pub fn stamp(&self) -> u64 {
-        #[cfg(feature = "rt")]
-        {
-            match &self.inner {
-                // SAFETY(ordering): Relaxed — timestamp tick, as in
-                // `emit`; stamps are compared, never synchronized on.
-                Some(inner) => inner.recorder.clock.fetch_add(1, Ordering::Relaxed),
-                None => 0,
-            }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +381,6 @@ mod tests {
         let mut t = ThreadTracer::disabled();
         assert!(!t.is_enabled());
         t.emit(Hook::Retire, 1, 2);
-        assert_eq!(t.stamp(), 0);
         assert!(t.metrics().is_none());
     }
 
@@ -375,8 +399,14 @@ mod tests {
         assert!(log.is_time_ordered());
         assert_eq!(log.with_hook(Hook::Retire).count(), 50);
         assert_eq!(rec.metrics().hook_count(Hook::Load), 50);
-        // Timestamps are globally unique (strict order after sort).
-        assert!(log.events.windows(2).all(|w| w[0].ts < w[1].ts));
+        // The merge key is a strict order here (distinct threads), and
+        // the clock-advancing events alone have unique timestamps.
+        assert!(log
+            .events
+            .windows(2)
+            .all(|w| w[0].merge_key() < w[1].merge_key()));
+        let retires: Vec<u64> = log.with_hook(Hook::Retire).map(|e| e.ts).collect();
+        assert!(retires.windows(2).all(|w| w[0] < w[1]));
         // Re-draining returns nothing new.
         assert!(rec.drain().events.is_empty());
     }

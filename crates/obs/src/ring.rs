@@ -38,6 +38,13 @@ struct Slot {
 
 /// Fixed-capacity drop-oldest event buffer. See the module docs for
 /// the single-writer / single-drainer contract.
+///
+/// Aligned to its own cache-line pair: `head` is stored on every push,
+/// and rings are small heap objects allocated back to back (one per
+/// registering thread), so without the alignment two writers' `head`s
+/// — or a `head` and a neighbouring `Arc` refcount — can land on one
+/// line and every event would bounce it between cores.
+#[repr(align(128))]
 pub struct Ring {
     mask: u64,
     /// Next write position (monotone; wraps the slot array via `mask`).

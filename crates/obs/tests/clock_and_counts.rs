@@ -1,0 +1,175 @@
+//! The two contracts of the thread-private emit path (DESIGN §3.6):
+//! hook counts are exact although no thread shares a counter, and the
+//! merged log is causally ordered although the per-operation hooks
+//! only *read* the logical clock.
+
+#![cfg(feature = "rt")]
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use era_obs::{Event, FlightDump, Hook, Recorder, SchemeId, SourceDump};
+
+const THREADS: usize = 4;
+const ROUNDS: u64 = if cfg!(miri) { 50 } else { 5_000 };
+const HANDOFFS: usize = if cfg!(miri) { 20 } else { 1_000 };
+
+#[test]
+fn hook_counts_are_exact_after_the_tracers_are_gone() {
+    let recorder = Recorder::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let recorder = &recorder;
+            s.spawn(move || {
+                let mut tracer = recorder.tracer(t as u16, SchemeId::HP);
+                for i in 0..ROUNDS {
+                    // Every hook, so the expected count is one formula.
+                    let hook = Hook::ALL[(i as usize + t) % Hook::COUNT];
+                    tracer.emit(hook, i, 0);
+                }
+                // The tracer — the counters' only writer — dies here.
+            });
+        }
+    });
+    for (k, &hook) in Hook::ALL.iter().enumerate() {
+        let expected: u64 = (0..THREADS)
+            .map(|t| {
+                (0..ROUNDS)
+                    .filter(|i| (*i as usize + t) % Hook::COUNT == k)
+                    .count() as u64
+            })
+            .sum();
+        assert_eq!(recorder.metrics().hook_count(hook), expected, "{hook}");
+    }
+}
+
+#[test]
+fn per_operation_hooks_do_not_advance_the_clock() {
+    let recorder = Recorder::with_ring_capacity(1, 1 << 16);
+    let mut tracer = recorder.tracer(0, SchemeId::HP);
+    tracer.emit(Hook::Retire, 1, 1);
+    let before = recorder.now();
+    for i in 0..10_000 {
+        tracer.emit(Hook::BeginOp, i, 0);
+        tracer.emit(Hook::Load, i, 0);
+        tracer.emit(Hook::Reserve, i, 0);
+        tracer.emit(Hook::EndOp, i, 0);
+    }
+    assert_eq!(recorder.now(), before, "a per-op hook wrote the clock");
+    assert_eq!(recorder.metrics().hook_count(Hook::Load), 10_000);
+    // ...and every one of them is in the log, stamped `before`.
+    let log = recorder.drain();
+    assert_eq!((log.events.len(), log.dropped), (40_001, 0));
+    assert!(log.events[1..].iter().all(|e| e.ts == before));
+    tracer.emit(Hook::Reclaim, 1, 0);
+    assert_eq!(recorder.now(), before + 1, "a protocol hook ticks");
+}
+
+/// Thread A retires, hands off through a Release/Acquire flag, thread B
+/// loads and then reclaims: the merged log must show A.Retire <
+/// B.Load < B.Reclaim every time, while a third thread keeps both the
+/// clock and the tie-breaking busy.
+#[test]
+fn merged_log_respects_happens_before_across_threads() {
+    let recorder = Recorder::new(3);
+    let turn = AtomicUsize::new(0);
+    let wait_for = |value: usize| {
+        while turn.load(Ordering::Acquire) != value {
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut a = recorder.tracer(0, SchemeId::HP);
+            for i in 0..HANDOFFS {
+                wait_for(2 * i);
+                a.emit(Hook::Retire, i as u64, 0);
+                // SAFETY(ordering): Release — the hand-off under test:
+                // pairs with `wait_for`'s Acquire load, making this
+                // thread's emit happen-before the peer's next ones.
+                turn.store(2 * i + 1, Ordering::Release);
+            }
+        });
+        s.spawn(|| {
+            let mut b = recorder.tracer(1, SchemeId::HP);
+            for i in 0..HANDOFFS {
+                wait_for(2 * i + 1);
+                b.emit(Hook::Load, 0, i as u64);
+                b.emit(Hook::Reclaim, i as u64, 0);
+                // SAFETY(ordering): Release — hands the turn back, as above.
+                turn.store(2 * i + 2, Ordering::Release);
+            }
+        });
+        s.spawn(|| {
+            let mut noise = recorder.tracer(2, SchemeId::HP);
+            while turn.load(Ordering::Relaxed) != 2 * HANDOFFS {
+                noise.emit(Hook::Load, 0, u64::MAX);
+                noise.emit(Hook::Advance, 0, 0);
+            }
+        });
+    });
+    let log = recorder.drain();
+    let position = |thread: u16, hook: Hook, i: usize| {
+        log.events
+            .iter()
+            .position(|e| {
+                let payload = if hook == Hook::Load { e.b } else { e.a };
+                e.thread == thread && e.hook == hook as u8 && payload == i as u64
+            })
+            .unwrap_or_else(|| panic!("{hook} #{i} of t{thread} missing"))
+    };
+    for i in 0..HANDOFFS {
+        let retire = position(0, Hook::Retire, i);
+        let load = position(1, Hook::Load, i);
+        let reclaim = position(1, Hook::Reclaim, i);
+        assert!(
+            retire < load && load < reclaim,
+            "handoff {i}: {retire} {load} {reclaim}"
+        );
+    }
+    assert!(log.is_time_ordered());
+}
+
+/// The same emit sequence — full of tied timestamps — fed to two
+/// recorders whose rings were registered in opposite orders.
+fn tied_logs() -> [Vec<Event>; 2] {
+    [[0u16, 1, 2], [2, 1, 0]].map(|registration| {
+        let recorder = Recorder::new(3);
+        let mut tracers: Vec<_> = registration
+            .iter()
+            .map(|&t| (t, recorder.tracer(t, SchemeId::IBR)))
+            .collect();
+        tracers.sort_by_key(|(t, _)| *t);
+        for round in 0..40u64 {
+            for (t, tracer) in tracers.iter_mut() {
+                tracer.emit(Hook::BeginOp, round, 0);
+                tracer.emit(Hook::Load, round, 1);
+                tracer.emit(Hook::Load, round, 2);
+                if (round + *t as u64).is_multiple_of(5) {
+                    tracer.emit(Hook::Retire, round, 0);
+                }
+                tracer.emit(Hook::EndOp, round, 0);
+            }
+        }
+        recorder.drain().events
+    })
+}
+
+#[test]
+fn equal_ring_contents_merge_to_the_same_log_and_survive_a_dump() {
+    let [log, mirrored] = tied_logs();
+    assert!(
+        log.windows(2).any(|w| w[0].ts == w[1].ts),
+        "no ties: vacuous"
+    );
+    assert!(log.windows(2).all(|w| w[0].merge_key() <= w[1].merge_key()));
+    assert_eq!(log, mirrored, "merge order depends on ring registration");
+
+    let mut source = SourceDump::new("ties");
+    source.events = log.clone();
+    let dump = FlightDump {
+        sources: vec![source],
+        ..FlightDump::new()
+    };
+    let decoded = FlightDump::decode(&dump.encode(true)).expect("own encoding decodes");
+    assert_eq!(decoded.sources[0].events, log);
+}

@@ -15,20 +15,24 @@ use era_obs::{Event, HistogramSnapshot, Hook, SchemeId, HISTOGRAM_BUCKETS};
 use proptest::prelude::*;
 
 /// Builds a well-formed event stream from raw tuples: timestamps are
-/// made strictly increasing (the recorder's logical clock guarantees
-/// uniqueness, and cross-thread ties would make the decoder's merge
-/// order ambiguous).
+/// non-decreasing with frequent ties (per-operation events read the
+/// logical clock without advancing it, so a drained log is full of
+/// them), and the log is in [`Event::merge_key`] order — the order a
+/// drain produces and the decoder must reproduce.
 fn events_from(raw: Vec<(u64, u64, u64, u16, u8, u8)>) -> Vec<Event> {
     let mut ts = 0u64;
-    raw.into_iter()
+    let mut events: Vec<Event> = raw
+        .into_iter()
         .map(|(dt, a, b, thread, scheme, hook)| {
-            ts += 1 + (dt % 1000);
+            ts += if dt % 3 == 0 { 0 } else { dt % 1000 };
             let mut e = Event::new(thread, SchemeId(scheme % 9), Hook::BeginOp, a, b);
             e.ts = ts;
             e.hook = hook % Hook::COUNT as u8;
             e
         })
-        .collect()
+        .collect();
+    events.sort_by_key(Event::merge_key);
+    events
 }
 
 fn metrics_from(seed: u64) -> MetricsDump {

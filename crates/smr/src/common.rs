@@ -130,7 +130,9 @@ pub(crate) struct Retired {
     pub drop_fn: DropFn,
     /// Logical trace time of the retire call ([`StatCells::stamp`]);
     /// 0 when no recorder is attached. Basis of the retire→reclaim
-    /// latency histogram.
+    /// latency histogram. The trace clock is advanced by protocol
+    /// events only (retire, reclaim, advance, … — not `begin_op`,
+    /// `load` or `end_op`), so the latency counts those.
     pub retire_tick: u64,
 }
 
@@ -199,7 +201,8 @@ impl StatCells {
     }
 
     /// Current logical trace time for stamping retires (0 unattached —
-    /// the attached clock never issues 0).
+    /// the attached clock never issues 0). A read of the clock, in
+    /// protocol-event ticks; it does not advance it.
     #[inline]
     pub fn stamp(&self) -> u64 {
         match self.trace.get() {
@@ -267,8 +270,9 @@ impl StatCells {
         }
     }
 
-    /// Frees one retired node, recording its retire→reclaim latency in
-    /// the attached histogram. Callers still tally the batch through
+    /// Frees one retired node, recording its retire→reclaim latency
+    /// (in protocol-event ticks of the trace clock) in the attached
+    /// histogram. Callers still tally the batch through
     /// [`StatCells::on_reclaim`].
     ///
     /// # Safety

@@ -41,7 +41,7 @@ pub fn render_event(e: &Event) -> String {
             e.b
         ),
         Some(Hook::Reclaim) => format!(
-            "[{:>8}] t{:<3} {:<5} reclaim  node={:#x} latency={}",
+            "[{:>8}] t{:<3} {:<5} reclaim  node={:#x} latency={} protocol ticks",
             e.ts,
             e.thread,
             scheme.name(),
@@ -335,7 +335,9 @@ pub enum ChainLink {
         ts: u64,
         /// Reclaiming thread slot.
         thread: u16,
-        /// Retire→reclaim latency in trace ticks.
+        /// Retire→reclaim latency in trace ticks — protocol events
+        /// (retires, reclaims, epoch advances, …) on the source's
+        /// recorder in between; operations do not advance the clock.
         latency: u64,
     },
 }
@@ -377,7 +379,7 @@ impl ChainLink {
                 ts,
                 thread,
                 latency,
-            } => format!("[{ts:>8}] reclaimed by t{thread} (retire→reclaim latency {latency} ticks)"),
+            } => format!("[{ts:>8}] reclaimed by t{thread} (retire→reclaim latency {latency} protocol ticks)"),
         }
     }
 }
@@ -736,7 +738,7 @@ fn summarize_source(source: &SourceDump, bound: Option<u64>) -> String {
         }
         if metrics.latency.total() > 0 {
             out.push_str(&format!(
-                "  retire→reclaim latency: p50≤{} p99≤{} max≤{} ({} samples)\n",
+                "  retire→reclaim latency (protocol ticks): p50≤{} p99≤{} max≤{} ({} samples)\n",
                 metrics.latency.quantile_upper_bound(0.5),
                 metrics.latency.quantile_upper_bound(0.99),
                 metrics.latency.quantile_upper_bound(1.0),

@@ -8,12 +8,22 @@
 //! probe (built identically on both sides, run interleaved A/B) to
 //! attribute throughput deltas to the scheme hot paths.
 //!
+//! The first two rows time the tracing substrate itself: one
+//! `ThreadTracer::emit(Hook::Load)` with one tracer running alone, and
+//! with two tracers of the *same* recorder emitting concurrently. The
+//! emit path writes only thread-private lines for per-operation hooks
+//! (DESIGN §3.6), so the second row must stay within 2× of the first;
+//! a shared word on that path shows up here as a 4–10× gap that a
+//! one-thread probe can never see.
+//!
 //! Run with: `cargo run --release --example hotpath_min`
 
+use std::sync::Barrier;
 use std::time::Instant;
 
 use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelList};
+use era::obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
 use era::smr::hp::Hp;
@@ -22,6 +32,7 @@ use era::smr::nbr::Nbr;
 
 const OPS_PER_REP: usize = 100_000;
 const REPS: usize = 31;
+const EMITS_PER_REP: usize = 1 << 20;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -53,6 +64,46 @@ fn measure(name: &str, lo: i64, span: i64, mut op: impl FnMut(i64) -> bool) {
     );
 }
 
+/// ns per emit of one burst of `EMITS_PER_REP` `Load` events.
+fn emit_burst(tracer: &mut ThreadTracer) -> f64 {
+    let start = Instant::now();
+    for i in 0..EMITS_PER_REP {
+        tracer.emit(Hook::Load, i as u64, 0);
+    }
+    start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
+}
+
+/// Min-of-reps ns/emit for one tracer alone and for two tracers of one
+/// recorder emitting at the same time. A two-thread repetition costs
+/// what its slower thread took, so a descheduled peer only ever adds
+/// time and the minimum still tracks the contended cost.
+fn bench_emit() {
+    let recorder = Recorder::new(2);
+    let mut first = recorder.tracer(0, SchemeId::NONE);
+    let mut second = recorder.tracer(1, SchemeId::NONE);
+    let alone = (0..REPS)
+        .map(|_| emit_burst(&mut first))
+        .fold(f64::INFINITY, f64::min);
+    let together = (0..REPS)
+        .map(|_| {
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                let peer = s.spawn(|| {
+                    start.wait();
+                    emit_burst(&mut second)
+                });
+                start.wait();
+                emit_burst(&mut first).max(peer.join().expect("emit thread"))
+            })
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!("emit 1 thread : min {alone:.1} ns/emit");
+    println!(
+        "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
+        together / alone
+    );
+}
+
 fn bench_michael<S: Smr>(name: &str, smr: &S, key_range: i64) {
     let list = MichaelList::new(smr);
     let mut ctx = smr.register().expect("capacity");
@@ -73,6 +124,8 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 }
 
 fn main() {
+    println!("-- era-obs emit (Hook::Load, one recorder)");
+    bench_emit();
     for kr in [16i64, 32, 64, 128, 1024] {
         println!("-- key_range {kr}");
         bench_michael("michael+ebr ", &Ebr::new(2), kr);

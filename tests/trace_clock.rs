@@ -1,0 +1,111 @@
+//! The trace-clock contract (DESIGN §3.6) seen through real schemes and
+//! a real structure: operations read the logical clock, only the
+//! reclamation protocol advances it — and the merged log is still
+//! causally ordered, every node's `Retire` ahead of its `Reclaim`.
+
+use std::collections::HashMap as StdHashMap;
+
+use era::ds::HashMap;
+use era::obs::{Hook, Recorder};
+use era::smr::common::Smr;
+use era::smr::ebr::Ebr;
+use era::smr::hp::Hp;
+
+const THREADS: usize = 2;
+const KEYS: i64 = 256;
+const READS_PER_THREAD: i64 = if cfg!(miri) { 200 } else { 5_000 };
+
+fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &S) {
+    let name = smr.name();
+    let recorder = Recorder::with_ring_capacity(THREADS + 2, 1 << 16);
+    smr.attach_recorder(&recorder);
+    let map = HashMap::new(smr, 64);
+    {
+        let mut ctx = smr.register().expect("slot");
+        for k in 0..KEYS {
+            map.insert(&mut ctx, k, k);
+        }
+    }
+    let begun = recorder.metrics().hook_count(Hook::BeginOp);
+
+    // Read-only phase, two threads: the clock must not move at all.
+    let quiet = recorder.now();
+    std::thread::scope(|s| {
+        for t in 0..THREADS as i64 {
+            let map = &map;
+            s.spawn(move || {
+                let mut ctx = smr.register().expect("slot");
+                for i in 0..READS_PER_THREAD {
+                    assert_eq!(map.get(&mut ctx, (i + t) % KEYS), Some((i + t) % KEYS));
+                }
+            });
+        }
+    });
+    assert_eq!(recorder.now(), quiet, "{name}: a read advanced the clock");
+    assert_eq!(
+        recorder.metrics().hook_count(Hook::BeginOp) - begun,
+        THREADS as u64 * READS_PER_THREAD as u64,
+        "{name}: hook counts are exact without a shared counter"
+    );
+
+    // Churn phase, two threads on disjoint keys: retires tick.
+    std::thread::scope(|s| {
+        for t in 0..THREADS as i64 {
+            let map = &map;
+            s.spawn(move || {
+                let mut ctx = smr.register().expect("slot");
+                for k in (t..KEYS).step_by(THREADS) {
+                    assert_eq!(map.remove(&mut ctx, k), Some(k));
+                    // The peer's key: there or not, a read between retires.
+                    let _ = map.get(&mut ctx, (k + 1) % KEYS);
+                }
+                for _ in 0..4 {
+                    smr.flush(&mut ctx);
+                }
+            });
+        }
+    });
+    let stats = smr.stats();
+    assert_eq!(stats.total_retired, KEYS as u64, "{name}");
+    assert!(
+        recorder.now() >= quiet + stats.total_retired + stats.total_reclaimed,
+        "{name}: every retire and reclaim ticks"
+    );
+
+    let log = recorder.drain();
+    assert_eq!(log.dropped, 0, "{name}: ring sized to keep the whole run");
+    assert!(log
+        .events
+        .windows(2)
+        .all(|w| w[0].merge_key() <= w[1].merge_key()));
+    let retired_at: StdHashMap<u64, usize> = log
+        .events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.hook == Hook::Retire as u8)
+        .map(|(at, e)| (e.a, at))
+        .collect();
+    assert_eq!(retired_at.len(), KEYS as usize, "{name}");
+    let mut reclaims = 0;
+    for (at, e) in log.events.iter().enumerate() {
+        if e.hook == Hook::Reclaim as u8 {
+            reclaims += 1;
+            assert!(
+                retired_at[&e.a] < at,
+                "{name}: reclaim of {:#x} before its retire",
+                e.a
+            );
+        }
+    }
+    assert_eq!(reclaims, stats.total_reclaimed, "{name}");
+}
+
+#[test]
+fn hp_operations_read_the_clock_reclamation_advances_it() {
+    clock_is_read_by_operations_and_advanced_by_reclamation(&Hp::new(THREADS + 2, 3));
+}
+
+#[test]
+fn ebr_operations_read_the_clock_reclamation_advances_it() {
+    clock_is_read_by_operations_and_advanced_by_reclamation(&Ebr::new(THREADS + 2));
+}
