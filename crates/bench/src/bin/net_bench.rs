@@ -4,24 +4,19 @@
 //! tail latency, throughput, and typed `Overloaded`/`DeadlineExceeded`
 //! frames instead of silent stalls.
 //!
-//! By default the benchmark spawns its own in-process server (same
-//! process, real loopback TCP). Point `--addr` at an already-running
-//! `era-net serve` to drive it from a separate process — several
-//! `net_bench` instances can gang up on one server.
+//! The server is always a separate process: start `era-net serve
+//! --addr-file FILE` and point `--addr` at the address it wrote —
+//! several `net_bench` instances can gang up on one server.
 //!
 //! Latency is measured from each request's **intended** send time
 //! under open-loop pacing (`--rate`), so coordinated omission is
 //! charged to the server rather than hidden by a stalling client.
 //!
 //! Usage:
-//!   net_bench [--addr HOST:PORT] [--connections N] [--duration SECS]
+//!   net_bench --addr HOST:PORT [--connections N] [--duration SECS]
 //!             [--pipeline N] [--rate OPS_PER_SEC] [--keys N]
 //!             [--mix a|b|c|churn] [--dist uniform|zipf] [--theta F]
 //!             [--seed N] [--report out.jsonl]
-//!             (internal server only:)
-//!             [--scheme ebr|qsbr|hp] [--shards N] [--workers N]
-//!             [--soft N] [--hard N] [--flight-dump out.eraflt]
-//!             [--ring-capacity N]  (default: ERA_RING_CAPACITY env)
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -29,15 +24,17 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use era_bench::table::Table;
-use era_kv::workload::{KeyDist, KvMix};
-use era_kv::{KvConfig, KvStore};
+use era_kv::{KeyDist, KvMix};
 use era_net::proto::{read_frame, write_request, Request, Response};
-use era_net::{percentiles, write_jsonl, ErrorCode, NetConfig, NetRunRecord, NetServer};
-use era_smr::{ebr::Ebr, hp::Hp, qsbr::Qsbr, Smr};
+use era_net::{percentiles, write_jsonl, ErrorCode, NetRunRecord};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
+const USAGE: &str = "usage: net_bench --addr HOST:PORT [options] \
+                     (start a server with `era-net serve --addr-file FILE` \
+                     and pass the address it writes)";
+
 struct Options {
-    addr: Option<String>,
+    addr: String,
     connections: usize,
     duration: Duration,
     pipeline: usize,
@@ -48,19 +45,11 @@ struct Options {
     dist: KeyDist,
     seed: u64,
     report: Option<PathBuf>,
-    // Internal-server knobs.
-    scheme: String,
-    shards: usize,
-    workers: usize,
-    soft: usize,
-    hard: usize,
-    flight_dump: PathBuf,
-    ring_capacity: usize,
 }
 
 fn parse_options() -> Options {
     let mut opts = Options {
-        addr: None,
+        addr: String::new(),
         connections: 4,
         duration: Duration::from_secs(3),
         pipeline: 16,
@@ -71,16 +60,6 @@ fn parse_options() -> Options {
         dist: KeyDist::Uniform,
         seed: 0x0E8A_BE9C,
         report: None,
-        scheme: "ebr".to_string(),
-        shards: 4,
-        workers: 4,
-        soft: 512,
-        hard: 2_048,
-        flight_dump: PathBuf::from("net_bench.eraflt"),
-        ring_capacity: std::env::var("ERA_RING_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(era_obs::DEFAULT_RING_CAPACITY),
     };
     let mut theta = 0.99f64;
     let mut zipf = false;
@@ -93,7 +72,7 @@ fn parse_options() -> Options {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => opts.addr = Some(value(&mut args, "--addr")),
+            "--addr" => opts.addr = value(&mut args, "--addr"),
             "--connections" => {
                 opts.connections = value(&mut args, "--connections")
                     .parse()
@@ -133,22 +112,15 @@ fn parse_options() -> Options {
                 }
             }
             "--report" => opts.report = Some(PathBuf::from(value(&mut args, "--report"))),
-            "--scheme" => opts.scheme = value(&mut args, "--scheme"),
-            "--shards" => opts.shards = value(&mut args, "--shards").parse().unwrap_or(4).max(1),
-            "--workers" => opts.workers = value(&mut args, "--workers").parse().unwrap_or(4).max(1),
-            "--soft" => opts.soft = value(&mut args, "--soft").parse().unwrap_or(512),
-            "--hard" => opts.hard = value(&mut args, "--hard").parse().unwrap_or(2_048),
-            "--flight-dump" => opts.flight_dump = PathBuf::from(value(&mut args, "--flight-dump")),
-            "--ring-capacity" => {
-                opts.ring_capacity = value(&mut args, "--ring-capacity")
-                    .parse()
-                    .unwrap_or(era_obs::DEFAULT_RING_CAPACITY)
-            }
             other => {
-                eprintln!("unknown argument {other}");
+                eprintln!("unknown argument {other}\n{USAGE}");
                 std::process::exit(2);
             }
         }
+    }
+    if opts.addr.is_empty() {
+        eprintln!("--addr is required\n{USAGE}");
+        std::process::exit(2);
     }
     if zipf {
         opts.dist = KeyDist::Zipfian { theta };
@@ -174,8 +146,8 @@ fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Response {
 
 /// One client connection: open-loop paced, pipelined bursts, latency
 /// from intended send times.
-fn drive_connection(opts: &Options, addr: &str, conn_id: u64) -> ConnResult {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
+fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
+    let mut stream = TcpStream::connect(&opts.addr).expect("connect to server");
     stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -248,8 +220,9 @@ fn drive_connection(opts: &Options, addr: &str, conn_id: u64) -> ConnResult {
     res
 }
 
-/// Runs the measured load against `addr` and assembles the record.
-fn run_load(opts: &Options, addr: &str) -> NetRunRecord {
+/// Runs the measured load against `opts.addr` and assembles the record.
+fn run_load(opts: &Options) -> NetRunRecord {
+    let addr = opts.addr.as_str();
     // Prefill half the keyspace through one pipelined connection so
     // reads hit real entries.
     {
@@ -275,7 +248,7 @@ fn run_load(opts: &Options, addr: &str) -> NetRunRecord {
     let started = Instant::now();
     let results: Vec<ConnResult> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..opts.connections)
-            .map(|c| s.spawn(move || drive_connection(opts, addr, c as u64)))
+            .map(|c| s.spawn(move || drive_connection(opts, c as u64)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -326,49 +299,6 @@ fn run_load(opts: &Options, addr: &str) -> NetRunRecord {
     }
 }
 
-fn bench_internal<S: Smr>(schemes: &[S], opts: &Options) -> NetRunRecord {
-    let cfg = KvConfig {
-        retired_soft: opts.soft,
-        retired_hard: opts.hard,
-        max_threads: opts.workers + 8,
-        ring_capacity: opts.ring_capacity,
-        ..KvConfig::default()
-    };
-    let store = KvStore::new(schemes, cfg);
-    let server = NetServer::bind(
-        &store,
-        NetConfig {
-            workers: opts.workers,
-            ring_capacity: opts.ring_capacity,
-            ..NetConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind internal server");
-    server.flight().install_panic_hook(opts.flight_dump.clone());
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let record = std::thread::scope(|s| {
-        let run = s.spawn(|| server.run().expect("serve"));
-        let record = run_load(opts, &addr);
-        handle.shutdown();
-        let stats = run.join().unwrap();
-        println!("server: {stats}");
-        record
-    });
-    match server.write_flight(&opts.flight_dump) {
-        Ok(()) => println!(
-            "wrote flight dump to {} (replay with `era-view {0}`)",
-            opts.flight_dump.display()
-        ),
-        Err(e) => eprintln!(
-            "failed to write flight dump {}: {e}",
-            opts.flight_dump.display()
-        ),
-    }
-    record
-}
-
 fn main() {
     let opts = parse_options();
     println!(
@@ -383,34 +313,8 @@ fn main() {
             "closed loop".to_string()
         },
     );
-    let record = match &opts.addr {
-        Some(addr) => {
-            println!("driving external server at {addr}");
-            run_load(&opts, addr)
-        }
-        None => {
-            let capacity = opts.workers + 8;
-            match opts.scheme.as_str() {
-                "ebr" => {
-                    let schemes: Vec<Ebr> = (0..opts.shards).map(|_| Ebr::new(capacity)).collect();
-                    bench_internal(&schemes, &opts)
-                }
-                "qsbr" => {
-                    let schemes: Vec<Qsbr> =
-                        (0..opts.shards).map(|_| Qsbr::new(capacity)).collect();
-                    bench_internal(&schemes, &opts)
-                }
-                "hp" => {
-                    let schemes: Vec<Hp> = (0..opts.shards).map(|_| Hp::new(capacity, 3)).collect();
-                    bench_internal(&schemes, &opts)
-                }
-                other => {
-                    eprintln!("unknown --scheme {other} (use ebr|qsbr|hp)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
+    println!("driving server at {}", opts.addr);
+    let record = run_load(&opts);
     let mut table = Table::new(
         [
             "Mops/s",

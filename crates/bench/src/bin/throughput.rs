@@ -7,16 +7,13 @@
 //! the VBR list, across thread counts and operation mixes.
 //!
 //! Usage: `throughput [ops_per_thread] [key_range] [--report out.jsonl]
-//! [--json-out out.jsonl] [--label tag] [--zipf [--theta 0.99]]`
-//! (defaults 200000, 1024, uniform keys).
+//! [--zipf [--theta 0.99]]` (defaults 200000, 1024, uniform keys).
 //! With `--report`, every Michael/Harris run is traced through an
 //! [`era_obs::Recorder`] and the JSON-lines report (throughput, retired
-//! high-water, footprint curve, reclaim-latency histogram) is written
-//! to the given path. With `--json-out`, the same runs are recorded
-//! *untraced* (throughput + scheme counters only — the shape perf
-//! comparisons use; see `era_bench::report` for the format) — since the
-//! workloads are seeded, the output is deterministic up to timing.
-//! `--label` tags every emitted record (e.g. `before`/`after`).
+//! high-water, footprint curve, reclaim-latency histogram; see
+//! `era_bench::report` for the format) is written to the given path —
+//! since the workloads are seeded, the output is deterministic up to
+//! timing.
 //! `--zipf` draws keys from a YCSB-style zipfian distribution instead
 //! of uniformly, concentrating contention on a hot set.
 
@@ -34,8 +31,6 @@ use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
 
 fn main() {
     let mut report_path: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut label = String::new();
     let mut zipf = false;
     let mut theta = 0.99f64;
     let mut positional: Vec<String> = Vec::new();
@@ -46,20 +41,6 @@ fn main() {
             if report_path.is_none() {
                 eprintln!("--report requires a path argument");
                 std::process::exit(2);
-            }
-        } else if arg == "--json-out" {
-            json_out = args.next().map(PathBuf::from);
-            if json_out.is_none() {
-                eprintln!("--json-out requires a path argument");
-                std::process::exit(2);
-            }
-        } else if arg == "--label" {
-            match args.next() {
-                Some(l) => label = l,
-                None => {
-                    eprintln!("--label requires a value");
-                    std::process::exit(2);
-                }
             }
         } else if arg == "--zipf" {
             zipf = true;
@@ -128,20 +109,10 @@ fn main() {
                     let st = if report_path.is_some() {
                         let rec = Recorder::new(t + 2);
                         let st = run_michael_traced(&smr, &spec, &rec);
-                        records.push(
-                            RunRecord::collect("michael", smr.name(), &spec, st, &rec)
-                                .with_label(&label),
-                        );
+                        records.push(RunRecord::collect("michael", smr.name(), &spec, st, &rec));
                         st
                     } else {
-                        let st = run_michael(&smr, &spec);
-                        if json_out.is_some() {
-                            records.push(
-                                RunRecord::from_stats("michael", smr.name(), &spec, st)
-                                    .with_label(&label),
-                            );
-                        }
-                        st
+                        run_michael(&smr, &spec)
                     };
                     cells.push(format!("{:.2}", st.mops()));
                 }
@@ -157,20 +128,10 @@ fn main() {
                     let st = if report_path.is_some() {
                         let rec = Recorder::new(t + 2);
                         let st = run_harris_traced(&smr, &spec, &rec);
-                        records.push(
-                            RunRecord::collect("harris", smr.name(), &spec, st, &rec)
-                                .with_label(&label),
-                        );
+                        records.push(RunRecord::collect("harris", smr.name(), &spec, st, &rec));
                         st
                     } else {
-                        let st = run_harris(&smr, &spec);
-                        if json_out.is_some() {
-                            records.push(
-                                RunRecord::from_stats("harris", smr.name(), &spec, st)
-                                    .with_label(&label),
-                            );
-                        }
-                        st
+                        run_harris(&smr, &spec)
                     };
                     cells.push(format!("{:.2}", st.mops()));
                 }
@@ -209,7 +170,7 @@ fn main() {
          HP/HE pay per-read validation; Harris beats Michael under churn \
          (see also the michael_vs_harris Criterion bench, experiment E6)."
     );
-    for path in [report_path, json_out].into_iter().flatten() {
+    if let Some(path) = report_path {
         match write_jsonl(&path, &records) {
             Ok(()) => println!("wrote {} run records to {}", records.len(), path.display()),
             Err(e) => {

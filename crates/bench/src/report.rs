@@ -14,7 +14,6 @@
 //!
 //! | key | type | meaning |
 //! |---|---|---|
-//! | `label` | string | Free-form run tag (`""` when untagged). The checked-in `BENCH_smr_baseline.json` uses `"before"`/`"after"` to pair the two sides of a perf comparison. |
 //! | `structure` | string | Data structure driven (`michael`, `harris`, `skiplist`, `vbr-list`). |
 //! | `scheme` | string | Reclamation scheme name as reported by [`Smr::name`](era_smr::common::Smr::name). |
 //! | `mix` | string | Operation mix, e.g. `"90r/5i/5d"`. |
@@ -27,18 +26,16 @@
 //! | `final_retired` | int | Retired-but-unreclaimed population at run end. |
 //! | `total_retired` | int | Total retire calls. |
 //! | `total_reclaimed` | int | Total nodes reclaimed. |
-//! | `reclaim_latency` | object | Log₂ histogram of retire→reclaim latency in logical ticks — protocol events, not operations (empty for untraced runs). |
-//! | `hook_counts` | object | Per-hook event counts (empty `{}` for untraced runs). |
-//! | `footprint_curve` | array | `[logical_ts, retired_now]` pairs from the sampler (empty for untraced runs). |
-//! | `trace_dropped` | int | Trace events lost to ring overwrite (0 = complete or untraced). |
+//! | `reclaim_latency` | object | Log₂ histogram of retire→reclaim latency in logical ticks — protocol events, not operations. |
+//! | `hook_counts` | object | Per-hook event counts. |
+//! | `footprint_curve` | array | `[logical_ts, retired_now]` pairs from the sampler. |
+//! | `trace_dropped` | int | Trace events lost to ring overwrite (0 = complete). |
 //!
-//! Traced records come from [`RunRecord::collect`] (a [`Recorder`] was
-//! attached — richer but with per-op tracing overhead); untraced records
-//! come from [`RunRecord::from_stats`] (throughput + scheme counters
-//! only — what `throughput --json-out` writes, and what perf
-//! comparisons should be based on). Workloads are seeded (the shim-rand
-//! `StdRng`), so the op streams are identical across runs and machines;
-//! only the timing varies.
+//! Records come from [`RunRecord::collect`] (a [`Recorder`] was
+//! attached, so timings carry per-op tracing overhead; perf claims are
+//! measured by `perf/`, not from these records). Workloads are seeded
+//! (the shim-rand `StdRng`), so the op streams are identical across
+//! runs and machines; only the timing varies.
 
 use std::io::Write;
 use std::path::Path;
@@ -52,8 +49,6 @@ use crate::workload::WorkloadSpec;
 /// One benchmark run, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// Free-form run tag (e.g. "before"/"after"); empty when untagged.
-    pub label: String,
     /// Data structure driven ("michael", "harris", …).
     pub structure: String,
     /// Reclamation scheme name.
@@ -89,7 +84,6 @@ impl RunRecord {
         let log = recorder.drain();
         let curve = log.with_hook(Hook::Sample).map(|e| (e.ts, e.a)).collect();
         RunRecord {
-            label: String::new(),
             structure: structure.to_string(),
             scheme: scheme.to_string(),
             mix: spec.mix.to_string(),
@@ -102,35 +96,9 @@ impl RunRecord {
         }
     }
 
-    /// Assembles a record from an *untraced* run: throughput and the
-    /// scheme's own counters only — no footprint curve, latency
-    /// histogram, or hook counts. This is the record shape perf
-    /// comparisons use (no tracing overhead perturbing the timings).
-    pub fn from_stats(structure: &str, scheme: &str, spec: &WorkloadSpec, stats: RunStats) -> Self {
-        RunRecord {
-            label: String::new(),
-            structure: structure.to_string(),
-            scheme: scheme.to_string(),
-            mix: spec.mix.to_string(),
-            threads: spec.threads,
-            stats,
-            curve: Vec::new(),
-            latency: HistogramSnapshot::empty(),
-            hook_counts: "{}".to_string(),
-            trace_dropped: 0,
-        }
-    }
-
-    /// Sets the free-form run tag (builder style).
-    pub fn with_label(mut self, label: &str) -> Self {
-        self.label = label.to_string();
-        self
-    }
-
     /// Renders the record as one line of JSON.
     pub fn to_json_line(&self) -> String {
         JsonObject::new()
-            .str("label", &self.label)
             .str("structure", &self.structure)
             .str("scheme", &self.scheme)
             .str("mix", &self.mix)
@@ -198,21 +166,6 @@ mod tests {
         ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
-    }
-
-    #[test]
-    fn untraced_record_is_stats_only() {
-        let spec = WorkloadSpec::small();
-        let smr = Ebr::new(spec.threads + 2);
-        let stats = crate::runner::run_michael(&smr, &spec);
-        let record = RunRecord::from_stats("michael", "EBR", &spec, stats).with_label("before");
-        assert!(record.curve.is_empty());
-        assert_eq!(record.latency.total(), 0);
-        let line = record.to_json_line();
-        assert!(line.contains("\"label\":\"before\""));
-        assert!(line.contains("\"hook_counts\":{}"));
-        assert!(line.contains("\"footprint_curve\":[]"));
-        assert!(line.contains("\"trace_dropped\":0"));
     }
 
     #[test]

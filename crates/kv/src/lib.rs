@@ -25,11 +25,10 @@
 //!   cooperatively neutralized, NBR-style: robustness bought by giving
 //!   up easy integration). Every transition is a
 //!   [`Hook::Navigate`](era_obs::Hook) event.
-//! * [`workload`] — a YCSB-style driver (A/B/C and churn mixes,
-//!   uniform and zipfian keys, stall injection) used by `era-bench`'s
-//!   `kv_bench` binary and the integration tests.
-//! * [`report`] — JSON-lines run records merging the per-shard
-//!   recorders.
+//! * [`workload`] — the YCSB-style workload vocabulary (A/B/C and
+//!   churn mixes, uniform and zipfian keys). The one driver over a
+//!   store — phases, stall injection, the navigator loop, run records
+//!   — is `era-scenarios`' `run_scenario`.
 //!
 //! ## The navigator contract
 //!
@@ -41,25 +40,23 @@
 //! inherit the protocol for free, which is exactly the integration
 //! burden the navigator shifts from every data-structure author to one
 //! service author. Threads that access a shard's scheme directly (like
-//! the stall harness in [`workload`]) must follow the protocol
+//! the scenario executor's stall reader) must follow the protocol
 //! themselves.
 //!
 //! ## Feature flags
 //!
 //! * `trace` (default) — enables the era-obs runtime: navigator
 //!   transitions, admission sheds, and footprint samples land in the
-//!   per-shard event rings and flow into [`report`] records. Without
-//!   it the navigator still functions (classification reads always-on
-//!   metrics), but reports carry no event curves.
+//!   per-shard event rings (flight dumps, `era-view`). Without it the
+//!   navigator still functions (classification reads always-on
+//!   metrics), but the rings stay empty.
 
 #![warn(missing_docs)]
 
 pub mod navigator;
-pub mod report;
 pub mod store;
 pub mod workload;
 
 pub use navigator::ShardHealth;
-pub use report::{write_jsonl, KvRunRecord};
 pub use store::{KvConfig, KvCtx, KvError, KvStore, RetryPolicy, NAVIGATOR_THREAD};
-pub use workload::{run_workload, KeyDist, KvMix, KvRunStats, KvWorkloadSpec};
+pub use workload::{KeyDist, KvMix};

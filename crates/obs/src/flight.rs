@@ -3,7 +3,7 @@
 //! `.eraflt` dump files ([`crate::dump`]).
 //!
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
-//! (one per scheme in `chaos_bench`, one per shard in `kv_bench`) —
+//! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
 //! and maintains, per source, a retained event buffer plus a series of
 //! *(wall instant, logical tick)* checkpoints. Because the trace clock
 //! is logical, the checkpoints are what let "the last N seconds" be

@@ -2,13 +2,14 @@
 //! built-in campaign over one scheme or all six.
 //!
 //! Usage:
-//!   scenarios [--scenario NAME] [--scheme ebr|qsbr|hp|he|ibr|nbr|all]
+//!   scenarios [--scenario NAME]... [--scheme ebr|qsbr|hp|he|ibr|nbr|all]...
 //!             [--spec FILE] [--list] [--smoke]
 //!             [--report out.jsonl] [--flight-dir DIR]
 //!             [--ring-capacity N]
 //!
-//! Defaults: the whole campaign over all six pointer-based schemes,
-//! ring capacity from `ERA_RING_CAPACITY` or the workspace default.
+//! Defaults: the whole campaign over all six pointer-based schemes
+//! (repeat `--scheme` to pick several), ring capacity from
+//! `ERA_RING_CAPACITY` or the workspace default.
 //! Exit status is non-zero when any run's verdict is `fail` — a
 //! robust scheme past its bound, a non-robust scheme that *failed* to
 //! blow the bound under a stall, residue after drain, an unhealthy
@@ -44,7 +45,7 @@ struct Options {
 fn parse_options() -> Options {
     let mut opts = Options {
         scenarios: Vec::new(),
-        schemes: SCHEMES.iter().map(|s| s.to_string()).collect(),
+        schemes: Vec::new(),
         spec_file: None,
         list: false,
         smoke: false,
@@ -70,7 +71,9 @@ fn parse_options() -> Options {
                 if s == "all" {
                     opts.schemes = SCHEMES.iter().map(|s| s.to_string()).collect();
                 } else if SCHEMES.contains(&s.as_str()) {
-                    opts.schemes = vec![s];
+                    if !opts.schemes.contains(&s) {
+                        opts.schemes.push(s);
+                    }
                 } else {
                     eprintln!("unknown --scheme {s} (use ebr|qsbr|hp|he|ibr|nbr|all)");
                     std::process::exit(2);
@@ -84,15 +87,20 @@ fn parse_options() -> Options {
                 opts.flight_dir = Some(PathBuf::from(value(&mut args, "--flight-dir")))
             }
             "--ring-capacity" => {
-                opts.ring_capacity = value(&mut args, "--ring-capacity")
-                    .parse()
-                    .unwrap_or(era_obs::DEFAULT_RING_CAPACITY)
+                let v = value(&mut args, "--ring-capacity");
+                opts.ring_capacity = v.parse().unwrap_or_else(|_| {
+                    eprintln!("--ring-capacity {v} is not a number");
+                    std::process::exit(2);
+                })
             }
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
             }
         }
+    }
+    if opts.schemes.is_empty() {
+        opts.schemes = SCHEMES.iter().map(|s| s.to_string()).collect();
     }
     opts
 }

@@ -1,10 +1,9 @@
-//! The scenario executor: drives one [`ScenarioSpec`] against a
-//! [`KvStore`] over any [`Smr`] scheme, phase by phase, with the
-//! adversities each phase declares, then evaluates the per-scheme
-//! robustness invariants.
+//! The scenario executor — the workspace's one workload driver over a
+//! [`KvStore`]: drives one [`ScenarioSpec`] over any [`Smr`] scheme,
+//! phase by phase, with the adversities each phase declares, then
+//! evaluates the per-scheme robustness invariants.
 //!
-//! The executor reuses the workload driver's thread-scope idiom
-//! (`era_kv::workload::run_workload`): per phase, a navigator watchdog
+//! Each phase runs under one `std::thread::scope`: a navigator watchdog
 //! thread (unless the phase serves TCP — the net server's own watchdog
 //! replaces it), a footprint sampler, an optional Theorem-6.1
 //! adversarial stalled reader, and seeded workers. Worker RNG streams
@@ -28,8 +27,7 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 use crate::invariant::{evaluate, EvalInput, InvariantOutcome};
 use crate::spec::{PhaseSpec, ScenarioSpec};
 
-/// How often the navigator and footprint sampler threads poll (the
-/// workload driver's cadence).
+/// How often the navigator and footprint sampler threads poll.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Worker threads a serve-net phase's in-process server registers.
@@ -543,9 +541,8 @@ fn serve_phase<S: Smr>(
     });
 }
 
-/// The seeded RNG and key sampler of worker `t` in phase `pi` — the
-/// workload driver's derivation, salted with the phase index so phases
-/// draw independent streams.
+/// The seeded RNG and key sampler of worker `t` in phase `pi`, salted
+/// with the phase index so phases draw independent streams.
 fn worker_rng(
     spec: &ScenarioSpec,
     pi: usize,

@@ -93,7 +93,7 @@ impl PhaseSpec {
         }
     }
 
-    /// The operation mix as the workload driver's type.
+    /// The operation mix as `era-kv`'s workload type.
     pub fn mix(&self) -> KvMix {
         KvMix {
             reads: self.reads,
@@ -102,7 +102,7 @@ impl PhaseSpec {
         }
     }
 
-    /// The key distribution as the workload driver's type.
+    /// The key distribution as `era-kv`'s workload type.
     pub fn dist(&self) -> KeyDist {
         if self.theta_bp == 0 {
             KeyDist::Uniform

@@ -1,0 +1,72 @@
+//! `run_scenario` end to end on a tiny spec, and the checked-in E8
+//! spec files against the parser.
+
+use era_kv::KvStore;
+use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
+use era_scenarios::{PhaseSpec, ScenarioOutcome, ScenarioSpec};
+use era_smr::{ebr::Ebr, hp::Hp, Smr};
+
+fn tiny() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "tiny".into(),
+        seed: 42,
+        shards: 2,
+        soft: 512,
+        hard: 2048,
+        bound: 2048,
+        prefill: 128,
+        chaos: None,
+        phases: vec![PhaseSpec {
+            key_hi: 256,
+            threads: 2,
+            ops_per_thread: 500,
+            ..PhaseSpec::churn("churn")
+        }],
+    }
+}
+
+fn run<S: Smr>(make: impl Fn(usize) -> S) -> ScenarioOutcome {
+    let spec = tiny();
+    let schemes: Vec<S> = (0..spec.shards)
+        .map(|_| make(scheme_capacity(&spec)))
+        .collect();
+    let store = KvStore::new(&schemes, kv_config(&spec, era_obs::DEFAULT_RING_CAPACITY));
+    run_scenario(&store, &spec, &RunOptions::default())
+}
+
+/// Every op is accounted for, the epilogue drains, the invariants hold
+/// — and a second run of the same spec agrees on all of it.
+fn check(run: impl Fn() -> ScenarioOutcome) {
+    let (a, b) = (run(), run());
+    assert_eq!(a.phases.len(), 1);
+    assert_eq!(a.phases[0].ops, 2 * 500);
+    assert!(a.drained, "{a:?}");
+    assert!(a.pass, "{a:?}");
+    assert_eq!(a.phases[0].ops, b.phases[0].ops);
+    let verdicts = |o: &ScenarioOutcome| -> Vec<(&'static str, bool)> {
+        o.invariants.iter().map(|i| (i.name, i.ok)).collect()
+    };
+    assert_eq!(verdicts(&a), verdicts(&b));
+}
+
+#[test]
+fn tiny_spec_on_ebr_completes_drains_and_repeats() {
+    check(|| run(Ebr::new));
+}
+
+#[test]
+fn tiny_spec_on_hp_completes_drains_and_repeats() {
+    check(|| run(|cap| Hp::new(cap, 3)));
+}
+
+#[test]
+fn checked_in_e8_specs_parse_and_round_trip() {
+    for text in [
+        include_str!("../specs/e8-navigator-on.json"),
+        include_str!("../specs/e8-navigator-off.json"),
+    ] {
+        let spec = ScenarioSpec::from_json(text).expect("checked-in spec parses");
+        assert_eq!(spec.validate(), Ok(()));
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
+    }
+}

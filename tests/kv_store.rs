@@ -7,11 +7,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use era::kv::workload::{run_workload, KeyDist, KvMix, KvWorkloadSpec};
 use era::kv::{KvConfig, KvError, KvStore};
+use era::obs::DEFAULT_RING_CAPACITY;
 use era::smr::common::Smr;
 use era::smr::ebr::Ebr;
 use era::smr::qsbr::Qsbr;
+use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
+use era_scenarios::{PhaseSpec, ScenarioSpec};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -97,6 +99,31 @@ proptest! {
     }
 }
 
+/// The stalled-reader workload as a one-phase scenario: 2 shards, 2
+/// workers churning 512 uniform-or-zipfian keys, one reader pinned
+/// inside shard 0 for the whole phase, budgets 128/512.
+fn stall_spec(seed: u64, theta_bp: u64, ops_per_thread: usize, navigator: bool) -> ScenarioSpec {
+    ScenarioSpec {
+        name: "kv-store-stall".into(),
+        seed,
+        shards: 2,
+        soft: 128,
+        hard: 512,
+        bound: 512,
+        prefill: 256,
+        chaos: None,
+        phases: vec![PhaseSpec {
+            theta_bp,
+            key_hi: 512,
+            threads: 2,
+            ops_per_thread,
+            stall_shard: Some(0),
+            navigator,
+            ..PhaseSpec::churn("stall")
+        }],
+    }
+}
+
 /// The acceptance scenario, as a test: one reader stalls inside shard
 /// 0's protected region while workers churn. Without the navigator the
 /// stalled shard's retired population grows with the run length
@@ -110,44 +137,41 @@ proptest! {
 /// the two regimes to separate by the asserted 4× margin.
 #[test]
 fn navigator_bounds_footprint_under_stalled_reader() {
-    let spec = KvWorkloadSpec {
-        mix: KvMix::CHURN,
-        dist: KeyDist::Uniform,
-        key_range: 512,
-        ops_per_thread: if cfg!(debug_assertions) {
-            60_000
-        } else {
-            300_000
-        },
-        threads: 2,
-        prefill: 256,
-        seed: 7,
+    let ops_per_thread = if cfg!(debug_assertions) {
+        60_000
+    } else {
+        300_000
     };
-    let cfg = KvConfig {
-        retired_soft: 128,
-        retired_hard: 512,
-        max_threads: 8,
-        ..KvConfig::default()
-    };
-
     let run = |navigator_on: bool| {
-        let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(6)).collect();
-        let store = KvStore::new(&schemes, cfg);
-        run_workload(&store, &spec, navigator_on, Some(0))
+        let spec = stall_spec(7, 0, ops_per_thread, navigator_on);
+        let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(scheme_capacity(&spec))).collect();
+        let store = KvStore::new(&schemes, kv_config(&spec, DEFAULT_RING_CAPACITY));
+        let outcome = run_scenario(&store, &spec, &RunOptions::default());
+        let peaks: Vec<usize> = store
+            .shard_stats()
+            .iter()
+            .map(|st| st.retired_peak)
+            .collect();
+        (outcome, peaks)
     };
 
-    let off = run(false);
-    let on = run(true);
-    let off_peak = off.per_shard_retired_peak[0];
-    let on_peak = on.per_shard_retired_peak[0];
+    let (off, off_peaks) = run(false);
+    let (on, on_peaks) = run(true);
+    let (off_peak, on_peak) = (off_peaks[0], on_peaks[0]);
+    let hard = off.spec.hard;
 
     assert!(
-        off_peak > cfg.retired_hard * 4,
+        off_peak > hard * 4,
         "without the navigator the stalled shard must blow far past the \
-         hard budget: peak {off_peak} vs budget {}",
-        cfg.retired_hard
+         hard budget: peak {off_peak} vs budget {hard}"
     );
     assert_eq!(off.neutralizations, 0);
+    // Sharding confines the incident: the reader pins shard 0's domain
+    // only, so shard 1 keeps reclaiming while shard 0 blows up (E8).
+    assert!(
+        off_peaks[1] * 2 < off_peak,
+        "the non-stalled shard must stay far below the stalled one: {off_peaks:?}"
+    );
     assert!(
         on.neutralizations >= 1,
         "the navigator must neutralize the stalled pin: {on:?}"
@@ -168,26 +192,12 @@ fn navigator_bounds_footprint_under_stalled_reader() {
 /// bounds it the same way.
 #[test]
 fn navigator_bounds_qsbr_too() {
-    let spec = KvWorkloadSpec {
-        mix: KvMix::CHURN,
-        dist: KeyDist::Zipfian { theta: 0.9 },
-        key_range: 512,
-        ops_per_thread: 8_000,
-        threads: 2,
-        prefill: 256,
-        seed: 11,
-    };
-    let cfg = KvConfig {
-        retired_soft: 128,
-        retired_hard: 512,
-        max_threads: 8,
-        ..KvConfig::default()
-    };
-    let schemes: Vec<Qsbr> = (0..2).map(|_| Qsbr::new(6)).collect();
-    let store = KvStore::new(&schemes, cfg);
-    let stats = run_workload(&store, &spec, true, Some(0));
-    assert!(stats.neutralizations >= 1, "{stats:?}");
-    assert!(stats.reader_restarts >= 1, "{stats:?}");
+    let spec = stall_spec(11, 9_000, 8_000, true);
+    let schemes: Vec<Qsbr> = (0..2).map(|_| Qsbr::new(scheme_capacity(&spec))).collect();
+    let store = KvStore::new(&schemes, kv_config(&spec, DEFAULT_RING_CAPACITY));
+    let outcome = run_scenario(&store, &spec, &RunOptions::default());
+    assert!(outcome.neutralizations >= 1, "{outcome:?}");
+    assert!(outcome.phases[0].restarts >= 1, "{outcome:?}");
 }
 
 /// A neutralized direct client observes exactly one restart signal, at
