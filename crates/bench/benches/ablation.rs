@@ -40,7 +40,7 @@ fn benches(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(threshold),
             &threshold,
-            |b, &t| b.iter(|| run_michael(&Ebr::with_threshold(8, t), &s)),
+            |b, &t| b.iter(|| run_michael(&Ebr::with_threshold(8, t), &s, None)),
         );
     }
     g.finish();
@@ -51,7 +51,7 @@ fn benches(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(threshold),
             &threshold,
-            |b, &t| b.iter(|| run_michael(&Hp::with_threshold(8, 3, t), &s)),
+            |b, &t| b.iter(|| run_michael(&Hp::with_threshold(8, 3, t), &s, None)),
         );
     }
     g.finish();
@@ -60,7 +60,7 @@ fn benches(c: &mut Criterion) {
     g.throughput(Throughput::Elements(ops));
     for freq in [1u64, 8, 64, 512] {
         g.bench_with_input(BenchmarkId::from_parameter(freq), &freq, |b, &f| {
-            b.iter(|| run_michael(&He::with_params(8, 3, 64, f), &s))
+            b.iter(|| run_michael(&He::with_params(8, 3, 64, f), &s, None))
         });
     }
     g.finish();

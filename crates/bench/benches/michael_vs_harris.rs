@@ -39,13 +39,13 @@ fn benches(c: &mut Criterion) {
             (spec.ops_per_thread * spec.threads) as u64,
         ));
         g.bench_with_input(BenchmarkId::new("harris+EBR", key_range), &spec, |b, s| {
-            b.iter(|| run_harris(&Ebr::new(16), s))
+            b.iter(|| run_harris(&Ebr::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+EBR", key_range), &spec, |b, s| {
-            b.iter(|| run_michael(&Ebr::new(16), s))
+            b.iter(|| run_michael(&Ebr::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+HP", key_range), &spec, |b, s| {
-            b.iter(|| run_michael(&Hp::new(16, 3), s))
+            b.iter(|| run_michael(&Hp::new(16, 3), s, None))
         });
         g.finish();
     }

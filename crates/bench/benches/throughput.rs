@@ -24,25 +24,25 @@ fn bench_mix(c: &mut Criterion, label: &str, mix: Mix) {
         let s = spec(mix, threads);
         g.throughput(Throughput::Elements((s.ops_per_thread * s.threads) as u64));
         g.bench_with_input(BenchmarkId::new("michael+EBR", threads), &s, |b, s| {
-            b.iter(|| run_michael(&Ebr::new(16), s))
+            b.iter(|| run_michael(&Ebr::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+HP", threads), &s, |b, s| {
-            b.iter(|| run_michael(&Hp::new(16, 3), s))
+            b.iter(|| run_michael(&Hp::new(16, 3), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+HE", threads), &s, |b, s| {
-            b.iter(|| run_michael(&He::new(16, 3), s))
+            b.iter(|| run_michael(&He::new(16, 3), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+IBR", threads), &s, |b, s| {
-            b.iter(|| run_michael(&Ibr::new(16), s))
+            b.iter(|| run_michael(&Ibr::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("michael+Leak", threads), &s, |b, s| {
-            b.iter(|| run_michael(&Leak::new(16), s))
+            b.iter(|| run_michael(&Leak::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("harris+EBR", threads), &s, |b, s| {
-            b.iter(|| run_harris(&Ebr::new(16), s))
+            b.iter(|| run_harris(&Ebr::new(16), s, None))
         });
         g.bench_with_input(BenchmarkId::new("harris+NBR", threads), &s, |b, s| {
-            b.iter(|| run_harris(&Nbr::new(16, 2), s))
+            b.iter(|| run_harris(&Nbr::new(16, 2), s, None))
         });
         g.bench_with_input(BenchmarkId::new("vbr-list", threads), &s, |b, s| {
             b.iter(|| run_vbr(s))

@@ -8,21 +8,19 @@
 //!
 //! Usage: `throughput [ops_per_thread] [key_range] [--report out.jsonl]
 //! [--zipf [--theta 0.99]]` (defaults 200000, 1024, uniform keys).
-//! With `--report`, every Michael/Harris run is traced through an
-//! [`era_obs::Recorder`] and the JSON-lines report (throughput, retired
-//! high-water, footprint curve, reclaim-latency histogram; see
-//! `era_bench::report` for the format) is written to the given path —
-//! since the workloads are seeded, the output is deterministic up to
-//! timing.
+//! With `--report`, every run over an `Smr` (all rows but `vbr-list`)
+//! is traced through an [`era_obs::Recorder`] and the JSON-lines
+//! report (throughput, retired high-water, footprint curve,
+//! reclaim-latency histogram; see `era_bench::report` for the format)
+//! is written to the given path — since the workloads are seeded, the
+//! output is deterministic up to timing.
 //! `--zipf` draws keys from a YCSB-style zipfian distribution instead
 //! of uniformly, concentrating contention on a hot set.
 
 use std::path::PathBuf;
 
 use era_bench::report::{write_jsonl, RunRecord};
-use era_bench::runner::{
-    run_harris, run_harris_traced, run_michael, run_michael_traced, run_skiplist, run_vbr,
-};
+use era_bench::runner::{run_harris, run_michael, run_skiplist, run_vbr};
 use era_bench::table::Table;
 use era_bench::workload::{KeyDist, Mix, WorkloadSpec};
 use era_obs::Recorder;
@@ -100,61 +98,33 @@ fn main() {
                 }
             };
         }
-        macro_rules! row_michael {
-            ($label:literal, $make:expr) => {{
+        // One row: `$run` is a `runner` entry point over an `Smr`; with
+        // `--report` each cell's run is traced and becomes a record.
+        macro_rules! row {
+            ($label:literal, $structure:literal, $run:ident, $make:expr) => {{
                 let mut cells = vec![$label.to_string()];
                 for &t in &threads {
                     let smr = $make;
                     let spec = spec!(t);
-                    let st = if report_path.is_some() {
-                        let rec = Recorder::new(t + 2);
-                        let st = run_michael_traced(&smr, &spec, &rec);
-                        records.push(RunRecord::collect("michael", smr.name(), &spec, st, &rec));
-                        st
-                    } else {
-                        run_michael(&smr, &spec)
-                    };
+                    let rec = report_path.as_ref().map(|_| Recorder::new(t + 2));
+                    let st = $run(&smr, &spec, rec.as_ref());
+                    if let Some(rec) = &rec {
+                        records.push(RunRecord::collect($structure, smr.name(), &spec, st, rec));
+                    }
                     cells.push(format!("{:.2}", st.mops()));
                 }
                 table.row(cells);
             }};
         }
-        macro_rules! row_harris {
-            ($label:literal, $make:expr) => {{
-                let mut cells = vec![$label.to_string()];
-                for &t in &threads {
-                    let smr = $make;
-                    let spec = spec!(t);
-                    let st = if report_path.is_some() {
-                        let rec = Recorder::new(t + 2);
-                        let st = run_harris_traced(&smr, &spec, &rec);
-                        records.push(RunRecord::collect("harris", smr.name(), &spec, st, &rec));
-                        st
-                    } else {
-                        run_harris(&smr, &spec)
-                    };
-                    cells.push(format!("{:.2}", st.mops()));
-                }
-                table.row(cells);
-            }};
-        }
-        row_michael!("michael+Leak", Leak::new(16));
-        row_michael!("michael+EBR", Ebr::new(16));
-        row_michael!("michael+HP", Hp::new(16, 3));
-        row_michael!("michael+HE", He::new(16, 3));
-        row_michael!("michael+IBR", Ibr::new(16));
-        row_harris!("harris+Leak", Leak::new(16));
-        row_harris!("harris+EBR", Ebr::new(16));
-        row_harris!("harris+NBR", Nbr::new(16, 2));
-        {
-            let mut cells = vec!["skiplist+EBR".to_string()];
-            for &t in &threads {
-                let smr = Ebr::new(16);
-                let st = run_skiplist(&smr, &spec!(t));
-                cells.push(format!("{:.2}", st.mops()));
-            }
-            table.row(cells);
-        }
+        row!("michael+Leak", "michael", run_michael, Leak::new(16));
+        row!("michael+EBR", "michael", run_michael, Ebr::new(16));
+        row!("michael+HP", "michael", run_michael, Hp::new(16, 3));
+        row!("michael+HE", "michael", run_michael, He::new(16, 3));
+        row!("michael+IBR", "michael", run_michael, Ibr::new(16));
+        row!("harris+Leak", "harris", run_harris, Leak::new(16));
+        row!("harris+EBR", "harris", run_harris, Ebr::new(16));
+        row!("harris+NBR", "harris", run_harris, Nbr::new(16, 2));
+        row!("skiplist+EBR", "skiplist", run_skiplist, Ebr::new(16));
         {
             let mut cells = vec!["vbr-list".to_string()];
             for &t in &threads {

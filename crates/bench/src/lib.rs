@@ -7,9 +7,10 @@
 //!
 //! * [`workload`] — operation-mix generators (read-heavy, update-heavy)
 //!   with seeded RNGs for reproducibility;
-//! * [`runner`] — throughput runners for every (structure × scheme)
-//!   pair, plus the stalled-thread robustness harness of Definition 5.1
-//!   measurements;
+//! * [`runner`] — one throughput driver, generic over
+//!   [`era_ds::ConcurrentSet`], with a one-line entry point per
+//!   structure, plus the stalled-thread robustness harness of
+//!   Definition 5.1 measurements;
 //! * [`report`] — JSON-lines run reports (throughput, footprint curve,
 //!   reclamation-latency histogram) built on [`era_obs`];
 //! * [`table`] — plain-text table rendering for the binaries.
@@ -22,8 +23,5 @@ pub mod table;
 pub mod workload;
 
 pub use report::{write_jsonl, RunRecord};
-pub use runner::{
-    run_harris, run_harris_traced, run_michael, run_michael_traced, run_skiplist, run_vbr,
-    RunStats, StallReport,
-};
+pub use runner::{run_harris, run_michael, run_skiplist, run_vbr, RunStats, StallReport};
 pub use workload::{Mix, WorkloadSpec};

@@ -14,7 +14,7 @@
 //!
 //! | key | type | meaning |
 //! |---|---|---|
-//! | `structure` | string | Data structure driven (`michael`, `harris`, `skiplist`, `vbr-list`). |
+//! | `structure` | string | Data structure driven (`michael`, `harris`, `skiplist`; a `vbr-list` run has no `Smr` to attach a recorder to and writes no record). |
 //! | `scheme` | string | Reclamation scheme name as reported by [`Smr::name`](era_smr::common::Smr::name). |
 //! | `mix` | string | Operation mix, e.g. `"90r/5i/5d"`. |
 //! | `threads` | int | Worker threads. |
@@ -135,7 +135,7 @@ pub fn write_jsonl(path: &Path, records: &[RunRecord]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_michael_traced;
+    use crate::runner::run_michael;
     use era_smr::ebr::Ebr;
 
     #[test]
@@ -143,7 +143,7 @@ mod tests {
         let spec = WorkloadSpec::small();
         let rec = Recorder::new(spec.threads + 2);
         let smr = Ebr::new(spec.threads + 2);
-        let stats = run_michael_traced(&smr, &spec, &rec);
+        let stats = run_michael(&smr, &spec, Some(&rec));
         let record = RunRecord::collect("michael", "EBR", &spec, stats, &rec);
         assert!(!record.curve.is_empty(), "sampler must emit the curve");
         assert!(
@@ -173,7 +173,7 @@ mod tests {
         let spec = WorkloadSpec::small();
         let rec = Recorder::new(spec.threads + 2);
         let smr = Ebr::new(spec.threads + 2);
-        let stats = run_michael_traced(&smr, &spec, &rec);
+        let stats = run_michael(&smr, &spec, Some(&rec));
         let record = RunRecord::collect("michael", "EBR", &spec, stats, &rec);
         let dir = std::env::temp_dir().join("era-bench-report-test");
         std::fs::create_dir_all(&dir).unwrap();

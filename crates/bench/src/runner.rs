@@ -3,23 +3,14 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use era_ds::{HarrisList, MichaelList, SkipList, VbrList};
+use era_ds::{ConcurrentSet, HarrisList, MichaelList, SkipList, VbrList};
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
-use era_smr::common::{EpochProtected, Smr, SupportsUnlinkedTraversal};
+use era_smr::common::{EpochProtected, Smr, SmrStats, SupportsUnlinkedTraversal};
 
 use crate::workload::{GenOp, WorkloadSpec};
 
 /// Trace thread slot used by the runner's footprint sampler.
 const SAMPLER_THREAD: u16 = u16::MAX - 1;
-
-/// Tracer for thread 0's footprint sampler: one [`Hook::Sample`] per
-/// sampling interval carrying `(retired_now, ops_done)`.
-fn sampler(recorder: Option<&Recorder>, scheme: &str) -> ThreadTracer {
-    match recorder {
-        Some(rec) => rec.tracer(SAMPLER_THREAD, SchemeId::from_name(scheme)),
-        None => ThreadTracer::disabled(),
-    }
-}
 
 /// Result of one throughput run.
 #[derive(Debug, Clone, Copy)]
@@ -49,64 +40,49 @@ impl RunStats {
     }
 }
 
-/// Drives `spec` against a [`MichaelList`] (works with every
-/// pointer-based scheme, HP included).
-pub fn run_michael<S: Smr + Sync>(smr: &S, spec: &WorkloadSpec) -> RunStats {
-    run_michael_inner(smr, spec, None)
-}
-
-/// [`run_michael`] with an attached [`era_obs::Recorder`]: the scheme
-/// emits its hook events into the recorder and thread 0 samples the
-/// retired population as [`Hook::Sample`] events (the footprint curve).
-pub fn run_michael_traced<S: Smr + Sync>(
-    smr: &S,
+/// The one driver body: prefills `set`, runs `spec`'s seeded op
+/// streams on `spec.threads` threads, and samples `stats().retired_now`
+/// every 1024 ops of every thread into `RunStats::peak_retired`; with a
+/// `sampler`, thread 0's samples also become [`Hook::Sample`] events
+/// carrying `(retired_now, ops_done)` — the footprint curve.
+fn drive<L: ConcurrentSet + Sync>(
+    set: &L,
     spec: &WorkloadSpec,
-    recorder: &Recorder,
+    stats: impl Fn() -> SmrStats + Sync,
+    flush: impl Fn(&mut L::Ctx) + Sync,
+    sampler: Option<(&Recorder, SchemeId)>,
 ) -> RunStats {
-    run_michael_inner(smr, spec, Some(recorder))
-}
-
-fn run_michael_inner<S: Smr + Sync>(
-    smr: &S,
-    spec: &WorkloadSpec,
-    recorder: Option<&Recorder>,
-) -> RunStats {
-    if let Some(rec) = recorder {
-        smr.attach_recorder(rec);
-    }
-    let list = MichaelList::new(smr);
     {
-        let mut ctx = smr.register().expect("capacity for the prefill thread");
+        let mut ctx = set.ctx();
         for k in spec.prefill_keys() {
-            list.insert(&mut ctx, k);
+            set.insert(&mut ctx, k);
         }
     }
     let peak = AtomicUsize::new(0);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..spec.threads {
-            let (list, peak) = (&list, &peak);
+            let (peak, stats, flush) = (&peak, &stats, &flush);
             s.spawn(move || {
-                let mut ctx = smr.register().expect("thread capacity");
-                let mut tracer = if t == 0 {
-                    sampler(recorder, smr.name())
-                } else {
-                    ThreadTracer::disabled()
+                let mut ctx = set.ctx();
+                let mut tracer = match sampler {
+                    Some((rec, scheme)) if t == 0 => rec.tracer(SAMPLER_THREAD, scheme),
+                    _ => ThreadTracer::disabled(),
                 };
                 for (i, op) in spec.ops_for_thread(t).enumerate() {
                     match op {
                         GenOp::Contains(k) => {
-                            let _ = list.contains(&mut ctx, k);
+                            let _ = set.contains(&mut ctx, k);
                         }
                         GenOp::Insert(k) => {
-                            let _ = list.insert(&mut ctx, k);
+                            let _ = set.insert(&mut ctx, k);
                         }
                         GenOp::Delete(k) => {
-                            let _ = list.delete(&mut ctx, k);
+                            let _ = set.delete(&mut ctx, k);
                         }
                     }
                     if i % 1024 == 0 {
-                        let retired = smr.stats().retired_now;
+                        let retired = stats().retired_now;
                         // SAFETY(ordering): Relaxed — footprint
                         // high-water telemetry, read after joins.
                         peak.fetch_max(retired, Ordering::Relaxed);
@@ -114,13 +90,13 @@ fn run_michael_inner<S: Smr + Sync>(
                     }
                 }
                 for _ in 0..4 {
-                    smr.flush(&mut ctx);
+                    flush(&mut ctx);
                 }
             });
         }
     });
     let elapsed = start.elapsed();
-    let st = smr.stats();
+    let st = stats();
     RunStats {
         ops: spec.ops_per_thread * spec.threads,
         elapsed,
@@ -130,6 +106,36 @@ fn run_michael_inner<S: Smr + Sync>(
         total_retired: st.total_retired,
         total_reclaimed: st.total_reclaimed,
     }
+}
+
+/// [`drive`] for a set reclaimed by `smr`. With a `recorder`, the scheme
+/// emits its hook events into it and the footprint curve is recorded.
+fn run_set<S: Smr + Sync, L: ConcurrentSet<Ctx = S::ThreadCtx> + Sync>(
+    smr: &S,
+    set: &L,
+    spec: &WorkloadSpec,
+    recorder: Option<&Recorder>,
+) -> RunStats {
+    if let Some(rec) = recorder {
+        smr.attach_recorder(rec);
+    }
+    drive(
+        set,
+        spec,
+        || smr.stats(),
+        |ctx| smr.flush(ctx),
+        recorder.map(|rec| (rec, SchemeId::from_name(smr.name()))),
+    )
+}
+
+/// Drives `spec` against a [`MichaelList`] (works with every
+/// pointer-based scheme, HP included).
+pub fn run_michael<S: Smr + Sync>(
+    smr: &S,
+    spec: &WorkloadSpec,
+    recorder: Option<&Recorder>,
+) -> RunStats {
+    run_set(smr, &MichaelList::new(smr), spec, recorder)
 }
 
 /// Drives `spec` against a [`HarrisList`] (schemes supporting
@@ -137,174 +143,28 @@ fn run_michael_inner<S: Smr + Sync>(
 pub fn run_harris<S: Smr + SupportsUnlinkedTraversal + Sync>(
     smr: &S,
     spec: &WorkloadSpec,
-) -> RunStats {
-    run_harris_inner(smr, spec, None)
-}
-
-/// [`run_harris`] with an attached [`era_obs::Recorder`] (see
-/// [`run_michael_traced`]).
-pub fn run_harris_traced<S: Smr + SupportsUnlinkedTraversal + Sync>(
-    smr: &S,
-    spec: &WorkloadSpec,
-    recorder: &Recorder,
-) -> RunStats {
-    run_harris_inner(smr, spec, Some(recorder))
-}
-
-fn run_harris_inner<S: Smr + SupportsUnlinkedTraversal + Sync>(
-    smr: &S,
-    spec: &WorkloadSpec,
     recorder: Option<&Recorder>,
 ) -> RunStats {
-    if let Some(rec) = recorder {
-        smr.attach_recorder(rec);
-    }
-    let list = HarrisList::new(smr);
-    {
-        let mut ctx = smr.register().expect("capacity for the prefill thread");
-        for k in spec.prefill_keys() {
-            list.insert(&mut ctx, k);
-        }
-    }
-    let peak = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..spec.threads {
-            let (list, peak) = (&list, &peak);
-            s.spawn(move || {
-                let mut ctx = smr.register().expect("thread capacity");
-                let mut tracer = if t == 0 {
-                    sampler(recorder, smr.name())
-                } else {
-                    ThreadTracer::disabled()
-                };
-                for (i, op) in spec.ops_for_thread(t).enumerate() {
-                    match op {
-                        GenOp::Contains(k) => {
-                            let _ = list.contains(&mut ctx, k);
-                        }
-                        GenOp::Insert(k) => {
-                            let _ = list.insert(&mut ctx, k);
-                        }
-                        GenOp::Delete(k) => {
-                            let _ = list.delete(&mut ctx, k);
-                        }
-                    }
-                    if i % 1024 == 0 {
-                        let retired = smr.stats().retired_now;
-                        // SAFETY(ordering): Relaxed — footprint
-                        // high-water telemetry, read after joins.
-                        peak.fetch_max(retired, Ordering::Relaxed);
-                        tracer.emit(Hook::Sample, retired as u64, i as u64);
-                    }
-                }
-                for _ in 0..4 {
-                    smr.flush(&mut ctx);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let st = smr.stats();
-    RunStats {
-        ops: spec.ops_per_thread * spec.threads,
-        elapsed,
-        peak_retired: peak.load(Ordering::Relaxed).max(st.retired_now),
-        retired_peak: st.retired_peak,
-        final_retired: st.retired_now,
-        total_retired: st.total_retired,
-        total_reclaimed: st.total_reclaimed,
-    }
+    run_set(smr, &HarrisList::new(smr), spec, recorder)
 }
 
 /// Drives `spec` against a [`SkipList`] (epoch-protected schemes only:
 /// EBR and Leak).
-pub fn run_skiplist<S: Smr + EpochProtected + Sync>(smr: &S, spec: &WorkloadSpec) -> RunStats {
-    let list = SkipList::new(smr);
-    {
-        let mut ctx = smr.register().expect("capacity for the prefill thread");
-        for k in spec.prefill_keys() {
-            list.insert(&mut ctx, k);
-        }
-    }
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..spec.threads {
-            let list = &list;
-            s.spawn(move || {
-                let mut ctx = smr.register().expect("thread capacity");
-                for op in spec.ops_for_thread(t) {
-                    match op {
-                        GenOp::Contains(k) => {
-                            let _ = list.contains(&mut ctx, k);
-                        }
-                        GenOp::Insert(k) => {
-                            let _ = list.insert(&mut ctx, k);
-                        }
-                        GenOp::Delete(k) => {
-                            let _ = list.delete(&mut ctx, k);
-                        }
-                    }
-                }
-                for _ in 0..4 {
-                    smr.flush(&mut ctx);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let st = smr.stats();
-    RunStats {
-        ops: spec.ops_per_thread * spec.threads,
-        elapsed,
-        peak_retired: st.retired_now,
-        retired_peak: st.retired_peak,
-        final_retired: st.retired_now,
-        total_retired: st.total_retired,
-        total_reclaimed: st.total_reclaimed,
-    }
+pub fn run_skiplist<S: Smr + EpochProtected + Sync>(
+    smr: &S,
+    spec: &WorkloadSpec,
+    recorder: Option<&Recorder>,
+) -> RunStats {
+    run_set(smr, &SkipList::new(smr), spec, recorder)
 }
 
 /// Drives `spec` against a [`VbrList`] (the arena must be large enough
 /// for `prefill + threads` concurrent nodes; retired population is
-/// identically zero under VBR).
+/// identically zero under VBR). There is no `Smr` to attach a recorder
+/// to, so a VBR run has no trace.
 pub fn run_vbr(spec: &WorkloadSpec) -> RunStats {
     let list = VbrList::new(spec.key_range as usize + spec.threads * 2 + 16);
-    for k in spec.prefill_keys() {
-        list.insert(k);
-    }
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..spec.threads {
-            let list = &list;
-            s.spawn(move || {
-                for op in spec.ops_for_thread(t) {
-                    match op {
-                        GenOp::Contains(k) => {
-                            let _ = list.contains(k);
-                        }
-                        GenOp::Insert(k) => {
-                            let _ = list.try_insert(k);
-                        }
-                        GenOp::Delete(k) => {
-                            let _ = list.delete(k);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let st = list.arena().stats();
-    RunStats {
-        ops: spec.ops_per_thread * spec.threads,
-        elapsed,
-        peak_retired: st.retired_now,
-        retired_peak: st.retired_peak,
-        final_retired: st.retired_now,
-        total_retired: st.total_retired,
-        total_reclaimed: st.total_reclaimed,
-    }
+    drive(&list, spec, || list.arena().stats(), |_| {}, None)
 }
 
 /// Outcome of one stalled-thread churn experiment (the Definition 5.1
@@ -431,7 +291,7 @@ mod tests {
     #[test]
     fn michael_runner_produces_stats() {
         let smr = Hp::new(8, 3);
-        let stats = run_michael(&smr, &WorkloadSpec::small());
+        let stats = run_michael(&smr, &WorkloadSpec::small(), None);
         assert_eq!(stats.ops, 4_000);
         assert!(stats.mops() > 0.0);
         assert!(stats.total_reclaimed <= stats.total_retired);
@@ -440,7 +300,7 @@ mod tests {
     #[test]
     fn harris_runner_produces_stats() {
         let smr = Ebr::new(8);
-        let stats = run_harris(&smr, &WorkloadSpec::small());
+        let stats = run_harris(&smr, &WorkloadSpec::small(), None);
         assert_eq!(stats.ops, 4_000);
         assert!(stats.total_retired > 0, "mixed workload must retire nodes");
     }
@@ -448,11 +308,29 @@ mod tests {
     #[test]
     fn harris_runner_with_nbr() {
         let smr = Nbr::new(8, 2);
-        let stats = run_harris(&smr, &WorkloadSpec::small());
+        let stats = run_harris(&smr, &WorkloadSpec::small(), None);
         assert!(
             stats.final_retired <= 64 * 8,
             "NBR keeps the footprint bounded"
         );
+    }
+
+    #[test]
+    fn skiplist_runner_samples_its_peak() {
+        // The footprint column is a mid-run sample, not the value read
+        // after the final flush, and a recorder gets the curve.
+        let smr = Ebr::new(8);
+        let spec = WorkloadSpec {
+            mix: Mix::UPDATE_HEAVY,
+            ..WorkloadSpec::small()
+        };
+        let rec = Recorder::new(8);
+        let stats = run_skiplist(&smr, &spec, Some(&rec));
+        assert!(stats.total_retired > 0, "updates must retire nodes");
+        assert!(stats.peak_retired >= stats.final_retired);
+        assert!(stats.peak_retired <= stats.retired_peak);
+        let record = crate::RunRecord::collect("skiplist", "EBR", &spec, stats, &rec);
+        assert!(!record.curve.is_empty(), "thread 0 samples the footprint");
     }
 
     #[test]
@@ -469,7 +347,7 @@ mod tests {
             mix: Mix::UPDATE_HEAVY,
             ..WorkloadSpec::small()
         };
-        let stats = run_michael(&smr, &spec);
+        let stats = run_michael(&smr, &spec, None);
         assert_eq!(stats.total_reclaimed, 0);
         assert_eq!(stats.final_retired as u64, stats.total_retired);
     }

@@ -386,6 +386,8 @@ impl<S: Smr + SupportsUnlinkedTraversal> Drop for HarrisList<'_, S> {
     }
 }
 
+crate::concurrent_set::impl_concurrent_set!(HarrisList: Smr + SupportsUnlinkedTraversal);
+
 #[cfg(test)]
 mod tests {
     use super::*;

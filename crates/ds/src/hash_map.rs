@@ -1,7 +1,7 @@
 //! A lock-free hash map: a fixed array of [`MichaelMap`] buckets.
 //!
-//! The map-valued sibling of [`crate::HashSet`], added as the
-//! shard-friendly building block for the era-kv serving layer: a shard
+//! The shard-friendly building block of the era-kv serving layer
+//! ([`crate::HashSet`] is this map without the value): a shard
 //! is one `HashMap` owning nothing but borrowed scheme state, so a
 //! service can stand up N shards over N *independent* reclaimer
 //! domains (`HashMap::new(&schemes[i], buckets)`) and a stalled reader
@@ -66,6 +66,12 @@ impl<'s, S: Smr> HashMap<'s, S> {
     /// Inserts or updates `key`; returns the previous value if any.
     pub fn insert(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64) -> Option<i64> {
         self.bucket(key).insert(ctx, key, value)
+    }
+
+    /// Inserts `key` only if absent; returns the current value, left
+    /// untouched, if it was present.
+    pub fn insert_if_absent(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64) -> Option<i64> {
+        self.bucket(key).insert_if_absent(ctx, key, value)
     }
 
     /// Current value of `key`.

@@ -1,16 +1,16 @@
-//! Michael's lock-free hash set [30]: a fixed array of
-//! [`MichaelList`] buckets.
+//! Michael's lock-free hash set \[30\]: [`HashMap`] without a value.
 //!
-//! Keys hash (Fibonacci multiplicative hashing) to a bucket; each bucket
-//! is an independent sorted list, so the set inherits lock-freedom and
+//! Bucketing (Fibonacci hashing over independent sorted Michael lists)
+//! lives in [`crate::hash_map`]; the set inherits lock-freedom and
 //! scheme-compatibility (every pointer-based scheme, HP included) from
-//! the list.
+//! it.
 
 use std::fmt;
 
 use era_smr::common::Smr;
 
-use crate::michael_list::MichaelList;
+use crate::concurrent_set::impl_concurrent_set;
+use crate::hash_map::HashMap;
 
 /// A lock-free hash set of `i64` keys.
 ///
@@ -29,13 +29,14 @@ use crate::michael_list::MichaelList;
 /// assert!(!set.contains(&mut ctx, 10));
 /// ```
 pub struct HashSet<'s, S: Smr> {
-    buckets: Vec<MichaelList<'s, S>>,
+    smr: &'s S,
+    map: HashMap<'s, S>,
 }
 
 impl<S: Smr> fmt::Debug for HashSet<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HashSet")
-            .field("buckets", &self.buckets.len())
+            .field("buckets", &self.map.bucket_count())
             .finish()
     }
 }
@@ -43,56 +44,50 @@ impl<S: Smr> fmt::Debug for HashSet<'_, S> {
 impl<'s, S: Smr> HashSet<'s, S> {
     /// Creates a hash set with `buckets` buckets (rounded up to 1).
     pub fn new(smr: &'s S, buckets: usize) -> Self {
-        let buckets = buckets.max(1);
         HashSet {
-            buckets: (0..buckets).map(|_| MichaelList::new(smr)).collect(),
+            smr,
+            map: HashMap::new(smr, buckets),
         }
-    }
-
-    fn bucket(&self, key: i64) -> &MichaelList<'s, S> {
-        // Fibonacci hashing on the two's-complement bits.
-        let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let idx = (h % self.buckets.len() as u64) as usize;
-        &self.buckets[idx]
     }
 
     /// Inserts `key`; returns `true` iff it was absent.
     pub fn insert(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.bucket(key).insert(ctx, key)
+        self.map.insert_if_absent(ctx, key, 0).is_none()
     }
 
     /// Deletes `key`; returns `true` iff it was present.
     pub fn delete(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.bucket(key).delete(ctx, key)
+        self.map.remove(ctx, key).is_some()
     }
 
     /// Whether `key` is in the set.
     pub fn contains(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.bucket(key).contains(ctx, key)
+        self.map.get(ctx, key).is_some()
     }
 
     /// Number of buckets.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.map.bucket_count()
     }
 
     /// Snapshot of all keys, sorted (quiescent use only).
     pub fn collect_keys(&self) -> Vec<i64> {
-        let mut out: Vec<i64> = self.buckets.iter().flat_map(|b| b.collect_keys()).collect();
-        out.sort_unstable();
-        out
+        let entries = self.map.collect_entries();
+        entries.into_iter().map(|(key, _)| key).collect()
     }
 
     /// Number of keys (quiescent use only).
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.map.len()
     }
 
     /// Whether the set is empty (quiescent use only).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 }
+
+impl_concurrent_set!(HashSet: Smr);
 
 #[cfg(test)]
 mod tests {

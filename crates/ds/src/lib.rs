@@ -1,25 +1,28 @@
 //! # era-ds — lock-free data structures integrated with era-smr
 //!
-//! The data-structure side of the ERA theorem reproduction:
+//! The data-structure side of the ERA theorem reproduction. Two list
+//! traversals, each written once:
 //!
-//! * [`harris_list`] — **Harris's** lock-free linked list (Algorithm 1 of
-//!   the paper): traversals walk through *marked, possibly retired*
-//!   chains, so the list only accepts reclamation schemes implementing
+//! * [`michael_map`] — **Michael's** list (unlink-before-advance),
+//!   compatible with every pointer-based scheme including HP/HE/IBR;
+//!   the price is extra CAS work on traversals, which the
+//!   `michael_vs_harris` benchmark measures (the paper's §6 "practical
+//!   importance" discussion). It is a map (`i64 → i64`);
+//!   [`michael_list`] is the same list as a set — the map without a
+//!   value, no node or traversal of its own.
+//! * [`harris_list`] — **Harris's** list (Algorithm 1 of the paper):
+//!   traversals walk through *marked, possibly retired* chains, so the
+//!   list only accepts reclamation schemes implementing
 //!   [`era_smr::SupportsUnlinkedTraversal`] (EBR, NBR, Leak). Trying to
 //!   instantiate it with HP/HE/IBR is a compile error — Appendix E as a
 //!   type error.
-//! * [`michael_list`] — **Michael's** modification of the list
-//!   (unlink-before-advance), compatible with every pointer-based scheme
-//!   including HP/HE/IBR; the price is extra CAS work on traversals,
-//!   which the `michael_vs_harris` benchmark measures (the paper's §6
-//!   "practical importance" discussion).
-//! * [`treiber_stack`] — Treiber's stack, works with every scheme.
-//! * [`ms_queue`] — the Michael–Scott queue, works with every scheme.
-//! * [`hash_set`] — Michael's hash set: an array of `michael_list`
-//!   buckets.
-//! * [`hash_map`] — the map-valued sibling over `michael_map` buckets;
-//!   the shard-friendly building block of the era-kv serving layer
-//!   (one map per independent reclaimer domain).
+//!
+//! Built on them:
+//!
+//! * [`hash_map`] — an array of `michael_map` buckets; the
+//!   shard-friendly building block of the era-kv serving layer (one
+//!   map per independent reclaimer domain). [`hash_set`] is Michael's
+//!   hash set: the hash map without a value.
 //! * [`skip_list`] — a lock-free skip list whose towers are Harris
 //!   lists per level; it requires an [`era_smr::common::EpochProtected`]
 //!   scheme because per-pointer protection would need a slot per level
@@ -28,13 +31,20 @@
 //!   with explicit `Stale`-rollback integration (the non-easy
 //!   integration VBR demands).
 //!
-//! All structures implement integer-key *set* (or stack/queue)
+//! The five sets implement [`ConcurrentSet`], the seam the `era-bench`
+//! driver and the model tests are generic over. Beside them:
+//!
+//! * [`treiber_stack`] — Treiber's stack, works with every scheme.
+//! * [`ms_queue`] — the Michael–Scott queue, works with every scheme.
+//!
+//! All structures implement integer-key *set* (or map/stack/queue)
 //! semantics matching `era_core::spec`, so the test suite checks them
 //! against the same sequential specifications the formal model uses.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod concurrent_set;
 pub mod harris_list;
 pub mod hash_map;
 pub mod hash_set;
@@ -45,6 +55,7 @@ pub mod skip_list;
 pub mod treiber_stack;
 pub mod vbr_list;
 
+pub use concurrent_set::ConcurrentSet;
 pub use harris_list::HarrisList;
 pub use hash_map::HashMap;
 pub use hash_set::HashSet;

@@ -1,58 +1,18 @@
-//! Michael's lock-free linked list [30] — the HP-compatible set.
+//! Michael's lock-free linked list \[30\] — the HP-compatible set.
 //!
-//! Michael modified Harris's list so that traversals never move past a
-//! *marked* node: on encountering one, the traversal unlinks it first
-//! (retrying from the head if the unlink CAS fails). As a result every
-//! node a traversal stands on is reachable-and-protected, which is
-//! exactly what the protect-validate schemes (HP, HE, IBR) need — and
-//! why the paper calls this the implementation that was "originally
-//! designated to fit HP" (§6). The cost relative to Harris's list is
-//! restart-on-contention during traversals. Under op-scoped schemes
-//! (EBR/QSBR/NBR/leak) searches take a read-only fast path that skips
-//! the hazard discipline entirely — see [`MichaelList::contains`].
-//!
-//! The list is a sorted set of `i64` keys with the three-slot hazard
-//! discipline (`curr`, `next`, `prev`), generic over any
-//! [`Smr`] scheme.
+//! The set is [`MichaelMap`] without a value: one node layout, one
+//! `find`, one read-only fast path, all in [`crate::michael_map`]
+//! (where the traversal discipline is argued). Every method here is a
+//! one-line delegation, so whatever exercises this set — the E4/E5/E6
+//! rows, the scheme stress tests — exercises the list era-kv serves
+//! from.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use era_smr::common::{is_marked, untagged, with_mark, DropFn, Smr, SmrHeader};
+use era_smr::common::Smr;
 
-/// A list node. The scheme-owned [`SmrHeader`] comes first (Condition 5
-/// of Definition 5.3: the scheme gets its own added field and never
-/// touches `key`/`next`).
-#[repr(C)]
-struct Node {
-    header: SmrHeader,
-    key: i64,
-    next: AtomicUsize,
-}
-
-impl Node {
-    fn alloc(key: i64, next: usize) -> *mut Node {
-        Box::into_raw(Box::new(Node {
-            header: SmrHeader::new(),
-            key,
-            next: AtomicUsize::new(next),
-        }))
-    }
-}
-
-/// # Safety
-/// `p` must be a pointer previously produced by `Node::alloc` that no other
-/// thread can still reach (retired and past its grace period, or owned
-/// exclusively by `Drop`).
-unsafe fn drop_node(p: *mut u8) {
-    // SAFETY: contract above — p originated in Node::alloc and is unreachable.
-    unsafe { drop(Box::from_raw(p as *mut Node)) }
-}
-
-const DROP_NODE: DropFn = drop_node;
-
-/// Hazard/protection slots used by the traversal.
-const SLOT_PREV: usize = 2;
+use crate::concurrent_set::impl_concurrent_set;
+use crate::michael_map::MichaelMap;
 
 /// Michael's lock-free sorted set.
 ///
@@ -73,7 +33,7 @@ const SLOT_PREV: usize = 2;
 /// ```
 pub struct MichaelList<'s, S: Smr> {
     smr: &'s S,
-    head: AtomicUsize,
+    map: MichaelMap<'s, S>,
 }
 
 impl<S: Smr> fmt::Debug for MichaelList<'_, S> {
@@ -84,14 +44,6 @@ impl<S: Smr> fmt::Debug for MichaelList<'_, S> {
     }
 }
 
-struct Window {
-    /// Location holding the link to `curr` (the head or a node's `next`).
-    prev: *const AtomicUsize,
-    /// Unmarked link word found at `prev` (0 = end of list).
-    curr_word: usize,
-    found: bool,
-}
-
 impl<'s, S: Smr> MichaelList<'s, S> {
     /// Creates an empty set using `smr` for reclamation.
     ///
@@ -99,287 +51,51 @@ impl<'s, S: Smr> MichaelList<'s, S> {
     pub fn new(smr: &'s S) -> Self {
         MichaelList {
             smr,
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Michael's `find`: positions a window `(prev, curr)` such that
-    /// `curr` is the first node with `key ≥ target`, unlinking every
-    /// marked node encountered on the way.
-    ///
-    /// On return, `curr` (if any) is protected in hazard slot 0 or 1 and
-    /// the node owning `prev` in slot [`SLOT_PREV`] — protections remain
-    /// valid until `end_op`.
-    fn find(&self, ctx: &mut S::ThreadCtx, key: i64) -> Window {
-        'retry: loop {
-            let mut prev: *const AtomicUsize = &self.head;
-            // SAFETY: Michael-style hand-over-hand protection — `prev` always
-            // points into a node protected by SLOT_PREV (or the head, which is
-            // never freed), and `curr` is protected by the alternating slot before
-            // any deref; validation failures restart the walk.
-            let mut cs = 0usize; // slot currently protecting `curr`
-            let mut curr_word = self.smr.load(ctx, cs, unsafe { &*prev });
-            loop {
-                debug_assert!(!is_marked(curr_word), "prev link must be unmarked");
-                if curr_word == 0 {
-                    return Window {
-                        prev,
-                        curr_word: 0,
-                        found: false,
-                    };
-                }
-                let node = curr_word as *const Node;
-                let next_word = self.smr.load(ctx, 1 - cs, unsafe { &(*node).next });
-                // Michael's re-validation: curr must still be linked at
-                // prev. Publish-and-validate schemes (HP/HE/IBR) need it
-                // to complete the protection argument for `curr`; epoch
-                // schemes protect every reachable-or-retired node
-                // globally, so the check is elided — a traversal through
-                // a just-unlinked node stays linearizable and every
-                // mutation CAS below self-validates against `prev`.
-                if self.smr.requires_validation()
-                    && unsafe { &*prev }.load(Ordering::SeqCst) != curr_word
-                {
-                    continue 'retry;
-                }
-                if is_marked(next_word) {
-                    // curr is logically deleted: unlink before advancing.
-                    let succ = untagged(next_word);
-                    if unsafe { &*prev }
-                        .compare_exchange(curr_word, succ, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_err()
-                    {
-                        continue 'retry;
-                    }
-                    unsafe {
-                        self.smr
-                            .retire(ctx, curr_word as *mut u8, &(*node).header, DROP_NODE);
-                    }
-                    curr_word = self.smr.load(ctx, cs, unsafe { &*prev });
-                    if is_marked(curr_word) {
-                        continue 'retry;
-                    }
-                    continue;
-                }
-                let ckey = unsafe { (*node).key };
-                if ckey >= key {
-                    return Window {
-                        prev,
-                        curr_word,
-                        found: ckey == key,
-                    };
-                }
-                // Advance: curr becomes prev. Transfer curr's already
-                // established protection from slot `cs` into the prev
-                // slot — a single release store under HP/HE, with no
-                // fence or re-validation: the slot-`cs` protection was
-                // validated above and is held until overwritten, and
-                // SLOT_PREV > cs keeps ascending-index scans sound.
-                self.smr.protect_alias(ctx, SLOT_PREV, cs, curr_word);
-                prev = unsafe { &(*node).next };
-                curr_word = untagged(next_word);
-                cs = 1 - cs;
-                // `curr_word` is protected: it was loaded into slot 1-cs
-                // (now cs) by the protected load above.
-            }
+            map: MichaelMap::new(smr),
         }
     }
 
     /// Inserts `key`; returns `true` iff it was absent.
     pub fn insert(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.smr.begin_op(ctx);
-        let node = Node::alloc(key, 0);
-        // SAFETY: `node` is fresh and unshared until the linking CAS publishes
-        // it; w.prev/w.curr_word stay protected by the slots `find` left armed.
-        self.smr.init_header(ctx, unsafe { &(*node).header });
-        let result = loop {
-            let w = self.find(ctx, key);
-            if w.found {
-                // Duplicate: retire the never-shared local node (§4.1
-                // allows local → retired).
-                unsafe {
-                    self.smr
-                        .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
-                }
-                break false;
-            }
-            unsafe { (*node).next.store(w.curr_word, Ordering::SeqCst) };
-            if unsafe { &*w.prev }
-                .compare_exchange(
-                    w.curr_word,
-                    node as usize,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-            {
-                break true;
-            }
-        };
-        self.smr.end_op(ctx);
-        result
+        self.map.insert_if_absent(ctx, key, 0).is_none()
     }
 
     /// Deletes `key`; returns `true` iff it was present.
     pub fn delete(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.smr.begin_op(ctx);
-        let result = loop {
-            let w = self.find(ctx, key);
-            if !w.found {
-                break false;
-            }
-            let node = w.curr_word as *const Node;
-            // Plain load: `node` is protected by find(), and the value is
-            // only used as CAS operands, never dereferenced. (A protected
-            // load here would evict the prev-node protection from its
-            // slot and leave `w.prev` dangling under HP.)
-            // SAFETY: node and w.prev are protected by the slots `find` left armed;
-            // the winning mark CAS makes this op the unique retirer.
-            let next_word = unsafe { (*node).next.load(Ordering::SeqCst) };
-            if is_marked(next_word) {
-                continue; // someone else is deleting it: re-find
-            }
-            // Logically delete (mark), then physically unlink.
-            if unsafe { &(*node).next }
-                .compare_exchange(
-                    next_word,
-                    with_mark(next_word),
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_err()
-            {
-                continue;
-            }
-            if unsafe { &*w.prev }
-                .compare_exchange(w.curr_word, next_word, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                unsafe {
-                    self.smr
-                        .retire(ctx, w.curr_word as *mut u8, &(*node).header, DROP_NODE);
-                }
-            } else {
-                // Let a find() unlink (and retire) it.
-                let _ = self.find(ctx, key);
-            }
-            break true;
-        };
-        self.smr.end_op(ctx);
-        result
+        self.map.remove(ctx, key).is_some()
     }
 
-    /// Whether `key` is in the set.
+    /// Whether `key` is in the set. Searches under op-scoped schemes
+    /// (EBR/QSBR/NBR/leak) are read-only — no slot writes, no helping
+    /// CASes; see [`MichaelMap::get`].
     pub fn contains(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        self.smr.begin_op(ctx);
-        let found = if self.smr.requires_validation() {
-            // Protect-validate schemes (HP/HE/IBR): only find()'s
-            // hand-over-hand hazard discipline makes standing on a
-            // node safe, so searches share the mutation path.
-            self.find(ctx, key).found
-        } else {
-            self.contains_read_only(ctx, key)
-        };
-        self.smr.end_op(ctx);
-        found
-    }
-
-    /// Read-only search for op-scoped protection schemes
-    /// (`requires_validation() == false`: EBR/QSBR/NBR/leak).
-    ///
-    /// Michael notes searches need not help unlink (and Herlihy &
-    /// Shavit prove the wait-free variant linearizable for exactly this
-    /// mark-bit list family): the traversal follows raw `next` links —
-    /// through marked nodes — and decides from the first node with
-    /// `key ≥ target`. Every node on the walk is protected *globally*
-    /// by the op-scoped scheme (reachable or retired-but-unreclaimed),
-    /// so no per-hop slot writes, helping CASes, or prev tracking are
-    /// needed. Sortedness along frozen chains plus Michael's
-    /// unlink-in-traversal-order discipline give the linearization
-    /// points: an unmarked match was reachable when its link word was
-    /// read (marks never clear), and a miss linearizes at the last
-    /// link read from a then-reachable node.
-    ///
-    /// Restart-based schemes (NBR, or a watchdog-neutralized
-    /// EBR/QSBR) void the global protection when they neutralize a
-    /// thread, so the loop polls [`Smr::needs_restart`] every hop —
-    /// a relaxed self-flag load — and rewalks from the head.
-    // LINT: op-scoped — callers hold begin_op (see `contains`); the whole point of
-    // this path is that op-scoped schemes protect the walk globally.
-    fn contains_read_only(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
-        'retry: loop {
-            // SAFETY(ordering): SeqCst link loads keep this traversal in
-            // the retire-stamp SC chain (see `Smr::load`) — free MOVs on
-            // x86-TSO, and required so a concurrent retirer's stamp
-            // covers this reader's announced epoch.
-            let mut word = untagged(self.head.load(Ordering::SeqCst));
-            loop {
-                if self.smr.needs_restart(ctx) {
-                    continue 'retry;
-                }
-                if word == 0 {
-                    return false;
-                }
-                let node = word as *const Node;
-                let next = unsafe { (*node).next.load(Ordering::SeqCst) };
-                let ckey = unsafe { (*node).key };
-                if ckey < key {
-                    word = untagged(next);
-                    continue;
-                }
-                return ckey == key && !is_marked(next);
-            }
-        }
+        self.map.get(ctx, key).is_some()
     }
 
     /// Snapshot of the keys (quiescent use only: tests/debugging).
-    // LINT: quiescent — snapshot API, documented callers-must-be-quiescent contract.
     pub fn collect_keys(&self) -> Vec<i64> {
-        let mut out = Vec::new();
-        let mut word = self.head.load(Ordering::SeqCst);
-        while word != 0 {
-            let node = untagged(word) as *const Node;
-            // SAFETY: quiescent snapshot contract (doc above): no concurrent
-            // writers, so every reachable node is live.
-            let next = unsafe { (*node).next.load(Ordering::SeqCst) };
-            if !is_marked(next) {
-                out.push(unsafe { (*node).key });
-            }
-            word = untagged(next);
-        }
-        out
+        let entries = self.map.collect_entries();
+        entries.into_iter().map(|(key, _)| key).collect()
     }
 
     /// Number of unmarked nodes (quiescent use only).
     pub fn len(&self) -> usize {
-        self.collect_keys().len()
+        self.map.len()
     }
 
     /// Whether the set is empty (quiescent use only).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 }
 
-impl<S: Smr> Drop for MichaelList<'_, S> {
-    // LINT: exclusive — &mut self in Drop: no concurrent readers can exist.
-    fn drop(&mut self) {
-        // Exclusive access: free the remaining nodes directly.
-        let mut word = untagged(self.head.load(Ordering::SeqCst));
-        while word != 0 {
-            let node = word as *mut Node;
-            // SAFETY: &mut self — exclusive access; each reachable node is freed
-            // exactly once.
-            let next = unsafe { (*node).next.load(Ordering::SeqCst) };
-            unsafe { drop_node(node as *mut u8) };
-            word = untagged(next);
-        }
-    }
-}
+impl_concurrent_set!(MichaelList: Smr);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
     use era_smr::ebr::Ebr;
     use era_smr::he::He;
     use era_smr::hp::Hp;
@@ -543,5 +259,25 @@ mod tests {
         let st = smr.stats();
         assert_eq!(st.total_retired, 500);
         assert!(st.total_reclaimed >= 400, "{st}");
+    }
+
+    #[test]
+    fn duplicate_insert_allocates_and_retires_nothing() {
+        // A no-op insert must not cost a node: no retire tick towards the
+        // scan threshold, and under HE no allocation advancing the era.
+        let hp = Hp::new(2, 3);
+        let he = He::with_params(2, 3, 64, 1);
+        let (on_hp, on_he) = (MichaelList::new(&hp), MichaelList::new(&he));
+        let (mut hp_ctx, mut he_ctx) = (hp.register().unwrap(), he.register().unwrap());
+        assert!(on_hp.insert(&mut hp_ctx, 7));
+        assert!(on_he.insert(&mut he_ctx, 7));
+        let era = he.era();
+        for _ in 0..1_000 {
+            assert!(!on_hp.insert(&mut hp_ctx, 7));
+            assert!(!on_he.insert(&mut he_ctx, 7));
+        }
+        assert_eq!(hp.stats().total_retired, 0);
+        assert_eq!(he.stats().total_retired, 0);
+        assert_eq!(he.era(), era);
     }
 }

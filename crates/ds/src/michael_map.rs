@@ -1,21 +1,35 @@
-//! A lock-free ordered **map** (`i64 → i64`) built on Michael's list
-//! discipline, with in-place value updates.
+//! Michael's lock-free linked list \[30\] — *the* HP-compatible list of
+//! this crate, as an ordered **map** (`i64 → i64`) with in-place value
+//! updates. [`crate::MichaelList`] is this list without the value.
+//!
+//! Michael modified Harris's list so that traversals never move past a
+//! *marked* node: on encountering one, the traversal unlinks it first
+//! (retrying from the head if the unlink CAS fails). As a result every
+//! node a traversal stands on is reachable-and-protected, which is
+//! exactly what the protect-validate schemes (HP, HE, IBR) need — and
+//! why the paper calls this the implementation that was "originally
+//! designated to fit HP" (§6). The cost relative to Harris's list is
+//! restart-on-contention during traversals. Three hazard slots
+//! (`curr`, `next`, `prev`) suffice. Under op-scoped schemes
+//! (EBR/QSBR/NBR/leak) lookups take a read-only fast path that skips
+//! the hazard discipline entirely — see [`MichaelMap::get`].
 //!
 //! Nodes carry a mutable value word next to the immutable key. `get`
 //! reads the value of a protected node; `insert` either links a new
-//! node or CASes the value of the existing one (upsert); `remove`
-//! unlinks Michael-style. The value word belongs to the *data
-//! structure* — the reclamation scheme never touches it (Definition
-//! 5.3, Condition 5, from the structure's side of the fence).
-//!
-//! Works with every pointer-based scheme (the traversal is Michael's —
-//! unlink before advance), so HP's three hazard slots suffice.
+//! node or swaps the value of the existing one (upsert);
+//! `insert_if_absent` links or leaves it; `remove` unlinks
+//! Michael-style. The value word belongs to the *data structure* — the
+//! reclamation scheme never touches it (Definition 5.3, Condition 5,
+//! from the structure's side of the fence).
 
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 use era_smr::common::{is_marked, untagged, with_mark, DropFn, Smr, SmrHeader};
 
+/// A list node. The scheme-owned [`SmrHeader`] comes first (Condition 5
+/// of Definition 5.3: the scheme gets its own added field and never
+/// touches `key`/`value`/`next`).
 #[repr(C)]
 struct Node {
     header: SmrHeader,
@@ -46,6 +60,7 @@ unsafe fn drop_node(p: *mut u8) {
 
 const DROP_NODE: DropFn = drop_node;
 
+/// Protection slot of the node owning `prev`; slots 0/1 alternate on `curr`.
 const SLOT_PREV: usize = 2;
 
 /// A lock-free sorted map from `i64` keys to `i64` values.
@@ -79,7 +94,9 @@ impl<S: Smr> fmt::Debug for MichaelMap<'_, S> {
 }
 
 struct Window {
+    /// Location holding the link to `curr` (the head or a node's `next`).
     prev: *const AtomicUsize,
+    /// Unmarked link word found at `prev` (0 = end of list).
     curr_word: usize,
     found: bool,
 }
@@ -95,7 +112,13 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
         }
     }
 
-    /// Michael's find (see [`crate::michael_list`] for the discipline).
+    /// Michael's `find`: positions a window `(prev, curr)` such that
+    /// `curr` is the first node with `key ≥ target`, unlinking every
+    /// marked node encountered on the way.
+    ///
+    /// On return, `curr` (if any) is protected in hazard slot 0 or 1 and
+    /// the node owning `prev` in slot [`SLOT_PREV`] — protections remain
+    /// valid until `end_op`.
     fn find(&self, ctx: &mut S::ThreadCtx, key: i64) -> Window {
         'retry: loop {
             let mut prev: *const AtomicUsize = &self.head;
@@ -116,8 +139,13 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 }
                 let node = curr_word as *const Node;
                 let next_word = self.smr.load(ctx, 1 - cs, unsafe { &(*node).next });
-                // Re-validation only for publish-and-validate schemes;
-                // see michael_list::find for the elision argument.
+                // Michael's re-validation: curr must still be linked at
+                // prev. Publish-and-validate schemes (HP/HE/IBR) need it
+                // to complete the protection argument for `curr`; epoch
+                // schemes protect every reachable-or-retired node
+                // globally, so the check is elided — a traversal through
+                // a just-unlinked node stays linearizable and every
+                // mutation CAS below self-validates against `prev`.
                 if self.smr.requires_validation()
                     && unsafe { &*prev }.load(Ordering::SeqCst) != curr_word
                 {
@@ -149,8 +177,12 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                         found: ckey == key,
                     };
                 }
-                // Advance: transfer curr's established protection into
-                // the prev slot (see michael_list::find).
+                // Advance: curr becomes prev. Transfer curr's already
+                // established protection from slot `cs` into the prev
+                // slot — a single release store under HP/HE, with no
+                // fence or re-validation: the slot-`cs` protection was
+                // validated above and is held until overwritten, and
+                // SLOT_PREV > cs keeps ascending-index scans sound.
                 self.smr.protect_alias(ctx, SLOT_PREV, cs, curr_word);
                 prev = unsafe { &(*node).next };
                 curr_word = untagged(next_word);
@@ -163,17 +195,41 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     /// key was present (whose mapping was atomically replaced), `None`
     /// if a new entry was created.
     pub fn insert(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64) -> Option<i64> {
+        self.link(ctx, key, value, true)
+    }
+
+    /// Maps `key` to `value` only if `key` is absent; returns the
+    /// current value, left untouched, if it was present, `None` if a
+    /// new entry was created. This is the set insert of
+    /// [`crate::MichaelList`].
+    pub fn insert_if_absent(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64) -> Option<i64> {
+        self.link(ctx, key, value, false)
+    }
+
+    /// The link loop of both inserts. `overwrite` is a constant at each
+    /// call site, so inlining leaves `insert` its swap and nothing else.
+    /// The node is allocated only once `find` has missed: an insert
+    /// that finds its key allocates, stamps and retires nothing.
+    #[inline(always)]
+    fn link(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64, overwrite: bool) -> Option<i64> {
         self.smr.begin_op(ctx);
         let mut node: *mut Node = std::ptr::null_mut();
         let result = loop {
             let w = self.find(ctx, key);
             if w.found {
-                // Update in place (the node is protected by find).
                 let existing = w.curr_word as *const Node;
                 // SAFETY: w.curr_word/w.prev are protected by the slots `find` left
                 // armed; the local `node` stays unshared until the CAS publishes it.
-                let old = unsafe { (*existing).value.swap(value, Ordering::SeqCst) };
+                let old = unsafe {
+                    if overwrite {
+                        (*existing).value.swap(value, Ordering::SeqCst)
+                    } else {
+                        (*existing).value.load(Ordering::SeqCst)
+                    }
+                };
                 if !node.is_null() {
+                    // Lost a race after allocating: retire the
+                    // never-shared local node (§4.1 allows local → retired).
                     unsafe {
                         self.smr
                             .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
@@ -206,6 +262,9 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     pub fn get(&self, ctx: &mut S::ThreadCtx, key: i64) -> Option<i64> {
         self.smr.begin_op(ctx);
         let result = if self.smr.requires_validation() {
+            // Protect-validate schemes (HP/HE/IBR): only find()'s
+            // hand-over-hand hazard discipline makes standing on a
+            // node safe, so lookups share the mutation path.
             let w = self.find(ctx, key);
             w.found.then(|| {
                 let node = w.curr_word as *const Node;
@@ -219,18 +278,36 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
         result
     }
 
-    /// Read-only lookup for op-scoped protection schemes — the map
-    /// analogue of [`crate::MichaelList`]'s `contains_read_only` (see
-    /// there for the linearizability and restart-polling arguments).
-    /// The value is read after the mark check; as with `remove`, a
-    /// racing in-place update may land in between, and either value is
-    /// a linearizable answer.
-    // LINT: op-scoped — callers hold begin_op (see `get`); op-scoped schemes
-    // protect the walk globally.
+    /// Read-only lookup for op-scoped protection schemes
+    /// (`requires_validation() == false`: EBR/QSBR/NBR/leak).
+    ///
+    /// Michael notes searches need not help unlink (and Herlihy &
+    /// Shavit prove the wait-free variant linearizable for exactly this
+    /// mark-bit list family): the traversal follows raw `next` links —
+    /// through marked nodes — and decides from the first node with
+    /// `key ≥ target`. Every node on the walk is protected *globally*
+    /// by the op-scoped scheme (reachable or retired-but-unreclaimed),
+    /// so no per-hop slot writes, helping CASes, or prev tracking are
+    /// needed. Sortedness along frozen chains plus Michael's
+    /// unlink-in-traversal-order discipline give the linearization
+    /// points: an unmarked match was reachable when its link word was
+    /// read (marks never clear), and a miss linearizes at the last
+    /// link read from a then-reachable node. The value is read after
+    /// the mark check; as with `remove`, a racing in-place update may
+    /// land in between, and either value is a linearizable answer.
+    ///
+    /// Restart-based schemes (NBR, or a watchdog-neutralized
+    /// EBR/QSBR) void the global protection when they neutralize a
+    /// thread, so the loop polls [`Smr::needs_restart`] every hop —
+    /// a relaxed self-flag load — and rewalks from the head.
+    // LINT: op-scoped — callers hold begin_op (see `get`); the whole point of
+    // this path is that op-scoped schemes protect the walk globally.
     fn get_read_only(&self, ctx: &mut S::ThreadCtx, key: i64) -> Option<i64> {
         'retry: loop {
-            // SAFETY(ordering): SeqCst link loads — part of the
-            // retire-stamp SC chain (see `Smr::load`); free on x86-TSO.
+            // SAFETY(ordering): SeqCst link loads keep this traversal in
+            // the retire-stamp SC chain (see `Smr::load`) — free MOVs on
+            // x86-TSO, and required so a concurrent retirer's stamp
+            // covers this reader's announced epoch.
             let mut word = untagged(self.head.load(Ordering::SeqCst));
             loop {
                 if self.smr.needs_restart(ctx) {
@@ -267,6 +344,10 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 break None;
             }
             let node = w.curr_word as *const Node;
+            // Plain load: `node` is protected by find(), and the value is
+            // only used as CAS operands, never dereferenced. (A protected
+            // load here would evict the prev-node protection from its
+            // slot and leave `w.prev` dangling under HP.)
             // SAFETY: node and w.prev are protected by the slots `find` left armed;
             // the winning mark CAS makes this op the unique retirer.
             let next_word = unsafe { (*node).next.load(Ordering::SeqCst) };
@@ -294,6 +375,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                         .retire(ctx, w.curr_word as *mut u8, &(*node).header, DROP_NODE);
                 }
             } else {
+                // Let a find() unlink (and retire) it.
                 let _ = self.find(ctx, key);
             }
             break Some(value);
@@ -385,6 +467,17 @@ mod tests {
     }
 
     #[test]
+    fn insert_if_absent_leaves_a_present_value() {
+        let smr = Hp::new(2, 3);
+        let map = MichaelMap::new(&smr);
+        let mut ctx = smr.register().unwrap();
+        assert_eq!(map.insert_if_absent(&mut ctx, 1, 100), None);
+        assert_eq!(map.insert_if_absent(&mut ctx, 1, 999), Some(100));
+        assert_eq!(map.get(&mut ctx, 1), Some(100));
+        assert_eq!(map.collect_entries(), vec![(1, 100)]);
+    }
+
+    #[test]
     fn upsert_does_not_leak_the_speculative_node() {
         let smr = Hp::with_threshold(2, 3, 4);
         let map = MichaelMap::new(&smr);
@@ -409,7 +502,9 @@ mod tests {
         ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
     )]
     fn concurrent_counters_are_exact() {
-        // fetch_add is atomic: concurrent bumps never lose updates.
+        // fetch_add is atomic: concurrent bumps never lose updates — nor
+        // does a set insert of the same key between them, which must
+        // leave the value word alone (a swap here would drop bumps).
         let smr = Ebr::new(8);
         let map = MichaelMap::new(&smr);
         {
@@ -423,6 +518,7 @@ mod tests {
                     let mut ctx = smr.register().unwrap();
                     for _ in 0..1_000 {
                         map.fetch_add(&mut ctx, 0, 1).expect("key 0 exists");
+                        assert!(map.insert_if_absent(&mut ctx, 0, -1).is_some());
                     }
                 });
             }

@@ -447,6 +447,8 @@ impl<S: Smr + EpochProtected> Drop for SkipList<'_, S> {
     }
 }
 
+crate::concurrent_set::impl_concurrent_set!(SkipList: Smr + EpochProtected);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -346,6 +346,22 @@ impl VbrList {
     }
 }
 
+/// VBR needs no per-thread state: handles carry their own versions.
+impl crate::ConcurrentSet for VbrList {
+    type Ctx = ();
+
+    fn ctx(&self) {}
+    fn insert(&self, _: &mut (), key: i64) -> bool {
+        VbrList::insert(self, key)
+    }
+    fn delete(&self, _: &mut (), key: i64) -> bool {
+        VbrList::delete(self, key)
+    }
+    fn contains(&self, _: &mut (), key: i64) -> bool {
+        VbrList::contains(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

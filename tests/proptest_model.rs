@@ -6,7 +6,8 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use era::ds::{
-    HarrisList, HashSet, MichaelList, MichaelMap, MsQueue, SkipList, TreiberStack, VbrList,
+    ConcurrentSet, HarrisList, HashSet, MichaelList, MichaelMap, MsQueue, SkipList, TreiberStack,
+    VbrList,
 };
 use era::smr::common::Smr;
 use era::smr::{ebr::Ebr, hp::Hp, leak::Leak, nbr::Nbr};
@@ -30,15 +31,16 @@ fn set_ops(max_key: i64) -> impl Strategy<Value = Vec<SetOp>> {
     )
 }
 
-fn check_set_against_model(ops: &[SetOp], mut apply: impl FnMut(SetOp) -> bool) {
+/// Runs `ops` against `set` and a `BTreeSet`; every answer must agree.
+fn check<L: ConcurrentSet>(set: &L, ops: &[SetOp]) {
+    let mut ctx = set.ctx();
     let mut model = BTreeSet::new();
     for &op in ops {
-        let expected = match op {
-            SetOp::Insert(k) => model.insert(k),
-            SetOp::Delete(k) => model.remove(&k),
-            SetOp::Contains(k) => model.contains(&k),
+        let (got, expected) = match op {
+            SetOp::Insert(k) => (set.insert(&mut ctx, k), model.insert(k)),
+            SetOp::Delete(k) => (set.delete(&mut ctx, k), model.remove(&k)),
+            SetOp::Contains(k) => (set.contains(&mut ctx, k), model.contains(&k)),
         };
-        let got = apply(op);
         assert_eq!(got, expected, "{op:?} diverged from the model");
     }
 }
@@ -48,60 +50,28 @@ proptest! {
 
     #[test]
     fn michael_list_matches_model(ops in set_ops(16)) {
-        let smr = Hp::new(2, 3);
-        let list = MichaelList::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => list.insert(&mut ctx, k),
-            SetOp::Delete(k) => list.delete(&mut ctx, k),
-            SetOp::Contains(k) => list.contains(&mut ctx, k),
-        });
+        check(&MichaelList::new(&Hp::new(2, 3)), &ops);
     }
 
     #[test]
     fn harris_list_matches_model(ops in set_ops(16)) {
-        let smr = Ebr::with_threshold(2, 4);
-        let list = HarrisList::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => list.insert(&mut ctx, k),
-            SetOp::Delete(k) => list.delete(&mut ctx, k),
-            SetOp::Contains(k) => list.contains(&mut ctx, k),
-        });
+        check(&HarrisList::new(&Ebr::with_threshold(2, 4)), &ops);
     }
 
     #[test]
     fn harris_list_with_nbr_matches_model(ops in set_ops(16)) {
-        let smr = Nbr::with_threshold(2, 2, 8);
-        let list = HarrisList::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => list.insert(&mut ctx, k),
-            SetOp::Delete(k) => list.delete(&mut ctx, k),
-            SetOp::Contains(k) => list.contains(&mut ctx, k),
-        });
+        check(&HarrisList::new(&Nbr::with_threshold(2, 2, 8)), &ops);
     }
 
     #[test]
     fn hash_set_matches_model(ops in set_ops(64)) {
-        let smr = Leak::new(2);
-        let set = HashSet::new(&smr, 8);
-        let mut ctx = smr.register().unwrap();
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => set.insert(&mut ctx, k),
-            SetOp::Delete(k) => set.delete(&mut ctx, k),
-            SetOp::Contains(k) => set.contains(&mut ctx, k),
-        });
+        check(&HashSet::new(&Leak::new(2), 8), &ops);
     }
 
     #[test]
     fn vbr_list_matches_model(ops in set_ops(16)) {
         let list = VbrList::new(64);
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => list.insert(k),
-            SetOp::Delete(k) => list.delete(k),
-            SetOp::Contains(k) => list.contains(k),
-        });
+        check(&list, &ops);
         // VBR invariant: nothing is ever in the retired state.
         prop_assert_eq!(list.arena().stats().retired_now, 0);
     }
@@ -110,18 +80,13 @@ proptest! {
     fn skip_list_matches_model(ops in set_ops(16)) {
         let smr = Ebr::with_threshold(2, 8);
         let list = SkipList::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        check_set_against_model(&ops, |op| match op {
-            SetOp::Insert(k) => list.insert(&mut ctx, k),
-            SetOp::Delete(k) => list.delete(&mut ctx, k),
-            SetOp::Contains(k) => list.contains(&mut ctx, k),
-        });
+        check(&list, &ops);
         list.check_invariants().map_err(TestCaseError::fail)?;
     }
 
     #[test]
     fn michael_map_matches_model(
-        ops in prop::collection::vec((0..4u8, 0..12i64, 0..100i64), 0..120)
+        ops in prop::collection::vec((0..5u8, 0..12i64, 0..100i64), 0..120)
     ) {
         let smr = Hp::new(2, 3);
         let map = MichaelMap::new(&smr);
@@ -132,6 +97,11 @@ proptest! {
                 0 => prop_assert_eq!(map.insert(&mut ctx, k, v), model.insert(k, v)),
                 1 => prop_assert_eq!(map.remove(&mut ctx, k), model.remove(&k)),
                 2 => prop_assert_eq!(map.get(&mut ctx, k), model.get(&k).copied()),
+                3 => {
+                    let expected = model.get(&k).copied();
+                    model.entry(k).or_insert(v);
+                    prop_assert_eq!(map.insert_if_absent(&mut ctx, k, v), expected);
+                }
                 _ => {
                     let expected = model.get_mut(&k).map(|x| {
                         *x += v;
