@@ -5,7 +5,11 @@
 //! length-prefixed binary protocol ([`proto`]), an acceptor feeding a
 //! fixed worker pool with per-connection request pipelining and
 //! per-shard write batching ([`server`]), and JSON-lines run records
-//! for the `net_bench` load generator ([`report`]).
+//! for the `net_bench` load generator ([`report`]). A connection is
+//! one socket and two fixed-role buffers: requests are decoded in
+//! place from the read buffer, replies are encoded into the reply
+//! buffer and written once per burst, and the common opcodes allocate
+//! nothing per request.
 //!
 //! The point is not the socket plumbing — it is that the ERA theorem's
 //! applicability/robustness trade-off becomes **visible to remote
@@ -35,8 +39,8 @@ pub mod report;
 pub mod server;
 
 pub use proto::{
-    read_frame, write_request, write_response, ErrorCode, ErrorReply, ProtoError, Request,
-    Response, StatsReply, MAX_FRAME,
+    read_frame, split_frame, write_request, write_response, ErrorCode, ErrorReply, ProtoError,
+    Request, Response, StatsReply, MAX_FRAME, MAX_REQUEST_FRAME,
 };
 pub use report::{percentiles, write_jsonl, NetRunRecord};
 pub use server::{NetConfig, NetHandle, NetServer, ServeStats};

@@ -19,6 +19,13 @@ use std::io::{self, Read, Write};
 /// corrupted length prefix cannot make the reader allocate gigabytes.
 pub const MAX_FRAME: usize = 1 << 20;
 
+/// The largest `length` a *request* frame can carry: `SCAN`'s opcode,
+/// two `i64` bounds and a `u32` limit. The server refuses a longer
+/// prefix as soon as it has read it instead of buffering a body that
+/// cannot decode, so its per-connection read buffer never grows;
+/// [`MAX_FRAME`] keeps bounding responses.
+pub const MAX_REQUEST_FRAME: usize = 1 + 8 + 8 + 4;
+
 /// Most entries an [`Response::Entries`] frame may carry (16 bytes
 /// per entry keeps the frame inside [`MAX_FRAME`] with headroom).
 pub const MAX_SCAN_ENTRIES: usize = 32_768;
@@ -474,6 +481,40 @@ impl Response {
     }
 }
 
+/// Validates a length prefix: the payload length it announces, or
+/// [`ProtoError::Oversized`] for zero and for anything past
+/// [`MAX_FRAME`]. The one prefix rule, shared by [`split_frame`] and
+/// [`read_frame`].
+fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len == 0 || len > MAX_FRAME {
+        return Err(ProtoError::Oversized(len));
+    }
+    Ok(len)
+}
+
+/// What [`split_frame`] hands out: a frame's payload and the bytes
+/// after it, both borrowed from the buffer that was split.
+pub type Split<'a> = (&'a [u8], &'a [u8]);
+
+/// Splits the first complete frame off the front of `buf` without
+/// copying: `Ok(Some((payload, rest)))` borrows the payload (opcode +
+/// body, prefix stripped) and everything after it. `Ok(None)` means
+/// `buf` does not hold a whole frame yet — fewer than four prefix
+/// bytes, or a body still in flight — and the caller should read more.
+///
+/// # Errors
+///
+/// [`ProtoError::Oversized`] for a zero prefix or one beyond
+/// [`MAX_FRAME`], as soon as the four prefix bytes are present.
+pub fn split_frame(buf: &[u8]) -> Result<Option<Split<'_>>, ProtoError> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = frame_len(*prefix)?;
+    Ok(rest.split_at_checked(len))
+}
+
 /// Reads one length-prefixed frame payload from `r` into `scratch`
 /// and returns it (opcode + body, prefix stripped). `Ok(None)` means
 /// the peer closed the stream cleanly at a frame boundary.
@@ -488,18 +529,15 @@ pub fn read_frame<'b, R: Read>(
     r: &mut R,
     scratch: &'b mut Vec<u8>,
 ) -> io::Result<Option<&'b [u8]>> {
+    // One `read` for the whole prefix: on a socket it almost always
+    // arrives together, and every call here is a syscall for the
+    // clients that read a bare `TcpStream`.
     let mut prefix = [0u8; 4];
-    match r.read(&mut prefix[..1])? {
+    match r.read(&mut prefix)? {
         0 => return Ok(None),
-        _ => r.read_exact(&mut prefix[1..])?,
+        n => r.read_exact(&mut prefix[n..])?,
     }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            ProtoError::Oversized(len),
-        ));
-    }
+    let len = frame_len(prefix).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     scratch.clear();
     scratch.resize(len, 0);
     r.read_exact(scratch)?;
@@ -650,5 +688,99 @@ mod tests {
         let mut cursor = io::Cursor::new(wire);
         let err = read_frame(&mut cursor, &mut scratch).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn frame_reader_reads_the_prefix_in_one_call() {
+        /// Counts the `read` calls that reach the transport.
+        struct Counting<R>(R, usize);
+        impl<R: Read> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        let mut wire = Vec::new();
+        Request::Put { key: 1, value: 2 }.encode(&mut wire);
+        let mut r = Counting(io::Cursor::new(wire), 0);
+        let mut scratch = Vec::new();
+        assert!(read_frame(&mut r, &mut scratch).unwrap().is_some());
+        assert_eq!(r.1, 2, "one read for the prefix, one for the body");
+
+        // A prefix that trickles in is still assembled correctly.
+        struct OneByte<R>(R);
+        impl<R: Read> Read for OneByte<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(1);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let mut wire = Vec::new();
+        Request::Get { key: -9 }.encode(&mut wire);
+        let mut r = OneByte(io::Cursor::new(wire));
+        let frame = read_frame(&mut r, &mut scratch).unwrap().unwrap();
+        assert_eq!(Request::decode(frame), Ok(Request::Get { key: -9 }));
+    }
+
+    #[test]
+    fn max_request_frame_is_the_longest_encoding() {
+        let reqs = [
+            Request::Get { key: i64::MIN },
+            Request::Put {
+                key: i64::MIN,
+                value: i64::MAX,
+            },
+            Request::Remove { key: i64::MAX },
+            Request::Incr {
+                key: i64::MAX,
+                delta: i64::MIN,
+            },
+            Request::Scan {
+                lo: i64::MIN,
+                hi: i64::MAX,
+                limit: u32::MAX,
+            },
+            Request::Ping,
+            Request::Stats,
+        ];
+        let longest = reqs
+            .iter()
+            .map(|req| {
+                let mut buf = Vec::new();
+                req.encode(&mut buf);
+                strip(&buf).len()
+            })
+            .max();
+        assert_eq!(longest, Some(MAX_REQUEST_FRAME));
+    }
+
+    #[test]
+    fn split_frame_borrows_whole_frames_and_waits_for_partial_ones() {
+        let mut wire = Vec::new();
+        Request::Put { key: 1, value: 2 }.encode(&mut wire);
+        let first = wire.len();
+        Request::Ping.encode(&mut wire);
+
+        let (payload, rest) = split_frame(&wire).unwrap().unwrap();
+        assert_eq!(payload, &wire[4..first]);
+        assert_eq!(rest, &wire[first..]);
+        let (payload, rest) = split_frame(rest).unwrap().unwrap();
+        assert_eq!(Request::decode(payload), Ok(Request::Ping));
+        assert!(rest.is_empty());
+
+        // Every strict prefix of one frame is "not yet", never an error.
+        for cut in 0..first {
+            assert_eq!(split_frame(&wire[..cut]), Ok(None), "cut at {cut}");
+        }
+
+        // The prefix rule is read_frame's: refused as soon as it is
+        // readable, body or no body.
+        for bad_len in [0u32, (MAX_FRAME as u32) + 1, u32::MAX] {
+            assert_eq!(
+                split_frame(&bad_len.to_be_bytes()),
+                Err(ProtoError::Oversized(bad_len as usize))
+            );
+        }
+        assert_eq!(split_frame(&(MAX_FRAME as u32).to_be_bytes()), Ok(None));
     }
 }

@@ -8,17 +8,41 @@
 //! polls — and `workers` worker threads. Accepted connections go into
 //! a bounded queue; each worker pops a connection and serves it to
 //! completion, so a connection's requests are answered **in order** by
-//! construction.
+//! construction (and connection `workers + 1` waits for a worker while
+//! the first `workers` stay open).
+//!
+//! ## A connection: one socket, two buffers
+//!
+//! A served connection is a private `Conn { stream, rbuf, wbuf }`.
+//! One `read` moves whatever the client has pipelined from the kernel
+//! into the fixed-size `rbuf`; [`split_frame`] finds the whole frames
+//! in it and [`Request::decode`] reads them where they lie. Replies
+//! are [`Response::encode`]d straight into `wbuf`, which leaves in one
+//! write per burst. A request's bytes are therefore copied once
+//! (kernel → `rbuf`) and its reply's once (`wbuf` → kernel), and
+//! `GET`/`PUT`/`REMOVE`/`INCR`/`PING` allocate nothing here once the
+//! connection's buffers exist. No request frame is longer than
+//! [`MAX_REQUEST_FRAME`], and a prefix that claims otherwise is
+//! answered `Malformed` when it is read, so `rbuf` never grows:
+//! per-connection memory is a constant.
+//!
+//! The socket carries [`NetConfig::read_timeout`] in both directions.
+//! A timed-out read leaves any partial frame in `rbuf` and returns to
+//! the serving loop (stop poll, idle maintenance); a timed-out write —
+//! a client that pipelines but never reads — polls the stop flag and
+//! resumes where the partial write ended. Nothing a client sends or
+//! withholds parks a worker for longer than that timeout, which makes
+//! a `Conn` resumable at every refill.
 //!
 //! ## Pipelining and batching
 //!
-//! A worker reads one frame, then keeps draining frames that are
-//! already buffered (up to [`NetConfig::batch_max`]) before answering
-//! any of them — a client that pipelines N requests gets N in-order
-//! responses with one syscall round-trip instead of N. Consecutive
-//! `PUT`s inside such a burst are applied through
-//! [`KvStore::put_batch`], which pays one admission decision and one
-//! quiescent point per *shard group* instead of per write.
+//! A worker stages the whole frames already in `rbuf` (up to
+//! [`NetConfig::batch_max`]) before answering any of them — a client
+//! that pipelines N requests gets N in-order responses with one
+//! syscall round-trip instead of N. Consecutive `PUT`s inside such a
+//! burst are applied through [`KvStore::put_batch`], which pays one
+//! admission decision and one quiescent point per *shard group*
+//! instead of per write.
 //!
 //! ## Admission control (the theorem, on the wire)
 //!
@@ -39,7 +63,7 @@
 //! asserts end-to-end.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,8 +75,21 @@ use era_obs::{DumpStats, FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer}
 use era_smr::Smr;
 
 use crate::proto::{
-    read_frame, write_response, ErrorCode, ErrorReply, Request, Response, StatsReply,
+    split_frame, ErrorCode, ErrorReply, ProtoError, Request, Response, StatsReply,
+    MAX_REQUEST_FRAME,
 };
+
+/// Size of a connection's read buffer. Fixed: a request frame is at
+/// most `4 + MAX_REQUEST_FRAME` bytes, so the buffer only decides how
+/// many pipelined frames one `read` can bring in, never whether a
+/// frame fits.
+const RBUF_LEN: usize = 16 * 1024;
+const _: () = assert!(RBUF_LEN > 4 + MAX_REQUEST_FRAME);
+
+/// Reply bytes a burst may accumulate before they are written out
+/// early, so a burst of `SCAN`s cannot grow the reply buffer without
+/// bound.
+const WBUF_HIGH_WATER: usize = 32 * 1024;
 
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
@@ -247,6 +284,12 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         cfg: NetConfig,
         addr: impl ToSocketAddrs,
     ) -> io::Result<Self> {
+        // Zero workers or a zero batch would serve nothing; both mean one.
+        let cfg = NetConfig {
+            workers: cfg.workers.max(1),
+            batch_max: cfg.batch_max.max(1),
+            ..cfg
+        };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let recorder = Recorder::with_ring_capacity(cfg.workers + 2, cfg.ring_capacity);
@@ -327,7 +370,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     /// capacity at `workers + slack`.
     pub fn run(&self) -> io::Result<ServeStats> {
         let mut worker_ctxs: Vec<KvCtx<S>> = Vec::with_capacity(self.cfg.workers);
-        for _ in 0..self.cfg.workers.max(1) {
+        for _ in 0..self.cfg.workers {
             worker_ctxs.push(self.store.register().map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::ResourceBusy,
@@ -444,142 +487,106 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         ctx: &mut KvCtx<S>,
         tracer: &mut ThreadTracer,
     ) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.read_timeout))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        let mut scratch = Vec::new();
-        let mut burst: Vec<Request> = Vec::new();
+        let mut conn = Conn::new(stream, self.cfg.read_timeout)?;
+        let mut burst: Vec<Request> = Vec::with_capacity(self.cfg.batch_max);
+        let mut items: Vec<(i64, i64)> = Vec::with_capacity(self.cfg.batch_max);
         loop {
+            // Stage the whole frames already buffered. A partial frame
+            // stays where it is until a later refill completes it.
             burst.clear();
-            // First frame of a burst: allowed to idle out so the stop
-            // flag gets polled on quiet connections.
-            match self.read_request(&mut reader, &mut scratch, true) {
-                FrameIn::Idle => {
-                    if self.ctl.stop.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                    // The connection is open but quiet — same idle
-                    // maintenance as a worker parked on the queue.
-                    self.store.maintain(ctx);
-                    continue;
-                }
-                FrameIn::Eof | FrameIn::Transport => return Ok(()),
-                FrameIn::Malformed => return self.reject_malformed(&mut writer),
-                FrameIn::Frame(req) => burst.push(req),
-            }
-            // Drain whatever the client already pipelined behind it.
             let mut malformed = false;
-            while burst.len() < self.cfg.batch_max && !reader.buffer().is_empty() {
-                match self.read_request(&mut reader, &mut scratch, false) {
-                    FrameIn::Frame(req) => burst.push(req),
-                    FrameIn::Malformed => {
+            while burst.len() < self.cfg.batch_max {
+                match conn.next_request() {
+                    Ok(Some(req)) => burst.push(req),
+                    Ok(None) => break,
+                    Err(_) => {
                         malformed = true;
                         break;
                     }
-                    FrameIn::Idle | FrameIn::Eof | FrameIn::Transport => break,
                 }
+            }
+            if burst.is_empty() && !malformed {
+                match conn.fill()? {
+                    Fill::Data => {}
+                    Fill::Closed => return Ok(()),
+                    Fill::Idle => {
+                        if self.ctl.stop.load(Ordering::SeqCst) {
+                            return Ok(());
+                        }
+                        // The connection is open but quiet — same idle
+                        // maintenance as a worker parked on the queue.
+                        self.store.maintain(ctx);
+                    }
+                }
+                continue;
             }
             // SAFETY(ordering): Relaxed — telemetry tally.
             self.counters
                 .frames
                 .fetch_add(burst.len() as u64, Ordering::Relaxed);
-            for resp in self.process_burst(ctx, &burst, tracer) {
-                write_response(&mut writer, &resp)?;
-            }
-            writer.flush()?;
+            self.process_burst(ctx, &burst, &mut items, &mut conn, tracer)?;
             if malformed {
-                return self.reject_malformed(&mut writer);
+                // A framing violation is answered with a typed error
+                // behind the replies it followed, then the close.
+                // SAFETY(ordering): Relaxed — telemetry tally.
+                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                Response::Error(ErrorReply {
+                    code: ErrorCode::Malformed,
+                    shard: u32::MAX,
+                    retry_after_ms: 0,
+                })
+                .encode(&mut conn.wbuf);
+                return conn.flush(&self.ctl.stop);
             }
+            conn.flush(&self.ctl.stop)?;
         }
     }
 
-    /// Answers a framing violation with a typed error, then closes.
-    fn reject_malformed(&self, writer: &mut BufWriter<TcpStream>) -> io::Result<()> {
-        // SAFETY(ordering): Relaxed — telemetry tally.
-        self.counters.malformed.fetch_add(1, Ordering::Relaxed);
-        let resp = Response::Error(ErrorReply {
-            code: ErrorCode::Malformed,
-            shard: u32::MAX,
-            retry_after_ms: 0,
-        });
-        write_response(writer, &resp)?;
-        writer.flush()
-    }
-
-    fn read_request(
-        &self,
-        reader: &mut BufReader<TcpStream>,
-        scratch: &mut Vec<u8>,
-        idle_ok: bool,
-    ) -> FrameIn {
-        match read_frame_patient(reader, scratch, &self.ctl.stop, idle_ok) {
-            Ok(Some(frame)) => match Request::decode(frame) {
-                Ok(req) => FrameIn::Frame(req),
-                Err(_) => FrameIn::Malformed,
-            },
-            Ok(None) => FrameIn::Eof,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                FrameIn::Idle
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => FrameIn::Malformed,
-            Err(_) => FrameIn::Transport,
-        }
-    }
-
-    /// Executes a pipelined burst, answering each request in order.
-    /// Runs of two or more consecutive `PUT`s go through the store's
-    /// per-shard batch path.
+    /// Executes a pipelined burst, encoding each reply in order into
+    /// the connection's reply buffer. Runs of two or more consecutive
+    /// `PUT`s go through the store's per-shard batch path.
     fn process_burst(
         &self,
         ctx: &mut KvCtx<S>,
         burst: &[Request],
+        items: &mut Vec<(i64, i64)>,
+        conn: &mut Conn,
         tracer: &mut ThreadTracer,
-    ) -> Vec<Response> {
-        let mut out = Vec::with_capacity(burst.len());
+    ) -> io::Result<()> {
         let mut i = 0;
         while i < burst.len() {
-            let run_end = if matches!(burst[i], Request::Put { .. }) {
-                let mut j = i;
-                while j < burst.len() && matches!(burst[j], Request::Put { .. }) {
-                    j += 1;
-                }
-                j
-            } else {
-                i
-            };
-            if run_end - i >= 2 {
-                let items: Vec<(i64, i64)> = burst[i..run_end]
-                    .iter()
-                    .map(|r| match *r {
-                        Request::Put { key, value } => (key, value),
-                        _ => unreachable!("run contains only puts"),
-                    })
-                    .collect();
+            items.clear();
+            items.extend(burst[i..].iter().map_while(|r| match *r {
+                Request::Put { key, value } => Some((key, value)),
+                _ => None,
+            }));
+            if items.len() >= 2 {
                 // SAFETY(ordering): Relaxed — telemetry tally.
                 self.counters
                     .batched_writes
                     .fetch_add(items.len() as u64, Ordering::Relaxed);
-                for (item, res) in items.iter().zip(self.store.put_batch(ctx, &items)) {
-                    out.push(match res {
+                for (&(key, value), res) in items.iter().zip(self.store.put_batch(ctx, items)) {
+                    match res {
                         Ok(prev) => Response::Value(prev),
                         // A shed group falls back to the single-write
                         // policy so Degrading still means "queue with
                         // a deadline", not "batch missed, bad luck".
-                        Err(_) => self.write_op(ctx, item.0, tracer, |store, ctx| {
-                            store.put(ctx, item.0, item.1)
-                        }),
-                    });
+                        Err(_) => {
+                            self.write_op(ctx, key, tracer, |store, ctx| store.put(ctx, key, value))
+                        }
+                    }
+                    .encode(&mut conn.wbuf);
                 }
-                i = run_end;
+                i += items.len();
             } else {
-                out.push(self.respond(ctx, &burst[i], tracer));
+                self.respond(ctx, &burst[i], tracer).encode(&mut conn.wbuf);
                 i += 1;
             }
+            if conn.wbuf.len() >= WBUF_HIGH_WATER {
+                conn.flush(&self.ctl.stop)?;
+            }
         }
-        out
+        Ok(())
     }
 
     fn respond(&self, ctx: &mut KvCtx<S>, req: &Request, tracer: &mut ThreadTracer) -> Response {
@@ -712,72 +719,122 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     }
 }
 
-/// What one attempt to read a request produced.
-enum FrameIn {
-    /// A decoded request.
-    Frame(Request),
-    /// Clean close at a frame boundary.
-    Eof,
-    /// Read timeout before the first byte of a frame.
-    Idle,
-    /// A frame that does not decode (or a poisoned length prefix).
-    Malformed,
-    /// Any other transport failure.
-    Transport,
+/// One client connection: the socket and the only two buffers its
+/// bytes sit in on this side of the kernel. Requests are decoded in
+/// place from `rbuf`; replies are encoded into `wbuf` and leave in one
+/// write per burst. Nothing here blocks longer than the socket
+/// timeout, and a partial frame simply stays in `rbuf` across one, so
+/// a `Conn` can be left and resumed at any refill.
+struct Conn {
+    stream: TcpStream,
+    /// Fixed-size; `rbuf[head..tail]` is received and not yet decoded.
+    rbuf: Box<[u8]>,
+    head: usize,
+    tail: usize,
+    /// Encoded replies not yet written.
+    wbuf: Vec<u8>,
 }
 
-/// [`read_frame`] with timeout patience: a timeout **before** the
-/// first byte surfaces as `WouldBlock`/`TimedOut` (the caller's idle
-/// poll), but a timeout **inside** a frame retries — the client has
-/// already committed the length prefix, so the remainder is in flight
-/// — until `stop` aborts the wait.
-fn read_frame_patient<'b, R: Read>(
-    r: &mut R,
-    scratch: &'b mut Vec<u8>,
-    stop: &AtomicBool,
-    idle_ok: bool,
-) -> io::Result<Option<&'b [u8]>> {
-    struct Patient<'r, R: Read> {
-        inner: &'r mut R,
-        stop: &'r AtomicBool,
-        got_any: bool,
-        idle_ok: bool,
+/// What one refill of the read buffer produced.
+enum Fill {
+    /// At least one more byte is buffered.
+    Data,
+    /// The socket timeout passed with nothing to read.
+    Idle,
+    /// The peer closed the stream.
+    Closed,
+}
+
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+impl Conn {
+    /// Takes over an accepted stream; `timeout` bounds every blocking
+    /// read and write, which is what lets both poll the stop flag.
+    fn new(stream: TcpStream, timeout: Duration) -> io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Conn {
+            stream,
+            rbuf: vec![0; RBUF_LEN].into_boxed_slice(),
+            head: 0,
+            tail: 0,
+            wbuf: Vec::with_capacity(WBUF_HIGH_WATER),
+        })
     }
-    impl<R: Read> Read for Patient<'_, R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            loop {
-                match self.inner.read(buf) {
-                    Ok(n) => {
-                        self.got_any |= n > 0;
-                        return Ok(n);
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        if !self.got_any && self.idle_ok {
-                            return Err(e);
-                        }
-                        if self.stop.load(Ordering::SeqCst) {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                "server shutting down mid-frame",
-                            ));
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+
+    /// Decodes the next whole request frame in place, or `Ok(None)`
+    /// when the buffer holds less than one.
+    fn next_request(&mut self) -> Result<Option<Request>, ProtoError> {
+        let pending = &self.rbuf[self.head..self.tail];
+        match split_frame(pending)? {
+            Some((payload, rest)) => {
+                self.head = self.tail - rest.len();
+                Request::decode(payload).map(Some)
             }
+            // The body is still in flight — unless the prefix promises
+            // more than any request carries: waiting for that would
+            // only buffer bytes that cannot decode.
+            None => match pending
+                .first_chunk()
+                .map(|&p| u32::from_be_bytes(p) as usize)
+            {
+                Some(len) if len > MAX_REQUEST_FRAME => Err(ProtoError::Oversized(len)),
+                _ => Ok(None),
+            },
         }
     }
-    let mut patient = Patient {
-        inner: r,
-        stop,
-        got_any: false,
-        idle_ok,
-    };
-    read_frame(&mut patient, scratch)
+
+    /// One `read` into the free tail of `rbuf`. Called only once
+    /// [`Conn::next_request`] has nothing whole left, so what is moved
+    /// to the front first is less than one request frame.
+    fn fill(&mut self) -> io::Result<Fill> {
+        self.rbuf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        loop {
+            return match self.stream.read(&mut self.rbuf[self.tail..]) {
+                Ok(0) => Ok(Fill::Closed),
+                Ok(n) => {
+                    self.tail += n;
+                    Ok(Fill::Data)
+                }
+                Err(e) if timed_out(&e) => Ok(Fill::Idle),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => Err(e),
+            };
+        }
+    }
+
+    /// Writes out every buffered reply. A peer that has stopped
+    /// reading stalls this for one socket timeout at a time, resuming
+    /// where the partial write ended, until `stop` aborts the wait.
+    fn flush(&mut self, stop: &AtomicBool) -> io::Result<()> {
+        let mut sent = 0;
+        while sent < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if timed_out(&e) => {
+                    if stop.load(Ordering::SeqCst) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            "server shutting down mid-reply",
+                        ));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.wbuf.clear();
+        Ok(())
+    }
 }
 
 // Re-exported so integration tests and docs can name the error type
@@ -813,8 +870,8 @@ mod tests {
 
     #[test]
     fn proto_error_kind_is_invalid_data() {
-        // The Malformed branch in read_request keys off InvalidData —
-        // pin the mapping read_frame promises.
+        // Pin the mapping `read_frame` promises its callers: a framing
+        // violation surfaces as InvalidData.
         let err = io::Error::new(io::ErrorKind::InvalidData, ProtoError::Oversized(0));
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

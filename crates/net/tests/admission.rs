@@ -41,6 +41,7 @@ fn roundtrip(stream: &mut TcpStream, scratch: &mut Vec<u8>, req: &Request) -> Re
 }
 
 #[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
 fn violating_shard_sheds_remote_writes_serves_reads_then_heals() {
     // One shard, tiny budgets, a seeded deterministic stall plan.
     let plan = FaultPlan::new(

@@ -10,13 +10,22 @@
 //!    a pipelined burst to a live server and the responses come back
 //!    strictly in request order, while other threads hammer the same
 //!    shards directly through the store API.
+//! 4. **Delivery does not matter** — the reply bytes are the same
+//!    however TCP cuts the request stream (one write, byte by byte, a
+//!    stall inside a frame, several refills of the server's read
+//!    buffer), and no request stream — undecodable, over-long, or
+//!    never followed by a read — holds a worker past its timeout.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::Duration;
 
-use era_net::proto::{read_frame, write_request, Request, Response, StatsReply};
-use era_net::{ErrorCode, ErrorReply, NetConfig, NetServer};
+use era_net::proto::{
+    read_frame, split_frame, write_request, ProtoError, Request, Response, StatsReply, MAX_FRAME,
+    MAX_REQUEST_FRAME,
+};
+use era_net::{ErrorCode, ErrorReply, NetConfig, NetServer, ServeStats};
 
 use era_kv::{KvConfig, KvStore};
 use era_smr::ebr::Ebr;
@@ -74,8 +83,79 @@ fn arb_response() -> impl Strategy<Value = Response> {
         })
 }
 
+/// Encodes `reqs` back to back and returns the wire bytes with the
+/// offset at which each frame ends.
+fn encode_stream(reqs: &[Request]) -> (Vec<u8>, Vec<usize>) {
+    let mut wire = Vec::new();
+    let ends = reqs
+        .iter()
+        .map(|req| {
+            req.encode(&mut wire);
+            wire.len()
+        })
+        .collect();
+    (wire, ends)
+}
+
+/// Splits every whole frame off the front of `buf`; returns the
+/// payloads and how many bytes they consumed.
+fn split_all(mut buf: &[u8]) -> Result<(Vec<Vec<u8>>, usize), ProtoError> {
+    let len = buf.len();
+    let mut payloads = Vec::new();
+    while let Some((payload, rest)) = split_frame(buf)? {
+        payloads.push(payload.to_vec());
+        buf = rest;
+    }
+    Ok((payloads, len - buf.len()))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 128 }))]
+
+    /// However a refill boundary cuts the stream, the frame cursor
+    /// hands out the same payloads and leaves the same remainder: what
+    /// is whole before the cut is consumed up to the last frame
+    /// boundary, and the rest completes once the tail arrives.
+    #[test]
+    fn split_frame_is_cut_invariant(reqs in prop::collection::vec(arb_request(), 1..6)) {
+        let (wire, ends) = encode_stream(&reqs);
+        let (whole, consumed) = split_all(&wire).expect("own encoding must split");
+        prop_assert_eq!(consumed, wire.len());
+        for (payload, req) in whole.iter().zip(&reqs) {
+            prop_assert!(payload.len() <= MAX_REQUEST_FRAME);
+            prop_assert_eq!(&Request::decode(payload).expect("own encoding must decode"), req);
+        }
+        prop_assert_eq!(whole.len(), reqs.len());
+        for cut in 0..=wire.len() {
+            let (mut got, consumed) = split_all(&wire[..cut]).expect("a prefix is never an error");
+            let boundary = ends.iter().copied().take_while(|&e| e <= cut).last().unwrap_or(0);
+            prop_assert_eq!(consumed, boundary, "cut at {}", cut);
+            // The refill: the unconsumed remainder followed by the tail.
+            let (tail, consumed) = split_all(&wire[boundary..]).expect("tail must split");
+            prop_assert_eq!(consumed, wire.len() - boundary);
+            got.extend(tail);
+            prop_assert_eq!(&got, &whole, "cut at {}", cut);
+        }
+    }
+
+    /// Short input is "not yet", hostile prefixes are `Oversized`;
+    /// neither panics, whatever follows the prefix.
+    #[test]
+    fn split_frame_short_and_hostile_prefixes(len in 0u32..64, junk in prop::collection::vec(0u16..256, 0..48)) {
+        let junk: Vec<u8> = junk.into_iter().map(|b| b as u8).collect();
+        // A legal prefix with less than `len` bytes behind it.
+        let len = len + 1;
+        let mut buf = len.to_be_bytes().to_vec();
+        buf.extend(junk.iter().take(len as usize - 1));
+        for cut in 0..=buf.len() {
+            prop_assert_eq!(split_frame(&buf[..cut]), Ok(None));
+        }
+        for bad in [0u32, MAX_FRAME as u32 + 1 + len, u32::MAX] {
+            let mut buf = bad.to_be_bytes().to_vec();
+            buf.extend(&junk);
+            prop_assert_eq!(split_frame(&buf), Err(ProtoError::Oversized(bad as usize)));
+        }
+    }
 
     #[test]
     fn request_encode_decode_is_lossless(req in arb_request()) {
@@ -150,6 +230,7 @@ fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Response {
 /// worker's in-order burst processing may batch, interleave with store
 /// traffic, or split the burst, but it may never reorder.
 #[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
 fn pipelined_requests_answer_in_order_under_concurrent_writes() {
     const PIPELINE: i64 = 64;
     let schemes: Vec<Ebr> = (0..4).map(|_| Ebr::new(16)).collect();
@@ -239,6 +320,7 @@ fn pipelined_requests_answer_in_order_under_concurrent_writes() {
 /// A malformed frame gets a typed `Malformed` error and the connection
 /// is closed; a fresh connection still works.
 #[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
 fn malformed_frame_gets_typed_error_then_close() {
     let schemes: Vec<Ebr> = (0..1).map(|_| Ebr::new(8)).collect();
     let store = KvStore::new(&schemes, KvConfig::default());
@@ -288,4 +370,381 @@ fn malformed_frame_gets_typed_error_then_close() {
         let stats = run.join().unwrap();
         assert_eq!(stats.malformed, 1);
     });
+}
+
+/// Serves a fresh one-shard EBR store holding `(k, k * 10)` for `k` in
+/// `0..preload` on one worker while `client` runs, then shuts down and
+/// returns the client's result with the server's counters.
+fn with_server<R>(
+    preload: i64,
+    read_timeout: Duration,
+    client: impl FnOnce(SocketAddr) -> R,
+) -> (R, ServeStats) {
+    let schemes = vec![Ebr::new(8)];
+    let store = KvStore::new(&schemes, KvConfig::default());
+    {
+        let mut ctx = store.register().expect("preload ctx");
+        for k in 0..preload {
+            store.put(&mut ctx, k, k * 10).expect("preload put");
+        }
+    }
+    let cfg = NetConfig {
+        workers: 1,
+        read_timeout,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind(&store, cfg, "127.0.0.1:0").expect("bind");
+    // A failed assertion in `client` unwinds past the explicit
+    // shutdown; the guard stops the server so the scope can join it.
+    struct StopOnDrop(era_net::NetHandle);
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+    std::thread::scope(|s| {
+        let guard = StopOnDrop(server.handle());
+        let run = s.spawn(|| server.run().expect("serve"));
+        let out = client(server.local_addr());
+        drop(guard);
+        (out, run.join().expect("server thread"))
+    })
+}
+
+fn connect(addr: SocketAddr, read_timeout: Duration) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(read_timeout))
+        .expect("read timeout");
+    stream
+}
+
+fn encode_replies(replies: &[Response]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for r in replies {
+        r.encode(&mut wire);
+    }
+    wire
+}
+
+fn malformed_reply() -> Response {
+    Response::Error(ErrorReply {
+        code: ErrorCode::Malformed,
+        shard: u32::MAX,
+        retry_after_ms: 0,
+    })
+}
+
+/// Half-closes `stream` and returns every byte the server still sends
+/// before it closes its side.
+fn drain_to_eof(stream: &mut TcpStream) -> Vec<u8> {
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).expect("read to EOF");
+    bytes
+}
+
+/// One mixed pipelined burst — PUT runs of 1, 2 and 5 around every
+/// other deterministic opcode — produces byte-identical replies
+/// whether it arrives in one write, one byte per segment, or with
+/// stalls longer than the server's read timeout inside a prefix and
+/// inside a body. The reference is `Response::encode` of the replies a
+/// sequential store gives.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn split_delivery_yields_byte_identical_replies() {
+    const SERVER_TIMEOUT: Duration = Duration::from_millis(5);
+    let put = |key, value| Request::Put { key, value };
+    let burst = [
+        put(1, 10),
+        Request::Get { key: 1 },
+        put(2, 20),
+        put(3, 30),
+        Request::Incr { key: 1, delta: 5 },
+        put(4, 40),
+        put(5, 50),
+        put(6, 60),
+        put(7, 70),
+        put(2, 21),
+        Request::Remove { key: 3 },
+        Request::Ping,
+        Request::Scan {
+            lo: 0,
+            hi: 16,
+            limit: 16,
+        },
+        Request::Get { key: 3 },
+    ];
+    let value = |v| Response::Value(v);
+    let expected = encode_replies(&[
+        value(None),
+        value(Some(10)),
+        value(None),
+        value(None),
+        value(Some(15)),
+        value(None),
+        value(None),
+        value(None),
+        value(None),
+        value(Some(20)),
+        value(Some(30)),
+        Response::Pong,
+        Response::Entries(vec![(1, 15), (2, 21), (4, 40), (5, 50), (6, 60), (7, 70)]),
+        value(None),
+    ]);
+    let (wire, ends) = encode_stream(&burst);
+    // Stall once two bytes into a length prefix and once inside a body.
+    let stalls = [ends[3] + 2, ends[7] + 9];
+
+    type Delivery<'a> = &'a dyn Fn(&mut TcpStream);
+    let one_write: Delivery = &|s| s.write_all(&wire).expect("send");
+    let byte_by_byte: Delivery = &|s| {
+        for b in &wire {
+            s.write_all(std::slice::from_ref(b)).expect("send");
+            s.flush().expect("flush");
+        }
+    };
+    let stalled: Delivery = &|s| {
+        let mut from = 0;
+        for cut in stalls {
+            s.write_all(&wire[from..cut]).expect("send");
+            std::thread::sleep(SERVER_TIMEOUT * 4);
+            from = cut;
+        }
+        s.write_all(&wire[from..]).expect("send");
+    };
+    for (name, deliver) in [
+        ("one write", one_write),
+        ("byte by byte", byte_by_byte),
+        ("stalled mid-frame", stalled),
+    ] {
+        let (got, stats) = with_server(0, SERVER_TIMEOUT, |addr| {
+            let mut stream = connect(addr, Duration::from_secs(10));
+            deliver(&mut stream);
+            drain_to_eof(&mut stream)
+        });
+        assert_eq!(got, expected, "{name}");
+        assert_eq!(stats.frames, burst.len() as u64, "{name}");
+        assert_eq!(stats.malformed, 0, "{name}");
+    }
+}
+
+/// 4 096 pipelined GETs in one `write_all` — 53 KB, several refills of
+/// the server's read buffer, frames straddling every refill boundary —
+/// are all answered, in order.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn a_burst_larger_than_the_read_buffer_is_answered_in_order() {
+    const GETS: i64 = 4096;
+    let (wire, _) = encode_stream(
+        &(0..GETS)
+            .map(|key| Request::Get { key })
+            .collect::<Vec<_>>(),
+    );
+    let ((), stats) = with_server(GETS / 2, Duration::from_millis(50), |addr| {
+        let mut stream = connect(addr, Duration::from_secs(10));
+        let mut reader = stream.try_clone().expect("clone");
+        std::thread::scope(|s| {
+            // Drain while sending: neither side may wait on a full
+            // kernel buffer for the other.
+            let drain = s.spawn(move || {
+                let mut scratch = Vec::new();
+                for key in 0..GETS {
+                    let expected = (key < GETS / 2).then_some(key * 10);
+                    assert_eq!(
+                        read_response(&mut reader, &mut scratch),
+                        Response::Value(expected),
+                        "reply {key} out of order"
+                    );
+                }
+            });
+            stream.write_all(&wire).expect("send");
+            drain.join().expect("reader");
+        });
+        assert!(drain_to_eof(&mut stream).is_empty());
+    });
+    assert_eq!(stats.frames, GETS as u64);
+}
+
+/// Good frames, one undecodable frame and more good frames in a single
+/// write: the good prefix is answered, then `Malformed`, then the
+/// close — nothing behind the violation is executed.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn frames_before_a_violation_are_answered_frames_after_it_are_not() {
+    const GOOD: i64 = 5;
+    let mut wire = Vec::new();
+    for key in 0..GOOD {
+        Request::Get { key }.encode(&mut wire);
+    }
+    wire.extend_from_slice(&[0, 0, 0, 1, 0x7F]);
+    for key in 0..3 {
+        Request::Put { key, value: -1 }.encode(&mut wire);
+    }
+    let mut replies: Vec<Response> = (0..GOOD).map(|k| Response::Value(Some(k * 10))).collect();
+    replies.push(malformed_reply());
+
+    let (got, stats) = with_server(GOOD, Duration::from_millis(50), |addr| {
+        let mut stream = connect(addr, Duration::from_secs(10));
+        stream.write_all(&wire).expect("send");
+        let mut got = Vec::new();
+        stream.read_to_end(&mut got).expect("read to EOF");
+        got
+    });
+    assert_eq!(got, encode_replies(&replies));
+    assert_eq!(stats.frames, GOOD as u64);
+    assert_eq!(stats.malformed, 1);
+}
+
+/// A length prefix no request can have is refused when it is read, not
+/// when (if ever) the body it promises has arrived.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn an_over_long_request_prefix_is_refused_without_its_body() {
+    for len in [MAX_REQUEST_FRAME + 1, MAX_FRAME] {
+        let (got, stats) = with_server(0, Duration::from_millis(50), |addr| {
+            let mut stream = connect(addr, Duration::from_secs(2));
+            stream
+                .write_all(&(len as u32).to_be_bytes())
+                .expect("send prefix");
+            let mut got = Vec::new();
+            stream
+                .read_to_end(&mut got)
+                .unwrap_or_else(|e| panic!("prefix {len}: no answer, server is waiting ({e})"));
+            got
+        });
+        assert_eq!(got, encode_replies(&[malformed_reply()]), "prefix {len}");
+        assert_eq!(stats.malformed, 1);
+        assert_eq!(stats.frames, 0);
+    }
+}
+
+/// A server over `(k, k)` for `k` in `0..keys`, leaked and run on a
+/// detached thread, so that a server which cannot stop fails its test
+/// (nothing arrives on the returned channel) instead of hanging it.
+fn detached_server(
+    workers: usize,
+    keys: i64,
+) -> (SocketAddr, era_net::NetHandle, mpsc::Receiver<ServeStats>) {
+    let schemes: &'static [Ebr] = vec![Ebr::new(8)].leak();
+    let store: &'static KvStore<'static, Ebr> =
+        Box::leak(Box::new(KvStore::new(schemes, KvConfig::default())));
+    {
+        let mut ctx = store.register().expect("preload ctx");
+        for k in 0..keys {
+            store.put(&mut ctx, k, k).expect("preload put");
+        }
+    }
+    let cfg = NetConfig {
+        workers,
+        ..NetConfig::default()
+    };
+    let server: &'static NetServer<'static, 'static, Ebr> = Box::leak(Box::new(
+        NetServer::bind(store, cfg, "127.0.0.1:0").expect("bind"),
+    ));
+    let (served_tx, served_rx) = mpsc::channel();
+    std::thread::spawn(move || served_tx.send(server.run().expect("serve")));
+    (server.local_addr(), server.handle(), served_rx)
+}
+
+/// Connects and has one PING answered: a worker is now on this
+/// connection, whenever a later shutdown lands.
+fn connect_served(addr: SocketAddr) -> TcpStream {
+    let mut stream = connect(addr, Duration::from_secs(10));
+    write_request(&mut stream, &Request::Ping).expect("ping");
+    assert_eq!(read_response(&mut stream, &mut Vec::new()), Response::Pong);
+    stream
+}
+
+/// A client that pipelines requests and never reads the replies fills
+/// both kernel buffers and stalls the worker in its write; the write
+/// timeout is what lets that worker see the stop flag.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn a_client_that_never_reads_cannot_hang_shutdown() {
+    const KEYS: i64 = 1024;
+    // 64 MiB of replies: past anything loopback buffers absorb.
+    const SCANS: usize = 4096;
+    let (addr, handle, served) = detached_server(1, KEYS);
+
+    let (sent_tx, sent_rx) = mpsc::channel();
+    let (_hold_open, closed) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        let mut stream = connect_served(addr);
+        let mut wire = Vec::new();
+        Request::Scan {
+            lo: 0,
+            hi: KEYS,
+            limit: KEYS as u32,
+        }
+        .encode(&mut wire);
+        let sent = stream.write_all(&wire.repeat(SCANS));
+        sent_tx.send(sent.is_ok()).expect("test thread is waiting");
+        // Keep the socket open, unread, until the test is over.
+        let _ = closed.recv();
+    });
+    assert!(
+        sent_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("client stuck sending 100 KB"),
+        "client write failed"
+    );
+
+    handle.shutdown();
+    let stats = served
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run() still blocked 2 s after shutdown: a worker is stuck in write");
+    assert!(stats.frames >= 2, "the worker never got as far as a SCAN");
+}
+
+/// Shutdown does not wait for clients to hang up: not for one that is
+/// connected and quiet, not for one that stopped halfway into a frame.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn idle_and_mid_frame_clients_cannot_hang_shutdown() {
+    let (addr, handle, served) = detached_server(2, 0);
+    let _idle = connect_served(addr);
+    let mut partial = connect_served(addr);
+    let (wire, _) = encode_stream(&[Request::Get { key: 1 }]);
+    partial.write_all(&wire[..7]).expect("send half a frame");
+
+    handle.shutdown();
+    let stats = served
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run() still blocked 2 s after shutdown");
+    assert_eq!(stats.frames, 2, "the two PINGs and nothing else");
+}
+
+/// `workers: 0` means one worker, decided once at bind: the worker
+/// serves, and the acceptor traces from the slot past it instead of
+/// sharing slot 0 (where `era-view` would draw its `Accept` events on
+/// the worker's timeline).
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn zero_workers_is_one_worker_and_the_acceptor_keeps_its_own_slot() {
+    let schemes = vec![Ebr::new(8)];
+    let store = KvStore::new(&schemes, KvConfig::default());
+    let cfg = NetConfig {
+        workers: 0,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind(&store, cfg, "127.0.0.1:0").expect("bind");
+    let handle = server.handle();
+    std::thread::scope(|s| {
+        let run = s.spawn(|| server.run().expect("serve"));
+        let mut stream = connect(server.local_addr(), Duration::from_secs(10));
+        write_request(&mut stream, &Request::Ping).expect("ping");
+        assert_eq!(read_response(&mut stream, &mut Vec::new()), Response::Pong);
+        drop(stream);
+        handle.shutdown();
+        run.join().expect("server thread");
+    });
+    let log = server.recorder().drain();
+    let accepts: Vec<u16> = log
+        .with_hook(era_obs::Hook::Accept)
+        .map(|e| e.thread)
+        .collect();
+    assert!(!accepts.is_empty(), "the accepted connection left no event");
+    assert!(accepts.iter().all(|&t| t == 1), "accept slots: {accepts:?}");
 }
