@@ -17,7 +17,8 @@
 //! * sentinels `head` (−∞) and `tail` (+∞) that are never removed;
 //! * logical deletion by marking `next` (line 48), physical unlink by
 //!   the marker or any later `search` (lines 18, 50);
-//! * `retire()` at line 34 (duplicate insert retires its local node) and
+//! * `retire()` at line 34 (a duplicate insert retires its local node,
+//!   if it has one — `insert` looks before it allocates) and
 //!   line 52 (delete retires its victim after it is surely unlinked);
 //! * the Appendix D phase division, surfaced to the scheme through the
 //!   NBR hooks: `enter_read_phase` when a traversal (re)starts,
@@ -204,24 +205,35 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
         }
     }
 
-    /// `insert(key)` — Algorithm 1, lines 27–38.
+    /// `insert(key)` — Algorithm 1, lines 27–38, with one deviation:
+    /// the paper allocates at line 28, before the search, and retires
+    /// the unused node on a duplicate (line 34); here the node is
+    /// allocated only once `search` has missed, so an insert that finds
+    /// its key allocates, stamps and retires nothing. Line 34's retire
+    /// remains for the node a lost linking race leaves behind.
     pub fn insert(&self, ctx: &mut S::ThreadCtx, key: i64) -> bool {
         Self::check_key(key);
         self.smr.begin_op(ctx);
-        let node = Node::alloc(key, 0);
         // SAFETY: `node` is fresh and unshared until the linking CAS publishes
         // it; w.pred/w.curr come from `search` under this op's protection.
-        self.smr.init_header(ctx, unsafe { &(*node).header });
+        let mut node: *mut Node = std::ptr::null_mut();
         let result = loop {
             let w = self.search(ctx, key); // line 30
             if w.curr != self.tail && unsafe { (*w.curr).key } == key {
-                // lines 33–35: duplicate — retire the local node
+                // lines 33–35: duplicate — retire the local node, if a
+                // failed CAS on an earlier round left one
                 self.smr.clear_reservations(ctx);
-                unsafe {
-                    self.smr
-                        .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
+                if !node.is_null() {
+                    unsafe {
+                        self.smr
+                            .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
+                    }
                 }
                 break false;
+            }
+            if node.is_null() {
+                node = Node::alloc(key, 0); // line 28, deferred
+                self.smr.init_header(ctx, unsafe { &(*node).header });
             }
             unsafe { (*node).next.store(w.curr as usize, Ordering::SeqCst) }; // line 36
             let linked = unsafe { &(*w.pred).next }
@@ -535,6 +547,22 @@ mod tests {
             let first = untagged((*list.head).next.load(Ordering::SeqCst)) as *const Node;
             assert_eq!((*first).key, 3, "marked chain must be physically unlinked");
         }
+    }
+
+    #[test]
+    fn duplicate_insert_allocates_and_retires_nothing() {
+        fn check<S: Smr + SupportsUnlinkedTraversal>(smr: &S) {
+            let list = HarrisList::new(smr);
+            let mut ctx = smr.register().unwrap();
+            assert!(list.insert(&mut ctx, 7));
+            for _ in 0..1_000 {
+                assert!(!list.insert(&mut ctx, 7));
+            }
+            assert_eq!(smr.stats().total_retired, 0, "{}", smr.name());
+            assert_eq!(list.collect_keys(), vec![7]);
+        }
+        check(&Ebr::new(2));
+        check(&Nbr::new(2, 2));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! domains (`HashMap::new(&schemes[i], buckets)`) and a stalled reader
 //! in one domain cannot block reclamation in the others.
 //!
-//! Keys hash with Fibonacci multiplicative hashing to a bucket; each
+//! Keys hash with Fibonacci multiplicative hashing to a bucket — the
+//! bucket count is a power of two, so the index is a mask of the hash's
+//! low bits, never a division; each
 //! bucket is an independent sorted [`MichaelMap`] list, so the map
 //! inherits lock-freedom and scheme-compatibility (every pointer-based
 //! scheme, HP included — three protection slots) from the list.
@@ -17,6 +19,19 @@ use std::fmt;
 use era_smr::common::Smr;
 
 use crate::michael_map::MichaelMap;
+
+/// Bucket of `key` among `len` buckets; `len` must be a power of two.
+///
+/// Fibonacci hashing on the two's-complement bits, keeping the *low*
+/// bits: `h & (len - 1)` is `h % len` without the `div`. High-bit
+/// placement costs `kv-churn-hp` 20 % (EXPERIMENTS E18: its
+/// parity-disjoint threads start sharing chains) — a `perf/` decision,
+/// not a hash fix.
+fn bucket_index(key: i64, len: usize) -> usize {
+    debug_assert!(len.is_power_of_two());
+    let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h & (len as u64 - 1)) as usize
+}
 
 /// A lock-free hash map from `i64` keys to `i64` values.
 ///
@@ -47,20 +62,17 @@ impl<S: Smr> fmt::Debug for HashMap<'_, S> {
 }
 
 impl<'s, S: Smr> HashMap<'s, S> {
-    /// Creates a hash map with `buckets` buckets (rounded up to 1),
-    /// all sharing the reclaimer domain `smr`.
+    /// Creates a hash map with `buckets` buckets, rounded up to a
+    /// power of two (0 gives 1), all sharing the reclaimer domain `smr`.
     pub fn new(smr: &'s S, buckets: usize) -> Self {
-        let buckets = buckets.max(1);
+        let buckets = buckets.next_power_of_two();
         HashMap {
             buckets: (0..buckets).map(|_| MichaelMap::new(smr)).collect(),
         }
     }
 
     fn bucket(&self, key: i64) -> &MichaelMap<'s, S> {
-        // Fibonacci hashing on the two's-complement bits.
-        let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let idx = (h % self.buckets.len() as u64) as usize;
-        &self.buckets[idx]
+        &self.buckets[bucket_index(key, self.buckets.len())]
     }
 
     /// Inserts or updates `key`; returns the previous value if any.
@@ -90,7 +102,8 @@ impl<'s, S: Smr> HashMap<'s, S> {
         self.bucket(key).fetch_add(ctx, key, delta)
     }
 
-    /// Number of buckets.
+    /// Number of buckets: the count asked of [`HashMap::new`], rounded
+    /// up to a power of two.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
@@ -156,6 +169,50 @@ mod tests {
         assert_eq!(map.insert(&mut ctx, -5, 1), None);
         assert_eq!(map.insert(&mut ctx, 5, 2), None);
         assert_eq!(map.collect_entries(), vec![(-5, 1), (5, 2)]);
+    }
+
+    #[test]
+    fn bucket_count_rounds_up_to_a_power_of_two() {
+        let smr = Ebr::new(2);
+        assert_eq!(HashMap::new(&smr, 48).bucket_count(), 64);
+        assert_eq!(HashMap::new(&smr, 64).bucket_count(), 64);
+        assert_eq!(HashMap::new(&smr, 0).bucket_count(), 1);
+    }
+
+    #[test]
+    fn masked_index_is_the_remainder() {
+        // Placement pin: for every power-of-two bucket count the mask
+        // picks the bucket `h % len` picked, so no chain layout (and no
+        // workload's bucket parity or `retired_peak`) moved with it.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let n = if cfg!(miri) { 200 } else { 10_000 };
+        let keys: Vec<i64> = (0..n)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Small and huge magnitudes, both signs.
+                let k = (state >> (i % 48)) as i64;
+                if i % 2 == 0 {
+                    k
+                } else {
+                    k.wrapping_neg()
+                }
+            })
+            .chain([0, 1, -1, i64::MIN, i64::MAX])
+            .collect();
+        assert!(keys.iter().any(|&k| k < 0) && keys.iter().any(|&k| k > 0));
+        for shift in 0..=12 {
+            let len = 1usize << shift;
+            for &key in &keys {
+                let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(
+                    bucket_index(key, len),
+                    (h % len as u64) as usize,
+                    "key {key}, {len} buckets"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,8 @@ impl<S: Smr> fmt::Debug for HashSet<'_, S> {
 }
 
 impl<'s, S: Smr> HashSet<'s, S> {
-    /// Creates a hash set with `buckets` buckets (rounded up to 1).
+    /// Creates a hash set with `buckets` buckets, rounded up to a
+    /// power of two (0 gives 1).
     pub fn new(smr: &'s S, buckets: usize) -> Self {
         HashSet {
             smr,
@@ -65,7 +66,8 @@ impl<'s, S: Smr> HashSet<'s, S> {
         self.map.get(ctx, key).is_some()
     }
 
-    /// Number of buckets.
+    /// Number of buckets (the count asked for, rounded up to a power
+    /// of two).
     pub fn bucket_count(&self) -> usize {
         self.map.bucket_count()
     }

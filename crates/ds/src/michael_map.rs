@@ -9,8 +9,11 @@
 //! exactly what the protect-validate schemes (HP, HE, IBR) need — and
 //! why the paper calls this the implementation that was "originally
 //! designated to fit HP" (§6). The cost relative to Harris's list is
-//! restart-on-contention during traversals. Three hazard slots
-//! (`curr`, `next`, `prev`) suffice. Under op-scoped schemes
+//! restart-on-contention during traversals. A node is published when
+//! the walk steps onto it and at no other time — one protected load
+//! per node visited, Michael's own count (2004, Fig. 9) — so three
+//! hazard slots suffice: two alternate on `curr`, one holds the node
+//! owning `prev`. Under op-scoped schemes
 //! (EBR/QSBR/NBR/leak) lookups take a read-only fast path that skips
 //! the hazard discipline entirely — see [`MichaelMap::get`].
 //!
@@ -116,16 +119,25 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     /// `curr` is the first node with `key ≥ target`, unlinking every
     /// marked node encountered on the way.
     ///
-    /// On return, `curr` (if any) is protected in hazard slot 0 or 1 and
-    /// the node owning `prev` in slot [`SLOT_PREV`] — protections remain
-    /// valid until `end_op`.
+    /// A node is published only when the walk steps onto it (Michael
+    /// 2004, Fig. 9): one protected load per node visited, none for the
+    /// successor of the node the walk stops on. At every step `curr`
+    /// sits in slot `cs` (0 or 1, alternating), the node owning `prev`
+    /// in [`SLOT_PREV`], and slot `1 - cs` holds a node the walk has
+    /// left behind. On return, `curr` (if any) and the owner of `prev`
+    /// are protected in those slots — valid until `end_op`.
     fn find(&self, ctx: &mut S::ThreadCtx, key: i64) -> Window {
         'retry: loop {
             let mut prev: *const AtomicUsize = &self.head;
             // SAFETY: Michael-style hand-over-hand protection — `prev` always
             // points into a node protected by SLOT_PREV (or the head, which is
-            // never freed), and `curr` is protected by the alternating slot before
-            // any deref; validation failures restart the walk.
+            // never freed), and `curr` was read from `prev` by a protected,
+            // validated load into slot `cs` while the owner of `prev` was
+            // protected and its link unmarked: an unmarked node is linked, so
+            // `curr` was reachable at validation time and its hazard precedes
+            // any retire. Every deref below is of `curr` or `prev`; the
+            // successor is only ever a CAS operand until the walk steps onto
+            // it. Validation failures restart the walk.
             let mut cs = 0usize;
             let mut curr_word = self.smr.load(ctx, cs, unsafe { &*prev });
             loop {
@@ -138,11 +150,16 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                     };
                 }
                 let node = curr_word as *const Node;
-                let next_word = self.smr.load(ctx, 1 - cs, unsafe { &(*node).next });
-                // Michael's re-validation: curr must still be linked at
-                // prev. Publish-and-validate schemes (HP/HE/IBR) need it
-                // to complete the protection argument for `curr`; epoch
-                // schemes protect every reachable-or-retired node
+                // SAFETY(ordering): plain SeqCst read of a protected node's
+                // link — enough for the mark check and the unlink CAS operand
+                // (the successor is not dereferenced here), and SeqCst keeps
+                // op-scoped schemes in the retire-stamp chain of `Smr::load`.
+                let next_word = unsafe { (*node).next.load(Ordering::SeqCst) };
+                // Michael's re-validation (Fig. 9, line 13): curr must still
+                // be linked at prev once its link has been read, so a walk
+                // under publish-and-validate schemes (HP/HE/IBR) never
+                // decides from a node that left the list before the read.
+                // Epoch schemes protect every reachable-or-retired node
                 // globally, so the check is elided — a traversal through
                 // a just-unlinked node stays linearizable and every
                 // mutation CAS below self-validates against `prev`.
@@ -181,11 +198,20 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 // established protection from slot `cs` into the prev
                 // slot — a single release store under HP/HE, with no
                 // fence or re-validation: the slot-`cs` protection was
-                // validated above and is held until overwritten, and
-                // SLOT_PREV > cs keeps ascending-index scans sound.
+                // validated when the walk stepped onto curr and is held
+                // until overwritten, and SLOT_PREV > cs keeps
+                // ascending-index scans sound.
                 self.smr.protect_alias(ctx, SLOT_PREV, cs, curr_word);
                 prev = unsafe { &(*node).next };
-                curr_word = untagged(next_word);
+                // Step onto the successor: the one protected load of this
+                // node. A mark here means curr was deleted after the plain
+                // read above — its link no longer proves the successor
+                // reachable, so the protection is void and the walk
+                // restarts (Michael never stands past a marked node).
+                curr_word = self.smr.load(ctx, 1 - cs, unsafe { &*prev });
+                if is_marked(curr_word) {
+                    continue 'retry;
+                }
                 cs = 1 - cs;
             }
         }
@@ -475,6 +501,60 @@ mod tests {
         assert_eq!(map.insert_if_absent(&mut ctx, 1, 999), Some(100));
         assert_eq!(map.get(&mut ctx, 1), Some(100));
         assert_eq!(map.collect_entries(), vec![(1, 100)]);
+    }
+
+    /// The find order as a count: with keys 1..=8 in one list, an
+    /// operation that stops on the h-th node emits `stop(h)` `Load`
+    /// events (protected loads plus slot aliases) and a `get` past the
+    /// tail emits `miss`.
+    #[cfg(feature = "trace")]
+    fn assert_find_emits<S: Smr>(smr: &S, stop: fn(u64) -> u64, miss: u64) {
+        use era_obs::{Hook, Recorder};
+
+        let recorder = Recorder::new(2);
+        smr.attach_recorder(&recorder);
+        let map = MichaelMap::new(smr);
+        let mut ctx = smr.register().unwrap();
+        for k in 1..=8 {
+            assert_eq!(map.insert(&mut ctx, k, k), None);
+        }
+        let loads = || recorder.metrics().hook_count(Hook::Load);
+        let name = smr.name();
+        for h in 1..=8u64 {
+            let k = h as i64;
+            let before = loads();
+            assert_eq!(map.get(&mut ctx, k), Some(k));
+            assert_eq!(loads() - before, stop(h), "{name}: get, node {h}");
+            let before = loads();
+            assert_eq!(map.insert(&mut ctx, k, k), Some(k));
+            assert_eq!(loads() - before, stop(h), "{name}: found insert, node {h}");
+            let before = loads();
+            assert_eq!(map.fetch_add(&mut ctx, k, 0), Some(k));
+            assert_eq!(loads() - before, stop(h), "{name}: fetch_add, node {h}");
+        }
+        let before = loads();
+        assert_eq!(map.get(&mut ctx, 9), None);
+        assert_eq!(loads() - before, miss, "{name}: miss past 8 nodes");
+        // Tail first, so key h is still the h-th node when it goes. The
+        // plain `next` re-read in `remove` adds no event.
+        for h in (1..=8u64).rev() {
+            let before = loads();
+            assert_eq!(map.remove(&mut ctx, h as i64), Some(h as i64));
+            assert_eq!(loads() - before, stop(h), "{name}: remove, node {h}");
+        }
+    }
+
+    #[test]
+    #[cfg(feature = "trace")]
+    fn find_publishes_a_node_only_when_stepping_onto_it() {
+        // HP: h publishes (the head's link, then one per advance) and
+        // h − 1 aliases into SLOT_PREV; a miss walks all 8 nodes and
+        // ends on the publish of the null link.
+        assert_find_emits(&Hp::new(2, 3), |h| 2 * h - 1, 2 * 8 + 1);
+        // HE: the same h publishes, but an alias is an event only when
+        // it changes SLOT_PREV's reserved era — once per operation.
+        let he = era_smr::he::He::with_params(2, 3, 64, 1);
+        assert_find_emits(&he, |h| h + (h - 1).min(1), 8 + 1 + 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub const NAVIGATOR_THREAD: u16 = u16::MAX - 2;
 /// Tuning knobs for a [`KvStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvConfig {
-    /// Hash buckets per shard map.
+    /// Hash buckets per shard map (rounded up to a power of two).
     pub buckets_per_shard: usize,
     /// Retired-node budget at which a shard is classified
     /// [`ShardHealth::Degrading`] and admission control engages.

@@ -352,6 +352,8 @@ impl Smr for Hp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Barrier;
 
     /// # Safety
     /// `p` must be a leaked `Box<u64>` that nothing else can reach.
@@ -501,6 +503,92 @@ mod tests {
         unsafe { drop(Box::from_raw(last as *mut u64)) };
         let st = smr.stats();
         assert_eq!(st.total_retired, 4_000);
+    }
+
+    #[test]
+    fn published_hazard_is_never_scanned_past() {
+        // Publish/scan litmus for `load`'s publish-fence-validate. Nodes are
+        // cells of a test-owned arena and "freeing" one poisons its
+        // payload, so a scan that misses a validated hazard shows up as
+        // a poison read here, not as a use-after-free. The writer scans
+        // on every retire and recycles poisoned cells in ring order.
+        // With the fence taken out of `load` (a bare Release store)
+        // this host reads poison about once per 3·10^7 reads — 4 of 5
+        // runs at 10^8 (EXPERIMENTS E18) — hence the release size.
+        const POISON: u64 = u64::MAX;
+        const READS: usize = if cfg!(miri) {
+            300
+        } else if cfg!(debug_assertions) {
+            1_000_000
+        } else {
+            10_000_000
+        };
+
+        /// # Safety
+        /// `p` must point at a live `AtomicU64`.
+        unsafe fn poison(p: *mut u8) {
+            // SAFETY: contract above — the arena outlives the scheme.
+            // SAFETY(ordering): every arena access is SeqCst, so a poison
+            // read is the scheme's miss, never this test's own reordering.
+            unsafe { (*(p as *const AtomicU64)).store(POISON, Ordering::SeqCst) }
+        }
+
+        let arena: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(POISON)).collect();
+        let addr = |i: usize| &arena[i] as *const AtomicU64 as usize;
+        arena[0].store(0, Ordering::SeqCst);
+        let shared = AtomicUsize::new(addr(0));
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let smr = Hp::with_threshold(2, 1, 1);
+
+        let (poisoned, swaps) = std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let mut ctx = smr.register().unwrap();
+                let (mut next, mut swaps) = (1usize, 0u64);
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    // One cell is linked and at most one is held back by
+                    // the reader's hazard, so a poisoned cell is near.
+                    while arena[next].load(Ordering::SeqCst) != POISON {
+                        next = (next + 1) % arena.len();
+                    }
+                    swaps += 1;
+                    // SAFETY(ordering): SeqCst, as `poison`; initialised
+                    // before the swap below publishes the cell.
+                    arena[next].store(swaps, Ordering::SeqCst);
+                    smr.begin_op(&mut ctx);
+                    // SAFETY(ordering): SeqCst swap = unlink point, making
+                    // this thread old's unique retirer.
+                    let old = shared.swap(addr(next), Ordering::SeqCst);
+                    // SAFETY: old came out of the swap; `poison` fits it.
+                    unsafe { smr.retire(&mut ctx, old as *mut u8, std::ptr::null(), poison) };
+                    smr.end_op(&mut ctx);
+                }
+                swaps
+            });
+            let mut ctx = smr.register().unwrap();
+            start.wait();
+            // No panic in here: the writer spins until `done` is set.
+            let poisoned = (0..READS).find(|_| {
+                smr.begin_op(&mut ctx);
+                let p = smr.load(&mut ctx, 0, &shared);
+                // SAFETY: p is an arena cell; the arena outlives this scope.
+                let seen = unsafe { (*(p as *const AtomicU64)).load(Ordering::SeqCst) };
+                smr.end_op(&mut ctx);
+                seen == POISON
+            });
+            // SAFETY(ordering): a stop flag; publishes nothing.
+            done.store(true, Ordering::Relaxed);
+            (poisoned, writer.join().expect("writer"))
+        });
+        assert_eq!(poisoned, None, "a scan reclaimed a validated hazard");
+        let mut ctx = smr.register().unwrap();
+        smr.flush(&mut ctx); // adopts what the writer's context left
+        let st = smr.stats();
+        assert_eq!(st.total_retired, swaps);
+        assert_eq!(st.total_reclaimed, swaps, "nothing is protected any more");
+        let live = arena.iter().filter(|c| c.load(Ordering::SeqCst) != POISON);
+        assert_eq!(live.count(), 1, "exactly the linked cell survives");
     }
 
     #[test]

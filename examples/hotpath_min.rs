@@ -16,8 +16,15 @@
 //! a shared word on that path shows up here as a 4–10× gap that a
 //! one-thread probe can never see.
 //!
+//! The `smr load` rows under them time one protected [`Smr::load`] of a
+//! word nobody changes, recorder attached as `KvStore::new` attaches
+//! one: what a scheme charges per node a traversal steps onto, before
+//! any structure is involved (HP: publish, full barrier, re-validate).
+//!
 //! Run with: `cargo run --release --example hotpath_min`
 
+use std::hint::black_box;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -26,7 +33,9 @@ use era::ds::{HarrisList, MichaelList};
 use era::obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
+use era::smr::he::He;
 use era::smr::hp::Hp;
+use era::smr::ibr::Ibr;
 use era::smr::leak::Leak;
 use era::smr::nbr::Nbr;
 
@@ -104,6 +113,28 @@ fn bench_emit() {
     );
 }
 
+/// Min-of-reps ns per protected load of a stable word, inside one
+/// operation, tracer armed.
+fn bench_load<S: Smr>(name: &str, smr: &S) {
+    let recorder = Recorder::new(2);
+    smr.attach_recorder(&recorder);
+    let mut ctx = smr.register().expect("capacity");
+    let node = 0u64;
+    let word = AtomicUsize::new(&node as *const u64 as usize);
+    smr.begin_op(&mut ctx);
+    let best = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..EMITS_PER_REP {
+                black_box(smr.load(&mut ctx, 0, black_box(&word)));
+            }
+            start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    smr.end_op(&mut ctx);
+    println!("{name} load: min {best:.1} ns/load");
+}
+
 fn bench_michael<S: Smr>(name: &str, smr: &S, key_range: i64) {
     let list = MichaelList::new(smr);
     let mut ctx = smr.register().expect("capacity");
@@ -126,6 +157,11 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     println!("-- era-obs emit (Hook::Load, one recorder)");
     bench_emit();
+    println!("-- smr load (one protected load of a stable word, recorder attached)");
+    bench_load("hp ", &Hp::new(2, 3));
+    bench_load("he ", &He::new(2, 3));
+    bench_load("ibr", &Ibr::new(2));
+    bench_load("ebr", &Ebr::new(2));
     for kr in [16i64, 32, 64, 128, 1024] {
         println!("-- key_range {kr}");
         bench_michael("michael+ebr ", &Ebr::new(2), kr);
