@@ -7,8 +7,8 @@
 //! **replayable** harness:
 //!
 //! * [`FaultPlan`] / [`FaultAction`] — a seeded, serializable schedule
-//!   of injections (one JSON line; hand-rolled emitter + parser, no
-//!   serialization dependency). Same plan + same single-threaded
+//!   of injections (one JSON line, written and read through
+//!   `era-obs`). Same plan + same single-threaded
 //!   workload ⇒ same fault log and same final
 //!   [`SmrStats`](era_smr::SmrStats), twice over.
 //! * [`ChaosSmr`] — an [`Smr`](era_smr::Smr) decorator for the seven
@@ -45,4 +45,4 @@ pub mod plan;
 
 pub use arena::ChaosArena;
 pub use decorator::{ChaosSmr, FaultRecord, CHAOS_THREAD};
-pub use plan::{FaultAction, FaultPlan, PlanParseError};
+pub use plan::{FaultAction, FaultPlan};

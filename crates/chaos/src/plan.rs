@@ -8,17 +8,16 @@
 //! clock readings and produces the same final statistics, which is what
 //! makes a chaos failure a *bug report* instead of an anecdote.
 //!
-//! The JSON wire format follows the workspace convention (hand-rolled
-//! emitter from [`era_obs::report`], no serialization dependency):
+//! The JSON wire format is written with [`era_obs::report::JsonObject`]
+//! and read back with [`era_obs::Json`], the workspace's one of each:
 //!
 //! ```json
 //! {"seed":42,"ops":[{"kind":"die_pinned","at_op":100},
 //!                   {"kind":"stall","at_op":250,"for_ops":64}]}
 //! ```
 
-use std::fmt;
-
 use era_obs::report::JsonObject;
+use era_obs::{Json, JsonError};
 
 /// One injected fault, anchored to the decorator's global op clock.
 ///
@@ -266,62 +265,61 @@ impl FaultPlan {
             .finish()
     }
 
-    /// Parses a plan from its [`FaultPlan::to_json`] record.
+    /// Parses a plan from its [`FaultPlan::to_json`] record (any
+    /// whitespace and member order).
     ///
     /// # Errors
     ///
-    /// [`PlanParseError`] (with a byte offset) on malformed JSON, an
-    /// unknown field, or an unknown action kind.
-    pub fn from_json(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let mut seed = 0u64;
-        let mut ops = Vec::new();
-        p.ws();
-        p.eat(b'{')?;
-        p.ws();
-        if p.peek() != Some(b'}') {
-            loop {
-                let key = p.string()?;
-                p.ws();
-                p.eat(b':')?;
-                p.ws();
-                match key.as_str() {
-                    "seed" => seed = p.u64()?,
-                    "ops" => {
-                        p.eat(b'[')?;
-                        p.ws();
-                        if p.peek() != Some(b']') {
-                            loop {
-                                ops.push(p.action()?);
-                                p.ws();
-                                if !p.comma_or(b']')? {
-                                    break;
-                                }
-                                p.ws();
-                            }
-                        } else {
-                            p.i += 1;
-                        }
-                    }
-                    _ => return Err(p.err("unknown plan field")),
+    /// [`JsonError`]: a syntax error with its byte offset, or a shape
+    /// error naming the key — an unknown field, a value of the wrong
+    /// type, an unknown or missing action `kind`.
+    pub fn from_json(text: &str) -> Result<FaultPlan, JsonError> {
+        FaultPlan::from_value(&Json::parse(text)?)
+    }
+
+    /// [`FaultPlan::from_json`] for a plan already parsed as part of a
+    /// larger record (the `plan` member of a chaos run record).
+    ///
+    /// # Errors
+    ///
+    /// The shape errors of [`FaultPlan::from_json`].
+    pub fn from_value(value: &Json) -> Result<FaultPlan, JsonError> {
+        let (mut seed, mut ops) = (0, Vec::new());
+        for (key, v) in value.try_members("plan")? {
+            match key.as_str() {
+                "seed" => seed = v.try_u64(key)?,
+                "ops" => {
+                    let actions = v.try_array(key)?.iter().map(action);
+                    ops = actions.collect::<Result<_, _>>()?;
                 }
-                p.ws();
-                if !p.comma_or(b'}')? {
-                    break;
-                }
-                p.ws();
+                _ => return Err(JsonError::shape(format!("unknown plan field `{key}`"))),
             }
-        } else {
-            p.i += 1;
-        }
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(p.err("trailing input after plan"));
         }
         Ok(FaultPlan::new(seed, ops))
+    }
+}
+
+fn action(value: &Json) -> Result<FaultAction, JsonError> {
+    let (mut kind, mut at_op, mut for_ops, mut count) = (None, 0, 1, 1);
+    for (key, v) in value.try_members("ops[]")? {
+        match key.as_str() {
+            "kind" => kind = Some(v.try_str(key)?),
+            "at_op" => at_op = v.try_u64(key)?,
+            "for_ops" => for_ops = v.try_u64(key)?,
+            "count" => count = v.try_u64(key)?,
+            _ => return Err(JsonError::shape(format!("unknown action field `{key}`"))),
+        }
+    }
+    match kind {
+        Some("die_pinned") => Ok(FaultAction::DiePinned { at_op }),
+        Some("stall") => Ok(FaultAction::StallThread { at_op, for_ops }),
+        Some("delay_flush") => Ok(FaultAction::DelayFlush { at_op, for_ops }),
+        Some("fail_register") => Ok(FaultAction::FailRegister { at_op, count }),
+        Some("exhaust_slots") => Ok(FaultAction::ExhaustSlots { at_op, for_ops }),
+        Some("restart_storm") => Ok(FaultAction::RestartStorm { at_op, count }),
+        Some("fail_alloc") => Ok(FaultAction::FailAlloc { at_op, count }),
+        Some(other) => Err(JsonError::shape(format!("unknown action `kind` `{other}`"))),
+        None => Err(JsonError::shape("action is missing its `kind`")),
     }
 }
 
@@ -331,151 +329,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A plan failed to parse: byte offset plus a static description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// Byte offset into the JSON text where parsing failed.
-    pub at: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan parse error at byte {}: {}",
-            self.at, self.msg
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-/// A minimal parser for exactly the shape [`FaultPlan::to_json`]
-/// emits (plus arbitrary whitespace and member order).
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> PlanParseError {
-        PlanParseError { at: self.i, msg }
-    }
-
-    fn ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), PlanParseError> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
-    }
-
-    /// Consumes either a comma (returns `true`) or `close` (returns
-    /// `false`).
-    fn comma_or(&mut self, close: u8) -> Result<bool, PlanParseError> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            _ => Err(self.err("expected ',' or a closing bracket")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, PlanParseError> {
-        let start = self.i;
-        let mut v: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add((b - b'0') as u64))
-                .ok_or(PlanParseError {
-                    at: self.i,
-                    msg: "integer overflow",
-                })?;
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        Ok(v)
-    }
-
-    /// A plain string (plan fields never need escapes; reject them).
-    fn string(&mut self) -> Result<String, PlanParseError> {
-        self.eat(b'"')?;
-        let start = self.i;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(self.err("escapes are not used in plan strings")),
-                Some(_) => self.i += 1,
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-        let out = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| self.err("invalid utf-8"))?
-            .to_string();
-        self.i += 1;
-        Ok(out)
-    }
-
-    fn action(&mut self) -> Result<FaultAction, PlanParseError> {
-        self.eat(b'{')?;
-        self.ws();
-        let (mut kind, mut at_op, mut for_ops, mut count) = (None::<String>, 0u64, 1u64, 1u64);
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "kind" => kind = Some(self.string()?),
-                "at_op" => at_op = self.u64()?,
-                "for_ops" => for_ops = self.u64()?,
-                "count" => count = self.u64()?,
-                _ => return Err(self.err("unknown action field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
-        }
-        match kind.as_deref() {
-            Some("die_pinned") => Ok(FaultAction::DiePinned { at_op }),
-            Some("stall") => Ok(FaultAction::StallThread { at_op, for_ops }),
-            Some("delay_flush") => Ok(FaultAction::DelayFlush { at_op, for_ops }),
-            Some("fail_register") => Ok(FaultAction::FailRegister { at_op, count }),
-            Some("exhaust_slots") => Ok(FaultAction::ExhaustSlots { at_op, for_ops }),
-            Some("restart_storm") => Ok(FaultAction::RestartStorm { at_op, count }),
-            Some("fail_alloc") => Ok(FaultAction::FailAlloc { at_op, count }),
-            Some(_) => Err(self.err("unknown action kind")),
-            None => Err(self.err("action is missing its kind")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -564,6 +417,10 @@ mod tests {
             let err = FaultPlan::from_json(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?} must fail");
         }
+        // A syntax error says where, a shape error names the key.
+        assert_eq!(FaultPlan::from_json("{\"seed\":}").unwrap_err().at, Some(8));
+        let err = FaultPlan::from_json("{\"seed\":1,\"ops\":[{\"at_op\":\"x\"}]}").unwrap_err();
+        assert!(err.at.is_none() && err.msg.contains("`at_op`"), "{err}");
         // Empty object and empty ops array are both fine.
         assert_eq!(FaultPlan::from_json("{}").unwrap(), FaultPlan::empty());
         assert_eq!(
@@ -592,8 +449,10 @@ mod tests {
         // Saturation: never wraps around to fire at the run's start.
         let far = plan.offset(u64::MAX);
         assert!(far.ops.iter().all(|op| op.at_op() == u64::MAX));
-        // The shifted plan is still a valid wire record.
+        // The shifted plans are still valid wire records: integers are
+        // exact right up to `u64::MAX`.
         assert_eq!(FaultPlan::from_json(&shifted.to_json()).unwrap(), shifted);
+        assert_eq!(FaultPlan::from_json(&far.to_json()).unwrap(), far);
     }
 
     #[test]

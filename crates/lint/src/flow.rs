@@ -32,7 +32,7 @@
 //!   pointer whose local guard does not escape with it — **R6
 //!   guard-escape**.
 //!
-//! Known false-negative envelope (documented in DESIGN §3.14): one
+//! Known false-negative envelope (documented in DESIGN §3.10): one
 //! forward pass, so loop-carried orders (`retire` at the bottom
 //! reaching a deref at the top of the next iteration) and trailing-
 //! expression returns are not seen; stores of protected pointers into

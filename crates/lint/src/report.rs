@@ -1,10 +1,11 @@
 //! Findings reports: JSON-lines [`LintRecord`]s (the same style as
 //! era-bench's `RunRecord` and era-chaos's `ChaosRunRecord` — one
-//! hand-rolled JSON object per line, keys always present, no
-//! serialization dependency) and the human table.
+//! [`JsonObject`] per line, keys always present) and the human table.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use era_obs::report::JsonObject;
 
 use crate::rules::{Finding, Rule};
 
@@ -47,34 +48,14 @@ impl LintRecord {
 
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push('{');
-        let _ = write!(s, "\"rule\":\"{}\"", esc(self.rule));
-        let _ = write!(s, ",\"level\":\"{}\"", esc(self.level));
-        let _ = write!(s, ",\"path\":\"{}\"", esc(&self.path));
-        let _ = write!(s, ",\"line\":{}", self.line);
-        let _ = write!(s, ",\"message\":\"{}\"", esc(&self.message));
-        s.push('}');
-        s
+        JsonObject::new()
+            .str("rule", self.rule)
+            .str("level", self.level)
+            .str("path", &self.path)
+            .u64("line", self.line as u64)
+            .str("message", &self.message)
+            .finish()
     }
-}
-
-/// JSON string escaping, shared with the SARIF emitter.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the human table: findings grouped by rule, then a summary

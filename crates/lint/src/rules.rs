@@ -6,7 +6,7 @@
 //! flow-sensitive pointer life-cycle pass ([`crate::flow`]) over each
 //! function body; R8/R9 are **cross-file** passes over a whole check
 //! unit ([`check_unit`]) — the fence-pairing graph and the ERA
-//! scheme-obligation check (DESIGN §3.14).
+//! scheme-obligation check (same section).
 
 use std::collections::BTreeMap;
 

@@ -1,19 +1,18 @@
 //! SARIF 2.1.0 emitter + shape check.
 //!
 //! GitHub code scanning ingests SARIF, so CI uploads the workspace
-//! lint report in this format and findings surface as PR annotations.
-//! Hand-rolled like every other serializer in the repo (era-bench's
-//! `RunRecord`, era-obs's dump headers): one canonical `runs[0]` with
-//! the full rule catalog in `tool.driver.rules` and one `result` per
-//! [`LintRecord`].
+//! lint report in this format and findings surface as PR annotations:
+//! one canonical `runs[0]` with the full rule catalog in
+//! `tool.driver.rules` and one `result` per [`LintRecord`], laid out by
+//! hand (pretty-printed) with strings escaped by `era-obs`'s writer.
 //!
 //! Level mapping: `deny → error`, `allow → warning`, `waived → note` +
 //! a `suppressions` entry of kind `external` (the baseline file is the
 //! external mechanism), which is how SARIF consumers are told "known,
 //! justified, not a regression".
 //!
-//! [`shape_check`] is a miniature JSON parser (again in-house — the
-//! container has no serde) that validates the emitted document against
+//! [`shape_check`] reads the emitted document back with
+//! [`era_obs::Json`] and validates it against
 //! the 2.1 shape CI relies on: `version`, `runs[].tool.driver.name`,
 //! `runs[].results[].ruleId/message.text/locations[].physicalLocation`
 //! with an `artifactLocation.uri` and a positive `region.startLine`.
@@ -22,7 +21,10 @@
 
 use std::fmt::Write as _;
 
-use crate::report::{esc, LintRecord};
+use era_obs::report::json_string;
+use era_obs::Json;
+
+use crate::report::LintRecord;
 use crate::rules::Rule;
 
 /// Renders records as a complete SARIF 2.1.0 document (pretty-printed,
@@ -40,17 +42,17 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
     s.push_str("          \"name\": \"era-lint\",\n");
     let _ = writeln!(
         s,
-        "          \"version\": \"{}\",",
-        esc(env!("CARGO_PKG_VERSION"))
+        "          \"version\": {},",
+        json_string(env!("CARGO_PKG_VERSION"))
     );
     s.push_str("          \"informationUri\": \"https://github.com/era-smr/era\",\n");
     s.push_str("          \"rules\": [\n");
     for (i, rule) in Rule::ALL.iter().enumerate() {
         let _ = write!(
             s,
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            esc(rule.id()),
-            esc(rule.describe())
+            "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}",
+            json_string(rule.id()),
+            json_string(rule.describe())
         );
         s.push_str(if i + 1 < Rule::ALL.len() { ",\n" } else { "\n" });
     }
@@ -63,12 +65,12 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
             _ => "warning",
         };
         s.push_str("        {\n");
-        let _ = writeln!(s, "          \"ruleId\": \"{}\",", esc(r.rule));
+        let _ = writeln!(s, "          \"ruleId\": {},", json_string(r.rule));
         let _ = writeln!(s, "          \"level\": \"{level}\",");
         let _ = writeln!(
             s,
-            "          \"message\": {{\"text\": \"{}\"}},",
-            esc(&r.message)
+            "          \"message\": {{\"text\": {}}},",
+            json_string(&r.message)
         );
         if r.level == "waived" {
             s.push_str("          \"suppressions\": [{\"kind\": \"external\"}],\n");
@@ -77,8 +79,8 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
         s.push_str("              \"physicalLocation\": {\n");
         let _ = writeln!(
             s,
-            "                \"artifactLocation\": {{\"uri\": \"{}\"}},",
-            esc(&r.path)
+            "                \"artifactLocation\": {{\"uri\": {}}},",
+            json_string(&r.path)
         );
         let _ = writeln!(
             s,
@@ -103,7 +105,7 @@ pub fn to_sarif(records: &[LintRecord]) -> String {
 /// least one location with `physicalLocation.artifactLocation.uri` and
 /// an integer `region.startLine >= 1`.
 pub fn shape_check(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text)?;
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
     if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
         return Err("version must be the string \"2.1.0\"".into());
     }
@@ -161,217 +163,15 @@ pub fn shape_check(text: &str) -> Result<(), String> {
                 match phys
                     .get("region")
                     .and_then(|r| r.get("startLine"))
-                    .and_then(Json::as_num)
+                    .and_then(Json::as_u64)
                 {
-                    Some(n) if n >= 1.0 => {}
+                    Some(n) if n >= 1 => {}
                     _ => return Err(format!("{} region.startLine must be >= 1", at())),
                 }
             }
         }
     }
     Ok(())
-}
-
-/// Minimal JSON value for the shape check. Object keys keep last-wins
-/// semantics; numbers are f64 (ample for line numbers).
-enum Json {
-    Null,
-    // The shape check never reads the bool's value, but the parser
-    // must still accept the type.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut i = 0;
-        let v = parse_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at offset {i}"));
-        }
-        Ok(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(kvs) => kvs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
-        Some(b'"') => parse_string(b, i).map(Json::Str),
-        Some(b't') => parse_lit(b, i, "true").map(|_| Json::Bool(true)),
-        Some(b'f') => parse_lit(b, i, "false").map(|_| Json::Bool(false)),
-        Some(b'n') => parse_lit(b, i, "null").map(|_| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, i),
-        _ => Err(format!("unexpected byte at offset {i}", i = *i)),
-    }
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {i}", i = *i))
-    }
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    while *i < b.len()
-        && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *i += 1;
-    }
-    std::str::from_utf8(&b[start..*i])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*i], b'"');
-    *i += 1;
-    let mut out = String::new();
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*i + 1..*i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *i += 4;
-                    }
-                    _ => return Err("bad escape".into()),
-                }
-                *i += 1;
-            }
-            c => {
-                // Copy the full UTF-8 sequence starting here.
-                let s = std::str::from_utf8(&b[*i..]).map_err(|_| "bad utf-8")?;
-                let ch = s.chars().next().ok_or("truncated string")?;
-                out.push(ch);
-                *i += ch.len_utf8();
-                let _ = c;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_array(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // '['
-    let mut out = Vec::new();
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(Json::Array(out));
-    }
-    loop {
-        out.push(parse_value(b, i)?);
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(Json::Array(out));
-            }
-            _ => return Err(format!("expected , or ] at offset {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // '{'
-    let mut out = Vec::new();
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(Json::Object(out));
-    }
-    loop {
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected key string at offset {i}", i = *i));
-        }
-        let key = parse_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected : at offset {i}", i = *i));
-        }
-        *i += 1;
-        let val = parse_value(b, i)?;
-        out.push((key, val));
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(Json::Object(out));
-            }
-            _ => return Err(format!("expected , or }} at offset {i}", i = *i)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -420,15 +220,5 @@ mod tests {
                    \"results\": [{\"ruleId\": \"r\", \"message\": {\"text\": \"m\"}}]}]}";
         let err = shape_check(bad).unwrap_err();
         assert!(err.contains("locations"), "{err}");
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let doc = Json::parse("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}, true, null]}").unwrap();
-        let arr = doc.get("a").and_then(Json::as_array).unwrap();
-        assert_eq!(arr.len(), 4);
-        assert_eq!(arr[1].get("b").and_then(Json::as_str), Some("x\nA"));
-        assert!(Json::parse("{\"a\": 1,}").is_err(), "trailing comma");
-        assert!(Json::parse("[1 2]").is_err());
     }
 }

@@ -26,9 +26,11 @@
 //!   (downstream: `era-smr`/`era-sim`/`era-bench` without their
 //!   `trace` feature), [`ThreadTracer`] is a zero-sized no-op and the
 //!   instrumentation compiles away entirely.
-//! - **Reports** ([`report`]): a dependency-free JSON-lines writer for
-//!   `BENCH_*.jsonl` artifacts — throughput, footprint curves, latency
-//!   histograms, hook counts.
+//! - **Reports** ([`report`], [`json`]): a dependency-free JSON-lines
+//!   writer for `BENCH_*.jsonl` artifacts — throughput, footprint
+//!   curves, latency histograms, hook counts — and the one reader
+//!   ([`Json`]) every crate that takes such a record back in goes
+//!   through. Both are available with `rt` off.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
 //!   that drains the rings into retained buffers, snapshots the last
 //!   N seconds (plus metrics and scheme counters) into a compact
@@ -49,6 +51,7 @@
 pub mod dump;
 mod event;
 pub mod flight;
+pub mod json;
 mod metrics;
 pub mod report;
 mod ring;
@@ -58,6 +61,7 @@ mod recorder;
 pub use dump::{DumpError, DumpStats, FlightDump, MetricsDump, SourceDump, DUMP_VERSION};
 pub use event::{phase_name, Event, Hook, SchemeId};
 pub use flight::FlightRecorder;
+pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, HighWater, HistogramSnapshot, Log2Histogram, Metrics, HISTOGRAM_BUCKETS,
 };

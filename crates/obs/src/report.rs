@@ -3,7 +3,8 @@
 //! The workspace builds offline with no serialization dependency, so
 //! reports are assembled with this writer instead. It produces one
 //! compact JSON object per call — suitable for JSON-lines files
-//! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line.
+//! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line,
+//! and that [`crate::json::Json::parse`] reads back.
 
 use crate::event::{Event, Hook};
 use crate::metrics::{HistogramSnapshot, Metrics};
@@ -113,6 +114,15 @@ impl Default for JsonObject {
     fn default() -> Self {
         JsonObject::new()
     }
+}
+
+/// `s` as a JSON string literal, quotes included: the escaper behind
+/// every [`JsonObject`] key and string, for a writer that lays its
+/// document out by hand (era-lint's pretty-printed SARIF).
+pub fn json_string(s: &str) -> String {
+    let mut buf = String::with_capacity(s.len() + 2);
+    push_json_string(&mut buf, s);
+    buf
 }
 
 fn push_json_string(buf: &mut String, s: &str) {

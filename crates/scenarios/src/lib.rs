@@ -31,4 +31,4 @@ pub mod spec;
 pub use invariant::{is_robust_scheme, InvariantOutcome};
 pub use report::ScenarioRunRecord;
 pub use run::{run_scenario, RunOptions, ScenarioOutcome};
-pub use spec::{ChaosSpec, PhaseSpec, ScenarioSpec, SpecParseError};
+pub use spec::{ChaosSpec, PhaseSpec, ScenarioSpec};

@@ -1,7 +1,7 @@
 //! JSON-lines records of scenario runs.
 //!
 //! One line per `(scenario, scheme)` run, emitted with the
-//! workspace's hand-rolled writer. The line carries a top-level
+//! workspace's one writer. The line carries a top-level
 //! `"verdict":"pass"|"fail"` (the key `era-view --verdicts` gates CI
 //! on), the evaluated invariants, per-phase summaries, the focus
 //! shard's footprint curve, and the embedded spec — a record is
@@ -122,7 +122,9 @@ mod tests {
     use crate::invariant::InvariantOutcome;
     use crate::run::PhaseOutcome;
     use crate::spec::{PhaseSpec, ScenarioSpec};
+    use era_chaos::FaultPlan;
     use era_kv::ShardHealth;
+    use era_obs::Json;
 
     fn outcome(pass: bool) -> ScenarioOutcome {
         ScenarioOutcome {
@@ -178,10 +180,31 @@ mod tests {
         assert!(rec.line.contains("\"scenario\":\"demo\""));
         assert!(rec.line.contains("\"curve\":[[1,2],[3,4]]"));
         // The embedded spec must itself round-trip.
-        let spec_at = rec.line.find("\"spec\":").unwrap() + "\"spec\":".len();
-        let spec_json = &rec.line[spec_at..rec.line.len() - 1];
-        let spec = ScenarioSpec::from_json(spec_json).unwrap();
-        assert_eq!(spec.name, "demo");
+        let line = Json::parse(&rec.line).unwrap();
+        let spec = ScenarioSpec::from_value(line.get("spec").unwrap()).unwrap();
+        assert_eq!(spec, outcome(true).spec);
+    }
+
+    /// The shipped artifacts through the one reader: every line
+    /// parses, and each embedded spec / plan maps back to exactly the
+    /// text it was embedded as (both writers put it last on the line).
+    #[test]
+    fn baseline_artifacts_parse_and_their_embedded_records_round_trip() {
+        let scenarios = include_str!("../../../BENCH_scenarios_baseline.json");
+        for line in scenarios.lines() {
+            let rec = Json::parse(line).unwrap();
+            let spec = ScenarioSpec::from_value(rec.get("spec").unwrap()).unwrap();
+            let embedded = format!(",\"spec\":{}}}", spec.to_json());
+            assert!(line.ends_with(&embedded), "{}", spec.name);
+        }
+        let chaos = include_str!("../../../BENCH_chaos_baseline.json");
+        for line in chaos.lines() {
+            let rec = Json::parse(line).unwrap();
+            let plan = FaultPlan::from_value(rec.get("plan").unwrap()).unwrap();
+            let embedded = format!(",\"plan\":{}}}", plan.to_json());
+            assert!(line.ends_with(&embedded), "{line}");
+        }
+        assert!(scenarios.lines().count() > 0 && chaos.lines().count() > 0);
     }
 
     #[test]

@@ -3,21 +3,19 @@
 //!
 //! A [`ScenarioSpec`] follows the same replayability discipline as the
 //! chaos [`FaultPlan`]: plain data, generated or hand-written, emitted
-//! as one JSON line by the workspace's hand-rolled emitter
-//! ([`era_obs::report::JsonObject`]), and parsed back by a minimal
-//! byte parser — no serialization dependency. A campaign record embeds
-//! the spec verbatim, so every verdict can be regenerated from the
-//! record alone.
+//! as one JSON line by [`era_obs::report::JsonObject`] and read back
+//! through [`era_obs::Json`], the workspace's one writer and one
+//! reader. A campaign record embeds the spec verbatim, so every verdict
+//! can be regenerated from the record alone.
 //!
 //! Floats are deliberately absent from the wire format: the zipfian
-//! skew travels as basis points (`theta_bp`, 9900 = θ 0.99) so the
-//! parser stays integer-only and round-trips are byte-exact.
-
-use std::fmt;
+//! skew travels as basis points (`theta_bp`, 9900 = θ 0.99) so every
+//! field is an exact integer and round-trips are byte-exact.
 
 use era_chaos::FaultPlan;
 use era_kv::{KeyDist, KvMix};
 use era_obs::report::JsonObject;
+use era_obs::{Json, JsonError};
 
 /// One timeline segment of a scenario: a workload shape plus the
 /// adversities active while it runs.
@@ -182,7 +180,7 @@ impl ScenarioSpec {
             return Err("hard budget below soft budget");
         }
         for p in &self.phases {
-            if p.reads + p.writes + p.removes != 100 {
+            if u64::from(p.reads) + u64::from(p.writes) + u64::from(p.removes) != 100 {
                 return Err("phase mix must sum to 100 percent");
             }
             if p.key_hi <= p.key_lo {
@@ -317,142 +315,20 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecParseError`] with a byte offset on malformed input or an
-    /// inconsistent spec.
-    pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecParseError> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let spec = p.scenario()?;
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(p.err("trailing input after scenario"));
-        }
-        spec.validate()
-            .map_err(|msg| SpecParseError { at: 0, msg })?;
-        Ok(spec)
-    }
-}
-
-/// A scenario failed to parse or validate: byte offset plus a static
-/// description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// Byte offset into the JSON text (0 for validation failures).
-    pub at: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scenario parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for SpecParseError {}
-
-/// Minimal parser for exactly the shape [`ScenarioSpec::to_json`]
-/// emits (the chaos `FaultPlan` parser's sibling).
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> SpecParseError {
-        SpecParseError { at: self.i, msg }
+    /// [`JsonError`]: a syntax error with its byte offset, or a shape
+    /// error naming the key — an unknown field, a value of the wrong
+    /// type or too large for its field, an inconsistent spec.
+    pub fn from_json(text: &str) -> Result<ScenarioSpec, JsonError> {
+        ScenarioSpec::from_value(&Json::parse(text)?)
     }
 
-    fn ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), SpecParseError> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
-    }
-
-    /// Consumes either a comma (`true`) or `close` (`false`).
-    fn comma_or(&mut self, close: u8) -> Result<bool, SpecParseError> {
-        match self.peek() {
-            Some(b',') => {
-                self.i += 1;
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.i += 1;
-                Ok(false)
-            }
-            _ => Err(self.err("expected ',' or a closing bracket")),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, SpecParseError> {
-        let start = self.i;
-        let mut v: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(b - b'0')))
-                .ok_or(SpecParseError {
-                    at: self.i,
-                    msg: "integer overflow",
-                })?;
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        Ok(v)
-    }
-
-    fn bool(&mut self) -> Result<bool, SpecParseError> {
-        if self.s[self.i..].starts_with(b"true") {
-            self.i += 4;
-            Ok(true)
-        } else if self.s[self.i..].starts_with(b"false") {
-            self.i += 5;
-            Ok(false)
-        } else {
-            Err(self.err("expected a boolean"))
-        }
-    }
-
-    /// A plain string (spec strings never need escapes; reject them).
-    fn string(&mut self) -> Result<String, SpecParseError> {
-        self.eat(b'"')?;
-        let start = self.i;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(self.err("escapes are not used in spec strings")),
-                Some(_) => self.i += 1,
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-        let out = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| self.err("invalid utf-8"))?
-            .to_string();
-        self.i += 1;
-        Ok(out)
-    }
-
-    fn scenario(&mut self) -> Result<ScenarioSpec, SpecParseError> {
+    /// [`ScenarioSpec::from_json`] for a spec already parsed as part of
+    /// a larger record (the `spec` member of a campaign report line).
+    ///
+    /// # Errors
+    ///
+    /// The shape errors of [`ScenarioSpec::from_json`].
+    pub fn from_value(value: &Json) -> Result<ScenarioSpec, JsonError> {
         let mut spec = ScenarioSpec {
             name: String::new(),
             seed: 0,
@@ -464,140 +340,105 @@ impl<'a> Parser<'a> {
             chaos: None,
             phases: Vec::new(),
         };
-        self.ws();
-        self.eat(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(spec);
-        }
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
+        for (key, v) in value.try_members("scenario")? {
             match key.as_str() {
-                "name" => spec.name = self.string()?,
-                "seed" => spec.seed = self.u64()?,
-                "shards" => spec.shards = self.u64()? as usize,
-                "soft" => spec.soft = self.u64()? as usize,
-                "hard" => spec.hard = self.u64()? as usize,
-                "bound" => spec.bound = self.u64()? as usize,
-                "prefill" => spec.prefill = self.u64()? as usize,
-                "chaos" => spec.chaos = Some(self.chaos()?),
+                "name" => spec.name = v.try_str(key)?.to_string(),
+                "seed" => spec.seed = v.try_u64(key)?,
+                "shards" => spec.shards = size(v, key)?,
+                "soft" => spec.soft = size(v, key)?,
+                "hard" => spec.hard = size(v, key)?,
+                "bound" => spec.bound = size(v, key)?,
+                "prefill" => spec.prefill = size(v, key)?,
+                "chaos" => spec.chaos = Some(chaos(v)?),
                 "phases" => {
-                    self.eat(b'[')?;
-                    self.ws();
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            spec.phases.push(self.phase()?);
-                            self.ws();
-                            if !self.comma_or(b']')? {
-                                break;
-                            }
-                            self.ws();
-                        }
-                    }
+                    let phases = v.try_array(key)?.iter().map(phase);
+                    spec.phases = phases.collect::<Result<_, _>>()?;
                 }
-                _ => return Err(self.err("unknown scenario field")),
+                _ => return Err(JsonError::shape(format!("unknown scenario field `{key}`"))),
             }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
         }
+        spec.validate().map_err(JsonError::shape)?;
         Ok(spec)
     }
+}
 
-    fn chaos(&mut self) -> Result<ChaosSpec, SpecParseError> {
-        let mut c = ChaosSpec {
-            shard: 0,
-            seed: 0,
-            faults: 0,
-            at_phase: 0,
-        };
-        self.eat(b'{')?;
-        self.ws();
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "shard" => c.shard = self.u64()? as usize,
-                "seed" => c.seed = self.u64()?,
-                "faults" => c.faults = self.u64()? as usize,
-                "at_phase" => c.at_phase = self.u64()? as usize,
-                _ => return Err(self.err("unknown chaos field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
-        }
-        Ok(c)
-    }
+/// A count or index from outside the program, narrowed with a check: a
+/// value the field cannot hold is an error naming its key, never a
+/// silent truncation.
+fn size(v: &Json, key: &str) -> Result<usize, JsonError> {
+    usize::try_from(v.try_u64(key)?)
+        .map_err(|_| JsonError::shape(format!("`{key}` does not fit in usize")))
+}
 
-    fn phase(&mut self) -> Result<PhaseSpec, SpecParseError> {
-        let mut ph = PhaseSpec {
-            label: String::new(),
-            reads: 0,
-            writes: 0,
-            removes: 0,
-            theta_bp: 0,
-            key_lo: 0,
-            key_hi: 0,
-            threads: 1,
-            ops_per_thread: 1,
-            stall_shard: None,
-            quarantine_shard: None,
-            navigator: true,
-            serve_net: false,
-            budgets: None,
-        };
-        let (mut soft, mut hard) = (None, None);
-        self.eat(b'{')?;
-        self.ws();
-        loop {
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match key.as_str() {
-                "label" => ph.label = self.string()?,
-                "reads" => ph.reads = self.u64()? as u32,
-                "writes" => ph.writes = self.u64()? as u32,
-                "removes" => ph.removes = self.u64()? as u32,
-                "theta_bp" => ph.theta_bp = self.u64()?,
-                "key_lo" => ph.key_lo = self.u64()?,
-                "key_hi" => ph.key_hi = self.u64()?,
-                "threads" => ph.threads = self.u64()? as usize,
-                "ops_per_thread" => ph.ops_per_thread = self.u64()? as usize,
-                "stall_shard" => ph.stall_shard = Some(self.u64()? as usize),
-                "quarantine_shard" => ph.quarantine_shard = Some(self.u64()? as usize),
-                "navigator" => ph.navigator = self.bool()?,
-                "serve_net" => ph.serve_net = self.bool()?,
-                "soft" => soft = Some(self.u64()? as usize),
-                "hard" => hard = Some(self.u64()? as usize),
-                _ => return Err(self.err("unknown phase field")),
-            }
-            self.ws();
-            if !self.comma_or(b'}')? {
-                break;
-            }
-            self.ws();
+/// A mix share, narrowed like [`size`].
+fn percent(v: &Json, key: &str) -> Result<u32, JsonError> {
+    u32::try_from(v.try_u64(key)?)
+        .map_err(|_| JsonError::shape(format!("`{key}` does not fit in u32")))
+}
+
+fn chaos(value: &Json) -> Result<ChaosSpec, JsonError> {
+    let mut c = ChaosSpec {
+        shard: 0,
+        seed: 0,
+        faults: 0,
+        at_phase: 0,
+    };
+    for (key, v) in value.try_members("chaos")? {
+        match key.as_str() {
+            "shard" => c.shard = size(v, key)?,
+            "seed" => c.seed = v.try_u64(key)?,
+            "faults" => c.faults = size(v, key)?,
+            "at_phase" => c.at_phase = size(v, key)?,
+            _ => return Err(JsonError::shape(format!("unknown chaos field `{key}`"))),
         }
-        match (soft, hard) {
-            (Some(s), Some(h)) => ph.budgets = Some((s, h)),
-            (None, None) => {}
-            _ => return Err(self.err("phase budget override needs both soft and hard")),
-        }
-        Ok(ph)
     }
+    Ok(c)
+}
+
+fn phase(value: &Json) -> Result<PhaseSpec, JsonError> {
+    let mut ph = PhaseSpec {
+        label: String::new(),
+        reads: 0,
+        writes: 0,
+        removes: 0,
+        theta_bp: 0,
+        key_lo: 0,
+        key_hi: 0,
+        threads: 1,
+        ops_per_thread: 1,
+        stall_shard: None,
+        quarantine_shard: None,
+        navigator: true,
+        serve_net: false,
+        budgets: None,
+    };
+    let (mut soft, mut hard) = (None, None);
+    for (key, v) in value.try_members("phases[]")? {
+        match key.as_str() {
+            "label" => ph.label = v.try_str(key)?.to_string(),
+            "reads" => ph.reads = percent(v, key)?,
+            "writes" => ph.writes = percent(v, key)?,
+            "removes" => ph.removes = percent(v, key)?,
+            "theta_bp" => ph.theta_bp = v.try_u64(key)?,
+            "key_lo" => ph.key_lo = v.try_u64(key)?,
+            "key_hi" => ph.key_hi = v.try_u64(key)?,
+            "threads" => ph.threads = size(v, key)?,
+            "ops_per_thread" => ph.ops_per_thread = size(v, key)?,
+            "stall_shard" => ph.stall_shard = Some(size(v, key)?),
+            "quarantine_shard" => ph.quarantine_shard = Some(size(v, key)?),
+            "navigator" => ph.navigator = v.try_bool(key)?,
+            "serve_net" => ph.serve_net = v.try_bool(key)?,
+            "soft" => soft = Some(size(v, key)?),
+            "hard" => hard = Some(size(v, key)?),
+            _ => return Err(JsonError::shape(format!("unknown phase field `{key}`"))),
+        }
+    }
+    match (soft, hard) {
+        (Some(s), Some(h)) => ph.budgets = Some((s, h)),
+        (None, None) => {}
+        _ => return Err(JsonError::shape("phase needs both `soft` and `hard`")),
+    }
+    Ok(ph)
 }
 
 #[cfg(test)]
@@ -641,11 +482,17 @@ mod tests {
 
     #[test]
     fn json_roundtrip_is_identity() {
-        let spec = sample();
-        let json = spec.to_json();
-        let back = ScenarioSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), json, "replay record must be stable");
+        // `validate` puts no restriction on a name or a label, so the
+        // second spec carries everything the writer has to escape.
+        let mut escaped = sample();
+        escaped.name = "q\" b\\ n\n é".into();
+        escaped.phases[1].label = "☃ \"storm\"\\\n\u{1}".into();
+        for spec in [sample(), escaped] {
+            let json = spec.to_json();
+            let back = ScenarioSpec::from_json(&json).unwrap();
+            assert_eq!(back, spec);
+            assert_eq!(back.to_json(), json, "replay record must be stable");
+        }
     }
 
     #[test]
@@ -675,6 +522,19 @@ mod tests {
         ] {
             assert!(ScenarioSpec::from_json(bad).is_err(), "{bad:?} must fail");
         }
+        // Outside integers are narrowed with a check: 2^32 + 95 is not
+        // 95 percent, and three shares that wrap to 100 are not a mix.
+        let with_mix = |mix: &str| {
+            let text = r#"{"name":"x","phases":[{"label":"p",MIX,"key_hi":8}]}"#;
+            ScenarioSpec::from_json(&text.replace("MIX", mix))
+        };
+        assert!(with_mix(r#""reads":95,"writes":5"#).is_ok());
+        let err = with_mix(r#""reads":4294967391,"writes":5"#).unwrap_err();
+        assert!(err.msg.contains("`reads`"), "{err}");
+        let err = with_mix(r#""reads":4294967295,"writes":101"#).unwrap_err();
+        assert!(err.msg.contains("sum to 100"), "{err}");
+        let err = with_mix(r#""reads":100,"threads":18446744073709551616"#).unwrap_err();
+        assert!(err.at.is_some(), "past u64::MAX is a syntax error: {err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! presented side by side, never interleaved.
 
 use era_obs::dump::{FlightDump, SourceDump};
-use era_obs::{Event, Hook, SchemeId};
+use era_obs::{Event, Hook, Json, SchemeId};
 
 /// Renders one event as a human-readable timeline line (tolerating
 /// hook/scheme bytes outside this build's vocabulary — dumps are
@@ -770,7 +770,7 @@ fn summarize_source(source: &SourceDump, bound: Option<u64>) -> String {
     out
 }
 
-/// One `(scenario, scheme)` row scanned out of an era-scenarios
+/// One `(scenario, scheme)` row read out of an era-scenarios
 /// campaign report (`scenarios --report out.jsonl`).
 ///
 /// The report is JSON-lines with a top-level `"verdict":"pass"|"fail"`
@@ -787,56 +787,50 @@ pub struct ScenarioVerdict {
     pub failed: Vec<String>,
 }
 
-/// Extracts the string value of `"key":"…"` from a JSON line.
-///
-/// Values in scenario records are identifiers (scenario names, scheme
-/// names, invariant names) which the writer never escapes, so scanning
-/// to the closing quote is exact.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let at = line.find(&marker)? + marker.len();
-    let rest = &line[at..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 /// Parses a campaign report into verdict rows, skipping blank lines
 /// and records of other kinds.
 ///
+/// Every field is read from the parsed top-level object (and
+/// `invariants[].{name,ok}` from its array), so a line torn anywhere —
+/// a killed run, a full disk — is an error, not a pass, and the
+/// embedded `spec`'s own `name` keys are out of reach.
+///
 /// # Errors
 ///
-/// When no scenario record is found at all (the file is probably not a
-/// `scenarios --report` output), or a scenario record is missing its
-/// verdict fields.
+/// When a non-blank line is not valid JSON (naming the line), when a
+/// scenario record is missing its verdict fields, or when no scenario
+/// record is found at all (the file is probably not a
+/// `scenarios --report` output).
 pub fn scenario_verdicts(text: &str) -> Result<Vec<ScenarioVerdict>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() || !line.contains("\"record\":\"scenario\"") {
+        if line.trim().is_empty() {
             continue;
         }
+        let rec = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if rec.get("record").and_then(Json::as_str) != Some("scenario") {
+            continue;
+        }
+        let lacks = |key: &str| format!("line {}: scenario record lacks \"{key}\"", i + 1);
         let field = |key: &str| {
-            json_str_field(line, key)
-                .ok_or_else(|| format!("line {}: scenario record lacks \"{key}\"", i + 1))
+            let value = rec.get(key).and_then(Json::as_str);
+            value.ok_or_else(|| lacks(key))
         };
-        let scenario = field("scenario")?;
-        let scheme = field("scheme")?;
-        let pass = match field("verdict")?.as_str() {
+        let scenario = field("scenario")?.to_string();
+        let scheme = field("scheme")?.to_string();
+        let pass = match field("verdict")? {
             "pass" => true,
             "fail" => false,
             other => return Err(format!("line {}: unknown verdict `{other}`", i + 1)),
         };
-        // Failed invariants render as `{"name":"…","ok":false,…}`; walk
-        // each `"ok":false` back to the `"name"` that opened its object.
+        let invariants = rec.get("invariants").and_then(Json::as_array);
         let mut failed = Vec::new();
-        let mut from = 0usize;
-        while let Some(rel) = line[from..].find("\"ok\":false") {
-            let at = from + rel;
-            if let Some(name_at) = line[..at].rfind("\"name\":\"") {
-                if let Some(name) = json_str_field(&line[name_at..at], "name") {
-                    failed.push(name);
-                }
+        for inv in invariants.ok_or_else(|| lacks("invariants"))? {
+            let ok = inv.get("ok").and_then(Json::as_bool);
+            if !ok.ok_or_else(|| lacks("invariants[].ok"))? {
+                let name = inv.get("name").and_then(Json::as_str);
+                failed.push(name.ok_or_else(|| lacks("invariants[].name"))?.to_string());
             }
-            from = at + "\"ok\":false".len();
         }
         out.push(ScenarioVerdict {
             scenario,
@@ -1116,6 +1110,28 @@ mod tests {
         assert!(table.contains("FAIL stalled-reader-blowout"), "{table}");
         assert!(table.contains("failed: bounded-footprint, healthy-at-end"));
         assert!(table.contains("2 run(s), 1 failure(s)"));
+    }
+
+    #[test]
+    fn scenario_verdicts_rejects_a_torn_line() {
+        // A killed run or a full disk cuts the report mid-line, after
+        // `"verdict":"pass"` has already been written: not a pass.
+        let line = concat!(
+            r#"{"record":"scenario","scenario":"phase-shift","scheme":"EBR","verdict":"pass","#,
+            r#""invariants":[{"name":"recovers-after-drain","ok":true,"observed":0,"limit":256}],"#,
+            r#""spec":{"name":"phase-shift","seed":1}}"#,
+        );
+        assert!(scenario_verdicts(line).is_ok());
+        let mid_invariants = line.find("\"ok\":true").unwrap();
+        let mid_spec = line.find("\"seed\"").unwrap();
+        for cut in [mid_invariants, mid_spec, line.len() - 1] {
+            let torn = format!("{line}\n{}", &line[..cut]);
+            let err = scenario_verdicts(&torn).unwrap_err();
+            assert!(err.starts_with("line 2: JSON syntax error"), "{err}");
+        }
+        // Whole JSON, but a scenario record short of its invariants.
+        let short = r#"{"record":"scenario","scenario":"x","scheme":"EBR","verdict":"fail"}"#;
+        assert!(scenario_verdicts(short).unwrap_err().contains("invariants"));
     }
 
     #[test]

@@ -233,11 +233,14 @@ fn neutralized_reader_restarts_once() {
                 std::hint::spin_loop();
             }
             smr.end_op(&mut pin);
-            // Exactly one pending restart was consumed by the loop.
-            assert!(!smr.needs_restart(&mut pin));
+            let restart_still_pending = smr.needs_restart(&mut pin);
             // SAFETY(ordering): Release — hands the release token back;
-            // pairs with the main thread's Acquire re-load.
+            // pairs with the main thread's Acquire re-load. Stored
+            // before the assert: the main thread ticks until it sees
+            // this, so a panic ahead of it would be a hang.
             release.store(true, Ordering::Release);
+            // Exactly one pending restart was consumed by the loop.
+            assert!(!restart_still_pending);
         });
         while !pinned.load(Ordering::Acquire) {
             std::hint::spin_loop();
