@@ -42,7 +42,12 @@ pub struct KvConfig {
     /// blamed pin.
     pub retired_hard: usize,
     /// Writes admitted concurrently to a degraded shard before callers
-    /// see [`KvError::Overloaded`].
+    /// see [`KvError::Overloaded`]. Only writes admitted while the
+    /// shard is degraded are counted — a `Robust` shard admits without
+    /// touching a shared word — so the writes in flight on a degraded
+    /// shard are at most `admission_depth` counted ones plus at most
+    /// one per context admitted before the transition (a context has
+    /// one write, or one `put_batch` group, in flight at a time).
     pub admission_depth: usize,
     /// Blame slots per shard recorder; must be ≥ the schemes' thread
     /// capacity for neutralization to target the right slot.
@@ -219,10 +224,11 @@ impl<S: Smr> fmt::Debug for KvCtx<S> {
 /// assert_eq!(store.remove(&mut ctx, 7), Ok(Some(70)));
 /// ```
 pub struct KvStore<'s, S: Smr> {
-    /// One shard per scheme, each cache-padded: a shard's hot admission
-    /// counters (`inflight`, `sheds`) are bumped on every routed op, and
-    /// without padding two adjacent shards' counters could share a line
-    /// and serialize unrelated traffic.
+    /// One shard per scheme, each cache-padded. A routed op on a
+    /// `Robust` shard only *reads* shard words (`health`); the
+    /// admission counters (`inflight`, `sheds`) are written only while
+    /// the shard is degraded or quarantined, and the padding keeps those
+    /// writes off a neighbouring shard's line.
     pub(crate) shards: Vec<CachePadded<Shard<'s, S>>>,
     pub(crate) cfg: KvConfig,
     /// Live navigator budgets. They start at the config values but are
@@ -370,13 +376,13 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// its admission queue is full.
     pub fn put(&self, ctx: &mut KvCtx<S>, key: i64, value: i64) -> Result<Option<i64>, KvError> {
         let si = self.shard_of(key);
-        self.admit_write(si)?;
+        let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let prev = sh.map.insert(tctx, key, value);
         sh.smr.quiescent_point(tctx);
-        sh.inflight.fetch_sub(1, Ordering::SeqCst);
+        sh.finish_write(counted);
         Ok(prev)
     }
 
@@ -388,13 +394,13 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// [`KvStore::put`].
     pub fn remove(&self, ctx: &mut KvCtx<S>, key: i64) -> Result<Option<i64>, KvError> {
         let si = self.shard_of(key);
-        self.admit_write(si)?;
+        let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let prev = sh.map.remove(tctx, key);
         sh.smr.quiescent_point(tctx);
-        sh.inflight.fetch_sub(1, Ordering::SeqCst);
+        sh.finish_write(counted);
         Ok(prev)
     }
 
@@ -407,13 +413,13 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// [`KvStore::put`].
     pub fn incr(&self, ctx: &mut KvCtx<S>, key: i64, delta: i64) -> Result<Option<i64>, KvError> {
         let si = self.shard_of(key);
-        self.admit_write(si)?;
+        let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let v = sh.map.fetch_add(tctx, key, delta);
         sh.smr.quiescent_point(tctx);
-        sh.inflight.fetch_sub(1, Ordering::SeqCst);
+        sh.finish_write(counted);
         Ok(v)
     }
 
@@ -446,12 +452,15 @@ impl<'s, S: Smr> KvStore<'s, S> {
             if group.is_empty() {
                 continue;
             }
-            if let Err(e) = self.admit_write(si) {
-                for &idx in group {
-                    out[idx] = Err(e);
+            let counted = match self.admit_write(si) {
+                Ok(counted) => counted,
+                Err(e) => {
+                    for &idx in group {
+                        out[idx] = Err(e);
+                    }
+                    continue;
                 }
-                continue;
-            }
+            };
             let sh = &self.shards[si];
             let tctx = &mut ctx.ctxs[si];
             let _ = sh.smr.needs_restart(tctx);
@@ -460,7 +469,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 out[idx] = Ok(sh.map.insert(tctx, key, value));
             }
             sh.smr.quiescent_point(tctx);
-            sh.inflight.fetch_sub(1, Ordering::SeqCst);
+            sh.finish_write(counted);
         }
         out
     }
@@ -683,12 +692,19 @@ impl<'s, S: Smr> KvStore<'s, S> {
         }
     }
 
-    fn admit_write(&self, si: usize) -> Result<(), KvError> {
+    /// Decides one write (or one `put_batch` group) on shard `si`:
+    /// `Ok(counted)` admits it, and the caller hands `counted` back to
+    /// [`Shard::finish_write`] when the write is done. A `Robust` shard
+    /// admits with no shared write at all (`Ok(false)`): `inflight` is
+    /// the degraded shard's queue, and a healthy shard has none. Only a
+    /// write admitted under `Degrading`/`Violating` is counted, and
+    /// only a counted write is uncounted, so a write that straddles a
+    /// transition leaves `inflight` exact in both directions.
+    fn admit_write(&self, si: usize) -> Result<bool, KvError> {
         let sh = &self.shards[si];
         let health = sh.health.load(Ordering::Relaxed);
         if health == ShardHealth::Robust as u8 {
-            sh.inflight.fetch_add(1, Ordering::SeqCst);
-            return Ok(());
+            return Ok(false);
         }
         if health == ShardHealth::Quarantined as u8 {
             // Quarantine refuses writes outright (no bounded queue):
@@ -701,10 +717,10 @@ impl<'s, S: Smr> KvStore<'s, S> {
             }
             return Err(KvError::Overloaded { shard: si });
         }
-        // Degraded: bounded admission. The health check above and the
-        // increment below can race with a navigator transition — the
-        // worst case is one extra admitted write, which the budget's
-        // slack absorbs.
+        // Degraded: bounded admission over the counted writes. Writes
+        // admitted uncounted while the shard was still `Robust` (a
+        // stale health load included) may still be in flight — at most
+        // one per context — which the budget's slack absorbs.
         let prev = sh.inflight.fetch_add(1, Ordering::SeqCst);
         if prev >= self.cfg.admission_depth {
             sh.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -715,7 +731,17 @@ impl<'s, S: Smr> KvStore<'s, S> {
             }
             return Err(KvError::Overloaded { shard: si });
         }
-        Ok(())
+        Ok(true)
+    }
+}
+
+impl<S: Smr> Shard<'_, S> {
+    /// Ends a write [`KvStore::admit_write`] admitted: a counted one
+    /// leaves the degraded shard's queue.
+    fn finish_write(&self, counted: bool) {
+        if counted {
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -823,6 +849,46 @@ mod tests {
             KvError::Overloaded { shard: 0 }.to_string(),
             "shard 0 is overloaded (admission control)"
         );
+    }
+
+    #[test]
+    fn admission_counts_only_degraded_writes_and_cannot_wrap() {
+        let schemes: Vec<Ebr> = vec![Ebr::new(4)];
+        let cfg = KvConfig {
+            retired_soft: 0, // every tick classifies the shard Degrading
+            admission_depth: 3,
+            ..KvConfig::default()
+        };
+        let store = KvStore::new(&schemes, cfg);
+        let sh = &store.shards[0];
+        let inflight = || sh.inflight.load(Ordering::SeqCst);
+
+        // Admitted while Robust: no shared write, nothing to undo…
+        let straddler = store.admit_write(0);
+        assert_eq!((straddler, inflight()), (Ok(false), 0));
+        // …even when the shard degrades before the write finishes.
+        store.navigator_tick();
+        assert_eq!(store.health(0), ShardHealth::Degrading);
+        sh.finish_write(straddler.unwrap());
+        assert_eq!(inflight(), 0, "an uncounted write must not be uncounted");
+
+        // Degrading sheds at exactly `admission_depth` counted writes.
+        for depth in 1..=3 {
+            assert_eq!(store.admit_write(0), Ok(true));
+            assert_eq!(inflight(), depth);
+        }
+        assert_eq!(store.admit_write(0), Err(KvError::Overloaded { shard: 0 }));
+        assert_eq!((inflight(), store.nav_counters().2), (3, 1));
+
+        // Counted writes that finish after recovery still leave the queue.
+        store.set_budgets(1 << 20, 1 << 21);
+        store.navigator_tick();
+        assert_eq!(store.health(0), ShardHealth::Robust);
+        assert_eq!(store.admit_write(0), Ok(false));
+        for _ in 0..3 {
+            sh.finish_write(true);
+        }
+        assert_eq!(inflight(), 0);
     }
 
     #[test]

@@ -438,11 +438,18 @@ fn r3_protect_before_deref(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// R4 — each `impl Smr for T` must emit `Hook::BeginOp` and
 /// `Hook::Retire` (or delegate `begin_op`/`retire` to an inner scheme)
-/// and its file must tally reclamation through `on_reclaim` (or the
-/// impl delegates retire, inheriting the inner scheme's tally).
+/// and its file must free through the batch reclaim that traces and
+/// tallies (`.reclaim(…)`/`.reclaim_unless(…)`, or the bare tally
+/// `.on_reclaim(…)`) — or the impl delegates retire, inheriting the
+/// inner scheme's.
 fn r4_hook_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.lexed.toks;
-    let file_has_on_reclaim = toks.iter().any(|t| t.is_ident("on_reclaim"));
+    let file_reclaims = toks.windows(2).any(|w| {
+        w[0].is_punct('.')
+            && ["reclaim", "reclaim_unless", "on_reclaim"]
+                .iter()
+                .any(|name| w[1].is_ident(name))
+    });
     for im in &file.impl_smrs {
         let (lo, hi) = im.body;
         let slice = &toks[lo..=hi];
@@ -478,14 +485,14 @@ fn r4_hook_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
                 ),
             ));
         }
-        if !(file_has_on_reclaim || delegates("retire")) {
+        if !(file_reclaims || delegates("retire")) {
             out.push(finding(
                 file,
                 Rule::HookCoverage,
                 im.line,
                 format!(
-                    "`impl Smr for {}`: no on_reclaim tally anywhere in this file \
-                     (reclaim events would not reach era-obs)",
+                    "`impl Smr for {}`: no reclaim/on_reclaim tally anywhere in this \
+                     file (reclaim events would not reach era-obs)",
                     im.self_ty
                 ),
             ));
@@ -874,6 +881,10 @@ mod tests {
         assert!(f.iter().all(|x| x.rule == Rule::HookCoverage));
         let emits = "// ERA-CLASS: Good non-robust\nimpl Smr for Good {\n    fn begin_op(&self) { t.emit(Hook::BeginOp, 0, 0); }\n    fn retire(&self) { t.emit(Hook::Retire, 0, 0); }\n}\nfn tally() { stats.on_reclaim(1); }";
         assert!(run("a.rs", emits).is_empty());
+        let batch = emits.replace("stats.on_reclaim(1)", "stats.reclaim(g.drain(..))");
+        assert!(run("a.rs", &batch).is_empty());
+        let named_only = emits.replace("stats.on_reclaim(1)", "let reclaim = 1");
+        assert_eq!(run("a.rs", &named_only).len(), 1, "a call, not a name");
         let delegates = "// ERA-CLASS: Wrap non-robust\nimpl<S: Smr> Smr for Wrap<S> {\n    fn begin_op(&self) { self.inner.begin_op(ctx) }\n    fn retire(&self) { self.inner.retire(ctx) }\n}";
         assert!(run("a.rs", delegates).is_empty());
     }

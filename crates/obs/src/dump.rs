@@ -750,7 +750,7 @@ mod tests {
             era: 6,
         });
         let metrics = Metrics::new(4);
-        metrics.hook_block().bump(Hook::Retire);
+        metrics.hook_block().bump(Hook::Retire, 1);
         metrics.blame(2);
         metrics.footprint_peak.record(12);
         metrics.reclaim_latency.record(5);

@@ -44,10 +44,17 @@ struct PaddedCounter(Counter);
 pub struct HighWater(AtomicU64);
 
 impl HighWater {
-    /// Raises the mark to `value` if higher.
+    /// Raises the mark to `value` if higher. A value at or below the
+    /// mark costs one load: the RMW, which takes the line exclusive
+    /// even when it changes nothing, runs only while the mark climbs.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
+        if value > self.0.load(Ordering::Relaxed) {
+            // SAFETY(ordering): Relaxed — fetch_max settles racing
+            // climbers; the mark is telemetry, not a synchronization
+            // point, and a stale load only sends us here needlessly.
+            self.0.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Highest value recorded.
@@ -189,12 +196,12 @@ impl HistogramSnapshot {
 pub(crate) struct HookCounts([AtomicU64; Hook::COUNT]);
 
 impl HookCounts {
-    /// Counts one call of `hook`. Single-writer: only the tracer that
+    /// Counts `n` calls of `hook`. Single-writer: only the tracer that
     /// owns this block may call it (a second writer would lose counts,
     /// nothing worse — the cells are atomics).
     #[inline]
     #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
-    pub(crate) fn bump(&self, hook: Hook) {
+    pub(crate) fn bump(&self, hook: Hook, n: u64) {
         let cell = &self.0[hook as u8 as usize];
         // SAFETY(ordering): Relaxed load + Relaxed store instead of a
         // fetch_add — this block has one writer, so the load sees that
@@ -202,7 +209,7 @@ impl HookCounts {
         // sum telemetry and synchronize through whatever made them
         // wait for the writer (a join, a tracer drop), not through this
         // word.
-        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 }
 
@@ -396,7 +403,10 @@ mod tests {
         let m = Metrics::new(4);
         m.footprint_peak.record(10);
         m.footprint_peak.record(3);
+        m.footprint_peak.record(10);
         assert_eq!(m.footprint_peak.get(), 10);
+        m.footprint_peak.record(11);
+        assert_eq!(m.footprint_peak.get(), 11);
         m.blame(1);
         m.blame(1);
         m.blame(9); // clamps to last slot
@@ -408,12 +418,13 @@ mod tests {
     fn hook_count_sums_every_block_issued() {
         let m = Metrics::new(1);
         let (a, b) = (m.hook_block(), m.hook_block());
-        a.bump(Hook::Retire);
-        b.bump(Hook::Retire);
-        b.bump(Hook::Load);
+        a.bump(Hook::Retire, 1);
+        b.bump(Hook::Retire, 1);
+        b.bump(Hook::Load, 1);
+        b.bump(Hook::Load, 3);
         drop(a); // the metrics keep the block: counts outlive writers
         assert_eq!(m.hook_count(Hook::Retire), 2);
-        assert_eq!(m.hook_count(Hook::Load), 1);
+        assert_eq!(m.hook_count(Hook::Load), 4);
         assert_eq!(m.hook_count(Hook::Reclaim), 0);
     }
 }

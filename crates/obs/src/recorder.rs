@@ -14,7 +14,9 @@
 //! hook for which [`Hook::advances_clock`] holds: retire, reclaim,
 //! epoch advance, restart, blame, adoption, faults, the navigator, the
 //! serving front-end, the simulator's oracle and driver — draw a fresh
-//! timestamp with a `fetch_add`. `BeginOp`, `EndOp`, `Load` and
+//! timestamp with a `fetch_add`; a run of `n` of them
+//! ([`ThreadTracer::emit_run`], a reclaim batch) draws `n` consecutive
+//! ones with a single `fetch_add(n)`. `BeginOp`, `EndOp`, `Load` and
 //! `Reserve` stamp themselves with a plain *load* of it, so between
 //! two protocol events the clock's cache line sits Shared in every
 //! core and an operation writes nothing another thread reads.
@@ -267,8 +269,9 @@ struct TracerInner {
 
 #[cfg(feature = "rt")]
 impl TracerInner {
-    /// The one emit path. `hook` is a constant at every call site, so
-    /// after inlining the clock branch is decided at compile time.
+    /// The single-event emit path. `hook` is a constant at every call
+    /// site, so after inlining the clock branch is decided at compile
+    /// time.
     #[inline]
     fn record(&self, thread: u16, hook: Hook, a: u64, b: u64) {
         let clock = &self.recorder.clock.0;
@@ -283,8 +286,33 @@ impl TracerInner {
         } else {
             clock.load(Ordering::Relaxed)
         };
-        self.hooks.bump(hook);
+        self.hooks.bump(hook, 1);
         self.ring.push(event);
+    }
+
+    /// The run path: `n ≥ 1` events of `hook`, event `k` carrying
+    /// `payload(k, ts)`, stamped as [`TracerInner::record`] would stamp
+    /// them one by one with nothing in between.
+    fn record_run(&self, hook: Hook, n: usize, mut payload: impl FnMut(usize, u64) -> (u64, u64)) {
+        let clock = &self.recorder.clock.0;
+        let ticks = hook.advances_clock();
+        // SAFETY(ordering): Relaxed, as in `record`. A run of protocol
+        // events pays the RMW once: `fetch_add(n)` reserves
+        // `t0..t0 + n` whole, so no other ticker is issued a value
+        // inside the run and its stamps stay unique.
+        let t0 = if ticks {
+            clock.fetch_add(n as u64, Ordering::Relaxed)
+        } else {
+            clock.load(Ordering::Relaxed)
+        };
+        for k in 0..n {
+            let ts = if ticks { t0 + k as u64 } else { t0 };
+            let (a, b) = payload(k, ts);
+            let mut event = Event::new(self.thread, self.scheme, hook, a, b);
+            event.ts = ts;
+            self.ring.push(event);
+        }
+        self.hooks.bump(hook, n as u64);
     }
 }
 
@@ -343,6 +371,35 @@ impl ThreadTracer {
         }
     }
 
+    /// Emits `n` events of `hook` as one run, event `k` carrying the
+    /// `(a, b)` that `payload(k, ts)` returns for its timestamp `ts`.
+    /// For a protocol hook the run takes `n` consecutive ticks
+    /// `t0..t0 + n` with one clock RMW, so event `k` is stamped
+    /// `t0 + k`: the stamps are unique, no concurrent ticker lands
+    /// inside the run, and a reading event tied with `t0` sorts before
+    /// it — exactly as if the `n` events had been emitted one by one
+    /// with nothing in between. `payload` runs only on a live tracer,
+    /// so with `rt` off (or disabled) it is never called and the whole
+    /// call compiles to nothing.
+    #[inline]
+    pub fn emit_run(
+        &mut self,
+        hook: Hook,
+        n: usize,
+        payload: impl FnMut(usize, u64) -> (u64, u64),
+    ) {
+        #[cfg(feature = "rt")]
+        if let Some(inner) = &self.inner {
+            if n > 0 {
+                inner.record_run(hook, n, payload);
+            }
+        }
+        #[cfg(not(feature = "rt"))]
+        {
+            let _ = (hook, n, payload);
+        }
+    }
+
     /// Emits with an explicit thread slot (for single-tracer producers
     /// that multiplex several logical threads, like the simulator).
     #[inline]
@@ -381,6 +438,9 @@ mod tests {
         let mut t = ThreadTracer::disabled();
         assert!(!t.is_enabled());
         t.emit(Hook::Retire, 1, 2);
+        t.emit_run(Hook::Reclaim, 3, |_, _| {
+            unreachable!("a disabled run reads no payload")
+        });
         assert!(t.metrics().is_none());
     }
 

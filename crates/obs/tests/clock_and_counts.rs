@@ -129,6 +129,87 @@ fn merged_log_respects_happens_before_across_threads() {
     assert!(log.is_time_ordered());
 }
 
+/// A run of `n` protocol events (one clock RMW, `ThreadTracer::emit_run`)
+/// is stamped as `n` single emits with nothing in between would be:
+/// `n` unique consecutive ticks, exact hook counts, a reader tied with
+/// the first tick sorting before it — and a ticker racing on another
+/// thread is never issued a tick inside the run.
+#[test]
+fn a_run_takes_consecutive_ticks_no_concurrent_ticker_splits() {
+    const RUN: usize = 64;
+    const RUNS: u64 = if cfg!(miri) { 4 } else { 200 };
+    const TICKS: u64 = if cfg!(miri) { 100 } else { 20_000 };
+
+    // Alone: the reader reads `t0`, the run starts at it and sorts after.
+    let recorder = Recorder::new(3);
+    let mut runner = recorder.tracer(0, SchemeId::HP);
+    let mut reader = recorder.tracer(2, SchemeId::HP);
+    let t0 = recorder.now();
+    reader.emit(Hook::Load, 0, 0);
+    runner.emit_run(Hook::Reclaim, RUN, |k, ts| (k as u64, ts));
+    runner.emit_run(Hook::Reclaim, 0, |_, _| {
+        unreachable!("an empty run reads no payload")
+    });
+    assert_eq!(recorder.now(), t0 + RUN as u64, "one tick per event");
+    let log = recorder.drain();
+    assert_eq!(log.events.len(), RUN + 1);
+    assert_eq!(
+        (log.events[0].hook, log.events[0].ts),
+        (Hook::Load as u8, t0)
+    );
+    for (k, e) in log.events[1..].iter().enumerate() {
+        assert_eq!((e.hook, e.a), (Hook::Reclaim as u8, k as u64), "run order");
+        assert_eq!((e.ts, e.b), (t0 + k as u64, e.ts), "payload sees its stamp");
+    }
+    assert_eq!(recorder.metrics().hook_count(Hook::Reclaim), RUN as u64);
+
+    // Raced: every run is gapless, and no `Advance` lands inside one.
+    let recorder = Recorder::with_ring_capacity(2, 1 << 16);
+    let runs_done = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut ticker = recorder.tracer(1, SchemeId::HP);
+            let mut ticks = 0;
+            while ticks < TICKS && runs_done.load(Ordering::Relaxed) < RUNS as usize {
+                ticker.emit(Hook::Advance, ticks, 0);
+                ticks += 1;
+            }
+        });
+        let mut runner = recorder.tracer(0, SchemeId::HP);
+        for r in 0..RUNS {
+            runner.emit_run(Hook::Reclaim, RUN, |_, _| (r, 0));
+            // SAFETY(ordering): Relaxed — a progress count that stops the
+            // ticker early; it orders nothing.
+            runs_done.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let log = recorder.drain();
+    assert_eq!(log.dropped, 0);
+    let mut ticks: Vec<u64> = log.events.iter().map(|e| e.ts).collect();
+    let total = ticks.len();
+    ticks.dedup();
+    assert_eq!(ticks.len(), total, "every protocol event has its own tick");
+    let advances: Vec<u64> = log.with_hook(Hook::Advance).map(|e| e.ts).collect();
+    for r in 0..RUNS {
+        let run: Vec<u64> = log
+            .with_hook(Hook::Reclaim)
+            .filter(|e| e.a == r)
+            .map(|e| e.ts)
+            .collect();
+        assert_eq!(run.len(), RUN, "run {r}");
+        let (first, last) = (run[0], run[RUN - 1]);
+        assert_eq!(last - first, RUN as u64 - 1, "run {r} is gapless");
+        assert!(
+            advances.iter().all(|&t| t < first || t > last),
+            "a ticker landed inside run {r}"
+        );
+    }
+    assert_eq!(
+        recorder.metrics().hook_count(Hook::Reclaim),
+        RUNS * RUN as u64
+    );
+}
+
 /// The same emit sequence — full of tied timestamps — fed to two
 /// recorders whose rings were registered in opposite orders.
 fn tied_logs() -> [Vec<Event>; 2] {

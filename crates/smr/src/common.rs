@@ -16,6 +16,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::vec::Drain;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
@@ -130,9 +131,11 @@ pub(crate) struct Retired {
     pub drop_fn: DropFn,
     /// Logical trace time of the retire call ([`StatCells::stamp`]);
     /// 0 when no recorder is attached. Basis of the retire→reclaim
-    /// latency histogram. The trace clock is advanced by protocol
-    /// events only (retire, reclaim, advance, … — not `begin_op`,
-    /// `load` or `end_op`), so the latency counts those.
+    /// latency: the node's `Reclaim` tick minus this, where a batch of
+    /// `n` reclaims takes `n` consecutive ticks ([`StatCells::reclaim`]).
+    /// The trace clock is advanced by protocol events only (retire,
+    /// reclaim, advance, … — not `begin_op`, `load` or `end_op`), so
+    /// the latency counts those, the batch's earlier reclaims included.
     pub retire_tick: u64,
 }
 
@@ -171,6 +174,12 @@ struct TraceState {
 /// [`StatCells::snapshot`] rather than paid for with a third atomic RMW
 /// on the retire hot path. The counters are cache-padded: they are the
 /// only cross-thread-shared words on the retire/reclaim paths.
+///
+/// What a retire writes that other threads read: the `retired_now`
+/// increment (the peaks are a load each, an RMW only while they
+/// climb) and, traced, its `Retire` tick. Everything else is per
+/// batch: [`StatCells::reclaim`] takes the service lock once, the
+/// clock once, and tallies once, however many nodes it frees.
 #[derive(Debug, Default)]
 pub(crate) struct StatCells {
     pub retired_now: CachePadded<AtomicUsize>,
@@ -259,40 +268,82 @@ impl StatCells {
         now
     }
 
+    /// Tallies `n` reclaimed nodes: one RMW per counter per batch.
+    /// [`StatCells::reclaim`] calls it for every freed batch; VBR, whose
+    /// retire *is* its reclaim and frees nothing, calls it directly.
     pub fn on_reclaim(&self, n: usize) {
         if n > 0 {
             // SAFETY(ordering): Relaxed — telemetry counters, as in on_retire.
             self.retired_now.fetch_sub(n, Ordering::Relaxed);
             self.total_reclaimed.fetch_add(n as u64, Ordering::Relaxed);
-            // No batch event here: each node already produced its own
-            // per-address `Hook::Reclaim` in `reclaim_node` (VBR, which
-            // bypasses `reclaim_node`, emits its own).
         }
     }
 
-    /// Frees one retired node, recording its retire→reclaim latency
-    /// (in protocol-event ticks of the trace clock) in the attached
-    /// histogram. Callers still tally the batch through
+    /// Frees a batch of retired nodes — the one place any scheme frees
+    /// one — and traces and tallies it on the way.
+    ///
+    /// With a recorder attached, the batch takes the service lock
+    /// once and emits one `Hook::Reclaim` per node as a single run
+    /// ([`ThreadTracer::emit_run`]): `n` consecutive clock ticks from
+    /// one `fetch_add(n)`, node *k* stamped `t0 + k` and carrying
+    /// `a` = its address (what `era-view` pairs with the node's
+    /// `Retire` to rebuild its retire→(orphan→adopt→)reclaim chain) and
+    /// `b` = its retire→reclaim latency `t0 + k − retire_tick`, which
+    /// the latency histogram also records. The nodes are freed after
+    /// the lock is released, then tallied through
     /// [`StatCells::on_reclaim`].
     ///
     /// # Safety
     ///
-    /// Same contract as [`Retired::free`].
-    pub unsafe fn reclaim_node(&self, node: Retired) {
-        if let Some(t) = self.trace.get() {
-            let mut latency = 0;
-            if node.retire_tick != 0 {
-                latency = t.recorder.now().saturating_sub(node.retire_tick);
-                t.recorder.metrics().reclaim_latency.record(latency);
-            }
-            // Per-node Reclaim event (`a` = address, `b` = latency in
-            // trace ticks) — the flight recorder's `era-view` pairs it
-            // with the matching Retire event to reconstruct the
-            // retire→reclaim (or retire→orphaned→adopt→reclaim) chain
-            // for any node address.
-            lock_unpoisoned(&t.service).emit(Hook::Reclaim, node.ptr as u64, latency);
+    /// Every node in `batch` must satisfy [`Retired::free`]'s contract.
+    pub unsafe fn reclaim(&self, batch: Drain<'_, Retired>) {
+        let n = batch.len();
+        if n == 0 {
+            return;
         }
-        unsafe { node.free() }
+        if let Some(t) = self.trace.get() {
+            let nodes = batch.as_slice();
+            let latencies = &t.recorder.metrics().reclaim_latency;
+            lock_unpoisoned(&t.service).emit_run(Hook::Reclaim, n, |k, ts| {
+                let node = &nodes[k];
+                let mut latency = 0;
+                if node.retire_tick != 0 {
+                    latency = ts.saturating_sub(node.retire_tick);
+                    latencies.record(latency);
+                }
+                (node.ptr as u64, latency)
+            });
+        }
+        for node in batch {
+            unsafe { node.free() }
+        }
+        self.on_reclaim(n);
+    }
+
+    /// A scan's shape over [`StatCells::reclaim`]: frees, as one batch,
+    /// every node of `garbage` that `held` does not hold back, and
+    /// leaves the held ones in `garbage`, in their order (the vector
+    /// keeps its capacity).
+    ///
+    /// # Safety
+    ///
+    /// Every node of `garbage` for which `held` returns `false` must
+    /// satisfy [`Retired::free`]'s contract.
+    pub unsafe fn reclaim_unless(
+        &self,
+        garbage: &mut Vec<Retired>,
+        mut held: impl FnMut(&Retired) -> bool,
+    ) {
+        let mut kept = Vec::new();
+        garbage.retain(|g| {
+            let hold = held(g);
+            if hold {
+                kept.push(*g);
+            }
+            !hold
+        });
+        unsafe { self.reclaim(garbage.drain(..)) };
+        garbage.append(&mut kept);
     }
 
     #[must_use = "a stats snapshot is pure observation; discarding it loses the measurement"]
@@ -807,6 +858,42 @@ mod tests {
     }
 
     #[test]
+    fn reclaim_unless_frees_the_rest_and_keeps_the_held_in_order() {
+        /// # Safety
+        /// `p` must be a leaked `Box<u64>` that nothing else can reach.
+        unsafe fn free_u64(p: *mut u8) {
+            // SAFETY: contract above.
+            unsafe { drop(Box::from_raw(p as *mut u64)) }
+        }
+        let s = StatCells::default();
+        let mut garbage: Vec<Retired> = (0..10u64)
+            .map(|v| {
+                s.on_retire();
+                Retired {
+                    ptr: Box::into_raw(Box::new(v)) as *mut u8,
+                    birth_era: v,
+                    retire_era: 0,
+                    drop_fn: free_u64,
+                    retire_tick: 0,
+                }
+            })
+            .collect();
+        let capacity = garbage.capacity();
+        // SAFETY: every node is a leaked Box<u64> only this test holds.
+        unsafe { s.reclaim_unless(&mut garbage, |g| g.birth_era % 3 == 0) };
+        let held: Vec<u64> = garbage.iter().map(|g| g.birth_era).collect();
+        assert_eq!(held, [0, 3, 6, 9], "held nodes stay, in order");
+        assert_eq!(garbage.capacity(), capacity, "no reallocation");
+        let snap = s.snapshot(0);
+        assert_eq!((snap.retired_now, snap.total_reclaimed), (4, 6));
+        // SAFETY: as above; an empty batch is a no-op.
+        unsafe { s.reclaim(garbage.drain(..)) };
+        unsafe { s.reclaim(garbage.drain(..)) };
+        let snap = s.snapshot(0);
+        assert_eq!((snap.retired_now, snap.total_reclaimed), (0, 10));
+    }
+
+    #[test]
     fn stat_cells_trace_attachment() {
         let s = StatCells::default();
         assert_eq!(s.stamp(), 0, "unattached stamp is the sentinel 0");
@@ -821,27 +908,26 @@ mod tests {
         assert!(s.stamp() > 0);
         s.on_retire();
         s.blocked(2, 1);
-        // Reclaim through the per-node path: the event carries the
-        // node address (era-view chain reconstruction relies on it).
+        // Reclaim through the batch path: the event carries the node
+        // address (era-view chain reconstruction relies on it).
         /// # Safety
         ///
         /// Takes any pointer and ignores it; nothing to uphold.
         unsafe fn no_free(_p: *mut u8) {}
         let target = Box::into_raw(Box::new(0u8));
+        let mut batch = vec![Retired {
+            ptr: target,
+            birth_era: 0,
+            retire_era: 0,
+            drop_fn: no_free,
+            retire_tick: s.stamp(),
+        }];
         // SAFETY: `target` is exclusively owned garbage; `no_free`
         // ignores it, and we re-box it below to avoid the leak.
-        unsafe {
-            s.reclaim_node(Retired {
-                ptr: target,
-                birth_era: 0,
-                retire_era: 0,
-                drop_fn: no_free,
-                retire_tick: s.stamp(),
-            });
-        }
+        unsafe { s.reclaim(batch.drain(..)) };
         // SAFETY: `no_free` did not touch the allocation.
         drop(unsafe { Box::from_raw(target) });
-        s.on_reclaim(1);
+        assert_eq!(s.snapshot(0).total_reclaimed, 1, "the batch tallies itself");
         assert_eq!(recorder.metrics().footprint_peak.get(), 1);
         assert_eq!(recorder.metrics().blame_counts()[2], 1);
         let log = recorder.drain();

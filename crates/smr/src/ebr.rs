@@ -106,14 +106,10 @@ impl EbrInner {
 
 impl Drop for EbrInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: adopted orphans already aged the full two-epoch grace
-            // period; no live announcement can cover them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: adopted orphans already aged the full two-epoch grace
+        // period; no live announcement can cover them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -158,15 +154,11 @@ impl EbrCtx {
     /// Frees every local list whose epoch is ≤ `epoch - 2`.
     fn collect(&mut self, epoch: u64) {
         for i in 0..3 {
-            if !self.lists[i].is_empty() && self.list_epochs[i] + 2 <= epoch {
-                let n = self.lists[i].len();
-                for g in self.lists[i].drain(..) {
-                    // SAFETY: the epoch advanced two steps past this bucket —
-                    // every reader that could see g has since announced a newer
-                    // epoch or gone quiescent.
-                    unsafe { self.inner.stats.reclaim_node(g) };
-                }
-                self.inner.stats.on_reclaim(n);
+            if self.list_epochs[i] + 2 <= epoch {
+                // SAFETY: the epoch advanced two steps past this bucket —
+                // every reader that could see its nodes has since announced
+                // a newer epoch or gone quiescent.
+                unsafe { self.inner.stats.reclaim(self.lists[i].drain(..)) };
             }
         }
     }
@@ -344,14 +336,9 @@ impl Smr for Ebr {
         let e = self.inner.epoch.load(Ordering::SeqCst);
         let slot = (e % 3) as usize;
         if ctx.list_epochs[slot] != e {
-            // The list holds epoch e-3 (≤ e-2) garbage: free it first.
-            if !ctx.lists[slot].is_empty() {
-                let n = ctx.lists[slot].len();
-                for g in ctx.lists[slot].drain(..) {
-                    unsafe { self.inner.stats.reclaim_node(g) };
-                }
-                self.inner.stats.on_reclaim(n);
-            }
+            // SAFETY: the list holds epoch e-3 (≤ e-2) garbage, past its
+            // two-epoch grace period: free it first.
+            unsafe { self.inner.stats.reclaim(ctx.lists[slot].drain(..)) };
             ctx.list_epochs[slot] = e;
         }
         ctx.lists[slot].push(Retired {
@@ -437,7 +424,7 @@ impl Smr for Ebr {
         ctx.collect(e);
         // Adopt orphaned garbage from departed threads: anything retired
         // two or more epochs ago is reclaimable by whoever finds it.
-        let eligible: Vec<Retired> = {
+        let mut eligible: Vec<Retired> = {
             let mut orphans = lock_unpoisoned(&self.inner.orphans);
             let (free, keep): (Vec<_>, Vec<_>) =
                 orphans.drain(..).partition(|g| g.retire_era + 2 <= e);
@@ -445,12 +432,9 @@ impl Smr for Ebr {
             free
         };
         let n = eligible.len();
-        for g in eligible {
-            // SAFETY: eligibility = retired two epochs before the oldest live
-            // announcement; no reader can still reach g.
-            unsafe { self.inner.stats.reclaim_node(g) };
-        }
-        self.inner.stats.on_reclaim(n);
+        // SAFETY: eligibility = retired two epochs before the oldest live
+        // announcement; no reader can still reach these nodes.
+        unsafe { self.inner.stats.reclaim(eligible.drain(..)) };
         self.inner.stats.adopted(n);
     }
 }

@@ -91,36 +91,29 @@ impl HeInner {
     fn scan(&self, garbage: &mut Vec<Retired>) {
         self.adopt_orphans(garbage);
         let snapshot = self.reservation_snapshot();
-        let before = garbage.len();
-        let mut kept = Vec::new();
-        for g in garbage.drain(..) {
-            // Smallest reserved era ≥ birth; the node is pinned iff it
-            // also falls at or before the retire era.
-            let i = snapshot.partition_point(|&(e, _)| e < g.birth_era);
-            if i < snapshot.len() && snapshot[i].0 <= g.retire_era {
-                self.stats.blocked(snapshot[i].1, 1);
-                kept.push(g);
-            } else {
-                // SAFETY: the scan found no hazard era covering [birth, retire] —
-                // no reader can still hold a protected reference to g.
-                unsafe { self.stats.reclaim_node(g) };
-            }
-        }
-        self.stats.on_reclaim(before - kept.len());
-        *garbage = kept;
+        // SAFETY: a node no hazard era covers ([birth, retire]) is one no
+        // reader can still hold a protected reference to.
+        unsafe {
+            self.stats.reclaim_unless(garbage, |g| {
+                // Smallest reserved era ≥ birth; the node is pinned iff it
+                // also falls at or before the retire era.
+                let i = snapshot.partition_point(|&(e, _)| e < g.birth_era);
+                let held = i < snapshot.len() && snapshot[i].0 <= g.retire_era;
+                if held {
+                    self.stats.blocked(snapshot[i].1, 1);
+                }
+                held
+            })
+        };
     }
 }
 
 impl Drop for HeInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: orphans already survived a full hazard-era scan after
-            // their owner departed; nothing can reach them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: orphans already survived a full hazard-era scan after
+        // their owner departed; nothing can reach them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 

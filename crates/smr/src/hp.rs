@@ -92,37 +92,29 @@ impl HpInner {
     fn scan(&self, garbage: &mut Vec<Retired>) {
         self.adopt_orphans(garbage);
         let hazards = self.hazard_snapshot();
-        let before = garbage.len();
-        let mut kept = Vec::with_capacity(hazards.len().min(before));
-        for g in garbage.drain(..) {
-            match hazards.binary_search_by(|&(a, _)| a.cmp(&(g.ptr as usize))) {
-                Ok(i) => {
+        // SAFETY: a node no hazard slot holds is unreachable — after the
+        // SeqCst scan, no reader can reach it (Michael's HP invariant).
+        unsafe {
+            self.stats.reclaim_unless(garbage, |g| {
+                let held = hazards.binary_search_by(|&(a, _)| a.cmp(&(g.ptr as usize)));
+                if let Ok(i) = held {
                     // Reclamation of this node is blocked by the owner's
                     // published hazard — HP's robustness means the blame
                     // list is also the bound on what survives.
                     self.stats.blocked(hazards[i].1, 1);
-                    kept.push(g);
                 }
-                // SAFETY: no hazard slot holds g's address — after the SeqCst
-                // scan, no reader can reach it (Michael's HP invariant).
-                Err(_) => unsafe { self.stats.reclaim_node(g) },
-            }
-        }
-        self.stats.on_reclaim(before - kept.len());
-        *garbage = kept;
+                held.is_ok()
+            })
+        };
     }
 }
 
 impl Drop for HpInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: orphans already survived a hazard scan after their owner
-            // departed; nothing can reach them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: orphans already survived a hazard scan after their owner
+        // departed; nothing can reach them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -428,6 +420,76 @@ mod tests {
         smr.end_op(&mut stalled);
         smr.flush(&mut worker);
         assert_eq!(smr.stats().retired_now, 0);
+    }
+
+    #[test]
+    fn a_scan_reclaims_its_batch_as_one_run_of_ticks() {
+        const N: usize = 48;
+        if !cfg!(feature = "trace") {
+            return; // tracing compiled out: nothing to observe
+        }
+        let recorder = Recorder::new(2);
+        let smr = Hp::with_threshold(2, 1, N);
+        smr.attach_recorder(&recorder);
+        let mut reader = smr.register().unwrap();
+        let mut writer = smr.register().unwrap();
+        // One node stays protected, so the scan also keeps (and blames).
+        let pinned = new_node(0);
+        let shared = AtomicUsize::new(pinned);
+        assert_eq!(smr.load(&mut reader, 0, &shared), pinned);
+        // SAFETY(ordering): SeqCst unlink, as the scheme's scans expect.
+        shared.store(0, Ordering::SeqCst);
+        // SAFETY: pinned is now unlinked, every other node never was
+        // linked; each is a leaked Box<u64> retired exactly once. The
+        // N-th retire reaches the threshold and scans.
+        unsafe { smr.retire(&mut writer, pinned as *mut u8, std::ptr::null(), free_u64) };
+        for v in 1..N as u64 {
+            unsafe {
+                smr.retire(
+                    &mut writer,
+                    new_node(v) as *mut u8,
+                    std::ptr::null(),
+                    free_u64,
+                )
+            };
+        }
+        let st = smr.stats();
+        assert_eq!(
+            (st.total_retired, st.total_reclaimed),
+            (N as u64, N as u64 - 1)
+        );
+
+        let log = recorder.drain();
+        assert_eq!(log.dropped, 0);
+        let retired_at = |addr: u64| {
+            log.events
+                .iter()
+                .position(|e| e.hook == Hook::Retire as u8 && e.a == addr)
+                .expect("every reclaimed node was retired")
+        };
+        let reclaims: Vec<(usize, &era_obs::Event)> = log
+            .events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.hook == Hook::Reclaim as u8)
+            .collect();
+        assert_eq!(reclaims.len(), N - 1, "one Reclaim per freed node");
+        for (k, &(at, e)) in reclaims.iter().enumerate() {
+            assert!(
+                retired_at(e.a) < at,
+                "Reclaim of {:#x} before its Retire",
+                e.a
+            );
+            assert_ne!(e.a, pinned as u64, "the protected node is not freed");
+            assert_eq!(e.ts, reclaims[0].1.ts + k as u64, "one run of ticks");
+        }
+        let histogram = recorder.metrics().reclaim_latency.snapshot();
+        assert_eq!(histogram.total(), N as u64 - 1);
+        assert_eq!(log.with_hook(Hook::Blocked).count(), 1);
+
+        smr.end_op(&mut reader);
+        smr.flush(&mut writer);
+        assert_eq!(smr.stats().total_reclaimed, N as u64);
     }
 
     #[test]

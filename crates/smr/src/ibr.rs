@@ -89,37 +89,29 @@ impl IbrInner {
                 )
             })
             .collect();
-        let before = garbage.len();
-        let mut kept = Vec::new();
-        'outer: for g in garbage.drain(..) {
-            for (i, &(lo, hi)) in intervals.iter().enumerate() {
-                if lo == NONE {
-                    continue;
-                }
+        // SAFETY: a node whose lifetime meets no reserved interval is one
+        // no in-flight operation can reach.
+        unsafe {
+            self.stats.reclaim_unless(garbage, |g| {
                 // Lifetimes/intervals intersect iff birth ≤ hi ∧ lo ≤ retire.
-                if g.birth_era <= hi && lo <= g.retire_era {
+                let blocker = intervals
+                    .iter()
+                    .position(|&(lo, hi)| lo != NONE && g.birth_era <= hi && lo <= g.retire_era);
+                if let Some(i) = blocker {
                     self.stats.blocked(i, 1);
-                    kept.push(g);
-                    continue 'outer;
                 }
-            }
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(before - kept.len());
-        *garbage = kept;
+                blocker.is_some()
+            })
+        };
     }
 }
 
 impl Drop for IbrInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: orphans already survived a full reservation-interval scan
-            // after their owner departed; nothing can reach them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: orphans already survived a full reservation-interval scan
+        // after their owner departed; nothing can reach them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 

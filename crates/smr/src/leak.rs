@@ -30,14 +30,10 @@ struct LeakInner {
 impl Drop for LeakInner {
     fn drop(&mut self) {
         // No thread contexts remain (they hold an Arc): safe to free.
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: called from Drop with exclusive access — the run is over
-            // and no thread can reach the leaked garbage.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: called from Drop with exclusive access — the run is over
+        // and no thread can reach the leaked garbage.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 

@@ -128,34 +128,23 @@ impl NbrInner {
             .map(|r| r.load(Ordering::SeqCst))
             .filter(|&w| w != 0)
             .collect();
-        let before = garbage.len();
-        let mut kept = Vec::new();
-        for g in garbage.drain(..) {
-            if reserved.contains(&(g.ptr as usize)) {
-                kept.push(g);
-            } else {
-                // SAFETY: every in-flight reader either acknowledged a round newer
-                // than this retire or published a reservation; unreserved garbage
-                // is unreachable from any read phase.
-                unsafe { self.stats.reclaim_node(g) };
-            }
-        }
-        self.stats.on_reclaim(before - kept.len());
-        *garbage = kept;
+        // SAFETY: every in-flight reader either acknowledged a round newer
+        // than this retire or published a reservation; unreserved garbage
+        // is unreachable from any read phase.
+        unsafe {
+            self.stats
+                .reclaim_unless(garbage, |g| reserved.contains(&(g.ptr as usize)))
+        };
         true
     }
 }
 
 impl Drop for NbrInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: orphans were retired by a departed thread and survived its
-            // final neutralize round — no live read phase can reach them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: orphans were retired by a departed thread and survived its
+        // final neutralize round — no live read phase can reach them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 

@@ -87,14 +87,10 @@ impl QsbrInner {
 
 impl Drop for QsbrInner {
     fn drop(&mut self) {
-        let orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        let n = orphans.len();
-        for g in orphans {
-            // SAFETY: orphans already aged a full grace period after their
-            // owner departed; no thread can still reach them.
-            unsafe { self.stats.reclaim_node(g) };
-        }
-        self.stats.on_reclaim(n);
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        // SAFETY: orphans already aged a full grace period after their
+        // owner departed; no thread can still reach them.
+        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -204,21 +200,14 @@ impl Qsbr {
     }
 
     fn collect(&self, ctx: &mut QsbrCtx, grace: u64) {
-        if ctx.garbage.is_empty() {
-            return;
-        }
-        let (free, keep): (Vec<_>, Vec<_>) = ctx
-            .garbage
-            .drain(..)
-            .partition(|r| r.retire_era + 2 <= grace);
-        let n = free.len();
-        for g in free {
-            // SAFETY: every registered thread passed a quiescent point after
-            // these were retired — the QSBR grace-period guarantee.
-            unsafe { self.inner.stats.reclaim_node(g) };
-        }
-        ctx.garbage = keep;
-        self.inner.stats.on_reclaim(n);
+        // SAFETY: every registered thread passed a quiescent point after
+        // the nodes two grace periods old were retired — the QSBR
+        // grace-period guarantee.
+        unsafe {
+            self.inner
+                .stats
+                .reclaim_unless(&mut ctx.garbage, |r| r.retire_era + 2 > grace)
+        };
     }
 }
 
@@ -365,7 +354,7 @@ impl Smr for Qsbr {
         let g = self.inner.try_advance();
         self.collect(ctx, g);
         // Adopt orphaned garbage from departed threads.
-        let eligible: Vec<Retired> = {
+        let mut eligible: Vec<Retired> = {
             let mut orphans = lock_unpoisoned(&self.inner.orphans);
             let (free, keep): (Vec<_>, Vec<_>) =
                 orphans.drain(..).partition(|r| r.retire_era + 2 <= g);
@@ -373,12 +362,9 @@ impl Smr for Qsbr {
             free
         };
         let n = eligible.len();
-        for r in eligible {
-            // SAFETY: same grace-period argument as try_reclaim — every thread
-            // was quiescent since these retires.
-            unsafe { self.inner.stats.reclaim_node(r) };
-        }
-        self.inner.stats.on_reclaim(n);
+        // SAFETY: same grace-period argument as `collect` — every thread
+        // was quiescent since these retires.
+        unsafe { self.inner.stats.reclaim(eligible.drain(..)) };
         self.inner.stats.adopted(n);
     }
 }

@@ -303,7 +303,7 @@ impl<const C: usize> Arena<C> {
         }
         self.stats.on_reclaim(1);
         // Retire *is* reclaim for VBR: the per-node Reclaim event (`a`
-        // = slot index, `b` = latency 0) mirrors what `reclaim_node`
+        // = slot index, `b` = latency 0) mirrors what `StatCells::reclaim`
         // emits for the deferred schemes, keeping `era-view` chains
         // uniform across the matrix.
         self.stats.event(Hook::Reclaim, h.idx as u64, 0);

@@ -16,7 +16,13 @@
 //! a shared word on that path shows up here as a 4–10× gap that a
 //! one-thread probe can never see.
 //!
-//! The `smr load` rows under them time one protected [`Smr::load`] of a
+//! The `kv write` rows do the same for the write path a service runs:
+//! put/remove churn on a 4-shard HP `KvStore`, one thread alone and two
+//! threads on disjoint keys. The keys share nothing, so a 2-thread row
+//! well above the 1-thread one is a shard-wide word written per write
+//! (an admission counter, a per-node lock or clock tick on reclaim).
+//!
+//! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
 //! one: what a scheme charges per node a traversal steps onto, before
 //! any structure is involved (HP: publish, full barrier, re-validate).
@@ -30,6 +36,7 @@ use std::time::Instant;
 
 use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelList};
+use era::kv::{KvConfig, KvCtx, KvStore};
 use era::obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
@@ -42,6 +49,7 @@ use era::smr::nbr::Nbr;
 const OPS_PER_REP: usize = 100_000;
 const REPS: usize = 31;
 const EMITS_PER_REP: usize = 1 << 20;
+const WRITES_PER_REP: usize = 1 << 16;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -113,6 +121,49 @@ fn bench_emit() {
     );
 }
 
+/// ns per write of one burst of `WRITES_PER_REP` writes: put then
+/// remove of keys `owner`, `owner + 2`, … (so two owners never share a
+/// key), every remove retiring a node.
+fn write_burst(store: &KvStore<'_, Hp>, ctx: &mut KvCtx<Hp>, owner: i64) -> f64 {
+    let start = Instant::now();
+    for i in 0..(WRITES_PER_REP / 2) as i64 {
+        let key = 2 * (i % 1024) + owner;
+        store.put(ctx, key, i).expect("robust shard admits");
+        store.remove(ctx, key).expect("robust shard admits");
+    }
+    start.elapsed().as_secs_f64() * 1e9 / WRITES_PER_REP as f64
+}
+
+/// Min-of-reps ns/write on a 4-shard HP store, for one writer alone
+/// and for two writers on disjoint keys, timed as `bench_emit` does.
+fn bench_kv_write() {
+    let schemes: Vec<Hp> = (0..4).map(|_| Hp::new(4, 3)).collect();
+    let store = KvStore::new(&schemes, KvConfig::default());
+    let mut first = store.register().expect("capacity");
+    let mut second = store.register().expect("capacity");
+    let alone = (0..REPS)
+        .map(|_| write_burst(&store, &mut first, 0))
+        .fold(f64::INFINITY, f64::min);
+    let together = (0..REPS)
+        .map(|_| {
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                let peer = s.spawn(|| {
+                    start.wait();
+                    write_burst(&store, &mut second, 1)
+                });
+                start.wait();
+                write_burst(&store, &mut first, 0).max(peer.join().expect("write thread"))
+            })
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!("kv write 1 thread : min {alone:.1} ns/op");
+    println!(
+        "kv write 2 threads: min {together:.1} ns/op  ({:.2}x the 1-thread row)",
+        together / alone
+    );
+}
+
 /// Min-of-reps ns per protected load of a stable word, inside one
 /// operation, tracer armed.
 fn bench_load<S: Smr>(name: &str, smr: &S) {
@@ -157,6 +208,8 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     println!("-- era-obs emit (Hook::Load, one recorder)");
     bench_emit();
+    println!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
+    bench_kv_write();
     println!("-- smr load (one protected load of a stable word, recorder attached)");
     bench_load("hp ", &Hp::new(2, 3));
     bench_load("he ", &He::new(2, 3));
