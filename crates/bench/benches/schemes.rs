@@ -10,7 +10,7 @@ use era_smr::common::Smr;
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
 
 fn bench_scheme<S: Smr>(c: &mut Criterion, smr: S) {
-    let name = smr.name();
+    let name = smr.kind().name();
     let mut ctx = smr.register().expect("one slot");
     let word = AtomicUsize::new(0x1000);
 

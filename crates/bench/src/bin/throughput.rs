@@ -109,7 +109,8 @@ fn main() {
                     let rec = report_path.as_ref().map(|_| Recorder::new(t + 2));
                     let st = $run(&smr, &spec, rec.as_ref());
                     if let Some(rec) = &rec {
-                        records.push(RunRecord::collect($structure, smr.name(), &spec, st, rec));
+                        let scheme = smr.kind().name();
+                        records.push(RunRecord::collect($structure, scheme, &spec, st, rec));
                     }
                     cells.push(format!("{:.2}", st.mops()));
                 }

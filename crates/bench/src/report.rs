@@ -15,7 +15,7 @@
 //! | key | type | meaning |
 //! |---|---|---|
 //! | `structure` | string | Data structure driven (`michael`, `harris`, `skiplist`; a `vbr-list` run has no `Smr` to attach a recorder to and writes no record). |
-//! | `scheme` | string | Reclamation scheme name as reported by [`Smr::name`](era_smr::common::Smr::name). |
+//! | `scheme` | string | Reclamation scheme display name, [`SchemeKind::name`](era_smr::SchemeKind::name). |
 //! | `mix` | string | Operation mix, e.g. `"90r/5i/5d"`. |
 //! | `threads` | int | Worker threads. |
 //! | `ops` | int | Total completed operations (all threads). |

@@ -124,7 +124,7 @@ fn run_set<S: Smr + Sync, L: ConcurrentSet<Ctx = S::ThreadCtx> + Sync>(
         spec,
         || smr.stats(),
         |ctx| smr.flush(ctx),
-        recorder.map(|rec| (rec, SchemeId::from_name(smr.name()))),
+        recorder.map(|rec| (rec, smr.kind().id())),
     )
 }
 

@@ -20,11 +20,13 @@
 
 use era_obs::Recorder;
 #[cfg(feature = "inject")]
-use era_obs::{Hook, SchemeId, ThreadTracer};
+use era_obs::{Hook, ThreadTracer};
 use era_smr::common::DropFn;
 #[cfg(feature = "inject")]
 use era_smr::CachePadded;
-use era_smr::{EpochProtected, RegisterError, Smr, SmrHeader, SmrStats, SupportsUnlinkedTraversal};
+use era_smr::{
+    EpochProtected, RegisterError, SchemeKind, Smr, SmrHeader, SmrStats, SupportsUnlinkedTraversal,
+};
 
 #[cfg(feature = "inject")]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -153,7 +155,7 @@ pub struct ChaosSmr<S: Smr> {
 impl<S: Smr> std::fmt::Debug for ChaosSmr<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosSmr")
-            .field("inner", &self.inner.name())
+            .field("inner", &self.inner.kind().name())
             .field("planned", &self.plan.ops.len())
             .finish()
     }
@@ -456,17 +458,17 @@ impl<S: Smr> Smr for ChaosSmr<S> {
         self.inner.register()
     }
 
-    fn name(&self) -> &'static str {
-        // Transparent on purpose: records and SchemeId mapping key off
-        // the scheme under test, not the harness around it.
-        self.inner.name()
+    fn kind(&self) -> SchemeKind {
+        // Transparent on purpose: records and trace ids key off the
+        // scheme under test, not the harness around it.
+        self.inner.kind()
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {
         self.inner.attach_recorder(recorder);
         #[cfg(feature = "inject")]
         let _ = self.st.tracer.set(Mutex::new(
-            recorder.tracer(CHAOS_THREAD, SchemeId::from_name(self.inner.name())),
+            recorder.tracer(CHAOS_THREAD, self.inner.kind().id()),
         ));
     }
 
@@ -623,7 +625,7 @@ mod tests {
         assert_eq!(smr.faults_injected(), 0);
         assert!(smr.fault_log().is_empty());
         assert_eq!(smr.stats().total_retired, 0);
-        assert_eq!(smr.name(), "Leak");
+        assert_eq!(smr.kind(), SchemeKind::Leak);
         assert_eq!(smr.op_clock(), 100);
     }
 

@@ -115,7 +115,7 @@ unsafe impl<S: Smr + SupportsUnlinkedTraversal + Send> Send for HarrisList<'_, S
 impl<S: Smr + SupportsUnlinkedTraversal> fmt::Debug for HarrisList<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HarrisList")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }
@@ -558,7 +558,7 @@ mod tests {
             for _ in 0..1_000 {
                 assert!(!list.insert(&mut ctx, 7));
             }
-            assert_eq!(smr.stats().total_retired, 0, "{}", smr.name());
+            assert_eq!(smr.stats().total_retired, 0, "{}", smr.kind().name());
             assert_eq!(list.collect_keys(), vec![7]);
         }
         check(&Ebr::new(2));

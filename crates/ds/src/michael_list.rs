@@ -39,7 +39,7 @@ pub struct MichaelList<'s, S: Smr> {
 impl<S: Smr> fmt::Debug for MichaelList<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MichaelList")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }

@@ -91,7 +91,7 @@ pub struct MichaelMap<'s, S: Smr> {
 impl<S: Smr> fmt::Debug for MichaelMap<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MichaelMap")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }
@@ -519,7 +519,7 @@ mod tests {
             assert_eq!(map.insert(&mut ctx, k, k), None);
         }
         let loads = || recorder.metrics().hook_count(Hook::Load);
-        let name = smr.name();
+        let name = smr.kind().name();
         for h in 1..=8u64 {
             let k = h as i64;
             let before = loads();

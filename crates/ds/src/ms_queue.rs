@@ -65,7 +65,7 @@ pub struct MsQueue<'s, S: Smr> {
 impl<S: Smr> fmt::Debug for MsQueue<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MsQueue")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }

@@ -85,7 +85,7 @@ unsafe impl<S: Smr + EpochProtected + Send> Send for SkipList<'_, S> {}
 impl<S: Smr + EpochProtected> fmt::Debug for SkipList<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SkipList")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }

@@ -54,7 +54,7 @@ pub struct TreiberStack<'s, S: Smr> {
 impl<S: Smr> fmt::Debug for TreiberStack<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TreiberStack")
-            .field("smr", &self.smr.name())
+            .field("smr", &self.smr.kind().name())
             .finish_non_exhaustive()
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use era_ds::HashMap;
-use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
+use era_obs::{Hook, Recorder, ThreadTracer};
 use era_smr::{CachePadded, RegisterError, Smr, SmrStats};
 
 use crate::navigator::ShardHealth;
@@ -264,8 +264,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
             .map(|smr| {
                 let recorder = Recorder::with_ring_capacity(cfg.max_threads, cfg.ring_capacity);
                 smr.attach_recorder(&recorder);
-                let nav_tracer =
-                    Mutex::new(recorder.tracer(NAVIGATOR_THREAD, SchemeId::from_name(smr.name())));
+                let nav_tracer = Mutex::new(recorder.tracer(NAVIGATOR_THREAD, smr.kind().id()));
                 CachePadded::new(Shard {
                     smr,
                     map: HashMap::new(smr, cfg.buckets_per_shard),

@@ -10,10 +10,8 @@
 //!   *structure* never reach the identifier/punctuation stream, so rule
 //!   patterns cannot be spoofed by prose (a doc comment mentioning
 //!   `unsafe`, a test embedding bad code in a string literal). String
-//!   literals keep their inner text on the [`TokKind::Literal`] token —
-//!   rules that match identifiers or punctuation never see it, but the
-//!   R9 scheme-obligation check reads the scenarios invariant table
-//!   (`matches!(name, "HP" | …)`) straight from those literals.
+//!   literals keep their inner text on the [`TokKind::Literal`] token,
+//!   where rules that match identifiers or punctuation never see it.
 //! * [`Comment`]s — the comment text per line, which is exactly where
 //!   the discipline this linter enforces lives (`// SAFETY:`,
 //!   `SAFETY(ordering)`, `// LINT:` waivers, `# Safety` doc sections,

@@ -152,8 +152,7 @@ pub fn check_tree(root: &Path, cfg: &LintConfig) -> std::io::Result<CheckReport>
 
 /// [`check_tree`] with an explicit (or no) baseline. All files are
 /// parsed up front and checked as **one unit**, so the cross-file
-/// rules (R8 fence-pairing, R9 scheme obligations vs. the scenarios
-/// invariant table) see the whole workspace at once.
+/// rule (R8 fence-pairing) sees the whole workspace at once.
 pub fn check_tree_with(
     root: &Path,
     cfg: &LintConfig,

@@ -4,9 +4,9 @@
 //! discipline into a machine-checked fact. R1–R5 are *syntactic*
 //! approximations over the token stream (DESIGN §3.10); R6/R7 run the
 //! flow-sensitive pointer life-cycle pass ([`crate::flow`]) over each
-//! function body; R8/R9 are **cross-file** passes over a whole check
-//! unit ([`check_unit`]) — the fence-pairing graph and the ERA
-//! scheme-obligation check (same section).
+//! function body; R8 is a **cross-file** pass over a whole check unit
+//! ([`check_unit`]) — the fence-pairing graph (same section). R9, the
+//! ERA scheme-obligation check, reads one scheme file at a time.
 
 use std::collections::BTreeMap;
 
@@ -48,7 +48,7 @@ pub enum Rule {
     FencePairing,
     /// R9: every `impl Smr` declares its ERA class in an
     /// `// ERA-CLASS:` header whose claim matches the implementation's
-    /// structure and the crates/scenarios invariant table.
+    /// structure.
     SchemeObligation,
 }
 
@@ -159,14 +159,14 @@ const FLOW_SCOPED: [&str; 4] = [
 ];
 
 /// Runs every rule against one parsed file (a single-file check unit:
-/// the cross-file rules R8/R9 see only this file).
+/// the cross-file rule R8 sees only this file).
 pub fn check_file(file: &SourceFile, scope: Scope) -> Vec<Finding> {
     check_unit(std::slice::from_ref(file), scope)
 }
 
-/// Runs every rule against a check unit: the per-file rules R1–R7,
-/// then the cross-file passes (R8 fence-pairing graph, R9 scheme
-/// obligations) over the whole unit at once.
+/// Runs every rule against a check unit: the per-file rules R1–R7 and
+/// R9, then the cross-file R8 fence-pairing graph over the whole unit
+/// at once.
 pub fn check_unit(files: &[SourceFile], scope: Scope) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files {
@@ -180,9 +180,11 @@ pub fn check_unit(files: &[SourceFile], scope: Scope) -> Vec<Finding> {
         if scope == Scope::All || FLOW_SCOPED.iter().any(|p| file.path.contains(p)) {
             r6_r7_lifecycle(file, &mut out);
         }
+        if scope == Scope::All || file.path.contains("crates/smr/") {
+            r9_scheme_obligation(file, &mut out);
+        }
     }
     r8_fence_pairing(files, &mut out);
-    r9_scheme_obligation(files, scope, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }
@@ -635,85 +637,45 @@ fn r8_fence_pairing(files: &[SourceFile], out: &mut Vec<Finding>) {
 /// [`Scope::All`]) must carry a machine-readable header comment
 ///
 /// ```text
-/// // ERA-CLASS: <Name> <robust|non-robust>
+/// // ERA-CLASS: <Name> <robust|weakly-robust|non-robust>
 /// ```
 ///
 /// and the claim must match the implementation's structure: a robust
-/// scheme (bounded trapped memory, Def. 4.2) must contain a
-/// bounded-scan reclaim path (a `*threshold*` knob plus a
-/// `*scan*`/`*reclaim*` routine); a non-robust one must not advertise
-/// a bound (no `*bound*` function). When the check unit contains the
-/// crates/scenarios invariant table (`fn is_robust_scheme`), the
-/// declared class is also cross-checked against it — the lint, the
-/// runtime verdicts and the docs must all tell the same ERA story.
-fn r9_scheme_obligation(files: &[SourceFile], scope: Scope, out: &mut Vec<Finding>) {
-    // The invariant table, when present in the unit: scheme names the
-    // scenarios layer holds to a robustness bound.
-    let mut table: Option<Vec<String>> = None;
-    for file in files {
-        for f in &file.fns {
-            if f.name == "is_robust_scheme" {
-                let names: Vec<String> = file.lexed.toks[f.body.0..=f.body.1]
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Literal && !t.text.is_empty())
-                    .map(|t| t.text.clone())
-                    .collect();
-                if !names.is_empty() {
-                    table = Some(names);
-                }
-            }
-        }
-    }
-    for file in files {
-        if file.impl_smrs.is_empty() {
-            continue;
-        }
-        if scope == Scope::Auto && !file.path.contains("crates/smr/") {
-            continue;
-        }
-        let impl_line = file.impl_smrs[0].line;
-        let header = file
-            .lexed
-            .comments
-            .iter()
-            .enumerate()
-            .find_map(|(line, c)| {
-                c.text
-                    .find("ERA-CLASS:")
-                    .map(|pos| (line, c.text[pos + "ERA-CLASS:".len()..].to_string()))
-            });
-        let Some((header_line, rest)) = header else {
-            out.push(finding(
-                file,
-                Rule::SchemeObligation,
-                impl_line,
-                "file contains an `impl Smr` but no machine-readable \
-                 `// ERA-CLASS: <Name> <robust|non-robust>` header",
-            ));
-            continue;
-        };
-        let mut words = rest.split_whitespace();
-        let name = words.next().unwrap_or("").to_string();
-        let class = words.next().unwrap_or("");
-        let robust = match class {
-            "robust" => true,
-            "non-robust" => false,
-            _ => {
-                out.push(finding(
-                    file,
-                    Rule::SchemeObligation,
-                    header_line,
-                    format!(
-                        "malformed ERA-CLASS header: want `<Name> <robust|non-robust>`, \
-                         got `{}`",
-                        rest.trim()
-                    ),
-                ));
-                continue;
-            }
-        };
-        if robust {
-            // Def. 4.2 structural witness: a reclamation path that
+/// or weakly robust scheme (bounded trapped memory, Defs. 5.1–5.2)
+/// must contain a bounded-scan reclaim path (a `*threshold*` knob plus
+/// a `*scan*`/`*reclaim*` routine); a non-robust one must not advertise
+/// a bound (no `*bound*` function). That the header names the class
+/// era-smr's scheme registry holds is checked next to the registry, by
+/// its own tests.
+fn r9_scheme_obligation(file: &SourceFile, out: &mut Vec<Finding>) {
+    let Some(first_impl) = file.impl_smrs.first() else {
+        return;
+    };
+    let header = file
+        .lexed
+        .comments
+        .iter()
+        .enumerate()
+        .find_map(|(line, c)| {
+            c.text
+                .find("ERA-CLASS:")
+                .map(|pos| (line, c.text[pos + "ERA-CLASS:".len()..].to_string()))
+        });
+    let Some((header_line, rest)) = header else {
+        out.push(finding(
+            file,
+            Rule::SchemeObligation,
+            first_impl.line,
+            "file contains an `impl Smr` but no machine-readable \
+             `// ERA-CLASS: <Name> <robust|weakly-robust|non-robust>` header",
+        ));
+        return;
+    };
+    let mut words = rest.split_whitespace();
+    let name = words.next().unwrap_or("");
+    match words.next().unwrap_or("") {
+        class @ ("robust" | "weakly-robust") => {
+            // Defs. 5.1–5.2 structural witness: a reclamation path that
             // scans a bounded set, gated by a threshold.
             let has_threshold = file
                 .lexed
@@ -729,12 +691,13 @@ fn r9_scheme_obligation(files: &[SourceFile], scope: Scope, out: &mut Vec<Findin
                     Rule::SchemeObligation,
                     header_line,
                     format!(
-                        "`{name}` claims robust but shows no bounded-scan reclaim path \
+                        "`{name}` claims {class} but shows no bounded-scan reclaim path \
                          (need a *threshold* knob and a *scan*/*reclaim* routine)"
                     ),
                 ));
             }
-        } else {
+        }
+        "non-robust" => {
             // A non-robust scheme advertising a bound is the ERA
             // theorem violated in the API.
             if let Some(f) = file.fns.iter().find(|f| f.name.contains("bound")) {
@@ -750,22 +713,16 @@ fn r9_scheme_obligation(files: &[SourceFile], scope: Scope, out: &mut Vec<Findin
                 ));
             }
         }
-        if let Some(table) = &table {
-            let in_table = table.iter().any(|n| n == &name);
-            if in_table != robust {
-                out.push(finding(
-                    file,
-                    Rule::SchemeObligation,
-                    header_line,
-                    format!(
-                        "ERA-CLASS says `{name}` is {}, but the crates/scenarios invariant \
-                         table says {} — the lint and the runtime verdicts must agree",
-                        if robust { "robust" } else { "non-robust" },
-                        if in_table { "robust" } else { "non-robust" },
-                    ),
-                ));
-            }
-        }
+        _ => out.push(finding(
+            file,
+            Rule::SchemeObligation,
+            header_line,
+            format!(
+                "malformed ERA-CLASS header: want \
+                 `<Name> <robust|weakly-robust|non-robust>`, got `{}`",
+                rest.trim()
+            ),
+        )),
     }
 }
 
@@ -975,13 +932,16 @@ mod tests {
     #[test]
     fn r9_robust_claim_needs_bounded_scan_path() {
         let base = "impl Smr for Foo {\n    fn begin_op(&self) { self.inner.begin_op(ctx) }\n    fn retire(&self) { self.inner.retire(ctx) }\n}";
-        let bare = format!("// ERA-CLASS: Foo robust\n{base}");
-        let f = run("a.rs", &bare);
-        assert_eq!(rules_of(&f), vec![Rule::SchemeObligation], "{f:?}");
-        let witnessed = format!(
-            "// ERA-CLASS: Foo robust\nconst scan_threshold: usize = 64;\nfn scan_and_reclaim() {{}}\n{base}"
-        );
-        assert!(run("a.rs", &witnessed).is_empty());
+        for class in ["robust", "weakly-robust"] {
+            let bare = format!("// ERA-CLASS: Foo {class}\n{base}");
+            let f = run("a.rs", &bare);
+            assert_eq!(rules_of(&f), vec![Rule::SchemeObligation], "{f:?}");
+            assert!(f[0].message.contains(class), "{f:?}");
+            let witnessed = format!(
+                "// ERA-CLASS: Foo {class}\nconst scan_threshold: usize = 64;\nfn scan_and_reclaim() {{}}\n{base}"
+            );
+            assert!(run("a.rs", &witnessed).is_empty(), "{class}");
+        }
     }
 
     #[test]
@@ -990,25 +950,6 @@ mod tests {
         let f = run("a.rs", src);
         assert_eq!(rules_of(&f), vec![Rule::SchemeObligation], "{f:?}");
         assert!(f[0].message.contains("robustness_bound"), "{f:?}");
-    }
-
-    #[test]
-    fn r9_cross_checks_the_invariant_table() {
-        let scheme = SourceFile::parse(
-            "crates/smr/src/foo.rs",
-            "// ERA-CLASS: Foo robust\nconst scan_threshold: usize = 64;\nfn scan_and_reclaim() {}\nimpl Smr for Foo {\n    fn begin_op(&self) { self.inner.begin_op(ctx) }\n    fn retire(&self) { self.inner.retire(ctx) }\n}",
-        );
-        let table = SourceFile::parse(
-            "crates/scenarios/src/invariant.rs",
-            "pub fn is_robust_scheme(name: &str) -> bool {\n    matches!(name, \"HP\" | \"HE\")\n}",
-        );
-        let f = check_unit(&[scheme, table], Scope::Auto);
-        let r9: Vec<_> = f
-            .iter()
-            .filter(|x| x.rule == Rule::SchemeObligation)
-            .collect();
-        assert_eq!(r9.len(), 1, "Foo robust but not in table: {f:?}");
-        assert!(r9[0].message.contains("invariant"), "{r9:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `era-net serve` — run the TCP front-end over a fresh sharded store.
 //!
 //! Usage:
-//!   era-net serve [--addr 127.0.0.1:0] [--scheme ebr|qsbr|hp]
+//!   era-net serve [--addr 127.0.0.1:0] [--scheme ebr|qsbr|hp|he|ibr|nbr]
 //!                 [--shards N] [--workers N] [--soft N] [--hard N]
 //!                 [--duration SECS] [--addr-file PATH]
 //!                 [--flight-dump out.eraflt]
@@ -12,18 +12,20 @@
 //! written to `--addr-file` when given) so scripts driving an
 //! ephemeral port can discover it. The flight recorder is always
 //! armed: a panic writes a crash `.eraflt`, and a clean `--duration`
-//! exit writes the same dump.
+//! exit writes the same dump. A flag with a missing or unparsable value
+//! exits 2 naming the flag.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 use era_kv::{KvConfig, KvStore};
 use era_net::{NetConfig, NetServer};
-use era_smr::{ebr::Ebr, hp::Hp, qsbr::Qsbr, Smr};
+use era_smr::{with_scheme, SchemeKind, Smr};
 
 struct Options {
     addr: String,
-    scheme: String,
+    scheme: SchemeKind,
     shards: usize,
     workers: usize,
     soft: usize,
@@ -36,7 +38,7 @@ struct Options {
 fn parse_options() -> Options {
     let mut opts = Options {
         addr: "127.0.0.1:0".to_string(),
-        scheme: "ebr".to_string(),
+        scheme: SchemeKind::Ebr,
         shards: 4,
         workers: 4,
         soft: 512,
@@ -48,42 +50,53 @@ fn parse_options() -> Options {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("serve") => {}
-        Some(other) => {
-            eprintln!("unknown subcommand {other} (only `serve` exists)");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("usage: era-net serve [--addr HOST:PORT] [--scheme ebr|qsbr|hp] ...");
-            std::process::exit(2);
-        }
+        Some(other) => bad_args(&format!("unknown subcommand {other} (only `serve` exists)")),
+        None => bad_args(
+            "usage: era-net serve [--addr HOST:PORT] [--scheme ebr|qsbr|hp|he|ibr|nbr] ...",
+        ),
     }
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => opts.addr = value(&mut args, "--addr"),
-            "--scheme" => opts.scheme = value(&mut args, "--scheme"),
-            "--shards" => opts.shards = value(&mut args, "--shards").parse().unwrap_or(4).max(1),
-            "--workers" => opts.workers = value(&mut args, "--workers").parse().unwrap_or(4).max(1),
-            "--soft" => opts.soft = value(&mut args, "--soft").parse().unwrap_or(512),
-            "--hard" => opts.hard = value(&mut args, "--hard").parse().unwrap_or(2_048),
+            "--scheme" => {
+                let s: String = value(&mut args, "--scheme");
+                opts.scheme = SchemeKind::parse(&s).unwrap_or_else(|| {
+                    bad_args(&format!(
+                        "unknown --scheme {s} (use ebr|qsbr|hp|he|ibr|nbr)"
+                    ))
+                });
+            }
+            "--shards" => opts.shards = value::<usize>(&mut args, "--shards").max(1),
+            "--workers" => opts.workers = value::<usize>(&mut args, "--workers").max(1),
+            "--soft" => opts.soft = value(&mut args, "--soft"),
+            "--hard" => opts.hard = value(&mut args, "--hard"),
             "--duration" => {
-                let secs: f64 = value(&mut args, "--duration").parse().unwrap_or(5.0);
-                opts.duration = Some(Duration::from_secs_f64(secs));
+                let secs: f64 = value(&mut args, "--duration");
+                let d = Duration::try_from_secs_f64(secs)
+                    .unwrap_or_else(|_| bad_args(&format!("--duration {secs} is out of range")));
+                opts.duration = Some(d);
             }
-            "--addr-file" => opts.addr_file = Some(PathBuf::from(value(&mut args, "--addr-file"))),
-            "--flight-dump" => opts.flight_dump = PathBuf::from(value(&mut args, "--flight-dump")),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            "--addr-file" => opts.addr_file = Some(value(&mut args, "--addr-file")),
+            "--flight-dump" => opts.flight_dump = value(&mut args, "--flight-dump"),
+            other => bad_args(&format!("unknown argument {other}")),
         }
     }
     opts
+}
+
+/// Prints `msg` and exits 2, the status for a bad command line.
+fn bad_args(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed as `T`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = args
+        .next()
+        .unwrap_or_else(|| bad_args(&format!("{flag} requires a value")));
+    v.parse()
+        .unwrap_or_else(|_| bad_args(&format!("{flag} {v} is not a valid value")))
 }
 
 fn serve_with<S: Smr>(schemes: &[S], opts: &Options) {
@@ -109,7 +122,9 @@ fn serve_with<S: Smr>(schemes: &[S], opts: &Options) {
     let addr = server.local_addr();
     println!(
         "era-net listening on {addr} ({} shards, {} workers, scheme {})",
-        opts.shards, opts.workers, opts.scheme
+        opts.shards,
+        opts.workers,
+        opts.scheme.id().name()
     );
     if let Some(path) = &opts.addr_file {
         // Scripts poll for this file to learn the ephemeral port; the
@@ -154,22 +169,8 @@ fn serve_with<S: Smr>(schemes: &[S], opts: &Options) {
 fn main() {
     let opts = parse_options();
     let capacity = opts.workers + 8;
-    match opts.scheme.as_str() {
-        "ebr" => {
-            let schemes: Vec<Ebr> = (0..opts.shards).map(|_| Ebr::new(capacity)).collect();
-            serve_with(&schemes, &opts);
-        }
-        "qsbr" => {
-            let schemes: Vec<Qsbr> = (0..opts.shards).map(|_| Qsbr::new(capacity)).collect();
-            serve_with(&schemes, &opts);
-        }
-        "hp" => {
-            let schemes: Vec<Hp> = (0..opts.shards).map(|_| Hp::new(capacity, 3)).collect();
-            serve_with(&schemes, &opts);
-        }
-        other => {
-            eprintln!("unknown --scheme {other} (use ebr|qsbr|hp)");
-            std::process::exit(2);
-        }
-    }
+    with_scheme!(opts.scheme, make => {
+        let schemes: Vec<_> = (0..opts.shards).map(|_| make(capacity, 3)).collect();
+        serve_with(&schemes, &opts)
+    });
 }

@@ -206,8 +206,9 @@ impl SchemeId {
         }
     }
 
-    /// Best-effort mapping from a scheme's display name (as returned
-    /// by `Smr::name()` / `SimScheme::name()`) to an id.
+    /// Best-effort mapping from a simulated scheme's display name (as
+    /// returned by `SimScheme::name()`) to an id. Real schemes carry
+    /// their id in `era_smr::SchemeKind`.
     pub fn from_name(name: &str) -> SchemeId {
         let lower = name.to_ascii_lowercase();
         for id in [

@@ -23,17 +23,15 @@ use era_kv::KvStore;
 use era_scenarios::report::{write_jsonl, ScenarioRunRecord};
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
 use era_scenarios::{campaign, ScenarioSpec};
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, nbr::Nbr, qsbr::Qsbr, Smr};
+use era_smr::{with_scheme, SchemeKind, Smr};
 
 /// Hazard/era slots per thread the kv maps need (one per traversal
 /// hand, as everywhere else in the workspace).
 const SLOTS: usize = 3;
 
-const SCHEMES: [&str; 6] = ["ebr", "qsbr", "hp", "he", "ibr", "nbr"];
-
 struct Options {
     scenarios: Vec<String>,
-    schemes: Vec<String>,
+    schemes: Vec<SchemeKind>,
     spec_file: Option<PathBuf>,
     list: bool,
     smoke: bool,
@@ -69,10 +67,10 @@ fn parse_options() -> Options {
             "--scheme" => {
                 let s = value(&mut args, "--scheme");
                 if s == "all" {
-                    opts.schemes = SCHEMES.iter().map(|s| s.to_string()).collect();
-                } else if SCHEMES.contains(&s.as_str()) {
-                    if !opts.schemes.contains(&s) {
-                        opts.schemes.push(s);
+                    opts.schemes = SchemeKind::RECLAIMING.to_vec();
+                } else if let Some(kind) = SchemeKind::parse(&s) {
+                    if !opts.schemes.contains(&kind) {
+                        opts.schemes.push(kind);
                     }
                 } else {
                     eprintln!("unknown --scheme {s} (use ebr|qsbr|hp|he|ibr|nbr|all)");
@@ -100,7 +98,7 @@ fn parse_options() -> Options {
         }
     }
     if opts.schemes.is_empty() {
-        opts.schemes = SCHEMES.iter().map(|s| s.to_string()).collect();
+        opts.schemes = SchemeKind::RECLAIMING.to_vec();
     }
     opts
 }
@@ -113,7 +111,7 @@ fn run_store<S: Smr>(schemes: Vec<S>, spec: &ScenarioSpec, opts: &Options) -> Sc
             d.join(format!(
                 "{}-{}.eraflt",
                 spec.name,
-                schemes[0].name().to_lowercase()
+                schemes[0].kind().id().name()
             ))
         }),
     };
@@ -135,44 +133,6 @@ fn run_store<S: Smr>(schemes: Vec<S>, spec: &ScenarioSpec, opts: &Options) -> Sc
     } else {
         let store = KvStore::new(&schemes, cfg);
         ScenarioRunRecord::collect(&run_scenario(&store, spec, &ropts))
-    }
-}
-
-fn run_scheme(scheme: &str, spec: &ScenarioSpec, opts: &Options) -> ScenarioRunRecord {
-    let cap = scheme_capacity(spec);
-    let n = spec.shards;
-    match scheme {
-        "ebr" => run_store(
-            (0..n).map(|_| Ebr::new(cap)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        "qsbr" => run_store(
-            (0..n).map(|_| Qsbr::new(cap)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        "hp" => run_store(
-            (0..n).map(|_| Hp::new(cap, SLOTS)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        "he" => run_store(
-            (0..n).map(|_| He::new(cap, SLOTS)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        "ibr" => run_store(
-            (0..n).map(|_| Ibr::new(cap)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        "nbr" => run_store(
-            (0..n).map(|_| Nbr::new(cap, SLOTS)).collect::<Vec<_>>(),
-            spec,
-            opts,
-        ),
-        other => unreachable!("scheme list is validated at parse time: {other}"),
     }
 }
 
@@ -231,13 +191,16 @@ fn main() {
     let mut records = Vec::new();
     let mut failures = 0usize;
     for spec in &specs {
-        for scheme in &opts.schemes {
-            let rec = run_scheme(scheme, spec, &opts);
+        let cap = scheme_capacity(spec);
+        for &kind in &opts.schemes {
+            let rec = with_scheme!(kind, make => {
+                run_store((0..spec.shards).map(|_| make(cap, SLOTS)).collect(), spec, &opts)
+            });
             println!(
                 "{:4} {:24} {:5}  {}",
                 if rec.pass { "ok" } else { "FAIL" },
                 rec.scenario,
-                rec.scheme,
+                rec.scheme.name(),
                 if rec.failed.is_empty() {
                     "all invariants held".to_string()
                 } else {

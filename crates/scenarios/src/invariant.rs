@@ -14,27 +14,23 @@
 //!
 //! | invariant              | applies to           | passes when |
 //! |------------------------|----------------------|-------------|
-//! | `bounded-footprint`    | robust schemes       | every shard's `retired_peak` ≤ spec `bound` |
-//! | `blowout-visible`      | non-robust + a stalled phase | some shard's `retired_peak` > spec `bound` |
+//! | `bounded-footprint`    | weakly robust schemes | every shard's `retired_peak` ≤ spec `bound` |
+//! | `blowout-visible`      | the rest + a stalled phase | some shard's `retired_peak` > spec `bound` |
 //! | `recovers-after-drain` | all                  | final `retired_now` ≤ soft budget ÷ 2 after heal + drain |
 //! | `healthy-at-end`       | all                  | every shard classified `Robust` at end-of-run |
 //! | `sheds-under-pressure` | runs with a tightened-budget write phase | at least one shed observed |
 //!
-//! VBR is robust per the paper but arena-based — it does not implement
-//! the node-granularity `Smr` trait, so campaigns cover the six
-//! pointer-based schemes and DESIGN §3.13 records the exclusion.
+//! Which row applies is the scheme's class in the one registry,
+//! [`SchemeKind::class`]: HP, HE and NBR are robust (Def. 5.1) and IBR
+//! weakly robust (Def. 5.2), so all four are held to the bound; EBR and
+//! QSBR bound nothing. VBR is robust per the paper but arena-based — it
+//! does not implement the node-granularity `Smr` trait, so campaigns
+//! cover the six pointer-based schemes ([`SchemeKind::RECLAIMING`]) and
+//! DESIGN §3.13 records the exclusion.
 
 use era_kv::ShardHealth;
 use era_obs::report::JsonObject;
-
-/// Whether a scheme (by its `Smr::name()`, e.g. `"EBR"`) is robust in
-/// the paper's Def. 4.2 sense. This is DESIGN's ERA matrix, robustness
-/// column: HP, HE, IBR, and NBR bound trapped memory; EBR and QSBR do
-/// not. Unknown names are treated as non-robust so a new scheme must
-/// opt in explicitly before the strict bound is asserted against it.
-pub fn is_robust_scheme(name: &str) -> bool {
-    matches!(name, "HP" | "HE" | "IBR" | "NBR")
-}
+use era_smr::SchemeKind;
 
 /// One evaluated invariant: what was measured against what limit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,8 +62,8 @@ impl InvariantOutcome {
 /// from per-shard scheme stats by the executor.
 #[derive(Debug, Clone)]
 pub struct EvalInput {
-    /// `Smr::name()` of the scheme under test.
-    pub scheme: String,
+    /// The scheme under test.
+    pub scheme: SchemeKind,
     /// The spec's Def-4.2-style footprint bound.
     pub bound: u64,
     /// The spec's base soft budget (recovery residue limit is half).
@@ -90,9 +86,8 @@ pub struct EvalInput {
 /// Evaluates every applicable invariant. The returned list is what the
 /// record serializes; the run verdict is the conjunction of `ok`s.
 pub fn evaluate(input: &EvalInput) -> Vec<InvariantOutcome> {
-    let robust = is_robust_scheme(&input.scheme);
     let mut out = Vec::new();
-    if robust {
+    if input.scheme.class().is_weakly_robust() {
         out.push(InvariantOutcome {
             name: "bounded-footprint",
             ok: input.max_peak <= input.bound,
@@ -145,9 +140,9 @@ pub fn evaluate(input: &EvalInput) -> Vec<InvariantOutcome> {
 mod tests {
     use super::*;
 
-    fn base(scheme: &str) -> EvalInput {
+    fn base(scheme: SchemeKind) -> EvalInput {
         EvalInput {
-            scheme: scheme.to_string(),
+            scheme,
             bound: 2048,
             soft: 512,
             max_peak: 300,
@@ -160,23 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn robustness_matrix_matches_design() {
-        for s in ["HP", "HE", "IBR", "NBR"] {
-            assert!(is_robust_scheme(s), "{s} is robust per Def 4.2");
-        }
-        for s in ["EBR", "QSBR", "VBR", "made-up"] {
-            assert!(!is_robust_scheme(s), "{s} must not get the strict bound");
-        }
-    }
-
-    #[test]
     fn robust_scheme_passes_within_bound_and_fails_past_it() {
-        let input = base("HP");
+        let input = base(SchemeKind::Hp);
         let out = evaluate(&input);
         let bf = out.iter().find(|o| o.name == "bounded-footprint").unwrap();
         assert!(bf.ok);
         assert!(!out.iter().any(|o| o.name == "blowout-visible"));
-        let mut blown = base("IBR");
+        let mut blown = base(SchemeKind::Ibr);
         blown.max_peak = 5_000;
         let out = evaluate(&blown);
         assert!(
@@ -189,7 +174,7 @@ mod tests {
 
     #[test]
     fn non_robust_scheme_must_visibly_blow_the_bound_when_stalled() {
-        let mut input = base("EBR");
+        let mut input = base(SchemeKind::Ebr);
         input.max_peak = 9_000;
         let out = evaluate(&input);
         let bv = out.iter().find(|o| o.name == "blowout-visible").unwrap();
@@ -207,7 +192,7 @@ mod tests {
 
     #[test]
     fn recovery_health_and_shed_invariants() {
-        let mut input = base("HP");
+        let mut input = base(SchemeKind::Hp);
         input.final_retired = 10_000;
         input.healths = vec![ShardHealth::Robust, ShardHealth::Quarantined];
         input.had_squeeze = true;

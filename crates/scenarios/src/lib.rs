@@ -28,7 +28,7 @@ pub mod report;
 pub mod run;
 pub mod spec;
 
-pub use invariant::{is_robust_scheme, InvariantOutcome};
+pub use invariant::InvariantOutcome;
 pub use report::ScenarioRunRecord;
 pub use run::{run_scenario, RunOptions, ScenarioOutcome};
 pub use spec::{ChaosSpec, PhaseSpec, ScenarioSpec};

@@ -12,6 +12,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use era_obs::report::JsonObject;
+use era_smr::SchemeKind;
 
 use crate::run::ScenarioOutcome;
 
@@ -21,8 +22,8 @@ use crate::run::ScenarioOutcome;
 pub struct ScenarioRunRecord {
     /// The scenario's name.
     pub scenario: String,
-    /// `Smr::name()` of the scheme under test.
-    pub scheme: String,
+    /// The scheme under test.
+    pub scheme: SchemeKind,
     /// Whether every invariant held.
     pub pass: bool,
     /// Names of the invariants that failed (empty on pass).
@@ -67,7 +68,7 @@ impl ScenarioRunRecord {
         let mut obj = JsonObject::new()
             .str("record", "scenario")
             .str("scenario", &outcome.spec.name)
-            .str("scheme", &outcome.scheme)
+            .str("scheme", outcome.scheme.name())
             .str("verdict", if outcome.pass { "pass" } else { "fail" })
             .bool("robust", outcome.robust)
             .u64("seed", outcome.spec.seed)
@@ -90,7 +91,7 @@ impl ScenarioRunRecord {
 
         ScenarioRunRecord {
             scenario: outcome.spec.name.clone(),
-            scheme: outcome.scheme.clone(),
+            scheme: outcome.scheme,
             pass: outcome.pass,
             failed: outcome
                 .invariants
@@ -139,7 +140,7 @@ mod tests {
                 chaos: None,
                 phases: vec![PhaseSpec::churn("only")],
             },
-            scheme: "EBR".into(),
+            scheme: SchemeKind::Ebr,
             robust: false,
             phases: vec![PhaseOutcome {
                 label: "only".into(),

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use era_kv::{KvConfig, KvCtx, KvStore, ShardHealth};
 use era_net::{read_frame, write_request, NetConfig, NetServer, Request, Response};
 use era_obs::{DumpStats, FlightRecorder, Hook};
-use era_smr::common::Smr;
+use era_smr::{SchemeKind, Smr};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use crate::invariant::{evaluate, EvalInput, InvariantOutcome};
@@ -103,8 +103,8 @@ pub struct PhaseOutcome {
 pub struct ScenarioOutcome {
     /// The spec that was run (embedded in the record for replay).
     pub spec: ScenarioSpec,
-    /// `Smr::name()` of the scheme under test.
-    pub scheme: String,
+    /// The scheme under test.
+    pub scheme: SchemeKind,
     /// Whether the scheme is held to the robust bound.
     pub robust: bool,
     /// Per-phase results in timeline order.
@@ -226,7 +226,7 @@ pub fn run_scenario<S: Smr>(
     }
 
     let input = EvalInput {
-        scheme: store.scheme(0).name().to_string(),
+        scheme: store.scheme(0).kind(),
         bound: spec.bound as u64,
         soft: spec.soft as u64,
         max_peak: stats
@@ -263,8 +263,8 @@ pub fn run_scenario<S: Smr>(
 
     ScenarioOutcome {
         spec: spec.clone(),
-        scheme: input.scheme.clone(),
-        robust: crate::invariant::is_robust_scheme(&input.scheme),
+        scheme: input.scheme,
+        robust: input.scheme.class().is_weakly_robust(),
         phases,
         invariants,
         pass,

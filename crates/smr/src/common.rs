@@ -20,6 +20,8 @@ use std::vec::Drain;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
+use crate::registry::SchemeKind;
+
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
 /// The mutexes this guards (orphan queues, service tracers) protect
@@ -459,8 +461,9 @@ pub trait Smr: Send + Sync {
     /// threads may come and go, slots are recycled).
     fn register(&self) -> Result<Self::ThreadCtx, RegisterError>;
 
-    /// Scheme name for reports.
-    fn name(&self) -> &'static str;
+    /// Which scheme this is: its name, trace id and robustness class
+    /// come from the [`registry`](crate::registry).
+    fn kind(&self) -> SchemeKind;
 
     /// Attaches a trace [`Recorder`]: subsequent hook calls emit
     /// events and feed the recorder's metrics. Must be called *before*

@@ -40,6 +40,7 @@ use crate::common::{
     lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader,
     SmrStats, StatCells, SupportsUnlinkedTraversal,
 };
+use crate::registry::SchemeKind;
 
 /// Announcement value meaning "not inside any operation".
 const QUIESCENT: u64 = u64::MAX;
@@ -118,14 +119,14 @@ impl Drop for EbrInner {
 /// # Example
 ///
 /// ```
-/// use era_smr::{ebr::Ebr, Smr};
+/// use era_smr::{ebr::Ebr, SchemeKind, Smr};
 ///
 /// let smr = Ebr::new(4);
 /// let mut ctx = smr.register().unwrap();
 /// smr.begin_op(&mut ctx);
 /// /* …data-structure operation… */
 /// smr.end_op(&mut ctx);
-/// assert_eq!(smr.name(), "EBR");
+/// assert_eq!(smr.kind(), SchemeKind::Ebr);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ebr {
@@ -248,8 +249,8 @@ impl Smr for Ebr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "EBR"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Ebr
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

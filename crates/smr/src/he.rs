@@ -26,6 +26,7 @@ use crate::common::{
     lock_unpoisoned, try_lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired,
     SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
 };
+use crate::registry::SchemeKind;
 
 /// Reservation slot value meaning "nothing reserved".
 const NONE: u64 = u64::MAX;
@@ -237,8 +238,8 @@ impl Smr for He {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "HE"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::He
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

@@ -27,6 +27,7 @@ use crate::common::{
     lock_unpoisoned, try_lock_unpoisoned, untagged, CachePadded, DropFn, RegisterError, Retired,
     SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
 };
+use crate::registry::SchemeKind;
 
 #[derive(Debug)]
 struct HpInner {
@@ -222,8 +223,8 @@ impl Smr for Hp {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "HP"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Hp
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

@@ -16,9 +16,10 @@
 //! traverse retired chains, so no
 //! [`SupportsUnlinkedTraversal`](crate::common::SupportsUnlinkedTraversal).
 
-// ERA-CLASS: IBR robust — interval reservations keep trapped memory
-// proportional to the nodes whose lifetimes overlap in-flight
-// intervals, however long a reader stalls (Def. 4.2).
+// ERA-CLASS: IBR weakly-robust — interval reservations keep trapped
+// memory proportional to the nodes whose lifetimes overlap in-flight
+// intervals, however long a reader stalls: linear in live nodes, so
+// Def. 5.2 but not 5.1.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,6 +30,7 @@ use crate::common::{
     lock_unpoisoned, try_lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired,
     SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
 };
+use crate::registry::SchemeKind;
 
 /// Interval bound meaning "no reservation".
 const NONE: u64 = u64::MAX;
@@ -233,8 +235,8 @@ impl Smr for Ibr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "IBR"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Ibr
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

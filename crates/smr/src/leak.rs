@@ -19,6 +19,7 @@ use crate::common::{
     lock_unpoisoned, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats,
     StatCells, SupportsUnlinkedTraversal,
 };
+use crate::registry::SchemeKind;
 
 #[derive(Debug)]
 struct LeakInner {
@@ -107,8 +108,8 @@ impl Smr for Leak {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "Leak"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Leak
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

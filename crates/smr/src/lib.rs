@@ -15,6 +15,11 @@
 //! | [`vbr`] | Version-based reclamation (Sheffi et al.), arena variant | robust + widely applicable, **not** easy |
 //! | [`leak`] | No reclamation (baseline) | easy + strongly applicable, unbounded footprint |
 //!
+//! The [`registry`] holds this table's robustness column in code, one
+//! row per scheme: [`SchemeKind`] names, identifies and classifies every
+//! scheme, and [`with_scheme!`](crate::with_scheme!) builds one chosen
+//! at run time.
+//!
 //! All pointer-based schemes implement the [`Smr`] trait, whose surface
 //! mirrors Definition 5.3's insertion points: `begin_op`/`end_op`
 //! (operation boundaries), `load` (primitive replacement),
@@ -71,8 +76,10 @@ pub mod ibr;
 pub mod leak;
 pub mod nbr;
 pub mod qsbr;
+pub mod registry;
 pub mod vbr;
 
 pub use common::{
     CachePadded, EpochProtected, RegisterError, Smr, SmrHeader, SmrStats, SupportsUnlinkedTraversal,
 };
+pub use registry::SchemeKind;

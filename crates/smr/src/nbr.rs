@@ -44,6 +44,7 @@ use crate::common::{
     lock_unpoisoned, try_lock_unpoisoned, untagged, CachePadded, DropFn, RegisterError, Retired,
     SlotRegistry, Smr, SmrHeader, SmrStats, StatCells, SupportsUnlinkedTraversal,
 };
+use crate::registry::SchemeKind;
 
 /// Thread state: not inside any operation.
 const QUIESCENT: u64 = u64::MAX;
@@ -262,8 +263,8 @@ impl Smr for Nbr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "NBR"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Nbr
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

@@ -33,6 +33,7 @@ use crate::common::{
     lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader,
     SmrStats, StatCells, SupportsUnlinkedTraversal,
 };
+use crate::registry::SchemeKind;
 
 #[derive(Debug)]
 struct QsbrInner {
@@ -230,8 +231,8 @@ impl Smr for Qsbr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "QSBR"
+    fn kind(&self) -> SchemeKind {
+        SchemeKind::Qsbr
     }
 
     fn attach_recorder(&self, recorder: &Recorder) {

@@ -24,6 +24,7 @@
 
 use era_obs::dump::{FlightDump, SourceDump};
 use era_obs::{Event, Hook, Json, SchemeId};
+use era_smr::SchemeKind;
 
 /// Renders one event as a human-readable timeline line (tolerating
 /// hook/scheme bytes outside this build's vocabulary — dumps are
@@ -578,20 +579,11 @@ impl Violation {
     }
 }
 
-/// Whether the ERA matrix classifies `scheme` as robust (bounded
-/// retired footprint under stalled threads — DESIGN §6). EBR/QSBR are
-/// the textbook non-robust schemes; Leak bounds nothing by design.
-pub fn is_robust_scheme(scheme: SchemeId) -> bool {
-    matches!(
-        scheme,
-        SchemeId::HP | SchemeId::HE | SchemeId::IBR | SchemeId::NBR | SchemeId::VBR
-    )
-}
-
 /// Scans one source for violations.
 ///
 /// `bound` is the retired-footprint budget robust schemes are held to
-/// (`--bound` on the CLI); `None` skips the footprint check — the
+/// (`--bound` on the CLI), where robust means weakly robust or better
+/// in the registry ([`SchemeKind::class`]); `None` skips the footprint check — the
 /// bound depends on scheme parameters (slots × threads) the dump does
 /// not carry, so it must come from the operator.
 pub fn find_violations(source: &SourceDump, bound: Option<u64>) -> Vec<Violation> {
@@ -630,7 +622,8 @@ pub fn find_violations(source: &SourceDump, bound: Option<u64>) -> Vec<Violation
             }
         }
         for (scheme, observed) in per_scheme_peak {
-            if is_robust_scheme(scheme) && observed > bound {
+            let robust = SchemeKind::from_id(scheme).is_some_and(|k| k.class().is_weakly_robust());
+            if robust && observed > bound {
                 out.push(Violation::FootprintBoundExceeded {
                     scheme,
                     observed,
@@ -779,7 +772,7 @@ fn summarize_source(source: &SourceDump, bound: Option<u64>) -> String {
 pub struct ScenarioVerdict {
     /// The scenario's name.
     pub scenario: String,
-    /// `Smr::name()` of the scheme under test (e.g. `EBR`).
+    /// Display name of the scheme under test (e.g. `EBR`).
     pub scheme: String,
     /// Whether the run's verdict was `pass`.
     pub pass: bool,

@@ -16,7 +16,7 @@ const KEYS: i64 = 256;
 const READS_PER_THREAD: i64 = if cfg!(miri) { 200 } else { 5_000 };
 
 fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &S) {
-    let name = smr.name();
+    let name = smr.kind().name();
     let recorder = Recorder::with_ring_capacity(THREADS + 2, 1 << 16);
     smr.attach_recorder(&recorder);
     let map = HashMap::new(smr, 64);
