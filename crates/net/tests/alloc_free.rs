@@ -5,8 +5,10 @@
 //! client that itself never allocates (pre-encoded bursts out, a fixed
 //! buffer in), and a one-worker server. What may still allocate while
 //! the client runs is time-driven, not request-driven — the watchdog's
-//! flight poll every 25 ms — so the bound is a small fraction of the
-//! request count, where one allocation per reply would be all of it.
+//! flight poll every 25 ms, which drains each source into a fresh
+//! `Vec` and opens a 64 KiB packed segment when no spare one is left —
+//! so the bound is a small fraction of the request count, where one
+//! allocation per reply would be all of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};

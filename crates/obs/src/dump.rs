@@ -154,9 +154,10 @@ pub struct SourceDump {
     pub label: String,
     /// Cumulative events lost to ring overwrite before this snapshot.
     pub dropped: u64,
-    /// Events trimmed off the front by the last-N-seconds window (they
-    /// happened, were drained, and were then aged out — distinct from
-    /// `dropped`, which the recorder never saw at all).
+    /// Events trimmed off the front by the flight recorder's retention
+    /// cap (they happened, were drained, and were then let go to keep
+    /// the newest — distinct from `dropped`, which the recorder never
+    /// saw at all).
     pub trimmed: u64,
     /// Drained events in ascending [`Event::merge_key`] order.
     pub events: Vec<Event>,
@@ -199,7 +200,8 @@ pub struct FlightDump {
     /// Wall-clock milliseconds since the Unix epoch at snapshot time
     /// (0 when the writer had no clock).
     pub wall_unix_ms: u64,
-    /// Snapshot window in milliseconds (0 = unwindowed, full history).
+    /// Snapshot window in milliseconds (0 = unwindowed). The flight
+    /// recorder always writes 0; v1 keeps the field.
     pub window_ms: u64,
     /// The trace sources.
     pub sources: Vec<SourceDump>,
@@ -227,7 +229,7 @@ impl FlightDump {
         self.sources.iter().map(|s| s.dropped).sum()
     }
 
-    /// Total window-trimmed events across all sources.
+    /// Total cap-trimmed events across all sources.
     pub fn total_trimmed(&self) -> u64 {
         self.sources.iter().map(|s| s.trimmed).sum()
     }
@@ -464,7 +466,7 @@ fn decode_source(r: &mut Reader<'_>, strings: &StringTable) -> Result<SourceDump
         }
     }
     // Restore the merged per-source timeline: the mirror of the sort
-    // in `Recorder::drain_since`. Stable, over sections that each kept
+    // in `Recorder::drain`. Stable, over sections that each kept
     // their log order, so position within a thread breaks the last tie.
     events.sort_by_key(Event::merge_key);
 
@@ -607,14 +609,15 @@ pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 }
 
 /// A cursor over a decode buffer with named-field error reporting.
+/// Also reads the flight recorder's packed segments back.
 #[derive(Debug)]
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
@@ -622,7 +625,7 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn byte(&mut self, what: &'static str) -> Result<u8, DumpError> {
+    pub(crate) fn byte(&mut self, what: &'static str) -> Result<u8, DumpError> {
         let b = *self.bytes.get(self.pos).ok_or(DumpError::Truncated(what))?;
         self.pos += 1;
         Ok(b)
@@ -637,7 +640,7 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn varint(&mut self, what: &'static str) -> Result<u64, DumpError> {
+    pub(crate) fn varint(&mut self, what: &'static str) -> Result<u64, DumpError> {
         let mut value = 0u64;
         for shift in 0..10 {
             let byte = self.byte(what)?;

@@ -4,21 +4,22 @@
 //!
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
-//! and maintains, per source, a retained event buffer plus a series of
-//! *(wall instant, logical tick)* checkpoints. Because the trace clock
-//! is logical, the checkpoints are what let "the last N seconds" be
-//! translated into a clock cutoff: the newest checkpoint older than
-//! the window gives the tick before which events are aged out.
+//! and keeps, per source, the most recent drained events up to a count
+//! cap. They are stored packed: a source's retained events are a queue
+//! of fixed-size segments of LEB128 varints, so a retained event costs
+//! a few bytes rather than the 32 of an [`Event`], and a poll appends to
+//! the newest segment and drops whole segments off the front — it never
+//! moves retained bytes.
 //!
 //! Three ways events reach a dump:
 //!
 //! - [`poll`](FlightRecorder::poll) — periodic incremental drain
-//!   ([`Recorder::drain_since`]) into the retained buffer; call it
-//!   from a watchdog/sampler loop so a crash loses at most one ring
-//!   of un-drained events per thread.
+//!   ([`Recorder::drain`]) into the retained buffer; call it from a
+//!   watchdog/sampler loop so a crash loses at most one ring of
+//!   un-drained events per thread.
 //! - [`snapshot`](FlightRecorder::snapshot) — explicit: drain whatever
-//!   is pending, apply the window, and assemble a [`FlightDump`] with
-//!   each source's metrics, stats, and honest drop/trim counts.
+//!   is pending and assemble a [`FlightDump`] with each source's
+//!   retained events, metrics, stats, and honest drop/trim counts.
 //! - [`install_panic_hook`](FlightRecorder::install_panic_hook) — a
 //!   chained `std::panic` hook that writes the snapshot to a file as
 //!   the process dies, so a chaos-injected fault or a plain bug leaves
@@ -29,64 +30,163 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::SystemTime;
 
-use crate::dump::{DumpStats, FlightDump, MetricsDump, SourceDump};
-use crate::event::Event;
-use crate::recorder::{Recorder, TraceLog};
+use crate::dump::{put_varint, DumpError, DumpStats, FlightDump, MetricsDump, Reader, SourceDump};
+use crate::event::{Event, Hook, SchemeId};
+use crate::recorder::Recorder;
 
-/// Default cap on retained events per source (~8 MiB of 32-byte
-/// events). The oldest are trimmed — and counted — beyond this.
+/// Default cap on retained events per source. The oldest are trimmed —
+/// and counted — beyond this. Packed, an event of an EBR shard serving
+/// GETs takes about 6 bytes (at most 35), so a full source of them
+/// holds about 1.6 MB.
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 18;
+
+/// Bytes in one segment of packed events.
+const SEGMENT_BYTES: usize = 64 * 1024;
+
+/// The most bytes one packed event takes: a 10-byte ts delta, a 3-byte
+/// thread, the raw hook and scheme bytes, and two 10-byte words.
+const MAX_PACKED_EVENT: usize = 10 + 3 + 2 + 10 + 10;
+
+/// One fixed-size buffer of packed events. An event is its `ts` as a
+/// zigzagged delta off the previous event's (off 0 for the first), its
+/// thread, its raw hook and scheme bytes, and `a` and `b`, each integer
+/// a [`put_varint`] LEB128. Zigzag, because `ts` may step back a few
+/// ticks between polls (an event stamped before one poll but pushed
+/// after it is drained by the next), and such a step should cost a
+/// byte, not ten.
+#[derive(Debug)]
+struct Segment {
+    /// Never past [`SEGMENT_BYTES`], so it never reallocates.
+    bytes: Vec<u8>,
+    /// Events packed into `bytes`.
+    events: usize,
+    /// `ts` of the last event packed: the base of the next delta.
+    last_ts: u64,
+}
+
+impl Segment {
+    fn has_room(&self) -> bool {
+        self.bytes.len() + MAX_PACKED_EVENT <= SEGMENT_BYTES
+    }
+
+    fn pack(&mut self, e: &Event) {
+        let delta = e.ts.wrapping_sub(self.last_ts) as i64;
+        put_varint(&mut self.bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+        self.last_ts = e.ts;
+        put_varint(&mut self.bytes, e.thread as u64);
+        self.bytes.push(e.hook);
+        self.bytes.push(e.scheme);
+        put_varint(&mut self.bytes, e.a);
+        put_varint(&mut self.bytes, e.b);
+        self.events += 1;
+    }
+
+    /// Appends every event but the first `skip` to `out`.
+    fn unpack_into(&self, skip: usize, out: &mut Vec<Event>) {
+        let mut r = Reader::new(&self.bytes);
+        let mut ts = 0u64;
+        for k in 0..self.events {
+            let event = unpack(&mut r, &mut ts).expect("a segment holds whole packed events");
+            if k >= skip {
+                out.push(event);
+            }
+        }
+    }
+}
+
+fn unpack(r: &mut Reader<'_>, ts: &mut u64) -> Result<Event, DumpError> {
+    let zigzag = r.varint("ts delta")?;
+    *ts = ts.wrapping_add(((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)) as u64);
+    let thread = r.varint("thread")? as u16;
+    let hook = r.byte("hook")?;
+    let scheme = r.byte("scheme")?;
+    let a = r.varint("a")?;
+    let b = r.varint("b")?;
+    let mut event = Event::new(thread, SchemeId(scheme), Hook::Sample, a, b);
+    event.hook = hook;
+    event.ts = *ts;
+    Ok(event)
+}
+
+/// A source's retained events: packed segments, oldest first, of which
+/// the first `skip` events are trimmed and the rest are retained.
+#[derive(Debug, Default)]
+struct Retained {
+    segments: VecDeque<Segment>,
+    /// Trimmed events still packed at the front of the oldest segment.
+    skip: usize,
+    /// Retained events: everything packed, less `skip`.
+    len: usize,
+    /// The buffer of the last segment dropped, for the next one opened.
+    spare: Option<Vec<u8>>,
+}
+
+impl Retained {
+    /// Appends `events` (a drained log) and trims the oldest retained
+    /// events beyond `max`, as `extend` then `drain(..excess)` on a
+    /// `Vec` would. Returns how many were trimmed.
+    fn append(&mut self, events: &[Event], max: usize) -> u64 {
+        let excess = (self.len + events.len()).saturating_sub(max);
+        // The oldest `excess` go: packed ones first, then incoming ones
+        // that are never packed at all.
+        let old = excess.min(self.len);
+        self.skip += old;
+        while self.segments.front().is_some_and(|s| s.events <= self.skip) {
+            let front = self.segments.pop_front().expect("checked non-empty");
+            self.skip -= front.events;
+            let mut bytes = front.bytes;
+            bytes.clear();
+            self.spare = Some(bytes);
+        }
+        let kept = &events[excess - old..];
+        for e in kept {
+            if !self.segments.back().is_some_and(Segment::has_room) {
+                let bytes = self
+                    .spare
+                    .take()
+                    .unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES));
+                self.segments.push_back(Segment {
+                    bytes,
+                    events: 0,
+                    last_ts: 0,
+                });
+            }
+            self.segments.back_mut().expect("just ensured").pack(e);
+        }
+        self.len = self.len + events.len() - excess;
+        excess as u64
+    }
+
+    fn events(&self) -> Vec<Event> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut skip = self.skip;
+        for segment in &self.segments {
+            segment.unpack_into(skip, &mut out);
+            skip = 0;
+        }
+        out
+    }
+}
 
 #[derive(Debug)]
 struct FlightSource {
     label: String,
     recorder: Recorder,
-    /// Drained-but-not-yet-dumped events, ascending `ts`.
-    retained: Vec<Event>,
-    /// Events aged out of `retained` by the window or the memory cap.
+    /// Drained-but-not-yet-dumped events, in drain order.
+    retained: Retained,
+    /// Events trimmed off `retained` by the count cap.
     trimmed: u64,
-    /// (wall instant, logical tick) pairs, oldest first.
-    checkpoints: VecDeque<(Instant, u64)>,
     stats: Option<DumpStats>,
 }
 
 impl FlightSource {
-    /// Drains pending ring events into the retained buffer and stamps
-    /// a checkpoint, then ages out events past `window`/`max_retained`.
-    fn poll(&mut self, now: Instant, window: Option<Duration>, max_retained: usize) {
-        let log = self.recorder.drain_since(0);
-        self.retained.extend(log.events);
-        self.checkpoints.push_back((now, self.recorder.now()));
-        if let Some(window) = window {
-            // The newest checkpoint already older than the window maps
-            // the window edge to a logical tick; everything before that
-            // tick is out of the last N seconds.
-            let mut cutoff = None;
-            while let Some(&(t, ts)) = self.checkpoints.front() {
-                if now.duration_since(t) <= window || self.checkpoints.len() == 1 {
-                    break;
-                }
-                cutoff = Some(ts);
-                self.checkpoints.pop_front();
-            }
-            if let Some(cutoff) = cutoff {
-                // `cutoff` is the clock as read at that checkpoint. An
-                // event stamped exactly `cutoff` is a per-operation
-                // event that read the same value — possibly after the
-                // checkpoint — or the protocol event that ticked it:
-                // neither is provably outside the window, so both stay.
-                let keep_from = self.retained.partition_point(|e| e.ts < cutoff);
-                self.trimmed += keep_from as u64;
-                self.retained.drain(..keep_from);
-            }
-        }
-        if self.retained.len() > max_retained {
-            let excess = self.retained.len() - max_retained;
-            self.trimmed += excess as u64;
-            self.retained.drain(..excess);
-        }
+    /// Drains pending ring events into the retained buffer, trimming
+    /// the oldest past `max_retained`.
+    fn poll(&mut self, max_retained: usize) {
+        let log = self.recorder.drain();
+        self.trimmed += self.retained.append(&log.events, max_retained);
     }
 
     fn to_source_dump(&self) -> SourceDump {
@@ -94,7 +194,7 @@ impl FlightSource {
             label: self.label.clone(),
             dropped: self.recorder.dropped(),
             trimmed: self.trimmed,
-            events: self.retained.clone(),
+            events: self.retained.events(),
             metrics: Some(MetricsDump::capture(self.recorder.metrics())),
             stats: self.stats,
         }
@@ -107,28 +207,17 @@ impl FlightSource {
 /// never the emit hot path).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    window: Option<Duration>,
     max_retained: usize,
     sources: Mutex<Vec<FlightSource>>,
 }
 
 impl FlightRecorder {
-    /// An unwindowed recorder: snapshots carry everything retained
-    /// (up to the per-source memory cap).
+    /// A recorder with no sources that retains up to
+    /// [`DEFAULT_MAX_RETAINED`] events per source.
     pub fn new() -> FlightRecorder {
         FlightRecorder {
-            window: None,
             max_retained: DEFAULT_MAX_RETAINED,
             sources: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A recorder whose snapshots keep only the last `window` of
-    /// events (as mapped through poll-time checkpoints).
-    pub fn with_window(window: Duration) -> FlightRecorder {
-        FlightRecorder {
-            window: Some(window),
-            ..FlightRecorder::new()
         }
     }
 
@@ -138,8 +227,8 @@ impl FlightRecorder {
         self
     }
 
-    /// Convenience: a new unwindowed flight recorder already tracking
-    /// `recorder` under `label`.
+    /// Convenience: a new flight recorder already tracking `recorder`
+    /// under `label`.
     pub fn single(label: &str, recorder: &Recorder) -> FlightRecorder {
         let flight = FlightRecorder::new();
         flight.add_source(label, recorder);
@@ -154,9 +243,8 @@ impl FlightRecorder {
         sources.push(FlightSource {
             label: label.to_string(),
             recorder: recorder.clone(),
-            retained: Vec::new(),
+            retained: Retained::default(),
             trimmed: 0,
-            checkpoints: VecDeque::new(),
             stats: None,
         });
         sources.len() - 1
@@ -171,46 +259,27 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of registered sources.
-    pub fn source_count(&self) -> usize {
-        self.lock().len()
-    }
-
     /// Drains every source's pending ring events into the retained
-    /// buffers and advances the window. Call periodically (a sampler
-    /// loop, an op-count stride) so ring overwrite — not the flight
-    /// layer — is the only place history can be lost.
+    /// buffers. Call periodically (a sampler loop, an op-count stride)
+    /// so ring overwrite — not the flight layer — is the only place
+    /// history can be lost before the cap.
     pub fn poll(&self) {
-        let now = Instant::now();
         for source in self.lock().iter_mut() {
-            source.poll(now, self.window, self.max_retained);
-        }
-    }
-
-    /// A clone of source `idx`'s retained events as a [`TraceLog`]
-    /// (empty when out of range). Lets report collectors reuse the
-    /// flight drain instead of racing it for ring events.
-    pub fn retained_log(&self, idx: usize) -> TraceLog {
-        let sources = self.lock();
-        match sources.get(idx) {
-            Some(s) => TraceLog {
-                events: s.retained.clone(),
-                dropped: s.recorder.dropped(),
-            },
-            None => TraceLog::default(),
+            source.poll(self.max_retained);
         }
     }
 
     /// Drains pending events and assembles the dump: per source, the
-    /// windowed retained events, a metrics capture, the latest stats,
-    /// and the drop/trim accounting.
+    /// retained events, a metrics capture, the latest stats, and the
+    /// drop/trim accounting. `window_ms` is always 0: the format keeps
+    /// the field, the recorder has no window.
     pub fn snapshot(&self) -> FlightDump {
         self.poll();
         let sources = self.lock();
         FlightDump {
             version: crate::dump::DUMP_VERSION,
             wall_unix_ms: unix_ms(),
-            window_ms: self.window.map(|w| w.as_millis() as u64).unwrap_or(0),
+            window_ms: 0,
             sources: sources.iter().map(|s| s.to_source_dump()).collect(),
         }
     }
@@ -281,10 +350,10 @@ fn unix_ms() -> u64 {
 #[cfg(all(test, feature = "rt"))]
 mod tests {
     use super::*;
-    use crate::event::{Hook, SchemeId};
+    use proptest::prelude::*;
 
     #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
+    #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn snapshot_carries_events_metrics_and_stats() {
         let recorder = Recorder::new(4);
         let flight = FlightRecorder::single("EBR", &recorder);
@@ -316,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
+    #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn poll_then_snapshot_does_not_duplicate_events() {
         let recorder = Recorder::new(2);
         let flight = FlightRecorder::single("s", &recorder);
@@ -336,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
+    #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn memory_cap_trims_oldest_and_counts_them() {
         let recorder = Recorder::new(2);
         let flight = FlightRecorder::single("s", &recorder).with_max_retained(16);
@@ -350,57 +419,6 @@ mod tests {
         assert_eq!(src.events.len(), 16);
         assert_eq!(src.trimmed, 48);
         assert_eq!(src.events.first().unwrap().a, 48, "newest survive");
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
-    fn window_ages_out_old_checkpoints() {
-        let recorder = Recorder::new(2);
-        let flight = FlightRecorder::with_window(Duration::from_millis(5));
-        flight.add_source("w", &recorder);
-        let mut t = recorder.tracer(0, SchemeId::NONE);
-        t.emit(Hook::Sample, 1, 0);
-        flight.poll();
-        std::thread::sleep(Duration::from_millis(30));
-        t.emit(Hook::Sample, 2, 0);
-        // Two polls after the sleep: the first establishes a checkpoint
-        // beyond the window; the second applies the cutoff.
-        flight.poll();
-        std::thread::sleep(Duration::from_millis(30));
-        let dump = flight.snapshot();
-        let src = &dump.sources[0];
-        assert!(
-            src.events.iter().all(|e| e.a != 1),
-            "pre-window event must be aged out, got {:?}",
-            src.events
-        );
-        assert!(src.trimmed >= 1);
-        assert_eq!(dump.window_ms, 5);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (Instant/SystemTime)")]
-    fn window_cut_keeps_the_events_tied_with_the_cutoff() {
-        let recorder = Recorder::new(2);
-        let flight = FlightRecorder::with_window(Duration::from_secs(1));
-        flight.add_source("w", &recorder);
-        let mut t = recorder.tracer(0, SchemeId::HP);
-        let poll_at = |now: Instant| {
-            for source in flight.lock().iter_mut() {
-                source.poll(now, flight.window, flight.max_retained);
-            }
-        };
-        let start = Instant::now();
-        t.emit(Hook::Retire, 1, 0); // ts 1, clock → 2
-        poll_at(start); // checkpoint (start, 2)
-        t.emit(Hook::Load, 2, 0); // ts 2: reads what the checkpoint read
-        t.emit(Hook::Retire, 3, 0); // ts 2, clock → 3
-        t.emit(Hook::Load, 4, 0); // ts 3
-        poll_at(start + Duration::from_secs(10)); // cutoff = 2
-        let log = flight.retained_log(0);
-        let kept: Vec<(u64, u64)> = log.events.iter().map(|e| (e.ts, e.a)).collect();
-        assert_eq!(kept, [(2, 2), (2, 3), (3, 4)], "only ts < cutoff ages out");
-        assert_eq!(flight.snapshot().sources[0].trimmed, 1);
     }
 
     #[test]
@@ -419,5 +437,171 @@ mod tests {
         assert_eq!(dump.sources[0].events.len(), 1);
         assert!(dump.wall_unix_ms > 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    fn packed_bytes(retained: &Retained) -> usize {
+        retained.segments.iter().map(|s| s.bytes.len()).sum()
+    }
+
+    fn event(ts: u64, thread: u16, hook: u8, a: u64, b: u64) -> Event {
+        let mut e = Event::new(thread, SchemeId::EBR, Hook::Sample, a, b);
+        e.hook = hook;
+        e.ts = ts;
+        e
+    }
+
+    /// Draws 0, `u64::MAX`, a small value or any value.
+    fn word() -> impl Strategy<Value = u64> {
+        (0..4u8, 0..u64::MAX).prop_map(|(pick, w)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => w % 300,
+            _ => w,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// The packed buffer retains, trims and counts exactly what the
+        /// `Vec` it replaced did: the model below is that `Vec`'s poll,
+        /// fed by a second recorder that sees the same emits.
+        #[test]
+        fn packed_buffer_matches_the_vec_it_replaced(
+            ops in prop::collection::vec(
+                (
+                    0..6u8,
+                    (0..4u8, 0..u16::MAX).prop_map(|(pick, t)| match pick {
+                        0 => u16::MAX,
+                        1 => t,
+                        _ => t % 4,
+                    }),
+                    0..Hook::COUNT,
+                    word(),
+                    word(),
+                ),
+                0..400,
+            ),
+            max in 1..65usize,
+            ring in 8..33usize,
+            scheme in 0..9u8,
+        ) {
+            let recorder = Recorder::with_ring_capacity(4, ring);
+            let flight = FlightRecorder::single("p", &recorder).with_max_retained(max);
+            let mut tracer = recorder.tracer(0, SchemeId(scheme));
+            let model_recorder = Recorder::with_ring_capacity(4, ring);
+            let mut model_tracer = model_recorder.tracer(0, SchemeId(scheme));
+            let mut model: Vec<Event> = Vec::new();
+            let mut model_trimmed = 0u64;
+            let mut model_poll = |model: &mut Vec<Event>| {
+                model.extend(model_recorder.drain().events);
+                if model.len() > max {
+                    let excess = model.len() - max;
+                    model_trimmed += excess as u64;
+                    model.drain(..excess);
+                }
+            };
+            for (op, thread, hook, a, b) in ops {
+                if op == 0 {
+                    flight.poll();
+                    model_poll(&mut model);
+                } else {
+                    tracer.emit_for(thread, Hook::ALL[hook], a, b);
+                    model_tracer.emit_for(thread, Hook::ALL[hook], a, b);
+                }
+            }
+            // What `snapshot` does, without its wall-clock read.
+            flight.poll();
+            model_poll(&mut model);
+            let src = flight.lock()[0].to_source_dump();
+            prop_assert_eq!(src.events, model);
+            prop_assert_eq!(src.trimmed, model_trimmed);
+            prop_assert_eq!(src.dropped, model_recorder.dropped());
+        }
+    }
+
+    #[test]
+    fn backward_steps_and_extreme_values_round_trip() {
+        let events = [
+            event(100, 0, Hook::BeginOp as u8, 1, 0),
+            event(97, 0, Hook::Load as u8, 2, 0),
+            event(0, u16::MAX, 200, u64::MAX, 0),
+            event(u64::MAX, 1, Hook::Retire as u8, 0, u64::MAX),
+            event(1 << 63, 2, Hook::Reclaim as u8, 3, 4),
+            event(5, 3, Hook::EndOp as u8, 0, 0),
+        ];
+        let mut retained = Retained::default();
+        retained.append(&events[..1], 64);
+        let before = packed_bytes(&retained);
+        retained.append(&events[1..2], 64);
+        assert_eq!(
+            packed_bytes(&retained) - before,
+            6,
+            "a 3-tick step back costs one byte of ts delta"
+        );
+        retained.append(&events[2..], 64);
+        assert_eq!(retained.events(), events);
+    }
+
+    #[test]
+    fn worst_case_and_ebr_shaped_streams_stay_within_their_byte_bounds() {
+        let cap = if cfg!(miri) { 256 } else { 1 << 12 };
+        // Every field at its longest varint: 35 bytes an event.
+        let mut retained = Retained::default();
+        for poll in 0..3 * cap / 100 {
+            let batch: Vec<Event> = (0..100)
+                .map(|k| {
+                    event(
+                        ((poll + k) as u64 & 1) << 63,
+                        u16::MAX,
+                        0,
+                        u64::MAX,
+                        u64::MAX,
+                    )
+                })
+                .collect();
+            retained.append(&batch, cap);
+            assert!(packed_bytes(&retained) <= MAX_PACKED_EVENT * retained.len + SEGMENT_BYTES);
+        }
+        assert_eq!(retained.len, cap);
+        // EBR's per-operation stream: BeginOp(epoch)/EndOp, reading the
+        // clock, from a real tracer.
+        let recorder = Recorder::new(1);
+        let flight = FlightRecorder::single("ebr", &recorder).with_max_retained(cap);
+        let mut t = recorder.tracer(0, SchemeId::EBR);
+        for op in 0..2 * cap as u64 {
+            t.emit(Hook::BeginOp, op / 64 % 100, 0);
+            t.emit(Hook::EndOp, 0, 0);
+            if op % 512 == 0 {
+                t.emit(Hook::Advance, op / 64 % 100, 0);
+                flight.poll();
+            }
+        }
+        flight.poll();
+        let sources = flight.lock();
+        let retained = &sources[0].retained;
+        assert_eq!(retained.len, cap);
+        assert!(packed_bytes(retained) <= 8 * retained.len + SEGMENT_BYTES);
+    }
+
+    #[test]
+    fn small_polls_share_segments() {
+        let polls = if cfg!(miri) { 1_000 } else { 100_000 };
+        let recorder = Recorder::new(1);
+        let flight = FlightRecorder::single("idle", &recorder);
+        let mut t = recorder.tracer(0, SchemeId::EBR);
+        for i in 0..polls {
+            t.emit(Hook::Sample, i, 0);
+            flight.poll();
+        }
+        let sources = flight.lock();
+        let retained = &sources[0].retained;
+        assert_eq!(retained.len, polls as usize);
+        let bytes = packed_bytes(retained);
+        assert!(
+            retained.segments.len() <= bytes.div_ceil(SEGMENT_BYTES) + 1,
+            "{} segments for {bytes} bytes",
+            retained.segments.len()
+        );
     }
 }

@@ -165,24 +165,10 @@ impl Recorder {
     /// [`Event::merge_key`] (ascending `ts`; see the module docs for
     /// what a tie means). Safe to call while writers are active
     /// (in-flight events appear in a later drain); safe to call
-    /// repeatedly (each event is returned once).
+    /// repeatedly: the ring cursors advance past everything drained,
+    /// so each event is returned once or counted in
+    /// [`TraceLog::dropped`] — nothing is lost silently.
     pub fn drain(&self) -> TraceLog {
-        self.drain_since(0)
-    }
-
-    /// Incremental drain with a logical-time cutoff: like [`drain`],
-    /// but events older than `since` are discarded instead of
-    /// returned (the flight recorder's last-N-seconds snapshot maps a
-    /// wall-clock window to a clock tick and cuts here).
-    ///
-    /// The ring cursors always advance past everything drained, so two
-    /// consecutive calls — with any cutoffs — never return the same
-    /// event twice, and an event not returned was either below the
-    /// cutoff or is counted in [`TraceLog::dropped`]; nothing is lost
-    /// silently.
-    ///
-    /// [`drain`]: Recorder::drain
-    pub fn drain_since(&self, since: u64) -> TraceLog {
         #[cfg(feature = "rt")]
         {
             let rings = self.core.rings.lock().unwrap();
@@ -192,9 +178,6 @@ impl Recorder {
             }
             let dropped = rings.iter().map(|r| r.dropped()).sum();
             drop(rings);
-            if since > 0 {
-                events.retain(|e| e.ts >= since);
-            }
             // Stable, over rings concatenated in push order: events
             // equal in the key keep their ring position, so the same
             // ring contents always merge to the same log.
@@ -203,7 +186,6 @@ impl Recorder {
         }
         #[cfg(not(feature = "rt"))]
         {
-            let _ = since;
             TraceLog {
                 events: Vec::new(),
                 dropped: 0,
@@ -479,24 +461,20 @@ mod tests {
         for i in 0..40 {
             t.emit(Hook::Retire, i, 0);
         }
-        let cut = rec.now();
+        let first = rec.drain();
+        assert_eq!(first.events.len(), 40);
+        assert!(first.events.iter().all(|e| e.a < 40));
         for i in 40..100 {
             t.emit(Hook::Retire, i, 0);
         }
-        // First drain takes everything at or after `cut`; the earlier
-        // events are gone (cursor advanced), not replayed later.
-        let recent = rec.drain_since(cut);
-        assert_eq!(recent.events.len(), 60);
-        assert!(recent.events.iter().all(|e| e.ts >= cut && e.a >= 40));
-
-        for i in 100..120 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let next = rec.drain_since(0);
-        assert_eq!(next.events.len(), 20, "no duplicates, no losses");
-        assert!(next.events.iter().all(|e| e.a >= 100));
+        // The cursor advanced past the first drain: the second returns
+        // only what came after it.
+        let next = rec.drain();
+        assert_eq!(next.events.len(), 60, "no duplicates, no losses");
+        let payloads: Vec<u64> = next.events.iter().map(|e| e.a).collect();
+        assert_eq!(payloads, (40..100).collect::<Vec<_>>());
         assert_eq!(rec.dropped(), 0);
-        assert!(rec.drain_since(0).events.is_empty());
+        assert!(rec.drain().events.is_empty());
     }
 
     #[cfg(feature = "rt")]

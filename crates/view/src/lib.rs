@@ -12,7 +12,7 @@
 //!   mid-pin (the pointer-life-cycle view of Meyer & Wolff applied to
 //!   trace data);
 //! - a **summary** with honest truncation accounting (ring drops +
-//!   window trims), per-hook counts, scheme counters, and blame
+//!   retention-cap trims), per-hook counts, scheme counters, and blame
 //!   attribution;
 //! - **Definition-4.2-style violation flags**: oracle-recorded unsafe
 //!   accesses, plus retired-footprint excursions beyond a per-scheme
@@ -681,7 +681,7 @@ pub fn summarize(dump: &FlightDump, bound: Option<u64>) -> String {
     let trimmed = dump.total_trimmed();
     if dropped > 0 || trimmed > 0 {
         out.push_str(&format!(
-            "INCOMPLETE: {dropped} event(s) lost to ring overwrite, {trimmed} aged out of the window\n"
+            "INCOMPLETE: {dropped} event(s) lost to ring overwrite, {trimmed} trimmed by the retention cap\n"
         ));
     } else {
         out.push_str("complete: no ring drops, no window trims\n");

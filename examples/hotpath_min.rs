@@ -22,6 +22,11 @@
 //! well above the 1-thread one is a shard-wide word written per write
 //! (an admission counter, a per-node lock or clock tick on reclaim).
 //!
+//! The `flight poll` row times the flight recorder's watchdog poll in
+//! its steady state on a busy server: one source already at its
+//! retained-event cap, one full ring of EBR-shaped events to drain,
+//! so the poll appends a ring's worth and trims as much.
+//!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
 //! one: what a scheme charges per node a traversal steps onto, before
@@ -37,7 +42,8 @@ use std::time::Instant;
 use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelList};
 use era::kv::{KvConfig, KvCtx, KvStore};
-use era::obs::{Hook, Recorder, SchemeId, ThreadTracer};
+use era::obs::flight::DEFAULT_MAX_RETAINED;
+use era::obs::{FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer, DEFAULT_RING_CAPACITY};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
 use era::smr::he::He;
@@ -118,6 +124,39 @@ fn bench_emit() {
     println!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
+    );
+}
+
+/// Fills `tracer`'s ring with `BeginOp(epoch)`/`EndOp` pairs, the
+/// per-operation stream of an EBR shard.
+fn fill_ring(tracer: &mut ThreadTracer) {
+    for op in 0..(DEFAULT_RING_CAPACITY / 2) as u64 {
+        tracer.emit(Hook::BeginOp, op / 64 % 100, 0);
+        tracer.emit(Hook::EndOp, 0, 0);
+    }
+}
+
+/// Min-of-reps ns per `FlightRecorder::poll` of one source holding
+/// `DEFAULT_MAX_RETAINED` events with one full ring to drain.
+fn bench_flight_poll() {
+    let recorder = Recorder::new(1);
+    let flight = FlightRecorder::single("shard0", &recorder);
+    let mut tracer = recorder.tracer(0, SchemeId::EBR);
+    for _ in 0..DEFAULT_MAX_RETAINED / DEFAULT_RING_CAPACITY {
+        fill_ring(&mut tracer);
+        flight.poll();
+    }
+    let best = (0..REPS)
+        .map(|_| {
+            fill_ring(&mut tracer);
+            let start = Instant::now();
+            flight.poll();
+            start.elapsed().as_secs_f64() * 1e9
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "flight poll: min {best:.0} ns/poll ({:.1} ns per drained event)",
+        best / DEFAULT_RING_CAPACITY as f64
     );
 }
 
@@ -208,6 +247,11 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     println!("-- era-obs emit (Hook::Load, one recorder)");
     bench_emit();
+    println!(
+        "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
+         one {DEFAULT_RING_CAPACITY}-event ring to drain)"
+    );
+    bench_flight_poll();
     println!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
     bench_kv_write();
     println!("-- smr load (one protected load of a stable word, recorder attached)");
