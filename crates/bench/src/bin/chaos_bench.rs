@@ -25,6 +25,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use era_bench::parse_arg;
 use era_bench::table::Table;
 use era_chaos::{ChaosArena, ChaosSmr, FaultPlan};
 use era_obs::report::JsonObject;
@@ -51,22 +52,15 @@ fn parse_options() -> Options {
         flight_dump: None,
     };
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => opts.seed = value(&mut args, "--seed").parse().unwrap_or(0xC4A05),
-            "--ops" => opts.ops = value(&mut args, "--ops").parse().unwrap_or(20_000),
-            "--faults" => opts.faults = value(&mut args, "--faults").parse().unwrap_or(24),
-            "--scheme" => opts.scheme = value(&mut args, "--scheme"),
-            "--report" => opts.report = Some(PathBuf::from(value(&mut args, "--report"))),
-            "--flight-dump" => {
-                opts.flight_dump = Some(PathBuf::from(value(&mut args, "--flight-dump")))
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--seed" => opts.seed = parse_arg(flag, args.next()),
+            "--ops" => opts.ops = parse_arg(flag, args.next()),
+            "--faults" => opts.faults = parse_arg(flag, args.next()),
+            "--scheme" => opts.scheme = parse_arg(flag, args.next()),
+            "--report" => opts.report = Some(parse_arg(flag, args.next())),
+            "--flight-dump" => opts.flight_dump = Some(parse_arg(flag, args.next())),
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);

@@ -12,6 +12,7 @@
 //!
 //! Usage: `era_matrix [rounds]` (default 256).
 
+use era_bench::parse_arg;
 use era_bench::runner::stall_churn_michael;
 use era_core::era::reference_matrix;
 use era_core::robustness::{classify, RobustnessObservation};
@@ -21,8 +22,7 @@ use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, qsbr::Qsbr};
 fn main() {
     let rounds: usize = std::env::args()
         .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
+        .map_or(256, |s| parse_arg("rounds", Some(s)));
 
     println!("== T1: the ERA trade-off matrix (§6) ==\n");
 

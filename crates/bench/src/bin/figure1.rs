@@ -8,6 +8,7 @@
 //!
 //! Usage: `figure1 [rounds]` (default 200).
 
+use era_bench::parse_arg;
 use era_bench::table::Table;
 use era_sim::schemes::all_schemes;
 use era_sim::theorem::run_figure1;
@@ -15,53 +16,29 @@ use era_sim::theorem::run_figure1;
 fn main() {
     let rounds: usize = std::env::args()
         .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+        .map_or(200, |s| parse_arg("rounds", Some(s)));
 
     println!("== F1: Figure 1 / Theorem 6.1 lower-bound execution ==");
     println!("rounds (T2 insert/delete pairs) = {rounds}\n");
 
-    let mut outcomes = Vec::new();
-    for scheme in all_schemes(2) {
-        outcomes.push(run_figure1(scheme, rounds));
-    }
+    let outcomes: Vec<_> = all_schemes(2)
+        .into_iter()
+        .map(|scheme| run_figure1(scheme, rounds))
+        .collect();
 
-    // Trajectory: retired population at sampled stages.
+    // Trajectory: retired population after ten evenly spaced rounds
+    // (fewer when there are fewer than ten).
     let mut traj = Table::new(
         std::iter::once("round".to_string()).chain(outcomes.iter().map(|o| o.scheme.clone())),
     );
-    let checkpoints: Vec<usize> = (1..=10).map(|i| i * rounds / 10).collect();
-    let series: Vec<Vec<usize>> = all_schemes(2)
-        .into_iter()
-        .map(|scheme| {
-            let name = scheme.name();
-            let mut sim = era_sim::HarrisSim::new(scheme);
-            use era_core::ids::ThreadId;
-            use era_sim::OpKind;
-            assert!(sim.run_op(ThreadId(1), OpKind::Insert(1)));
-            assert!(sim.run_op(ThreadId(1), OpKind::Insert(2)));
-            let mut t1 = sim.start_op(ThreadId(0), OpKind::Delete(3));
-            for _ in 0..3 {
-                sim.step(&mut t1);
-            }
-            assert!(sim.run_op(ThreadId(1), OpKind::Delete(1)));
-            let mut out = Vec::new();
-            for (r, n) in (2..2 + rounds as i64).enumerate() {
-                assert!(sim.run_op(ThreadId(1), OpKind::Insert(n + 1)), "{name}");
-                assert!(sim.run_op(ThreadId(1), OpKind::Delete(n)));
-                if checkpoints.contains(&(r + 1)) {
-                    out.push(sim.sim.heap.sample().retired);
-                }
-            }
-            out
-        })
-        .collect();
-    for (i, &cp) in checkpoints.iter().enumerate() {
+    let mut checkpoints: Vec<usize> = (1..=10).map(|i| i * rounds / 10).collect();
+    checkpoints.dedup();
+    for cp in checkpoints.into_iter().filter(|&cp| cp > 0) {
         traj.row(
             std::iter::once(cp.to_string()).chain(
-                series
+                outcomes
                     .iter()
-                    .map(|s| s.get(i).map_or(String::new(), |v| v.to_string())),
+                    .map(|o| o.retired_series[cp - 1].to_string()),
             ),
         );
     }

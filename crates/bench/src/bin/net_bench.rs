@@ -23,8 +23,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use era_bench::parse_arg;
 use era_bench::table::Table;
-use era_kv::{KeyDist, KvMix};
+use era_kv::{KeyDist, KvMix, KvOpKind};
 use era_net::proto::{read_frame, write_request, Request, Response};
 use era_net::{percentiles, write_jsonl, ErrorCode, NetRunRecord};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -64,34 +65,22 @@ fn parse_options() -> Options {
     let mut theta = 0.99f64;
     let mut zipf = false;
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = value(&mut args, "--addr"),
-            "--connections" => {
-                opts.connections = value(&mut args, "--connections")
-                    .parse()
-                    .unwrap_or(4)
-                    .max(1)
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => opts.addr = parse_arg(flag, args.next()),
+            "--connections" => opts.connections = parse_arg::<usize>(flag, args.next()).max(1),
             "--duration" => {
-                let secs: f64 = value(&mut args, "--duration").parse().unwrap_or(3.0);
+                let secs: f64 = parse_arg(flag, args.next());
                 opts.duration = Duration::from_secs_f64(secs.max(0.1));
             }
-            "--pipeline" => {
-                opts.pipeline = value(&mut args, "--pipeline").parse().unwrap_or(16).max(1)
-            }
-            "--rate" => opts.rate = value(&mut args, "--rate").parse().unwrap_or(0),
-            "--keys" => opts.keys = value(&mut args, "--keys").parse().unwrap_or(1 << 16),
-            "--theta" => theta = value(&mut args, "--theta").parse().unwrap_or(0.99),
-            "--seed" => opts.seed = value(&mut args, "--seed").parse().unwrap_or(0x0E8A_BE9C),
+            "--pipeline" => opts.pipeline = parse_arg::<usize>(flag, args.next()).max(1),
+            "--rate" => opts.rate = parse_arg(flag, args.next()),
+            "--keys" => opts.keys = parse_arg(flag, args.next()),
+            "--theta" => theta = parse_arg(flag, args.next()),
+            "--seed" => opts.seed = parse_arg(flag, args.next()),
             "--zipf" => zipf = true,
-            "--dist" => match value(&mut args, "--dist").as_str() {
+            "--dist" => match parse_arg::<String>(flag, args.next()).as_str() {
                 "uniform" => zipf = false,
                 "zipf" | "zipfian" => zipf = true,
                 other => {
@@ -100,7 +89,7 @@ fn parse_options() -> Options {
                 }
             },
             "--mix" => {
-                (opts.mix, opts.mix_name) = match value(&mut args, "--mix").as_str() {
+                (opts.mix, opts.mix_name) = match parse_arg::<String>(flag, args.next()).as_str() {
                     "a" => (KvMix::YCSB_A, "a"),
                     "b" => (KvMix::YCSB_B, "b"),
                     "c" => (KvMix::YCSB_C, "c"),
@@ -111,7 +100,7 @@ fn parse_options() -> Options {
                     }
                 }
             }
-            "--report" => opts.report = Some(PathBuf::from(value(&mut args, "--report"))),
+            "--report" => opts.report = Some(parse_arg(flag, args.next())),
             other => {
                 eprintln!("unknown argument {other}\n{USAGE}");
                 std::process::exit(2);
@@ -181,16 +170,13 @@ fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
         }
         for j in 0..opts.pipeline {
             let key = sampler.sample(&mut rng);
-            let draw = rng.random_range(0..100u32);
-            let req = if draw < opts.mix.reads {
-                Request::Get { key }
-            } else if draw < opts.mix.reads + opts.mix.writes {
-                Request::Put {
+            let req = match opts.mix.kind(rng.random_range(0..100u32)) {
+                KvOpKind::Get => Request::Get { key },
+                KvOpKind::Put => Request::Put {
                     key,
                     value: sent_total as i64,
-                }
-            } else {
-                Request::Remove { key }
+                },
+                KvOpKind::Remove => Request::Remove { key },
             };
             req.encode(&mut burst);
             intended.push(if opts.rate > 0 {

@@ -16,20 +16,19 @@
 //!
 //! Usage: `robustness [churn_ops] [structure_size]` (defaults 40000, 512).
 
+use era_bench::parse_arg;
 use era_bench::runner::{run_harris, run_vbr, stall_churn_michael};
 use era_bench::table::Table;
-use era_bench::workload::{KeyDist, Mix, WorkloadSpec};
+use era_bench::workload::{KeyDist, WorkloadSpec, UPDATE_HEAVY};
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, nbr::Nbr, qsbr::Qsbr};
 
 fn main() {
     let churn: usize = std::env::args()
         .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
+        .map_or(40_000, |s| parse_arg("churn_ops", Some(s)));
     let size: usize = std::env::args()
         .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(512);
+        .map_or(512, |s| parse_arg("structure_size", Some(s)));
 
     println!("== E4: robustness footprint under a stalled reader ==");
     println!("structure size = {size}, churn ops = {churn}\n");
@@ -79,7 +78,7 @@ fn main() {
     println!("--- schemes without the protect/epoch dichotomy ---");
     let mut table = Table::new(["scheme", "peak_retired", "final_retired", "note"]);
     let spec = WorkloadSpec {
-        mix: Mix::UPDATE_HEAVY,
+        mix: UPDATE_HEAVY,
         dist: KeyDist::Uniform,
         key_range: size as i64,
         ops_per_thread: churn / 4,

@@ -19,10 +19,11 @@
 
 use std::path::PathBuf;
 
+use era_bench::parse_arg;
 use era_bench::report::{write_jsonl, RunRecord};
 use era_bench::runner::{run_harris, run_michael, run_skiplist, run_vbr};
 use era_bench::table::Table;
-use era_bench::workload::{KeyDist, Mix, WorkloadSpec};
+use era_bench::workload::{mix_label, KeyDist, WorkloadSpec, READ_HEAVY, UPDATE_HEAVY};
 use era_obs::Recorder;
 use era_smr::common::Smr as _;
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
@@ -35,11 +36,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--report" {
-            report_path = args.next().map(PathBuf::from);
-            if report_path.is_none() {
-                eprintln!("--report requires a path argument");
-                std::process::exit(2);
-            }
+            report_path = Some(parse_arg("--report", args.next()));
         } else if arg == "--zipf" {
             zipf = true;
         } else if arg == "--theta" {
@@ -59,17 +56,16 @@ fn main() {
     } else {
         KeyDist::Uniform
     };
+    let mut positional = positional.into_iter();
     let ops: usize = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+        .next()
+        .map_or(200_000, |s| parse_arg("ops_per_thread", Some(s)));
     let key_range: i64 = positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_024);
+        .next()
+        .map_or(1_024, |s| parse_arg("key_range", Some(s)));
     let mut records: Vec<RunRecord> = Vec::new();
     let threads = [1usize, 2, 4, 8];
-    let mixes = [Mix::READ_HEAVY, Mix::UPDATE_HEAVY];
+    let mixes = [READ_HEAVY, UPDATE_HEAVY];
 
     println!(
         "== E5: throughput (Mops/s), ops/thread = {ops}, keys = {key_range} ({}) ==\n",
@@ -80,7 +76,7 @@ fn main() {
     );
 
     for mix in mixes {
-        println!("--- mix {mix} ---");
+        println!("--- mix {} ---", mix_label(mix));
         let mut table = Table::new(
             std::iter::once("structure+scheme".to_string())
                 .chain(threads.iter().map(|t| format!("{t}T"))),
@@ -139,7 +135,7 @@ fn main() {
     println!(
         "Shape expectations: Leak is the ceiling; EBR tracks it closely; \
          HP/HE pay per-read validation; Harris beats Michael under churn \
-         (see also the michael_vs_harris Criterion bench, experiment E6)."
+         (experiment E6)."
     );
     if let Some(path) = report_path {
         match write_jsonl(&path, &records) {

@@ -44,7 +44,7 @@ use era_obs::report::{histogram_json, hook_counts_json, JsonObject};
 use era_obs::{HistogramSnapshot, Hook, Recorder};
 
 use crate::runner::RunStats;
-use crate::workload::WorkloadSpec;
+use crate::workload::{mix_label, WorkloadSpec};
 
 /// One benchmark run, ready to serialize.
 #[derive(Debug, Clone)]
@@ -86,7 +86,7 @@ impl RunRecord {
         RunRecord {
             structure: structure.to_string(),
             scheme: scheme.to_string(),
-            mix: spec.mix.to_string(),
+            mix: mix_label(spec.mix),
             threads: spec.threads,
             stats,
             curve,

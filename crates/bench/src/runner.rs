@@ -7,7 +7,7 @@ use era_ds::{ConcurrentSet, HarrisList, MichaelList, SkipList, VbrList};
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era_smr::common::{EpochProtected, Smr, SmrStats, SupportsUnlinkedTraversal};
 
-use crate::workload::{GenOp, WorkloadSpec};
+use crate::workload::{KvOpKind, WorkloadSpec};
 
 /// Trace thread slot used by the runner's footprint sampler.
 const SAMPLER_THREAD: u16 = u16::MAX - 1;
@@ -69,18 +69,12 @@ fn drive<L: ConcurrentSet + Sync>(
                     Some((rec, scheme)) if t == 0 => rec.tracer(SAMPLER_THREAD, scheme),
                     _ => ThreadTracer::disabled(),
                 };
-                for (i, op) in spec.ops_for_thread(t).enumerate() {
-                    match op {
-                        GenOp::Contains(k) => {
-                            let _ = set.contains(&mut ctx, k);
-                        }
-                        GenOp::Insert(k) => {
-                            let _ = set.insert(&mut ctx, k);
-                        }
-                        GenOp::Delete(k) => {
-                            let _ = set.delete(&mut ctx, k);
-                        }
-                    }
+                for (i, (k, op)) in spec.ops_for_thread(t).enumerate() {
+                    let _ = match op {
+                        KvOpKind::Get => set.contains(&mut ctx, k),
+                        KvOpKind::Put => set.insert(&mut ctx, k),
+                        KvOpKind::Remove => set.delete(&mut ctx, k),
+                    };
                     if i % 1024 == 0 {
                         let retired = stats().retired_now;
                         // SAFETY(ordering): Relaxed — footprint
@@ -282,7 +276,7 @@ pub fn stall_churn_michael<S: Smr + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{Mix, WorkloadSpec};
+    use crate::workload::{WorkloadSpec, UPDATE_HEAVY};
     use era_smr::ebr::Ebr;
     use era_smr::hp::Hp;
     use era_smr::leak::Leak;
@@ -321,7 +315,7 @@ mod tests {
         // after the final flush, and a recorder gets the curve.
         let smr = Ebr::new(8);
         let spec = WorkloadSpec {
-            mix: Mix::UPDATE_HEAVY,
+            mix: UPDATE_HEAVY,
             ..WorkloadSpec::small()
         };
         let rec = Recorder::new(8);
@@ -344,7 +338,7 @@ mod tests {
     fn update_heavy_workload_reclaims_under_leak_never() {
         let smr = Leak::new(8);
         let spec = WorkloadSpec {
-            mix: Mix::UPDATE_HEAVY,
+            mix: UPDATE_HEAVY,
             ..WorkloadSpec::small()
         };
         let stats = run_michael(&smr, &spec, None);

@@ -3,67 +3,34 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-pub use era_kv::workload::{KeyDist, KeySampler};
+pub use era_kv::workload::{KeyDist, KeySampler, KvMix, KvOpKind};
 
-/// An operation mix in percent (must sum to 100).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mix {
-    /// `contains` share.
-    pub reads: u32,
-    /// `insert` share.
-    pub inserts: u32,
-    /// `delete` share.
-    pub deletes: u32,
-}
+/// 90% reads, 5% inserts, 5% deletes — the classic read-heavy mix.
+pub const READ_HEAVY: KvMix = KvMix {
+    reads: 90,
+    writes: 5,
+    removes: 5,
+};
 
-impl Mix {
-    /// 90% reads, 5% inserts, 5% deletes — the classic read-heavy mix.
-    pub const READ_HEAVY: Mix = Mix {
-        reads: 90,
-        inserts: 5,
-        deletes: 5,
-    };
-    /// 0% reads, 50% inserts, 50% deletes — maximum churn.
-    pub const UPDATE_HEAVY: Mix = Mix {
-        reads: 0,
-        inserts: 50,
-        deletes: 50,
-    };
-    /// 50/25/25 — balanced.
-    pub const MIXED: Mix = Mix {
-        reads: 50,
-        inserts: 25,
-        deletes: 25,
-    };
+/// 0% reads, 50% inserts, 50% deletes — maximum churn.
+pub const UPDATE_HEAVY: KvMix = KvMix {
+    reads: 0,
+    writes: 50,
+    removes: 50,
+};
 
-    /// Validates the mix.
-    pub fn is_valid(&self) -> bool {
-        self.reads + self.inserts + self.deletes == 100
-    }
-}
-
-impl std::fmt::Display for Mix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}r/{}i/{}d", self.reads, self.inserts, self.deletes)
-    }
-}
-
-/// A generated operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenOp {
-    /// `contains(key)`.
-    Contains(i64),
-    /// `insert(key)`.
-    Insert(i64),
-    /// `delete(key)`.
-    Delete(i64),
+/// A mix as the tables and run records print it, e.g. `"90r/5i/5d"`
+/// (a set's insert is the mix's put, its delete the remove).
+pub fn mix_label(mix: KvMix) -> String {
+    format!("{}r/{}i/{}d", mix.reads, mix.writes, mix.removes)
 }
 
 /// A complete workload description.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadSpec {
-    /// Operation mix.
-    pub mix: Mix,
+    /// Operation mix: a get is `contains`, a put `insert`, a remove
+    /// `delete`.
+    pub mix: KvMix,
     /// Key popularity distribution (uniform or zipfian).
     pub dist: KeyDist,
     /// Keys are drawn from `0..key_range` according to `dist`.
@@ -80,10 +47,14 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// A small default suitable for tests.
+    /// A small default suitable for tests: a balanced 50/25/25 mix.
     pub fn small() -> Self {
         WorkloadSpec {
-            mix: Mix::MIXED,
+            mix: KvMix {
+                reads: 50,
+                writes: 25,
+                removes: 25,
+            },
             dist: KeyDist::Uniform,
             key_range: 256,
             ops_per_thread: 2_000,
@@ -114,32 +85,25 @@ impl WorkloadSpec {
     }
 }
 
-/// Iterator of operations for one thread.
+/// Iterator of `(key, kind)` operations for one thread.
 #[derive(Debug)]
 pub struct OpStream {
     rng: StdRng,
-    mix: Mix,
+    mix: KvMix,
     sampler: KeySampler,
     remaining: usize,
 }
 
 impl Iterator for OpStream {
-    type Item = GenOp;
+    type Item = (i64, KvOpKind);
 
-    fn next(&mut self) -> Option<GenOp> {
+    fn next(&mut self) -> Option<(i64, KvOpKind)> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
         let key = self.sampler.sample(&mut self.rng);
-        let roll = self.rng.random_range(0..100u32);
-        Some(if roll < self.mix.reads {
-            GenOp::Contains(key)
-        } else if roll < self.mix.reads + self.mix.inserts {
-            GenOp::Insert(key)
-        } else {
-            GenOp::Delete(key)
-        })
+        Some((key, self.mix.kind(self.rng.random_range(0..100u32))))
     }
 }
 
@@ -148,16 +112,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mixes_are_valid() {
-        assert!(Mix::READ_HEAVY.is_valid());
-        assert!(Mix::UPDATE_HEAVY.is_valid());
-        assert!(Mix::MIXED.is_valid());
-        assert!(!Mix {
-            reads: 50,
-            inserts: 50,
-            deletes: 50
+    fn mixes_sum_to_100_and_keep_their_labels() {
+        for (mix, label) in [(READ_HEAVY, "90r/5i/5d"), (UPDATE_HEAVY, "0r/50i/50d")] {
+            assert_eq!(mix.reads + mix.writes + mix.removes, 100);
+            assert_eq!(mix_label(mix), label);
         }
-        .is_valid());
     }
 
     #[test]
@@ -171,16 +130,49 @@ mod tests {
         assert_ne!(a, c, "different threads, different streams");
     }
 
+    /// The first ops of both `small()` streams, as the generator drew
+    /// them before it shared `KvMix::kind` (key first, then the roll).
+    #[test]
+    fn streams_are_pinned() {
+        let uniform = WorkloadSpec::small();
+        let zipf = WorkloadSpec {
+            dist: KeyDist::Zipfian { theta: 0.99 },
+            ..uniform
+        };
+        let head = |spec: &WorkloadSpec| -> (Vec<i64>, String) {
+            let letter = |op| match op {
+                KvOpKind::Get => 'G',
+                KvOpKind::Put => 'P',
+                KvOpKind::Remove => 'R',
+            };
+            spec.ops_for_thread(0)
+                .take(32)
+                .map(|(k, op)| (k, letter(op)))
+                .unzip()
+        };
+        let kinds = "GGRGPGRGGGGRGGGPRGPGRPGGGPGRRPGG";
+        let keys = [
+            62, 251, 19, 43, 42, 33, 13, 199, 121, 238, 142, 164, 30, 214, 234, 241, 171, 99, 154,
+            122, 17, 71, 96, 95, 150, 150, 201, 116, 152, 164, 185, 228,
+        ];
+        assert_eq!(head(&uniform), (keys.to_vec(), kinds.to_string()));
+        let keys = [
+            2, 130, 6, 12, 243, 184, 9, 11, 231, 1, 27, 46, 3, 0, 183, 0, 23, 66, 11, 1, 0, 4, 80,
+            72, 0, 2, 22, 47, 4, 195, 50, 124,
+        ];
+        assert_eq!(head(&zipf), (keys.to_vec(), kinds.to_string()));
+    }
+
     #[test]
     fn mix_shares_are_respected_roughly() {
         let spec = WorkloadSpec {
-            mix: Mix::READ_HEAVY,
+            mix: READ_HEAVY,
             ops_per_thread: 10_000,
             ..WorkloadSpec::small()
         };
         let reads = spec
             .ops_for_thread(0)
-            .filter(|op| matches!(op, GenOp::Contains(_)))
+            .filter(|&(_, op)| op == KvOpKind::Get)
             .count();
         assert!((8_500..=9_500).contains(&reads), "reads={reads}");
     }
@@ -195,14 +187,7 @@ mod tests {
             dist: KeyDist::Zipfian { theta: 0.99 },
             ..uniform
         };
-        let hot = |spec: &WorkloadSpec| {
-            spec.ops_for_thread(0)
-                .filter(|op| {
-                    let (GenOp::Contains(k) | GenOp::Insert(k) | GenOp::Delete(k)) = op;
-                    *k < 8
-                })
-                .count()
-        };
+        let hot = |spec: &WorkloadSpec| spec.ops_for_thread(0).filter(|&(k, _)| k < 8).count();
         let (u, z) = (hot(&uniform), hot(&zipf));
         assert!(
             z > u * 5,

@@ -1,0 +1,59 @@
+//! The experiment binaries as processes: a malformed number exits 2
+//! naming its flag or position instead of running with a default, and
+//! `figure1` labels each trajectory row with the round it shows.
+
+use std::process::{Command, Output};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("binary runs")
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns processes")]
+fn malformed_numbers_exit_2_naming_the_flag_or_position() {
+    for (bin, args, what) in [
+        (
+            env!("CARGO_BIN_EXE_chaos_bench"),
+            &["--ops", "x"][..],
+            "--ops",
+        ),
+        (env!("CARGO_BIN_EXE_figure1"), &["x"], "rounds"),
+        (
+            env!("CARGO_BIN_EXE_net_bench"),
+            &["--addr", "127.0.0.1:1", "--pipeline", "x"],
+            "--pipeline",
+        ),
+    ] {
+        let out = run(bin, args);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(what), "{bin} {args:?}: {stderr}");
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns processes")]
+fn figure1_rows_are_the_distinct_checkpoint_rounds() {
+    for (rounds, labels) in [
+        ("12", &[1, 2, 3, 4, 6, 7, 8, 9, 10, 12][..]),
+        ("5", &[1, 2, 3, 4, 5]),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_figure1"), &[rounds]);
+        assert_eq!(out.status.code(), Some(0), "figure1 {rounds}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        // The trajectory table: its rule line, then one row per round.
+        let rows: Vec<Vec<&str>> = stdout
+            .lines()
+            .skip_while(|l| !l.starts_with("---"))
+            .skip(1)
+            .take_while(|l| !l.trim().is_empty())
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let got: Vec<usize> = rows.iter().map(|r| r[0].parse().unwrap()).collect();
+        assert_eq!(got, labels, "figure1 {rounds}");
+        assert!(
+            rows.iter().all(|r| r.len() == 9),
+            "a count for each of the 8 schemes: {rows:?}"
+        );
+    }
+}

@@ -5,9 +5,9 @@
 //!
 //! * [`michael_map`] — **Michael's** list (unlink-before-advance),
 //!   compatible with every pointer-based scheme including HP/HE/IBR;
-//!   the price is extra CAS work on traversals, which the
-//!   `michael_vs_harris` benchmark measures (the paper's §6 "practical
-//!   importance" discussion). It is a map (`i64 → i64`);
+//!   the price is extra CAS work on traversals, which the `throughput`
+//!   binary's `michael+*` vs `harris+*` rows measure (experiment E6, the
+//!   paper's §6 "practical importance" discussion). It is a map (`i64 → i64`);
 //!   [`michael_list`] is the same list as a set — the map without a
 //!   value, no node or traversal of its own.
 //! * [`harris_list`] — **Harris's** list (Algorithm 1 of the paper):

@@ -59,4 +59,4 @@ pub mod workload;
 
 pub use navigator::ShardHealth;
 pub use store::{KvConfig, KvCtx, KvError, KvStore, RetryPolicy, NAVIGATOR_THREAD};
-pub use workload::{KeyDist, KvMix};
+pub use workload::{KeyDist, KvMix, KvOpKind};

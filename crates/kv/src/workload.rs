@@ -109,6 +109,30 @@ impl KvMix {
             _ => "custom",
         }
     }
+
+    /// The operation a uniform `roll` in `0..100` picks: below `reads`
+    /// a get, then below `reads + writes` a put, else a remove. The
+    /// caller draws the roll, so each stream keeps its own draw order.
+    pub fn kind(&self, roll: u32) -> KvOpKind {
+        if roll < self.reads {
+            KvOpKind::Get
+        } else if roll < self.reads + self.writes {
+            KvOpKind::Put
+        } else {
+            KvOpKind::Remove
+        }
+    }
+}
+
+/// The kind of operation [`KvMix::kind`] picks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvOpKind {
+    /// Read the key.
+    Get,
+    /// Write the key.
+    Put,
+    /// Delete the key.
+    Remove,
 }
 
 #[cfg(test)]
@@ -130,6 +154,20 @@ mod tests {
             .name(),
             "custom"
         );
+    }
+
+    #[test]
+    fn kind_splits_the_roll_at_the_mix_boundaries() {
+        let mix = KvMix::CHURN;
+        let (r, w) = (mix.reads, mix.writes);
+        assert_eq!(mix.kind(0), KvOpKind::Get);
+        assert_eq!(mix.kind(r - 1), KvOpKind::Get);
+        assert_eq!(mix.kind(r), KvOpKind::Put);
+        assert_eq!(mix.kind(r + w - 1), KvOpKind::Put);
+        assert_eq!(mix.kind(r + w), KvOpKind::Remove);
+        assert_eq!(mix.kind(99), KvOpKind::Remove);
+        // Read-only: every roll is a get.
+        assert_eq!(KvMix::YCSB_C.kind(99), KvOpKind::Get);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use era_kv::{KvConfig, KvCtx, KvStore, ShardHealth};
+use era_kv::{KvConfig, KvCtx, KvOpKind, KvStore, ShardHealth};
 use era_net::{read_frame, write_request, NetConfig, NetServer, Request, Response};
 use era_obs::{DumpStats, FlightRecorder, Hook};
 use era_smr::{SchemeKind, Smr};
@@ -392,20 +392,18 @@ fn run_phase<S: Smr>(
                     let (total_ops, total_shed) = (&total_ops, &total_shed);
                     s.spawn(move || {
                         let mut ctx: KvCtx<S> = register_retry(store, "worker");
-                        let (mut rng, sampler) = worker_rng(spec, pi, t, phase);
                         let mut ops = 0u64;
                         let mut shed = 0u64;
-                        for _ in 0..phase.ops_per_thread {
-                            let key = phase.key_lo as i64 + sampler.sample(&mut rng);
-                            let roll = rng.random_range(0..100u32);
-                            if roll < phase.reads {
-                                let _ = store.get(&mut ctx, key);
-                            } else if roll < phase.reads + phase.writes {
-                                if store.put(&mut ctx, key, key).is_err() {
-                                    shed += 1;
-                                    std::thread::yield_now();
+                        for (key, kind) in worker_ops(spec, pi, t, phase) {
+                            let refused = match kind {
+                                KvOpKind::Get => {
+                                    let _ = store.get(&mut ctx, key);
+                                    false // reads are never refused
                                 }
-                            } else if store.remove(&mut ctx, key).is_err() {
+                                KvOpKind::Put => store.put(&mut ctx, key, key).is_err(),
+                                KvOpKind::Remove => store.remove(&mut ctx, key).is_err(),
+                            };
+                            if refused {
                                 shed += 1;
                                 std::thread::yield_now();
                             }
@@ -481,26 +479,23 @@ fn serve_phase<S: Smr>(
                 s.spawn(move || {
                     let mut conn = TcpStream::connect(addr).expect("connect loopback");
                     conn.set_nodelay(true).ok();
-                    let (mut rng, sampler) = worker_rng(spec, pi, t, phase);
+                    let mut draws = worker_ops(spec, pi, t, phase);
                     let mut scratch = Vec::new();
                     let (mut ops, mut shed) = (0u64, 0u64);
-                    let mut sent = 0usize;
-                    let mut issued = 0usize;
-                    while issued < phase.ops_per_thread {
+                    loop {
                         // Pipeline a small burst, then read it back.
-                        while sent < 8 && issued < phase.ops_per_thread {
-                            let key = phase.key_lo as i64 + sampler.sample(&mut rng);
-                            let roll = rng.random_range(0..100u32);
-                            let req = if roll < phase.reads {
-                                Request::Get { key }
-                            } else if roll < phase.reads + phase.writes {
-                                Request::Put { key, value: key }
-                            } else {
-                                Request::Remove { key }
+                        let mut sent = 0usize;
+                        for (key, kind) in draws.by_ref().take(8) {
+                            let req = match kind {
+                                KvOpKind::Get => Request::Get { key },
+                                KvOpKind::Put => Request::Put { key, value: key },
+                                KvOpKind::Remove => Request::Remove { key },
                             };
                             write_request(&mut conn, &req).expect("client write");
                             sent += 1;
-                            issued += 1;
+                        }
+                        if sent == 0 {
+                            break;
                         }
                         while sent > 0 {
                             let frame = read_frame(&mut conn, &mut scratch)
@@ -541,18 +536,24 @@ fn serve_phase<S: Smr>(
     });
 }
 
-/// The seeded RNG and key sampler of worker `t` in phase `pi`, salted
-/// with the phase index so phases draw independent streams.
-fn worker_rng(
+/// The `(key, kind)` operations worker `t` issues in phase `pi`: a
+/// seeded stream salted with the phase index, so phases draw
+/// independent streams. Each op samples its key, then rolls its kind.
+fn worker_ops(
     spec: &ScenarioSpec,
     pi: usize,
     t: usize,
     phase: &PhaseSpec,
-) -> (StdRng, era_kv::workload::KeySampler) {
+) -> impl Iterator<Item = (i64, KvOpKind)> {
     let salt = (((pi as u64) << 32) | t as u64).wrapping_add(1);
-    let rng = StdRng::seed_from_u64(spec.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let window = (phase.key_hi - phase.key_lo) as i64;
-    (rng, phase.dist().sampler(window))
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let sampler = phase.dist().sampler((phase.key_hi - phase.key_lo) as i64);
+    let (key_lo, mix) = (phase.key_lo as i64, phase.mix());
+    std::iter::repeat_with(move || {
+        let key = key_lo + sampler.sample(&mut rng);
+        (key, mix.kind(rng.random_range(0..100u32)))
+    })
+    .take(phase.ops_per_thread)
 }
 
 /// Writes a `.eraflt` dump of every shard's retained trace + exact
@@ -608,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_rng_streams_differ_by_phase_and_thread() {
+    fn worker_streams_differ_by_phase_and_thread_and_are_pinned() {
         let spec = ScenarioSpec {
             name: "t".into(),
             seed: 7,
@@ -621,11 +622,28 @@ mod tests {
             phases: vec![PhaseSpec::churn("a"), PhaseSpec::churn("b")],
         };
         let draw = |pi: usize, t: usize| {
-            let (mut rng, sampler) = worker_rng(&spec, pi, t, &spec.phases[pi]);
-            (0..8).map(|_| sampler.sample(&mut rng)).collect::<Vec<_>>()
+            worker_ops(&spec, pi, t, &spec.phases[pi])
+                .take(32)
+                .collect::<Vec<_>>()
         };
         assert_eq!(draw(0, 0), draw(0, 0), "deterministic");
         assert_ne!(draw(0, 0), draw(0, 1), "per-thread stream");
         assert_ne!(draw(0, 0), draw(1, 0), "per-phase stream");
+        assert_eq!(
+            worker_ops(&spec, 0, 0, &spec.phases[0]).count(),
+            spec.phases[0].ops_per_thread
+        );
+        // The head of phase 0, worker 0, as the worker drew it before it
+        // shared `KvMix::kind` (key first, then the roll).
+        let keys = [
+            229, 257, 23, 916, 515, 165, 635, 702, 905, 59, 5, 808, 144, 708, 208, 564, 570, 349,
+            557, 813, 194, 204, 826, 528, 120, 885, 309, 985, 789, 320, 358, 257,
+        ];
+        let kinds = "RPGGRPGPPGPPPRGGRRGRPRGGGGRPPGGG".chars().map(|c| match c {
+            'G' => KvOpKind::Get,
+            'P' => KvOpKind::Put,
+            _ => KvOpKind::Remove,
+        });
+        assert_eq!(draw(0, 0), keys.into_iter().zip(kinds).collect::<Vec<_>>());
     }
 }

@@ -69,6 +69,9 @@ pub struct TheoremOutcome {
     pub rounds: usize,
     /// Peak retired population during the churn.
     pub peak_retired: usize,
+    /// Retired population after each churn round: round *r* is at index
+    /// *r* − 1.
+    pub retired_series: Vec<usize>,
     /// Peak `max_active` (the paper proves this is 4).
     pub peak_max_active: usize,
     /// Definition 4.2 violations detected.
@@ -166,6 +169,8 @@ fn run_figure1_inner(
         sim.sim.sample();
     }
     let peak_retired = sim.sim.samples.iter().map(|s| s.retired).max().unwrap_or(0);
+    // Sample 0 is stage (c); one sample per churn round follows.
+    let retired_series = sim.sim.samples[1..].iter().map(|s| s.retired).collect();
     let peak_max_active = sim
         .sim
         .samples
@@ -206,6 +211,7 @@ fn run_figure1_inner(
         scheme: name,
         rounds,
         peak_retired,
+        retired_series,
         peak_max_active,
         violations,
         first_violation,
@@ -338,6 +344,9 @@ mod tests {
         let out = run_figure1(Box::new(SimEbr::new(2)), 100);
         assert_eq!(out.sacrificed, Sacrificed::Robustness);
         assert!(out.peak_retired >= 100, "everything piles up: {out}");
+        assert_eq!(out.retired_series.len(), 100, "one sample per round");
+        assert!(out.retired_series.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(out.retired_series.last(), Some(&out.peak_retired));
         assert!(out.solo_completed, "EBR stays safe: T1 finishes");
         assert_eq!(out.violations, 0);
     }

@@ -6,9 +6,9 @@
 //! Run with: `cargo run --example trace_theorem [rounds] [out.jsonl]`
 //! (defaults: 32 rounds, `trace_theorem.jsonl` in the working dir).
 //!
-//! Where `theorem_replay` narrates the construction for one scheme,
-//! this example shows what the *observability layer* sees: the same
-//! adversarial schedule produces a different event shape per scheme —
+//! Where the `figure1` binary prints each scheme's trajectory and
+//! outcome, this example shows what the *observability layer* sees: the
+//! same adversarial schedule produces a different event shape per scheme —
 //! EBR's footprint grows with every churn round while T1 is blocked,
 //! HP tips the safety oracle into `oracle_violation` events, NBR emits
 //! `restart`, VBR emits `rollback` — which is the ERA trade-off of the
