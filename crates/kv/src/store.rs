@@ -56,7 +56,9 @@ pub struct KvConfig {
     /// ([`era_obs::DEFAULT_RING_CAPACITY`]) holds a few hundred
     /// milliseconds of traced traffic; soak-length scenario runs raise
     /// it so the flight recorder's retained window is not all
-    /// `trace_dropped`.
+    /// `trace_dropped`. A ring costs 24 B × capacity, committed as its
+    /// events are written, and each thread registered on a shard has
+    /// one.
     pub ring_capacity: usize,
 }
 
@@ -1026,6 +1028,46 @@ mod tests {
         // The old context survived the failed heal and still works.
         assert_eq!(store.put(&mut ctx, 1, 1), Ok(None));
         assert_eq!(store.get(&mut ctx, 1), Some(1));
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn dropped_contexts_release_their_rings() {
+        // Rings of 8, so each cycle's ops wrap them and `dropped` moves.
+        let schemes: Vec<Hp> = (0..4).map(|_| Hp::new(4, 3)).collect();
+        let cfg = KvConfig {
+            ring_capacity: 8,
+            ..KvConfig::default()
+        };
+        let store = KvStore::new(&schemes, cfg);
+        let rings = |s: usize| store.recorder(s).ring_count();
+        // The service and navigator tracers' rings.
+        let idle: Vec<usize> = (0..4).map(rings).collect();
+        let cycles = if cfg!(miri) { 20 } else { 1_000 };
+        for cycle in 0..cycles {
+            let mut ctx = store.register().unwrap();
+            for k in 0..32 {
+                store.put(&mut ctx, k, cycle).unwrap();
+                assert_eq!(store.get(&mut ctx, k), Some(cycle));
+            }
+            let before: Vec<u64> = (0..4)
+                .map(|s| {
+                    store.recorder(s).drain();
+                    store.recorder(s).dropped()
+                })
+                .collect();
+            drop(ctx);
+            for (s, &dropped) in before.iter().enumerate() {
+                store.recorder(s).drain();
+                assert_eq!(
+                    rings(s),
+                    idle[s],
+                    "cycle {cycle}: shard {s} kept a dead ring"
+                );
+                assert_eq!(store.recorder(s).dropped(), dropped, "losses stay counted");
+            }
+        }
+        assert!((0..4).all(|s| store.recorder(s).dropped() > 0));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! ## Design
 //!
 //! - **Per-thread rings** ([`Ring`]): each instrumented thread writes
-//!   fixed-size 32-byte [`Event`] records into its own preallocated
-//!   drop-oldest ring. The hot path is two atomic stores around a
-//!   plain copy — no allocation, no locks, no cross-thread contention.
+//!   its events into its own drop-oldest ring, three atomic words a
+//!   slot (the ring holds the thread and scheme once; a drain restores
+//!   the 32-byte [`Event`]). A push is five stores to words only that
+//!   thread writes — no allocation, no locks, no cross-thread
+//!   contention — and a ring commits memory only as it fills.
 //! - **Global logical clock**: protocol events (retire, reclaim,
 //!   advance, … — [`Hook::advances_clock`]) draw a timestamp with one
 //!   `fetch_add(1)`; per-operation events (`BeginOp`, `EndOp`, `Load`,

@@ -1,11 +1,12 @@
 //! The [`Recorder`] facade and per-thread [`ThreadTracer`] handles.
 //!
 //! A `Recorder` owns the global logical clock, the aggregate
-//! [`Metrics`], and one [`Ring`] per issued tracer. Tracers are the
-//! only write path: each holds an exclusive `Arc` to its own ring and
-//! its own hook-counter block, so the single-writer contract is
-//! enforced by construction. Draining merges every ring into one log
-//! ordered by [`Event::merge_key`].
+//! [`Metrics`], and one [`Ring`] per thread slot each issued tracer
+//! writes for. Tracers are the only write path: each holds an
+//! exclusive `Arc` to its own rings and its own hook-counter block, so
+//! the single-writer contract is enforced by construction. Draining
+//! merges every ring into one log ordered by [`Event::merge_key`], and
+//! lets go of a ring whose tracer is gone once it has drained it.
 //!
 //! # The clock
 //!
@@ -45,7 +46,7 @@ use crate::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 #[cfg(feature = "rt")]
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -64,8 +65,45 @@ struct Clock(AtomicU64);
 struct RecorderCore {
     clock: Clock,
     metrics: Metrics,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    rings: Mutex<Rings>,
     ring_capacity: usize,
+}
+
+/// The rings a recorder drains.
+#[cfg(feature = "rt")]
+#[derive(Debug, Default)]
+struct Rings {
+    /// Every ring a live tracer may still write, and any not yet
+    /// drained since its tracer dropped, in creation order.
+    live: Vec<Arc<Ring>>,
+    /// The `dropped` of every ring let go of.
+    released_dropped: u64,
+}
+
+#[cfg(feature = "rt")]
+impl Rings {
+    fn dropped(&self) -> u64 {
+        self.released_dropped + self.live.iter().map(|r| r.dropped()).sum::<u64>()
+    }
+}
+
+#[cfg(feature = "rt")]
+impl RecorderCore {
+    /// Allocates and registers a ring for `thread`'s events under
+    /// `scheme`.
+    fn ring(&self, thread: u16, scheme: SchemeId) -> Arc<Ring> {
+        let ring = Arc::new(Ring::with_owner(self.ring_capacity, thread, scheme));
+        self.lock_rings().live.push(Arc::clone(&ring));
+        ring
+    }
+
+    fn lock_rings(&self) -> MutexGuard<'_, Rings> {
+        // The crash dump drains from a panic hook: inherit the list
+        // rather than propagate a poison.
+        self.rings
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// Shared handle to a trace session. Cloning is cheap; all clones feed
@@ -95,7 +133,7 @@ impl Recorder {
                 core: Arc::new(RecorderCore {
                     clock: Clock(AtomicU64::new(1)),
                     metrics: Metrics::new(max_threads),
-                    rings: Mutex::new(Vec::new()),
+                    rings: Mutex::default(),
                     ring_capacity,
                 }),
             }
@@ -142,15 +180,12 @@ impl Recorder {
     pub fn tracer(&self, thread: u16, scheme: SchemeId) -> ThreadTracer {
         #[cfg(feature = "rt")]
         {
-            let ring = Arc::new(Ring::new(self.core.ring_capacity));
-            self.core.rings.lock().unwrap().push(Arc::clone(&ring));
             ThreadTracer {
                 inner: Some(TracerInner {
                     recorder: Arc::clone(&self.core),
-                    ring,
+                    ring: self.core.ring(thread, scheme),
+                    others: Vec::new(),
                     hooks: self.core.metrics.hook_block(),
-                    thread,
-                    scheme,
                 }),
             }
         }
@@ -167,18 +202,31 @@ impl Recorder {
     /// (in-flight events appear in a later drain); safe to call
     /// repeatedly: the ring cursors advance past everything drained,
     /// so each event is returned once or counted in
-    /// [`TraceLog::dropped`] — nothing is lost silently.
+    /// [`TraceLog::dropped`] — nothing is lost silently. A ring whose
+    /// tracer has dropped is drained one last time and let go of, its
+    /// losses kept in the cumulative [`Recorder::dropped`].
     pub fn drain(&self) -> TraceLog {
         #[cfg(feature = "rt")]
         {
-            let rings = self.core.rings.lock().unwrap();
+            let mut rings = self.core.lock_rings();
+            let Rings {
+                live,
+                released_dropped,
+            } = &mut *rings;
             let mut events = Vec::new();
-            for ring in rings.iter() {
+            live.retain_mut(|ring| {
+                // Unique (an Acquire check): its tracer is gone and every
+                // push happened before this drain, which empties it.
+                let released = Arc::get_mut(ring).is_some();
                 ring.drain_into(&mut events);
-            }
-            let dropped = rings.iter().map(|r| r.dropped()).sum();
+                if released {
+                    *released_dropped += ring.dropped();
+                }
+                !released
+            });
+            let dropped = rings.dropped();
             drop(rings);
-            // Stable, over rings concatenated in push order: events
+            // Stable, over rings concatenated in creation order: events
             // equal in the key keep their ring position, so the same
             // ring contents always merge to the same log.
             events.sort_by_key(Event::merge_key);
@@ -200,8 +248,21 @@ impl Recorder {
     pub fn dropped(&self) -> u64 {
         #[cfg(feature = "rt")]
         {
-            let rings = self.core.rings.lock().unwrap();
-            rings.iter().map(|r| r.dropped()).sum()
+            self.core.lock_rings().dropped()
+        }
+        #[cfg(not(feature = "rt"))]
+        {
+            0
+        }
+    }
+
+    /// Rings the recorder holds: one per thread slot a live tracer
+    /// writes for, plus any whose tracer dropped since the last
+    /// [`Recorder::drain`].
+    pub fn ring_count(&self) -> usize {
+        #[cfg(feature = "rt")]
+        {
+            self.core.lock_rings().live.len()
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -243,33 +304,50 @@ impl TraceLog {
 #[derive(Debug)]
 struct TracerInner {
     recorder: Arc<RecorderCore>,
+    /// The ring of the tracer's own thread slot.
     ring: Arc<Ring>,
+    /// The rings of the other thread slots [`ThreadTracer::emit_for`]
+    /// wrote for, each created on first use.
+    others: Vec<Arc<Ring>>,
     hooks: Arc<HookCounts>,
-    thread: u16,
-    scheme: SchemeId,
 }
 
 #[cfg(feature = "rt")]
 impl TracerInner {
-    /// The single-event emit path. `hook` is a constant at every call
-    /// site, so after inlining the clock branch is decided at compile
-    /// time.
+    /// The single-event emit path into `ring`. `hook` is a constant at
+    /// every call site, so after inlining the clock branch is decided
+    /// at compile time.
     #[inline]
-    fn record(&self, thread: u16, hook: Hook, a: u64, b: u64) {
+    fn record(&self, ring: &Ring, hook: Hook, a: u64, b: u64) {
         let clock = &self.recorder.clock.0;
-        let mut event = Event::new(thread, self.scheme, hook, a, b);
         // SAFETY(ordering): Relaxed on both arms — the clock orders the
         // merged log by the coherence of this one word (module docs),
-        // it publishes nothing; the ring's seqlock Release publishes
-        // the event itself. Only protocol hooks pay the RMW: a
-        // per-operation hook must not write a recorder-shared word.
-        event.ts = if hook.advances_clock() {
+        // it publishes nothing; the ring's head publishes the event
+        // itself. Only protocol hooks pay the RMW: a per-operation hook
+        // must not write a recorder-shared word.
+        let ts = if hook.advances_clock() {
             clock.fetch_add(1, Ordering::Relaxed)
         } else {
             clock.load(Ordering::Relaxed)
         };
         self.hooks.bump(hook, 1);
-        self.ring.push(event);
+        ring.write(ts, hook as u8, a, b);
+    }
+
+    /// [`TracerInner::record`] into `thread`'s ring.
+    fn record_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
+        if thread == self.ring.thread() {
+            return self.record(&self.ring, hook, a, b);
+        }
+        let k = match self.others.iter().position(|r| r.thread() == thread) {
+            Some(k) => k,
+            None => {
+                let ring = self.recorder.ring(thread, self.ring.scheme());
+                self.others.push(ring);
+                self.others.len() - 1
+            }
+        };
+        self.record(&self.others[k], hook, a, b);
     }
 
     /// The run path: `n ≥ 1` events of `hook`, event `k` carrying
@@ -290,16 +368,15 @@ impl TracerInner {
         for k in 0..n {
             let ts = if ticks { t0 + k as u64 } else { t0 };
             let (a, b) = payload(k, ts);
-            let mut event = Event::new(self.thread, self.scheme, hook, a, b);
-            event.ts = ts;
-            self.ring.push(event);
+            self.ring.write(ts, hook as u8, a, b);
         }
         self.hooks.bump(hook, n as u64);
     }
 }
 
-/// A per-thread emit handle. One tracer = one writer = one ring; hand
-/// each instrumented thread its own (via [`Recorder::tracer`]).
+/// A per-thread emit handle. One tracer = one writer = one ring per
+/// thread slot it writes for; hand each instrumented thread its own
+/// (via [`Recorder::tracer`]).
 ///
 /// The disabled (default) state — from [`ThreadTracer::disabled`] or
 /// any tracer when the `rt` feature is off — makes every emit a no-op
@@ -345,7 +422,7 @@ impl ThreadTracer {
     pub fn emit(&mut self, hook: Hook, a: u64, b: u64) {
         #[cfg(feature = "rt")]
         if let Some(inner) = &self.inner {
-            inner.record(inner.thread, hook, a, b);
+            inner.record(&inner.ring, hook, a, b);
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -383,12 +460,15 @@ impl ThreadTracer {
     }
 
     /// Emits with an explicit thread slot (for single-tracer producers
-    /// that multiplex several logical threads, like the simulator).
+    /// that multiplex several logical threads, like the simulator). An
+    /// event of another thread than the tracer's own goes into a ring
+    /// of that thread's, which the first such emit allocates and
+    /// registers with the recorder.
     #[inline]
     pub fn emit_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
         #[cfg(feature = "rt")]
-        if let Some(inner) = &self.inner {
-            inner.record(thread, hook, a, b);
+        if let Some(inner) = &mut self.inner {
+            inner.record_for(thread, hook, a, b);
         }
         #[cfg(not(feature = "rt"))]
         {
@@ -485,5 +565,48 @@ mod tests {
         t.emit_for(5, Hook::Phase, 1, 0);
         let log = rec.drain();
         assert_eq!(log.events[0].thread, 5);
+    }
+
+    #[cfg(feature = "rt")]
+    #[test]
+    fn emit_for_three_threads_merges_like_three_tracers() {
+        let hooks = [
+            Hook::BeginOp,
+            Hook::Load,
+            Hook::Retire,
+            Hook::EndOp,
+            Hook::Reclaim,
+        ];
+        let threads = [0u16, 2, 2, 1, 0, 1, 1, 2];
+        let one = Recorder::new(4);
+        let mut shared = one.tracer(0, SchemeId::HP);
+        let three = Recorder::new(4);
+        let mut own: Vec<ThreadTracer> = (0..3).map(|t| three.tracer(t, SchemeId::HP)).collect();
+        for i in 0..200u64 {
+            let (thread, hook) = (threads[i as usize % 8], hooks[i as usize % 5]);
+            shared.emit_for(thread, hook, i, !i);
+            own[thread as usize].emit(hook, i, !i);
+        }
+        assert_eq!(one.drain().events, three.drain().events);
+        assert_eq!(one.ring_count(), 3);
+    }
+
+    #[cfg(feature = "rt")]
+    #[test]
+    fn a_dropped_tracers_rings_go_after_their_last_drain() {
+        let rec = Recorder::with_ring_capacity(2, 8);
+        let _kept = rec.tracer(0, SchemeId::HP);
+        let mut gone = rec.tracer(1, SchemeId::HP);
+        for i in 0..20 {
+            gone.emit(Hook::Retire, i, 0);
+            gone.emit_for(2, Hook::Retire, i, 0);
+        }
+        drop(gone);
+        assert_eq!(rec.ring_count(), 3, "undrained rings stay");
+        let log = rec.drain();
+        assert_eq!((log.events.len(), log.dropped), (16, 24));
+        assert_eq!(rec.ring_count(), 1);
+        assert!(rec.drain().events.is_empty());
+        assert_eq!(rec.dropped(), 24, "their losses stay counted");
     }
 }

@@ -1,43 +1,51 @@
 //! A single-writer, single-drainer, drop-oldest trace ring.
 //!
-//! Each instrumented thread owns exactly one [`Ring`] (enforced by
-//! construction: [`crate::Recorder::tracer`] allocates a fresh ring
-//! per tracer). The writer never blocks and never allocates: a push is
-//! two atomic stores bracketing a plain 32-byte copy into a
-//! preallocated slot. When the ring is full the oldest events are
+//! Each ring belongs to one thread slot and one scheme (its *owner*):
+//! [`crate::Recorder::tracer`] allocates a fresh ring per tracer, and
+//! [`crate::ThreadTracer::emit_for`] one per further thread slot it
+//! writes for. The owner is stored once, in the ring, so a slot is
+//! three `AtomicU64` words — `ts << 8 | hook`, `a`, `b`, 24 bytes —
+//! and a drain restores `thread` and `scheme` from the ring. The
+//! writer never blocks and never allocates: a push is five stores to
+//! words it alone writes. When the ring is full the oldest events are
 //! overwritten — tracing sheds load instead of applying backpressure
 //! to the algorithm under observation.
 //!
-//! The drainer may run concurrently with the writer. Each slot carries
-//! a seqlock-style sequence word so the drainer can detect (and skip)
-//! slots that were mid-overwrite while it was copying them; skipped
-//! slots are accounted as dropped, never returned torn.
+//! The drainer may run concurrently with the writer. The head is the
+//! seqlock: it holds twice the number of pushes and is odd while one
+//! is in flight.
 //!
-//! Sequence protocol, for write position `pos` landing in slot
-//! `pos & mask`:
+//! - writer, pushing position `n` into slot `n & mask`: store `2n + 1`
+//!   to `head`, `fence(Release)`, store the three words, store
+//!   `2n + 2` to `head`;
+//! - drainer: load `head` (Acquire), copy every position it has not
+//!   seen that one capacity can still hold, `fence(Acquire)`, re-load
+//!   `head`, and discard — counting it dropped — every copied position
+//!   whose slot a push begun by then has started to overwrite.
 //!
-//! - writer: store `2*pos + 1` (relaxed), write the event, store
-//!   `2*pos + 2` (release), advance `head` to `pos + 1` (release);
-//! - drainer: for each `pos` in `[head - len, head)`: load seq
-//!   (acquire), require exactly `2*pos + 2`, copy the event, fence,
-//!   re-load seq and require it unchanged.
+//! A copy that read any word of a later push sees that push's odd head
+//! on the re-load, so a torn event is never returned. A quiescent ring
+//! keeps exactly its newest `capacity` events. The 64-bit head never
+//! wraps, so there is no ABA window.
 //!
-//! Odd seq ⇒ a write is in flight; a different even value ⇒ the slot
-//! now belongs to a newer generation (`pos + k·capacity`). Either way
-//! the drainer skips.
+//! Slots are allocated zeroed at an alignment of 8, which the system
+//! allocator serves with `calloc`: a ring commits its pages as the
+//! writer first touches them, so a ring that records a few events
+//! costs a page, not `24 × capacity` bytes.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crate::event::Event;
+use crate::event::{Event, SchemeId};
 
-struct Slot {
-    seq: AtomicU64,
-    data: UnsafeCell<Event>,
-}
+/// One event: `ts << 8 | hook`, `a`, `b`.
+type Slot = [AtomicU64; 3];
 
-/// Fixed-capacity drop-oldest event buffer. See the module docs for
-/// the single-writer / single-drainer contract.
+/// The largest timestamp a slot holds: `ts` shares its word with the
+/// hook byte. That is 7·10^16 protocol ticks, which no run reaches.
+pub(crate) const MAX_TS: u64 = (1 << 56) - 1;
+
+/// Fixed-capacity drop-oldest event buffer of one owner. See the
+/// module docs for the single-writer / single-drainer contract.
 ///
 /// Aligned to its own cache-line pair: `head` is stored on every push,
 /// and rings are small heap objects allocated back to back (one per
@@ -46,9 +54,11 @@ struct Slot {
 /// line and every event would bounce it between cores.
 #[repr(align(128))]
 pub struct Ring {
-    mask: u64,
-    /// Next write position (monotone; wraps the slot array via `mask`).
+    /// Twice the pushes so far; odd while a push is in flight.
     head: AtomicU64,
+    mask: u64,
+    thread: u16,
+    scheme: SchemeId,
     /// First position the drainer has not yet consumed.
     tail: AtomicU64,
     /// Events overwritten or torn before the drainer could copy them.
@@ -56,27 +66,26 @@ pub struct Ring {
     slots: Box<[Slot]>,
 }
 
-// SAFETY: `data` cells are only written by the single writer and only
-// read by the single drainer under the seqlock protocol above; a
-// failed validation discards the (possibly torn) copy.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
-
 impl Ring {
-    /// Creates a ring holding `capacity` events (rounded up to a power
-    /// of two, minimum 8).
+    /// Creates a ring of thread slot 0 with no scheme, holding
+    /// `capacity` events (rounded up to a power of two, minimum 8).
     pub fn new(capacity: usize) -> Ring {
+        Ring::with_owner(capacity, 0, SchemeId::NONE)
+    }
+
+    /// Creates a ring for the events of thread slot `thread` under
+    /// `scheme`, holding `capacity` events (rounded up to a power of
+    /// two, minimum 8).
+    pub(crate) fn with_owner(capacity: usize, thread: u16, scheme: SchemeId) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                data: UnsafeCell::new(Event::EMPTY),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        // SAFETY: an all-zero `AtomicU64` is a valid 0 (it has the
+        // in-memory representation of a `u64`).
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() };
         Ring {
-            mask: (cap - 1) as u64,
             head: AtomicU64::new(0),
+            mask: (cap - 1) as u64,
+            thread,
+            scheme,
             tail: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots,
@@ -88,9 +97,21 @@ impl Ring {
         self.mask as usize + 1
     }
 
-    /// Total events ever pushed.
+    /// The thread slot every event of this ring carries.
+    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
+    pub(crate) fn thread(&self) -> u16 {
+        self.thread
+    }
+
+    /// The scheme every event of this ring carries.
+    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
+    pub(crate) fn scheme(&self) -> SchemeId {
+        self.scheme
+    }
+
+    /// Total events ever pushed (completed pushes).
     pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.head.load(Ordering::Acquire) >> 1
     }
 
     /// Events lost to overwrite (or torn reads), as counted at drain
@@ -99,39 +120,46 @@ impl Ring {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Appends one event, overwriting the oldest if full. Writer-side
-    /// only — at most one thread may call this, ever (the owning
-    /// tracer has `&mut self`, making misuse impossible through the
-    /// public API).
+    /// Appends one event, overwriting the oldest if full. `event`'s
+    /// `thread` and `scheme` must be the ring's owner's (the ring
+    /// stores them once; checked in debug builds) and its `ts` at most
+    /// 2^56 − 1. Writer-side only — at most one thread may call this,
+    /// ever (the owning tracer has `&mut self`, making misuse
+    /// impossible through the public API).
     #[inline]
     pub fn push(&self, event: Event) {
-        let pos = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        // Mark the slot as mid-write so a concurrent drainer discards
-        // its copy; the release on the commit store publishes the data.
-        //
-        // SAFETY(ordering): Relaxed on the odd (mid-write) store — the
-        // Release fence below orders it before the data write; the even
-        // commit store and the head bump are Release so the drainer's
-        // Acquire seq load / Acquire head load observe fully-written
-        // data or a seq mismatch, never a silently torn event. SAFETY of
-        // the volatile write: this is the single writer's own slot.
-        slot.seq.store(2 * pos + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        unsafe { self.slot_write(slot, event) };
-        // SAFETY(ordering): Release on commit + head bump, per above.
-        slot.seq.store(2 * pos + 2, Ordering::Release);
-        self.head.store(pos + 1, Ordering::Release);
+        debug_assert_eq!(
+            (event.thread, event.scheme),
+            (self.thread, self.scheme.0),
+            "an event pushed into another owner's ring"
+        );
+        self.write(event.ts, event.hook, event.a, event.b);
     }
 
-    /// # Safety
-    ///
-    /// Caller must be the ring's single writer and have marked `slot`'s
-    /// seq odd, so a concurrent drainer discards any overlapping copy.
+    /// [`Ring::push`] of the ring owner's event `(ts, hook, a, b)`.
     #[inline]
-    unsafe fn slot_write(&self, slot: &Slot, event: Event) {
-        // SAFETY: caller upholds the single-writer seqlock contract.
-        unsafe { std::ptr::write_volatile(slot.data.get(), event) };
+    pub(crate) fn write(&self, ts: u64, hook: u8, a: u64, b: u64) {
+        debug_assert!(ts <= MAX_TS, "trace timestamp {ts} past 2^56 - 1");
+        let head = self.head.load(Ordering::Relaxed);
+        // SAFETY(ordering) PAIRS(ring-publish): Release on the odd head,
+        // so a drainer whose Acquire load reads it sees every earlier
+        // push's words; the Release fence then orders this store before
+        // the word stores below, so a drainer that copied any of them
+        // and then runs its Acquire fence re-reads a head at least this
+        // odd one, and discards the slot.
+        self.head.store(head + 1, Ordering::Release);
+        fence(Ordering::Release);
+        let slot = &self.slots[((head >> 1) & self.mask) as usize];
+        // SAFETY(ordering): Relaxed — the words publish through the head
+        // stores around them (ring-publish), never on their own.
+        slot[0].store(ts << 8 | u64::from(hook), Ordering::Relaxed);
+        // SAFETY(ordering): Relaxed, as above.
+        slot[1].store(a, Ordering::Relaxed);
+        // SAFETY(ordering): Relaxed, as above.
+        slot[2].store(b, Ordering::Relaxed);
+        // SAFETY(ordering): Release — the even head publishes the three
+        // words to a drainer's Acquire head load.
+        self.head.store(head + 2, Ordering::Release);
     }
 
     /// Copies every event the drainer has not yet seen into `out`, in
@@ -139,39 +167,45 @@ impl Ring {
     /// at most one thread may drain (the recorder serializes this).
     /// Returns the number of events appended.
     pub fn drain_into(&self, out: &mut Vec<Event>) -> usize {
-        let head = self.head.load(Ordering::Acquire);
+        // SAFETY(ordering) PAIRS(ring-publish): Acquire on the head load
+        // makes every completed push's words visible; the Acquire fence
+        // after the copy makes a push whose words it read visible in the
+        // head re-load, which then discards the slot.
+        let done = self.head.load(Ordering::Acquire) >> 1;
         let cursor = self.tail.load(Ordering::Relaxed);
+        let cap = self.capacity() as u64;
         // Anything older than one capacity behind head is already
-        // overwritten (or about to be): start from the oldest slot
-        // that can still validate.
-        let lo = cursor.max(head.saturating_sub(self.capacity() as u64));
-        let mut lost = lo - cursor;
+        // overwritten (or about to be).
+        let lo = cursor.max(done.saturating_sub(cap));
         let before = out.len();
-        for pos in lo..head {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != 2 * pos + 2 {
-                // Mid-write or already a newer generation.
-                lost += 1;
-                continue;
+        out.extend((lo..done).map(|pos| {
+            let [word, a, b] = &self.slots[(pos & self.mask) as usize];
+            let word = word.load(Ordering::Relaxed);
+            Event {
+                ts: word >> 8,
+                a: a.load(Ordering::Relaxed),
+                b: b.load(Ordering::Relaxed),
+                thread: self.thread,
+                scheme: self.scheme.0,
+                hook: word as u8,
+                _pad: 0,
             }
-            // SAFETY: a possibly-torn copy out of the seqlock cell; the
-            // seq re-check below discards it unless the slot was stable
-            // across the whole read. Event is Copy + plain-old-data, so
-            // even a torn value is not UB to materialize.
-            let copy = unsafe { std::ptr::read_volatile(slot.data.get()) };
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq {
-                lost += 1;
-                continue;
-            }
-            out.push(copy);
+        }));
+        fence(Ordering::Acquire);
+        // Push `p` overwrites position `p - cap`: every position below
+        // `started - cap` may have been copied torn.
+        let started = (self.head.load(Ordering::Relaxed) + 1) >> 1;
+        let torn = started.saturating_sub(cap).clamp(lo, done) - lo;
+        if torn > 0 {
+            out.drain(before..before + torn as usize);
         }
         // SAFETY(ordering): Relaxed — tail and dropped are only written
         // by the single drainer (the recorder serializes drains) and
         // only advisory to readers; no data is published through them.
-        self.tail.store(head, Ordering::Relaxed);
+        self.tail.store(done, Ordering::Relaxed);
+        let lost = lo - cursor + torn;
         if lost > 0 {
+            // SAFETY(ordering): Relaxed, as above.
             self.dropped.fetch_add(lost, Ordering::Relaxed);
         }
         out.len() - before
@@ -182,6 +216,8 @@ impl std::fmt::Debug for Ring {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ring")
             .field("capacity", &self.capacity())
+            .field("thread", &self.thread)
+            .field("scheme", &self.scheme)
             .field("pushed", &self.pushed())
             .field("dropped", &self.dropped())
             .finish()
@@ -191,7 +227,7 @@ impl std::fmt::Debug for Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Hook, SchemeId};
+    use crate::event::Hook;
 
     fn ev(n: u64) -> Event {
         let mut e = Event::new(0, SchemeId::NONE, Hook::Sample, n, 0);
@@ -254,5 +290,29 @@ mod tests {
         assert_eq!(out.len(), 30);
         assert!(out.windows(2).all(|w| w[0].a + 1 == w[1].a));
         assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn extreme_fields_drain_bit_identical() {
+        // The service slot, an unknown hook byte (it sorts as a ticker),
+        // every payload bit and the largest timestamp a slot holds.
+        let ring = Ring::with_owner(8, u16::MAX, SchemeId(u8::MAX));
+        let mut extreme = Event::new(
+            u16::MAX,
+            SchemeId(u8::MAX),
+            Hook::Sample,
+            u64::MAX,
+            u64::MAX,
+        );
+        extreme.hook = u8::MAX;
+        extreme.ts = MAX_TS;
+        let mut zero = Event::new(u16::MAX, SchemeId(u8::MAX), Hook::BeginOp, 0, 0);
+        zero.ts = 0;
+        ring.push(extreme);
+        ring.push(zero);
+        let mut out = Vec::new();
+        ring.drain_into(&mut out);
+        assert_eq!(out, [extreme, zero]);
+        assert_eq!(out[0].merge_key(), (MAX_TS, true, u16::MAX));
     }
 }

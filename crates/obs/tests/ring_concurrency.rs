@@ -7,7 +7,7 @@
 
 #![cfg(feature = "rt")]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use era_obs::{Event, Hook, Recorder, Ring, SchemeId};
@@ -120,6 +120,58 @@ fn concurrent_writers_single_drainer_no_torn_events() {
             "events must be drained or counted dropped, never silently lost"
         );
     });
+}
+
+/// The ring protocol at a size Miri runs (the CI `miri` job does): two
+/// writers on rings of 8, one drainer polling them while they write, no
+/// wall clock. No event is torn, each writer's events arrive in order,
+/// and every emit is drained or counted dropped — after the writers'
+/// tracers are gone and their rings let go of, too.
+#[test]
+fn two_writers_one_drainer_on_rings_of_eight() {
+    const PER_WRITER: u64 = 300;
+    let recorder = Recorder::with_ring_capacity(2, 8);
+    let writing = AtomicUsize::new(2);
+    let mut drained = Vec::new();
+    std::thread::scope(|scope| {
+        for w in 0..2 {
+            let mut tracer = recorder.tracer(w, SchemeId::NONE);
+            let writing = &writing;
+            scope.spawn(move || {
+                for n in 0..PER_WRITER {
+                    tracer.emit(Hook::Sample, n, !n);
+                }
+                drop(tracer);
+                // SAFETY(ordering): Release — pairs with the drainer's
+                // Acquire load: every push happened before its last drain.
+                writing.fetch_sub(1, Ordering::Release);
+            });
+        }
+        loop {
+            let finished = writing.load(Ordering::Acquire) == 0;
+            drained.extend(recorder.drain().events);
+            if finished {
+                break;
+            }
+            std::thread::yield_now();
+        }
+    });
+    for e in &drained {
+        assert_eq!(e.b, !e.a, "torn event: a={} b={}", e.a, e.b);
+    }
+    for w in 0..2 {
+        let seq: Vec<u64> = drained
+            .iter()
+            .filter(|e| e.thread == w)
+            .map(|e| e.a)
+            .collect();
+        assert!(
+            seq.windows(2).all(|p| p[0] < p[1]),
+            "writer {w} out of order"
+        );
+    }
+    assert_eq!(recorder.ring_count(), 0);
+    assert_eq!(drained.len() as u64 + recorder.dropped(), 2 * PER_WRITER);
 }
 
 proptest! {

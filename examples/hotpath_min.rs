@@ -14,7 +14,10 @@
 //! emit path writes only thread-private lines for per-operation hooks
 //! (DESIGN §3.6), so the second row must stay within 2× of the first;
 //! a shared word on that path shows up here as a 4–10× gap that a
-//! one-thread probe can never see.
+//! one-thread probe can never see. The row after them times what the
+//! emits are for: one HP operation (begin, two protected loads, end) on
+//! a stable word, recorder attached — four events and the work they
+//! record.
 //!
 //! The `kv write` rows do the same for the write path a service runs:
 //! put/remove churn on a 4-shard HP `KvStore`, one thread alone and two
@@ -125,6 +128,31 @@ fn bench_emit() {
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
     );
+}
+
+/// Min-of-reps ns per HP operation on a stable word: `begin_op`, two
+/// protected loads, `end_op`, recorder attached — four emits and the
+/// scheme work they record.
+fn bench_hp_op() {
+    let hp = Hp::new(2, 3);
+    let recorder = Recorder::new(2);
+    hp.attach_recorder(&recorder);
+    let mut ctx = hp.register().expect("capacity");
+    let node = 0u64;
+    let word = AtomicUsize::new(&node as *const u64 as usize);
+    let best = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..EMITS_PER_REP {
+                hp.begin_op(&mut ctx);
+                black_box(hp.load(&mut ctx, 0, black_box(&word)));
+                black_box(hp.load(&mut ctx, 1, black_box(&word)));
+                hp.end_op(&mut ctx);
+            }
+            start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
 }
 
 /// Fills `tracer`'s ring with `BeginOp(epoch)`/`EndOp` pairs, the
@@ -247,6 +275,7 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     println!("-- era-obs emit (Hook::Load, one recorder)");
     bench_emit();
+    bench_hp_op();
     println!(
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
          one {DEFAULT_RING_CAPACITY}-event ring to drain)"
