@@ -440,23 +440,22 @@ impl<'s, S: Smr> KvStore<'s, S> {
         ctx: &mut KvCtx<S>,
         items: &[(i64, i64)],
     ) -> Vec<Result<Option<i64>, KvError>> {
-        let mut out: Vec<Result<Option<i64>, KvError>> = Vec::with_capacity(items.len());
-        out.resize(items.len(), Ok(None));
-        // Group item indices per shard, preserving item order within a
-        // group. A batch is typically small (one connection's pipelined
-        // burst), so a Vec<Vec<_>> scratch beats anything cleverer.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (idx, &(key, _)) in items.iter().enumerate() {
-            groups[self.shard_of(key)].push(idx);
-        }
-        for (si, group) in groups.iter().enumerate() {
-            if group.is_empty() {
+        let mut out: Vec<Result<Option<i64>, KvError>> = vec![Ok(None); items.len()];
+        // One pass over `items` per shard picks out its group in item
+        // order, so grouping allocates nothing beyond the result.
+        for si in 0..self.shards.len() {
+            let mut group = items
+                .iter()
+                .enumerate()
+                .filter(|&(_, &(key, _))| self.shard_of(key) == si)
+                .peekable();
+            if group.peek().is_none() {
                 continue;
             }
             let counted = match self.admit_write(si) {
                 Ok(counted) => counted,
                 Err(e) => {
-                    for &idx in group {
+                    for (idx, _) in group {
                         out[idx] = Err(e);
                     }
                     continue;
@@ -465,8 +464,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
             let sh = &self.shards[si];
             let tctx = &mut ctx.ctxs[si];
             let _ = sh.smr.needs_restart(tctx);
-            for &idx in group {
-                let (key, value) = items[idx];
+            for (idx, &(key, value)) in group {
                 out[idx] = Ok(sh.map.insert(tctx, key, value));
             }
             sh.smr.quiescent_point(tctx);

@@ -8,7 +8,7 @@
 //! for the `net_bench` load generator ([`report`]). A connection is
 //! one socket and two fixed-role buffers: requests are decoded in
 //! place from the read buffer, replies are encoded into the reply
-//! buffer and written once per burst, and the common opcodes allocate
+//! buffer and written once per read, and the common opcodes allocate
 //! nothing per request.
 //!
 //! The point is not the socket plumbing — it is that the ERA theorem's

@@ -18,7 +18,7 @@
 //! into the fixed-size `rbuf`; [`split_frame`] finds the whole frames
 //! in it and [`Request::decode`] reads them where they lie. Replies
 //! are [`Response::encode`]d straight into `wbuf`, which leaves in one
-//! write per burst. A request's bytes are therefore copied once
+//! write per read. A request's bytes are therefore copied once
 //! (kernel → `rbuf`) and its reply's once (`wbuf` → kernel), and
 //! `GET`/`PUT`/`REMOVE`/`INCR`/`PING` allocate nothing here once the
 //! connection's buffers exist. No request frame is longer than
@@ -36,13 +36,16 @@
 //!
 //! ## Pipelining and batching
 //!
-//! A worker stages the whole frames already in `rbuf` (up to
-//! [`NetConfig::batch_max`]) before answering any of them — a client
-//! that pipelines N requests gets N in-order responses with one
-//! syscall round-trip instead of N. Consecutive `PUT`s inside such a
-//! burst are applied through [`KvStore::put_batch`], which pays one
-//! admission decision and one quiescent point per *shard group*
-//! instead of per write.
+//! The batching unit is one read. Each turn of the serving loop
+//! answers every whole frame in `rbuf`, in order, then writes `wbuf`
+//! once, then reads once — a client that pipelines N requests gets N
+//! in-order responses with one syscall round-trip instead of N. The
+//! only earlier write is at the reply high-water mark (32 KiB), so the
+//! first reply leaves after all the frames one read brought in: at
+//! most 16 KiB of requests, or 32 KiB of replies, whichever comes
+//! first. Consecutive `PUT`s among them are applied through
+//! [`KvStore::put_batch`], which pays one admission decision and one
+//! quiescent point per *shard group* instead of per write.
 //!
 //! ## Admission control (the theorem, on the wire)
 //!
@@ -86,10 +89,13 @@ use crate::proto::{
 const RBUF_LEN: usize = 16 * 1024;
 const _: () = assert!(RBUF_LEN > 4 + MAX_REQUEST_FRAME);
 
-/// Reply bytes a burst may accumulate before they are written out
-/// early, so a burst of `SCAN`s cannot grow the reply buffer without
-/// bound.
+/// Reply bytes one read's frames may accumulate before they are
+/// written out early, so a read full of `SCAN`s cannot grow the reply
+/// buffer without bound.
 const WBUF_HIGH_WATER: usize = 32 * 1024;
+
+/// Bytes of a `PUT` frame: length prefix, opcode, key, value.
+const PUT_FRAME_LEN: usize = 4 + 1 + 8 + 8;
 
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
@@ -109,8 +115,6 @@ pub struct NetConfig {
     pub retry_after_ms: u32,
     /// Navigator tick period for the watchdog thread.
     pub nav_poll: Duration,
-    /// Most frames drained into one pipelined burst.
-    pub batch_max: usize,
     /// Server-side clamp on `SCAN` limits.
     pub scan_limit: u32,
     /// Backoff schedule for writes queued against a `Degrading` shard.
@@ -136,7 +140,6 @@ impl Default for NetConfig {
             degraded_deadline: Duration::from_millis(20),
             retry_after_ms: 50,
             nav_poll: Duration::from_micros(200),
-            batch_max: 64,
             scan_limit: 1024,
             write_backoff: RetryPolicy {
                 base_backoff: Duration::from_micros(100),
@@ -164,6 +167,10 @@ pub struct ServeStats {
     pub served: u64,
     /// Request frames processed.
     pub frames: u64,
+    /// Socket reads that brought in request bytes.
+    pub reads: u64,
+    /// Socket `write` calls made for replies.
+    pub writes: u64,
     /// Writes answered with `Overloaded`/`DeadlineExceeded` (the net
     /// layer's sheds, on top of the store's own counter).
     pub shed_writes: u64,
@@ -177,10 +184,12 @@ impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "accepted={} served={} frames={} batched_writes={} shed_writes={} queue_shed={} malformed={}",
+            "accepted={} served={} frames={} reads={} writes={} batched_writes={} shed_writes={} queue_shed={} malformed={}",
             self.accepted,
             self.served,
             self.frames,
+            self.reads,
+            self.writes,
             self.batched_writes,
             self.shed_writes,
             self.queue_shed,
@@ -222,6 +231,8 @@ struct Counters {
     queue_shed: AtomicU64,
     served: AtomicU64,
     frames: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
     shed_writes: AtomicU64,
     batched_writes: AtomicU64,
     malformed: AtomicU64,
@@ -234,6 +245,8 @@ impl Counters {
             queue_shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             frames: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             shed_writes: AtomicU64::new(0),
             batched_writes: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
@@ -246,6 +259,8 @@ impl Counters {
             queue_shed: self.queue_shed.load(Ordering::SeqCst),
             served: self.served.load(Ordering::SeqCst),
             frames: self.frames.load(Ordering::SeqCst),
+            reads: self.reads.load(Ordering::SeqCst),
+            writes: self.writes.load(Ordering::SeqCst),
             shed_writes: self.shed_writes.load(Ordering::SeqCst),
             batched_writes: self.batched_writes.load(Ordering::SeqCst),
             malformed: self.malformed.load(Ordering::SeqCst),
@@ -284,10 +299,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         cfg: NetConfig,
         addr: impl ToSocketAddrs,
     ) -> io::Result<Self> {
-        // Zero workers or a zero batch would serve nothing; both mean one.
+        // Zero workers would serve nothing; it means one.
         let cfg = NetConfig {
             workers: cfg.workers.max(1),
-            batch_max: cfg.batch_max.max(1),
             ..cfg
         };
         let listener = TcpListener::bind(addr)?;
@@ -479,8 +493,10 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         }
     }
 
-    /// Serves one connection to completion: pipelined frame bursts in,
-    /// in-order responses out.
+    /// Serves one connection to completion. Each turn answers every
+    /// whole frame one read brought in, writes the replies once (not
+    /// at all if the read brought only part of a frame), and reads
+    /// again.
     fn serve_conn(
         &self,
         stream: TcpStream,
@@ -488,79 +504,55 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         tracer: &mut ThreadTracer,
     ) -> io::Result<()> {
         let mut conn = Conn::new(stream, self.cfg.read_timeout)?;
-        let mut burst: Vec<Request> = Vec::with_capacity(self.cfg.batch_max);
-        let mut items: Vec<(i64, i64)> = Vec::with_capacity(self.cfg.batch_max);
+        // A `PUT` run never holds more frames than `rbuf` does.
+        let mut items: Vec<(i64, i64)> = Vec::with_capacity(RBUF_LEN / PUT_FRAME_LEN);
         loop {
-            // Stage the whole frames already buffered. A partial frame
-            // stays where it is until a later refill completes it.
-            burst.clear();
-            let mut malformed = false;
-            while burst.len() < self.cfg.batch_max {
-                match conn.next_request() {
-                    Ok(Some(req)) => burst.push(req),
-                    Ok(None) => break,
-                    Err(_) => {
-                        malformed = true;
-                        break;
-                    }
-                }
+            let open = self.answer_buffered(ctx, &mut conn, &mut items, tracer)?;
+            conn.flush(&self.ctl.stop, &self.counters.writes)?;
+            if !open {
+                return Ok(());
             }
-            if burst.is_empty() && !malformed {
-                match conn.fill()? {
-                    Fill::Data => {}
-                    Fill::Closed => return Ok(()),
-                    Fill::Idle => {
-                        if self.ctl.stop.load(Ordering::SeqCst) {
-                            return Ok(());
-                        }
-                        // The connection is open but quiet — same idle
-                        // maintenance as a worker parked on the queue.
-                        self.store.maintain(ctx);
-                    }
-                }
-                continue;
-            }
-            // SAFETY(ordering): Relaxed — telemetry tally.
-            self.counters
-                .frames
-                .fetch_add(burst.len() as u64, Ordering::Relaxed);
-            self.process_burst(ctx, &burst, &mut items, &mut conn, tracer)?;
-            if malformed {
-                // A framing violation is answered with a typed error
-                // behind the replies it followed, then the close.
+            match conn.fill()? {
                 // SAFETY(ordering): Relaxed — telemetry tally.
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                Response::Error(ErrorReply {
-                    code: ErrorCode::Malformed,
-                    shard: u32::MAX,
-                    retry_after_ms: 0,
-                })
-                .encode(&mut conn.wbuf);
-                return conn.flush(&self.ctl.stop);
+                Fill::Data => _ = self.counters.reads.fetch_add(1, Ordering::Relaxed),
+                Fill::Closed => return Ok(()),
+                Fill::Idle => {
+                    if self.ctl.stop.load(Ordering::SeqCst) {
+                        return Ok(());
+                    }
+                    // The connection is open but quiet — same idle
+                    // maintenance as a worker parked on the queue.
+                    self.store.maintain(ctx);
+                }
             }
-            conn.flush(&self.ctl.stop)?;
         }
     }
 
-    /// Executes a pipelined burst, encoding each reply in order into
-    /// the connection's reply buffer. Runs of two or more consecutive
-    /// `PUT`s go through the store's per-shard batch path.
-    fn process_burst(
+    /// Answers every whole frame in `rbuf`, in order, into `wbuf`,
+    /// writing early only past [`WBUF_HIGH_WATER`]. Consecutive `PUT`s
+    /// collect in `items` and are answered as one run; two or more go
+    /// through the store's per-shard batch path. Returns `false` once
+    /// an undecodable frame has been answered `Malformed`, behind the
+    /// replies to every frame before it: the connection closes.
+    fn answer_buffered(
         &self,
         ctx: &mut KvCtx<S>,
-        burst: &[Request],
-        items: &mut Vec<(i64, i64)>,
         conn: &mut Conn,
+        items: &mut Vec<(i64, i64)>,
         tracer: &mut ThreadTracer,
-    ) -> io::Result<()> {
-        let mut i = 0;
-        while i < burst.len() {
-            items.clear();
-            items.extend(burst[i..].iter().map_while(|r| match *r {
-                Request::Put { key, value } => Some((key, value)),
-                _ => None,
-            }));
-            if items.len() >= 2 {
+    ) -> io::Result<bool> {
+        let mut frames = 0u64;
+        let turn = loop {
+            let next = conn.next_request();
+            if let Ok(Some(Request::Put { key, value })) = next {
+                items.push((key, value));
+                frames += 1;
+                continue;
+            }
+            if let [(key, value)] = items[..] {
+                let reply = self.respond(ctx, &Request::Put { key, value }, tracer);
+                reply.encode(&mut conn.wbuf);
+            } else if !items.is_empty() {
                 // SAFETY(ordering): Relaxed — telemetry tally.
                 self.counters
                     .batched_writes
@@ -571,22 +563,41 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                         // A shed group falls back to the single-write
                         // policy so Degrading still means "queue with
                         // a deadline", not "batch missed, bad luck".
-                        Err(_) => {
-                            self.write_op(ctx, key, tracer, |store, ctx| store.put(ctx, key, value))
-                        }
+                        Err(_) => self.respond(ctx, &Request::Put { key, value }, tracer),
                     }
                     .encode(&mut conn.wbuf);
                 }
-                i += items.len();
-            } else {
-                self.respond(ctx, &burst[i], tracer).encode(&mut conn.wbuf);
-                i += 1;
+            }
+            items.clear();
+            match next {
+                Ok(Some(req)) => {
+                    self.respond(ctx, &req, tracer).encode(&mut conn.wbuf);
+                    frames += 1;
+                }
+                Ok(None) => break Ok(true),
+                Err(_) => {
+                    // SAFETY(ordering): Relaxed — telemetry tally.
+                    self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    Response::Error(ErrorReply {
+                        code: ErrorCode::Malformed,
+                        shard: u32::MAX,
+                        retry_after_ms: 0,
+                    })
+                    .encode(&mut conn.wbuf);
+                    break Ok(false);
+                }
             }
             if conn.wbuf.len() >= WBUF_HIGH_WATER {
-                conn.flush(&self.ctl.stop)?;
+                // A failed flush (shutdown under a client that never
+                // reads) still counts the frames answered before it.
+                if let Err(e) = conn.flush(&self.ctl.stop, &self.counters.writes) {
+                    break Err(e);
+                }
             }
-        }
-        Ok(())
+        };
+        // SAFETY(ordering): Relaxed — telemetry tally.
+        self.counters.frames.fetch_add(frames, Ordering::Relaxed);
+        turn
     }
 
     fn respond(&self, ctx: &mut KvCtx<S>, req: &Request, tracer: &mut ThreadTracer) -> Response {
@@ -722,7 +733,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
 /// One client connection: the socket and the only two buffers its
 /// bytes sit in on this side of the kernel. Requests are decoded in
 /// place from `rbuf`; replies are encoded into `wbuf` and leave in one
-/// write per burst. Nothing here blocks longer than the socket
+/// write per read. Nothing here blocks longer than the socket
 /// timeout, and a partial frame simply stays in `rbuf` across one, so
 /// a `Conn` can be left and resumed at any refill.
 struct Conn {
@@ -811,12 +822,15 @@ impl Conn {
         }
     }
 
-    /// Writes out every buffered reply. A peer that has stopped
+    /// Writes out every buffered reply, counting each `write` call in
+    /// `writes`; an empty `wbuf` makes none. A peer that has stopped
     /// reading stalls this for one socket timeout at a time, resuming
     /// where the partial write ended, until `stop` aborts the wait.
-    fn flush(&mut self, stop: &AtomicBool) -> io::Result<()> {
+    fn flush(&mut self, stop: &AtomicBool, writes: &AtomicU64) -> io::Result<()> {
         let mut sent = 0;
         while sent < self.wbuf.len() {
+            // SAFETY(ordering): Relaxed — telemetry tally.
+            writes.fetch_add(1, Ordering::Relaxed);
             match self.stream.write(&self.wbuf[sent..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => sent += n,
@@ -864,7 +878,7 @@ mod tests {
         }
         assert_eq!(
             ServeStats::default().to_string(),
-            "accepted=0 served=0 frames=0 batched_writes=0 shed_writes=0 queue_shed=0 malformed=0"
+            "accepted=0 served=0 frames=0 reads=0 writes=0 batched_writes=0 shed_writes=0 queue_shed=0 malformed=0"
         );
     }
 

@@ -8,7 +8,9 @@
 //! flight poll every 25 ms, which drains each source into a fresh
 //! `Vec` and opens a 64 KiB packed segment when no spare one is left —
 //! so the bound is a small fraction of the request count, where one
-//! allocation per reply would be all of it.
+//! allocation per reply would be all of it. A run of `PUT`s goes
+//! through `KvStore::put_batch`, whose result `Vec` is the one
+//! allocation a run may make.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -52,27 +54,31 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Frames per burst and bursts kept outstanding: 256 requests in flight.
+/// Frames per burst. GET bursts are kept 4 deep (256 requests in
+/// flight); a PUT burst is sent only once the last one is answered, so
+/// that each is one read and one run on the server.
 const BURST: usize = 64;
-const DEPTH: usize = 4;
+const GET_DEPTH: usize = 4;
 const KEYS: i64 = 64;
 
-/// Keeps `DEPTH` bursts outstanding until `ops` GETs are answered and
-/// returns how many allocations the whole process made meanwhile.
+/// Keeps `depth` bursts outstanding behind the one just sent until
+/// `ops` requests are answered, and returns how many allocations the
+/// whole process made meanwhile.
 fn allocations_while_serving(
     stream: &mut TcpStream,
     burst: &[u8],
     replies: &[u8],
     inbox: &mut [u8],
     ops: usize,
+    depth: usize,
 ) -> u64 {
     let bursts = ops / BURST;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for sent in 0..bursts + DEPTH {
+    for sent in 0..bursts + depth {
         if sent < bursts {
             stream.write_all(burst).expect("send burst");
         }
-        if sent >= DEPTH {
+        if sent >= depth {
             stream.read_exact(inbox).expect("read burst of replies");
             assert!(inbox == replies, "a reply differs from the store's value");
         }
@@ -94,11 +100,19 @@ fn serving_gets_allocates_nothing_per_request() {
             store.put(&mut ctx, k, k * 10).expect("preload put");
         }
     }
-    let mut burst = Vec::new();
+    // Each PUT rewrites the value a key already holds, so a PUT and a
+    // GET of the same key get the same reply.
+    let mut gets = Vec::new();
+    let mut puts = Vec::new();
     let mut replies = Vec::new();
     for i in 0..BURST as i64 {
         let key = i % KEYS;
-        Request::Get { key }.encode(&mut burst);
+        Request::Get { key }.encode(&mut gets);
+        Request::Put {
+            key,
+            value: key * 10,
+        }
+        .encode(&mut puts);
         Response::Value(Some(key * 10)).encode(&mut replies);
     }
     let mut inbox = vec![0u8; replies.len()];
@@ -116,7 +130,7 @@ fn serving_gets_allocates_nothing_per_request() {
             self.0.shutdown();
         }
     }
-    let (small, large) = std::thread::scope(|s| {
+    let (small, large, put_small, put_large) = std::thread::scope(|s| {
         let guard = StopOnDrop(server.handle());
         let run = s.spawn(|| server.run().expect("serve"));
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -124,16 +138,26 @@ fn serving_gets_allocates_nothing_per_request() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");
+        let mut serve = |burst: &[u8], ops, depth| {
+            allocations_while_serving(&mut stream, burst, &replies, &mut inbox, ops, depth)
+        };
         // Warm-up: the connection's buffers and the worker's scratch
         // exist once the first bursts are answered.
-        allocations_while_serving(&mut stream, &burst, &replies, &mut inbox, SMALL);
-        let small = allocations_while_serving(&mut stream, &burst, &replies, &mut inbox, SMALL);
-        let large = allocations_while_serving(&mut stream, &burst, &replies, &mut inbox, LARGE);
+        serve(&gets, SMALL, GET_DEPTH);
+        let small = serve(&gets, SMALL, GET_DEPTH);
+        let large = serve(&gets, LARGE, GET_DEPTH);
+        let put_small = serve(&puts, SMALL, 0);
+        let put_large = serve(&puts, LARGE, 0);
         drop(stream);
         drop(guard);
         let stats = run.join().expect("server thread");
-        assert_eq!(stats.frames, (2 * SMALL + LARGE) as u64);
-        (small, large)
+        assert_eq!(stats.frames, (3 * SMALL + 2 * LARGE) as u64);
+        // Not exact: a burst that two reads split is two shorter runs.
+        assert!(
+            stats.batched_writes >= ((SMALL + LARGE) / 2) as u64,
+            "the PUT runs missed the batch path: {stats}"
+        );
+        (small, large, put_small, put_large)
     });
 
     println!("allocations while serving: {small} over {SMALL} GETs, {large} over {LARGE} GETs");
@@ -141,5 +165,19 @@ fn serving_gets_allocates_nothing_per_request() {
         large.saturating_sub(small) < ((LARGE - SMALL) / 64) as u64,
         "{large} allocations over {LARGE} GETs against {small} over {SMALL}: \
          the frame path allocates per request"
+    );
+    // One allocation per run, plus a quarter for the time-driven polls.
+    let runs = ((LARGE - SMALL) / BURST) as u64;
+    println!(
+        "allocations while serving PUT runs: {put_small} over {} runs, {put_large} over {} runs",
+        SMALL / BURST,
+        LARGE / BURST
+    );
+    assert!(
+        put_large.saturating_sub(put_small) <= runs + runs / 4,
+        "{put_large} allocations over {} PUT runs against {put_small} over {}: \
+         a batched run allocates more than its result",
+        LARGE / BURST,
+        SMALL / BURST
     );
 }

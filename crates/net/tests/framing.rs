@@ -15,6 +15,8 @@
 //!    stall inside a frame, several refills of the server's read
 //!    buffer), and no request stream — undecodable, over-long, or
 //!    never followed by a read — holds a worker past its timeout.
+//! 5. **One write per read** — the replies to whatever one read
+//!    brought in leave in one write.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -569,14 +571,18 @@ fn a_burst_larger_than_the_read_buffer_is_answered_in_order() {
 
 /// Good frames, one undecodable frame and more good frames in a single
 /// write: the good prefix is answered, then `Malformed`, then the
-/// close — nothing behind the violation is executed.
+/// close — nothing behind the violation is executed. The prefix ends
+/// in a run of `PUT`s, which the violation closes like any other run.
 #[test]
 #[cfg_attr(miri, ignore = "real sockets and threads")]
 fn frames_before_a_violation_are_answered_frames_after_it_are_not() {
     const GOOD: i64 = 5;
     let mut wire = Vec::new();
-    for key in 0..GOOD {
+    for key in 0..GOOD - 2 {
         Request::Get { key }.encode(&mut wire);
+    }
+    for key in GOOD - 2..GOOD {
+        Request::Put { key, value: -key }.encode(&mut wire);
     }
     wire.extend_from_slice(&[0, 0, 0, 1, 0x7F]);
     for key in 0..3 {
@@ -594,7 +600,44 @@ fn frames_before_a_violation_are_answered_frames_after_it_are_not() {
     });
     assert_eq!(got, encode_replies(&replies));
     assert_eq!(stats.frames, GOOD as u64);
+    assert_eq!(stats.batched_writes, 2);
     assert_eq!(stats.malformed, 1);
+}
+
+/// Whatever one read brings in is answered with one write: 32 rounds
+/// of 256 GETs sent in one `write_all` and read back before the next
+/// round never make the server write more often than it reads.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets and threads")]
+fn replies_leave_in_one_write_per_read() {
+    const ROUNDS: usize = 32;
+    const GETS: i64 = 4 * 64;
+    let (wire, _) = encode_stream(
+        &(0..GETS)
+            .map(|key| Request::Get { key })
+            .collect::<Vec<_>>(),
+    );
+    let ((), stats) = with_server(GETS, Duration::from_millis(50), |addr| {
+        let mut stream = connect(addr, Duration::from_secs(10));
+        let mut scratch = Vec::new();
+        for _ in 0..ROUNDS {
+            stream.write_all(&wire).expect("send");
+            for key in 0..GETS {
+                assert_eq!(
+                    read_response(&mut stream, &mut scratch),
+                    Response::Value(Some(key * 10)),
+                    "reply {key} out of order"
+                );
+            }
+        }
+    });
+    assert_eq!(stats.frames, (ROUNDS as i64 * GETS) as u64);
+    assert!(
+        stats.writes <= stats.reads,
+        "{} writes for {} reads",
+        stats.writes,
+        stats.reads
+    );
 }
 
 /// A length prefix no request can have is refused when it is read, not
