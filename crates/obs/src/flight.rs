@@ -6,10 +6,11 @@
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
 //! and keeps, per source, the most recent drained events up to a count
 //! cap. They are stored packed: a source's retained events are a queue
-//! of fixed-size segments of LEB128 varints, so a retained event costs
-//! a few bytes rather than the 32 of an [`Event`], and a poll appends to
-//! the newest segment and drops whole segments off the front — it never
-//! moves retained bytes.
+//! of fixed-size segments, in which an event is a tag byte plus only
+//! the fields that changed since the last event with its hook — one or
+//! two bytes for most, where an [`Event`] is 32. Each segment decodes
+//! on its own. A poll appends to the newest segment and drops whole
+//! segments off the front — it never moves retained bytes.
 //!
 //! Three ways events reach a dump:
 //!
@@ -38,32 +39,82 @@ use crate::recorder::Recorder;
 
 /// Default cap on retained events per source. The oldest are trimmed —
 /// and counted — beyond this. Packed, an event of an EBR shard serving
-/// GETs takes about 6 bytes (at most 35), so a full source of them
-/// holds about 1.6 MB.
+/// GETs takes about 1.5 bytes (at most 36), so a full source of them
+/// holds about 0.4 MB.
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 18;
 
 /// Bytes in one segment of packed events.
 const SEGMENT_BYTES: usize = 64 * 1024;
 
-/// The most bytes one packed event takes: a 10-byte ts delta, a 3-byte
-/// thread, the raw hook and scheme bytes, and two 10-byte words.
-const MAX_PACKED_EVENT: usize = 10 + 3 + 2 + 10 + 10;
+/// The most bytes one packed event takes: the tag, an escaped hook
+/// byte, a 10-byte ts delta, a 3-byte thread, the scheme byte and two
+/// 10-byte word deltas.
+const MAX_PACKED_EVENT: usize = 1 + 1 + 10 + 3 + 1 + 10 + 10;
 
-/// One fixed-size buffer of packed events. An event is its `ts` as a
-/// zigzagged delta off the previous event's (off 0 for the first), its
-/// thread, its raw hook and scheme bytes, and `a` and `b`, each integer
-/// a [`put_varint`] LEB128. Zigzag, because `ts` may step back a few
-/// ticks between polls (an event stamped before one poll but pushed
-/// after it is drained by the next), and such a step should cost a
-/// byte, not ten.
+/// A tag's low nibble is the hook, or this: the raw hook byte follows
+/// (hooks from 15 on, and any hook a newer writer added).
+const ESCAPE: u8 = 15;
+/// A tag's presence bits: which fields follow it, in this order.
+const HAS_TS: u8 = 1 << 4;
+const HAS_WHO: u8 = 1 << 5;
+const HAS_A: u8 = 1 << 6;
+const HAS_B: u8 = 1 << 7;
+
+/// The last event with a given hook: what the next one is packed
+/// against.
+#[derive(Debug, Clone, Copy, Default)]
+struct Base {
+    thread: u16,
+    scheme: u8,
+    a: u64,
+    b: u64,
+}
+
+/// The delta bases within one segment: the last event's `ts`, and a
+/// [`Base`] per hook slot (`hook & 31`: a raw hook past 31 shares a
+/// slot, which costs bytes, never an event). Every segment starts from
+/// the zeroed default, so each decodes without its predecessor.
+#[derive(Debug, Default)]
+struct Bases {
+    ts: u64,
+    hooks: [Base; 32],
+}
+
+/// Packs `value` as its zigzagged delta off `base` unless that is 0,
+/// makes `value` the new base, and says whether it packed anything.
+/// Zigzag, because `ts` may step back a few ticks between polls (an
+/// event stamped before one poll but pushed after it is drained by the
+/// next), and such a step should cost a byte, not ten.
+fn put_delta(bytes: &mut Vec<u8>, value: u64, base: &mut u64) -> bool {
+    let delta = value.wrapping_sub(*base) as i64;
+    *base = value;
+    if delta != 0 {
+        put_varint(bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+    }
+    delta != 0
+}
+
+/// Reads back onto `base` a delta [`put_delta`] packed.
+fn take_delta(r: &mut Reader<'_>, what: &'static str, base: &mut u64) -> Result<(), DumpError> {
+    let zigzag = r.varint(what)?;
+    *base = base.wrapping_add(((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)) as u64);
+    Ok(())
+}
+
+/// One fixed-size buffer of packed events. An event is a tag byte — the
+/// hook in its low nibble (or [`ESCAPE`] and the raw hook byte after
+/// it) and four presence bits — then only the fields that changed: the
+/// `ts` delta off the previous event's when it is not 0; thread and
+/// scheme when they differ from the last event with the same hook's;
+/// `a` and `b` as deltas off that event's ([`put_delta`]). Integers are
+/// [`put_varint`] LEB128. An EBR shard's `BeginOp`/`EndOp` is the tag
+/// alone once its epoch has been seen.
 #[derive(Debug)]
 struct Segment {
     /// Never past [`SEGMENT_BYTES`], so it never reallocates.
     bytes: Vec<u8>,
     /// Events packed into `bytes`.
     events: usize,
-    /// `ts` of the last event packed: the base of the next delta.
-    last_ts: u64,
 }
 
 impl Segment {
@@ -71,24 +122,41 @@ impl Segment {
         self.bytes.len() + MAX_PACKED_EVENT <= SEGMENT_BYTES
     }
 
-    fn pack(&mut self, e: &Event) {
-        let delta = e.ts.wrapping_sub(self.last_ts) as i64;
-        put_varint(&mut self.bytes, ((delta << 1) ^ (delta >> 63)) as u64);
-        self.last_ts = e.ts;
-        put_varint(&mut self.bytes, e.thread as u64);
-        self.bytes.push(e.hook);
-        self.bytes.push(e.scheme);
-        put_varint(&mut self.bytes, e.a);
-        put_varint(&mut self.bytes, e.b);
+    /// Packs `e` against `bases`, which this segment's events so far
+    /// left behind, and moves them past it.
+    fn pack(&mut self, e: &Event, bases: &mut Bases) {
+        let at = self.bytes.len();
+        let mut tag = e.hook.min(ESCAPE);
+        self.bytes.push(tag);
+        if tag == ESCAPE {
+            self.bytes.push(e.hook);
+        }
+        if put_delta(&mut self.bytes, e.ts, &mut bases.ts) {
+            tag |= HAS_TS;
+        }
+        let base = &mut bases.hooks[(e.hook & 31) as usize];
+        if (e.thread, e.scheme) != (base.thread, base.scheme) {
+            tag |= HAS_WHO;
+            put_varint(&mut self.bytes, e.thread as u64);
+            self.bytes.push(e.scheme);
+            (base.thread, base.scheme) = (e.thread, e.scheme);
+        }
+        if put_delta(&mut self.bytes, e.a, &mut base.a) {
+            tag |= HAS_A;
+        }
+        if put_delta(&mut self.bytes, e.b, &mut base.b) {
+            tag |= HAS_B;
+        }
+        self.bytes[at] = tag;
         self.events += 1;
     }
 
     /// Appends every event but the first `skip` to `out`.
     fn unpack_into(&self, skip: usize, out: &mut Vec<Event>) {
         let mut r = Reader::new(&self.bytes);
-        let mut ts = 0u64;
+        let mut bases = Bases::default();
         for k in 0..self.events {
-            let event = unpack(&mut r, &mut ts).expect("a segment holds whole packed events");
+            let event = unpack(&mut r, &mut bases).expect("a segment holds whole packed events");
             if k >= skip {
                 out.push(event);
             }
@@ -96,17 +164,35 @@ impl Segment {
     }
 }
 
-fn unpack(r: &mut Reader<'_>, ts: &mut u64) -> Result<Event, DumpError> {
-    let zigzag = r.varint("ts delta")?;
-    *ts = ts.wrapping_add(((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)) as u64);
-    let thread = r.varint("thread")? as u16;
-    let hook = r.byte("hook")?;
-    let scheme = r.byte("scheme")?;
-    let a = r.varint("a")?;
-    let b = r.varint("b")?;
-    let mut event = Event::new(thread, SchemeId(scheme), Hook::Sample, a, b);
+fn unpack(r: &mut Reader<'_>, bases: &mut Bases) -> Result<Event, DumpError> {
+    let tag = r.byte("tag")?;
+    let hook = match tag & 0x0f {
+        ESCAPE => r.byte("hook")?,
+        hook => hook,
+    };
+    if tag & HAS_TS != 0 {
+        take_delta(r, "ts delta", &mut bases.ts)?;
+    }
+    let base = &mut bases.hooks[(hook & 31) as usize];
+    if tag & HAS_WHO != 0 {
+        base.thread = r.varint("thread")? as u16;
+        base.scheme = r.byte("scheme")?;
+    }
+    if tag & HAS_A != 0 {
+        take_delta(r, "a", &mut base.a)?;
+    }
+    if tag & HAS_B != 0 {
+        take_delta(r, "b", &mut base.b)?;
+    }
+    let mut event = Event::new(
+        base.thread,
+        SchemeId(base.scheme),
+        Hook::Sample,
+        base.a,
+        base.b,
+    );
     event.hook = hook;
-    event.ts = *ts;
+    event.ts = bases.ts;
     Ok(event)
 }
 
@@ -115,6 +201,9 @@ fn unpack(r: &mut Reader<'_>, ts: &mut u64) -> Result<Event, DumpError> {
 #[derive(Debug, Default)]
 struct Retained {
     segments: VecDeque<Segment>,
+    /// What the newest segment packs its next event against. Closed
+    /// segments need none: they decode from zeroed bases.
+    bases: Bases,
     /// Trimmed events still packed at the front of the oldest segment.
     skip: usize,
     /// Retained events: everything packed, less `skip`.
@@ -147,13 +236,13 @@ impl Retained {
                     .spare
                     .take()
                     .unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES));
-                self.segments.push_back(Segment {
-                    bytes,
-                    events: 0,
-                    last_ts: 0,
-                });
+                self.segments.push_back(Segment { bytes, events: 0 });
+                self.bases = Bases::default();
             }
-            self.segments.back_mut().expect("just ensured").pack(e);
+            self.segments
+                .back_mut()
+                .expect("just ensured")
+                .pack(e, &mut self.bases);
         }
         self.len = self.len + events.len() - excess;
         excess as u64
@@ -167,6 +256,11 @@ impl Retained {
             skip = 0;
         }
         out
+    }
+
+    /// Bytes packed, trimmed events included until their segment goes.
+    fn bytes(&self) -> usize {
+        self.segments.iter().map(|s| s.bytes.len()).sum()
     }
 }
 
@@ -267,6 +361,11 @@ impl FlightRecorder {
         for source in self.lock().iter_mut() {
             source.poll(self.max_retained);
         }
+    }
+
+    /// Bytes the retained events of every source take packed.
+    pub fn packed_bytes(&self) -> usize {
+        self.lock().iter().map(|s| s.retained.bytes()).sum()
     }
 
     /// Drains pending events and assembles the dump: per source, the
@@ -439,15 +538,18 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn packed_bytes(retained: &Retained) -> usize {
-        retained.segments.iter().map(|s| s.bytes.len()).sum()
-    }
-
     fn event(ts: u64, thread: u16, hook: u8, a: u64, b: u64) -> Event {
         let mut e = Event::new(thread, SchemeId::EBR, Hook::Sample, a, b);
         e.hook = hook;
         e.ts = ts;
         e
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state
     }
 
     /// Draws 0, `u64::MAX`, a small value or any value.
@@ -520,6 +622,62 @@ mod tests {
         }
     }
 
+    /// Large events — every hook, the escaped ones and a raw byte past
+    /// `Hook::ALL` included, threads up to `u16::MAX`, words up to
+    /// `u64::MAX`, `ts` stepping back — so that the retained events span
+    /// several segments, under a cap whose trims land mid-segment and
+    /// drop whole front segments. Nothing may carry over a boundary:
+    /// each segment decodes on its own.
+    #[test]
+    fn segment_boundaries_and_front_drops_match_the_vec_model() {
+        let hooks: Vec<u8> = (0..Hook::COUNT as u8).chain([200]).collect();
+        let mut rng = 7u64;
+        let mut ts = 0u64;
+        let events: Vec<Event> = (0..24_000usize)
+            .map(|k| {
+                let r = lcg(&mut rng);
+                ts = match k % 4 {
+                    0 => ts.wrapping_sub(3),
+                    1 => ts ^ 1 << 63,
+                    _ => ts.wrapping_add(r >> 61),
+                };
+                let word = |w: u64| if w.is_multiple_of(7) { u64::MAX } else { w };
+                let thread = if r & 1 == 0 {
+                    u16::MAX
+                } else {
+                    (r >> 16) as u16
+                };
+                let a = word(r.rotate_left(17));
+                let b = word(r.rotate_left(41));
+                let mut e = event(ts, thread, hooks[k % hooks.len()], a, b);
+                e.scheme = (r >> 8) as u8;
+                e
+            })
+            .collect();
+        let cap = 12_500;
+        let mut retained = Retained::default();
+        let mut model: Vec<Event> = Vec::new();
+        let (mut trimmed, mut model_trimmed) = (0u64, 0u64);
+        let (mut mid_segment, mut most_segments) = (false, 0);
+        for batch in events.chunks(3_001) {
+            trimmed += retained.append(batch, cap);
+            model.extend_from_slice(batch);
+            let excess = model.len().saturating_sub(cap);
+            model.drain(..excess);
+            model_trimmed += excess as u64;
+            assert_eq!(retained.events(), model);
+            assert_eq!(trimmed, model_trimmed);
+            mid_segment |= retained.skip > 0;
+            most_segments = most_segments.max(retained.segments.len());
+        }
+        assert!(most_segments >= 5, "only {most_segments} segments");
+        assert!(mid_segment, "no trim landed mid-segment");
+        // Every event was packed (each batch is under the cap), so fewer
+        // packed now means front segments went.
+        let packed: usize = retained.segments.iter().map(|s| s.events).sum();
+        assert!(packed < events.len(), "no front segment was dropped");
+    }
+
     #[test]
     fn backward_steps_and_extreme_values_round_trip() {
         let events = [
@@ -531,37 +689,40 @@ mod tests {
             event(5, 3, Hook::EndOp as u8, 0, 0),
         ];
         let mut retained = Retained::default();
-        retained.append(&events[..1], 64);
-        let before = packed_bytes(&retained);
-        retained.append(&events[1..2], 64);
+        retained.append(&events, 64);
+        assert_eq!(retained.events(), events);
+        // The same `Load`, stamped 3 ticks before the `BeginOp` or with it.
+        let bytes_with_load_at = |ts| {
+            let mut retained = Retained::default();
+            retained.append(&[events[0], event(ts, 0, Hook::Load as u8, 2, 0)], 64);
+            retained.bytes()
+        };
         assert_eq!(
-            packed_bytes(&retained) - before,
-            6,
+            bytes_with_load_at(97),
+            bytes_with_load_at(100) + 1,
             "a 3-tick step back costs one byte of ts delta"
         );
-        retained.append(&events[2..], 64);
-        assert_eq!(retained.events(), events);
     }
 
     #[test]
-    fn worst_case_and_ebr_shaped_streams_stay_within_their_byte_bounds() {
+    fn worst_case_ebr_and_churn_streams_stay_within_their_byte_bounds() {
         let cap = if cfg!(miri) { 256 } else { 1 << 12 };
-        // Every field at its longest varint: 35 bytes an event.
+        // Every field at its longest: an escaped hook, `ts` and both words
+        // half the range off the last, the thread alternating between two
+        // 3-byte values. After the first, each is `MAX_PACKED_EVENT` bytes.
+        let worst = |k: u64| {
+            let flip = (k & 1) << 63;
+            event(flip, u16::MAX - (k & 1) as u16, 200, flip, flip)
+        };
         let mut retained = Retained::default();
+        retained.append(&[worst(0)], cap);
+        let first = retained.bytes();
+        retained.append(&[worst(1)], cap);
+        assert_eq!(retained.bytes() - first, MAX_PACKED_EVENT);
         for poll in 0..3 * cap / 100 {
-            let batch: Vec<Event> = (0..100)
-                .map(|k| {
-                    event(
-                        ((poll + k) as u64 & 1) << 63,
-                        u16::MAX,
-                        0,
-                        u64::MAX,
-                        u64::MAX,
-                    )
-                })
-                .collect();
+            let batch: Vec<Event> = (0..100).map(|k| worst((poll * 100 + k) as u64)).collect();
             retained.append(&batch, cap);
-            assert!(packed_bytes(&retained) <= MAX_PACKED_EVENT * retained.len + SEGMENT_BYTES);
+            assert!(retained.bytes() <= MAX_PACKED_EVENT * retained.len + SEGMENT_BYTES);
         }
         assert_eq!(retained.len, cap);
         // EBR's per-operation stream: BeginOp(epoch)/EndOp, reading the
@@ -578,10 +739,33 @@ mod tests {
             }
         }
         flight.poll();
-        let sources = flight.lock();
-        let retained = &sources[0].retained;
-        assert_eq!(retained.len, cap);
-        assert!(packed_bytes(retained) <= 8 * retained.len + SEGMENT_BYTES);
+        assert_eq!(flight.lock()[0].retained.len, cap);
+        assert!(flight.packed_bytes() <= 2 * cap + SEGMENT_BYTES);
+        // An EBR shard under churn: a worker's `Retire`s at heap-like
+        // addresses, each 64 reclaimed as one run by the service tracer
+        // (thread `u16::MAX`, as `StatCells::reclaim` emits them).
+        let recorder = Recorder::new(1);
+        let flight = FlightRecorder::single("churn", &recorder).with_max_retained(cap);
+        let mut worker = recorder.tracer(0, SchemeId::EBR);
+        let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);
+        let mut rng = 1u64;
+        let mut nodes = [0u64; 64];
+        for round in 0..2 * cap / 128 {
+            let retired_at = recorder.now();
+            for (held, node) in nodes.iter_mut().enumerate() {
+                *node = 0x7f3a_0000_0000 + (lcg(&mut rng) >> 50) * 64;
+                worker.emit(Hook::Retire, *node, held as u64 + 1);
+            }
+            service.emit_run(Hook::Reclaim, nodes.len(), |k, ts| {
+                (nodes[k], ts - (retired_at + k as u64))
+            });
+            if round % 16 == 0 {
+                flight.poll();
+            }
+        }
+        flight.poll();
+        assert_eq!(flight.lock()[0].retained.len, cap);
+        assert!(flight.packed_bytes() <= 6 * cap + SEGMENT_BYTES);
     }
 
     #[test]
@@ -597,7 +781,7 @@ mod tests {
         let sources = flight.lock();
         let retained = &sources[0].retained;
         assert_eq!(retained.len, polls as usize);
-        let bytes = packed_bytes(retained);
+        let bytes = retained.bytes();
         assert!(
             retained.segments.len() <= bytes.div_ceil(SEGMENT_BYTES) + 1,
             "{} segments for {bytes} bytes",

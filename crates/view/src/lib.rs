@@ -684,7 +684,7 @@ pub fn summarize(dump: &FlightDump, bound: Option<u64>) -> String {
             "INCOMPLETE: {dropped} event(s) lost to ring overwrite, {trimmed} trimmed by the retention cap\n"
         ));
     } else {
-        out.push_str("complete: no ring drops, no window trims\n");
+        out.push_str("complete: no ring drops, no cap trims\n");
     }
     for source in &dump.sources {
         out.push('\n');
@@ -1061,11 +1061,21 @@ mod tests {
     #[test]
     fn summary_mentions_incompleteness_and_orphans() {
         let mut dump = FlightDump::new();
-        let mut src = orphan_source();
-        src.dropped = 2;
-        dump.sources.push(src);
+        dump.sources.push(orphan_source());
         let text = summarize(&dump, None);
-        assert!(text.contains("INCOMPLETE"));
+        assert!(
+            text.contains("\ncomplete: no ring drops, no cap trims\n"),
+            "{text}"
+        );
+        dump.sources[0].dropped = 2;
+        dump.sources[0].trimmed = 3;
+        let text = summarize(&dump, None);
+        assert!(
+            text.contains(
+                "\nINCOMPLETE: 2 event(s) lost to ring overwrite, 3 trimmed by the retention cap\n"
+            ),
+            "{text}"
+        );
         assert!(text.contains("orphan chains"));
         assert!(text.contains("0x1000"));
         assert!(text.contains("truncated trace"));

@@ -25,10 +25,12 @@
 //! well above the 1-thread one is a shard-wide word written per write
 //! (an admission counter, a per-node lock or clock tick on reclaim).
 //!
-//! The `flight poll` row times the flight recorder's watchdog poll in
+//! The `flight poll` rows time the flight recorder's watchdog poll in
 //! its steady state on a busy server: one source already at its
-//! retained-event cap, one full ring of EBR-shaped events to drain,
-//! so the poll appends a ring's worth and trims as much.
+//! retained-event cap, one full ring's worth of events to drain, so the
+//! poll appends a ring's worth and trims as much. One row drains an EBR
+//! shard's GETs, the other its put/remove churn; each also prints what
+//! a retained event costs packed.
 //!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
@@ -164,27 +166,52 @@ fn fill_ring(tracer: &mut ThreadTracer) {
     }
 }
 
+/// Fills two rings with a ring's worth of what an EBR shard under
+/// put/remove churn emits: a worker retires 64 nodes at heap-like
+/// addresses, then the service tracer (thread `u16::MAX`, as
+/// `StatCells::reclaim` uses) reclaims them as one run carrying each
+/// node's retire→reclaim latency.
+fn fill_churn(
+    recorder: &Recorder,
+    worker: &mut ThreadTracer,
+    service: &mut ThreadTracer,
+    rng: &mut u64,
+) {
+    let mut nodes = [0u64; 64];
+    for _ in 0..DEFAULT_RING_CAPACITY / (2 * nodes.len()) {
+        let retired_at = recorder.now();
+        for (held, node) in nodes.iter_mut().enumerate() {
+            *node = 0x7f3a_0000_0000 + lcg(rng) % (1 << 14) * 64;
+            worker.emit(Hook::Retire, *node, held as u64 + 1);
+        }
+        service.emit_run(Hook::Reclaim, nodes.len(), |k, ts| {
+            (nodes[k], ts - (retired_at + k as u64))
+        });
+    }
+}
+
 /// Min-of-reps ns per `FlightRecorder::poll` of one source holding
-/// `DEFAULT_MAX_RETAINED` events with one full ring to drain.
-fn bench_flight_poll() {
-    let recorder = Recorder::new(1);
-    let flight = FlightRecorder::single("shard0", &recorder);
-    let mut tracer = recorder.tracer(0, SchemeId::EBR);
+/// `DEFAULT_MAX_RETAINED` events, `fill` giving it one full ring's
+/// worth to drain before each, and the bytes a retained event takes.
+fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
+    let flight = FlightRecorder::single("shard0", recorder);
     for _ in 0..DEFAULT_MAX_RETAINED / DEFAULT_RING_CAPACITY {
-        fill_ring(&mut tracer);
+        fill();
         flight.poll();
     }
     let best = (0..REPS)
         .map(|_| {
-            fill_ring(&mut tracer);
+            fill();
             let start = Instant::now();
             flight.poll();
             start.elapsed().as_secs_f64() * 1e9
         })
         .fold(f64::INFINITY, f64::min);
     println!(
-        "flight poll: min {best:.0} ns/poll ({:.1} ns per drained event)",
-        best / DEFAULT_RING_CAPACITY as f64
+        "flight poll, {name}: min {best:.0} ns/poll ({:.1} ns per drained event, \
+         {:.2} B per retained event)",
+        best / DEFAULT_RING_CAPACITY as f64,
+        flight.packed_bytes() as f64 / DEFAULT_MAX_RETAINED as f64
     );
 }
 
@@ -280,7 +307,16 @@ fn main() {
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
          one {DEFAULT_RING_CAPACITY}-event ring to drain)"
     );
-    bench_flight_poll();
+    let recorder = Recorder::new(1);
+    let mut tracer = recorder.tracer(0, SchemeId::EBR);
+    bench_flight_poll("ebr gets", &recorder, || fill_ring(&mut tracer));
+    let recorder = Recorder::new(1);
+    let mut worker = recorder.tracer(0, SchemeId::EBR);
+    let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);
+    let mut rng = 1;
+    bench_flight_poll("ebr churn", &recorder, || {
+        fill_churn(&recorder, &mut worker, &mut service, &mut rng)
+    });
     println!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
     bench_kv_write();
     println!("-- smr load (one protected load of a stable word, recorder attached)");
