@@ -13,36 +13,28 @@
 //! identical fault *sequence* even where an action has no VBR effect.
 
 use era_obs::Recorder;
-#[cfg(feature = "inject")]
 use era_obs::{Hook, SchemeId, ThreadTracer};
 use era_smr::vbr::{Arena, ArenaFull, Handle, Stale};
-#[cfg(feature = "inject")]
 use era_smr::CachePadded;
 use era_smr::SmrStats;
 
-#[cfg(feature = "inject")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "inject")]
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::decorator::FaultRecord;
-#[cfg(feature = "inject")]
 use crate::CHAOS_THREAD;
 use crate::{FaultAction, FaultPlan};
 
-#[cfg(feature = "inject")]
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-#[cfg(feature = "inject")]
 struct ArenaRt {
     pending: Vec<FaultAction>,
     cursor: usize,
     log: Vec<FaultRecord>,
 }
 
-#[cfg(feature = "inject")]
 struct ArenaState {
     clock: CachePadded<AtomicU64>,
     next_wake: CachePadded<AtomicU64>,
@@ -65,14 +57,12 @@ struct ArenaState {
 /// let plan = FaultPlan::new(0, vec![FaultAction::FailAlloc { at_op: 2, count: 1 }]);
 /// let arena: ChaosArena<2> = ChaosArena::new(8, plan);
 /// assert!(arena.alloc().is_ok());
-/// # #[cfg(feature = "inject")]
 /// assert!(arena.alloc().is_err(), "injected ArenaFull");
 /// assert!(arena.alloc().is_ok());
 /// ```
 pub struct ChaosArena<const C: usize> {
     inner: Arena<C>,
     plan: FaultPlan,
-    #[cfg(feature = "inject")]
     st: ArenaState,
 }
 
@@ -89,7 +79,6 @@ impl<const C: usize> ChaosArena<C> {
     /// An arena of `capacity` nodes with `plan` armed.
     pub fn new(capacity: usize, plan: FaultPlan) -> ChaosArena<C> {
         let plan = FaultPlan::new(plan.seed, plan.ops);
-        #[cfg(feature = "inject")]
         let st = ArenaState {
             clock: CachePadded::new(AtomicU64::new(0)),
             next_wake: CachePadded::new(AtomicU64::new(
@@ -107,7 +96,6 @@ impl<const C: usize> ChaosArena<C> {
         ChaosArena {
             inner: Arena::new(capacity),
             plan,
-            #[cfg(feature = "inject")]
             st,
         }
     }
@@ -129,25 +117,14 @@ impl<const C: usize> ChaosArena<C> {
 
     /// Faults fired so far.
     pub fn faults_injected(&self) -> u64 {
-        #[cfg(feature = "inject")]
-        {
-            self.st.faults.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "inject"))]
-        0
+        self.st.faults.load(Ordering::Relaxed)
     }
 
     /// The faults fired so far, in firing order.
     pub fn fault_log(&self) -> Vec<FaultRecord> {
-        #[cfg(feature = "inject")]
-        {
-            lock(&self.st.rt).log.clone()
-        }
-        #[cfg(not(feature = "inject"))]
-        Vec::new()
+        lock(&self.st.rt).log.clone()
     }
 
-    #[cfg(feature = "inject")]
     fn poll(&self, op: u64) {
         let mut rt = lock(&self.st.rt);
         while rt.cursor < rt.pending.len() && rt.pending[rt.cursor].at_op() <= op {
@@ -187,28 +164,25 @@ impl<const C: usize> ChaosArena<C> {
     /// [`ArenaFull`] when the arena is genuinely full *or* an injected
     /// allocation-failure budget is armed.
     pub fn alloc(&self) -> Result<Handle, ArenaFull> {
-        #[cfg(feature = "inject")]
-        {
-            // SAFETY(ordering): Relaxed — the alloc clock orders faults
-            // against this thread's own allocs; cross-thread slack is
-            // part of the chaos model.
-            let op = self.st.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            if op >= self.st.next_wake.load(Ordering::Relaxed) {
-                self.poll(op);
-            }
-            let mut n = self.st.alloc_fail.load(Ordering::Relaxed);
-            while n > 0 {
-                // SAFETY(ordering): Relaxed/Relaxed — budget decrement;
-                // atomicity alone bounds failures to the planned count.
-                match self.st.alloc_fail.compare_exchange_weak(
-                    n,
-                    n - 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Err(ArenaFull),
-                    Err(cur) => n = cur,
-                }
+        // SAFETY(ordering): Relaxed — the alloc clock orders faults
+        // against this thread's own allocs; cross-thread slack is
+        // part of the chaos model.
+        let op = self.st.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        if op >= self.st.next_wake.load(Ordering::Relaxed) {
+            self.poll(op);
+        }
+        let mut n = self.st.alloc_fail.load(Ordering::Relaxed);
+        while n > 0 {
+            // SAFETY(ordering): Relaxed/Relaxed — budget decrement;
+            // atomicity alone bounds failures to the planned count.
+            match self.st.alloc_fail.compare_exchange_weak(
+                n,
+                n - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Err(ArenaFull),
+                Err(cur) => n = cur,
             }
         }
         self.inner.alloc()
@@ -288,17 +262,14 @@ impl<const C: usize> ChaosArena<C> {
     /// [`crate::CHAOS_THREAD`]).
     pub fn attach_recorder(&self, recorder: &Recorder) {
         self.inner.attach_recorder(recorder);
-        #[cfg(feature = "inject")]
         let _ = self
             .st
             .tracer
             .set(Mutex::new(recorder.tracer(CHAOS_THREAD, SchemeId::VBR)));
-        #[cfg(not(feature = "inject"))]
-        let _ = recorder;
     }
 }
 
-#[cfg(all(test, feature = "inject"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

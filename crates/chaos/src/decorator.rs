@@ -5,8 +5,8 @@
 //! `begin_op`) and fires each planned action the first time the clock
 //! reaches its `at_op`. All injected state lives behind one fast-path
 //! gate: `begin_op` pays one relaxed `fetch_add` plus one relaxed load
-//! (`next_wake`) until the next interesting op, and with the `inject`
-//! feature off the decorator compiles to pure delegation. Faults are
+//! (`next_wake`) until the next interesting op; an empty plan never
+//! wakes, so the decorator is delegation plus that gate. Faults are
 //! *scheme-level* events — dead pinned contexts, frozen announcements,
 //! suppressed flushes, refused registrations — injected through the
 //! public `Smr` surface only, so whatever safety property the inner
@@ -19,18 +19,14 @@
 //! final [`SmrStats`] — the determinism the replay tests pin down.
 
 use era_obs::Recorder;
-#[cfg(feature = "inject")]
 use era_obs::{Hook, ThreadTracer};
 use era_smr::common::DropFn;
-#[cfg(feature = "inject")]
 use era_smr::CachePadded;
 use era_smr::{
     EpochProtected, RegisterError, SchemeKind, Smr, SmrHeader, SmrStats, SupportsUnlinkedTraversal,
 };
 
-#[cfg(feature = "inject")]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "inject")]
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::plan::{FaultAction, FaultPlan};
@@ -43,11 +39,9 @@ pub const CHAOS_THREAD: u16 = u16::MAX - 3;
 
 /// Canary nodes a die-pinned victim retires before dying, so every
 /// death leaves orphaned garbage for the survivors to adopt.
-#[cfg(feature = "inject")]
 const DIE_PINNED_GARBAGE: usize = 4;
 
 /// Hard cap on contexts a single `ExhaustSlots` action will hold.
-#[cfg(feature = "inject")]
 const EXHAUST_CAP: usize = 4096;
 
 /// One fired fault, in firing order.
@@ -63,7 +57,6 @@ pub struct FaultRecord {
 
 /// The node type die-pinned victims retire: a real header (HE/IBR read
 /// the birth era from it) plus a payload word.
-#[cfg(feature = "inject")]
 #[repr(C)]
 struct ChaosNode {
     header: SmrHeader,
@@ -76,19 +69,16 @@ struct ChaosNode {
 ///
 /// `p` must be the `Box::into_raw` pointer of a live `ChaosNode`; the
 /// SMR scheme guarantees it is passed here exactly once.
-#[cfg(feature = "inject")]
 unsafe fn free_chaos_node(p: *mut u8) {
     unsafe { drop(Box::from_raw(p as *mut ChaosNode)) }
 }
 
-#[cfg(feature = "inject")]
 fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Mutable runtime of an injecting decorator (cold path: only touched
 /// when the op clock crosses `next_wake`).
-#[cfg(feature = "inject")]
 struct Rt<C> {
     /// The plan's actions, sorted by fire index; `cursor` marks the
     /// first not-yet-fired one.
@@ -104,7 +94,6 @@ struct Rt<C> {
     log: Vec<FaultRecord>,
 }
 
-#[cfg(feature = "inject")]
 struct State<C> {
     clock: CachePadded<AtomicU64>,
     /// Earliest op index at which anything must happen; `u64::MAX`
@@ -142,13 +131,11 @@ struct State<C> {
 ///     smr.begin_op(&mut ctx);
 ///     smr.end_op(&mut ctx);
 /// }
-/// # #[cfg(feature = "inject")]
 /// assert_eq!(smr.faults_injected(), 1);
 /// ```
 pub struct ChaosSmr<S: Smr> {
     inner: S,
     plan: FaultPlan,
-    #[cfg(feature = "inject")]
     st: State<S::ThreadCtx>,
 }
 
@@ -165,7 +152,6 @@ impl<S: Smr> ChaosSmr<S> {
     /// Wraps `inner`, arming `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> ChaosSmr<S> {
         let plan = FaultPlan::new(plan.seed, plan.ops);
-        #[cfg(feature = "inject")]
         let st = State {
             clock: CachePadded::new(AtomicU64::new(0)),
             next_wake: CachePadded::new(AtomicU64::new(
@@ -186,12 +172,7 @@ impl<S: Smr> ChaosSmr<S> {
             }),
             tracer: OnceLock::new(),
         };
-        ChaosSmr {
-            inner,
-            plan,
-            #[cfg(feature = "inject")]
-            st,
-        }
+        ChaosSmr { inner, plan, st }
     }
 
     /// Wraps `inner` with an empty plan: a transparent pass-through.
@@ -209,45 +190,25 @@ impl<S: Smr> ChaosSmr<S> {
         &self.plan
     }
 
-    /// Current op-clock reading (0 without the `inject` feature).
+    /// Current op-clock reading.
     pub fn op_clock(&self) -> u64 {
-        #[cfg(feature = "inject")]
-        {
-            self.st.clock.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "inject"))]
-        0
+        self.st.clock.load(Ordering::Relaxed)
     }
 
     /// Faults fired so far.
     pub fn faults_injected(&self) -> u64 {
-        #[cfg(feature = "inject")]
-        {
-            self.st.faults.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "inject"))]
-        0
+        self.st.faults.load(Ordering::Relaxed)
     }
 
     /// Peak number of victim contexts held at once (stalls + hostages).
     pub fn held_peak(&self) -> usize {
-        #[cfg(feature = "inject")]
-        {
-            self.st.held_peak.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "inject"))]
-        0
+        self.st.held_peak.load(Ordering::Relaxed)
     }
 
     /// The faults fired so far, in firing order — the replay witness
     /// the determinism tests compare.
     pub fn fault_log(&self) -> Vec<FaultRecord> {
-        #[cfg(feature = "inject")]
-        {
-            lock(&self.st.rt).log.clone()
-        }
-        #[cfg(not(feature = "inject"))]
-        Vec::new()
+        lock(&self.st.rt).log.clone()
     }
 
     /// Ends the chaos: releases every held victim gracefully, replays
@@ -256,33 +217,28 @@ impl<S: Smr> ChaosSmr<S> {
     /// suppression). Pending *future* actions stay armed. Call before
     /// drain/shutdown so recovery is measured against a quiet plan.
     pub fn quiesce(&self, ctx: &mut S::ThreadCtx) {
-        #[cfg(feature = "inject")]
-        {
-            let mut rt = lock(&self.st.rt);
-            for (_, mut v) in rt.stalled.drain(..) {
-                self.inner.end_op(&mut v);
-            }
-            rt.hostages.clear();
-            let deferred = std::mem::take(&mut rt.deferred_flushes);
-            // SAFETY(ordering): Relaxed — budget and wake words are
-            // advisory gates re-checked on the cold path under the rt
-            // lock; releasing that lock below publishes this reset.
-            self.st.restart_budget.store(0, Ordering::Relaxed);
-            self.st.register_fail.store(0, Ordering::Relaxed);
-            self.st.flush_until.store(0, Ordering::Relaxed);
-            let wake = rt.pending.get(rt.cursor).map_or(u64::MAX, |a| a.at_op());
-            self.st.next_wake.store(wake, Ordering::Relaxed);
-            drop(rt);
-            if deferred > 0 {
-                self.inner.flush(ctx);
-            }
+        let mut rt = lock(&self.st.rt);
+        for (_, mut v) in rt.stalled.drain(..) {
+            self.inner.end_op(&mut v);
         }
-        let _ = ctx;
+        rt.hostages.clear();
+        let deferred = std::mem::take(&mut rt.deferred_flushes);
+        // SAFETY(ordering): Relaxed — budget and wake words are
+        // advisory gates re-checked on the cold path under the rt
+        // lock; releasing that lock below publishes this reset.
+        self.st.restart_budget.store(0, Ordering::Relaxed);
+        self.st.register_fail.store(0, Ordering::Relaxed);
+        self.st.flush_until.store(0, Ordering::Relaxed);
+        let wake = rt.pending.get(rt.cursor).map_or(u64::MAX, |a| a.at_op());
+        self.st.next_wake.store(wake, Ordering::Relaxed);
+        drop(rt);
+        if deferred > 0 {
+            self.inner.flush(ctx);
+        }
     }
 
     /// Fires `action` at clock reading `op`. Called under the runtime
     /// lock; touches the inner scheme only through its public surface.
-    #[cfg(feature = "inject")]
     fn fire(&self, rt: &mut Rt<S::ThreadCtx>, op: u64, action: FaultAction) {
         match action {
             FaultAction::DiePinned { .. } => {
@@ -377,7 +333,6 @@ impl<S: Smr> ChaosSmr<S> {
 
     /// Cold path behind the `next_wake` gate: fire due actions,
     /// release expired victims, replay deferred flushes, re-arm.
-    #[cfg(feature = "inject")]
     fn poll(&self, op: u64, ctx: Option<&mut S::ThreadCtx>) {
         let mut rt = lock(&self.st.rt);
         while rt.cursor < rt.pending.len() && rt.pending[rt.cursor].at_op() <= op {
@@ -435,24 +390,21 @@ impl<S: Smr> Smr for ChaosSmr<S> {
     type ThreadCtx = S::ThreadCtx;
 
     fn register(&self) -> Result<S::ThreadCtx, RegisterError> {
-        #[cfg(feature = "inject")]
-        {
-            let mut n = self.st.register_fail.load(Ordering::Relaxed);
-            while n > 0 {
-                // SAFETY(ordering): Relaxed/Relaxed — the budget word
-                // carries no dependent data; the CAS only needs the
-                // decrement itself to be atomic.
-                match self.st.register_fail.compare_exchange_weak(
-                    n,
-                    n - 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    // Injected failure: capacity 0 marks it as chaos,
-                    // not a genuinely full registry.
-                    Ok(_) => return Err(RegisterError { capacity: 0 }),
-                    Err(cur) => n = cur,
-                }
+        let mut n = self.st.register_fail.load(Ordering::Relaxed);
+        while n > 0 {
+            // SAFETY(ordering): Relaxed/Relaxed — the budget word
+            // carries no dependent data; the CAS only needs the
+            // decrement itself to be atomic.
+            match self.st.register_fail.compare_exchange_weak(
+                n,
+                n - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                // Injected failure: capacity 0 marks it as chaos,
+                // not a genuinely full registry.
+                Ok(_) => return Err(RegisterError { capacity: 0 }),
+                Err(cur) => n = cur,
             }
         }
         self.inner.register()
@@ -466,22 +418,18 @@ impl<S: Smr> Smr for ChaosSmr<S> {
 
     fn attach_recorder(&self, recorder: &Recorder) {
         self.inner.attach_recorder(recorder);
-        #[cfg(feature = "inject")]
         let _ = self.st.tracer.set(Mutex::new(
             recorder.tracer(CHAOS_THREAD, self.inner.kind().id()),
         ));
     }
 
     fn begin_op(&self, ctx: &mut S::ThreadCtx) {
-        #[cfg(feature = "inject")]
-        {
-            // SAFETY(ordering): Relaxed — the op clock only orders
-            // faults against this thread's own ops; cross-thread slack
-            // is part of the chaos model (fired_at >= planned_at).
-            let op = self.st.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            if op >= self.st.next_wake.load(Ordering::Relaxed) {
-                self.poll(op, Some(&mut *ctx));
-            }
+        // SAFETY(ordering): Relaxed — the op clock only orders
+        // faults against this thread's own ops; cross-thread slack
+        // is part of the chaos model (fired_at >= planned_at).
+        let op = self.st.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        if op >= self.st.next_wake.load(Ordering::Relaxed) {
+            self.poll(op, Some(&mut *ctx));
         }
         self.inner.begin_op(ctx);
     }
@@ -497,10 +445,6 @@ impl<S: Smr> Smr for ChaosSmr<S> {
         src: &std::sync::atomic::AtomicUsize,
     ) -> usize {
         self.inner.load(ctx, slot, src)
-    }
-
-    fn requires_validation(&self) -> bool {
-        self.inner.requires_validation()
     }
 
     fn protect_alias(&self, ctx: &mut S::ThreadCtx, dst_slot: usize, src_slot: usize, word: usize) {
@@ -531,22 +475,19 @@ impl<S: Smr> Smr for ChaosSmr<S> {
     }
 
     fn needs_restart(&self, ctx: &mut S::ThreadCtx) -> bool {
-        #[cfg(feature = "inject")]
-        {
-            let mut n = self.st.restart_budget.load(Ordering::Relaxed);
-            while n > 0 {
-                // SAFETY(ordering): Relaxed/Relaxed — monotone budget
-                // decrement, same shape as register(); atomicity alone
-                // bounds the storm to the planned count.
-                match self.st.restart_budget.compare_exchange_weak(
-                    n,
-                    n - 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return true, // spurious, bounded by the budget
-                    Err(cur) => n = cur,
-                }
+        let mut n = self.st.restart_budget.load(Ordering::Relaxed);
+        while n > 0 {
+            // SAFETY(ordering): Relaxed/Relaxed — monotone budget
+            // decrement, same shape as register(); atomicity alone
+            // bounds the storm to the planned count.
+            match self.st.restart_budget.compare_exchange_weak(
+                n,
+                n - 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true, // spurious, bounded by the budget
+                Err(cur) => n = cur,
             }
         }
         self.inner.needs_restart(ctx)
@@ -582,13 +523,10 @@ impl<S: Smr> Smr for ChaosSmr<S> {
     }
 
     fn flush(&self, ctx: &mut S::ThreadCtx) {
-        #[cfg(feature = "inject")]
-        {
-            let now = self.st.clock.load(Ordering::Relaxed);
-            if now < self.st.flush_until.load(Ordering::Relaxed) {
-                lock(&self.st.rt).deferred_flushes += 1;
-                return;
-            }
+        let now = self.st.clock.load(Ordering::Relaxed);
+        if now < self.st.flush_until.load(Ordering::Relaxed) {
+            lock(&self.st.rt).deferred_flushes += 1;
+            return;
         }
         self.inner.flush(ctx);
     }
@@ -604,7 +542,7 @@ unsafe impl<S: SupportsUnlinkedTraversal> SupportsUnlinkedTraversal for ChaosSmr
 // inner scheme's, forwarded verbatim.
 unsafe impl<S: EpochProtected> EpochProtected for ChaosSmr<S> {}
 
-#[cfg(all(test, feature = "inject"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use era_smr::ebr::Ebr;

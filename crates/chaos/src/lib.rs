@@ -29,13 +29,6 @@
 //! (era_obs::Hook)), bounded footprint under stalls. Fired faults are
 //! logged ([`ChaosSmr::fault_log`]) and emitted as
 //! [`Hook::Fault`](era_obs::Hook) events under [`CHAOS_THREAD`].
-//!
-//! ## Feature flags
-//!
-//! * `inject` (default) — compiles the fault machinery. Without it the
-//!   wrappers are pure delegation (zero cost), so release binaries can
-//!   keep chaos types in their plumbing.
-//! * `trace` (default) — era-obs runtime, as in the sibling crates.
 
 #![warn(missing_docs)]
 

@@ -7,9 +7,6 @@
 //! The second run parses the plan back from its JSON record, so the
 //! test also proves a checked-in plan line is a complete replay recipe.
 
-// Without `inject` no fault ever fires, so there is nothing to replay.
-#![cfg(feature = "inject")]
-
 use era_chaos::{ChaosArena, ChaosSmr, FaultPlan};
 use era_smr::common::{Smr, SmrHeader, SmrStats};
 use era_smr::ebr::Ebr;

@@ -163,7 +163,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 // globally, so the check is elided — a traversal through
                 // a just-unlinked node stays linearizable and every
                 // mutation CAS below self-validates against `prev`.
-                if self.smr.requires_validation()
+                if self.smr.kind().requires_validation()
                     && unsafe { &*prev }.load(Ordering::SeqCst) != curr_word
                 {
                     continue 'retry;
@@ -287,7 +287,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     /// Returns the value mapped to `key`, if any.
     pub fn get(&self, ctx: &mut S::ThreadCtx, key: i64) -> Option<i64> {
         self.smr.begin_op(ctx);
-        let result = if self.smr.requires_validation() {
+        let result = if self.smr.kind().requires_validation() {
             // Protect-validate schemes (HP/HE/IBR): only find()'s
             // hand-over-hand hazard discipline makes standing on a
             // node safe, so lookups share the mutation path.
@@ -305,7 +305,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     }
 
     /// Read-only lookup for op-scoped protection schemes
-    /// (`requires_validation() == false`: EBR/QSBR/NBR/leak).
+    /// (`kind().requires_validation() == false`: EBR/QSBR/NBR/leak).
     ///
     /// Michael notes searches need not help unlink (and Herlihy &
     /// Shavit prove the wait-free variant linearizable for exactly this

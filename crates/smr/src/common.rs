@@ -11,6 +11,15 @@
 //! | [`Smr::init_header`] | alloc replacement |
 //! | [`Smr::retire`] | retire replacement |
 //! | [`Smr::enter_read_phase`], [`Smr::needs_restart`], [`Smr::reserve`], [`Smr::commit_reservations`] | **arbitrary** code locations — using them is what makes an integration non-easy |
+//!
+//! A per-scheme *fact* is not a method: name, trace id, robustness class
+//! and whether `load` is publish-and-validate are columns of the
+//! [`registry`](crate::registry), reached through [`Smr::kind`]. And what
+//! every scheme needs but none differs in lives here once, in the
+//! crate-private `StatCells`: the footprint counters, the trace hook, the
+//! retire record, and the custody of a departed context's garbage (the
+//! orphan pool, its two adoption shapes, and the free when the scheme
+//! drops).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -38,7 +47,7 @@ pub(crate) fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// lock is genuinely held by another thread right now. Used on scan
 /// paths that opportunistically adopt orphaned garbage — if a peer is
 /// already adopting, skipping this round costs nothing.
-pub(crate) fn try_lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+fn try_lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     match m.try_lock() {
         Ok(g) => Some(g),
         Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
@@ -182,11 +191,19 @@ struct TraceState {
 /// climb) and, traced, its `Retire` tick. Everything else is per
 /// batch: [`StatCells::reclaim`] takes the service lock once, the
 /// clock once, and tallies once, however many nodes it frees.
+///
+/// It also keeps the custody every scheme shares: the one orphan pool
+/// that a dying context hands its garbage to ([`StatCells::orphan`]),
+/// that survivors take from ([`StatCells::adopt`],
+/// [`StatCells::reclaim_aged_orphans`]), and that is freed when the
+/// scheme drops.
 #[derive(Debug, Default)]
 pub(crate) struct StatCells {
     pub retired_now: CachePadded<AtomicUsize>,
     pub retired_peak: CachePadded<AtomicUsize>,
     pub total_reclaimed: CachePadded<AtomicU64>,
+    /// Garbage of departed contexts, awaiting a survivor or the drop.
+    pub orphans: Mutex<Vec<Retired>>,
     trace: OnceLock<TraceState>,
 }
 
@@ -268,6 +285,74 @@ impl StatCells {
             t.recorder.metrics().footprint_peak.record(now as u64);
         }
         now
+    }
+
+    /// The retire every scheme records: pushes `ptr`'s [`Retired`]
+    /// record, stamped with the trace clock, onto `list` and counts it.
+    /// Returns the retired population ([`StatCells::on_retire`]).
+    #[inline]
+    pub fn retire_into(
+        &self,
+        list: &mut Vec<Retired>,
+        ptr: *mut u8,
+        birth_era: u64,
+        retire_era: u64,
+        drop_fn: DropFn,
+    ) -> usize {
+        list.push(Retired {
+            ptr,
+            birth_era,
+            retire_era,
+            drop_fn,
+            retire_tick: self.stamp(),
+        });
+        self.on_retire()
+    }
+
+    /// Hands a dying context's `garbage` to the orphan pool. It runs
+    /// during unwinding too, so it tolerates a poisoned lock: a context
+    /// death leaks neither its garbage nor, since each drop releases its
+    /// registry slot right after, the slot.
+    pub fn orphan(&self, garbage: &mut Vec<Retired>) {
+        lock_unpoisoned(&self.orphans).append(garbage);
+    }
+
+    /// A scan's adoption: moves the whole orphan pool into the scanning
+    /// thread's `garbage`, so the scan that follows tests orphans like
+    /// the thread's own retires and frees whatever is unprotected.
+    /// `try_lock`: if a peer is adopting concurrently the pool is in
+    /// good hands and this round skips — adoption is a cold-path
+    /// recovery duty, not a hot-path obligation.
+    pub fn adopt(&self, garbage: &mut Vec<Retired>) {
+        if let Some(mut orphans) = try_lock_unpoisoned(&self.orphans) {
+            let n = orphans.len();
+            if n > 0 {
+                garbage.append(&mut orphans);
+                drop(orphans);
+                self.adopted(n);
+            }
+        }
+    }
+
+    /// The epoch schemes' adoption: frees in place, as one batch, every
+    /// orphan retired at least two epochs before `epoch`
+    /// (`retire_era + 2 ≤ epoch`) and leaves the younger ones in the
+    /// pool, in their order.
+    ///
+    /// # Safety
+    ///
+    /// Every orphan with `retire_era + 2 ≤ epoch` must satisfy
+    /// [`Retired::free`]'s contract: `epoch` is a grace-period horizon
+    /// the caller has established.
+    pub unsafe fn reclaim_aged_orphans(&self, epoch: u64) {
+        let n = {
+            let mut orphans = lock_unpoisoned(&self.orphans);
+            let before = orphans.len();
+            // SAFETY: the caller's contract covers every aged orphan.
+            unsafe { self.reclaim_unless(&mut orphans, |g| g.retire_era + 2 > epoch) };
+            before - orphans.len()
+        };
+        self.adopted(n);
     }
 
     /// Tallies `n` reclaimed nodes: one RMW per counter per batch.
@@ -362,6 +447,22 @@ impl StatCells {
             total_reclaimed,
             era,
         }
+    }
+}
+
+impl Drop for StatCells {
+    fn drop(&mut self) {
+        let mut orphans = std::mem::take(
+            self.orphans
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        // SAFETY: the cells live in a scheme's shared state, of which
+        // every context holds an `Arc`: when it drops, no context — and
+        // so no operation, protection or scan — remains, and each
+        // orphan was unlinked before its retire. This is the trait's
+        // "the scheme frees all remaining garbage when it is dropped".
+        unsafe { self.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -500,21 +601,6 @@ pub trait Smr: Send + Sync {
         src.load(Ordering::SeqCst)
     }
 
-    /// Whether this scheme's [`Smr::load`] protects by
-    /// *publish-and-validate* (HP/HE/IBR): the caller must re-validate
-    /// link words after a protected load before trusting the protection
-    /// (Michael's traversal discipline), and `load` may spin.
-    ///
-    /// Schemes protected by operation brackets alone (EBR/QSBR/leak/NBR)
-    /// return `false`, and structures may elide their per-step
-    /// re-validation when traversing under them — a validated link is
-    /// only a *protection* requirement, never a linearizability one
-    /// (every mutation is a CAS that re-checks its expected word). The
-    /// default matches the default (plain) `load`.
-    fn requires_validation(&self) -> bool {
-        false
-    }
-
     /// Re-publishes, into `dst_slot`, the protection already
     /// established for `word` in `src_slot` — without a new
     /// validate/fence round trip. The canonical use is a traversal
@@ -553,11 +639,9 @@ pub trait Smr: Send + Sync {
     ///
     /// # Safety
     ///
-    /// See the trait-level contract.
-    ///
-    /// # Safety
-    /// `ptr` must be unlinked from every shared location, retired at most
-    /// once, and `drop_fn` must free exactly the allocation behind it.
+    /// The trait-level contract: `ptr` must be unlinked from every
+    /// shared location, retired at most once, and `drop_fn` must free
+    /// exactly the allocation behind it.
     unsafe fn retire(
         &self,
         ctx: &mut Self::ThreadCtx,
@@ -657,12 +741,9 @@ pub trait Smr: Send + Sync {
 /// Implementors promise that any pointer obtained through `load` between
 /// `begin_op`/`enter_read_phase` and the corresponding
 /// `end_op`/restart remains dereferenceable even if the node it names
-/// was retired before or during the traversal.
-///
-/// # Safety
-/// Implementors promise exactly that reachability guarantee; a scheme
-/// that frees a retired node while any op can still hold a pointer to it
-/// must not implement this trait.
+/// was retired before or during the traversal; a scheme that frees a
+/// retired node while any op can still hold a pointer to it must not
+/// implement this trait.
 pub unsafe trait SupportsUnlinkedTraversal: Smr {}
 
 /// Marker: `begin_op`/`end_op` alone protect *every* access in between —
@@ -677,11 +758,9 @@ pub unsafe trait SupportsUnlinkedTraversal: Smr {}
 /// # Safety
 ///
 /// Implementors promise that between `begin_op` and `end_op`, no node
-/// that was reachable at any point since `begin_op` is reclaimed.
-///
-/// # Safety
-/// The promise above is load-bearing: structures deref unprotected raw
-/// pointers anywhere inside an op on the strength of this bound.
+/// that was reachable at any point since `begin_op` is reclaimed. The
+/// promise is load-bearing: structures deref unprotected raw pointers
+/// anywhere inside an op on the strength of this bound.
 pub unsafe trait EpochProtected: SupportsUnlinkedTraversal {}
 
 /// Lock-free slot registry: fixed capacity, acquire/release by CAS.

@@ -32,13 +32,13 @@
 // epoch forever and trapped memory grows without limit (Theorem 6.1).
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader,
-    SmrStats, StatCells, SupportsUnlinkedTraversal,
+    CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
+    SupportsUnlinkedTraversal,
 };
 use crate::registry::SchemeKind;
 
@@ -54,7 +54,6 @@ struct EbrInner {
     announcements: Box<[CachePadded<AtomicU64>]>,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     retire_threshold: usize,
     /// Slot `i` was force-unpinned by [`Smr::neutralize`] and must
     /// restart its protected region before trusting any pointer.
@@ -102,15 +101,6 @@ impl EbrInner {
             self.stats.event(Hook::Advance, e + 1, 0);
         }
         self.epoch.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for EbrInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: adopted orphans already aged the full two-epoch grace
-        // period; no live announcement can cover them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -168,15 +158,10 @@ impl EbrCtx {
 impl Drop for EbrCtx {
     fn drop(&mut self) {
         // This may run during unwinding (the owning thread panicked
-        // mid-operation), so the orphan handoff must be panic-free:
-        // `lock_unpoisoned` tolerates a poisoned queue and the slot is
-        // released unconditionally afterwards — a context death leaks
-        // neither its garbage nor its registry slot.
-        {
-            let mut orphans = lock_unpoisoned(&self.inner.orphans);
-            for list in &mut self.lists {
-                orphans.append(list);
-            }
+        // mid-operation): the orphan handoff is panic-free and the slot
+        // is released unconditionally afterwards.
+        for list in &mut self.lists {
+            self.inner.stats.orphan(list);
         }
         // SAFETY(ordering): Release orders every access this thread made
         // under its announcement before the quiescent mark becomes
@@ -215,7 +200,6 @@ impl Ebr {
                 announcements: announcements.into_boxed_slice(),
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 retire_threshold: retire_threshold.max(1),
                 neutralized: neutralized.into_boxed_slice(),
             }),
@@ -342,14 +326,10 @@ impl Smr for Ebr {
             unsafe { self.inner.stats.reclaim(ctx.lists[slot].drain(..)) };
             ctx.list_epochs[slot] = e;
         }
-        ctx.lists[slot].push(Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: e,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.lists[slot], ptr, 0, e, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         ctx.retired_since_scan += 1;
         if ctx.retired_since_scan >= self.inner.retire_threshold {
@@ -425,18 +405,9 @@ impl Smr for Ebr {
         ctx.collect(e);
         // Adopt orphaned garbage from departed threads: anything retired
         // two or more epochs ago is reclaimable by whoever finds it.
-        let mut eligible: Vec<Retired> = {
-            let mut orphans = lock_unpoisoned(&self.inner.orphans);
-            let (free, keep): (Vec<_>, Vec<_>) =
-                orphans.drain(..).partition(|g| g.retire_era + 2 <= e);
-            *orphans = keep;
-            free
-        };
-        let n = eligible.len();
         // SAFETY: eligibility = retired two epochs before the oldest live
         // announcement; no reader can still reach these nodes.
-        unsafe { self.inner.stats.reclaim(eligible.drain(..)) };
-        self.inner.stats.adopted(n);
+        unsafe { self.inner.stats.reclaim_aged_orphans(e) };
     }
 }
 

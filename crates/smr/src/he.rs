@@ -18,13 +18,12 @@
 // can trap to the nodes live in its reserved eras (Def. 4.2).
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, try_lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired,
-    SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
+    CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
 };
 use crate::registry::SchemeKind;
 
@@ -41,7 +40,6 @@ struct HeInner {
     k: usize,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     scan_threshold: usize,
     /// Advance the era every this many allocations (and retirements).
     era_frequency: u64,
@@ -75,22 +73,10 @@ impl HeInner {
         snap
     }
 
-    /// Adopts orphaned garbage from dead contexts (see the HP variant):
-    /// the era-overlap test in `scan` applies to orphans unchanged, so
-    /// folding them into the scanning thread's list is all it takes.
-    fn adopt_orphans(&self, garbage: &mut Vec<Retired>) {
-        if let Some(mut orphans) = try_lock_unpoisoned(&self.orphans) {
-            let n = orphans.len();
-            if n > 0 {
-                garbage.append(&mut orphans);
-                drop(orphans);
-                self.stats.adopted(n);
-            }
-        }
-    }
-
+    /// Frees every retired node no reservation era covers. The
+    /// era-overlap test applies to adopted orphans unchanged.
     fn scan(&self, garbage: &mut Vec<Retired>) {
-        self.adopt_orphans(garbage);
+        self.stats.adopt(garbage);
         let snapshot = self.reservation_snapshot();
         // SAFETY: a node no hazard era covers ([birth, retire]) is one no
         // reader can still hold a protected reference to.
@@ -106,15 +92,6 @@ impl HeInner {
                 held
             })
         };
-    }
-}
-
-impl Drop for HeInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: orphans already survived a full hazard-era scan after
-        // their owner departed; nothing can reach them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -161,9 +138,7 @@ impl Drop for HeCtx {
             // dereferences before the reservations clear.
             self.inner.reservations[self.idx * self.inner.k + s].store(NONE, Ordering::Release);
         }
-        // Runs during unwinding too: poison-tolerant handoff, then an
-        // unconditional slot release (see the EBR drop path).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         self.inner.registry.release(self.idx);
     }
 }
@@ -204,7 +179,6 @@ impl He {
                 k,
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 scan_threshold: scan_threshold.max(1),
                 era_frequency: era_frequency.max(1),
             }),
@@ -330,12 +304,6 @@ impl Smr for He {
         ctx.tracer.emit(Hook::Load, dst_slot as u64, word as u64);
     }
 
-    /// HE protection is era-based and established only by a completed
-    /// publish-validate cycle — traversals must revalidate.
-    fn requires_validation(&self) -> bool {
-        true
-    }
-
     fn init_header(&self, ctx: &mut HeCtx, header: &SmrHeader) {
         // SAFETY(ordering): SeqCst loads/RMWs here are off the
         // traversal hot path (one per allocation, advance once per
@@ -371,14 +339,10 @@ impl Smr for He {
         // equals the true retire era must have its era covered by the
         // recorded `[birth, retire]` interval.
         let retire_era = self.inner.era.load(Ordering::SeqCst);
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: birth,
-            retire_era,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, birth, retire_era, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         ctx.retires += 1;
         if ctx.retires.is_multiple_of(self.inner.era_frequency) {

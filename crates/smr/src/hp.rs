@@ -19,13 +19,13 @@
 // R + T·k no matter how long any reader stalls (Def. 4.2).
 
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, try_lock_unpoisoned, untagged, CachePadded, DropFn, RegisterError, Retired,
-    SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
+    untagged, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats,
+    StatCells,
 };
 use crate::registry::SchemeKind;
 
@@ -38,7 +38,6 @@ struct HpInner {
     k: usize,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     scan_threshold: usize,
 }
 
@@ -72,26 +71,10 @@ impl HpInner {
         snap
     }
 
-    /// Adopts orphaned garbage left behind by dead contexts into the
-    /// scanning thread's list, so the hazard scan that follows frees
-    /// whatever is unprotected instead of parking it until scheme drop.
-    /// `try_lock`: if a peer is adopting concurrently the pool is in
-    /// good hands and this round skips — adoption is a cold-path
-    /// recovery duty, not a hot-path obligation.
-    fn adopt_orphans(&self, garbage: &mut Vec<Retired>) {
-        if let Some(mut orphans) = try_lock_unpoisoned(&self.orphans) {
-            let n = orphans.len();
-            if n > 0 {
-                garbage.append(&mut orphans);
-                drop(orphans);
-                self.stats.adopted(n);
-            }
-        }
-    }
-
-    /// Frees every retired node not named by a hazard slot.
+    /// Frees every retired node not named by a hazard slot, orphans of
+    /// dead contexts included.
     fn scan(&self, garbage: &mut Vec<Retired>) {
-        self.adopt_orphans(garbage);
+        self.stats.adopt(garbage);
         let hazards = self.hazard_snapshot();
         // SAFETY: a node no hazard slot holds is unreachable — after the
         // SeqCst scan, no reader can reach it (Michael's HP invariant).
@@ -107,15 +90,6 @@ impl HpInner {
                 held.is_ok()
             })
         };
-    }
-}
-
-impl Drop for HpInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: orphans already survived a hazard scan after their owner
-        // departed; nothing can reach them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -158,9 +132,7 @@ impl Drop for HpCtx {
             // SAFETY(ordering): Release — same argument as `end_op`.
             self.inner.hazards[self.idx * self.inner.k + s].store(0, Ordering::Release);
         }
-        // Runs during unwinding too: poison-tolerant handoff, then an
-        // unconditional slot release (see the EBR drop path).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         self.inner.registry.release(self.idx);
     }
 }
@@ -187,7 +159,6 @@ impl Hp {
                 k,
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 scan_threshold: scan_threshold.max(1),
             }),
         }
@@ -253,19 +224,13 @@ impl Smr for Hp {
         let mut cur = src.load(Ordering::SeqCst);
         loop {
             // SAFETY(ordering) PAIRS(hp-hazard-dekker): Release store +
-            // SeqCst fence replaces
-            // the old SeqCst store. The fence is the StoreLoad barrier
-            // of the protect-validate Dekker (pairs with the fence in
-            // `hazard_snapshot`): the publish is globally visible
-            // before the validating re-read, so a scan either sees the
-            // hazard or the unlink it raced is seen by the re-read and
-            // we retry. Release (not Relaxed) additionally keeps this
-            // store ordered after any earlier `protect_alias` transfer
-            // out of this slot — scanners rely on that ordering.
-            // SAFETY(ordering): Release store + the SeqCst fence below pair
-            // with the scanner's SeqCst hazard read in `scan_and_reclaim`:
-            // publish-then-revalidate must be totally ordered against
-            // unlink-then-scan (classic HP store/load SC requirement).
+            // SeqCst fence, the StoreLoad barrier of the protect-validate
+            // Dekker (pairs with the fence in `hazard_snapshot`): the
+            // publish is globally visible before the validating re-read,
+            // so a scan either sees the hazard or the re-read sees the
+            // unlink it raced and we retry. Release (not Relaxed) also
+            // keeps this store ordered after any earlier `protect_alias`
+            // transfer out of this slot — scanners rely on that ordering.
             cell.store(untagged(cur), Ordering::Release);
             fence(Ordering::SeqCst);
             // SAFETY(ordering): SeqCst validating load (plain load on
@@ -303,12 +268,6 @@ impl Smr for Hp {
         ctx.tracer.emit(Hook::Load, dst_slot as u64, word as u64);
     }
 
-    /// HP's protection is per-pointer, established only by a completed
-    /// protect-validate cycle — traversals must revalidate.
-    fn requires_validation(&self) -> bool {
-        true
-    }
-
     /// # Safety
     /// See [`Smr::retire`]: `ptr` must be unlinked, retired at most once,
     /// and `drop_fn` must be valid for it.
@@ -319,14 +278,10 @@ impl Smr for Hp {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: 0,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         if ctx.garbage.len() >= self.inner.scan_threshold {
             self.inner.scan(&mut ctx.garbage);

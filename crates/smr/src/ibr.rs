@@ -22,13 +22,12 @@
 // Def. 5.2 but not 5.1.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, try_lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired,
-    SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
+    CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
 };
 use crate::registry::SchemeKind;
 
@@ -50,27 +49,16 @@ struct IbrInner {
     intervals: Box<[CachePadded<Interval>]>,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     scan_threshold: usize,
     era_frequency: u64,
 }
 
 impl IbrInner {
-    /// Adopts orphaned garbage from dead contexts (see the HP variant):
-    /// the interval-intersection test applies to orphans unchanged.
-    fn adopt_orphans(&self, garbage: &mut Vec<Retired>) {
-        if let Some(mut orphans) = try_lock_unpoisoned(&self.orphans) {
-            let n = orphans.len();
-            if n > 0 {
-                garbage.append(&mut orphans);
-                drop(orphans);
-                self.stats.adopted(n);
-            }
-        }
-    }
-
+    /// Frees every retired node whose lifetime meets no reserved
+    /// interval. The intersection test applies to adopted orphans
+    /// unchanged.
     fn scan(&self, garbage: &mut Vec<Retired>) {
-        self.adopt_orphans(garbage);
+        self.stats.adopt(garbage);
         // SAFETY(ordering) PAIRS(ibr-interval-dekker): the SeqCst fence
         // pairs with the fences in
         // `begin_op`/`load` (publish-validate Dekker): a reader whose
@@ -105,15 +93,6 @@ impl IbrInner {
                 blocker.is_some()
             })
         };
-    }
-}
-
-impl Drop for IbrInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: orphans already survived a full reservation-interval scan
-        // after their owner departed; nothing can reach them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -160,9 +139,7 @@ impl Drop for IbrCtx {
         self.inner.intervals[self.idx]
             .upper
             .store(NONE, Ordering::Release);
-        // Runs during unwinding too: poison-tolerant handoff, then an
-        // unconditional slot release (see the EBR drop path).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         self.inner.registry.release(self.idx);
     }
 }
@@ -199,7 +176,6 @@ impl Ibr {
                 intervals: intervals.into_boxed_slice(),
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 scan_threshold: scan_threshold.max(1),
                 era_frequency: era_frequency.max(1),
             }),
@@ -313,12 +289,6 @@ impl Smr for Ibr {
         }
     }
 
-    /// IBR protection is interval-based and established only by a
-    /// completed publish-validate cycle — traversals must revalidate.
-    fn requires_validation(&self) -> bool {
-        true
-    }
-
     fn init_header(&self, ctx: &mut IbrCtx, header: &SmrHeader) {
         let e = self.inner.era.load(Ordering::SeqCst);
         // SAFETY(ordering): SeqCst — the birth stamp and the era bump below
@@ -353,14 +323,10 @@ impl Smr for Ibr {
         // must not be satisfied early, or a reader's validated era
         // could fall outside the recorded `[birth, retire]` lifetime.
         let retire_era = self.inner.era.load(Ordering::SeqCst);
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: birth,
-            retire_era,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, birth, retire_era, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         if ctx.garbage.len() >= self.inner.scan_threshold {
             self.inner.scan(&mut ctx.garbage);

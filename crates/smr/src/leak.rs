@@ -11,7 +11,7 @@
 // memory grows without bound by construction; the baseline the ERA
 // matrix measures every real scheme against.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
@@ -25,13 +25,12 @@ use crate::registry::SchemeKind;
 struct LeakInner {
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Drop for LeakInner {
     fn drop(&mut self) {
         // No thread contexts remain (they hold an Arc): safe to free.
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
+        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.stats.orphans));
         // SAFETY: called from Drop with exclusive access — the run is over
         // and no thread can reach the leaked garbage.
         unsafe { self.stats.reclaim(orphans.drain(..)) };
@@ -77,7 +76,7 @@ impl Drop for LeakCtx {
         // unconditional slot release. A dead Leak context's garbage is
         // adopted into the shared pool (custody, not reclamation — the
         // baseline still never frees mid-run).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         self.inner.registry.release(self.idx);
     }
 }
@@ -89,7 +88,6 @@ impl Leak {
             inner: Arc::new(LeakInner {
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -134,14 +132,10 @@ impl Smr for Leak {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: 0,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
     }
 

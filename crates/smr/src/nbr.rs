@@ -36,13 +36,13 @@
 // trapped set stays bounded (Def. 4.2).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, try_lock_unpoisoned, untagged, CachePadded, DropFn, RegisterError, Retired,
-    SlotRegistry, Smr, SmrHeader, SmrStats, StatCells, SupportsUnlinkedTraversal,
+    untagged, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats,
+    StatCells, SupportsUnlinkedTraversal,
 };
 use crate::registry::SchemeKind;
 
@@ -71,7 +71,6 @@ struct NbrInner {
     k: usize,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     retire_threshold: usize,
 }
 
@@ -79,22 +78,10 @@ impl NbrInner {
     /// Neutralize all readers, wait for acknowledgements, and free every
     /// unreserved retired node of `garbage`. `self_idx` is never waited
     /// on. Returns whether the round completed (false = gave up).
-    /// Adopts orphaned garbage from dead contexts (see the HP variant).
-    /// Safe to fold in before a neutralization round: orphaned nodes
-    /// obey the same reservation test as locally retired ones.
-    fn adopt_orphans(&self, garbage: &mut Vec<Retired>) {
-        if let Some(mut orphans) = try_lock_unpoisoned(&self.orphans) {
-            let n = orphans.len();
-            if n > 0 {
-                garbage.append(&mut orphans);
-                drop(orphans);
-                self.stats.adopted(n);
-            }
-        }
-    }
-
+    /// Orphans of dead contexts are adopted first: they obey the same
+    /// reservation test as locally retired nodes.
     fn neutralize_and_reclaim(&self, self_idx: usize, garbage: &mut Vec<Retired>) -> bool {
-        self.adopt_orphans(garbage);
+        self.stats.adopt(garbage);
         // SAFETY(ordering) PAIRS(nbr-round-handshake): SeqCst — the round
         // bump must be totally ordered
         // against every reader's SeqCst `acked` store (begin_op/poll below):
@@ -137,15 +124,6 @@ impl NbrInner {
                 .reclaim_unless(garbage, |g| reserved.contains(&(g.ptr as usize)))
         };
         true
-    }
-}
-
-impl Drop for NbrInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: orphans were retired by a departed thread and survived its
-        // final neutralize round — no live read phase can reach them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
     }
 }
 
@@ -196,9 +174,7 @@ impl Drop for NbrCtx {
             self.inner.reservations[self.idx * self.inner.k + s].store(0, Ordering::SeqCst);
         }
         self.inner.acked[self.idx].store(QUIESCENT, Ordering::SeqCst);
-        // Runs during unwinding too: poison-tolerant handoff, then an
-        // unconditional slot release (see the EBR drop path).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         self.inner.registry.release(self.idx);
     }
 }
@@ -230,7 +206,6 @@ impl Nbr {
                 k,
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 retire_threshold: retire_threshold.max(1),
             }),
         }
@@ -295,14 +270,10 @@ impl Smr for Nbr {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: 0,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         if ctx.garbage.len() >= self.inner.retire_threshold {
             self.inner.neutralize_and_reclaim(ctx.idx, &mut ctx.garbage);

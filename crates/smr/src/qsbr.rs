@@ -25,13 +25,13 @@
 // point blocks every grace period; trapped memory is unbounded.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 use crate::common::{
-    lock_unpoisoned, CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader,
-    SmrStats, StatCells, SupportsUnlinkedTraversal,
+    CachePadded, DropFn, RegisterError, Retired, SlotRegistry, Smr, SmrHeader, SmrStats, StatCells,
+    SupportsUnlinkedTraversal,
 };
 use crate::registry::SchemeKind;
 
@@ -43,7 +43,6 @@ struct QsbrInner {
     announced: Box<[CachePadded<AtomicU64>]>,
     registry: SlotRegistry,
     stats: StatCells,
-    orphans: Mutex<Vec<Retired>>,
     retire_threshold: usize,
     /// Slot `i` had quiescence announced *on its behalf* by
     /// [`Smr::neutralize`] and must restart before trusting pointers.
@@ -86,15 +85,6 @@ impl QsbrInner {
     }
 }
 
-impl Drop for QsbrInner {
-    fn drop(&mut self) {
-        let mut orphans = std::mem::take(&mut *lock_unpoisoned(&self.orphans));
-        // SAFETY: orphans already aged a full grace period after their
-        // owner departed; no thread can still reach them.
-        unsafe { self.stats.reclaim(orphans.drain(..)) };
-    }
-}
-
 /// Quiescent-state-based reclamation.
 ///
 /// # Example
@@ -125,9 +115,7 @@ pub struct QsbrCtx {
 
 impl Drop for QsbrCtx {
     fn drop(&mut self) {
-        // Runs during unwinding too: poison-tolerant handoff, then an
-        // unconditional slot release (see the EBR drop path).
-        lock_unpoisoned(&self.inner.orphans).append(&mut self.garbage);
+        self.inner.stats.orphan(&mut self.garbage);
         // A departing thread counts as permanently quiescent.
         // SAFETY(ordering): Release orders the thread's last accesses
         // before its permanent-quiescence mark.
@@ -159,7 +147,6 @@ impl Qsbr {
                 announced: announced.into_boxed_slice(),
                 registry: SlotRegistry::new(max_threads),
                 stats: StatCells::default(),
-                orphans: Mutex::new(Vec::new()),
                 retire_threshold: retire_threshold.max(1),
                 neutralized: neutralized.into_boxed_slice(),
             }),
@@ -289,14 +276,10 @@ impl Smr for Qsbr {
         // SeqCst total order, bounding the stamp at ≥ any concurrent
         // reader's announced period so `stamp + 2` is a safe horizon.
         let g = self.inner.grace.load(Ordering::SeqCst);
-        ctx.garbage.push(Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: g,
-            drop_fn,
-            retire_tick: self.inner.stats.stamp(),
-        });
-        let held = self.inner.stats.on_retire();
+        let held = self
+            .inner
+            .stats
+            .retire_into(&mut ctx.garbage, ptr, 0, g, drop_fn);
         ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
         ctx.retired_since_scan += 1;
         if ctx.retired_since_scan >= self.inner.retire_threshold {
@@ -355,18 +338,9 @@ impl Smr for Qsbr {
         let g = self.inner.try_advance();
         self.collect(ctx, g);
         // Adopt orphaned garbage from departed threads.
-        let mut eligible: Vec<Retired> = {
-            let mut orphans = lock_unpoisoned(&self.inner.orphans);
-            let (free, keep): (Vec<_>, Vec<_>) =
-                orphans.drain(..).partition(|r| r.retire_era + 2 <= g);
-            *orphans = keep;
-            free
-        };
-        let n = eligible.len();
         // SAFETY: same grace-period argument as `collect` — every thread
         // was quiescent since these retires.
-        unsafe { self.inner.stats.reclaim(eligible.drain(..)) };
-        self.inner.stats.adopted(n);
+        unsafe { self.inner.stats.reclaim_aged_orphans(g) };
     }
 }
 

@@ -1,5 +1,6 @@
 //! The scheme registry: one row per scheme carrying its display name,
-//! trace [`SchemeId`] and robustness class, plus
+//! trace [`SchemeId`], robustness class and whether its protection is
+//! publish-and-validate, plus
 //! [`with_scheme!`](crate::with_scheme!), the one place a scheme is
 //! chosen by value and built.
 //!
@@ -14,7 +15,10 @@
 //!
 //! Adding a scheme costs its own file (with its `impl Smr` and header),
 //! one variant and one row here, one `SchemeId` constant, and one arm
-//! in [`with_scheme!`](crate::with_scheme!).
+//! in [`with_scheme!`](crate::with_scheme!). The file holds the
+//! scheme's protection protocol only: the custody every scheme shares
+//! (the retire record, the orphan pool a dying context hands its
+//! garbage to, adoption and the final free) is `common`'s `StatCells`.
 
 use era_core::robustness::RobustnessVerdict::{self, NotRobust, Robust, WeaklyRobust};
 use era_obs::SchemeId;
@@ -42,16 +46,17 @@ pub enum SchemeKind {
     Leak,
 }
 
-/// `(kind, display name, trace id, class)`, in declaration order.
-const TABLE: [(SchemeKind, &str, SchemeId, RobustnessVerdict); 8] = [
-    (SchemeKind::Ebr, "EBR", SchemeId::EBR, NotRobust),
-    (SchemeKind::Qsbr, "QSBR", SchemeId::QSBR, NotRobust),
-    (SchemeKind::Hp, "HP", SchemeId::HP, Robust),
-    (SchemeKind::He, "HE", SchemeId::HE, Robust),
-    (SchemeKind::Ibr, "IBR", SchemeId::IBR, WeaklyRobust),
-    (SchemeKind::Nbr, "NBR", SchemeId::NBR, Robust),
-    (SchemeKind::Vbr, "VBR", SchemeId::VBR, Robust),
-    (SchemeKind::Leak, "Leak", SchemeId::LEAK, NotRobust),
+/// `(kind, display name, trace id, class, requires validation)`, in
+/// declaration order.
+const TABLE: [(SchemeKind, &str, SchemeId, RobustnessVerdict, bool); 8] = [
+    (SchemeKind::Ebr, "EBR", SchemeId::EBR, NotRobust, false),
+    (SchemeKind::Qsbr, "QSBR", SchemeId::QSBR, NotRobust, false),
+    (SchemeKind::Hp, "HP", SchemeId::HP, Robust, true),
+    (SchemeKind::He, "HE", SchemeId::HE, Robust, true),
+    (SchemeKind::Ibr, "IBR", SchemeId::IBR, WeaklyRobust, true),
+    (SchemeKind::Nbr, "NBR", SchemeId::NBR, Robust, false),
+    (SchemeKind::Vbr, "VBR", SchemeId::VBR, Robust, false),
+    (SchemeKind::Leak, "Leak", SchemeId::LEAK, NotRobust, false),
 ];
 
 impl SchemeKind {
@@ -79,6 +84,21 @@ impl SchemeKind {
     /// Robustness class (Defs. 5.1–5.2).
     pub fn class(self) -> RobustnessVerdict {
         TABLE[self as usize].3
+    }
+
+    /// Whether the scheme's [`Smr::load`](crate::Smr::load) protects by
+    /// *publish-and-validate* (HP/HE/IBR): the caller must re-validate
+    /// link words after a protected load before trusting the protection
+    /// (Michael's traversal discipline), and `load` may spin.
+    ///
+    /// Schemes protected by operation brackets alone (EBR/QSBR/NBR/leak)
+    /// say `false`, and structures may elide their per-step
+    /// re-validation when traversing under them — a validated link is
+    /// only a *protection* requirement, never a linearizability one
+    /// (every mutation is a CAS that re-checks its expected word).
+    #[inline]
+    pub fn requires_validation(self) -> bool {
+        TABLE[self as usize].4
     }
 
     /// The kind whose trace id is `id`, if any.

@@ -9,9 +9,12 @@
 //! (c) let reclamation resume afterwards — including adopting the
 //! departed thread's orphaned garbage.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use era::ds::MichaelList;
-use era::smr::common::Smr;
+use era::smr::common::{Smr, SmrHeader};
 use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr, vbr};
+use era::smr::{with_scheme, SchemeKind};
 
 /// Begin an op, load through a protected slot, then drop the context
 /// without ever calling `end_op` — the "thread died pinned" injection.
@@ -116,27 +119,104 @@ fn slots_are_reusable_after_many_deaths() {
     smr.end_op(&mut ctx);
 }
 
+/// A node with a real header (HE/IBR read the birth era from it) whose
+/// free counts itself.
+#[repr(C)]
+struct Canary {
+    header: SmrHeader,
+    freed: &'static AtomicUsize,
+}
+
+/// # Safety
+///
+/// `p` must be the `Box::into_raw` pointer of a live `Canary`, passed
+/// here exactly once.
+unsafe fn free_canary(p: *mut u8) {
+    // SAFETY: contract above.
+    let canary = unsafe { Box::from_raw(p as *mut Canary) };
+    // SAFETY(ordering): Relaxed — a count the test reads on the thread
+    // that ran the frees; nothing is published through it.
+    canary.freed.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Retires `n` never-published canaries through `ctx`, one per
+/// operation.
+fn retire_canaries<S: Smr>(smr: &S, ctx: &mut S::ThreadCtx, n: usize, freed: &'static AtomicUsize) {
+    for _ in 0..n {
+        let node = Box::into_raw(Box::new(Canary {
+            header: SmrHeader::new(),
+            freed,
+        }));
+        smr.begin_op(ctx);
+        // SAFETY: `node` is fresh and never published, so it is
+        // unreachable; it is retired exactly once, with its own header
+        // and the free that matches its allocation.
+        unsafe {
+            smr.init_header(ctx, &(*node).header);
+            smr.retire(ctx, node as *mut u8, &(*node).header, free_canary);
+        }
+        smr.end_op(ctx);
+    }
+}
+
+/// Fewer retires than any scheme's default threshold: they stay in the
+/// worker's context until it drops.
+const BELOW_THRESHOLD: usize = 32;
+
 #[test]
 fn orphaned_garbage_is_adopted_not_leaked() {
-    let smr = Ebr::with_threshold(4, 1_000_000); // never self-collects
-    {
-        // A worker retires a pile and dies without flushing.
-        let list = MichaelList::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        for k in 0..500i64 {
-            assert!(list.insert(&mut ctx, k));
-            assert!(list.delete(&mut ctx, k));
-        }
-        drop(ctx); // garbage goes to the orphan pool
-        assert_eq!(smr.stats().retired_now, 500);
-        // A survivor adopts and frees it.
-        let mut survivor = smr.register().unwrap();
-        for _ in 0..6 {
-            smr.begin_op(&mut survivor);
-            smr.end_op(&mut survivor);
-            smr.flush(&mut survivor);
-        }
-        assert_eq!(smr.stats().retired_now, 0, "{}", smr.stats());
+    static FREED: AtomicUsize = AtomicUsize::new(0);
+    for kind in SchemeKind::RECLAIMING {
+        with_scheme!(kind, make => {
+            let smr = make(4, 3);
+            let before = FREED.load(Ordering::Relaxed);
+            // A worker retires a pile and dies without flushing.
+            let mut worker = smr.register().unwrap();
+            retire_canaries(&smr, &mut worker, BELOW_THRESHOLD, &FREED);
+            drop(worker); // garbage goes to the orphan pool
+            assert_eq!(smr.stats().retired_now, BELOW_THRESHOLD, "{}", kind.name());
+            // A survivor adopts and frees it.
+            let mut survivor = smr.register().unwrap();
+            for _ in 0..8 {
+                if smr.stats().retired_now == 0 {
+                    break;
+                }
+                smr.begin_op(&mut survivor);
+                smr.end_op(&mut survivor);
+                smr.quiescent_point(&mut survivor);
+                smr.flush(&mut survivor);
+            }
+            let st = smr.stats();
+            assert_eq!(st.retired_now, 0, "{}: {st}", kind.name());
+            assert_eq!(
+                FREED.load(Ordering::Relaxed) - before,
+                BELOW_THRESHOLD,
+                "{}",
+                kind.name()
+            );
+        });
+    }
+}
+
+#[test]
+fn remaining_garbage_is_freed_when_the_scheme_drops() {
+    static FREED: AtomicUsize = AtomicUsize::new(0);
+    for kind in SchemeKind::RECLAIMING.into_iter().chain([SchemeKind::Leak]) {
+        with_scheme!(kind, make => {
+            let smr = make(4, 3);
+            let before = FREED.load(Ordering::Relaxed);
+            let mut worker = smr.register().unwrap();
+            retire_canaries(&smr, &mut worker, BELOW_THRESHOLD, &FREED);
+            drop(worker);
+            assert_eq!(FREED.load(Ordering::Relaxed), before, "{}", kind.name());
+            drop(smr); // no survivor: the scheme's drop frees the orphans
+            assert_eq!(
+                FREED.load(Ordering::Relaxed) - before,
+                BELOW_THRESHOLD,
+                "{}",
+                kind.name()
+            );
+        });
     }
 }
 
