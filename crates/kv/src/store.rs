@@ -47,7 +47,8 @@ pub struct KvConfig {
     /// touching a shared word — so the writes in flight on a degraded
     /// shard are at most `admission_depth` counted ones plus at most
     /// one per context admitted before the transition (a context has
-    /// one write, or one `put_batch` group, in flight at a time).
+    /// one write, or one `put_batch` group, in flight per shard at a
+    /// time).
     pub admission_depth: usize,
     /// Blame slots per shard recorder; must be ≥ the schemes' thread
     /// capacity for neutralization to target the right slot.
@@ -200,6 +201,23 @@ pub(crate) struct Shard<'s, S: Smr> {
 #[must_use = "a KvCtx owns per-shard SMR registrations: dropping it releases every shard slot and orphans in-flight garbage"]
 pub struct KvCtx<S: Smr> {
     pub(crate) ctxs: Vec<S::ThreadCtx>,
+    /// Each shard's standing in the running [`KvStore::put_batch`]
+    /// call, sized at [`KvStore::register`] so a batch allocates
+    /// nothing for it. Thread-private: only this context's batches
+    /// read or write it.
+    groups: Vec<Group>,
+}
+
+/// Where one shard's share of a [`KvStore::put_batch`] call stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// No item of the batch has routed here yet.
+    Unseen,
+    /// Admitted at its first item; `counted` goes back to
+    /// [`Shard::finish_write`] when the batch ends.
+    Admitted { counted: bool },
+    /// Refused at its first item: every item routed here gets this.
+    Refused(KvError),
 }
 
 impl<S: Smr> fmt::Debug for KvCtx<S> {
@@ -233,6 +251,9 @@ pub struct KvStore<'s, S: Smr> {
     /// writes off a neighbouring shard's line.
     pub(crate) shards: Vec<CachePadded<Shard<'s, S>>>,
     pub(crate) cfg: KvConfig,
+    /// `ceil(2^64 / n)` for `n` shards (0 for one shard: the wrapped
+    /// 2^64), the constant [`KvStore::shard_of`] reduces by.
+    shard_mul: u64,
     /// Live navigator budgets. They start at the config values but are
     /// runtime-mutable ([`KvStore::set_budgets`]) so a scenario can
     /// tighten or relax the robustness envelope mid-run without
@@ -258,9 +279,11 @@ impl<'s, S: Smr> KvStore<'s, S> {
     ///
     /// # Panics
     ///
-    /// Panics when `schemes` is empty.
+    /// Panics when `schemes` is empty or holds more than `u32::MAX`
+    /// schemes.
     pub fn new(schemes: &'s [S], cfg: KvConfig) -> Self {
         assert!(!schemes.is_empty(), "a KvStore needs at least one shard");
+        let n = u32::try_from(schemes.len()).expect("a KvStore has at most u32::MAX shards");
         let shards = schemes
             .iter()
             .map(|smr| {
@@ -285,6 +308,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
         KvStore {
             shards,
             cfg,
+            shard_mul: (u64::MAX / u64::from(n)).wrapping_add(1),
             soft_budget: AtomicUsize::new(cfg.retired_soft),
             hard_budget: AtomicUsize::new(cfg.retired_hard),
         }
@@ -335,16 +359,27 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 }
             }
         }
-        Ok(KvCtx { ctxs })
+        Ok(KvCtx {
+            ctxs,
+            groups: vec![Group::Unseen; self.shards.len()],
+        })
     }
 
-    /// The shard `key` routes to. Uses a different multiplier than the
-    /// in-shard bucket hash so shard routing and bucket placement stay
-    /// uncorrelated (otherwise each shard would populate only a subset
-    /// of its buckets).
+    /// The shard `key` routes to: `(h >> 32) % n` for the routing hash
+    /// `h = key × 0xD1B5_4A32_D192_ED03` and `n` shards. The hash uses
+    /// a different multiplier than the in-shard bucket hash so shard
+    /// routing and bucket placement stay uncorrelated (otherwise each
+    /// shard would populate only a subset of its buckets).
+    ///
+    /// The reduction is the exact 32-bit fastmod of Lemire, Kaser &
+    /// Kurz (2019): two multiplies by the store's `ceil(2^64 / n)`
+    /// instead of a division. It equals `% n` for every 32-bit
+    /// dividend and every `n` up to `u32::MAX`, so every key lands on
+    /// the same shard as under the plain remainder.
     pub fn shard_of(&self, key: i64) -> usize {
         let h = (key as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-        ((h >> 32) as usize) % self.shards.len()
+        let frac = self.shard_mul.wrapping_mul(h >> 32);
+        ((u128::from(frac) * self.shards.len() as u128) >> 64) as usize
     }
 
     /// Number of shards.
@@ -428,47 +463,54 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// the per-write admission handshake across each shard's share of
     /// the batch — the serving-path fast lane for pipelined writes.
     ///
-    /// Items are grouped by shard; each shard group pays **one**
-    /// admission decision, one `needs_restart` poll, and one quiescent
-    /// point instead of one per item. Grouping is stable, so two writes
-    /// to the same key keep their order (same key → same shard → same
-    /// group, applied in batch order). Results come back in item order:
-    /// the previous value per item, or [`KvError::Overloaded`] for
-    /// every item of a shard group the navigator refused.
+    /// One pass in item order routes each item once. A shard's share
+    /// (its *group*) pays **one** admission decision and one
+    /// `needs_restart` poll, both at its first routed item, and one
+    /// quiescent point at the end of the batch, instead of one of each
+    /// per item. Items apply in batch order, so two writes to the same
+    /// key keep their order and the last one wins. Results come back
+    /// in item order: the previous value per item, or
+    /// [`KvError::Overloaded`] for every item of a shard group the
+    /// navigator refused.
     pub fn put_batch(
         &self,
         ctx: &mut KvCtx<S>,
         items: &[(i64, i64)],
     ) -> Vec<Result<Option<i64>, KvError>> {
-        let mut out: Vec<Result<Option<i64>, KvError>> = vec![Ok(None); items.len()];
-        // One pass over `items` per shard picks out its group in item
-        // order, so grouping allocates nothing beyond the result.
-        for si in 0..self.shards.len() {
-            let mut group = items
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(key, _))| self.shard_of(key) == si)
-                .peekable();
-            if group.peek().is_none() {
-                continue;
-            }
-            let counted = match self.admit_write(si) {
-                Ok(counted) => counted,
-                Err(e) => {
-                    for (idx, _) in group {
-                        out[idx] = Err(e);
-                    }
-                    continue;
-                }
-            };
+        let KvCtx { ctxs, groups } = ctx;
+        // Reset on entry as well as on exit: a batch that unwound
+        // mid-way leaves no admission standing for the next one.
+        groups.fill(Group::Unseen);
+        let mut out = Vec::with_capacity(items.len());
+        for &(key, value) in items {
+            let si = self.shard_of(key);
             let sh = &self.shards[si];
-            let tctx = &mut ctx.ctxs[si];
-            let _ = sh.smr.needs_restart(tctx);
-            for (idx, &(key, value)) in group {
-                out[idx] = Ok(sh.map.insert(tctx, key, value));
+            let tctx = &mut ctxs[si];
+            if groups[si] == Group::Unseen {
+                groups[si] = match self.admit_write(si) {
+                    Ok(counted) => {
+                        let _ = sh.smr.needs_restart(tctx);
+                        Group::Admitted { counted }
+                    }
+                    Err(e) => Group::Refused(e),
+                };
             }
-            sh.smr.quiescent_point(tctx);
-            sh.finish_write(counted);
+            out.push(match groups[si] {
+                Group::Refused(e) => Err(e),
+                _ => Ok(sh.map.insert(tctx, key, value)),
+            });
+        }
+        for ((sh, tctx), group) in self
+            .shards
+            .iter()
+            .zip(ctxs.iter_mut())
+            .zip(groups.iter_mut())
+        {
+            if let Group::Admitted { counted } = *group {
+                sh.smr.quiescent_point(tctx);
+                sh.finish_write(counted);
+            }
+            *group = Group::Unseen;
         }
         out
     }
@@ -750,6 +792,8 @@ mod tests {
     use era_smr::ebr::Ebr;
     use era_smr::hp::Hp;
     use era_smr::qsbr::Qsbr;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn ebr_store(shards: usize) -> (Vec<Ebr>, KvConfig) {
         let schemes: Vec<Ebr> = (0..shards).map(|_| Ebr::new(8)).collect();
@@ -796,6 +840,50 @@ mod tests {
         }
         for (i, &n) in seen.iter().enumerate() {
             assert!(n > 100, "shard {i} starved: {seen:?}");
+        }
+    }
+
+    /// The plain remainder routing is pinned to: every checked-in
+    /// key → shard fact (the `BENCH_*_baseline.json` rows, the "first
+    /// key on shard 0" tests) rests on `shard_of` computing exactly
+    /// this.
+    fn reference_shard(key: i64, n: usize) -> usize {
+        (((key as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) >> 32) % n as u64) as usize
+    }
+
+    /// One store per shard count in `1..=64`, built once.
+    fn stores_by_count() -> &'static [KvStore<'static, Ebr>] {
+        static SCHEMES: OnceLock<Vec<Vec<Ebr>>> = OnceLock::new();
+        static STORES: OnceLock<Vec<KvStore<'static, Ebr>>> = OnceLock::new();
+        STORES.get_or_init(|| {
+            let max = if cfg!(miri) { 8 } else { 64 };
+            let cfg = KvConfig {
+                buckets_per_shard: 1,
+                ..KvConfig::default()
+            };
+            SCHEMES
+                .get_or_init(|| {
+                    (1..=max)
+                        .map(|n| (0..n).map(|_| Ebr::new(1)).collect())
+                        .collect()
+                })
+                .iter()
+                .map(|schemes| KvStore::new(schemes, cfg))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 512 }))]
+
+        #[test]
+        fn shard_of_is_the_plain_remainder(key in i64::MIN..i64::MAX) {
+            for store in stores_by_count() {
+                let n = store.shard_count();
+                for k in [key, 0, -1, i64::MIN, i64::MAX] {
+                    prop_assert_eq!(store.shard_of(k), reference_shard(k, n), "key {} over {} shards", k, n);
+                }
+            }
         }
     }
 
@@ -901,9 +989,12 @@ mod tests {
             .chain(std::iter::once((3, 777)))
             .collect();
         let results = store.put_batch(&mut ctx, &items);
-        assert_eq!(results.len(), items.len());
-        // First write of each key sees None; later ones the prior value.
-        assert_eq!(results[0], Ok(None));
+        // The batch interleaves all four shards; each item's result is
+        // what a sequential replay in item order gives.
+        let mut model = std::collections::HashMap::new();
+        let expect: Vec<Result<Option<i64>, KvError>> =
+            items.iter().map(|&(k, v)| Ok(model.insert(k, v))).collect();
+        assert_eq!(results, expect);
         assert_eq!(results[16], Ok(Some(0)), "second round sees first value");
         assert_eq!(store.get(&mut ctx, 3), Some(777), "last write wins");
         for k in 0..16 {
@@ -912,21 +1003,102 @@ mod tests {
         assert!(store.put_batch(&mut ctx, &[]).is_empty());
     }
 
+    /// The first key at or above 0 that routes to shard `si`.
+    fn key_on(store: &KvStore<'_, Ebr>, si: usize) -> i64 {
+        (0..).find(|&k| store.shard_of(k) == si).unwrap()
+    }
+
     #[test]
-    fn put_batch_sheds_whole_group_when_quarantined() {
+    fn put_batch_refuses_exactly_the_quarantined_shards_items() {
+        let schemes: Vec<Ebr> = (0..3).map(|_| Ebr::new(4)).collect();
+        let store = KvStore::new(&schemes, KvConfig::default());
+        let mut ctx = store.register().unwrap();
+        let keys: Vec<i64> = (0..3).map(|si| key_on(&store, si)).collect();
+        store.quarantine(1);
+        let items: Vec<(i64, i64)> = [0, 1, 2, 1, 0].iter().map(|&si| (keys[si], 9)).collect();
+        let results = store.put_batch(&mut ctx, &items);
+        let refused = Err(KvError::Overloaded { shard: 1 });
+        assert_eq!(
+            results,
+            vec![Ok(None), refused, Ok(None), refused, Ok(Some(9))]
+        );
+        assert_eq!(store.nav_counters().2, 1, "one decision per shard group");
+        assert_eq!(store.get(&mut ctx, keys[1]), None);
+        assert_eq!(store.get(&mut ctx, keys[2]), Some(9));
+    }
+
+    #[test]
+    fn put_batch_leaves_no_counted_admission_behind() {
+        let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(4)).collect();
+        let cfg = KvConfig {
+            retired_soft: 0, // every tick classifies each shard Degrading
+            admission_depth: 1,
+            ..KvConfig::default()
+        };
+        let store = KvStore::new(&schemes, cfg);
+        let mut ctx = store.register().unwrap();
+        store.navigator_tick();
+        assert_eq!(store.health(0), ShardHealth::Degrading);
+        assert_eq!(store.health(1), ShardHealth::Degrading);
+        let (a, b) = (key_on(&store, 0), key_on(&store, 1));
+        for round in 0..3 {
+            // Depth 1 admits each shard's group only because a group
+            // is counted once, not per item.
+            let results = store.put_batch(&mut ctx, &[(a, round), (b, round), (a, round)]);
+            assert!(
+                results.iter().all(Result::is_ok),
+                "round {round}: {results:?}"
+            );
+            for sh in &store.shards {
+                assert_eq!(sh.inflight.load(Ordering::SeqCst), 0, "round {round}");
+            }
+        }
+        assert_eq!(store.nav_counters().2, 0);
+        // The groups were counted: with shard 1's one slot held, its
+        // group is refused while shard 0's lands.
+        let held = store.admit_write(1);
+        assert_eq!(held, Ok(true));
+        assert_eq!(
+            store.put_batch(&mut ctx, &[(a, 7), (b, 7)]),
+            vec![Ok(Some(2)), Err(KvError::Overloaded { shard: 1 })]
+        );
+        store.shards[1].finish_write(held.unwrap());
+        assert!(store
+            .shards
+            .iter()
+            .all(|sh| sh.inflight.load(Ordering::SeqCst) == 0));
+    }
+
+    #[test]
+    fn put_batch_starts_each_call_with_clean_shard_state() {
         let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(4)).collect();
         let store = KvStore::new(&schemes, KvConfig::default());
         let mut ctx = store.register().unwrap();
-        // Find one key per shard.
-        let k0 = (0..).find(|&k| store.shard_of(k) == 0).unwrap();
-        let k1 = (0..).find(|&k| store.shard_of(k) == 1).unwrap();
+        let (a, b) = (key_on(&store, 0), key_on(&store, 1));
+        assert!(store.put_batch(&mut ctx, &[]).is_empty());
         store.quarantine(0);
-        let results = store.put_batch(&mut ctx, &[(k0, 1), (k1, 2), (k0, 3)]);
-        assert_eq!(results[0], Err(KvError::Overloaded { shard: 0 }));
-        assert_eq!(results[2], Err(KvError::Overloaded { shard: 0 }));
-        assert_eq!(results[1], Ok(None), "healthy shard still admits");
-        assert_eq!(store.get(&mut ctx, k1), Some(2));
-        assert_eq!(store.get(&mut ctx, k0), None);
+        assert_eq!(
+            store.put_batch(&mut ctx, &[(a, 1), (b, 1)]),
+            vec![Err(KvError::Overloaded { shard: 0 }), Ok(None)]
+        );
+        store.navigator_tick();
+        assert_eq!(store.health(0), ShardHealth::Robust);
+        // The refusal above does not outlive its call…
+        assert_eq!(
+            store.put_batch(&mut ctx, &[(a, 2), (b, 2)]),
+            vec![Ok(None), Ok(Some(1))]
+        );
+        // …and neither does state a call that unwound left behind:
+        // the next call resets it on entry.
+        ctx.groups[0] = Group::Refused(KvError::Overloaded { shard: 0 });
+        ctx.groups[1] = Group::Admitted { counted: true };
+        assert_eq!(
+            store.put_batch(&mut ctx, &[(a, 3), (b, 3)]),
+            vec![Ok(Some(2)), Ok(Some(2))]
+        );
+        assert_eq!(store.shards[1].inflight.load(Ordering::SeqCst), 0);
+        assert!(store.put_batch(&mut ctx, &[]).is_empty());
+        assert!(ctx.groups.iter().all(|&g| g == Group::Unseen));
     }
 
     #[test]

@@ -44,8 +44,11 @@
 //! first reply leaves after all the frames one read brought in: at
 //! most 16 KiB of requests, or 32 KiB of replies, whichever comes
 //! first. Consecutive `PUT`s among them are applied through
-//! [`KvStore::put_batch`], which pays one admission decision and one
-//! quiescent point per *shard group* instead of per write.
+//! [`KvStore::put_batch`], which routes each item once, in one pass,
+//! and pays one admission decision and one quiescent point per *shard
+//! group* instead of per write. Every other write pays only for
+//! itself: on a `Robust` shard admission is one load of the health
+//! word, and the clock is read only once a write has been refused.
 //!
 //! ## Admission control (the theorem, on the wire)
 //!
@@ -53,8 +56,9 @@
 //!
 //! * `Robust` — the write goes straight through.
 //! * `Degrading` — the write is queued with a bounded deadline
-//!   ([`NetConfig::degraded_deadline`]); if it cannot land in time the
-//!   client gets a typed `DeadlineExceeded` frame.
+//!   ([`NetConfig::degraded_deadline`], from its first refusal); if it
+//!   cannot land in time the client gets a typed `DeadlineExceeded`
+//!   frame.
 //! * `Violating` / `Quarantined` — the write is shed immediately with
 //!   an `Overloaded` frame carrying a `retry_after_ms` hint. This is
 //!   the ERA theorem's applicability sacrifice made visible to remote
@@ -108,8 +112,10 @@ pub struct NetConfig {
     /// Socket read timeout — the granularity at which idle workers
     /// notice a shutdown request.
     pub read_timeout: Duration,
-    /// Bounded queueing deadline for writes to a `Degrading` shard;
-    /// past it the client gets `DeadlineExceeded`.
+    /// Bounded queueing deadline for writes to a `Degrading` shard,
+    /// measured from the write's first refusal (a write that lands at
+    /// once never reads the clock); past it the client gets
+    /// `DeadlineExceeded`.
     pub degraded_deadline: Duration,
     /// `retry_after_ms` hint attached to `Overloaded` error frames.
     pub retry_after_ms: u32,
@@ -634,7 +640,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     }
 
     /// The navigator-driven write policy shared by PUT/REMOVE/INCR and
-    /// the batch fallback.
+    /// the batch fallback. A write that lands at once pays for nothing
+    /// else: the clock is first read at the first refusal, which is
+    /// where the `Degrading` deadline starts.
     fn write_op<F>(
         &self,
         ctx: &mut KvCtx<S>,
@@ -651,8 +659,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             ShardHealth::Robust | ShardHealth::Degrading => {
                 // Robust: the first attempt succeeds immediately.
                 // Degrading: bounded queueing — retry with backoff
-                // until the write lands or the deadline passes.
-                let deadline = Instant::now() + self.cfg.degraded_deadline;
+                // until the write lands or the deadline, taken at the
+                // first refusal, passes.
+                let mut deadline = None;
                 let mut attempt = 0u32;
                 loop {
                     match op(self.store, ctx) {
@@ -663,7 +672,10 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                             }
                             let backoff = self.cfg.write_backoff.backoff_for(attempt, key as u64);
                             attempt = attempt.saturating_add(1);
-                            if Instant::now() + backoff > deadline {
+                            let now = Instant::now();
+                            let deadline =
+                                *deadline.get_or_insert(now + self.cfg.degraded_deadline);
+                            if now + backoff > deadline {
                                 // SAFETY(ordering): Relaxed — telemetry.
                                 self.counters.shed_writes.fetch_add(1, Ordering::Relaxed);
                                 return Response::Error(ErrorReply {
@@ -859,6 +871,7 @@ pub use era_kv::KvConfig;
 mod tests {
     use super::*;
     use crate::proto::ProtoError;
+    use era_smr::ebr::Ebr;
 
     #[test]
     fn config_defaults_are_sane() {
@@ -880,6 +893,98 @@ mod tests {
             ServeStats::default().to_string(),
             "accepted=0 served=0 frames=0 reads=0 writes=0 batched_writes=0 shed_writes=0 queue_shed=0 malformed=0"
         );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "binds a socket and reads the wall clock")]
+    fn refused_write_is_answered_deadline_exceeded_after_its_deadline() {
+        // No navigator tick runs, so shard 0 stays `Robust` and
+        // `write_op` takes its retry loop, not the shed.
+        let schemes = vec![Ebr::new(4)];
+        let store = KvStore::new(&schemes, KvConfig::default());
+        let mut ctx = store.register().unwrap();
+        let base = NetConfig {
+            degraded_deadline: Duration::from_millis(5),
+            ..NetConfig::default()
+        };
+        let no_backoff = RetryPolicy {
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+            ..base.write_backoff
+        };
+        // The loop answers once its next backoff would overrun the
+        // deadline, so with a backoff the answer may come up to one
+        // step early; without one the bound is exact.
+        for (policy, slack) in [
+            (no_backoff, Duration::ZERO),
+            (base.write_backoff, base.write_backoff.max_backoff),
+        ] {
+            let cfg = NetConfig {
+                write_backoff: policy,
+                ..base
+            };
+            let server = NetServer::bind(&store, cfg, "127.0.0.1:0").unwrap();
+            let mut tracer = server.recorder().tracer(0, SchemeId::NONE);
+            let mut attempts = 0u32;
+            let t0 = Instant::now();
+            let reply = server.write_op(&mut ctx, 7, &mut tracer, |_, _| {
+                attempts += 1;
+                Err(KvError::Overloaded { shard: 0 })
+            });
+            let elapsed = t0.elapsed();
+            assert_eq!(store.health(0), ShardHealth::Robust);
+            assert_eq!(
+                reply,
+                Response::Error(ErrorReply {
+                    code: ErrorCode::DeadlineExceeded,
+                    shard: 0,
+                    retry_after_ms: cfg.retry_after_ms,
+                })
+            );
+            assert!(
+                elapsed + slack >= cfg.degraded_deadline,
+                "answered after {elapsed:?}, before the {:?} deadline",
+                cfg.degraded_deadline
+            );
+            assert!(
+                attempts > 1,
+                "a refused write is retried until its deadline"
+            );
+            assert_eq!(server.counters.shed_writes.load(Ordering::SeqCst), 1);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "binds a socket and reads the wall clock")]
+    fn write_that_lands_at_once_returns_its_value_and_never_sleeps() {
+        let schemes = vec![Ebr::new(4)];
+        let store = KvStore::new(&schemes, KvConfig::default());
+        let mut ctx = store.register().unwrap();
+        assert_eq!(store.put(&mut ctx, 7, 1), Ok(None));
+        // Every backoff step is a minute: one sleep would stall the test.
+        let minute = Duration::from_secs(60);
+        let cfg = NetConfig {
+            degraded_deadline: minute * 2,
+            write_backoff: RetryPolicy {
+                base_backoff: minute,
+                max_backoff: minute,
+                jitter: false,
+                ..NetConfig::default().write_backoff
+            },
+            ..NetConfig::default()
+        };
+        let server = NetServer::bind(&store, cfg, "127.0.0.1:0").unwrap();
+        let mut tracer = server.recorder().tracer(0, SchemeId::NONE);
+        let mut attempts = 0u32;
+        let t0 = Instant::now();
+        let reply = server.write_op(&mut ctx, 7, &mut tracer, |store, ctx| {
+            attempts += 1;
+            store.put(ctx, 7, 70)
+        });
+        assert!(t0.elapsed() < minute, "a write that lands slept");
+        assert_eq!((reply, attempts), (Response::Value(Some(1)), 1));
+        assert_eq!(store.get(&mut ctx, 7), Some(70));
+        assert_eq!(server.counters.shed_writes.load(Ordering::SeqCst), 0);
     }
 
     #[test]
