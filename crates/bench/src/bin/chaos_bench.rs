@@ -21,14 +21,13 @@
 //! next to the FaultPlan JSON, and a clean run writes the same dump at
 //! exit so `era-view` can replay the injected faults and adoptions.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use era_bench::parse_arg;
 use era_bench::table::Table;
 use era_chaos::{ChaosArena, ChaosSmr, FaultPlan};
-use era_obs::report::JsonObject;
+use era_obs::report::{write_jsonl, JsonObject};
 use era_obs::{DumpStats, FlightRecorder, Hook, Recorder};
 use era_smr::common::{Smr, SmrHeader, SmrStats};
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr};
@@ -387,12 +386,7 @@ fn main() {
         std::process::exit(1);
     }
     if let Some(path) = &opts.report {
-        let mut out = String::new();
-        for r in &records {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        match std::fs::File::create(path).and_then(|mut f| f.write_all(out.as_bytes())) {
+        match write_jsonl(path, records.iter().map(ChaosRunRecord::to_json)) {
             Ok(()) => println!(
                 "wrote {} run record(s) to {}",
                 records.len(),

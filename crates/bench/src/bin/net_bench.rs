@@ -27,7 +27,8 @@ use era_bench::parse_arg;
 use era_bench::table::Table;
 use era_kv::{KeyDist, KvMix, KvOpKind};
 use era_net::proto::{read_frame, write_request, Request, Response};
-use era_net::{percentiles, write_jsonl, ErrorCode, NetRunRecord};
+use era_net::{percentiles, ErrorCode, NetRunRecord};
+use era_obs::report::write_jsonl;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 const USAGE: &str = "usage: net_bench --addr HOST:PORT [options] \
@@ -327,7 +328,7 @@ fn main() {
     ]);
     println!("{table}");
     if let Some(path) = &opts.report {
-        match write_jsonl(path, &[record]) {
+        match write_jsonl(path, [record.to_json_line()]) {
             Ok(()) => println!("wrote 1 run record to {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

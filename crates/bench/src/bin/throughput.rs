@@ -20,10 +20,11 @@
 use std::path::PathBuf;
 
 use era_bench::parse_arg;
-use era_bench::report::{write_jsonl, RunRecord};
+use era_bench::report::RunRecord;
 use era_bench::runner::{run_harris, run_michael, run_skiplist, run_vbr};
 use era_bench::table::Table;
 use era_bench::workload::{mix_label, KeyDist, WorkloadSpec, READ_HEAVY, UPDATE_HEAVY};
+use era_obs::report::write_jsonl;
 use era_obs::Recorder;
 use era_smr::common::Smr as _;
 use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
@@ -138,7 +139,7 @@ fn main() {
          (experiment E6)."
     );
     if let Some(path) = report_path {
-        match write_jsonl(&path, &records) {
+        match write_jsonl(&path, records.iter().map(RunRecord::to_json_line)) {
             Ok(()) => println!("wrote {} run records to {}", records.len(), path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

@@ -26,7 +26,7 @@ pub mod runner;
 pub mod table;
 pub mod workload;
 
-pub use report::{write_jsonl, RunRecord};
+pub use report::RunRecord;
 pub use runner::{run_harris, run_michael, run_skiplist, run_vbr, RunStats, StallReport};
 pub use workload::WorkloadSpec;
 

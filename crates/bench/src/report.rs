@@ -37,9 +37,6 @@
 //! (the shim-rand `StdRng`), so the op streams are identical across
 //! runs and machines; only the timing varies.
 
-use std::io::Write;
-use std::path::Path;
-
 use era_obs::report::{histogram_json, hook_counts_json, JsonObject};
 use era_obs::{HistogramSnapshot, Hook, Recorder};
 
@@ -119,19 +116,6 @@ impl RunRecord {
     }
 }
 
-/// Writes `records` as a JSON-lines file (one record per line).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing `path`.
-pub fn write_jsonl(path: &Path, records: &[RunRecord]) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    for r in records {
-        writeln!(file, "{}", r.to_json_line())?;
-    }
-    file.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,21 +150,5 @@ mod tests {
         ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
-    }
-
-    #[test]
-    fn jsonl_file_roundtrip() {
-        let spec = WorkloadSpec::small();
-        let rec = Recorder::new(spec.threads + 2);
-        let smr = Ebr::new(spec.threads + 2);
-        let stats = run_michael(&smr, &spec, Some(&rec));
-        let record = RunRecord::collect("michael", "EBR", &spec, stats, &rec);
-        let dir = std::env::temp_dir().join("era-bench-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.jsonl");
-        write_jsonl(&path, &[record.clone(), record]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        std::fs::remove_file(&path).unwrap();
     }
 }

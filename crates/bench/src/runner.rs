@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use era_ds::{ConcurrentSet, HarrisList, MichaelList, SkipList, VbrList};
+use era_ds::{ConcurrentSet, HarrisList, MichaelMap, SkipList, VbrList};
 use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era_smr::common::{EpochProtected, Smr, SmrStats, SupportsUnlinkedTraversal};
 
@@ -122,14 +122,14 @@ fn run_set<S: Smr + Sync, L: ConcurrentSet<Ctx = S::ThreadCtx> + Sync>(
     )
 }
 
-/// Drives `spec` against a [`MichaelList`] (works with every
-/// pointer-based scheme, HP included).
+/// Drives `spec` against a [`MichaelMap`] as the set of its keys
+/// (works with every pointer-based scheme, HP included).
 pub fn run_michael<S: Smr + Sync>(
     smr: &S,
     spec: &WorkloadSpec,
     recorder: Option<&Recorder>,
 ) -> RunStats {
-    run_set(smr, &MichaelList::new(smr), spec, recorder)
+    run_set(smr, &MichaelMap::new(smr), spec, recorder)
 }
 
 /// Drives `spec` against a [`HarrisList`] (schemes supporting
@@ -179,7 +179,7 @@ pub struct StallReport {
     pub final_retired: usize,
 }
 
-/// Runs the stalled-reader churn experiment on a [`MichaelList`]:
+/// Runs the stalled-reader churn experiment on a [`MichaelMap`]:
 ///
 /// 1. prefill `structure_size` keys;
 /// 2. a reader thread begins an operation, performs one protected load
@@ -200,11 +200,11 @@ pub fn stall_churn_michael<S: Smr + Sync>(
     churn_ops: usize,
     overlap: bool,
 ) -> StallReport {
-    let list = MichaelList::new(smr);
+    let list = MichaelMap::new(smr);
     {
         let mut ctx = smr.register().expect("prefill registration");
         for k in 0..structure_size as i64 {
-            list.insert(&mut ctx, k);
+            list.insert_if_absent(&mut ctx, k, 0);
         }
     }
     let stalled = AtomicBool::new(true);
@@ -241,11 +241,11 @@ pub fn stall_churn_michael<S: Smr + Sync>(
                 base + (i % 64) as i64
             };
             if overlap {
-                let _ = list.delete(&mut ctx, k);
-                let _ = list.insert(&mut ctx, k);
+                let _ = list.remove(&mut ctx, k);
+                let _ = list.insert_if_absent(&mut ctx, k, 0);
             } else {
-                let _ = list.insert(&mut ctx, k);
-                let _ = list.delete(&mut ctx, k);
+                let _ = list.insert_if_absent(&mut ctx, k, 0);
+                let _ = list.remove(&mut ctx, k);
             }
             if i % 1_000 == 0 {
                 series.push(smr.stats().retired_now);

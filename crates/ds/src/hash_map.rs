@@ -1,7 +1,7 @@
 //! A lock-free hash map: a fixed array of [`MichaelMap`] buckets.
 //!
 //! The shard-friendly building block of the era-kv serving layer
-//! ([`crate::HashSet`] is this map without the value): a shard
+//! (and, through [`crate::ConcurrentSet`], Michael's hash set): a shard
 //! is one `HashMap` owning nothing but borrowed scheme state, so a
 //! service can stand up N shards over N *independent* reclaimer
 //! domains (`HashMap::new(&schemes[i], buckets)`) and a stalled reader
@@ -50,6 +50,7 @@ fn bucket_index(key: i64, len: usize) -> usize {
 /// assert_eq!(map.remove(&mut ctx, 10), Some(2));
 /// ```
 pub struct HashMap<'s, S: Smr> {
+    smr: &'s S,
     buckets: Vec<MichaelMap<'s, S>>,
 }
 
@@ -67,6 +68,7 @@ impl<'s, S: Smr> HashMap<'s, S> {
     pub fn new(smr: &'s S, buckets: usize) -> Self {
         let buckets = buckets.next_power_of_two();
         HashMap {
+            smr,
             buckets: (0..buckets).map(|_| MichaelMap::new(smr)).collect(),
         }
     }
@@ -130,12 +132,22 @@ impl<'s, S: Smr> HashMap<'s, S> {
     }
 }
 
+crate::concurrent_set::impl_concurrent_set!(map HashMap: Smr);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent_set::check_set_semantics;
     use era_smr::ebr::Ebr;
     use era_smr::hp::Hp;
     use era_smr::Smr;
+
+    #[test]
+    fn set_semantics_across_buckets() {
+        let smr = Ebr::new(2);
+        let map = HashMap::new(&smr, 8);
+        check_set_semantics(&map, || map.collect_entries());
+    }
 
     #[test]
     fn basic_semantics() {

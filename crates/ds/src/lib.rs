@@ -7,9 +7,8 @@
 //!   compatible with every pointer-based scheme including HP/HE/IBR;
 //!   the price is extra CAS work on traversals, which the `throughput`
 //!   binary's `michael+*` vs `harris+*` rows measure (experiment E6, the
-//!   paper's §6 "practical importance" discussion). It is a map (`i64 → i64`);
-//!   [`michael_list`] is the same list as a set — the map without a
-//!   value, no node or traversal of its own.
+//!   paper's §6 "practical importance" discussion). It is a map (`i64 → i64`)
+//!   and, through [`ConcurrentSet`], the set of its keys.
 //! * [`harris_list`] — **Harris's** list (Algorithm 1 of the paper):
 //!   traversals walk through *marked, possibly retired* chains, so the
 //!   list only accepts reclamation schemes implementing
@@ -21,8 +20,8 @@
 //!
 //! * [`hash_map`] — an array of `michael_map` buckets; the
 //!   shard-friendly building block of the era-kv serving layer (one
-//!   map per independent reclaimer domain). [`hash_set`] is Michael's
-//!   hash set: the hash map without a value.
+//!   map per independent reclaimer domain). Through [`ConcurrentSet`]
+//!   it is Michael's hash set.
 //! * [`skip_list`] — a lock-free skip list whose towers are Harris
 //!   lists per level; it requires an [`era_smr::common::EpochProtected`]
 //!   scheme because per-pointer protection would need a slot per level
@@ -31,7 +30,7 @@
 //!   with explicit `Stale`-rollback integration (the non-easy
 //!   integration VBR demands).
 //!
-//! The five sets implement [`ConcurrentSet`], the seam the `era-bench`
+//! All six implement [`ConcurrentSet`], the seam the `era-bench`
 //! driver and the model tests are generic over. Beside them:
 //!
 //! * [`treiber_stack`] — Treiber's stack, works with every scheme.
@@ -47,8 +46,6 @@
 pub mod concurrent_set;
 pub mod harris_list;
 pub mod hash_map;
-pub mod hash_set;
-pub mod michael_list;
 pub mod michael_map;
 pub mod ms_queue;
 pub mod skip_list;
@@ -58,8 +55,6 @@ pub mod vbr_list;
 pub use concurrent_set::ConcurrentSet;
 pub use harris_list::HarrisList;
 pub use hash_map::HashMap;
-pub use hash_set::HashSet;
-pub use michael_list::MichaelList;
 pub use michael_map::MichaelMap;
 pub use ms_queue::MsQueue;
 pub use skip_list::SkipList;

@@ -1,6 +1,7 @@
 //! Michael's lock-free linked list \[30\] — *the* HP-compatible list of
 //! this crate, as an ordered **map** (`i64 → i64`) with in-place value
-//! updates. [`crate::MichaelList`] is this list without the value.
+//! updates. Through [`crate::ConcurrentSet`] it is also the set of its
+//! keys, which is how the set benchmarks and model tests drive it.
 //!
 //! Michael modified Harris's list so that traversals never move past a
 //! *marked* node: on encountering one, the traversal unlinks it first
@@ -226,8 +227,8 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
 
     /// Maps `key` to `value` only if `key` is absent; returns the
     /// current value, left untouched, if it was present, `None` if a
-    /// new entry was created. This is the set insert of
-    /// [`crate::MichaelList`].
+    /// new entry was created. With value 0 this is the
+    /// [`crate::ConcurrentSet`] insert.
     pub fn insert_if_absent(&self, ctx: &mut S::ThreadCtx, key: i64, value: i64) -> Option<i64> {
         self.link(ctx, key, value, false)
     }
@@ -453,6 +454,8 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     }
 }
 
+crate::concurrent_set::impl_concurrent_set!(map MichaelMap: Smr);
+
 impl<S: Smr> Drop for MichaelMap<'_, S> {
     // LINT: exclusive — &mut self in Drop: no concurrent readers can exist.
     fn drop(&mut self) {
@@ -471,8 +474,125 @@ impl<S: Smr> Drop for MichaelMap<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent_set::check_set_semantics;
+    use crate::ConcurrentSet;
     use era_smr::ebr::Ebr;
+    use era_smr::he::He;
     use era_smr::hp::Hp;
+    use era_smr::ibr::Ibr;
+    use era_smr::leak::Leak;
+
+    #[test]
+    fn set_semantics_all_schemes() {
+        fn check<S: Smr>(smr: &S) {
+            let map = MichaelMap::new(smr);
+            check_set_semantics(&map, || map.collect_entries());
+        }
+        check(&Ebr::new(2));
+        check(&Hp::new(2, 3));
+        check(&He::new(2, 3));
+        check(&Ibr::new(2));
+        check(&Leak::new(2));
+    }
+
+    /// `threads` threads on the map through [`ConcurrentSet`]:
+    /// disjoint key ranges whose every answer is exact, then same-key
+    /// churn in which only the round's winner deletes.
+    fn stress<S: Smr + Sync>(smr: &S, threads: usize, per_thread: i64) {
+        let map = MichaelMap::new(smr);
+        let set: &(dyn ConcurrentSet<Ctx = S::ThreadCtx> + Sync) = &map;
+        let flushed = |ctx: &mut S::ThreadCtx| {
+            for _ in 0..4 {
+                smr.flush(ctx);
+            }
+        };
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let mut ctx = set.ctx();
+                    let base = t as i64 * per_thread;
+                    for k in base..base + per_thread {
+                        assert!(set.insert(&mut ctx, k));
+                    }
+                    for k in base..base + per_thread {
+                        assert!(set.contains(&mut ctx, k));
+                    }
+                    for k in base..base + per_thread {
+                        assert!(set.delete(&mut ctx, k));
+                    }
+                    flushed(&mut ctx);
+                });
+            }
+        });
+        assert!(map.is_empty(), "all inserted keys deleted");
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(move || {
+                    let mut ctx = set.ctx();
+                    for _ in 0..200 {
+                        if set.insert(&mut ctx, 42) {
+                            assert!(set.delete(&mut ctx, 42));
+                        }
+                    }
+                    flushed(&mut ctx);
+                });
+            }
+        });
+        assert!(map.is_empty(), "{:?}", map.collect_entries());
+    }
+
+    #[test]
+    fn stress_hp() {
+        stress(&Hp::new(8, 3), 4, 250);
+    }
+
+    #[test]
+    fn stress_ebr() {
+        stress(&Ebr::new(8), 4, 250);
+    }
+
+    #[test]
+    fn stress_he() {
+        stress(&He::new(8, 3), 4, 250);
+    }
+
+    #[test]
+    fn stress_ibr() {
+        stress(&Ibr::new(8), 4, 250);
+    }
+
+    #[test]
+    fn hp_footprint_stays_bounded_during_churn() {
+        let smr = Hp::with_threshold(2, 3, 16);
+        let map = MichaelMap::new(&smr);
+        let mut ctx = smr.register().unwrap();
+        for round in 0..2_000i64 {
+            assert_eq!(map.insert_if_absent(&mut ctx, round % 7, 0), None);
+            assert_eq!(map.remove(&mut ctx, round % 7), Some(0));
+            let retired = smr.stats().retired_now;
+            assert!(retired <= smr.robustness_bound(), "retired={retired}");
+        }
+    }
+
+    #[test]
+    fn duplicate_insert_allocates_and_retires_nothing() {
+        // A no-op insert must not cost a node: no retire tick towards the
+        // scan threshold, and under HE no allocation advancing the era.
+        let hp = Hp::new(2, 3);
+        let he = He::with_params(2, 3, 64, 1);
+        let (on_hp, on_he) = (MichaelMap::new(&hp), MichaelMap::new(&he));
+        let (mut hp_ctx, mut he_ctx) = (hp.register().unwrap(), he.register().unwrap());
+        assert_eq!(on_hp.insert_if_absent(&mut hp_ctx, 7, 0), None);
+        assert_eq!(on_he.insert_if_absent(&mut he_ctx, 7, 0), None);
+        let era = he.era();
+        for _ in 0..1_000 {
+            assert_eq!(on_hp.insert_if_absent(&mut hp_ctx, 7, 0), Some(0));
+            assert_eq!(on_he.insert_if_absent(&mut he_ctx, 7, 0), Some(0));
+        }
+        assert_eq!(hp.stats().total_retired, 0);
+        assert_eq!(he.stats().total_retired, 0);
+        assert_eq!(he.era(), era);
+    }
 
     #[test]
     fn map_semantics() {

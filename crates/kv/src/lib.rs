@@ -58,5 +58,5 @@ pub mod store;
 pub mod workload;
 
 pub use navigator::ShardHealth;
-pub use store::{KvConfig, KvCtx, KvError, KvStore, RetryPolicy, NAVIGATOR_THREAD};
+pub use store::{KvConfig, KvCtx, KvError, KvStore, NAVIGATOR_THREAD};
 pub use workload::{KeyDist, KvMix, KvOpKind};

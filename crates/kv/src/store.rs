@@ -16,7 +16,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use era_ds::HashMap;
 use era_obs::{Hook, Recorder, ThreadTracer};
@@ -88,11 +87,10 @@ pub enum KvError {
         /// The shard that refused the write.
         shard: usize,
     },
-    /// The retrying write path ([`KvStore::put_with_retry`]) ran out
-    /// of budget: every attempt inside the per-op deadline was shed.
-    /// This is the *typed* failure the self-healing path guarantees —
-    /// a caller either succeeds within its deadline or gets this
-    /// error; it never hangs.
+    /// A retrying writer ran out of budget: every attempt inside its
+    /// deadline was shed. This is the *typed* failure the self-healing
+    /// path guarantees — a caller either succeeds within its deadline
+    /// or gets this error; it never hangs.
     DeadlineExceeded {
         /// The shard that kept refusing the write.
         shard: usize,
@@ -113,72 +111,6 @@ impl fmt::Display for KvError {
 }
 
 impl std::error::Error for KvError {}
-
-/// Bounded retry/backoff policy for the self-healing write path.
-///
-/// Both bounds are hard: a write attempt loop stops at
-/// `max_attempts` *or* when the next backoff would overrun
-/// `deadline`, whichever comes first — so
-/// [`KvStore::put_with_retry`] is total by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "a RetryPolicy only takes effect when passed to put_with_retry"]
-pub struct RetryPolicy {
-    /// Maximum `put` attempts (≥ 1; 0 is treated as 1).
-    pub max_attempts: u32,
-    /// First backoff; doubles per retry (exponential).
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Per-op wall-clock budget.
-    pub deadline: Duration,
-    /// Apply equal-jitter to each backoff step: a deterministic hash of
-    /// the caller-supplied salt picks a wait in `[nominal/2, nominal]`,
-    /// desynchronizing concurrent retriers (who otherwise re-collide on
-    /// the shared admission queue every `base × 2^k`) without raising
-    /// any step above the un-jittered ceiling — so every deadline bound
-    /// that held for the fixed schedule still holds.
-    pub jitter: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 16,
-            base_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_millis(5),
-            deadline: Duration::from_millis(100),
-            jitter: true,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait before retry `attempt` (0-based): the exponential step
-    /// `base_backoff × 2^attempt` clamped to `max_backoff`, then — when
-    /// [`RetryPolicy::jitter`] is set — scattered over
-    /// `[nominal/2, nominal]` by a splitmix64 hash of `(salt, attempt)`.
-    /// Pure and deterministic for a given `(policy, attempt, salt)`, so
-    /// retry schedules are replayable from a seed like everything else
-    /// in the campaign harness.
-    pub fn backoff_for(&self, attempt: u32, salt: u64) -> Duration {
-        let base = self.base_backoff.max(Duration::from_nanos(1));
-        let cap = self.max_backoff.max(self.base_backoff);
-        let nominal_ns = (base.as_nanos() << attempt.min(63)).min(cap.as_nanos());
-        let nominal_ns = u64::try_from(nominal_ns).unwrap_or(u64::MAX);
-        if !self.jitter || nominal_ns < 2 {
-            return Duration::from_nanos(nominal_ns);
-        }
-        // splitmix64 over (salt, attempt): cheap, stateless, and good
-        // enough to decorrelate retriers — this is scheduling jitter,
-        // not cryptography.
-        let mut z = salt ^ (u64::from(attempt) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let half = nominal_ns / 2;
-        Duration::from_nanos(half + z % (nominal_ns - half + 1))
-    }
-}
 
 pub(crate) struct Shard<'s, S: Smr> {
     pub(crate) smr: &'s S,
@@ -513,47 +445,6 @@ impl<'s, S: Smr> KvStore<'s, S> {
             *group = Group::Unseen;
         }
         out
-    }
-
-    /// Inserts or updates `key` with bounded retry and exponential
-    /// backoff — the self-healing write path. Between attempts the
-    /// caller's own context flushes the target shard (helping drain
-    /// the backlog that caused the shed) before backing off.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::DeadlineExceeded`] when every attempt within
-    /// `policy`'s budget was shed. Never blocks past the deadline and
-    /// never spins unboundedly: attempts and sleeps are both capped.
-    pub fn put_with_retry(
-        &self,
-        ctx: &mut KvCtx<S>,
-        key: i64,
-        value: i64,
-        policy: RetryPolicy,
-    ) -> Result<Option<i64>, KvError> {
-        let start = Instant::now();
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match self.put(ctx, key, value) {
-                Ok(prev) => return Ok(prev),
-                Err(KvError::Overloaded { shard }) => {
-                    self.shards[shard].smr.flush(&mut ctx.ctxs[shard]);
-                    // Salting with the key decorrelates retriers stuck
-                    // on different keys of the same overloaded shard.
-                    let backoff = policy.backoff_for(attempt, key as u64);
-                    let spent = start.elapsed();
-                    if attempt + 1 == attempts || spent + backoff > policy.deadline {
-                        return Err(KvError::DeadlineExceeded { shard });
-                    }
-                    std::thread::sleep(backoff);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(KvError::DeadlineExceeded {
-            shard: self.shard_of(key),
-        })
     }
 
     /// Marks `shard` [`ShardHealth::Quarantined`]: writes are refused
@@ -936,6 +827,10 @@ mod tests {
             KvError::Overloaded { shard: 0 }.to_string(),
             "shard 0 is overloaded (admission control)"
         );
+        assert_eq!(
+            KvError::DeadlineExceeded { shard: 0 }.to_string(),
+            "shard 0 stayed overloaded past the op deadline"
+        );
     }
 
     #[test]
@@ -1238,134 +1133,6 @@ mod tests {
             }
         }
         assert!((0..4).all(|s| store.recorder(s).dropped() > 0));
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-    )]
-    fn put_with_retry_succeeds_once_pressure_drains() {
-        let schemes: Vec<Ebr> = vec![Ebr::with_threshold(4, 1)];
-        let cfg = KvConfig {
-            retired_soft: 4,
-            retired_hard: 1 << 20, // stay out of Violating
-            admission_depth: 0,    // degraded shard rejects every write
-            ..KvConfig::default()
-        };
-        let store = KvStore::new(&schemes, cfg);
-        let mut ctx = store.register().unwrap();
-        // A pinned reader holds the garbage up so the tick sees it.
-        let smr = store.scheme(0);
-        let mut pin = smr.register().unwrap();
-        era_smr::Smr::begin_op(smr, &mut pin);
-        for k in 0..16 {
-            store.put(&mut ctx, k, k).unwrap();
-            store.remove(&mut ctx, k).unwrap();
-        }
-        store.navigator_tick();
-        assert_eq!(store.health(0), ShardHealth::Degrading);
-        era_smr::Smr::end_op(smr, &mut pin);
-
-        // Retrying flushes between attempts, draining the backlog; the
-        // navigator tick here plays the watchdog that re-opens admission.
-        let policy = RetryPolicy::default();
-        let deadline = policy.deadline;
-        let t0 = std::time::Instant::now();
-        let mut out = store.put_with_retry(&mut ctx, 1, 99, policy);
-        for _ in 0..4 {
-            if out.is_ok() {
-                break;
-            }
-            store.navigator_tick();
-            out = store.put_with_retry(&mut ctx, 1, 99, RetryPolicy::default());
-        }
-        assert!(out.is_ok(), "write must land once pressure drains: {out:?}");
-        assert!(
-            t0.elapsed() < deadline * 16,
-            "retry loop must stay within bounded deadlines"
-        );
-        assert_eq!(store.get(&mut ctx, 1), Some(99));
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-    )]
-    fn put_with_retry_times_out_with_typed_error() {
-        let schemes: Vec<Ebr> = vec![Ebr::new(4)];
-        let store = KvStore::new(&schemes, KvConfig::default());
-        let mut ctx = store.register().unwrap();
-        store.quarantine(0); // nothing retires, so quarantine is sticky
-                             // until a navigator tick — which we never run.
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: std::time::Duration::from_micros(10),
-            max_backoff: std::time::Duration::from_micros(80),
-            deadline: std::time::Duration::from_millis(5),
-            jitter: true,
-        };
-        let t0 = std::time::Instant::now();
-        let out = store.put_with_retry(&mut ctx, 1, 1, policy);
-        assert_eq!(out, Err(KvError::DeadlineExceeded { shard: 0 }));
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(1),
-            "must fail fast, not hang"
-        );
-        assert_eq!(
-            KvError::DeadlineExceeded { shard: 0 }.to_string(),
-            "shard 0 stayed overloaded past the op deadline"
-        );
-    }
-
-    #[test]
-    fn jittered_backoff_is_bounded_and_deterministic() {
-        let policy = RetryPolicy::default();
-        let fixed = RetryPolicy {
-            jitter: false,
-            ..policy
-        };
-        let mut total = Duration::ZERO;
-        let mut fixed_total = Duration::ZERO;
-        for attempt in 0..policy.max_attempts {
-            let nominal = fixed.backoff_for(attempt, 0);
-            let jittered = policy.backoff_for(attempt, 0xDEAD_BEEF);
-            // Equal-jitter: every step lives in [nominal/2, nominal], so
-            // jitter can only shorten a schedule, never lengthen it.
-            assert!(
-                jittered <= nominal,
-                "attempt {attempt}: {jittered:?} > {nominal:?}"
-            );
-            assert!(
-                jittered >= nominal / 2,
-                "attempt {attempt}: {jittered:?} < half of {nominal:?}"
-            );
-            assert_eq!(
-                jittered,
-                policy.backoff_for(attempt, 0xDEAD_BEEF),
-                "same (attempt, salt) must give the same wait"
-            );
-            total += jittered;
-            fixed_total += nominal;
-        }
-        // The total-deadline bound: the whole jittered schedule is no
-        // longer than the fixed one, which is itself capped per step.
-        assert!(total <= fixed_total);
-        assert!(fixed_total <= policy.max_backoff * policy.max_attempts);
-        // Different salts actually decorrelate (not a constant offset).
-        let spread: std::collections::HashSet<Duration> =
-            (0..64).map(|salt| policy.backoff_for(6, salt)).collect();
-        assert!(
-            spread.len() > 8,
-            "jitter degenerated: {} values",
-            spread.len()
-        );
-        // The exponential curve saturates at the ceiling, jitter or not.
-        assert_eq!(
-            fixed.backoff_for(63, 0),
-            policy.max_backoff.max(policy.base_backoff)
-        );
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub use proto::{
     read_frame, split_frame, write_request, write_response, ErrorCode, ErrorReply, ProtoError,
     Request, Response, StatsReply, MAX_FRAME, MAX_REQUEST_FRAME,
 };
-pub use report::{percentiles, write_jsonl, NetRunRecord};
+pub use report::{percentiles, NetRunRecord};
 pub use server::{NetConfig, NetHandle, NetServer, ServeStats};

@@ -8,8 +8,6 @@
 //! server's own `trace_dropped` pulled over the wire from a final
 //! `STATS` request.
 
-use std::io::Write;
-use std::path::Path;
 use std::time::Duration;
 
 use era_obs::report::JsonObject;
@@ -114,19 +112,6 @@ pub fn percentiles(samples: &mut [u64]) -> (u64, u64, u64, u64) {
     )
 }
 
-/// Writes `records` as a JSON-lines file (one record per line).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing `path`.
-pub fn write_jsonl(path: &Path, records: &[NetRunRecord]) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    for r in records {
-        writeln!(file, "{}", r.to_json_line())?;
-    }
-    file.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +175,5 @@ mod tests {
 
         let mut one = vec![42];
         assert_eq!(percentiles(&mut one), (42, 42, 42, 42));
-    }
-
-    #[test]
-    fn write_jsonl_roundtrip() {
-        let dir = std::env::temp_dir().join("era_net_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.jsonl");
-        write_jsonl(&path, &[record(), record()]).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 2);
-        for line in body.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use era_kv::{KvCtx, KvError, KvStore, RetryPolicy, ShardHealth};
+use era_kv::{KvCtx, KvError, KvStore, ShardHealth};
 use era_obs::{DumpStats, FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer};
 use era_smr::Smr;
 
@@ -101,14 +101,25 @@ const WBUF_HIGH_WATER: usize = 32 * 1024;
 /// Bytes of a `PUT` frame: length prefix, opcode, key, value.
 const PUT_FRAME_LEN: usize = 4 + 1 + 8 + 8;
 
+/// Accepted connections allowed to wait for a worker before the
+/// acceptor sheds new ones by closing them.
+const QUEUE_DEPTH: usize = 64;
+
+/// `retry_after_ms` hint attached to `Overloaded` and
+/// `DeadlineExceeded` frames (doubled for a `Quarantined` shard).
+const RETRY_AFTER_MS: u32 = 50;
+
+/// Navigator tick period of the watchdog thread.
+const NAV_POLL: Duration = Duration::from_micros(200);
+
+/// Server-side clamp on `SCAN` limits.
+const SCAN_LIMIT: u32 = 1024;
+
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Accepted connections allowed to wait for a worker before the
-    /// acceptor sheds new ones by closing them.
-    pub queue_depth: usize,
     /// Socket read timeout — the granularity at which idle workers
     /// notice a shutdown request.
     pub read_timeout: Duration,
@@ -117,20 +128,8 @@ pub struct NetConfig {
     /// once never reads the clock); past it the client gets
     /// `DeadlineExceeded`.
     pub degraded_deadline: Duration,
-    /// `retry_after_ms` hint attached to `Overloaded` error frames.
-    pub retry_after_ms: u32,
-    /// Navigator tick period for the watchdog thread.
-    pub nav_poll: Duration,
-    /// Server-side clamp on `SCAN` limits.
-    pub scan_limit: u32,
     /// Backoff schedule for writes queued against a `Degrading` shard.
-    /// Only the shape fields are honored on this path —
-    /// `base_backoff`, `max_backoff`, and `jitter` (salted per key, so
-    /// workers retrying different keys of one overloaded shard
-    /// desynchronize) — while the wall-clock cutoff stays
-    /// [`NetConfig::degraded_deadline`] and attempts are bounded by
-    /// that deadline alone.
-    pub write_backoff: RetryPolicy,
+    pub write_backoff: Backoff,
     /// Event-ring capacity of the server's own `net` recorder
     /// (accept/shed events). The store's per-shard rings are sized by
     /// [`era_kv::KvConfig::ring_capacity`] instead.
@@ -141,23 +140,57 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             workers: 4,
-            queue_depth: 64,
             read_timeout: Duration::from_millis(50),
             degraded_deadline: Duration::from_millis(20),
-            retry_after_ms: 50,
-            nav_poll: Duration::from_micros(200),
-            scan_limit: 1024,
-            write_backoff: RetryPolicy {
+            write_backoff: Backoff {
                 base_backoff: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(2),
-                // Attempts/deadline are governed by degraded_deadline on
-                // the serving path; keep the policy's own caps lax.
-                max_attempts: u32::MAX,
-                deadline: Duration::MAX,
-                jitter: true,
             },
             ring_capacity: era_obs::DEFAULT_RING_CAPACITY,
         }
+    }
+}
+
+/// The waits of a write refused by a `Degrading` shard: exponential
+/// from `base_backoff`, capped at `max_backoff`, equal-jittered. How
+/// many of them a write gets is [`NetConfig::degraded_deadline`]'s
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backoff {
+    /// First wait; doubles per retry.
+    pub base_backoff: Duration,
+    /// Ceiling of one wait.
+    pub max_backoff: Duration,
+}
+
+impl Backoff {
+    /// The wait before retry `attempt` (0-based): the exponential step
+    /// `base_backoff × 2^attempt` clamped to `max_backoff`, then
+    /// scattered over `[nominal/2, nominal]` by a splitmix64 hash of
+    /// `(salt, attempt)`. Equal jitter desynchronizes retriers (who
+    /// otherwise re-collide on the shard every `base × 2^k`) without
+    /// raising any step above its nominal, so every deadline bound that
+    /// holds for the fixed schedule still holds. Pure and deterministic
+    /// for a given `(schedule, attempt, salt)`, so retry schedules are
+    /// replayable from a seed like everything else in the campaign
+    /// harness.
+    pub fn backoff_for(&self, attempt: u32, salt: u64) -> Duration {
+        let base = self.base_backoff.max(Duration::from_nanos(1));
+        let cap = self.max_backoff.max(self.base_backoff);
+        let nominal_ns = (base.as_nanos() << attempt.min(63)).min(cap.as_nanos());
+        let nominal_ns = u64::try_from(nominal_ns).unwrap_or(u64::MAX);
+        if nominal_ns < 2 {
+            return Duration::from_nanos(nominal_ns);
+        }
+        // splitmix64 over (salt, attempt): cheap, stateless, and good
+        // enough to decorrelate retriers — this is scheduling jitter,
+        // not cryptography.
+        let mut z = salt ^ (u64::from(attempt) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let half = nominal_ns / 2;
+        Duration::from_nanos(half + z % (nominal_ns - half + 1))
     }
 }
 
@@ -417,7 +450,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                 self.flight.poll();
                 last_flight = Instant::now();
             }
-            std::thread::sleep(self.cfg.nav_poll);
+            std::thread::sleep(NAV_POLL);
         }
     }
 
@@ -443,7 +476,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             self.counters.accepted.fetch_add(1, Ordering::Relaxed);
             let queued = {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-                if q.len() >= self.cfg.queue_depth {
+                if q.len() >= QUEUE_DEPTH {
                     drop(stream); // shed at the door: no worker in sight
                                   // SAFETY(ordering): Relaxed — telemetry, as above.
                     self.counters.queue_shed.fetch_add(1, Ordering::Relaxed);
@@ -622,7 +655,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                 // A live server cannot take the store's quiescent-only
                 // snapshot; SCAN is a bounded sweep of protected point
                 // reads over at most `limit` consecutive keys instead.
-                let limit = limit.min(self.cfg.scan_limit) as i64;
+                let limit = limit.min(SCAN_LIMIT) as i64;
                 let hi = hi.min(lo.saturating_add(limit.max(0)));
                 let mut entries = Vec::new();
                 let mut k = lo;
@@ -681,7 +714,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                                 return Response::Error(ErrorReply {
                                     code: ErrorCode::DeadlineExceeded,
                                     shard: shard as u32,
-                                    retry_after_ms: self.cfg.retry_after_ms,
+                                    retry_after_ms: RETRY_AFTER_MS,
                                 });
                             }
                             std::thread::sleep(backoff);
@@ -692,7 +725,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                             return Response::Error(ErrorReply {
                                 code: ErrorCode::DeadlineExceeded,
                                 shard: shard as u32,
-                                retry_after_ms: self.cfg.retry_after_ms,
+                                retry_after_ms: RETRY_AFTER_MS,
                             });
                         }
                     }
@@ -712,9 +745,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             // Quarantined shards drain a death's backlog, not a load
             // spike — hint clients to stay away twice as long.
             retry_after_ms: if self.store.health(shard) == ShardHealth::Quarantined {
-                self.cfg.retry_after_ms * 2
+                RETRY_AFTER_MS * 2
             } else {
-                self.cfg.retry_after_ms
+                RETRY_AFTER_MS
             },
         })
     }
@@ -877,12 +910,16 @@ mod tests {
     fn config_defaults_are_sane() {
         let cfg = NetConfig::default();
         assert!(cfg.workers >= 1);
-        assert!(cfg.queue_depth >= cfg.workers);
+        assert!(QUEUE_DEPTH >= cfg.workers);
         assert!(cfg.degraded_deadline < Duration::from_secs(1));
+        // The serving constants every caller runs with.
+        assert_eq!(
+            (QUEUE_DEPTH, RETRY_AFTER_MS, NAV_POLL, SCAN_LIMIT),
+            (64, 50, Duration::from_micros(200), 1024)
+        );
         // The Degrading-path schedule is jittered but still bounded:
-        // no single wait exceeds the policy ceiling, so the number of
-        // sleeps inside degraded_deadline stays finite.
-        assert!(cfg.write_backoff.jitter);
+        // no single wait exceeds the ceiling, so the number of sleeps
+        // inside degraded_deadline stays finite.
         for attempt in 0..64 {
             assert!(
                 cfg.write_backoff.backoff_for(attempt, 42) <= cfg.write_backoff.max_backoff,
@@ -893,6 +930,65 @@ mod tests {
             ServeStats::default().to_string(),
             "accepted=0 served=0 frames=0 reads=0 writes=0 batched_writes=0 shed_writes=0 queue_shed=0 malformed=0"
         );
+    }
+
+    #[test]
+    fn jittered_backoff_is_bounded_and_deterministic() {
+        let schedule = Backoff {
+            base_backoff: Duration::from_micros(50),
+            max_backoff: Duration::from_millis(5),
+        };
+        // The un-jittered step, computed here rather than asked of the
+        // schedule: base × 2^attempt, clamped to the ceiling.
+        let nominal =
+            |attempt: u32| (schedule.base_backoff * (1 << attempt)).min(schedule.max_backoff);
+        const ATTEMPTS: u32 = 16;
+        let mut total = Duration::ZERO;
+        let mut fixed_total = Duration::ZERO;
+        for attempt in 0..ATTEMPTS {
+            let nominal = nominal(attempt);
+            let jittered = schedule.backoff_for(attempt, 0xDEAD_BEEF);
+            // Equal-jitter: every step lives in [nominal/2, nominal], so
+            // jitter can only shorten a schedule, never lengthen it.
+            assert!(
+                jittered <= nominal,
+                "attempt {attempt}: {jittered:?} > {nominal:?}"
+            );
+            assert!(
+                jittered >= nominal / 2,
+                "attempt {attempt}: {jittered:?} < half of {nominal:?}"
+            );
+            assert_eq!(
+                jittered,
+                schedule.backoff_for(attempt, 0xDEAD_BEEF),
+                "same (attempt, salt) must give the same wait"
+            );
+            total += jittered;
+            fixed_total += nominal;
+        }
+        // The total-deadline bound: the whole jittered schedule is no
+        // longer than the fixed one, which is itself capped per step.
+        assert!(total <= fixed_total);
+        assert!(fixed_total <= schedule.max_backoff * ATTEMPTS);
+        // Different salts actually decorrelate (not a constant offset).
+        let spread: std::collections::HashSet<Duration> =
+            (0..64).map(|salt| schedule.backoff_for(6, salt)).collect();
+        assert!(
+            spread.len() > 8,
+            "jitter degenerated: {} values",
+            spread.len()
+        );
+        // The exponential curve saturates at the ceiling: past the
+        // shift limit a step still lands in [ceiling/2, ceiling].
+        for attempt in [63, u32::MAX] {
+            for salt in 0..64 {
+                let wait = schedule.backoff_for(attempt, salt);
+                assert!(
+                    wait <= schedule.max_backoff && wait >= schedule.max_backoff / 2,
+                    "attempt {attempt}: {wait:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -907,10 +1003,9 @@ mod tests {
             degraded_deadline: Duration::from_millis(5),
             ..NetConfig::default()
         };
-        let no_backoff = RetryPolicy {
+        let no_backoff = Backoff {
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
-            ..base.write_backoff
         };
         // The loop answers once its next backoff would overrun the
         // deadline, so with a backoff the answer may come up to one
@@ -938,7 +1033,7 @@ mod tests {
                 Response::Error(ErrorReply {
                     code: ErrorCode::DeadlineExceeded,
                     shard: 0,
-                    retry_after_ms: cfg.retry_after_ms,
+                    retry_after_ms: RETRY_AFTER_MS,
                 })
             );
             assert!(
@@ -961,15 +1056,14 @@ mod tests {
         let store = KvStore::new(&schemes, KvConfig::default());
         let mut ctx = store.register().unwrap();
         assert_eq!(store.put(&mut ctx, 7, 1), Ok(None));
-        // Every backoff step is a minute: one sleep would stall the test.
+        // Every backoff step is a minute, jittered to at least half of
+        // one: a single sleep would stall the test past 30 s.
         let minute = Duration::from_secs(60);
         let cfg = NetConfig {
             degraded_deadline: minute * 2,
-            write_backoff: RetryPolicy {
+            write_backoff: Backoff {
                 base_backoff: minute,
                 max_backoff: minute,
-                jitter: false,
-                ..NetConfig::default().write_backoff
             },
             ..NetConfig::default()
         };
@@ -981,10 +1075,92 @@ mod tests {
             attempts += 1;
             store.put(ctx, 7, 70)
         });
-        assert!(t0.elapsed() < minute, "a write that lands slept");
+        assert!(t0.elapsed() < minute / 2, "a write that lands slept");
         assert_eq!((reply, attempts), (Response::Value(Some(1)), 1));
         assert_eq!(store.get(&mut ctx, 7), Some(70));
         assert_eq!(server.counters.shed_writes.load(Ordering::SeqCst), 0);
+    }
+
+    /// Wall-clock ceiling per write in the property below: a refused
+    /// write is answered within its 3 ms deadline plus one backoff
+    /// step, so 500 ms of slack makes a miss a hang, not scheduling
+    /// noise, on any machine.
+    const NEVER_HANGS: Duration = Duration::from_millis(500);
+
+    // Binds a socket: not under Miri.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `write_op`, the serving path's one bounded retry, answers
+        /// every write in time whichever shard the key routes to: on a
+        /// 3-shard store whose shard 0 is stalled `Degrading` (a pin
+        /// that is never released, admission depth 0) and whose shard 2
+        /// is `Quarantined`, shard 0 answers `DeadlineExceeded`, shard
+        /// 2 `Overloaded`, and shard 1 the write's `Value` — each
+        /// within NEVER_HANGS.
+        #[test]
+        fn write_op_answers_in_time_on_stalled_and_quarantined_shards(
+            keys in proptest::prop::collection::vec(-256i64..256, 1..48),
+        ) {
+            let schemes: Vec<Ebr> = (0..3).map(|_| Ebr::with_threshold(4, 1)).collect();
+            let kv = KvConfig {
+                retired_soft: 4,
+                retired_hard: 1 << 20, // stay out of Violating
+                admission_depth: 0,    // a Degrading shard refuses every write
+                ..KvConfig::default()
+            };
+            let store = KvStore::new(&schemes, kv);
+            let mut ctx = store.register().unwrap();
+            // A pinned reader freezes shard 0's epoch while churn piles
+            // up garbage; one tick classifies the shard Degrading. The
+            // pin outlives every write, so no retry can drain it.
+            let smr = store.scheme(0);
+            let mut pin = smr.register().unwrap();
+            smr.begin_op(&mut pin);
+            for k in (0..).filter(|&k| store.shard_of(k) == 0).take(16) {
+                store.put(&mut ctx, k, k).unwrap();
+                store.remove(&mut ctx, k).unwrap();
+            }
+            store.navigator_tick();
+            proptest::prop_assert_eq!(store.health(0), ShardHealth::Degrading);
+            store.quarantine(2);
+            let cfg = NetConfig {
+                degraded_deadline: Duration::from_millis(3),
+                ..NetConfig::default()
+            };
+            let server = NetServer::bind(&store, cfg, "127.0.0.1:0").unwrap();
+            let mut tracer = server.recorder().tracer(0, SchemeId::NONE);
+            for key in keys {
+                let before = store.get(&mut ctx, key);
+                let t0 = Instant::now();
+                let reply = server.write_op(&mut ctx, key, &mut tracer, |store, ctx| {
+                    // A loop that outlives its deadline fails here
+                    // instead of hanging the test.
+                    assert!(t0.elapsed() < NEVER_HANGS, "write {key} still retrying");
+                    store.put(ctx, key, 1)
+                });
+                let took = t0.elapsed();
+                proptest::prop_assert!(took < NEVER_HANGS, "write {key} took {took:?}");
+                let shard = store.shard_of(key);
+                // A Quarantined shard's hint is twice the Degrading one.
+                let retry_after_ms = RETRY_AFTER_MS * if shard == 2 { 2 } else { 1 };
+                let refused = |code| {
+                    Response::Error(ErrorReply {
+                        code,
+                        shard: shard as u32,
+                        retry_after_ms,
+                    })
+                };
+                let expected = match shard {
+                    0 => refused(ErrorCode::DeadlineExceeded),
+                    2 => refused(ErrorCode::Overloaded),
+                    _ => Response::Value(before),
+                };
+                proptest::prop_assert_eq!(reply, expected, "write {key} on shard {shard}");
+            }
+            smr.end_op(&mut pin);
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line,
 //! and that [`crate::json::Json::parse`] reads back.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
+
 use crate::event::{Event, Hook};
 use crate::metrics::{HistogramSnapshot, Metrics};
 
@@ -178,11 +182,44 @@ pub fn event_json(event: &Event) -> String {
         .finish()
 }
 
+/// Writes `lines` to `path` as a JSON-lines file: each line followed
+/// by `\n`, nothing else. Every run report in the workspace leaves
+/// through here.
+///
+/// # Errors
+///
+/// Propagates I/O errors from creating or writing `path`.
+pub fn write_jsonl<L: AsRef<str>>(
+    path: &Path,
+    lines: impl IntoIterator<Item = L>,
+) -> io::Result<()> {
+    let mut w = BufWriter::new(File::create(path)?);
+    for line in lines {
+        w.write_all(line.as_ref().as_bytes())?;
+        w.write_all(b"\n")?;
+    }
+    w.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::SchemeId;
     use crate::metrics::Log2Histogram;
+
+    #[test]
+    #[cfg_attr(miri, ignore = "writes a file")]
+    fn jsonl_file_is_the_lines_each_ended_by_a_newline() {
+        let dir = std::env::temp_dir().join(format!("era_obs_jsonl_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let lines = [JsonObject::new().u64("n", 1).finish(), "{}".to_string()];
+        write_jsonl(&path, &lines).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"n\":1}\n{}\n");
+        write_jsonl(&path, [""; 0]).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn object_renders_in_order_with_escapes() {

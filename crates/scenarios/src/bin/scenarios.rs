@@ -8,8 +8,8 @@
 //!             [--ring-capacity N]
 //!
 //! Defaults: the whole campaign over all six pointer-based schemes
-//! (repeat `--scheme` to pick several), ring capacity from
-//! `ERA_RING_CAPACITY` or the workspace default.
+//! (repeat `--scheme` to pick several) and the workspace's default
+//! ring capacity. A malformed value exits 2 naming its flag.
 //! Exit status is non-zero when any run's verdict is `fail` — a
 //! robust scheme past its bound, a non-robust scheme that *failed* to
 //! blow the bound under a stall, residue after drain, an unhealthy
@@ -20,7 +20,8 @@ use std::path::PathBuf;
 
 use era_chaos::ChaosSmr;
 use era_kv::KvStore;
-use era_scenarios::report::{write_jsonl, ScenarioRunRecord};
+use era_obs::report::write_jsonl;
+use era_scenarios::report::ScenarioRunRecord;
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
 use era_scenarios::{campaign, ScenarioSpec};
 use era_smr::{with_scheme, SchemeKind, Smr};
@@ -49,10 +50,7 @@ fn parse_options() -> Options {
         smoke: false,
         report: None,
         flight_dir: None,
-        ring_capacity: std::env::var("ERA_RING_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(era_obs::DEFAULT_RING_CAPACITY),
+        ring_capacity: era_obs::DEFAULT_RING_CAPACITY,
     };
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -221,7 +219,7 @@ fn main() {
         opts.schemes.len()
     );
     if let Some(path) = &opts.report {
-        match write_jsonl(path, &records) {
+        match write_jsonl(path, records.iter().map(|r| &r.line)) {
             Ok(()) => println!("wrote {} record(s) to {}", records.len(), path.display()),
             Err(e) => {
                 eprintln!("failed to write report {}: {e}", path.display());

@@ -7,10 +7,6 @@
 //! shard's footprint curve, and the embedded spec — a record is
 //! enough to replay the run that produced it.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
-
 use era_obs::report::JsonObject;
 use era_smr::SchemeKind;
 
@@ -102,19 +98,6 @@ impl ScenarioRunRecord {
             line,
         }
     }
-}
-
-/// Writes records to `path`, one JSON line each.
-///
-/// # Errors
-///
-/// Any filesystem error.
-pub fn write_jsonl(path: &Path, records: &[ScenarioRunRecord]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for r in records {
-        writeln!(w, "{}", r.line)?;
-    }
-    w.flush()
 }
 
 #[cfg(test)]
@@ -215,25 +198,5 @@ mod tests {
         assert_eq!(rec.failed, vec!["recovers-after-drain"]);
         assert!(rec.line.contains("\"verdict\":\"fail\""));
         assert!(rec.line.contains("\"ok\":false"));
-    }
-
-    #[test]
-    fn jsonl_round_trip_through_a_file() {
-        let dir = std::env::temp_dir().join("era_scenarios_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("records.jsonl");
-        let recs = vec![
-            ScenarioRunRecord::collect(&outcome(true)),
-            ScenarioRunRecord::collect(&outcome(false)),
-        ];
-        write_jsonl(&path, &recs).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text
-            .lines()
-            .nth(1)
-            .unwrap()
-            .contains("\"verdict\":\"fail\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -45,7 +45,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use era::chaos::ChaosSmr;
-use era::ds::{HarrisList, MichaelList};
+use era::ds::{HarrisList, MichaelMap};
 use era::kv::{KvConfig, KvCtx, KvStore};
 use era::obs::flight::DEFAULT_MAX_RETAINED;
 use era::obs::{FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer, DEFAULT_RING_CAPACITY};
@@ -281,12 +281,12 @@ fn bench_load<S: Smr>(name: &str, smr: &S) {
 }
 
 fn bench_michael<S: Smr>(name: &str, smr: &S, key_range: i64) {
-    let list = MichaelList::new(smr);
+    let list = MichaelMap::new(smr);
     let mut ctx = smr.register().expect("capacity");
     for k in (0..key_range).step_by(2) {
-        list.insert(&mut ctx, k);
+        list.insert_if_absent(&mut ctx, k, 0);
     }
-    measure(name, 0, key_range, |k| list.contains(&mut ctx, k));
+    measure(name, 0, key_range, |k| list.get(&mut ctx, k).is_some());
 }
 
 fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_range: i64) {

@@ -7,7 +7,7 @@
 //! reclamation scheme's robustness is a *production* requirement, not a
 //! theoretical nicety.
 //!
-//! We build the cache on Michael's hash set with hazard pointers (the
+//! We build the cache on Michael's hash map with hazard pointers (the
 //! easy + robust corner of the ERA triangle: we gave up Harris-style
 //! traversal, i.e. wide applicability) and demonstrate both the
 //! workload and the bounded footprint under a stalled reader.
@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use era::ds::HashSet;
+use era::ds::HashMap;
 use era::smr::common::Smr;
 use era::smr::hp::Hp;
 
@@ -27,13 +27,13 @@ const KEYS: i64 = 4_096;
 
 fn main() {
     let smr = Hp::with_threshold(READERS + WRITERS + 2, 3, 64);
-    let cache = HashSet::new(&smr, 256);
+    let cache = HashMap::new(&smr, 256);
 
     // Warm the cache.
     {
         let mut ctx = smr.register().unwrap();
         for k in (0..KEYS).step_by(2) {
-            cache.insert(&mut ctx, k);
+            cache.insert_if_absent(&mut ctx, k, 0);
         }
     }
 
@@ -68,7 +68,7 @@ fn main() {
                         .wrapping_add(1442695040888963407)
                         >> 33)
                         .rem_euclid(KEYS);
-                    if cache.contains(&mut ctx, key) {
+                    if cache.get(&mut ctx, key).is_some() {
                         // SAFETY(ordering): Relaxed — hit/miss tallies,
                         // read after the scope joins every worker.
                         hits.fetch_add(1, Ordering::Relaxed);
@@ -86,9 +86,9 @@ fn main() {
                 for i in 0..OPS {
                     key = (key.wrapping_mul(6364136223846793005).wrapping_add(99)).rem_euclid(KEYS);
                     if i % 2 == 0 {
-                        let _ = cache.insert(&mut ctx, key);
+                        let _ = cache.insert_if_absent(&mut ctx, key, 0);
                     } else {
-                        let _ = cache.delete(&mut ctx, key);
+                        let _ = cache.remove(&mut ctx, key);
                     }
                 }
                 smr.flush(&mut ctx);

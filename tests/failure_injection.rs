@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use era::ds::MichaelList;
+use era::ds::MichaelMap;
 use era::smr::common::{Smr, SmrHeader};
 use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr, vbr};
 use era::smr::{with_scheme, SchemeKind};
@@ -27,11 +27,11 @@ fn die_pinned<S: Smr>(smr: &S) {
 }
 
 fn churn_and_drain<S: Smr>(smr: &S, rounds: i64) -> (u64, usize) {
-    let list = MichaelList::new(smr);
+    let list = MichaelMap::new(smr);
     let mut ctx = smr.register().expect("slot");
     for k in 0..rounds {
-        assert!(list.insert(&mut ctx, k % 97));
-        assert!(list.delete(&mut ctx, k % 97));
+        assert_eq!(list.insert_if_absent(&mut ctx, k % 97, 0), None);
+        assert_eq!(list.remove(&mut ctx, k % 97), Some(0));
     }
     for _ in 0..8 {
         smr.flush(&mut ctx);
@@ -86,11 +86,11 @@ fn qsbr_recovers_after_a_thread_dies_pinned() {
     let smr = Qsbr::with_threshold(4, 8);
     die_pinned(&smr);
     // QSBR still needs the LIVE thread to announce quiescence.
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     let mut ctx = smr.register().expect("slot");
     for k in 0..500i64 {
-        assert!(list.insert(&mut ctx, k % 31));
-        assert!(list.delete(&mut ctx, k % 31));
+        assert_eq!(list.insert_if_absent(&mut ctx, k % 31, 0), None);
+        assert_eq!(list.remove(&mut ctx, k % 31), Some(0));
         if k % 16 == 0 {
             smr.quiescent(&mut ctx);
         }
@@ -291,11 +291,11 @@ fn qsbr_repeated_deaths_do_not_erode_capacity() {
     let b = smr.register().expect("second slot after 16 deaths");
     assert!(smr.register().is_err(), "capacity grew past 2");
     drop((a, b));
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     let mut ctx = smr.register().unwrap();
     for k in 0..500i64 {
-        assert!(list.insert(&mut ctx, k % 31));
-        assert!(list.delete(&mut ctx, k % 31));
+        assert_eq!(list.insert_if_absent(&mut ctx, k % 31, 0), None);
+        assert_eq!(list.remove(&mut ctx, k % 31), Some(0));
         smr.quiescent(&mut ctx);
     }
     for _ in 0..4 {
@@ -357,7 +357,7 @@ fn death_during_concurrent_churn() {
     // Threads keep dying pinned while others churn: the system must
     // neither crash nor wedge, and must drain at the end.
     let smr = Ebr::with_threshold(8, 16);
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     std::thread::scope(|s| {
         for t in 0..2i64 {
             let (list, smr) = (&list, &smr);
@@ -365,8 +365,8 @@ fn death_during_concurrent_churn() {
                 let mut ctx = smr.register().unwrap();
                 for k in 0..2_000i64 {
                     let key = t * 10_000 + k % 101;
-                    let _ = list.insert(&mut ctx, key);
-                    let _ = list.delete(&mut ctx, key);
+                    let _ = list.insert_if_absent(&mut ctx, key, 0);
+                    let _ = list.remove(&mut ctx, key);
                 }
                 for _ in 0..4 {
                     smr.flush(&mut ctx);
@@ -427,11 +427,11 @@ mod chaos_wrapped {
         );
         let smr = ChaosSmr::new(Ebr::with_threshold(8, 8), plan);
         die_pinned(&smr); // manual death before the plan starts firing
-        let list = MichaelList::new(&smr);
+        let list = MichaelMap::new(&smr);
         let mut ctx = smr.register().unwrap();
         for k in 0..2_000i64 {
-            assert!(list.insert(&mut ctx, k % 97));
-            assert!(list.delete(&mut ctx, k % 97));
+            assert_eq!(list.insert_if_absent(&mut ctx, k % 97, 0), None);
+            assert_eq!(list.remove(&mut ctx, k % 97), Some(0));
         }
         assert_eq!(smr.faults_injected(), 8, "all planned deaths fired");
         smr.quiesce(&mut ctx);

@@ -6,8 +6,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use era::ds::{
-    ConcurrentSet, HarrisList, HashSet, MichaelList, MichaelMap, MsQueue, SkipList, TreiberStack,
-    VbrList,
+    ConcurrentSet, HarrisList, HashMap, MichaelMap, MsQueue, SkipList, TreiberStack, VbrList,
 };
 use era::smr::common::Smr;
 use era::smr::{ebr::Ebr, hp::Hp, leak::Leak, nbr::Nbr};
@@ -50,7 +49,7 @@ proptest! {
 
     #[test]
     fn michael_list_matches_model(ops in set_ops(16)) {
-        check(&MichaelList::new(&Hp::new(2, 3)), &ops);
+        check(&MichaelMap::new(&Hp::new(2, 3)), &ops);
     }
 
     #[test]
@@ -65,7 +64,7 @@ proptest! {
 
     #[test]
     fn hash_set_matches_model(ops in set_ops(64)) {
-        check(&HashSet::new(&Leak::new(2), 8), &ops);
+        check(&HashMap::new(&Leak::new(2), 8), &ops);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use era::ds::{HarrisList, HashSet, MichaelList, MsQueue, TreiberStack};
+use era::ds::{HarrisList, HashMap, MichaelMap, MsQueue, TreiberStack};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
 
@@ -14,7 +14,7 @@ const THREADS: usize = 4;
 const PER_THREAD: i64 = 300;
 
 fn stress_michael<S: Smr + Sync>(smr: &S) {
-    let list = MichaelList::new(smr);
+    let list = MichaelMap::new(smr);
     let succeeded = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -24,19 +24,19 @@ fn stress_michael<S: Smr + Sync>(smr: &S) {
                 // Disjoint ranges: all succeed.
                 let base = t as i64 * PER_THREAD;
                 for k in base..base + PER_THREAD {
-                    assert!(list.insert(&mut ctx, k));
+                    assert_eq!(list.insert_if_absent(&mut ctx, k, 0), None);
                 }
                 // Contended key: exactly one winner per round.
                 for _ in 0..100 {
-                    if list.insert(&mut ctx, -1) {
-                        assert!(list.delete(&mut ctx, -1));
+                    if list.insert_if_absent(&mut ctx, -1, 0).is_none() {
+                        assert_eq!(list.remove(&mut ctx, -1), Some(0));
                         // SAFETY(ordering): Relaxed — tally read after
                         // the scope joins every worker.
                         succeeded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 for k in base..base + PER_THREAD {
-                    assert!(list.delete(&mut ctx, k));
+                    assert_eq!(list.remove(&mut ctx, k), Some(0));
                 }
                 for _ in 0..4 {
                     smr.flush(&mut ctx);
@@ -44,7 +44,7 @@ fn stress_michael<S: Smr + Sync>(smr: &S) {
             });
         }
     });
-    assert!(list.is_empty() || list.collect_keys() == vec![-1]);
+    assert!(list.is_empty() || list.collect_entries() == [(-1, 0)]);
 }
 
 fn stress_harris<S: Smr + SupportsUnlinkedTraversal + Sync>(smr: &S) {
@@ -137,7 +137,7 @@ fn stack_and_queue_under_hp_and_ebr() {
 )]
 fn hash_set_under_contention() {
     let smr = Hp::new(THREADS + 1, 3);
-    let set = HashSet::new(&smr, 64);
+    let set = HashMap::new(&smr, 64);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let set = &set;
@@ -146,9 +146,9 @@ fn hash_set_under_contention() {
                 let mut ctx = smr.register().unwrap();
                 for i in 0..1_000i64 {
                     let k = (t as i64 * 37 + i * 11) % 256;
-                    if set.insert(&mut ctx, k) {
-                        let _ = set.contains(&mut ctx, k);
-                        let _ = set.delete(&mut ctx, k);
+                    if set.insert_if_absent(&mut ctx, k, 0).is_none() {
+                        let _ = set.get(&mut ctx, k);
+                        let _ = set.remove(&mut ctx, k);
                     }
                 }
                 smr.flush(&mut ctx);
@@ -156,7 +156,7 @@ fn hash_set_under_contention() {
         }
     });
     // Quiescent invariant: no duplicates across buckets.
-    let keys = set.collect_keys();
+    let keys: Vec<i64> = set.collect_entries().into_iter().map(|(k, _)| k).collect();
     let mut dedup = keys.clone();
     dedup.dedup();
     assert_eq!(keys, dedup);
@@ -172,7 +172,7 @@ fn transparency_threads_come_and_go() {
     // thread slots are recycled; repeated register/unregister cycles
     // never exhaust capacity or corrupt reclamation.
     let smr = Ebr::new(4);
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     for wave in 0..16 {
         std::thread::scope(|s| {
             for t in 0..4i64 {
@@ -180,8 +180,8 @@ fn transparency_threads_come_and_go() {
                 s.spawn(move || {
                     let mut ctx = smr.register().expect("slots are recycled");
                     let k = wave * 100 + t;
-                    assert!(list.insert(&mut ctx, k));
-                    assert!(list.delete(&mut ctx, k));
+                    assert_eq!(list.insert_if_absent(&mut ctx, k, 0), None);
+                    assert_eq!(list.remove(&mut ctx, k), Some(0));
                     smr.flush(&mut ctx);
                 });
             }
@@ -199,7 +199,7 @@ fn transparency_threads_come_and_go() {
 )]
 fn hp_footprint_bound_holds_under_parallel_churn() {
     let smr = Hp::with_threshold(THREADS + 1, 3, 32);
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     let bound = smr.robustness_bound();
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -208,8 +208,8 @@ fn hp_footprint_bound_holds_under_parallel_churn() {
                 let mut ctx = smr.register().unwrap();
                 for i in 0..2_000i64 {
                     let k = (t as i64 * 7 + i) % 64;
-                    let _ = list.insert(&mut ctx, k);
-                    let _ = list.delete(&mut ctx, k);
+                    let _ = list.insert_if_absent(&mut ctx, k, 0);
+                    let _ = list.remove(&mut ctx, k);
                     assert!(
                         smr.stats().retired_now <= bound,
                         "HP bound {bound} violated"
@@ -236,7 +236,7 @@ fn hp_footprint_bound_holds_under_parallel_churn() {
 )]
 fn ebr_drains_fully_at_quiescence() {
     let smr = Ebr::with_threshold(THREADS + 1, 8);
-    let list = MichaelList::new(&smr);
+    let list = MichaelMap::new(&smr);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (list, smr) = (&list, &smr);
@@ -244,8 +244,8 @@ fn ebr_drains_fully_at_quiescence() {
                 let mut ctx = smr.register().unwrap();
                 for i in 0..1_000i64 {
                     let k = t as i64 * 1_000 + i;
-                    let _ = list.insert(&mut ctx, k);
-                    let _ = list.delete(&mut ctx, k);
+                    let _ = list.insert_if_absent(&mut ctx, k, 0);
+                    let _ = list.remove(&mut ctx, k);
                 }
                 for _ in 0..8 {
                     smr.flush(&mut ctx);
