@@ -1,52 +1,52 @@
-//! The `.eraflt` binary flight-dump format: a compact, versioned,
-//! self-describing serialization of drained trace rings plus the
-//! aggregate metrics and scheme counters that accompany them.
+//! How an [`Event`] becomes bytes, in memory and on disk: the packed
+//! segment codec, and the `.eraflt` flight-dump format built on it.
 //!
-//! A dump is what the [`crate::flight::FlightRecorder`] writes on
-//! panic or on an explicit snapshot, and what the `era-view` CLI reads
-//! back. The format is designed for post-mortems, not IPC:
+//! A **segment** is a buffer of packed events. An event is a tag byte
+//! plus only the fields that changed since the last event with its
+//! hook — one or two bytes for most, where an [`Event`] is 32 — and
+//! every segment decodes from zeroed delta bases, so each decodes on
+//! its own. The [`crate::flight::FlightRecorder`] retains its events as
+//! a queue of segments; a dump stores a source's events as segments
+//! packed by the same code.
 //!
-//! - **Versioned header** — 8-byte magic (`ERAFLT` + big-endian
-//!   version) and a flags byte, so a reader can refuse a future format
-//!   instead of misparsing it. The golden-fixture test pins the byte
-//!   layout.
-//! - **Self-describing name tables** — hook and scheme names are
-//!   string-interned once per dump and events refer to them by index,
-//!   so a reader built against a *newer* hook vocabulary still renders
-//!   an old dump's names correctly (and vice versa).
-//! - **Per-thread sections with delta timestamps** — events are grouped
-//!   by producing thread and their logical timestamps stored as varint
-//!   deltas; within one thread the clock is monotone, so deltas are
-//!   small and most timestamps cost one byte instead of eight (zero
-//!   for a run of per-operation events, which read the clock without
-//!   advancing it). The decoder re-merges the sections by
-//!   [`Event::merge_key`], the same key the recorder's drain sorts by,
+//! A **dump** is what the flight recorder writes on panic or on an
+//! explicit snapshot, and what the `era-view` CLI reads back. The
+//! format is designed for post-mortems, not IPC:
+//!
+//! - **Versioned header** — the 6-byte magic `ERAFLT` and a big-endian
+//!   `u16` version, so a reader refuses another format instead of
+//!   misparsing it. The golden-fixture test pins the byte layout.
+//! - **Per source** — the label (a length-prefixed UTF-8 string), the
+//!   drop and trim counts, the event segments, then a metrics block and
+//!   a stats block, each behind a presence byte. A segment is
+//!   `varint(events) varint(byte_len)` and its packed bytes. Hook bytes
+//!   are stored raw, so a hook a reader does not know survives (and
+//!   `era-view` renders it escaped); `hook_counts` is length-prefixed,
+//!   so appending a hook keeps older dumps decodable.
+//! - **Merged on decode** — the decoder sorts each source's events by
+//!   [`Event::merge_key`], the key the recorder's drain sorts by. The
+//!   sort is stable and events with equal keys come from one thread,
 //!   so a drained log comes back in exactly the order it went in.
-//! - **Honest truncation** — every source section carries the
-//!   cumulative ring-overwrite drop count, and the header carries the
-//!   total, so a truncated trace can never silently read as complete.
-//! - **Optional RLE compression** — the varint payload is byte-wise
-//!   run-length encoded when that actually shrinks it (flag bit 0);
-//!   zero-heavy sections (blame arrays, histogram gaps) collapse well.
+//! - **Honest truncation** — every source carries its cumulative
+//!   ring-overwrite drop count and its cap-trim count, so a truncated
+//!   trace can never silently read as complete.
 //!
-//! Everything here is pure safe Rust with no dependencies; encoding
-//! and decoding round-trip losslessly (property-tested in
-//! `tests/dump_roundtrip.rs`).
+//! The file is outside input: the decoder bounds every count by the
+//! bytes left before it allocates, and a corrupt field is a
+//! [`DumpError`] naming it, never a panic. Encoding and decoding
+//! round-trip losslessly (property-tested in `tests/dump_roundtrip.rs`).
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::{Event, Hook, SchemeId};
 use crate::metrics::{HistogramSnapshot, Metrics, HISTOGRAM_BUCKETS};
-use crate::recorder::TraceLog;
 
 /// The 6-byte magic prefix of every `.eraflt` file.
 pub const DUMP_MAGIC: &[u8; 6] = b"ERAFLT";
 
 /// Current format version (big-endian `u16` following the magic).
-pub const DUMP_VERSION: u16 = 1;
-
-/// Header flag bit: the payload after the header is RLE-compressed.
-pub const FLAG_RLE: u8 = 0b0000_0001;
+pub const DUMP_VERSION: u16 = 2;
 
 /// Decoding failure: why a byte stream is not a readable dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,19 +55,18 @@ pub enum DumpError {
     BadMagic,
     /// The version field names a format this reader does not know.
     UnsupportedVersion(u16),
-    /// The header flags contain bits this reader does not know.
-    UnsupportedFlags(u8),
     /// The payload ended before a field it promised.
     Truncated(&'static str),
     /// A varint ran past 10 bytes (not produced by any writer).
     Overlong,
-    /// An interned-string index points outside the string table.
-    BadStringIndex(u64),
-    /// A string table entry is not valid UTF-8.
+    /// A source label is not valid UTF-8.
     BadUtf8,
-    /// A structural count is implausibly large for the input size
-    /// (corrupt length field; refused before allocating).
+    /// A structural count is implausibly large for the input size, or
+    /// disagrees with the bytes it covers (corrupt length field;
+    /// refused before allocating).
     BadCount(&'static str),
+    /// A field holds a value outside the range of what it names.
+    OutOfRange(&'static str),
 }
 
 impl fmt::Display for DumpError {
@@ -80,12 +79,11 @@ impl fmt::Display for DumpError {
                     "unsupported dump version {v} (reader knows {DUMP_VERSION})"
                 )
             }
-            DumpError::UnsupportedFlags(b) => write!(f, "unsupported header flags {b:#010b}"),
             DumpError::Truncated(what) => write!(f, "dump truncated while reading {what}"),
             DumpError::Overlong => write!(f, "overlong varint"),
-            DumpError::BadStringIndex(i) => write!(f, "string index {i} outside table"),
-            DumpError::BadUtf8 => write!(f, "string table entry is not valid UTF-8"),
+            DumpError::BadUtf8 => write!(f, "source label is not valid UTF-8"),
             DumpError::BadCount(what) => write!(f, "implausible count for {what}"),
+            DumpError::OutOfRange(what) => write!(f, "{what} out of range"),
         }
     }
 }
@@ -180,42 +178,22 @@ impl SourceDump {
             stats: None,
         }
     }
-
-    /// The events as a [`TraceLog`] (cloned), for code written against
-    /// the drain API.
-    pub fn to_trace_log(&self) -> TraceLog {
-        TraceLog {
-            events: self.events.clone(),
-            dropped: self.dropped,
-        }
-    }
 }
 
 /// A decoded (or about-to-be-encoded) flight dump.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightDump {
-    /// Format version the bytes carried (always [`DUMP_VERSION`] for
-    /// dumps this library wrote).
-    pub version: u16,
     /// Wall-clock milliseconds since the Unix epoch at snapshot time
     /// (0 when the writer had no clock).
     pub wall_unix_ms: u64,
-    /// Snapshot window in milliseconds (0 = unwindowed). The flight
-    /// recorder always writes 0; v1 keeps the field.
-    pub window_ms: u64,
     /// The trace sources.
     pub sources: Vec<SourceDump>,
 }
 
 impl FlightDump {
-    /// An empty dump at the current version.
+    /// An empty dump.
     pub fn new() -> FlightDump {
-        FlightDump {
-            version: DUMP_VERSION,
-            wall_unix_ms: 0,
-            window_ms: 0,
-            sources: Vec::new(),
-        }
+        FlightDump::default()
     }
 
     /// Total events across all sources.
@@ -234,69 +212,27 @@ impl FlightDump {
         self.sources.iter().map(|s| s.trimmed).sum()
     }
 
-    /// Serializes the dump. With `compress`, the payload is RLE-coded
-    /// when that shrinks it (the flag byte records which happened).
-    pub fn encode(&self, compress: bool) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 16);
+    /// Serializes the dump at [`DUMP_VERSION`].
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         out.extend_from_slice(DUMP_MAGIC);
         out.extend_from_slice(&DUMP_VERSION.to_be_bytes());
-        if compress {
-            let packed = rle_compress(&payload);
-            if packed.len() < payload.len() {
-                out.push(FLAG_RLE);
-                out.extend_from_slice(&packed);
-                return out;
-            }
+        put_varint(&mut out, self.wall_unix_ms);
+        put_varint(&mut out, self.sources.len() as u64);
+        for source in &self.sources {
+            encode_source(&mut out, source);
         }
-        out.push(0);
-        out.extend_from_slice(&payload);
         out
-    }
-
-    fn encode_payload(&self) -> Vec<u8> {
-        // Intern every string the dump references: source labels plus
-        // the full hook and scheme name vocabularies (self-description
-        // costs a few hundred bytes once per dump).
-        let mut strings = StringTable::default();
-        let hook_names: Vec<u32> = Hook::ALL.iter().map(|h| strings.intern(h.name())).collect();
-        let scheme_names: Vec<u32> = (0..=SchemeId::LEAK.0)
-            .map(|raw| strings.intern(SchemeId(raw).name()))
-            .collect();
-        let labels: Vec<u32> = self
-            .sources
-            .iter()
-            .map(|s| strings.intern(&s.label))
-            .collect();
-
-        let mut buf = Vec::new();
-        strings.encode(&mut buf);
-        put_varint(&mut buf, hook_names.len() as u64);
-        for idx in &hook_names {
-            put_varint(&mut buf, *idx as u64);
-        }
-        put_varint(&mut buf, scheme_names.len() as u64);
-        for idx in &scheme_names {
-            put_varint(&mut buf, *idx as u64);
-        }
-        put_varint(&mut buf, self.wall_unix_ms);
-        put_varint(&mut buf, self.window_ms);
-        put_varint(&mut buf, self.total_dropped());
-        put_varint(&mut buf, self.sources.len() as u64);
-        for (source, label) in self.sources.iter().zip(&labels) {
-            encode_source(&mut buf, source, *label);
-        }
-        buf
     }
 
     /// Parses a dump from bytes.
     ///
     /// # Errors
     ///
-    /// Any [`DumpError`]: wrong magic, unknown version or flags, or a
-    /// payload that is truncated or internally inconsistent.
+    /// Any [`DumpError`]: wrong magic, another version, or a payload
+    /// that is truncated or internally inconsistent.
     pub fn decode(bytes: &[u8]) -> Result<FlightDump, DumpError> {
-        if bytes.len() < 9 {
+        if bytes.len() < 8 {
             return Err(DumpError::Truncated("header"));
         }
         if &bytes[..6] != DUMP_MAGIC {
@@ -306,86 +242,40 @@ impl FlightDump {
         if version != DUMP_VERSION {
             return Err(DumpError::UnsupportedVersion(version));
         }
-        let flags = bytes[8];
-        if flags & !FLAG_RLE != 0 {
-            return Err(DumpError::UnsupportedFlags(flags));
-        }
-        let payload;
-        let decoded;
-        if flags & FLAG_RLE != 0 {
-            decoded = rle_decompress(&bytes[9..])?;
-            payload = decoded.as_slice();
-        } else {
-            payload = &bytes[9..];
-        }
-        let mut r = Reader::new(payload);
-        let strings = StringTable::decode(&mut r)?;
-        let hook_names = read_index_table(&mut r, &strings, "hook table")?;
-        let scheme_names = read_index_table(&mut r, &strings, "scheme table")?;
+        let mut r = Reader::new(&bytes[8..]);
         let wall_unix_ms = r.varint("wall_unix_ms")?;
-        let window_ms = r.varint("window_ms")?;
-        let _total_dropped = r.varint("total_dropped")?;
-        let source_count = r.varint("source_count")?;
+        let source_count = r.varint("source count")?;
         if source_count > r.remaining() as u64 {
             return Err(DumpError::BadCount("sources"));
         }
         let mut sources = Vec::with_capacity(source_count as usize);
         for _ in 0..source_count {
-            sources.push(decode_source(&mut r, &strings)?);
+            sources.push(decode_source(&mut r)?);
         }
-        // The name tables exist for forward-compat rendering; v1
-        // readers share the writer's vocabulary, so they are checked
-        // for well-formedness above and otherwise unused here.
-        let _ = (hook_names, scheme_names);
         Ok(FlightDump {
-            version,
             wall_unix_ms,
-            window_ms,
             sources,
         })
     }
 }
 
-impl Default for FlightDump {
-    fn default() -> Self {
-        FlightDump::new()
-    }
-}
-
-fn encode_source(buf: &mut Vec<u8>, source: &SourceDump, label_idx: u32) {
-    put_varint(buf, label_idx as u64);
+fn encode_source(buf: &mut Vec<u8>, source: &SourceDump) {
+    put_varint(buf, source.label.len() as u64);
+    buf.extend_from_slice(source.label.as_bytes());
     put_varint(buf, source.dropped);
     put_varint(buf, source.trimmed);
 
-    // Group events into per-thread sections, preserving log order
-    // within each thread (the input is merge-key-ordered, so a stable
-    // partition keeps each section ordered too).
-    let mut threads: Vec<u16> = source.events.iter().map(|e| e.thread).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    put_varint(buf, threads.len() as u64);
-    for &thread in &threads {
-        let section: Vec<&Event> = source
-            .events
-            .iter()
-            .filter(|e| e.thread == thread)
-            .collect();
-        put_varint(buf, thread as u64);
-        put_varint(buf, section.len() as u64);
-        let mut prev_ts = 0u64;
-        for e in section {
-            // Delta off the previous event of the *same thread*: the
-            // clock is monotone per producer, so this never underflows
-            // for recorder-produced logs; a hand-built out-of-order
-            // log still round-trips via the zigzag-free fallback of
-            // storing the wrapped difference.
-            put_varint(buf, e.ts.wrapping_sub(prev_ts));
-            prev_ts = e.ts;
-            buf.push(e.hook);
-            buf.push(e.scheme);
-            put_varint(buf, e.a);
-            put_varint(buf, e.b);
-        }
+    let (mut segments, mut bases) = (VecDeque::new(), Bases::default());
+    for e in &source.events {
+        pack(&mut segments, &mut bases, e, || {
+            Vec::with_capacity(SEGMENT_BYTES)
+        });
+    }
+    put_varint(buf, segments.len() as u64);
+    for segment in &segments {
+        put_varint(buf, segment.events as u64);
+        put_varint(buf, segment.bytes.len() as u64);
+        buf.extend_from_slice(&segment.bytes);
     }
 
     match &source.metrics {
@@ -431,43 +321,37 @@ fn encode_source(buf: &mut Vec<u8>, source: &SourceDump, label_idx: u32) {
     }
 }
 
-fn decode_source(r: &mut Reader<'_>, strings: &StringTable) -> Result<SourceDump, DumpError> {
-    let label_idx = r.varint("source label")?;
-    let label = strings.get(label_idx)?.to_string();
+fn decode_source(r: &mut Reader<'_>) -> Result<SourceDump, DumpError> {
+    let len = r.varint("source label")?;
+    let label =
+        String::from_utf8(r.take(len, "source label")?.to_vec()).map_err(|_| DumpError::BadUtf8)?;
     let dropped = r.varint("source dropped")?;
     let trimmed = r.varint("source trimmed")?;
 
-    let thread_count = r.varint("thread section count")?;
-    if thread_count > r.remaining() as u64 {
-        return Err(DumpError::BadCount("thread sections"));
+    let segments = r.varint("segment count")?;
+    if segments > r.remaining() as u64 {
+        return Err(DumpError::BadCount("segments"));
     }
     let mut events: Vec<Event> = Vec::new();
-    for _ in 0..thread_count {
-        let thread = r.varint("thread id")? as u16;
-        let count = r.varint("thread event count")?;
-        if count > r.remaining() as u64 {
-            return Err(DumpError::BadCount("thread events"));
+    for _ in 0..segments {
+        let count = r.varint("segment events")?;
+        let len = r.varint("segment bytes")?;
+        let mut packed = Reader::new(r.take(len, "segment bytes")?);
+        // Every packed event takes at least its tag byte.
+        if count > len {
+            return Err(DumpError::BadCount("segment events"));
         }
-        let mut prev_ts = 0u64;
+        let mut bases = Bases::default();
         for _ in 0..count {
-            let ts = prev_ts.wrapping_add(r.varint("event ts delta")?);
-            prev_ts = ts;
-            let hook = r.byte("event hook")?;
-            let scheme = r.byte("event scheme")?;
-            let a = r.varint("event a")?;
-            let b = r.varint("event b")?;
-            let mut event = Event::new(thread, SchemeId(scheme), Hook::Sample, a, b);
-            // Preserve the raw hook byte even if this reader's
-            // vocabulary is older than the writer's: the name tables
-            // exist precisely so unknown hooks stay renderable.
-            event.hook = hook;
-            event.ts = ts;
-            events.push(event);
+            events.push(unpack(&mut packed, &mut bases)?);
+        }
+        if packed.remaining() != 0 {
+            return Err(DumpError::BadCount("segment bytes"));
         }
     }
     // Restore the merged per-source timeline: the mirror of the sort
-    // in `Recorder::drain`. Stable, over sections that each kept
-    // their log order, so position within a thread breaks the last tie.
+    // in `Recorder::drain`. Stable, and events with equal keys come
+    // from one thread, so they keep their log order.
     events.sort_by_key(Event::merge_key);
 
     let metrics = match r.byte("metrics flag")? {
@@ -495,9 +379,10 @@ fn decode_source(r: &mut Reader<'_>, strings: &StringTable) -> Result<SourceDump
             for _ in 0..pairs {
                 let k = r.varint("latency bucket index")?;
                 let c = r.varint("latency bucket count")?;
-                if let Some(slot) = counts.get_mut(k as usize) {
-                    *slot = c;
-                }
+                *usize::try_from(k)
+                    .ok()
+                    .and_then(|k| counts.get_mut(k))
+                    .ok_or(DumpError::OutOfRange("latency bucket index"))? = c;
             }
             Some(MetricsDump {
                 hook_counts,
@@ -529,68 +414,176 @@ fn decode_source(r: &mut Reader<'_>, strings: &StringTable) -> Result<SourceDump
     })
 }
 
-fn read_index_table(
-    r: &mut Reader<'_>,
-    strings: &StringTable,
-    what: &'static str,
-) -> Result<Vec<String>, DumpError> {
-    let n = r.varint(what)?;
-    if n > r.remaining() as u64 + 1 {
-        return Err(DumpError::BadCount(what));
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let idx = r.varint(what)?;
-        out.push(strings.get(idx)?.to_string());
-    }
-    Ok(out)
+// ----- packed segments --------------------------------------------------
+
+/// Bytes in one segment of packed events.
+pub(crate) const SEGMENT_BYTES: usize = 64 * 1024;
+
+/// The most bytes one packed event takes: the tag, an escaped hook
+/// byte, a 10-byte ts delta, a 3-byte thread, the scheme byte and two
+/// 10-byte word deltas.
+pub(crate) const MAX_PACKED_EVENT: usize = 1 + 1 + 10 + 3 + 1 + 10 + 10;
+
+/// A tag's low nibble is the hook, or this: the raw hook byte follows
+/// (hooks from 15 on, and any hook a newer writer added).
+const ESCAPE: u8 = 15;
+/// A tag's presence bits: which fields follow it, in this order.
+const HAS_TS: u8 = 1 << 4;
+const HAS_WHO: u8 = 1 << 5;
+const HAS_A: u8 = 1 << 6;
+const HAS_B: u8 = 1 << 7;
+
+/// The last event with a given hook: what the next one is packed
+/// against.
+#[derive(Debug, Clone, Copy, Default)]
+struct Base {
+    thread: u16,
+    scheme: u8,
+    a: u64,
+    b: u64,
 }
 
-// ----- string interning -------------------------------------------------
-
+/// The delta bases within one segment: the last event's `ts`, and a
+/// [`Base`] per hook slot (`hook & 31`: a raw hook past 31 shares a
+/// slot, which costs bytes, never an event). Every segment starts from
+/// the zeroed default, so each decodes without its predecessor.
 #[derive(Debug, Default)]
-struct StringTable {
-    entries: Vec<String>,
+pub(crate) struct Bases {
+    ts: u64,
+    hooks: [Base; 32],
 }
 
-impl StringTable {
-    /// Interns `s`, returning its table index (deduplicated).
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(i) = self.entries.iter().position(|e| e == s) {
-            return i as u32;
-        }
-        self.entries.push(s.to_string());
-        (self.entries.len() - 1) as u32
+/// Packs `value` as its zigzagged delta off `base` unless that is 0,
+/// makes `value` the new base, and says whether it packed anything.
+/// Zigzag, because `ts` may step back a few ticks between polls (an
+/// event stamped before one poll but pushed after it is drained by the
+/// next), and such a step should cost a byte, not ten.
+fn put_delta(bytes: &mut Vec<u8>, value: u64, base: &mut u64) -> bool {
+    let delta = value.wrapping_sub(*base) as i64;
+    *base = value;
+    if delta != 0 {
+        put_varint(bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+    }
+    delta != 0
+}
+
+/// Reads back onto `base` a delta [`put_delta`] packed.
+fn take_delta(r: &mut Reader<'_>, what: &'static str, base: &mut u64) -> Result<(), DumpError> {
+    let zigzag = r.varint(what)?;
+    *base = base.wrapping_add(((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)) as u64);
+    Ok(())
+}
+
+/// One fixed-size buffer of packed events. An event is a tag byte — the
+/// hook in its low nibble (or [`ESCAPE`] and the raw hook byte after
+/// it) and four presence bits — then only the fields that changed: the
+/// `ts` delta off the previous event's when it is not 0; thread and
+/// scheme when they differ from the last event with the same hook's;
+/// `a` and `b` as deltas off that event's ([`put_delta`]). Integers are
+/// [`put_varint`] LEB128. An EBR shard's `BeginOp`/`EndOp` is the tag
+/// alone once its epoch has been seen.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// Never past [`SEGMENT_BYTES`], so it never reallocates.
+    pub(crate) bytes: Vec<u8>,
+    /// Events packed into `bytes`.
+    pub(crate) events: usize,
+}
+
+impl Segment {
+    fn has_room(&self) -> bool {
+        self.bytes.len() + MAX_PACKED_EVENT <= SEGMENT_BYTES
     }
 
-    fn get(&self, idx: u64) -> Result<&str, DumpError> {
-        self.entries
-            .get(idx as usize)
-            .map(|s| s.as_str())
-            .ok_or(DumpError::BadStringIndex(idx))
+    /// Appends every event but the first `skip` to `out`.
+    pub(crate) fn unpack_into(&self, skip: usize, out: &mut Vec<Event>) {
+        let mut r = Reader::new(&self.bytes);
+        let mut bases = Bases::default();
+        for k in 0..self.events {
+            let event = unpack(&mut r, &mut bases).expect("a segment holds whole packed events");
+            if k >= skip {
+                out.push(event);
+            }
+        }
     }
+}
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.entries.len() as u64);
-        for s in &self.entries {
-            put_varint(buf, s.len() as u64);
-            buf.extend_from_slice(s.as_bytes());
-        }
+/// Packs `e` into the newest of `segments` against `bases`, which that
+/// segment's events so far left behind, and moves them past it. When
+/// that segment is full, or there is none, it first opens one on
+/// `fresh`'s buffer and zeroes `bases`.
+pub(crate) fn pack(
+    segments: &mut VecDeque<Segment>,
+    bases: &mut Bases,
+    e: &Event,
+    fresh: impl FnOnce() -> Vec<u8>,
+) {
+    if !segments.back().is_some_and(Segment::has_room) {
+        segments.push_back(Segment {
+            bytes: fresh(),
+            events: 0,
+        });
+        *bases = Bases::default();
     }
+    let segment = segments.back_mut().expect("just ensured");
+    let bytes = &mut segment.bytes;
+    let at = bytes.len();
+    let mut tag = e.hook.min(ESCAPE);
+    bytes.push(tag);
+    if tag == ESCAPE {
+        bytes.push(e.hook);
+    }
+    if put_delta(bytes, e.ts, &mut bases.ts) {
+        tag |= HAS_TS;
+    }
+    let base = &mut bases.hooks[(e.hook & 31) as usize];
+    if (e.thread, e.scheme) != (base.thread, base.scheme) {
+        tag |= HAS_WHO;
+        put_varint(bytes, e.thread as u64);
+        bytes.push(e.scheme);
+        (base.thread, base.scheme) = (e.thread, e.scheme);
+    }
+    if put_delta(bytes, e.a, &mut base.a) {
+        tag |= HAS_A;
+    }
+    if put_delta(bytes, e.b, &mut base.b) {
+        tag |= HAS_B;
+    }
+    bytes[at] = tag;
+    segment.events += 1;
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<StringTable, DumpError> {
-        let n = r.varint("string table len")?;
-        if n > r.remaining() as u64 {
-            return Err(DumpError::BadCount("string table"));
-        }
-        let mut entries = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let len = r.varint("string len")?;
-            let bytes = r.take(len as usize, "string bytes")?;
-            entries.push(String::from_utf8(bytes.to_vec()).map_err(|_| DumpError::BadUtf8)?);
-        }
-        Ok(StringTable { entries })
+fn unpack(r: &mut Reader<'_>, bases: &mut Bases) -> Result<Event, DumpError> {
+    let tag = r.byte("tag")?;
+    let hook = match tag & 0x0f {
+        ESCAPE => r.byte("hook")?,
+        hook => hook,
+    };
+    if tag & HAS_TS != 0 {
+        take_delta(r, "ts delta", &mut bases.ts)?;
     }
+    let base = &mut bases.hooks[(hook & 31) as usize];
+    if tag & HAS_WHO != 0 {
+        base.thread =
+            u16::try_from(r.varint("thread")?).map_err(|_| DumpError::OutOfRange("thread"))?;
+        base.scheme = r.byte("scheme")?;
+    }
+    if tag & HAS_A != 0 {
+        take_delta(r, "a", &mut base.a)?;
+    }
+    if tag & HAS_B != 0 {
+        take_delta(r, "b", &mut base.b)?;
+    }
+    let mut event = Event::new(
+        base.thread,
+        SchemeId(base.scheme),
+        Hook::Sample,
+        base.a,
+        base.b,
+    );
+    event.hook = hook;
+    event.ts = bases.ts;
+    Ok(event)
 }
 
 // ----- primitives -------------------------------------------------------
@@ -609,15 +602,14 @@ pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 }
 
 /// A cursor over a decode buffer with named-field error reporting.
-/// Also reads the flight recorder's packed segments back.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
@@ -625,22 +617,22 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn byte(&mut self, what: &'static str) -> Result<u8, DumpError> {
+    fn byte(&mut self, what: &'static str) -> Result<u8, DumpError> {
         let b = *self.bytes.get(self.pos).ok_or(DumpError::Truncated(what))?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DumpError> {
-        if self.remaining() < n {
+    fn take(&mut self, n: u64, what: &'static str) -> Result<&'a [u8], DumpError> {
+        if (self.remaining() as u64) < n {
             return Err(DumpError::Truncated(what));
         }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let out = &self.bytes[self.pos..self.pos + n as usize];
+        self.pos += n as usize;
         Ok(out)
     }
 
-    pub(crate) fn varint(&mut self, what: &'static str) -> Result<u64, DumpError> {
+    fn varint(&mut self, what: &'static str) -> Result<u64, DumpError> {
         let mut value = 0u64;
         for shift in 0..10 {
             let byte = self.byte(what)?;
@@ -651,78 +643,6 @@ impl<'a> Reader<'a> {
         }
         Err(DumpError::Overlong)
     }
-}
-
-// ----- RLE --------------------------------------------------------------
-//
-// Byte-wise run-length coding with a literal escape: control byte
-// `c < 0x80` copies the next `c + 1` bytes verbatim; `c >= 0x80`
-// repeats the next byte `c - 0x80 + 3` times (runs shorter than 3 are
-// cheaper as literals). Worst case inflation is 1/128.
-
-/// RLE-encodes `input` (see the module source for the scheme).
-pub fn rle_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 8);
-    let mut i = 0;
-    let mut literal_start = 0;
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
-        let mut start = from;
-        while start < to {
-            let chunk = (to - start).min(128);
-            out.push((chunk - 1) as u8);
-            out.extend_from_slice(&input[start..start + chunk]);
-            start += chunk;
-        }
-    };
-    while i < input.len() {
-        let byte = input[i];
-        let mut run = 1;
-        while i + run < input.len() && input[i + run] == byte && run < 130 {
-            run += 1;
-        }
-        if run >= 3 {
-            flush_literals(&mut out, literal_start, i, input);
-            out.push(0x80 + (run - 3) as u8);
-            out.push(byte);
-            i += run;
-            literal_start = i;
-        } else {
-            i += run;
-        }
-    }
-    flush_literals(&mut out, literal_start, input.len(), input);
-    out
-}
-
-/// Inverts [`rle_compress`].
-///
-/// # Errors
-///
-/// [`DumpError::Truncated`] when a control byte promises more input
-/// than remains.
-pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, DumpError> {
-    let mut out = Vec::with_capacity(input.len() * 2);
-    let mut i = 0;
-    while i < input.len() {
-        let control = input[i];
-        i += 1;
-        if control < 0x80 {
-            let n = control as usize + 1;
-            if i + n > input.len() {
-                return Err(DumpError::Truncated("rle literal run"));
-            }
-            out.extend_from_slice(&input[i..i + n]);
-            i += n;
-        } else {
-            let n = (control - 0x80) as usize + 3;
-            let byte = *input
-                .get(i)
-                .ok_or(DumpError::Truncated("rle repeat byte"))?;
-            i += 1;
-            out.resize(out.len() + n, byte);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -759,11 +679,19 @@ mod tests {
         metrics.reclaim_latency.record(5);
         src.metrics = Some(MetricsDump::capture(&metrics));
         FlightDump {
-            version: DUMP_VERSION,
             wall_unix_ms: 1_700_000_000_123,
-            window_ms: 30_000,
             sources: vec![src],
         }
+    }
+
+    /// A dump of one source whose bytes after `dropped` and `trimmed`
+    /// are `rest`.
+    fn one_source(rest: &[u8]) -> Vec<u8> {
+        let mut bytes = DUMP_MAGIC.to_vec();
+        bytes.extend_from_slice(&DUMP_VERSION.to_be_bytes());
+        bytes.extend_from_slice(&[0, 1, 1, b'x', 0, 0]);
+        bytes.extend_from_slice(rest);
+        bytes
     }
 
     #[test]
@@ -778,57 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn rle_roundtrips_and_compresses_runs() {
-        let zeros = vec![0u8; 1000];
-        let packed = rle_compress(&zeros);
-        assert!(
-            packed.len() < 20,
-            "1000 zeros must collapse, got {}",
-            packed.len()
-        );
-        assert_eq!(rle_decompress(&packed).unwrap(), zeros);
-
-        let mixed: Vec<u8> = (0..=255u8).chain(std::iter::repeat_n(9, 40)).collect();
-        assert_eq!(rle_decompress(&rle_compress(&mixed)).unwrap(), mixed);
-
-        let empty: &[u8] = &[];
-        assert_eq!(rle_decompress(&rle_compress(empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_uncompressed_and_compressed() {
+    fn encode_decode_roundtrip() {
         let dump = sample_dump();
-        for compress in [false, true] {
-            let bytes = dump.encode(compress);
-            let back = FlightDump::decode(&bytes).unwrap();
-            assert_eq!(back, dump, "compress={compress}");
-        }
-    }
-
-    #[test]
-    fn compression_only_claimed_when_it_helps() {
-        // A dump with long zero runs (blame array) must actually pick
-        // the RLE branch.
-        let mut src = SourceDump::new("x");
-        let metrics = Metrics::new(64);
-        src.metrics = Some(MetricsDump::capture(&metrics));
-        let dump = FlightDump {
-            sources: vec![src],
-            ..FlightDump::new()
-        };
-        let packed = dump.encode(true);
-        let plain = dump.encode(false);
-        assert!(packed.len() <= plain.len());
-        assert_eq!(
-            FlightDump::decode(&packed).unwrap(),
-            FlightDump::decode(&plain).unwrap()
-        );
+        assert_eq!(FlightDump::decode(&dump.encode()).unwrap(), dump);
     }
 
     #[test]
     fn header_is_checked() {
-        let dump = sample_dump();
-        let good = dump.encode(false);
+        let good = sample_dump().encode();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
@@ -841,13 +726,6 @@ mod tests {
             Err(DumpError::UnsupportedVersion(99))
         );
 
-        let mut bad_flags = good.clone();
-        bad_flags[8] = 0x40;
-        assert_eq!(
-            FlightDump::decode(&bad_flags),
-            Err(DumpError::UnsupportedFlags(0x40))
-        );
-
         assert_eq!(
             FlightDump::decode(&good[..5]),
             Err(DumpError::Truncated("header"))
@@ -856,17 +734,67 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_an_error_not_a_panic() {
-        let bytes = sample_dump().encode(false);
-        for cut in 9..bytes.len() {
-            // Every prefix must fail cleanly (or, at exact field
-            // boundaries near the end, decode a shorter-but-valid
-            // dump is impossible here since counts are pinned).
+        let bytes = sample_dump().encode();
+        for cut in 0..bytes.len() {
+            // Every field up to the last stats varint is required, so
+            // every prefix must fail cleanly.
             let _ = FlightDump::decode(&bytes[..cut]).unwrap_err();
         }
     }
 
     #[test]
-    fn per_thread_delta_encoding_preserves_merged_order() {
+    fn out_of_range_fields_are_errors_naming_the_field() {
+        // One segment of one `Sample` that names thread 65 536.
+        let mut segment = vec![Hook::Sample as u8 | HAS_WHO];
+        put_varint(&mut segment, 1 << 16);
+        segment.push(SchemeId::EBR.0);
+        let mut rest = vec![1, 1, segment.len() as u8];
+        rest.extend_from_slice(&segment);
+        rest.extend_from_slice(&[0, 0]);
+        assert_eq!(
+            FlightDump::decode(&one_source(&rest)),
+            Err(DumpError::OutOfRange("thread"))
+        );
+        // The same bytes naming thread 65 535 decode.
+        rest[4..7].copy_from_slice(&[0xff, 0xff, 0x03]);
+        let dump = FlightDump::decode(&one_source(&rest)).unwrap();
+        assert_eq!(dump.sources[0].events[0].thread, u16::MAX);
+
+        // No segments; metrics whose one latency pair names the bucket
+        // one past the last.
+        let rest = [0, 1, 0, 0, 0, 1, HISTOGRAM_BUCKETS as u8, 1, 0];
+        assert_eq!(
+            FlightDump::decode(&one_source(&rest)),
+            Err(DumpError::OutOfRange("latency bucket index"))
+        );
+    }
+
+    #[test]
+    fn a_segment_must_end_exactly_at_its_byte_length() {
+        // Two events (tag bytes alone) in one byte.
+        let rest = [1, 2, 1, Hook::Sample as u8, 0, 0];
+        assert_eq!(
+            FlightDump::decode(&one_source(&rest)),
+            Err(DumpError::BadCount("segment events"))
+        );
+        // One event in two bytes.
+        let rest = [1, 1, 2, Hook::Sample as u8, Hook::Sample as u8, 0, 0];
+        assert_eq!(
+            FlightDump::decode(&one_source(&rest)),
+            Err(DumpError::BadCount("segment bytes"))
+        );
+        // Two events in two bytes.
+        let rest = [1, 2, 2, Hook::Sample as u8, Hook::Sample as u8, 0, 0];
+        assert_eq!(
+            FlightDump::decode(&one_source(&rest))
+                .unwrap()
+                .event_count(),
+            2
+        );
+    }
+
+    #[test]
+    fn interleaved_threads_keep_their_merged_order() {
         let mut src = SourceDump::new("m");
         // Interleaved threads with gaps; merged order must survive.
         src.events = vec![
@@ -880,7 +808,7 @@ mod tests {
             sources: vec![src.clone()],
             ..FlightDump::new()
         };
-        let back = FlightDump::decode(&dump.encode(true)).unwrap();
+        let back = FlightDump::decode(&dump.encode()).unwrap();
         assert_eq!(back.sources[0].events, src.events);
     }
 
@@ -904,10 +832,8 @@ mod tests {
             sources: vec![src.clone()],
             ..FlightDump::new()
         };
-        for compress in [false, true] {
-            let back = FlightDump::decode(&dump.encode(compress)).unwrap();
-            assert_eq!(back.sources[0].events, src.events);
-        }
+        let back = FlightDump::decode(&dump.encode()).unwrap();
+        assert_eq!(back.sources[0].events, src.events);
     }
 
     #[test]
@@ -922,7 +848,7 @@ mod tests {
             sources: vec![src],
             ..FlightDump::new()
         };
-        let back = FlightDump::decode(&dump.encode(false)).unwrap();
+        let back = FlightDump::decode(&dump.encode()).unwrap();
         assert_eq!(back.sources[0].events[0].hook, 200);
     }
 }

@@ -304,7 +304,7 @@ impl Event {
     /// the clock before that tick; a tie between two reading events of
     /// different threads means "concurrent" and is broken by thread
     /// slot only to make the order deterministic — and reproducible by
-    /// the dump decoder, which stores events per thread. Hook bytes
+    /// the dump decoder, which sorts by this key again. Hook bytes
     /// from a newer vocabulary count as clock-advancing.
     pub fn merge_key(&self) -> (u64, bool, u16) {
         let ticks = Hook::from_u8(self.hook).is_none_or(Hook::advances_clock);

@@ -5,12 +5,15 @@
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
 //! and keeps, per source, the most recent drained events up to a count
-//! cap. They are stored packed: a source's retained events are a queue
-//! of fixed-size segments, in which an event is a tag byte plus only
-//! the fields that changed since the last event with its hook — one or
-//! two bytes for most, where an [`Event`] is 32. Each segment decodes
-//! on its own. A poll appends to the newest segment and drops whole
-//! segments off the front — it never moves retained bytes.
+//! cap. They are stored packed, in the encoding a dump file stores them
+//! in: a source's retained events are a queue of [`crate::dump`]'s
+//! fixed-size segments, in which an event is a tag byte plus only the
+//! fields that changed since the last event with its hook — one or two
+//! bytes for most, where an [`Event`] is 32. Each segment decodes on its
+//! own. A poll appends to the newest segment and drops whole segments
+//! off the front — it never moves retained bytes. This module holds only
+//! the retention policy: the segment queue, the count of trimmed events
+//! still at its front, the cap and the spare buffer.
 //!
 //! Three ways events reach a dump:
 //!
@@ -33,8 +36,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::SystemTime;
 
-use crate::dump::{put_varint, DumpError, DumpStats, FlightDump, MetricsDump, Reader, SourceDump};
-use crate::event::{Event, Hook, SchemeId};
+use crate::dump::{
+    pack, Bases, DumpStats, FlightDump, MetricsDump, Segment, SourceDump, SEGMENT_BYTES,
+};
+use crate::event::Event;
 use crate::recorder::Recorder;
 
 /// Default cap on retained events per source. The oldest are trimmed —
@@ -42,159 +47,6 @@ use crate::recorder::Recorder;
 /// GETs takes about 1.5 bytes (at most 36), so a full source of them
 /// holds about 0.4 MB.
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 18;
-
-/// Bytes in one segment of packed events.
-const SEGMENT_BYTES: usize = 64 * 1024;
-
-/// The most bytes one packed event takes: the tag, an escaped hook
-/// byte, a 10-byte ts delta, a 3-byte thread, the scheme byte and two
-/// 10-byte word deltas.
-const MAX_PACKED_EVENT: usize = 1 + 1 + 10 + 3 + 1 + 10 + 10;
-
-/// A tag's low nibble is the hook, or this: the raw hook byte follows
-/// (hooks from 15 on, and any hook a newer writer added).
-const ESCAPE: u8 = 15;
-/// A tag's presence bits: which fields follow it, in this order.
-const HAS_TS: u8 = 1 << 4;
-const HAS_WHO: u8 = 1 << 5;
-const HAS_A: u8 = 1 << 6;
-const HAS_B: u8 = 1 << 7;
-
-/// The last event with a given hook: what the next one is packed
-/// against.
-#[derive(Debug, Clone, Copy, Default)]
-struct Base {
-    thread: u16,
-    scheme: u8,
-    a: u64,
-    b: u64,
-}
-
-/// The delta bases within one segment: the last event's `ts`, and a
-/// [`Base`] per hook slot (`hook & 31`: a raw hook past 31 shares a
-/// slot, which costs bytes, never an event). Every segment starts from
-/// the zeroed default, so each decodes without its predecessor.
-#[derive(Debug, Default)]
-struct Bases {
-    ts: u64,
-    hooks: [Base; 32],
-}
-
-/// Packs `value` as its zigzagged delta off `base` unless that is 0,
-/// makes `value` the new base, and says whether it packed anything.
-/// Zigzag, because `ts` may step back a few ticks between polls (an
-/// event stamped before one poll but pushed after it is drained by the
-/// next), and such a step should cost a byte, not ten.
-fn put_delta(bytes: &mut Vec<u8>, value: u64, base: &mut u64) -> bool {
-    let delta = value.wrapping_sub(*base) as i64;
-    *base = value;
-    if delta != 0 {
-        put_varint(bytes, ((delta << 1) ^ (delta >> 63)) as u64);
-    }
-    delta != 0
-}
-
-/// Reads back onto `base` a delta [`put_delta`] packed.
-fn take_delta(r: &mut Reader<'_>, what: &'static str, base: &mut u64) -> Result<(), DumpError> {
-    let zigzag = r.varint(what)?;
-    *base = base.wrapping_add(((zigzag >> 1) as i64 ^ -((zigzag & 1) as i64)) as u64);
-    Ok(())
-}
-
-/// One fixed-size buffer of packed events. An event is a tag byte — the
-/// hook in its low nibble (or [`ESCAPE`] and the raw hook byte after
-/// it) and four presence bits — then only the fields that changed: the
-/// `ts` delta off the previous event's when it is not 0; thread and
-/// scheme when they differ from the last event with the same hook's;
-/// `a` and `b` as deltas off that event's ([`put_delta`]). Integers are
-/// [`put_varint`] LEB128. An EBR shard's `BeginOp`/`EndOp` is the tag
-/// alone once its epoch has been seen.
-#[derive(Debug)]
-struct Segment {
-    /// Never past [`SEGMENT_BYTES`], so it never reallocates.
-    bytes: Vec<u8>,
-    /// Events packed into `bytes`.
-    events: usize,
-}
-
-impl Segment {
-    fn has_room(&self) -> bool {
-        self.bytes.len() + MAX_PACKED_EVENT <= SEGMENT_BYTES
-    }
-
-    /// Packs `e` against `bases`, which this segment's events so far
-    /// left behind, and moves them past it.
-    fn pack(&mut self, e: &Event, bases: &mut Bases) {
-        let at = self.bytes.len();
-        let mut tag = e.hook.min(ESCAPE);
-        self.bytes.push(tag);
-        if tag == ESCAPE {
-            self.bytes.push(e.hook);
-        }
-        if put_delta(&mut self.bytes, e.ts, &mut bases.ts) {
-            tag |= HAS_TS;
-        }
-        let base = &mut bases.hooks[(e.hook & 31) as usize];
-        if (e.thread, e.scheme) != (base.thread, base.scheme) {
-            tag |= HAS_WHO;
-            put_varint(&mut self.bytes, e.thread as u64);
-            self.bytes.push(e.scheme);
-            (base.thread, base.scheme) = (e.thread, e.scheme);
-        }
-        if put_delta(&mut self.bytes, e.a, &mut base.a) {
-            tag |= HAS_A;
-        }
-        if put_delta(&mut self.bytes, e.b, &mut base.b) {
-            tag |= HAS_B;
-        }
-        self.bytes[at] = tag;
-        self.events += 1;
-    }
-
-    /// Appends every event but the first `skip` to `out`.
-    fn unpack_into(&self, skip: usize, out: &mut Vec<Event>) {
-        let mut r = Reader::new(&self.bytes);
-        let mut bases = Bases::default();
-        for k in 0..self.events {
-            let event = unpack(&mut r, &mut bases).expect("a segment holds whole packed events");
-            if k >= skip {
-                out.push(event);
-            }
-        }
-    }
-}
-
-fn unpack(r: &mut Reader<'_>, bases: &mut Bases) -> Result<Event, DumpError> {
-    let tag = r.byte("tag")?;
-    let hook = match tag & 0x0f {
-        ESCAPE => r.byte("hook")?,
-        hook => hook,
-    };
-    if tag & HAS_TS != 0 {
-        take_delta(r, "ts delta", &mut bases.ts)?;
-    }
-    let base = &mut bases.hooks[(hook & 31) as usize];
-    if tag & HAS_WHO != 0 {
-        base.thread = r.varint("thread")? as u16;
-        base.scheme = r.byte("scheme")?;
-    }
-    if tag & HAS_A != 0 {
-        take_delta(r, "a", &mut base.a)?;
-    }
-    if tag & HAS_B != 0 {
-        take_delta(r, "b", &mut base.b)?;
-    }
-    let mut event = Event::new(
-        base.thread,
-        SchemeId(base.scheme),
-        Hook::Sample,
-        base.a,
-        base.b,
-    );
-    event.hook = hook;
-    event.ts = bases.ts;
-    Ok(event)
-}
 
 /// A source's retained events: packed segments, oldest first, of which
 /// the first `skip` events are trimmed and the rest are retained.
@@ -231,18 +83,11 @@ impl Retained {
         }
         let kept = &events[excess - old..];
         for e in kept {
-            if !self.segments.back().is_some_and(Segment::has_room) {
-                let bytes = self
-                    .spare
+            pack(&mut self.segments, &mut self.bases, e, || {
+                self.spare
                     .take()
-                    .unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES));
-                self.segments.push_back(Segment { bytes, events: 0 });
-                self.bases = Bases::default();
-            }
-            self.segments
-                .back_mut()
-                .expect("just ensured")
-                .pack(e, &mut self.bases);
+                    .unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES))
+            });
         }
         self.len = self.len + events.len() - excess;
         excess as u64
@@ -370,26 +215,23 @@ impl FlightRecorder {
 
     /// Drains pending events and assembles the dump: per source, the
     /// retained events, a metrics capture, the latest stats, and the
-    /// drop/trim accounting. `window_ms` is always 0: the format keeps
-    /// the field, the recorder has no window.
+    /// drop/trim accounting.
     pub fn snapshot(&self) -> FlightDump {
         self.poll();
         let sources = self.lock();
         FlightDump {
-            version: crate::dump::DUMP_VERSION,
             wall_unix_ms: unix_ms(),
-            window_ms: 0,
             sources: sources.iter().map(|s| s.to_source_dump()).collect(),
         }
     }
 
-    /// Snapshots and writes a compressed `.eraflt` file at `path`.
+    /// Snapshots and writes an `.eraflt` file at `path`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from creating or writing the file.
     pub fn snapshot_to_file(&self, path: &Path) -> std::io::Result<()> {
-        let bytes = self.snapshot().encode(true);
+        let bytes = self.snapshot().encode();
         let mut file = std::fs::File::create(path)?;
         file.write_all(&bytes)?;
         file.flush()
@@ -449,6 +291,8 @@ fn unix_ms() -> u64 {
 #[cfg(all(test, feature = "rt"))]
 mod tests {
     use super::*;
+    use crate::dump::MAX_PACKED_EVENT;
+    use crate::event::{Hook, SchemeId};
     use proptest::prelude::*;
 
     #[test]
@@ -479,7 +323,7 @@ mod tests {
         let m = src.metrics.as_ref().unwrap();
         assert_eq!(m.hook_count(Hook::Retire), 1);
         // Round-trip through bytes for good measure.
-        let back = FlightDump::decode(&dump.encode(true)).unwrap();
+        let back = FlightDump::decode(&dump.encode()).unwrap();
         assert_eq!(back, dump);
     }
 

@@ -34,11 +34,12 @@
 //!   ([`Json`]) every crate that takes such a record back in goes
 //!   through. Both are available with `rt` off.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
-//!   that drains the rings into packed retained buffers (the newest
-//!   events per source, up to a count cap), snapshots them (plus
-//!   metrics and scheme counters) into a compact binary `.eraflt` dump
-//!   — on demand or from a chained panic hook — and reads such dumps
-//!   back for the `era-view` timeline CLI.
+//!   that drains the rings into packed segments (the newest events per
+//!   source, up to a count cap), snapshots them (plus metrics and scheme
+//!   counters) into a compact binary `.eraflt` dump — on demand or from
+//!   a chained panic hook — and reads such dumps back for the `era-view`
+//!   timeline CLI. One codec, `dump`'s packed segment, is the encoding
+//!   both in memory and on disk.
 //!
 //! ## Usage sketch
 //!

@@ -251,6 +251,6 @@ fn equal_ring_contents_merge_to_the_same_log_and_survive_a_dump() {
         sources: vec![source],
         ..FlightDump::new()
     };
-    let decoded = FlightDump::decode(&dump.encode(true)).expect("own encoding decodes");
+    let decoded = FlightDump::decode(&dump.encode()).expect("own encoding decodes");
     assert_eq!(decoded.sources[0].events, log);
 }

@@ -1,16 +1,20 @@
 //! Property and golden-fixture tests for the `.eraflt` dump format.
 //!
-//! Two guarantees are pinned here, beyond the unit tests in
+//! Three guarantees are pinned here, beyond the unit tests in
 //! `dump.rs`: **losslessness** (any dump a writer can legally build
-//! survives encode→decode bit-for-bit, with and without compression)
-//! and **byte stability** (version 1 of the format is frozen by a
+//! survives encode→decode bit-for-bit, across segment boundaries),
+//! **byte stability** (version 2 of the format is frozen by a
 //! checked-in golden fixture — an encoder change that alters the bytes
-//! fails the test and must bump [`DUMP_VERSION`]).
+//! fails the test and must bump [`DUMP_VERSION`]) and **refusal** of
+//! version 1, whose fixture must never be misparsed.
 
 #![cfg(feature = "rt")]
 
-use era_obs::dump::{DumpStats, FlightDump, MetricsDump, SourceDump};
-use era_obs::{Event, HistogramSnapshot, Hook, SchemeId, HISTOGRAM_BUCKETS};
+use era_obs::dump::{DumpError, DumpStats, FlightDump, MetricsDump, SourceDump};
+use era_obs::{
+    Event, FlightRecorder, HistogramSnapshot, Hook, Recorder, SchemeId, DUMP_VERSION,
+    HISTOGRAM_BUCKETS,
+};
 
 use proptest::prelude::*;
 
@@ -33,6 +37,32 @@ fn events_from(raw: Vec<(u64, u64, u64, u16, u8, u8)>) -> Vec<Event> {
         .collect();
     events.sort_by_key(Event::merge_key);
     events
+}
+
+/// `n` raw tuples drawn from `seed` with words over the whole range:
+/// about 24 packed bytes an event, so 8 000 of them take three 64 KiB
+/// segments.
+fn bulk_raw(seed: u64, n: usize) -> Vec<(u64, u64, u64, u16, u8, u8)> {
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
+    };
+    (0..n)
+        .map(|_| {
+            let r = next();
+            (
+                r % 5000,
+                next(),
+                next(),
+                (r >> 16) as u16 % 12,
+                (r >> 32) as u8,
+                (r >> 40) as u8,
+            )
+        })
+        .collect()
 }
 
 fn metrics_from(seed: u64) -> MetricsDump {
@@ -61,13 +91,14 @@ proptest! {
             (0u64..5000, 0u64..u64::MAX, 0u64..u64::MAX, 0u16..12, 0u8..12, 0u8..32),
             0..300,
         ),
+        bulk in 0usize..3,
         dropped in 0u64..10_000,
         trimmed in 0u64..10_000,
         wall in 0u64..u64::MAX / 2,
-        window in 0u64..100_000,
         seed in 1u64..u64::MAX,
-        compress in 0u8..2,
     ) {
+        let mut raw = raw;
+        raw.extend(bulk_raw(seed, bulk * 4000));
         let mut source = SourceDump::new("prop-source");
         source.events = events_from(raw);
         source.dropped = dropped;
@@ -87,12 +118,13 @@ proptest! {
         let mut empty = SourceDump::new("");
         empty.stats = Some(DumpStats::default());
         let dump = FlightDump {
-            version: era_obs::DUMP_VERSION,
             wall_unix_ms: wall,
-            window_ms: window,
             sources: vec![source, empty],
         };
-        let bytes = dump.encode(compress == 1);
+        let bytes = dump.encode();
+        if bulk == 2 {
+            prop_assert!(bytes.len() > 2 * 64 * 1024, "{} bytes: one segment", bytes.len());
+        }
         let back = FlightDump::decode(&bytes).expect("own encoding must decode");
         prop_assert_eq!(back, dump);
     }
@@ -103,18 +135,21 @@ proptest! {
             (0u64..500, 0u64..1000, 0u64..1000, 0u16..4, 0u8..9, 0u8..19),
             1..50,
         ),
-        flip_at in 0usize..4096,
+        bulk in 0usize..3,
+        seed in 1u64..u64::MAX,
+        flip_at in 0usize..usize::MAX,
         flip_to in 0u16..256,
     ) {
+        let mut raw = raw;
+        raw.extend(bulk_raw(seed, bulk * 4000));
         let mut source = SourceDump::new("fuzz");
         source.events = events_from(raw);
+        source.metrics = Some(metrics_from(seed));
         let dump = FlightDump {
-            version: era_obs::DUMP_VERSION,
             wall_unix_ms: 7,
-            window_ms: 0,
             sources: vec![source],
         };
-        let mut bytes = dump.encode(true);
+        let mut bytes = dump.encode();
         let idx = flip_at % bytes.len();
         bytes[idx] = flip_to as u8;
         // Either a clean decode (the flip hit a don't-care byte or
@@ -124,7 +159,39 @@ proptest! {
     }
 }
 
-/// The deterministic dump frozen as `tests/fixtures/golden_v1.eraflt`.
+/// A drain merges only what it takes, so a later poll can drain an
+/// event that sorts before the last one an earlier poll took: here two
+/// reading events of one clock value, the higher thread's polled first.
+/// The recorder retains them in poll order; a dump decodes them in
+/// [`Event::merge_key`] order, as one drain of both would have.
+#[test]
+#[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
+fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
+    let recorder = Recorder::new(8);
+    let flight = FlightRecorder::single("polls", &recorder);
+    let mut late_thread = recorder.tracer(5, SchemeId::EBR);
+    let mut early_thread = recorder.tracer(2, SchemeId::EBR);
+    late_thread.emit(Hook::Retire, 0xa0, 1);
+    late_thread.emit(Hook::BeginOp, 0, 0);
+    flight.poll();
+    early_thread.emit(Hook::BeginOp, 0, 0);
+    early_thread.emit(Hook::Load, 1, 0xa0);
+    let retained = flight.snapshot();
+    let events = &retained.sources[0].events;
+    assert!(
+        events[1].merge_key() > events[2].merge_key(),
+        "poll order is merge order: vacuous"
+    );
+
+    let mut merged = events.clone();
+    merged.sort_by_key(Event::merge_key);
+    let decoded = FlightDump::decode(&retained.encode()).expect("own encoding decodes");
+    assert_eq!(decoded.sources[0].events, merged);
+    let threads: Vec<u16> = merged.iter().map(|e| e.thread).collect();
+    assert_eq!(threads, [5, 2, 2, 5]);
+}
+
+/// The deterministic dump frozen as `tests/fixtures/golden_v2.eraflt`.
 fn golden_dump() -> FlightDump {
     let scheme = SchemeId::HE;
     let mk = |ts: u64, thread: u16, hook: Hook, a: u64, b: u64| {
@@ -144,7 +211,7 @@ fn golden_dump() -> FlightDump {
     ];
     source.dropped = 3;
     source.trimmed = 1;
-    // The fixture was frozen when the hook vocabulary had 19 entries.
+    // As if written when the hook vocabulary had 19 entries.
     // `hook_counts` is length-prefixed on the wire, so dumps written
     // before a hook was appended must keep decoding unchanged — that
     // compatibility is exactly what this pin asserts.
@@ -159,9 +226,7 @@ fn golden_dump() -> FlightDump {
         era: 5,
     });
     FlightDump {
-        version: era_obs::DUMP_VERSION,
         wall_unix_ms: 1_700_000_000_000,
-        window_ms: 30_000,
         sources: vec![source],
     }
 }
@@ -172,55 +237,50 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-/// Backward compatibility: `golden_v1.eraflt` was written when the hook
-/// vocabulary had 19 entries. The embedded name tables make the format
-/// self-describing, so appending hooks must never invalidate old dumps
-/// — this fixture is frozen forever and only ever *decoded*.
+/// Byte stability: an encoder change that alters these bytes is either
+/// an unintentional drift (fix it) or a format revision (bump
+/// [`DUMP_VERSION`], freeze a new fixture). The fixture's 19 hook
+/// counts decode under a longer vocabulary, the hooks appended since
+/// reading 0.
 #[test]
 #[cfg_attr(miri, ignore = "reads the fixture file from disk")]
-fn golden_fixture_decodes_across_vocabulary_growth() {
-    let bytes = std::fs::read(fixture_path("golden_v1.eraflt"))
-        .expect("golden fixture missing — run the ignored regenerate_golden_fixture test");
-    // Versioned header, byte for byte.
-    assert_eq!(&bytes[..6], b"ERAFLT");
-    assert_eq!(
-        u16::from_be_bytes([bytes[6], bytes[7]]),
-        era_obs::DUMP_VERSION
-    );
-    let decoded = FlightDump::decode(&bytes).expect("golden fixture must decode");
-    assert_eq!(decoded, golden_dump(), "decoder drifted from v1 fixture");
-}
-
-/// Byte stability under the *current* vocabulary: an encoder change
-/// that alters these bytes is either an unintentional drift (fix it)
-/// or a format revision (bump [`era_obs::DUMP_VERSION`], freeze a new
-/// fixture). Appending a hook grows the self-describing name table, so
-/// this fixture is regenerated on vocabulary growth — unlike
-/// `golden_v1.eraflt`, which pins decoding of the old bytes.
-#[test]
-#[cfg_attr(miri, ignore = "reads the fixture file from disk")]
-fn encoder_is_byte_stable_for_current_vocabulary() {
-    let bytes = std::fs::read(fixture_path("golden_v1_hooks20.eraflt"))
+fn golden_v2_is_byte_stable_and_decodes_across_vocabulary_growth() {
+    let bytes = std::fs::read(fixture_path("golden_v2.eraflt"))
         .expect("fixture missing — run the ignored regenerate_golden_fixture test");
+    assert_eq!(&bytes[..6], b"ERAFLT");
+    assert_eq!(u16::from_be_bytes([bytes[6], bytes[7]]), DUMP_VERSION);
     assert_eq!(
-        golden_dump().encode(true),
+        golden_dump().encode(),
         bytes,
-        "encoder no longer byte-stable — if the format (not just the \
-         hook vocabulary) changed, bump DUMP_VERSION and freeze a new \
-         fixture; if only a hook was appended, regenerate this one"
+        "encoder no longer byte-stable — if the format changed, bump \
+         DUMP_VERSION and freeze a new fixture"
     );
     let decoded = FlightDump::decode(&bytes).expect("fixture must decode");
     assert_eq!(decoded, golden_dump());
+    let metrics = decoded.sources[0].metrics.as_ref().expect("metrics");
+    assert!(metrics.hook_counts.len() < Hook::COUNT);
+    assert_eq!(metrics.hook_count(Hook::ALL[Hook::COUNT - 1]), 0);
 }
 
-/// Rewrites the byte-stability fixture. Run after appending a hook or
-/// for intentional format revisions:
-/// `cargo test -p era-obs --test dump_roundtrip -- --ignored`.
-/// `golden_v1.eraflt` itself is never rewritten.
+/// `golden_v1.eraflt` is a dump in the format before packed segments.
+/// It is refused by its version, never misparsed as version 2.
 #[test]
-#[ignore = "regenerates tests/fixtures/golden_v1_hooks20.eraflt"]
+#[cfg_attr(miri, ignore = "reads the fixture file from disk")]
+fn golden_v1_is_refused_by_its_version() {
+    let bytes = std::fs::read(fixture_path("golden_v1.eraflt")).expect("golden_v1 fixture");
+    assert_eq!(
+        FlightDump::decode(&bytes),
+        Err(DumpError::UnsupportedVersion(1))
+    );
+}
+
+/// Rewrites the byte-stability fixture, for intentional format
+/// revisions: `cargo test -p era-obs --test dump_roundtrip -- --ignored`.
+/// `golden_v1.eraflt` is never rewritten.
+#[test]
+#[ignore = "regenerates tests/fixtures/golden_v2.eraflt"]
 fn regenerate_golden_fixture() {
-    let path = fixture_path("golden_v1_hooks20.eraflt");
+    let path = fixture_path("golden_v2.eraflt");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, golden_dump().encode(true)).unwrap();
+    std::fs::write(&path, golden_dump().encode()).unwrap();
 }

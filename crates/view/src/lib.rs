@@ -22,7 +22,7 @@
 //! clock), so all reconstruction is done within a source; sources are
 //! presented side by side, never interleaved.
 
-use era_obs::dump::{FlightDump, SourceDump};
+use era_obs::dump::{FlightDump, SourceDump, DUMP_VERSION};
 use era_obs::{Event, Hook, Json, SchemeId};
 use era_smr::SchemeKind;
 
@@ -660,15 +660,9 @@ pub fn dominant_scheme(source: &SourceDump) -> Option<SchemeId> {
 pub fn summarize(dump: &FlightDump, bound: Option<u64>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "era-flight dump v{} — {} source(s), {} event(s), window {}\n",
-        dump.version,
+        "era-flight dump v{DUMP_VERSION} — {} source(s), {} event(s)\n",
         dump.sources.len(),
         dump.event_count(),
-        if dump.window_ms == 0 {
-            "unbounded".to_string()
-        } else {
-            format!("{} ms", dump.window_ms)
-        },
     ));
     if dump.wall_unix_ms > 0 {
         out.push_str(&format!(

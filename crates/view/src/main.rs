@@ -169,11 +169,10 @@ fn run(opts: &Options) -> Result<(), String> {
     match &opts.mode {
         Mode::Summary => {
             if opts.source.is_some() {
-                let mut scoped = FlightDump::new();
-                scoped.version = dump.version;
-                scoped.wall_unix_ms = dump.wall_unix_ms;
-                scoped.window_ms = dump.window_ms;
-                scoped.sources = sources.into_iter().cloned().collect();
+                let scoped = FlightDump {
+                    wall_unix_ms: dump.wall_unix_ms,
+                    sources: sources.into_iter().cloned().collect(),
+                };
                 print!("{}", era_view::summarize(&scoped, opts.bound));
             } else {
                 print!("{}", era_view::summarize(&dump, opts.bound));
@@ -217,14 +216,12 @@ fn run(opts: &Options) -> Result<(), String> {
                         found
                     }
                 };
-                for addr in addrs.iter().take(opts.limit.max(1)) {
+                let shown = opts.limit.max(1);
+                for addr in addrs.iter().take(shown) {
                     print!("{}", NodeChain::for_addr(source, *addr).render());
                 }
-                if addrs.len() > opts.limit.max(1) {
-                    println!(
-                        "… {} more chain(s) (raise --limit)",
-                        addrs.len() - opts.limit
-                    );
+                if addrs.len() > shown {
+                    println!("… {} more chain(s) (raise --limit)", addrs.len() - shown);
                 }
             }
         }

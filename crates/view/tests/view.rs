@@ -40,7 +40,6 @@ fn chaos_dump() -> FlightDump {
         era: 4,
     });
     let mut dump = FlightDump::new();
-    dump.window_ms = 5000;
     dump.sources.push(src);
     dump
 }
@@ -48,7 +47,7 @@ fn chaos_dump() -> FlightDump {
 #[test]
 fn encoded_dump_replays_into_an_orphan_chain() {
     let dump = chaos_dump();
-    let bytes = dump.encode(true);
+    let bytes = dump.encode();
     let decoded = FlightDump::decode(&bytes).expect("own bytes decode");
     let src = &decoded.sources[0];
     assert_eq!(src.label, "he-chaos");
