@@ -22,15 +22,16 @@
 //! ## Usage
 //!
 //! ```text
-//! cargo run -p era-lint -- check .                 # whole workspace, all rules denied
-//! cargo run -p era-lint -- check . --allow R3      # R3 reported but not fatal
-//! cargo run -p era-lint -- check . --report lint.jsonl
+//! cargo run -p era-lint -- check .                 # whole workspace
 //! cargo run -p era-lint -- fixtures crates/lint/fixtures
 //! cargo run -p era-lint -- rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` denied findings (or fixture
-//! expectations unmet), `2` usage/IO error.
+//! `check [PATH]` prints the findings table. Exit codes: `0` clean,
+//! `1` findings (or fixture expectations unmet), `2` usage/IO error.
+//! Every finding counts; the one way to accept a site is a
+//! `// LINT: <kind> — <reason>` waiver in the code
+//! ([`model::is_waiver`]), which R3, R6 and R7 honour.
 //!
 //! The golden-fixture tree (`crates/lint/fixtures/`) holds known-bad
 //! snippets, each asserted — by `era-lint fixtures` in CI and by the
@@ -38,21 +39,19 @@
 //! workspace self-check test asserts `check .` stays at zero findings
 //! on `main`.
 
-pub mod baseline;
 pub mod flow;
 pub mod lexer;
 pub mod model;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use model::SourceFile;
-pub use report::{render_table, LintRecord};
+pub use report::render_table;
 pub use rules::{check_file, check_unit, Finding, Rule, Scope};
 
 /// Directory names never descended into: build output, VCS state,
@@ -60,40 +59,13 @@ pub use rules::{check_file, check_unit, Finding, Rule, Scope};
 /// and the intentionally-rule-breaking fixture tree.
 const SKIP_DIRS: [&str; 5] = ["target", ".git", "shims", "fixtures", "node_modules"];
 
-/// Check configuration: which rules are denied (fatal) vs. allowed
-/// (reported only). Rules absent from both sets default to denied.
-#[derive(Debug, Clone, Default)]
-pub struct LintConfig {
-    /// Rules downgraded to warnings.
-    pub allow: BTreeSet<Rule>,
-    /// Rules explicitly denied (overrides `allow` when in both).
-    pub deny: BTreeSet<Rule>,
-}
-
-impl LintConfig {
-    /// Whether findings of `rule` count toward the failing exit code.
-    pub fn is_denied(&self, rule: Rule) -> bool {
-        self.deny.contains(&rule) || !self.allow.contains(&rule)
-    }
-}
-
 /// Outcome of a tree check.
 #[derive(Debug)]
 pub struct CheckReport {
-    /// All findings as records (denied, allowed and waived).
-    pub records: Vec<LintRecord>,
+    /// All findings; any one fails the check.
+    pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline hygiene notes (expired or unused waivers) — worth
-    /// printing, never fatal.
-    pub baseline_notes: Vec<String>,
-}
-
-impl CheckReport {
-    /// Count of findings at deny level (waived findings don't count).
-    pub fn denied(&self) -> usize {
-        self.records.iter().filter(|r| r.level == "deny").count()
-    }
 }
 
 /// Recursively collects `.rs` files under `root`, skipping
@@ -131,58 +103,19 @@ fn label_for(root: &Path, path: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
-/// The default baseline location, relative to the checked root.
-pub const DEFAULT_BASELINE: &str = "crates/lint/waivers.txt";
-
-/// Checks every `.rs` file under `root` with path-scoped rules,
-/// applying the default baseline (`crates/lint/waivers.txt` under
-/// `root`) when it exists.
-pub fn check_tree(root: &Path, cfg: &LintConfig) -> std::io::Result<CheckReport> {
-    let bpath = root.join(DEFAULT_BASELINE);
-    let base = if bpath.is_file() {
-        Some(
-            baseline::load(&bpath)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
-        )
-    } else {
-        None
-    };
-    check_tree_with(root, cfg, base.as_ref())
-}
-
-/// [`check_tree`] with an explicit (or no) baseline. All files are
-/// parsed up front and checked as **one unit**, so the cross-file
-/// rule (R8 fence-pairing) sees the whole workspace at once.
-pub fn check_tree_with(
-    root: &Path,
-    cfg: &LintConfig,
-    base: Option<&baseline::Baseline>,
-) -> std::io::Result<CheckReport> {
+/// Checks every `.rs` file under `root` with path-scoped rules. All
+/// files are parsed up front and checked as **one unit**, so the
+/// cross-file rule (R8 fence-pairing) sees the whole workspace at once.
+pub fn check_tree(root: &Path) -> std::io::Result<CheckReport> {
     let files = collect_rs_files(root)?;
     let mut parsed = Vec::with_capacity(files.len());
     for path in &files {
         let text = fs::read_to_string(path)?;
         parsed.push(SourceFile::parse(&label_for(root, path), &text));
     }
-    let mut records = Vec::new();
-    for f in check_unit(&parsed, Scope::Auto) {
-        let denied = cfg.is_denied(f.rule);
-        records.push(LintRecord::new(&f, denied));
-    }
-    let mut baseline_notes = Vec::new();
-    if let Some(base) = base {
-        let out = base.apply(&mut records, baseline::today_utc());
-        for e in out.expired {
-            baseline_notes.push(format!("expired waiver (its finding resurfaces): {e}"));
-        }
-        for u in out.unused {
-            baseline_notes.push(format!("unused waiver (delete it): {u}"));
-        }
-    }
     Ok(CheckReport {
-        records,
+        findings: check_unit(&parsed, Scope::Auto),
         files_scanned: files.len(),
-        baseline_notes,
     })
 }
 
@@ -213,50 +146,47 @@ pub fn run_fixtures(dir: &Path) -> std::io::Result<Vec<FixtureResult>> {
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let text = fs::read_to_string(&path)?;
-        let mut expect: BTreeSet<Rule> = BTreeSet::new();
-        let mut expect_clean = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("//@ expect:") {
-                match Rule::parse(rest) {
-                    Some(r) => {
-                        expect.insert(r);
-                    }
-                    None => {
-                        out.push(FixtureResult {
-                            name: name.clone(),
-                            error: Some(format!("unknown rule in expectation: {}", rest.trim())),
-                        });
-                    }
-                }
-            } else if line.starts_with("//@ expect-clean") {
-                expect_clean = true;
-            }
-        }
-        if expect.is_empty() && !expect_clean {
-            out.push(FixtureResult {
-                name,
-                error: Some("fixture declares no //@ expect: or //@ expect-clean header".into()),
-            });
-            continue;
-        }
-        let file = SourceFile::parse(&name, &text);
-        let findings = check_file(&file, Scope::All);
-        let fired: BTreeSet<Rule> = findings.iter().map(|f| f.rule).collect();
-        let error = if expect_clean && !fired.is_empty() {
-            Some(format!("expected clean, but fired: {}", ids(&fired)))
-        } else if !expect_clean && fired != expect {
-            Some(format!(
-                "expected exactly {{{}}}, but fired {{{}}}",
-                ids(&expect),
-                ids(&fired)
-            ))
-        } else {
-            None
-        };
+        let error = fixture_error(&name, &text);
         out.push(FixtureResult { name, error });
     }
     Ok(out)
+}
+
+/// One fixture's mismatch, if any: a malformed header, or rules that
+/// fired other than the header declares.
+fn fixture_error(name: &str, text: &str) -> Option<String> {
+    let mut expect: BTreeSet<Rule> = BTreeSet::new();
+    let mut expect_clean = false;
+    for line in text.lines() {
+        let line = line.trim();
+        if let Some(rest) = line.strip_prefix("//@ expect:") {
+            let Some(r) = Rule::parse(rest) else {
+                return Some(format!("unknown rule in expectation: {}", rest.trim()));
+            };
+            expect.insert(r);
+        } else if line.starts_with("//@ expect-clean") {
+            expect_clean = true;
+        }
+    }
+    if expect.is_empty() && !expect_clean {
+        return Some("fixture declares no //@ expect: or //@ expect-clean header".into());
+    }
+    let file = SourceFile::parse(name, text);
+    let fired: BTreeSet<Rule> = check_file(&file, Scope::All)
+        .iter()
+        .map(|f| f.rule)
+        .collect();
+    if expect_clean && !fired.is_empty() {
+        Some(format!("expected clean, but fired: {}", ids(&fired)))
+    } else if !expect_clean && fired != expect {
+        Some(format!(
+            "expected exactly {{{}}}, but fired {{{}}}",
+            ids(&expect),
+            ids(&fired)
+        ))
+    } else {
+        None
+    }
 }
 
 fn ids(rules: &BTreeSet<Rule>) -> String {
@@ -282,14 +212,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_defaults_to_deny() {
-        let cfg = LintConfig::default();
-        assert!(cfg.is_denied(Rule::SafetyComment));
-        let mut cfg = LintConfig::default();
-        cfg.allow.insert(Rule::ProtectBeforeDeref);
-        assert!(!cfg.is_denied(Rule::ProtectBeforeDeref));
-        assert!(cfg.is_denied(Rule::HookCoverage));
-        cfg.deny.insert(Rule::ProtectBeforeDeref);
-        assert!(cfg.is_denied(Rule::ProtectBeforeDeref), "deny wins");
+    #[cfg_attr(miri, ignore = "writes a file")]
+    fn unknown_header_rule_is_one_failing_result() {
+        let dir = std::env::temp_dir().join(format!("era-lint-fx-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("bad_header.rs"),
+            "//@ expect: R42-no-such-rule\n//@ expect: R1\nfn f() { unsafe { g() } }\n",
+        )
+        .unwrap();
+        let results = run_fixtures(&dir);
+        fs::remove_dir_all(&dir).unwrap();
+        let results = results.unwrap();
+        assert_eq!(results.len(), 1, "{results:?}");
+        let why = results[0].error.as_deref().unwrap();
+        assert!(why.contains("R42-no-such-rule"), "{why}");
     }
 }

@@ -1,26 +1,21 @@
 //! era-lint CLI: `check`, `fixtures`, `rules`.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use era_lint::{
-    baseline, check_tree_with, render_table, run_fixtures, sarif, LintConfig, Rule,
-    DEFAULT_BASELINE,
-};
+use era_lint::{check_tree, render_table, run_fixtures, Rule};
 
 fn usage() -> ExitCode {
     eprintln!(
         "era-lint — workspace SMR-protocol static analyzer\n\
          \n\
          USAGE:\n\
-         \x20 era-lint check [PATH] [--allow RULE]... [--deny RULE]... [--report FILE]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--sarif-out FILE] [--baseline FILE] [--no-baseline] [--quiet]\n\
+         \x20 era-lint check [PATH]\n\
          \x20 era-lint fixtures [DIR]\n\
          \x20 era-lint rules\n\
          \n\
-         RULE accepts R1..R9 or a rule id (see `era-lint rules`).\n\
-         The baseline defaults to <PATH>/crates/lint/waivers.txt when present.\n\
+         A site is accepted only by a `// LINT: <op-scoped|quiescent|exclusive> — <reason>`\n\
+         comment in the code.\n\
          Exit codes: 0 clean, 1 findings/expectation failures, 2 usage or IO error."
     );
     ExitCode::from(2)
@@ -41,132 +36,34 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_rule_arg(flag: &str, value: Option<&String>) -> Result<Rule, ExitCode> {
-    let Some(v) = value else {
-        eprintln!("era-lint: {flag} needs a rule argument");
-        return Err(ExitCode::from(2));
-    };
-    Rule::parse(v).ok_or_else(|| {
-        eprintln!("era-lint: unknown rule {v:?} (see `era-lint rules`)");
-        ExitCode::from(2)
-    })
-}
-
 fn cmd_check(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut cfg = LintConfig::default();
-    let mut report_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--allow" => match parse_rule_arg("--allow", args.get(i + 1)) {
-                Ok(r) => {
-                    cfg.allow.insert(r);
-                    i += 1;
-                }
-                Err(e) => return e,
-            },
-            "--deny" => match parse_rule_arg("--deny", args.get(i + 1)) {
-                Ok(r) => {
-                    cfg.deny.insert(r);
-                    i += 1;
-                }
-                Err(e) => return e,
-            },
-            "--report" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("era-lint: --report needs a path");
-                    return ExitCode::from(2);
-                };
-                report_path = Some(PathBuf::from(p));
-                i += 1;
-            }
-            "--sarif-out" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("era-lint: --sarif-out needs a path");
-                    return ExitCode::from(2);
-                };
-                sarif_path = Some(PathBuf::from(p));
-                i += 1;
-            }
-            "--baseline" => {
-                let Some(p) = args.get(i + 1) else {
-                    eprintln!("era-lint: --baseline needs a path");
-                    return ExitCode::from(2);
-                };
-                baseline_path = Some(PathBuf::from(p));
-                i += 1;
-            }
-            "--no-baseline" => no_baseline = true,
-            "--quiet" => quiet = true,
-            flag if flag.starts_with('-') => {
-                eprintln!("era-lint: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            path => root = PathBuf::from(path),
-        }
-        i += 1;
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("era-lint: unknown flag {flag}");
+        return ExitCode::from(2);
     }
-    // Resolve the baseline: explicit path > default location > none.
-    // A malformed baseline is a hard error — a waiver file that cannot
-    // be fully trusted suppresses nothing.
-    let base = if no_baseline {
-        None
-    } else {
-        let path = baseline_path
-            .clone()
-            .or_else(|| Some(root.join(DEFAULT_BASELINE)).filter(|p| p.is_file()));
-        match path {
-            Some(p) => match baseline::load(&p) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("era-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            None => None,
+    let root = match args {
+        [] => PathBuf::from("."),
+        [path] => PathBuf::from(path),
+        _ => {
+            eprintln!(
+                "era-lint: check takes one PATH, got {}: {args:?}",
+                args.len()
+            );
+            return ExitCode::from(2);
         }
     };
-    let report = match check_tree_with(&root, &cfg, base.as_ref()) {
+    let report = match check_tree(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("era-lint: {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = report_path {
-        let mut body = String::new();
-        for r in &report.records {
-            body.push_str(&r.to_json());
-            body.push('\n');
-        }
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes()))
-        {
-            eprintln!("era-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = sarif_path {
-        let doc = sarif::to_sarif(&report.records);
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| f.write_all(doc.as_bytes())) {
-            eprintln!("era-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if !quiet {
-        print!("{}", render_table(&report.records, report.files_scanned));
-        for note in &report.baseline_notes {
-            println!("era-lint: note: {note}");
-        }
-    }
-    if report.denied() > 0 {
-        ExitCode::FAILURE
-    } else {
+    print!("{}", render_table(&report.findings, report.files_scanned));
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

@@ -19,8 +19,8 @@ pub struct FnSpan {
     pub body: (usize, usize),
     /// The doc comment block above the signature contains `# Safety`.
     pub doc_has_safety: bool,
-    /// A `// LINT:` waiver appears inside the body or directly above
-    /// the signature.
+    /// A well-formed `// LINT:` waiver ([`is_waiver`]) appears inside
+    /// the body or directly above the signature.
     pub has_lint_waiver: bool,
 }
 
@@ -113,6 +113,30 @@ impl SourceFile {
     }
 }
 
+/// The kinds a `// LINT:` waiver may name: protection established by
+/// the caller's operation, a documented callers-must-be-quiescent
+/// contract, or exclusive (`&mut`/unshared) access.
+pub const WAIVER_KINDS: [&str; 3] = ["op-scoped", "quiescent", "exclusive"];
+
+/// Whether `comment` is a waiver: a `//` comment whose text begins
+/// `LINT: <kind> — <reason>`, with `<kind>` one of [`WAIVER_KINDS`] and
+/// a non-empty reason. Anything else — prose that merely mentions
+/// `LINT:`, a misspelled kind, a bare kind — waives nothing.
+pub fn is_waiver(comment: &str) -> bool {
+    let Some(rest) = comment.trim_start().strip_prefix("//") else {
+        return false;
+    };
+    let Some(rest) = rest.trim_start().strip_prefix("LINT:") else {
+        return false;
+    };
+    let rest = rest.trim_start();
+    WAIVER_KINDS.iter().any(|kind| {
+        rest.strip_prefix(kind)
+            .and_then(|r| r.trim_start().strip_prefix('—'))
+            .is_some_and(|reason| !reason.trim().is_empty())
+    })
+}
+
 /// Index of the matching close brace for the open brace at `open`
 /// (both in `toks`); `None` when unbalanced.
 fn match_brace(toks: &[Tok], open: usize) -> Option<usize> {
@@ -131,7 +155,7 @@ fn match_brace(toks: &[Tok], open: usize) -> Option<usize> {
 }
 
 /// Scans the doc/attribute block directly above `sig_line` for a
-/// `# Safety` heading, and for a `// LINT:` waiver on the line above.
+/// `# Safety` heading, and for a `// LINT:` waiver ([`is_waiver`]).
 fn doc_block_above(lines: &[String], sig_line: usize) -> (bool, bool) {
     let mut has_safety = false;
     let mut has_waiver = false;
@@ -146,7 +170,7 @@ fn doc_block_above(lines: &[String], sig_line: usize) -> (bool, bool) {
             if s.contains("# Safety") {
                 has_safety = true;
             }
-            if s.contains("LINT:") {
+            if is_waiver(s) {
                 has_waiver = true;
             }
             l -= 1;
@@ -198,8 +222,8 @@ fn find_fns(lexed: &Lexed, lines: &[String]) -> Vec<FnSpan> {
             }
             if let Some(body) = body {
                 let (doc_has_safety, waiver_above) = doc_block_above(lines, sig_line);
-                let body_waiver = (toks[body.0].line..=toks[body.1].line)
-                    .any(|l| lexed.comment_on(l).contains("LINT:"));
+                let body_waiver =
+                    (toks[body.0].line..=toks[body.1].line).any(|l| is_waiver(lexed.comment_on(l)));
                 out.push(FnSpan {
                     name,
                     sig_line,
@@ -346,6 +370,38 @@ mod tests {
             .position(|t| t.is_ident("deref"))
             .unwrap();
         assert_eq!(f.enclosing_fn(idx).unwrap().name, "inner");
+    }
+
+    #[test]
+    fn waiver_must_name_its_kind_and_a_reason() {
+        for kind in WAIVER_KINDS {
+            assert!(
+                is_waiver(&format!("// LINT: {kind} — the reason.")),
+                "{kind}"
+            );
+            assert!(is_waiver(&format!("    //LINT:{kind}—reason")), "{kind}");
+        }
+        for not in [
+            "// LINT: op-scope — misspelled kind",
+            "// LINT: quiesent — misspelled kind",
+            "// LINT: exclusive —",
+            "// LINT: exclusive —   ",
+            "// LINT: exclusive",
+            "// LINT: exclusive - ascii hyphen is not the separator",
+            "// nothing here is LINT: approved, this is prose",
+            "/* LINT: op-scoped — block comments are not waivers */",
+            "let s = \"// LINT: op-scoped — in code\";",
+        ] {
+            assert!(!is_waiver(not), "{not:?}");
+        }
+    }
+
+    #[test]
+    fn prose_mentioning_lint_waives_nothing() {
+        let prose = "// nothing here is LINT: approved, this is prose\nfn f() {}\n";
+        assert!(!SourceFile::parse("t.rs", prose).fns[0].has_lint_waiver);
+        let inside = "fn f() {\n    // LINT: quiescent — snapshot API.\n}\n";
+        assert!(SourceFile::parse("t.rs", inside).fns[0].has_lint_waiver);
     }
 
     #[test]

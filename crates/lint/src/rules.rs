@@ -66,7 +66,7 @@ impl Rule {
         Rule::SchemeObligation,
     ];
 
-    /// Stable identifier (used in reports, fixtures and CLI flags).
+    /// Stable identifier (used in the findings table and fixture headers).
     pub fn id(self) -> &'static str {
         match self {
             Rule::SafetyComment => "R1-safety-comment",

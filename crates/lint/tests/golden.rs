@@ -56,6 +56,17 @@ fn deref_without_protect_trips_exactly_r3() {
 }
 
 #[test]
+fn malformed_waivers_trip_exactly_r3() {
+    // Prose mentioning `LINT:`, a misspelled kind and a missing reason
+    // each waive nothing, so each fn's deref still reports.
+    let path = fixtures_dir().join("lint_waiver_malformed.rs");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let findings = check_file(&SourceFile::parse("m.rs", &text), Scope::All);
+    assert_eq!(findings.len(), 3, "{findings:?}");
+    assert!(findings.iter().all(|f| f.rule == Rule::ProtectBeforeDeref));
+}
+
+#[test]
 fn missing_hook_trips_exactly_r4() {
     assert_eq!(fired("missing_hook.rs"), only(Rule::HookCoverage));
 }
@@ -116,7 +127,7 @@ fn fixture_harness_agrees_with_headers() {
     // drift: the harness reads the //@ expect headers and reaches the
     // same verdicts.
     let results = run_fixtures(&fixtures_dir()).unwrap();
-    assert!(results.len() >= 16, "fixture tree shrank: {results:?}");
+    assert!(results.len() >= 18, "fixture tree shrank: {results:?}");
     for r in &results {
         assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
     }

@@ -2,7 +2,7 @@
 //! `main`. This is the actual gate — the fixtures prove the rules can
 //! fire; this proves the tree does not.
 
-use era_lint::{check_tree, LintConfig};
+use era_lint::check_tree;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -15,15 +15,12 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_is_rule_clean() {
-    let report = check_tree(&workspace_root(), &LintConfig::default()).unwrap();
-    let mut msg = String::new();
-    for r in &report.records {
-        msg.push_str(&format!(
-            "  {}:{} [{}] {}\n",
-            r.path, r.line, r.rule, r.message
-        ));
-    }
-    assert_eq!(report.denied(), 0, "workspace has lint findings:\n{msg}");
+    let report = check_tree(&workspace_root()).unwrap();
+    assert!(
+        report.findings.is_empty(),
+        "workspace has lint findings:\n{}",
+        era_lint::render_table(&report.findings, report.files_scanned)
+    );
     // Sanity: the walk actually visited the source tree.
     assert!(
         report.files_scanned > 60,

@@ -2,11 +2,11 @@
 //! ([`crate::report::JsonObject`]); DESIGN §3.6 has the grammar.
 //!
 //! What [`Json::parse`] promises its callers (fault plans, scenario
-//! specs, the verdict gate, the SARIF shape check): an integer literal
-//! is exact over the whole `u64` range and an error past it, never an
-//! `f64` round; containers nested deeper than [`MAX_DEPTH`] are an
-//! error, not a stack overflow; a syntax error carries its byte offset
-//! and a shape error (the `try_*` accessors) names the offending key.
+//! specs, the verdict gate): an integer literal is exact over the
+//! whole `u64` range and an error past it, never an `f64` round;
+//! containers nested deeper than [`MAX_DEPTH`] are an error, not a
+//! stack overflow; a syntax error carries its byte offset and a shape
+//! error (the `try_*` accessors) names the offending key.
 //! Objects keep their members in document order, duplicates included:
 //! [`Json::get`] returns the last, as does a mapping that assigns while
 //! walking [`Json::members`].
@@ -399,8 +399,6 @@ mod tests {
         assert_eq!(doc.get("absent"), None);
     }
 
-    // Moved from era-lint's `sarif.rs`, whose private parser this
-    // reader replaced.
     #[test]
     fn json_parser_handles_escapes_and_nesting() {
         let doc = Json::parse("{\"a\": [1, {\"b\": \"x\\n\\u0041\"}, true, null]}").unwrap();

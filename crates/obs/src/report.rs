@@ -120,15 +120,6 @@ impl Default for JsonObject {
     }
 }
 
-/// `s` as a JSON string literal, quotes included: the escaper behind
-/// every [`JsonObject`] key and string, for a writer that lays its
-/// document out by hand (era-lint's pretty-printed SARIF).
-pub fn json_string(s: &str) -> String {
-    let mut buf = String::with_capacity(s.len() + 2);
-    push_json_string(&mut buf, s);
-    buf
-}
-
 fn push_json_string(buf: &mut String, s: &str) {
     buf.push('"');
     for c in s.chars() {
