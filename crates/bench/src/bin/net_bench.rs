@@ -134,6 +134,15 @@ fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Response {
     Response::decode(frame).expect("server sent an undecodable frame")
 }
 
+/// When the burst after `sent` requests is due, as an offset from the
+/// run's start, under a pacing `interval` per request (zero: closed
+/// loop, due at once). `None` when that offset is at or past
+/// `duration`: a burst due once the run is over is not sent.
+fn burst_due(sent: u64, interval: Duration, duration: Duration) -> Option<Duration> {
+    let due = interval.mul_f64(sent as f64);
+    (due < duration).then_some(due)
+}
+
 /// One client connection: open-loop paced, pipelined bursts, latency
 /// from intended send times.
 fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
@@ -162,13 +171,13 @@ fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
         // Pace the burst head; the burst's requests inherit evenly
         // spaced intended timestamps so a late batch charges every
         // request it delayed.
-        if opts.rate > 0 {
-            let due = start + interval.mul_f64(sent_total as f64);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-        }
+        let Some(due) = burst_due(sent_total, interval, opts.duration) else {
+            // Idle out the run instead of ending it early, so the
+            // record's elapsed time is the run's.
+            std::thread::sleep(opts.duration.saturating_sub(start.elapsed()));
+            break;
+        };
+        std::thread::sleep((start + due).saturating_duration_since(Instant::now()));
         for j in 0..opts.pipeline {
             let key = sampler.sample(&mut rng);
             let req = match opts.mix.kind(rng.random_range(0..100u32)) {
@@ -335,5 +344,55 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The due offsets of the bursts one connection sends, up to `max`.
+    fn schedule(
+        interval: Duration,
+        duration: Duration,
+        pipeline: u64,
+        max: usize,
+    ) -> Vec<Duration> {
+        (0..)
+            .map_while(|burst| burst_due(burst * pipeline, interval, duration))
+            .take(max)
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_due_at_or_after_the_deadline_is_not_sent() {
+        // --duration 1 --rate 2 --connections 1 --pipeline 8: the second
+        // burst is due at 8 × 0.5 s, well past the run.
+        let s = schedule(Duration::from_millis(500), Duration::from_secs(1), 8, 10);
+        assert_eq!(s, [Duration::ZERO]);
+        // Due exactly at the deadline: not sent either.
+        let s = schedule(Duration::from_millis(125), Duration::from_secs(1), 8, 10);
+        assert_eq!(s, [Duration::ZERO]);
+    }
+
+    #[test]
+    fn closed_loop_and_e13_schedules_are_unchanged() {
+        // Closed loop: every burst is due at once, for as long as the
+        // run lasts (the caller's elapsed-time check ends it).
+        let s = schedule(Duration::ZERO, Duration::from_secs(3), 16, 1000);
+        assert_eq!(s, vec![Duration::ZERO; 1000]);
+        // E13's shape (4 connections, pipeline 16, 3 s) at 100k ops/s:
+        // each burst is due at `interval × sent`, and every burst due
+        // inside the run is sent.
+        let (interval, duration) = (
+            Duration::from_secs_f64(4.0 / 100_000.0),
+            Duration::from_secs(3),
+        );
+        let s = schedule(interval, duration, 16, 10_000);
+        assert_eq!(s.len(), 4_688, "ceil(3 s / 640 µs) bursts");
+        for (burst, due) in s.iter().enumerate() {
+            assert_eq!(*due, interval.mul_f64((burst * 16) as f64));
+        }
+        assert!(*s.last().unwrap() < duration);
     }
 }

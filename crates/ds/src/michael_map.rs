@@ -627,7 +627,6 @@ mod tests {
     /// operation that stops on the h-th node emits `stop(h)` `Load`
     /// events (protected loads plus slot aliases) and a `get` past the
     /// tail emits `miss`.
-    #[cfg(feature = "trace")]
     fn assert_find_emits<S: Smr>(smr: &S, stop: fn(u64) -> u64, miss: u64) {
         use era_obs::{Hook, Recorder};
 
@@ -665,7 +664,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn find_publishes_a_node_only_when_stepping_onto_it() {
         // HP: h publishes (the head's link, then one per advance) and
         // h − 1 aliases into SLOT_PREV; a miss walks all 8 nodes and

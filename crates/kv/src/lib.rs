@@ -43,13 +43,9 @@
 //! the scenario executor's stall reader) must follow the protocol
 //! themselves.
 //!
-//! ## Feature flags
-//!
-//! * `trace` (default) — enables the era-obs runtime: navigator
-//!   transitions, admission sheds, and footprint samples land in the
-//!   per-shard event rings (flight dumps, `era-view`). Without it the
-//!   navigator still functions (classification reads always-on
-//!   metrics), but the rings stay empty.
+//! Navigator transitions, admission sheds and footprint samples land in
+//! each shard's event rings (flight dumps, `era-view`); classification
+//! itself reads the shard recorder's exact metrics, not the lossy rings.
 
 #![warn(missing_docs)]
 

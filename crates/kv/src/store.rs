@@ -207,7 +207,9 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// Builds a store with one shard per scheme in `schemes`. Each
     /// scheme becomes an independent reclaimer domain with its own
     /// recorder (attached here, so blame and footprint metrics are live
-    /// from the first operation).
+    /// from the first operation). The config's budgets go through
+    /// [`KvStore::set_budgets`], so `retired_hard` is clamped to at
+    /// least `retired_soft`.
     ///
     /// # Panics
     ///
@@ -237,13 +239,15 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 })
             })
             .collect();
-        KvStore {
+        let store = KvStore {
             shards,
             cfg,
             shard_mul: (u64::MAX / u64::from(n)).wrapping_add(1),
-            soft_budget: AtomicUsize::new(cfg.retired_soft),
-            hard_budget: AtomicUsize::new(cfg.retired_hard),
-        }
+            soft_budget: AtomicUsize::new(0),
+            hard_budget: AtomicUsize::new(0),
+        };
+        store.set_budgets(cfg.retired_soft, cfg.retired_hard);
+        store
     }
 
     /// Replaces the navigator's soft/hard retired-node budgets for all
@@ -596,8 +600,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
         self.shards[shard].smr
     }
 
-    /// The recorder observing `shard` (metrics always live; event rings
-    /// only with the `trace` feature).
+    /// The recorder observing `shard`: its metrics and event rings.
     pub fn recorder(&self, shard: usize) -> &Recorder {
         &self.shards[shard].recorder
     }
@@ -1095,7 +1098,6 @@ mod tests {
         assert_eq!(store.get(&mut ctx, 1), Some(1));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn dropped_contexts_release_their_rings() {
         // Rings of 8, so each cycle's ops wrap them and `dropped` moves.
@@ -1167,6 +1169,21 @@ mod tests {
         // hard is clamped to stay ≥ soft.
         store.set_budgets(100, 10);
         assert_eq!(store.budgets(), (100, 100));
+    }
+
+    #[test]
+    fn new_clamps_an_inverted_budget_pair_like_set_budgets() {
+        let schemes: Vec<Ebr> = vec![Ebr::with_threshold(4, 1)];
+        let cfg = KvConfig {
+            retired_soft: 2048,
+            retired_hard: 512,
+            ..KvConfig::default()
+        };
+        let store = KvStore::new(&schemes, cfg);
+        let built = store.budgets();
+        store.set_budgets(2048, 512);
+        assert_eq!(built, store.budgets());
+        assert_eq!(built, (2048, 2048));
     }
 
     #[test]

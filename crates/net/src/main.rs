@@ -13,7 +13,7 @@
 //! ephemeral port can discover it. The flight recorder is always
 //! armed: a panic writes a crash `.eraflt`, and a clean `--duration`
 //! exit writes the same dump. A flag with a missing or unparsable value
-//! exits 2 naming the flag.
+//! exits 2 naming the flag, and so does a `--hard` below `--soft`.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -80,6 +80,12 @@ fn parse_options() -> Options {
             "--flight-dump" => opts.flight_dump = value(&mut args, "--flight-dump"),
             other => bad_args(&format!("unknown argument {other}")),
         }
+    }
+    if opts.hard < opts.soft {
+        bad_args(&format!(
+            "--hard {} is below --soft {}: the budgets must be ordered",
+            opts.hard, opts.soft
+        ));
     }
     opts
 }

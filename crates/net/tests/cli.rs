@@ -46,12 +46,17 @@ fn every_reclaiming_scheme_serves_and_leaves_a_dump() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns processes")]
 fn bad_values_exit_2_naming_the_flag() {
-    for (args, flag) in [
-        (["--shards", "x", "--duration", "0.2"], "--shards"),
-        (["--scheme", "vbr", "--duration", "0.2"], "--scheme"),
-        (["--duration", "x", "--workers", "1"], "--duration"),
-    ] {
-        let out = serve(&args);
+    let cases: [(&[&str], &str); 4] = [
+        (&["--shards", "x", "--duration", "0.2"], "--shards"),
+        (&["--scheme", "vbr", "--duration", "0.2"], "--scheme"),
+        (&["--duration", "x", "--workers", "1"], "--duration"),
+        (
+            &["--soft", "2048", "--hard", "512", "--duration", "0.5"],
+            "--hard",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = serve(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{args:?}: {stderr}");

@@ -288,7 +288,7 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-#[cfg(all(test, feature = "rt"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dump::MAX_PACKED_EVENT;

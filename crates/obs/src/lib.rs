@@ -24,15 +24,15 @@
 //!   [`Log2Histogram`], a footprint [`HighWater`] mark, and per-thread
 //!   *blame* counters attributing blocked reclamation to the stalled
 //!   thread (the robustness axis of the ERA trade-off).
-//! - **Zero-cost off switch**: with the crate's `rt` feature disabled
-//!   (downstream: `era-smr`/`era-sim`/`era-bench` without their
-//!   `trace` feature), [`ThreadTracer`] is a zero-sized no-op and the
-//!   instrumentation compiles away entirely.
+//! - **Runtime off switch**: tracing is always compiled in; a scheme
+//!   with no recorder attached hands its threads
+//!   [`ThreadTracer::disabled`], whose every emit is one branch on a
+//!   local `Option`.
 //! - **Reports** ([`report`], [`json`]): a dependency-free JSON-lines
 //!   writer for `BENCH_*.jsonl` artifacts — throughput, footprint
 //!   curves, latency histograms, hook counts — and the one reader
 //!   ([`Json`]) every crate that takes such a record back in goes
-//!   through. Both are available with `rt` off.
+//!   through.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
 //!   that drains the rings into packed segments (the newest events per
 //!   source, up to a count cap), snapshots them (plus metrics and scheme

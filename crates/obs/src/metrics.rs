@@ -200,7 +200,6 @@ impl HookCounts {
     /// owns this block may call it (a second writer would lose counts,
     /// nothing worse — the cells are atomics).
     #[inline]
-    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
     pub(crate) fn bump(&self, hook: Hook, n: u64) {
         let cell = &self.0[hook as u8 as usize];
         // SAFETY(ordering): Relaxed load + Relaxed store instead of a
@@ -247,7 +246,6 @@ impl Metrics {
 
     /// Issues (and keeps) a fresh hook-counter block for one tracer.
     /// Allocates and locks — tracer creation, never the emit path.
-    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
     pub(crate) fn hook_block(&self) -> Arc<HookCounts> {
         let block = Arc::new(HookCounts(std::array::from_fn(|_| AtomicU64::new(0))));
         self.lock_hook_blocks().push(Arc::clone(&block));

@@ -31,22 +31,16 @@
 //! events of two threads means "concurrent": no protocol event — no
 //! retire, no reclaim, no epoch advance — separates them.
 //!
-//! With the `rt` feature disabled, [`ThreadTracer`] is a zero-sized
-//! type and every emit is an empty inline function — the instrumented
-//! code compiles to exactly what it was before instrumentation.
+//! Tracing is always compiled in; a tracer is off only at run time,
+//! when no recorder issued it ([`ThreadTracer::disabled`]), and then
+//! every emit is one branch on a local `Option`.
 
 use crate::event::{Event, Hook, SchemeId};
-#[cfg(feature = "rt")]
-use crate::metrics::HookCounts;
-use crate::metrics::Metrics;
-#[cfg(feature = "rt")]
+use crate::metrics::{HookCounts, Metrics};
 use crate::ring::Ring;
 
-#[cfg(feature = "rt")]
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-#[cfg(feature = "rt")]
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -55,12 +49,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 /// emits only read it, so nothing else a recorder writes (metrics, the
 /// ring registry, the `Arc` counts) may share — and so invalidate —
 /// its line.
-#[cfg(feature = "rt")]
 #[derive(Debug)]
 #[repr(align(128))]
 struct Clock(AtomicU64);
 
-#[cfg(feature = "rt")]
 #[derive(Debug)]
 struct RecorderCore {
     clock: Clock,
@@ -70,7 +62,6 @@ struct RecorderCore {
 }
 
 /// The rings a recorder drains.
-#[cfg(feature = "rt")]
 #[derive(Debug, Default)]
 struct Rings {
     /// Every ring a live tracer may still write, and any not yet
@@ -80,14 +71,12 @@ struct Rings {
     released_dropped: u64,
 }
 
-#[cfg(feature = "rt")]
 impl Rings {
     fn dropped(&self) -> u64 {
         self.released_dropped + self.live.iter().map(|r| r.dropped()).sum::<u64>()
     }
 }
 
-#[cfg(feature = "rt")]
 impl RecorderCore {
     /// Allocates and registers a ring for `thread`'s events under
     /// `scheme`.
@@ -110,12 +99,7 @@ impl RecorderCore {
 /// the same clock, metrics, and drain pool.
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    #[cfg(feature = "rt")]
     core: Arc<RecorderCore>,
-    /// Kept alive even without `rt` so metric accessors stay usable
-    /// (they simply never get written to by tracers).
-    #[cfg(not(feature = "rt"))]
-    metrics: Arc<Metrics>,
 }
 
 impl Recorder {
@@ -127,50 +111,26 @@ impl Recorder {
 
     /// A recorder whose tracers get rings of `ring_capacity` events.
     pub fn with_ring_capacity(max_threads: usize, ring_capacity: usize) -> Recorder {
-        #[cfg(feature = "rt")]
-        {
-            Recorder {
-                core: Arc::new(RecorderCore {
-                    clock: Clock(AtomicU64::new(1)),
-                    metrics: Metrics::new(max_threads),
-                    rings: Mutex::default(),
-                    ring_capacity,
-                }),
-            }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            let _ = ring_capacity;
-            Recorder {
-                metrics: Arc::new(Metrics::new(max_threads)),
-            }
+        Recorder {
+            core: Arc::new(RecorderCore {
+                clock: Clock(AtomicU64::new(1)),
+                metrics: Metrics::new(max_threads),
+                rings: Mutex::default(),
+                ring_capacity,
+            }),
         }
     }
 
     /// The aggregate metrics block.
     pub fn metrics(&self) -> &Metrics {
-        #[cfg(feature = "rt")]
-        {
-            &self.core.metrics
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            &self.metrics
-        }
+        &self.core.metrics
     }
 
     /// Current logical time: the timestamp the next protocol event
     /// will be issued, and the one a per-operation event emitted now
     /// would carry. Never 0 on a live recorder; a read, never a tick.
     pub fn now(&self) -> u64 {
-        #[cfg(feature = "rt")]
-        {
-            self.core.clock.0.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            0
-        }
+        self.core.clock.0.load(Ordering::Relaxed)
     }
 
     /// Issues a tracer for thread slot `thread` attributed to
@@ -178,21 +138,13 @@ impl Recorder {
     /// private hook-counter block — call at registration time, not on
     /// the hot path.
     pub fn tracer(&self, thread: u16, scheme: SchemeId) -> ThreadTracer {
-        #[cfg(feature = "rt")]
-        {
-            ThreadTracer {
-                inner: Some(TracerInner {
-                    recorder: Arc::clone(&self.core),
-                    ring: self.core.ring(thread, scheme),
-                    others: Vec::new(),
-                    hooks: self.core.metrics.hook_block(),
-                }),
-            }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            let _ = (thread, scheme);
-            ThreadTracer {}
+        ThreadTracer {
+            inner: Some(TracerInner {
+                recorder: Arc::clone(&self.core),
+                ring: self.core.ring(thread, scheme),
+                others: Vec::new(),
+                hooks: self.core.metrics.hook_block(),
+            }),
         }
     }
 
@@ -206,39 +158,29 @@ impl Recorder {
     /// tracer has dropped is drained one last time and let go of, its
     /// losses kept in the cumulative [`Recorder::dropped`].
     pub fn drain(&self) -> TraceLog {
-        #[cfg(feature = "rt")]
-        {
-            let mut rings = self.core.lock_rings();
-            let Rings {
-                live,
-                released_dropped,
-            } = &mut *rings;
-            let mut events = Vec::new();
-            live.retain_mut(|ring| {
-                // Unique (an Acquire check): its tracer is gone and every
-                // push happened before this drain, which empties it.
-                let released = Arc::get_mut(ring).is_some();
-                ring.drain_into(&mut events);
-                if released {
-                    *released_dropped += ring.dropped();
-                }
-                !released
-            });
-            let dropped = rings.dropped();
-            drop(rings);
-            // Stable, over rings concatenated in creation order: events
-            // equal in the key keep their ring position, so the same
-            // ring contents always merge to the same log.
-            events.sort_by_key(Event::merge_key);
-            TraceLog { events, dropped }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            TraceLog {
-                events: Vec::new(),
-                dropped: 0,
+        let mut rings = self.core.lock_rings();
+        let Rings {
+            live,
+            released_dropped,
+        } = &mut *rings;
+        let mut events = Vec::new();
+        live.retain_mut(|ring| {
+            // Unique (an Acquire check): its tracer is gone and every
+            // push happened before this drain, which empties it.
+            let released = Arc::get_mut(ring).is_some();
+            ring.drain_into(&mut events);
+            if released {
+                *released_dropped += ring.dropped();
             }
-        }
+            !released
+        });
+        let dropped = rings.dropped();
+        drop(rings);
+        // Stable, over rings concatenated in creation order: events
+        // equal in the key keep their ring position, so the same
+        // ring contents always merge to the same log.
+        events.sort_by_key(Event::merge_key);
+        TraceLog { events, dropped }
     }
 
     /// Cumulative events lost to ring overwrite across the session, as
@@ -246,28 +188,14 @@ impl Recorder {
     /// figure). Lets run reports surface truncation without consuming
     /// the rings themselves.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "rt")]
-        {
-            self.core.lock_rings().dropped()
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            0
-        }
+        self.core.lock_rings().dropped()
     }
 
     /// Rings the recorder holds: one per thread slot a live tracer
     /// writes for, plus any whose tracer dropped since the last
     /// [`Recorder::drain`].
     pub fn ring_count(&self) -> usize {
-        #[cfg(feature = "rt")]
-        {
-            self.core.lock_rings().live.len()
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            0
-        }
+        self.core.lock_rings().live.len()
     }
 }
 
@@ -300,7 +228,6 @@ impl TraceLog {
     }
 }
 
-#[cfg(feature = "rt")]
 #[derive(Debug)]
 struct TracerInner {
     recorder: Arc<RecorderCore>,
@@ -312,7 +239,6 @@ struct TracerInner {
     hooks: Arc<HookCounts>,
 }
 
-#[cfg(feature = "rt")]
 impl TracerInner {
     /// The single-event emit path into `ring`. `hook` is a constant at
     /// every call site, so after inlining the clock branch is decided
@@ -378,38 +304,23 @@ impl TracerInner {
 /// thread slot it writes for; hand each instrumented thread its own
 /// (via [`Recorder::tracer`]).
 ///
-/// The disabled (default) state — from [`ThreadTracer::disabled`] or
-/// any tracer when the `rt` feature is off — makes every emit a no-op
-/// without branching on anything but a local `Option`.
+/// The disabled (default) state — from [`ThreadTracer::disabled`], a
+/// tracer no recorder issued — makes every emit a no-op without
+/// branching on anything but a local `Option`.
 #[derive(Debug, Default)]
 pub struct ThreadTracer {
-    #[cfg(feature = "rt")]
     inner: Option<TracerInner>,
 }
 
 impl ThreadTracer {
     /// A tracer that ignores everything (zero cost, no recorder).
     pub const fn disabled() -> ThreadTracer {
-        #[cfg(feature = "rt")]
-        {
-            ThreadTracer { inner: None }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            ThreadTracer {}
-        }
+        ThreadTracer { inner: None }
     }
 
     /// Whether emits actually record anything.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "rt")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Emits one event under this tracer's thread and scheme. Hot
@@ -420,13 +331,8 @@ impl ThreadTracer {
     /// writes. Never allocates, never blocks.
     #[inline]
     pub fn emit(&mut self, hook: Hook, a: u64, b: u64) {
-        #[cfg(feature = "rt")]
         if let Some(inner) = &self.inner {
             inner.record(&inner.ring, hook, a, b);
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            let _ = (hook, a, b);
         }
     }
 
@@ -437,9 +343,8 @@ impl ThreadTracer {
     /// `t0 + k`: the stamps are unique, no concurrent ticker lands
     /// inside the run, and a reading event tied with `t0` sorts before
     /// it — exactly as if the `n` events had been emitted one by one
-    /// with nothing in between. `payload` runs only on a live tracer,
-    /// so with `rt` off (or disabled) it is never called and the whole
-    /// call compiles to nothing.
+    /// with nothing in between. `payload` runs only on a live tracer:
+    /// a disabled one never calls it.
     #[inline]
     pub fn emit_run(
         &mut self,
@@ -447,15 +352,10 @@ impl ThreadTracer {
         n: usize,
         payload: impl FnMut(usize, u64) -> (u64, u64),
     ) {
-        #[cfg(feature = "rt")]
         if let Some(inner) = &self.inner {
             if n > 0 {
                 inner.record_run(hook, n, payload);
             }
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            let _ = (hook, n, payload);
         }
     }
 
@@ -466,13 +366,8 @@ impl ThreadTracer {
     /// registers with the recorder.
     #[inline]
     pub fn emit_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
-        #[cfg(feature = "rt")]
         if let Some(inner) = &mut self.inner {
             inner.record_for(thread, hook, a, b);
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            let _ = (thread, hook, a, b);
         }
     }
 
@@ -480,14 +375,7 @@ impl ThreadTracer {
     /// enabled. Lets instrumented code record latencies or blame
     /// without a second handle.
     pub fn metrics(&self) -> Option<&Metrics> {
-        #[cfg(feature = "rt")]
-        {
-            self.inner.as_ref().map(|inner| &inner.recorder.metrics)
-        }
-        #[cfg(not(feature = "rt"))]
-        {
-            None
-        }
+        self.inner.as_ref().map(|inner| &inner.recorder.metrics)
     }
 }
 
@@ -506,7 +394,6 @@ mod tests {
         assert!(t.metrics().is_none());
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn merged_drain_is_time_ordered_across_tracers() {
         let rec = Recorder::new(4);
@@ -533,7 +420,6 @@ mod tests {
         assert!(rec.drain().events.is_empty());
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn consecutive_drains_partition_without_loss_or_duplication() {
         let rec = Recorder::new(2);
@@ -557,7 +443,6 @@ mod tests {
         assert!(rec.drain().events.is_empty());
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn emit_for_attributes_threads() {
         let rec = Recorder::new(8);
@@ -567,7 +452,6 @@ mod tests {
         assert_eq!(log.events[0].thread, 5);
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn emit_for_three_threads_merges_like_three_tracers() {
         let hooks = [
@@ -591,7 +475,6 @@ mod tests {
         assert_eq!(one.ring_count(), 3);
     }
 
-    #[cfg(feature = "rt")]
     #[test]
     fn a_dropped_tracers_rings_go_after_their_last_drain() {
         let rec = Recorder::with_ring_capacity(2, 8);

@@ -98,13 +98,11 @@ impl Ring {
     }
 
     /// The thread slot every event of this ring carries.
-    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
     pub(crate) fn thread(&self) -> u16 {
         self.thread
     }
 
     /// The scheme every event of this ring carries.
-    #[cfg_attr(not(feature = "rt"), allow(dead_code))] // the tracer is the caller
     pub(crate) fn scheme(&self) -> SchemeId {
         self.scheme
     }

@@ -3,8 +3,6 @@
 //! merged log is causally ordered although the per-operation hooks
 //! only *read* the logical clock.
 
-#![cfg(feature = "rt")]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use era_obs::{Event, FlightDump, Hook, Recorder, SchemeId, SourceDump};

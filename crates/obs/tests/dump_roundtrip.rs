@@ -8,8 +8,6 @@
 //! fails the test and must bump [`DUMP_VERSION`]) and **refusal** of
 //! version 1, whose fixture must never be misparsed.
 
-#![cfg(feature = "rt")]
-
 use era_obs::dump::{DumpError, DumpStats, FlightDump, MetricsDump, SourceDump};
 use era_obs::{
     Event, FlightRecorder, HistogramSnapshot, Hook, Recorder, SchemeId, DUMP_VERSION,

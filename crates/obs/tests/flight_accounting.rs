@@ -3,8 +3,6 @@
 //! dropped by its ring — exactly one of the three — and the packed
 //! buffer keeps each thread's events in the order it emitted them.
 
-#![cfg(feature = "rt")]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use era_obs::{FlightRecorder, Hook, Recorder, SchemeId};

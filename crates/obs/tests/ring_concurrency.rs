@@ -5,8 +5,6 @@
 //! torn-read freedom under concurrent write/drain, and the drained
 //! stream being a subsequence of the emitted stream.
 
-#![cfg(feature = "rt")]
-
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 

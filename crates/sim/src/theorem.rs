@@ -435,9 +435,6 @@ mod tests {
 
     #[test]
     fn traced_figure1_logs_every_scheme() {
-        if !cfg!(feature = "trace") {
-            return; // tracing compiled out: nothing to drain
-        }
         for scheme in crate::schemes::all_schemes(2) {
             let name = scheme.name();
             // A ring big enough that nothing drops: the counts below

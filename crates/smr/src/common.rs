@@ -980,10 +980,6 @@ mod tests {
         let s = StatCells::default();
         assert_eq!(s.stamp(), 0, "unattached stamp is the sentinel 0");
         assert!(!s.tracer(0).is_enabled());
-
-        if !cfg!(feature = "trace") {
-            return; // tracing compiled out: nothing further to observe
-        }
         let recorder = Recorder::new(4);
         s.attach(&recorder, SchemeId::HP);
         assert!(s.tracer(0).is_enabled());

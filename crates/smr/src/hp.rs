@@ -381,9 +381,6 @@ mod tests {
     #[test]
     fn a_scan_reclaims_its_batch_as_one_run_of_ticks() {
         const N: usize = 48;
-        if !cfg!(feature = "trace") {
-            return; // tracing compiled out: nothing to observe
-        }
         let recorder = Recorder::new(2);
         let smr = Hp::with_threshold(2, 1, N);
         smr.attach_recorder(&recorder);

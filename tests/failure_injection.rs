@@ -391,8 +391,7 @@ fn death_during_concurrent_churn() {
 /// The same injections with every scheme wrapped in
 /// [`era::chaos::ChaosSmr`]: a transparent wrapper must change nothing,
 /// and an armed wrapper must stack *its* deaths on top of the manual
-/// ones without the recovery story regressing. (`--features chaos`.)
-#[cfg(feature = "chaos")]
+/// ones without the recovery story regressing.
 mod chaos_wrapped {
     use super::*;
     use era::chaos::{ChaosSmr, FaultAction, FaultPlan};

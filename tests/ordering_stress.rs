@@ -290,9 +290,8 @@ fn he_protect_retire_reclaim() {
 /// The same hammer through a transparent (empty-plan)
 /// [`era::chaos::ChaosSmr`]: the decorator must preserve the fence
 /// discipline and the footprint bounds exactly — its fast path is a
-/// single relaxed clock increment and one load. (`--features chaos`;
-/// armed-plan multi-thread runs live in `chaos_stress.rs`.)
-#[cfg(feature = "chaos")]
+/// single relaxed clock increment and one load. (Armed-plan
+/// multi-thread runs live in `chaos_stress.rs`.)
 mod chaos_wrapped {
     use super::*;
     use era::chaos::ChaosSmr;
