@@ -16,19 +16,23 @@
 //!   net_bench --addr HOST:PORT [--connections N] [--duration SECS]
 //!             [--pipeline N] [--rate OPS_PER_SEC] [--keys N]
 //!             [--mix a|b|c|churn] [--dist uniform|zipf] [--theta F]
-//!             [--seed N] [--report out.jsonl]
+//!             [--seed N]
+//!
+//! It prints one table row (throughput, latency percentiles, the typed
+//! refusals it received, the server's dropped trace events) and, from
+//! a closing `STATS` request, the server's sheds and final per-shard
+//! health. A flag it does not know, or a value out of range, exits 2
+//! naming the flag.
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use era_bench::parse_arg;
 use era_bench::table::Table;
-use era_kv::{KeyDist, KvMix, KvOpKind};
+use era_bench::{bad_args, parse_arg, DistArgs};
+use era_kv::{KeyDist, KvMix, KvOpKind, ShardHealth};
 use era_net::proto::{read_frame, write_request, Request, Response};
-use era_net::{percentiles, ErrorCode, NetRunRecord};
-use era_obs::report::write_jsonl;
+use era_net::{ErrorCode, StatsReply};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 const USAGE: &str = "usage: net_bench --addr HOST:PORT [options] \
@@ -43,10 +47,8 @@ struct Options {
     rate: u64,
     keys: i64,
     mix: KvMix,
-    mix_name: &'static str,
     dist: KeyDist,
     seed: u64,
-    report: Option<PathBuf>,
 }
 
 fn parse_options() -> Options {
@@ -58,63 +60,49 @@ fn parse_options() -> Options {
         rate: 0,
         keys: 1 << 16,
         mix: KvMix::YCSB_A,
-        mix_name: "a",
         dist: KeyDist::Uniform,
         seed: 0x0E8A_BE9C,
-        report: None,
     };
-    let mut theta = 0.99f64;
-    let mut zipf = false;
+    let mut dist = DistArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
+        if dist.take(flag, &mut args) {
+            continue;
+        }
         match flag {
             "--addr" => opts.addr = parse_arg(flag, args.next()),
             "--connections" => opts.connections = parse_arg::<usize>(flag, args.next()).max(1),
             "--duration" => {
                 let secs: f64 = parse_arg(flag, args.next());
-                opts.duration = Duration::from_secs_f64(secs.max(0.1));
+                opts.duration = Duration::try_from_secs_f64(secs.max(0.1))
+                    .unwrap_or_else(|_| bad_args(&format!("--duration {secs} is out of range")));
             }
             "--pipeline" => opts.pipeline = parse_arg::<usize>(flag, args.next()).max(1),
             "--rate" => opts.rate = parse_arg(flag, args.next()),
-            "--keys" => opts.keys = parse_arg(flag, args.next()),
-            "--theta" => theta = parse_arg(flag, args.next()),
+            "--keys" => {
+                opts.keys = parse_arg(flag, args.next());
+                if opts.keys < 1 {
+                    bad_args(&format!("--keys {} is not a positive count", opts.keys));
+                }
+            }
             "--seed" => opts.seed = parse_arg(flag, args.next()),
-            "--zipf" => zipf = true,
-            "--dist" => match parse_arg::<String>(flag, args.next()).as_str() {
-                "uniform" => zipf = false,
-                "zipf" | "zipfian" => zipf = true,
-                other => {
-                    eprintln!("unknown --dist {other} (use uniform|zipf)");
-                    std::process::exit(2);
-                }
-            },
             "--mix" => {
-                (opts.mix, opts.mix_name) = match parse_arg::<String>(flag, args.next()).as_str() {
-                    "a" => (KvMix::YCSB_A, "a"),
-                    "b" => (KvMix::YCSB_B, "b"),
-                    "c" => (KvMix::YCSB_C, "c"),
-                    "churn" => (KvMix::CHURN, "churn"),
-                    other => {
-                        eprintln!("unknown --mix {other} (use a|b|c|churn)");
-                        std::process::exit(2);
-                    }
+                opts.mix = match parse_arg::<String>(flag, args.next()).as_str() {
+                    "a" => KvMix::YCSB_A,
+                    "b" => KvMix::YCSB_B,
+                    "c" => KvMix::YCSB_C,
+                    "churn" => KvMix::CHURN,
+                    other => bad_args(&format!("unknown --mix {other} (use a|b|c|churn)")),
                 }
             }
-            "--report" => opts.report = Some(parse_arg(flag, args.next())),
-            other => {
-                eprintln!("unknown argument {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => bad_args(&format!("unknown argument {other}\n{USAGE}")),
         }
     }
     if opts.addr.is_empty() {
-        eprintln!("--addr is required\n{USAGE}");
-        std::process::exit(2);
+        bad_args(&format!("--addr is required\n{USAGE}"));
     }
-    if zipf {
-        opts.dist = KeyDist::Zipfian { theta };
-    }
+    opts.dist = dist.dist();
     opts
 }
 
@@ -173,7 +161,7 @@ fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
         // request it delayed.
         let Some(due) = burst_due(sent_total, interval, opts.duration) else {
             // Idle out the run instead of ending it early, so the
-            // record's elapsed time is the run's.
+            // measured elapsed time is the run's.
             std::thread::sleep(opts.duration.saturating_sub(start.elapsed()));
             break;
         };
@@ -216,8 +204,10 @@ fn drive_connection(opts: &Options, conn_id: u64) -> ConnResult {
     res
 }
 
-/// Runs the measured load against `opts.addr` and assembles the record.
-fn run_load(opts: &Options) -> NetRunRecord {
+/// Runs the measured load against `opts.addr`: every connection's
+/// tallies summed, the measured window, and the server's reply to one
+/// closing `STATS` request.
+fn run_load(opts: &Options) -> (ConnResult, Duration, StatsReply) {
     let addr = opts.addr.as_str();
     // Prefill half the keyspace through one pipelined connection so
     // reads hit real entries.
@@ -225,7 +215,7 @@ fn run_load(opts: &Options) -> NetRunRecord {
         let mut stream = TcpStream::connect(addr).expect("connect for prefill");
         stream.set_nodelay(true).expect("nodelay");
         let mut scratch = Vec::new();
-        let prefill = (opts.keys / 2).max(0);
+        let prefill = opts.keys / 2;
         let mut k = 0i64;
         while k < prefill {
             let mut burst = Vec::new();
@@ -250,8 +240,6 @@ fn run_load(opts: &Options) -> NetRunRecord {
     });
     let elapsed = started.elapsed();
 
-    // One closing STATS frame: the server-side counters the record
-    // carries (trace_dropped, sheds, per-shard health).
     let stats = {
         let mut stream = TcpStream::connect(addr).expect("connect for stats");
         let mut scratch = Vec::new();
@@ -262,47 +250,44 @@ fn run_load(opts: &Options) -> NetRunRecord {
         }
     };
 
-    let mut all_lat: Vec<u64> = Vec::new();
-    let mut ops = 0u64;
-    let mut overloaded = 0u64;
-    let mut deadline_exceeded = 0u64;
+    let mut total = ConnResult::default();
     for mut r in results {
-        ops += r.ops;
-        overloaded += r.overloaded;
-        deadline_exceeded += r.deadline_exceeded;
-        all_lat.append(&mut r.latencies_us);
+        total.ops += r.ops;
+        total.overloaded += r.overloaded;
+        total.deadline_exceeded += r.deadline_exceeded;
+        total.latencies_us.append(&mut r.latencies_us);
     }
-    let (p50_us, p99_us, p999_us, max_us) = percentiles(&mut all_lat);
-    NetRunRecord {
-        addr: addr.to_string(),
-        connections: opts.connections,
-        dist: opts.dist.name().to_string(),
-        mix: opts.mix.name().to_string(),
-        key_range: opts.keys as u64,
-        pipeline: opts.pipeline,
-        target_rate: opts.rate,
-        ops,
-        overloaded,
-        deadline_exceeded,
-        elapsed,
-        p50_us,
-        p99_us,
-        p999_us,
-        max_us,
-        trace_dropped: stats.trace_dropped,
-        server_sheds: stats.sheds,
-        health: stats.health,
+    (total, elapsed, stats)
+}
+
+/// Exact nearest-rank percentiles over recorded latencies. Sorts in
+/// place; returns `(p50, p99, p999, max)` in the samples' unit.
+fn percentiles(samples: &mut [u64]) -> (u64, u64, u64, u64) {
+    if samples.is_empty() {
+        return (0, 0, 0, 0);
     }
+    samples.sort_unstable();
+    let rank = |p: f64| {
+        let idx = ((p * samples.len() as f64).ceil() as usize).max(1) - 1;
+        samples[idx.min(samples.len() - 1)]
+    };
+    (
+        rank(0.50),
+        rank(0.99),
+        rank(0.999),
+        samples[samples.len() - 1],
+    )
 }
 
 fn main() {
     let opts = parse_options();
     println!(
-        "== E13: era-net wire level — {} connection(s) × pipeline {}, mix ycsb-{}, {} keys, {} ==\n",
+        "== E13: era-net wire level — {} connection(s) × pipeline {}, mix {}, {} keys ({}), {} ==\n",
         opts.connections,
         opts.pipeline,
-        opts.mix_name,
+        opts.mix.name(),
         opts.keys,
+        opts.dist.name(),
         if opts.rate > 0 {
             format!("open loop @ {} ops/s", opts.rate)
         } else {
@@ -310,7 +295,8 @@ fn main() {
         },
     );
     println!("driving server at {}", opts.addr);
-    let record = run_load(&opts);
+    let (mut run, elapsed, server) = run_load(&opts);
+    let (p50, p99, p999, max) = percentiles(&mut run.latencies_us);
     let mut table = Table::new(
         [
             "Mops/s",
@@ -326,25 +312,26 @@ fn main() {
         .map(String::from),
     );
     table.row(vec![
-        format!("{:.3}", record.mops()),
-        record.p50_us.to_string(),
-        record.p99_us.to_string(),
-        record.p999_us.to_string(),
-        record.max_us.to_string(),
-        record.overloaded.to_string(),
-        record.deadline_exceeded.to_string(),
-        record.trace_dropped.to_string(),
+        format!("{:.3}", run.ops as f64 / 1e6 / elapsed.as_secs_f64()),
+        p50.to_string(),
+        p99.to_string(),
+        p999.to_string(),
+        max.to_string(),
+        run.overloaded.to_string(),
+        run.deadline_exceeded.to_string(),
+        server.trace_dropped.to_string(),
     ]);
     println!("{table}");
-    if let Some(path) = &opts.report {
-        match write_jsonl(path, [record.to_json_line()]) {
-            Ok(()) => println!("wrote 1 run record to {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write report {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    let health: Vec<&str> = server
+        .health
+        .iter()
+        .map(|&h| ShardHealth::from_u8(h).name())
+        .collect();
+    println!(
+        "server: {} write(s) shed, shard health [{}]",
+        server.sheds,
+        health.join(", ")
+    );
 }
 
 #[cfg(test)]
@@ -362,6 +349,15 @@ mod tests {
             .map_while(|burst| burst_due(burst * pipeline, interval, duration))
             .take(max)
             .collect()
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        assert_eq!(percentiles(&mut []), (0, 0, 0, 0));
+        // 1..=1000: nearest-rank p50 = 500, p99 = 990, p99.9 = 999.
+        let mut v: Vec<u64> = (1..=1000).collect();
+        assert_eq!(percentiles(&mut v), (500, 990, 999, 1000));
+        assert_eq!(percentiles(&mut [42]), (42, 42, 42, 42));
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn main() {
         seed: 42,
     };
     let nbr = Nbr::with_threshold(8, 2, 64);
-    let r = run_harris(&nbr, &spec, None);
+    let r = run_harris(&nbr, &spec);
     table.row([
         "NBR".to_string(),
         r.peak_retired.to_string(),

@@ -4,13 +4,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use era_ds::{ConcurrentSet, HarrisList, MichaelMap, SkipList, VbrList};
-use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 use era_smr::common::{EpochProtected, Smr, SmrStats, SupportsUnlinkedTraversal};
 
 use crate::workload::{KvOpKind, WorkloadSpec};
-
-/// Trace thread slot used by the runner's footprint sampler.
-const SAMPLER_THREAD: u16 = u16::MAX - 1;
 
 /// Result of one throughput run.
 #[derive(Debug, Clone, Copy)]
@@ -42,15 +38,12 @@ impl RunStats {
 
 /// The one driver body: prefills `set`, runs `spec`'s seeded op
 /// streams on `spec.threads` threads, and samples `stats().retired_now`
-/// every 1024 ops of every thread into `RunStats::peak_retired`; with a
-/// `sampler`, thread 0's samples also become [`Hook::Sample`] events
-/// carrying `(retired_now, ops_done)` — the footprint curve.
+/// every 1024 ops of every thread into `RunStats::peak_retired`.
 fn drive<L: ConcurrentSet + Sync>(
     set: &L,
     spec: &WorkloadSpec,
     stats: impl Fn() -> SmrStats + Sync,
     flush: impl Fn(&mut L::Ctx) + Sync,
-    sampler: Option<(&Recorder, SchemeId)>,
 ) -> RunStats {
     {
         let mut ctx = set.ctx();
@@ -65,10 +58,6 @@ fn drive<L: ConcurrentSet + Sync>(
             let (peak, stats, flush) = (&peak, &stats, &flush);
             s.spawn(move || {
                 let mut ctx = set.ctx();
-                let mut tracer = match sampler {
-                    Some((rec, scheme)) if t == 0 => rec.tracer(SAMPLER_THREAD, scheme),
-                    _ => ThreadTracer::disabled(),
-                };
                 for (i, (k, op)) in spec.ops_for_thread(t).enumerate() {
                     let _ = match op {
                         KvOpKind::Get => set.contains(&mut ctx, k),
@@ -76,11 +65,9 @@ fn drive<L: ConcurrentSet + Sync>(
                         KvOpKind::Remove => set.delete(&mut ctx, k),
                     };
                     if i % 1024 == 0 {
-                        let retired = stats().retired_now;
                         // SAFETY(ordering): Relaxed — footprint
                         // high-water telemetry, read after joins.
-                        peak.fetch_max(retired, Ordering::Relaxed);
-                        tracer.emit(Hook::Sample, retired as u64, i as u64);
+                        peak.fetch_max(stats().retired_now, Ordering::Relaxed);
                     }
                 }
                 for _ in 0..4 {
@@ -102,34 +89,19 @@ fn drive<L: ConcurrentSet + Sync>(
     }
 }
 
-/// [`drive`] for a set reclaimed by `smr`. With a `recorder`, the scheme
-/// emits its hook events into it and the footprint curve is recorded.
+/// [`drive`] for a set reclaimed by `smr`.
 fn run_set<S: Smr + Sync, L: ConcurrentSet<Ctx = S::ThreadCtx> + Sync>(
     smr: &S,
     set: &L,
     spec: &WorkloadSpec,
-    recorder: Option<&Recorder>,
 ) -> RunStats {
-    if let Some(rec) = recorder {
-        smr.attach_recorder(rec);
-    }
-    drive(
-        set,
-        spec,
-        || smr.stats(),
-        |ctx| smr.flush(ctx),
-        recorder.map(|rec| (rec, smr.kind().id())),
-    )
+    drive(set, spec, || smr.stats(), |ctx| smr.flush(ctx))
 }
 
 /// Drives `spec` against a [`MichaelMap`] as the set of its keys
 /// (works with every pointer-based scheme, HP included).
-pub fn run_michael<S: Smr + Sync>(
-    smr: &S,
-    spec: &WorkloadSpec,
-    recorder: Option<&Recorder>,
-) -> RunStats {
-    run_set(smr, &MichaelMap::new(smr), spec, recorder)
+pub fn run_michael<S: Smr + Sync>(smr: &S, spec: &WorkloadSpec) -> RunStats {
+    run_set(smr, &MichaelMap::new(smr), spec)
 }
 
 /// Drives `spec` against a [`HarrisList`] (schemes supporting
@@ -137,28 +109,22 @@ pub fn run_michael<S: Smr + Sync>(
 pub fn run_harris<S: Smr + SupportsUnlinkedTraversal + Sync>(
     smr: &S,
     spec: &WorkloadSpec,
-    recorder: Option<&Recorder>,
 ) -> RunStats {
-    run_set(smr, &HarrisList::new(smr), spec, recorder)
+    run_set(smr, &HarrisList::new(smr), spec)
 }
 
 /// Drives `spec` against a [`SkipList`] (epoch-protected schemes only:
 /// EBR and Leak).
-pub fn run_skiplist<S: Smr + EpochProtected + Sync>(
-    smr: &S,
-    spec: &WorkloadSpec,
-    recorder: Option<&Recorder>,
-) -> RunStats {
-    run_set(smr, &SkipList::new(smr), spec, recorder)
+pub fn run_skiplist<S: Smr + EpochProtected + Sync>(smr: &S, spec: &WorkloadSpec) -> RunStats {
+    run_set(smr, &SkipList::new(smr), spec)
 }
 
 /// Drives `spec` against a [`VbrList`] (the arena must be large enough
 /// for `prefill + threads` concurrent nodes; retired population is
-/// identically zero under VBR). There is no `Smr` to attach a recorder
-/// to, so a VBR run has no trace.
+/// identically zero under VBR).
 pub fn run_vbr(spec: &WorkloadSpec) -> RunStats {
     let list = VbrList::new(spec.key_range as usize + spec.threads * 2 + 16);
-    drive(&list, spec, || list.arena().stats(), |_| {}, None)
+    drive(&list, spec, || list.arena().stats(), |_| {})
 }
 
 /// Outcome of one stalled-thread churn experiment (the Definition 5.1
@@ -285,7 +251,7 @@ mod tests {
     #[test]
     fn michael_runner_produces_stats() {
         let smr = Hp::new(8, 3);
-        let stats = run_michael(&smr, &WorkloadSpec::small(), None);
+        let stats = run_michael(&smr, &WorkloadSpec::small());
         assert_eq!(stats.ops, 4_000);
         assert!(stats.mops() > 0.0);
         assert!(stats.total_reclaimed <= stats.total_retired);
@@ -294,7 +260,7 @@ mod tests {
     #[test]
     fn harris_runner_produces_stats() {
         let smr = Ebr::new(8);
-        let stats = run_harris(&smr, &WorkloadSpec::small(), None);
+        let stats = run_harris(&smr, &WorkloadSpec::small());
         assert_eq!(stats.ops, 4_000);
         assert!(stats.total_retired > 0, "mixed workload must retire nodes");
     }
@@ -302,7 +268,7 @@ mod tests {
     #[test]
     fn harris_runner_with_nbr() {
         let smr = Nbr::new(8, 2);
-        let stats = run_harris(&smr, &WorkloadSpec::small(), None);
+        let stats = run_harris(&smr, &WorkloadSpec::small());
         assert!(
             stats.final_retired <= 64 * 8,
             "NBR keeps the footprint bounded"
@@ -312,19 +278,16 @@ mod tests {
     #[test]
     fn skiplist_runner_samples_its_peak() {
         // The footprint column is a mid-run sample, not the value read
-        // after the final flush, and a recorder gets the curve.
+        // after the final flush.
         let smr = Ebr::new(8);
         let spec = WorkloadSpec {
             mix: UPDATE_HEAVY,
             ..WorkloadSpec::small()
         };
-        let rec = Recorder::new(8);
-        let stats = run_skiplist(&smr, &spec, Some(&rec));
+        let stats = run_skiplist(&smr, &spec);
         assert!(stats.total_retired > 0, "updates must retire nodes");
         assert!(stats.peak_retired >= stats.final_retired);
         assert!(stats.peak_retired <= stats.retired_peak);
-        let record = crate::RunRecord::collect("skiplist", "EBR", &spec, stats, &rec);
-        assert!(!record.curve.is_empty(), "thread 0 samples the footprint");
     }
 
     #[test]
@@ -341,7 +304,7 @@ mod tests {
             mix: UPDATE_HEAVY,
             ..WorkloadSpec::small()
         };
-        let stats = run_michael(&smr, &spec, None);
+        let stats = run_michael(&smr, &spec);
         assert_eq!(stats.total_reclaimed, 0);
         assert_eq!(stats.final_retired as u64, stats.total_retired);
     }

@@ -1,5 +1,6 @@
-//! The experiment binaries as processes: a malformed number exits 2
-//! naming its flag or position instead of running with a default, and
+//! The experiment binaries as processes: a malformed number, a value
+//! out of range or an unknown argument exits 2 naming its flag or
+//! position instead of running with a default, and
 //! `figure1` labels each trajectory row with the round it shows.
 
 use std::process::{Command, Output};
@@ -22,6 +23,34 @@ fn malformed_numbers_exit_2_naming_the_flag_or_position() {
             env!("CARGO_BIN_EXE_net_bench"),
             &["--addr", "127.0.0.1:1", "--pipeline", "x"],
             "--pipeline",
+        ),
+        // A flag throughput does not know, and a third positional, are
+        // refused, not dropped.
+        (
+            env!("CARGO_BIN_EXE_throughput"),
+            &["10", "8", "--report", "x"],
+            "--report",
+        ),
+        (
+            env!("CARGO_BIN_EXE_throughput"),
+            &["10", "8", "9"],
+            "argument 9",
+        ),
+        // Values out of range are refused before any connection.
+        (
+            env!("CARGO_BIN_EXE_net_bench"),
+            &["--addr", "127.0.0.1:1", "--duration", "inf"],
+            "--duration",
+        ),
+        (
+            env!("CARGO_BIN_EXE_net_bench"),
+            &["--addr", "127.0.0.1:1", "--dist", "zipf", "--theta", "1.5"],
+            "--theta",
+        ),
+        (
+            env!("CARGO_BIN_EXE_net_bench"),
+            &["--addr", "127.0.0.1:1", "--keys", "-4"],
+            "--keys",
         ),
     ] {
         let out = run(bin, args);

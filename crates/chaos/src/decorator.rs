@@ -33,8 +33,7 @@ use crate::plan::{FaultAction, FaultPlan};
 
 /// Thread slot the decorator's service tracer emits `Hook::Fault`
 /// under. Stays clear of real worker slots and the other service slots
-/// (`u16::MAX` smr-internal, `u16::MAX - 1` bench sampler,
-/// `u16::MAX - 2` kv navigator).
+/// (`u16::MAX` smr-internal, `u16::MAX - 2` kv navigator).
 pub const CHAOS_THREAD: u16 = u16::MAX - 3;
 
 /// Canary nodes a die-pinned victim retires before dying, so every

@@ -24,8 +24,7 @@ use era_smr::{CachePadded, RegisterError, Smr, SmrStats};
 use crate::navigator::ShardHealth;
 
 /// Thread slot the navigator's service tracer emits under (stays clear
-/// of real worker slots, the smr-internal service slot `u16::MAX`, and
-/// the bench sampler slot `u16::MAX - 1`).
+/// of real worker slots and the smr-internal service slot `u16::MAX`).
 pub const NAVIGATOR_THREAD: u16 = u16::MAX - 2;
 
 /// Tuning knobs for a [`KvStore`].

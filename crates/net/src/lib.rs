@@ -4,8 +4,7 @@
 //! wire. It serves a sharded [`era_kv::KvStore`] over TCP with a
 //! length-prefixed binary protocol ([`proto`]), an acceptor feeding a
 //! fixed worker pool with per-connection request pipelining and
-//! per-shard write batching ([`server`]), and JSON-lines run records
-//! for the `net_bench` load generator ([`report`]). A connection is
+//! per-shard write batching ([`server`]). A connection is
 //! one socket and two fixed-role buffers: requests are decoded in
 //! place from the read buffer, replies are encoded into the reply
 //! buffer and written once per read, and the common opcodes allocate
@@ -35,12 +34,10 @@
 //! transitions).
 
 pub mod proto;
-pub mod report;
 pub mod server;
 
 pub use proto::{
     read_frame, split_frame, write_request, write_response, ErrorCode, ErrorReply, ProtoError,
     Request, Response, StatsReply, MAX_FRAME, MAX_REQUEST_FRAME,
 };
-pub use report::{percentiles, NetRunRecord};
 pub use server::{NetConfig, NetHandle, NetServer, ServeStats};

@@ -108,8 +108,8 @@ pub struct StatsReply {
     /// Navigator neutralizations.
     pub neutralizations: u64,
     /// Trace events lost to ring overwrites (server-side, all
-    /// recorders) — threaded into `NetRunRecord` so ring truncation is
-    /// never silent on the serving path.
+    /// recorders) — `net_bench` prints it, so ring truncation is never
+    /// silent on the serving path.
     pub trace_dropped: u64,
     /// Per-shard health class (`era_kv::ShardHealth` as `u8`), in
     /// shard order; doubles as the shard count.

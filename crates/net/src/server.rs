@@ -130,10 +130,6 @@ pub struct NetConfig {
     pub degraded_deadline: Duration,
     /// Backoff schedule for writes queued against a `Degrading` shard.
     pub write_backoff: Backoff,
-    /// Event-ring capacity of the server's own `net` recorder
-    /// (accept/shed events). The store's per-shard rings are sized by
-    /// [`era_kv::KvConfig::ring_capacity`] instead.
-    pub ring_capacity: usize,
 }
 
 impl Default for NetConfig {
@@ -146,7 +142,6 @@ impl Default for NetConfig {
                 base_backoff: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(2),
             },
-            ring_capacity: era_obs::DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -345,7 +340,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let recorder = Recorder::with_ring_capacity(cfg.workers + 2, cfg.ring_capacity);
+        // The `net` recorder (accept/shed events) gets the store's ring
+        // size, like every shard recorder.
+        let recorder = Recorder::with_ring_capacity(cfg.workers + 2, store.config().ring_capacity);
         let flight = Arc::new(FlightRecorder::new());
         for i in 0..store.shard_count() {
             flight.add_source(&format!("shard{i}"), store.recorder(i));

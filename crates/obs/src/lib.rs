@@ -29,10 +29,9 @@
 //!   [`ThreadTracer::disabled`], whose every emit is one branch on a
 //!   local `Option`.
 //! - **Reports** ([`report`], [`json`]): a dependency-free JSON-lines
-//!   writer for `BENCH_*.jsonl` artifacts — throughput, footprint
-//!   curves, latency histograms, hook counts — and the one reader
-//!   ([`Json`]) every crate that takes such a record back in goes
-//!   through.
+//!   writer for the records something reads back (scenario verdicts,
+//!   chaos runs) and the one reader ([`Json`]) every crate that takes
+//!   such a record back in goes through.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
 //!   that drains the rings into packed segments (the newest events per
 //!   source, up to a count cap), snapshots them (plus metrics and scheme

@@ -139,17 +139,6 @@ impl HistogramSnapshot {
         HistogramSnapshot { counts }
     }
 
-    /// Non-empty buckets as `(upper_bound_exclusive, count)` pairs;
-    /// bucket 0 reports as upper bound 1 (i.e. the value 0).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (if k >= 64 { u64::MAX } else { 1u64 << k }, c))
-            .collect()
-    }
-
     /// Accumulates another snapshot into this one (bucket-wise sum).
     /// Used by era-kv to merge per-shard latency histograms into one
     /// service-level distribution; log₂ buckets make this lossless.
@@ -321,6 +310,13 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// `(bucket index, count)` for each non-empty bucket; bucket `k`
+    /// holds values below `2^k`.
+    fn nonzero(snap: &HistogramSnapshot) -> Vec<(usize, u64)> {
+        let counts = snap.counts().iter().copied();
+        counts.enumerate().filter(|&(_, c)| c > 0).collect()
+    }
+
     #[test]
     fn log2_bucketing() {
         assert_eq!(Log2Histogram::bucket_of(0), 0);
@@ -341,10 +337,7 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.total(), 8);
-        assert_eq!(
-            snap.nonzero_buckets(),
-            vec![(1, 1), (2, 2), (4, 1), (8, 3), (128, 1)]
-        );
+        assert_eq!(nonzero(&snap), [(0, 1), (1, 2), (2, 1), (3, 3), (7, 1)]);
         assert_eq!(snap.quantile_upper_bound(0.0), 1);
         assert_eq!(snap.quantile_upper_bound(0.5), 4);
         assert_eq!(snap.quantile_upper_bound(1.0), 128);
@@ -371,10 +364,7 @@ mod tests {
         merged.merge(&a.snapshot());
         merged.merge(&b.snapshot());
         assert_eq!(merged.total(), 5);
-        assert_eq!(
-            merged.nonzero_buckets(),
-            vec![(2, 1), (4, 2), (8, 1), (128, 1)]
-        );
+        assert_eq!(nonzero(&merged), [(1, 1), (2, 2), (3, 1), (7, 1)]);
     }
 
     #[test]

@@ -2,16 +2,12 @@
 //!
 //! The workspace builds offline with no serialization dependency, so
 //! reports are assembled with this writer instead. It produces one
-//! compact JSON object per call — suitable for JSON-lines files
-//! (`BENCH_*.jsonl`) that downstream tooling can ingest line by line,
-//! and that [`crate::json::Json::parse`] reads back.
+//! compact JSON object per call — one line of a JSON-lines record
+//! file, which [`crate::json::Json::parse`] reads back.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-use crate::event::{Event, Hook};
-use crate::metrics::{HistogramSnapshot, Metrics};
 
 /// Builds one JSON object, field by field, in insertion order.
 #[derive(Debug, Clone)]
@@ -136,43 +132,6 @@ fn push_json_string(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
-/// Renders a histogram snapshot as a JSON object with total, coarse
-/// quantile bounds, and the non-empty `[upper_bound, count]` buckets.
-pub fn histogram_json(snapshot: &HistogramSnapshot) -> String {
-    JsonObject::new()
-        .u64("total", snapshot.total())
-        .u64("p50_le", snapshot.quantile_upper_bound(0.5))
-        .u64("p99_le", snapshot.quantile_upper_bound(0.99))
-        .u64("max_le", snapshot.quantile_upper_bound(1.0))
-        .pairs("buckets", &snapshot.nonzero_buckets())
-        .finish()
-}
-
-/// Renders the per-hook call counters as a JSON object keyed by hook
-/// name, omitting hooks that never fired.
-pub fn hook_counts_json(metrics: &Metrics) -> String {
-    let mut obj = JsonObject::new();
-    for hook in Hook::ALL {
-        let n = metrics.hook_count(hook);
-        if n > 0 {
-            obj = obj.u64(hook.name(), n);
-        }
-    }
-    obj.finish()
-}
-
-/// Renders one trace event as a JSON line (for trace exports).
-pub fn event_json(event: &Event) -> String {
-    JsonObject::new()
-        .u64("ts", event.ts)
-        .u64("thread", event.thread as u64)
-        .str("scheme", event.scheme().name())
-        .str("hook", event.hook().name())
-        .u64("a", event.a)
-        .u64("b", event.b)
-        .finish()
-}
-
 /// Writes `lines` to `path` as a JSON-lines file: each line followed
 /// by `\n`, nothing else. Every run report in the workspace leaves
 /// through here.
@@ -195,8 +154,6 @@ pub fn write_jsonl<L: AsRef<str>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchemeId;
-    use crate::metrics::Log2Histogram;
 
     #[test]
     #[cfg_attr(miri, ignore = "writes a file")]
@@ -227,29 +184,6 @@ mod tests {
             json,
             "{\"name\":\"a\\\"b\\\\c\\nd\",\"n\":42,\"rate\":1.500000,\"bad\":null,\
              \"ok\":true,\"nested\":{\"x\":1},\"xs\":[1,2,3]}"
-        );
-    }
-
-    #[test]
-    fn histogram_json_shape() {
-        let h = Log2Histogram::default();
-        h.record(3);
-        h.record(3);
-        h.record(300);
-        let json = histogram_json(&h.snapshot());
-        assert_eq!(
-            json,
-            "{\"total\":3,\"p50_le\":4,\"p99_le\":512,\"max_le\":512,\"buckets\":[[4,2],[512,1]]}"
-        );
-    }
-
-    #[test]
-    fn event_json_shape() {
-        let mut e = Event::new(2, SchemeId::VBR, Hook::Reclaim, 16, 5);
-        e.ts = 99;
-        assert_eq!(
-            event_json(&e),
-            "{\"ts\":99,\"thread\":2,\"scheme\":\"vbr\",\"hook\":\"reclaim\",\"a\":16,\"b\":5}"
         );
     }
 

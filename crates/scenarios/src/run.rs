@@ -466,7 +466,6 @@ fn serve_phase<S: Smr>(
 ) {
     let cfg = NetConfig {
         workers: NET_WORKERS,
-        ring_capacity: store.config().ring_capacity,
         ..NetConfig::default()
     };
     let server = NetServer::bind(store, cfg, "127.0.0.1:0").expect("bind loopback");

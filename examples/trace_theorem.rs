@@ -1,10 +1,9 @@
 //! Figure 1 (Theorem 6.1), replayed under **every** scheme with the
 //! `era-obs` tracer attached: prints the merged, timestamp-ordered
-//! event log of each run, a footprint table across schemes, and writes
-//! the full traces as a JSON-lines artifact.
+//! event log of each run and a footprint table across schemes, and
+//! asserts that each log is complete and agrees with the monitor.
 //!
-//! Run with: `cargo run --example trace_theorem [rounds] [out.jsonl]`
-//! (defaults: 32 rounds, `trace_theorem.jsonl` in the working dir).
+//! Run with: `cargo run --example trace_theorem [rounds]` (default 32).
 //!
 //! Where the `figure1` binary prints each scheme's trajectory and
 //! outcome, this example shows what the *observability layer* sees: the
@@ -14,9 +13,6 @@
 //! `restart`, VBR emits `rollback` — which is the ERA trade-off of the
 //! paper rendered as traces.
 
-use std::io::Write;
-
-use era::obs::report::event_json;
 use era::obs::{phase_name, Hook, Recorder};
 use era::sim::schemes::all_schemes;
 use era::sim::theorem::{run_figure1_traced, TheoremOutcome};
@@ -29,13 +25,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(32);
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "trace_theorem.jsonl".to_string());
 
     println!("== Figure 1 under every scheme, traced ({rounds} churn rounds) ==");
     let mut outcomes: Vec<(TheoremOutcome, usize)> = Vec::new();
-    let mut artifact = std::fs::File::create(&out_path).expect("create artifact");
 
     for scheme in all_schemes(2) {
         let name = scheme.name().to_string();
@@ -80,10 +72,7 @@ fn main() {
             );
         }
         if shown.len() > PRINT_LIMIT {
-            println!(
-                "  … {} more events (full log in artifact)",
-                shown.len() - PRINT_LIMIT
-            );
+            println!("  … {} more events", shown.len() - PRINT_LIMIT);
         }
 
         // Peak retired population as the *trace* saw it (max over the
@@ -94,9 +83,6 @@ fn main() {
             traced_peak, outcome.peak_retired,
             "{name}: trace and monitor must agree on the footprint peak"
         );
-        for event in &log.events {
-            writeln!(artifact, "{}", event_json(event)).expect("write artifact");
-        }
         outcomes.push((outcome, traced_peak));
     }
 
@@ -117,5 +103,4 @@ fn main() {
             out.sacrificed
         );
     }
-    println!("\nwrote per-event JSON lines for every scheme to {out_path}");
 }
