@@ -823,10 +823,10 @@ mod tests {
             ev(1, 5, Hook::Load, 1, 0),
             ev(1, 5, Hook::Load, 2, 0),
             ev(4, 5, Hook::Load, 9, 0),
-            ev(0, 5, Hook::Retire, 7, 1),
+            ev(0, 5, Hook::Reclaim, 7, 1),
             ev(0, 6, Hook::Load, 3, 0),
             ev(1, 6, Hook::EndOp, 0, 0),
-            ev(4, 6, Hook::Reclaim, 7, 1),
+            ev(4, 6, Hook::Advance, 2, 0),
         ];
         let dump = FlightDump {
             sources: vec![src.clone()],

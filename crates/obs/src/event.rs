@@ -23,13 +23,16 @@ pub enum Hook {
     /// `b` = observed pointer/address).
     Load = 2,
     /// `Smr::retire`: a node was unlinked and handed to the scheme
-    /// (`a` = address, `b` = retired-population after the call).
+    /// (`a` = address, `b` = retired-population after the call). It
+    /// *reads* the clock (see [`Hook::advances_clock`]): a retire is
+    /// on the operation path, so it writes no word a peer's next
+    /// operation reads.
     Retire = 3,
     /// A retired node was actually freed (`a` = address, `b` =
     /// retire→reclaim latency in trace ticks — the clock is advanced
-    /// by protocol events only, see [`Hook::advances_clock`], so this
-    /// counts the retires, reclaims, epoch advances, … in between, not
-    /// operations).
+    /// by the ticking protocol events only, see
+    /// [`Hook::advances_clock`], so this counts the reclaims, epoch
+    /// advances, … in between, not operations and not retires).
     Reclaim = 4,
     /// A reservation was published (HP/HE/IBR protect, EBR/QSBR pin;
     /// `a` = slot, `b` = value/era).
@@ -144,17 +147,22 @@ impl Hook {
     /// clock (`true`) or merely *reads* it (`false`).
     ///
     /// The per-operation hooks — the ones a scheme emits on every
-    /// operation or every protected load — only read the clock, so a
-    /// read-mostly workload never writes a word another thread reads.
-    /// Everything else (the reclamation protocol, the navigator, the
-    /// serving front-end, the simulator's oracle and driver) ticks. A
-    /// reading event stamped `v` read the clock before the tick that
-    /// issued `v`, which is why [`Event::merge_key`] orders readers
-    /// before the ticker at equal `ts`.
+    /// operation or every protected load — and `Retire`, which a
+    /// writing operation emits, only read the clock, so no operation
+    /// writes a word another thread reads: the clock is written only
+    /// on the amortised reclamation path. Everything else (reclaim
+    /// runs, epoch advances, blame, adoption, faults, the navigator,
+    /// the serving front-end, the simulator's oracle and driver)
+    /// ticks. A reading event stamped `v` read the clock before the
+    /// tick that issued `v`, which is why [`Event::merge_key`] orders
+    /// readers before the ticker at equal `ts` — so a node's `Retire`
+    /// still sorts before its `Reclaim`, which happens after it and
+    /// ticks. A `Retire` tied with another thread's reading event is
+    /// concurrent with it.
     pub const fn advances_clock(self) -> bool {
         !matches!(
             self,
-            Hook::BeginOp | Hook::EndOp | Hook::Load | Hook::Reserve
+            Hook::BeginOp | Hook::EndOp | Hook::Load | Hook::Reserve | Hook::Retire
         )
     }
 }
@@ -245,8 +253,8 @@ impl fmt::Display for SchemeId {
 #[repr(C)]
 pub struct Event {
     /// Logical timestamp: unique among clock-advancing events, shared
-    /// by the per-operation events that read the clock between two
-    /// ticks (see [`Hook::advances_clock`]).
+    /// by the reading events — per-operation hooks and retires — that
+    /// read the clock between two ticks (see [`Hook::advances_clock`]).
     pub ts: u64,
     /// First hook-specific payload word.
     pub a: u64,
@@ -371,14 +379,20 @@ mod tests {
     }
 
     #[test]
-    fn only_the_per_operation_hooks_read_the_clock() {
+    fn only_the_per_operation_hooks_and_retire_read_the_clock() {
         let readers: Vec<Hook> = Hook::ALL
             .into_iter()
             .filter(|h| !h.advances_clock())
             .collect();
         assert_eq!(
             readers,
-            [Hook::BeginOp, Hook::EndOp, Hook::Load, Hook::Reserve]
+            [
+                Hook::BeginOp,
+                Hook::EndOp,
+                Hook::Load,
+                Hook::Retire,
+                Hook::Reserve
+            ]
         );
         // At equal `ts` a reader sorts before the ticker, then by
         // thread; an unknown hook byte is treated as a ticker.
@@ -387,7 +401,8 @@ mod tests {
             e.ts = 7;
             e
         };
-        assert!(at(Hook::Load, 9).merge_key() < at(Hook::Retire, 0).merge_key());
+        assert!(at(Hook::Load, 9).merge_key() < at(Hook::Reclaim, 0).merge_key());
+        assert!(at(Hook::Retire, 9).merge_key() < at(Hook::Reclaim, 0).merge_key());
         assert!(at(Hook::Load, 0).merge_key() < at(Hook::EndOp, 1).merge_key());
         let mut future = at(Hook::Load, 0);
         future.hook = 200;

@@ -12,12 +12,13 @@
 //!   the 32-byte [`Event`]). A push is five stores to words only that
 //!   thread writes — no allocation, no locks, no cross-thread
 //!   contention — and a ring commits memory only as it fills.
-//! - **Global logical clock**: protocol events (retire, reclaim,
-//!   advance, … — [`Hook::advances_clock`]) draw a timestamp with one
-//!   `fetch_add(1)`; per-operation events (`BeginOp`, `EndOp`, `Load`,
-//!   `Reserve`) only *read* it, so operations write no shared word. A
-//!   drained trace is still one coherent timeline across threads and
-//!   schemes, ordered by [`Event::merge_key`], without OS-clock skew.
+//! - **Global logical clock**: protocol events (reclaim, advance, … —
+//!   [`Hook::advances_clock`]) draw a timestamp with one `fetch_add(1)`;
+//!   per-operation events (`BeginOp`, `EndOp`, `Load`, `Reserve`) and
+//!   `Retire` only *read* it, so operations and retires write no
+//!   shared word. A drained trace is still one coherent timeline across
+//!   threads and schemes, ordered by [`Event::merge_key`], without
+//!   OS-clock skew.
 //! - **Aggregate metrics** ([`Metrics`]): always-exact counters beside
 //!   the lossy rings — per-hook call counts (summed over per-tracer,
 //!   single-writer blocks), a retire→reclaim latency

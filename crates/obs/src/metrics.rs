@@ -208,9 +208,10 @@ pub struct Metrics {
     /// at tracer creation, walked by [`Metrics::hook_count`]).
     hook_blocks: Mutex<Vec<Arc<HookCounts>>>,
     /// Retire→reclaim latency in trace ticks. The trace clock is
-    /// advanced by protocol events only ([`Hook::advances_clock`]), so
-    /// a latency of `n` means `n` retires, reclaims, epoch advances,
-    /// … happened on this recorder in between — not `n` operations.
+    /// advanced by the ticking protocol events only
+    /// ([`Hook::advances_clock`]), so a latency of `n` means `n`
+    /// reclaims, epoch advances, … happened on this recorder in
+    /// between — not `n` operations, and not `n` retires.
     pub reclaim_latency: Log2Histogram,
     /// Highest retired-but-unreclaimed population ever observed.
     pub footprint_peak: HighWater,
@@ -297,7 +298,7 @@ impl Metrics {
     }
 
     /// p99 retire→reclaim latency upper bound in trace ticks — i.e.
-    /// protocol events, see [`Metrics::reclaim_latency`] (0 when
+    /// ticking protocol events, see [`Metrics::reclaim_latency`] (0 when
     /// nothing has been reclaimed yet). Coarse (within 2×) but
     /// monotone under load, which is all a degradation classifier
     /// needs.

@@ -11,16 +11,18 @@
 //! # The clock
 //!
 //! The clock is one shared word, and the emit path is written so that
-//! the *per-operation* hooks never write it. Protocol events — every
-//! hook for which [`Hook::advances_clock`] holds: retire, reclaim,
-//! epoch advance, restart, blame, adoption, faults, the navigator, the
+//! nothing on the operation path writes it. Protocol events — every
+//! hook for which [`Hook::advances_clock`] holds: reclaim, epoch
+//! advance, restart, blame, adoption, faults, the navigator, the
 //! serving front-end, the simulator's oracle and driver — draw a fresh
 //! timestamp with a `fetch_add`; a run of `n` of them
 //! ([`ThreadTracer::emit_run`], a reclaim batch) draws `n` consecutive
-//! ones with a single `fetch_add(n)`. `BeginOp`, `EndOp`, `Load` and
-//! `Reserve` stamp themselves with a plain *load* of it, so between
-//! two protocol events the clock's cache line sits Shared in every
-//! core and an operation writes nothing another thread reads.
+//! ones with a single `fetch_add(n)`. `BeginOp`, `EndOp`, `Load`,
+//! `Reserve` and `Retire` stamp themselves with a plain *load* of it,
+//! so between two ticks the clock's cache line sits Shared in every
+//! core and neither an operation nor its retire writes anything another
+//! thread reads: the clock is written only on the amortised
+//! reclamation path.
 //!
 //! Ordering stays sound by the coherence of that single word: an event
 //! that happens-after a ticking event reads a strictly larger value,
@@ -28,8 +30,10 @@
 //! issued `v`. Hence the merge key `(ts, advances_clock, thread)` plus
 //! ring order: readers sort before the ticker they tie with, one
 //! thread's events keep their program order, and a tie between reading
-//! events of two threads means "concurrent": no protocol event — no
-//! retire, no reclaim, no epoch advance — separates them.
+//! events of two threads means "concurrent": no ticking event — no
+//! reclaim, no epoch advance — separates them. A node's `Retire`
+//! happens before its `Reclaim`, so the reclaim's tick is at least the
+//! value the retire read and, tied or not, sorts after it.
 //!
 //! Tracing is always compiled in; a tracer is off only at run time,
 //! when no recorder issued it ([`ThreadTracer::disabled`]), and then
@@ -249,8 +253,9 @@ impl TracerInner {
         // SAFETY(ordering): Relaxed on both arms — the clock orders the
         // merged log by the coherence of this one word (module docs),
         // it publishes nothing; the ring's head publishes the event
-        // itself. Only protocol hooks pay the RMW: a per-operation hook
-        // must not write a recorder-shared word.
+        // itself. Only ticking protocol hooks pay the RMW: a
+        // per-operation hook or a retire must not write a
+        // recorder-shared word.
         let ts = if hook.advances_clock() {
             clock.fetch_add(1, Ordering::Relaxed)
         } else {
@@ -324,11 +329,11 @@ impl ThreadTracer {
     }
 
     /// Emits one event under this tracer's thread and scheme. Hot
-    /// path: a clock read (a clock `fetch_add` only for the protocol
-    /// hooks, see [`Hook::advances_clock`]), a bump of this tracer's
-    /// own hook counter, and a push into this tracer's own ring — for
-    /// a per-operation hook, no store to anything another thread
-    /// writes. Never allocates, never blocks.
+    /// path: a clock read (a clock `fetch_add` only for the ticking
+    /// protocol hooks, see [`Hook::advances_clock`]), a bump of this
+    /// tracer's own hook counter, and a push into this tracer's own
+    /// ring — for a reading hook, no store to anything another thread
+    /// reads. Never allocates, never blocks.
     #[inline]
     pub fn emit(&mut self, hook: Hook, a: u64, b: u64) {
         if let Some(inner) = &self.inner {
@@ -401,12 +406,12 @@ mod tests {
         let mut t1 = rec.tracer(1, SchemeId::EBR);
         for i in 0..50 {
             t0.emit(Hook::Load, i, 0);
-            t1.emit(Hook::Retire, i, 0);
+            t1.emit(Hook::Reclaim, i, 0);
         }
         let log = rec.drain();
         assert_eq!(log.events.len(), 100);
         assert!(log.is_time_ordered());
-        assert_eq!(log.with_hook(Hook::Retire).count(), 50);
+        assert_eq!(log.with_hook(Hook::Reclaim).count(), 50);
         assert_eq!(rec.metrics().hook_count(Hook::Load), 50);
         // The merge key is a strict order here (distinct threads), and
         // the clock-advancing events alone have unique timestamps.
@@ -414,8 +419,8 @@ mod tests {
             .events
             .windows(2)
             .all(|w| w[0].merge_key() < w[1].merge_key()));
-        let retires: Vec<u64> = log.with_hook(Hook::Retire).map(|e| e.ts).collect();
-        assert!(retires.windows(2).all(|w| w[0] < w[1]));
+        let reclaims: Vec<u64> = log.with_hook(Hook::Reclaim).map(|e| e.ts).collect();
+        assert!(reclaims.windows(2).all(|w| w[0] < w[1]));
         // Re-draining returns nothing new.
         assert!(rec.drain().events.is_empty());
     }

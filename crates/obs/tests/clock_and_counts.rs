@@ -1,7 +1,7 @@
 //! The two contracts of the thread-private emit path (DESIGN §3.6):
 //! hook counts are exact although no thread shares a counter, and the
-//! merged log is causally ordered although the per-operation hooks
-//! only *read* the logical clock.
+//! merged log is causally ordered although the per-operation hooks and
+//! `Retire` only *read* the logical clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -10,6 +10,26 @@ use era_obs::{Event, FlightDump, Hook, Recorder, SchemeId, SourceDump};
 const THREADS: usize = 4;
 const ROUNDS: u64 = if cfg!(miri) { 50 } else { 5_000 };
 const HANDOFFS: usize = if cfg!(miri) { 20 } else { 1_000 };
+
+/// Spins until `turn` holds `value`; the Acquire load pairs with the
+/// hand-off's Release store.
+fn wait_for(turn: &AtomicUsize, value: usize) {
+    while turn.load(Ordering::Acquire) != value {
+        std::thread::yield_now();
+    }
+}
+
+/// Where in `events` thread `thread` emitted `hook` #`i` (its `a`, or a
+/// `Load`'s `b`, is `i`).
+fn position(events: &[Event], thread: u16, hook: Hook, i: usize) -> usize {
+    events
+        .iter()
+        .position(|e| {
+            let payload = if hook == Hook::Load { e.b } else { e.a };
+            e.thread == thread && e.hook == hook as u8 && payload == i as u64
+        })
+        .unwrap_or_else(|| panic!("{hook} #{i} of t{thread} missing"))
+}
 
 #[test]
 fn hook_counts_are_exact_after_the_tracers_are_gone() {
@@ -41,46 +61,47 @@ fn hook_counts_are_exact_after_the_tracers_are_gone() {
 }
 
 #[test]
-fn per_operation_hooks_do_not_advance_the_clock() {
+fn reading_hooks_do_not_advance_the_clock() {
     let recorder = Recorder::with_ring_capacity(1, 1 << 16);
     let mut tracer = recorder.tracer(0, SchemeId::HP);
-    tracer.emit(Hook::Retire, 1, 1);
+    tracer.emit(Hook::Advance, 1, 0);
     let before = recorder.now();
     for i in 0..10_000 {
         tracer.emit(Hook::BeginOp, i, 0);
         tracer.emit(Hook::Load, i, 0);
         tracer.emit(Hook::Reserve, i, 0);
+        tracer.emit(Hook::Retire, i, 1);
         tracer.emit(Hook::EndOp, i, 0);
     }
-    assert_eq!(recorder.now(), before, "a per-op hook wrote the clock");
+    assert_eq!(recorder.now(), before, "a reading hook wrote the clock");
     assert_eq!(recorder.metrics().hook_count(Hook::Load), 10_000);
+    assert_eq!(recorder.metrics().hook_count(Hook::Retire), 10_000);
     // ...and every one of them is in the log, stamped `before`.
     let log = recorder.drain();
-    assert_eq!((log.events.len(), log.dropped), (40_001, 0));
+    assert_eq!((log.events.len(), log.dropped), (50_001, 0));
     assert!(log.events[1..].iter().all(|e| e.ts == before));
     tracer.emit(Hook::Reclaim, 1, 0);
     assert_eq!(recorder.now(), before + 1, "a protocol hook ticks");
 }
 
-/// Thread A retires, hands off through a Release/Acquire flag, thread B
-/// loads and then reclaims: the merged log must show A.Retire <
-/// B.Load < B.Reclaim every time, while a third thread keeps both the
-/// clock and the tie-breaking busy.
+/// Thread A retires and ticks, hands off through a Release/Acquire
+/// flag, thread B loads and then reclaims: the merged log must show
+/// A.Retire < A.Advance < B.Load < B.Reclaim every time, while a third
+/// thread keeps both the clock and the tie-breaking busy. The edge
+/// A → B leaves from a ticker, so B's `Load` reads a later value and
+/// the order holds whatever the threads' slots.
 #[test]
 fn merged_log_respects_happens_before_across_threads() {
     let recorder = Recorder::new(3);
     let turn = AtomicUsize::new(0);
-    let wait_for = |value: usize| {
-        while turn.load(Ordering::Acquire) != value {
-            std::thread::yield_now();
-        }
-    };
+    let wait_for = |value: usize| wait_for(&turn, value);
     std::thread::scope(|s| {
         s.spawn(|| {
             let mut a = recorder.tracer(0, SchemeId::HP);
             for i in 0..HANDOFFS {
                 wait_for(2 * i);
                 a.emit(Hook::Retire, i as u64, 0);
+                a.emit(Hook::Advance, i as u64, 0);
                 // SAFETY(ordering): Release — the hand-off under test:
                 // pairs with `wait_for`'s Acquire load, making this
                 // thread's emit happen-before the peer's next ones.
@@ -106,25 +127,88 @@ fn merged_log_respects_happens_before_across_threads() {
         });
     });
     let log = recorder.drain();
-    let position = |thread: u16, hook: Hook, i: usize| {
-        log.events
-            .iter()
-            .position(|e| {
-                let payload = if hook == Hook::Load { e.b } else { e.a };
-                e.thread == thread && e.hook == hook as u8 && payload == i as u64
-            })
-            .unwrap_or_else(|| panic!("{hook} #{i} of t{thread} missing"))
-    };
+    let position = |thread: u16, hook: Hook, i: usize| position(&log.events, thread, hook, i);
     for i in 0..HANDOFFS {
         let retire = position(0, Hook::Retire, i);
+        let advance = position(0, Hook::Advance, i);
         let load = position(1, Hook::Load, i);
         let reclaim = position(1, Hook::Reclaim, i);
         assert!(
-            retire < load && load < reclaim,
-            "handoff {i}: {retire} {load} {reclaim}"
+            retire < advance && advance < load && load < reclaim,
+            "handoff {i}: {retire} {advance} {load} {reclaim}"
         );
     }
     assert!(log.is_time_ordered());
+}
+
+/// The order `era-view` rebuilds a node's life from, where the thread
+/// tie-break cannot fake it: the `Retire` (a reading event) comes from
+/// the *higher* slot, the node's `Reclaim` — first or last of a run, as
+/// a scan frees it — from the lower one after a Release/Acquire hand-off,
+/// and then the retiring thread loads again. A third thread keeps the
+/// clock moving, so the reclaim's run only sometimes starts at the value
+/// the retire read. Every merged log must show Retire < Reclaim (a
+/// reader sorts before the ticker it ties with) and Reclaim < Load
+/// (the run's RMW left the clock past its stamps).
+#[test]
+fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
+    const NOISE: u64 = u64::MAX;
+    let recorder = Recorder::with_ring_capacity(3, 1 << 16);
+    let turn = AtomicUsize::new(0);
+    let wait_for = |value: usize| wait_for(&turn, value);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut retirer = recorder.tracer(2, SchemeId::HP);
+            for i in 0..HANDOFFS {
+                wait_for(3 * i);
+                retirer.emit(Hook::Retire, i as u64, 1);
+                // SAFETY(ordering): Release — the hand-off under test:
+                // pairs with `wait_for`'s Acquire load, making the
+                // retire happen-before the peer's reclaim.
+                turn.store(3 * i + 1, Ordering::Release);
+                wait_for(3 * i + 2);
+                retirer.emit(Hook::Load, 0, i as u64);
+                // SAFETY(ordering): Release — hands the turn back, as above.
+                turn.store(3 * i + 3, Ordering::Release);
+            }
+        });
+        s.spawn(|| {
+            let mut reclaimer = recorder.tracer(0, SchemeId::HP);
+            for i in 0..HANDOFFS {
+                wait_for(3 * i + 1);
+                let n = 1 + i % 4;
+                let at = if i % 2 == 0 { 0 } else { n - 1 };
+                reclaimer.emit_run(Hook::Reclaim, n, |k, _| {
+                    (if k == at { i as u64 } else { NOISE }, 0)
+                });
+                // SAFETY(ordering): Release — the reclaim happens-before
+                // the retirer's next load.
+                turn.store(3 * i + 2, Ordering::Release);
+            }
+        });
+        s.spawn(|| {
+            let mut ticker = recorder.tracer(1, SchemeId::HP);
+            while turn.load(Ordering::Relaxed) != 3 * HANDOFFS {
+                ticker.emit(Hook::Advance, NOISE, 0);
+                ticker.emit(Hook::Load, 0, NOISE);
+                std::thread::yield_now();
+            }
+        });
+    });
+    // The ticker's own ring may overflow; the two under test cannot.
+    let log = recorder.drain();
+    assert!(log.is_time_ordered());
+    let position = |thread: u16, hook: Hook, i: usize| position(&log.events, thread, hook, i);
+    for i in 0..HANDOFFS {
+        let retire = position(2, Hook::Retire, i);
+        let reclaim = position(0, Hook::Reclaim, i);
+        let load = position(2, Hook::Load, i);
+        assert!(
+            retire < reclaim && reclaim < load,
+            "handoff {i}: {retire} {reclaim} {load}"
+        );
+        assert!(log.events[retire].ts <= log.events[reclaim].ts);
+    }
 }
 
 /// A run of `n` protocol events (one clock RMW, `ThreadTracer::emit_run`)
@@ -225,6 +309,7 @@ fn tied_logs() -> [Vec<Event>; 2] {
                 tracer.emit(Hook::Load, round, 2);
                 if (round + *t as u64).is_multiple_of(5) {
                     tracer.emit(Hook::Retire, round, 0);
+                    tracer.emit(Hook::Reclaim, round, 0);
                 }
                 tracer.emit(Hook::EndOp, round, 0);
             }

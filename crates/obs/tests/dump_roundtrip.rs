@@ -169,7 +169,7 @@ fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
     let flight = FlightRecorder::single("polls", &recorder);
     let mut late_thread = recorder.tracer(5, SchemeId::EBR);
     let mut early_thread = recorder.tracer(2, SchemeId::EBR);
-    late_thread.emit(Hook::Retire, 0xa0, 1);
+    late_thread.emit(Hook::Advance, 1, 0);
     late_thread.emit(Hook::BeginOp, 0, 0);
     flight.poll();
     early_thread.emit(Hook::BeginOp, 0, 0);

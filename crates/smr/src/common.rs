@@ -144,9 +144,10 @@ pub(crate) struct Retired {
     /// 0 when no recorder is attached. Basis of the retire→reclaim
     /// latency: the node's `Reclaim` tick minus this, where a batch of
     /// `n` reclaims takes `n` consecutive ticks ([`StatCells::reclaim`]).
-    /// The trace clock is advanced by protocol events only (retire,
-    /// reclaim, advance, … — not `begin_op`, `load` or `end_op`), so
-    /// the latency counts those, the batch's earlier reclaims included.
+    /// The trace clock is advanced by the ticking protocol events only
+    /// (reclaim, advance, … — not `begin_op`, `load`, `end_op` or
+    /// `retire`), so the latency counts those, the batch's earlier
+    /// reclaims included.
     pub retire_tick: u64,
 }
 
@@ -186,11 +187,12 @@ struct TraceState {
 /// on the retire hot path. The counters are cache-padded: they are the
 /// only cross-thread-shared words on the retire/reclaim paths.
 ///
-/// What a retire writes that other threads read: the `retired_now`
-/// increment (the peaks are a load each, an RMW only while they
-/// climb) and, traced, its `Retire` tick. Everything else is per
-/// batch: [`StatCells::reclaim`] takes the service lock once, the
-/// clock once, and tallies once, however many nodes it frees.
+/// What a retire writes that other threads read: only the
+/// `retired_now` increment (the peaks are a load each, an RMW only
+/// while they climb); traced, its stamp and its `Retire` event read
+/// the clock. Everything else is per batch: [`StatCells::reclaim`]
+/// takes the service lock once, the clock once, and tallies once,
+/// however many nodes it frees.
 ///
 /// It also keeps the custody every scheme shares: the one orphan pool
 /// that a dying context hands its garbage to ([`StatCells::orphan`]),
@@ -230,7 +232,7 @@ impl StatCells {
 
     /// Current logical trace time for stamping retires (0 unattached —
     /// the attached clock never issues 0). A read of the clock, in
-    /// protocol-event ticks; it does not advance it.
+    /// ticks of the ticking protocol events; it does not advance it.
     #[inline]
     pub fn stamp(&self) -> u64 {
         match self.trace.get() {

@@ -336,9 +336,10 @@ pub enum ChainLink {
         ts: u64,
         /// Reclaiming thread slot.
         thread: u16,
-        /// Retire→reclaim latency in trace ticks — protocol events
-        /// (retires, reclaims, epoch advances, …) on the source's
-        /// recorder in between; operations do not advance the clock.
+        /// Retire→reclaim latency in trace ticks — ticking protocol
+        /// events (reclaims, epoch advances, …) on the source's
+        /// recorder in between; operations and retires do not advance
+        /// the clock.
         latency: u64,
     },
 }
@@ -390,7 +391,8 @@ impl ChainLink {
 pub struct NodeChain {
     /// The node address the chain is about.
     pub addr: u64,
-    /// Links in ascending timestamp order.
+    /// Links in merge order ([`Event::merge_key`]): ascending
+    /// timestamp, a reading event before the ticker it ties with.
     pub links: Vec<ChainLink>,
 }
 
@@ -435,9 +437,13 @@ impl NodeChain {
             }
         }
         if let Some(rt) = retire_ts {
+            // The window follows merge order, not timestamps: a `Retire`
+            // reads the clock, so a ticker tied with its stamp sorts
+            // after it and is inside; one tied with the `Reclaim`'s
+            // unique tick is that `Reclaim`.
             let window_end = reclaim_ts.unwrap_or(u64::MAX);
             for e in &source.events {
-                if e.ts <= rt || e.ts >= window_end {
+                if e.ts < rt || e.ts >= window_end {
                     continue;
                 }
                 match Hook::from_u8(e.hook) {
@@ -902,6 +908,26 @@ mod tests {
         let rendered = chain.render();
         assert!(rendered.contains("ORPHANED"));
         assert!(rendered.contains("full orphan chain"));
+    }
+
+    #[test]
+    fn a_ticker_tied_with_the_retire_stamp_is_inside_the_orphan_window() {
+        // `Retire` reads the clock, so the die-pinned `Fault` that
+        // ticked 4 → 5 sorts after the retire that read 4.
+        let mut src = SourceDump::new("HP");
+        src.events = vec![
+            ev(0, 4, Hook::Retire, 0x1000, 1),
+            ev(65532, 4, Hook::Fault, 0, 9),
+            ev(1, 5, Hook::Adopt, 1, 1),
+            ev(1, 6, Hook::Reclaim, 0x1000, 2),
+        ];
+        assert!(src
+            .events
+            .windows(2)
+            .all(|w| w[0].merge_key() < w[1].merge_key()));
+        let chain = NodeChain::for_addr(&src, 0x1000);
+        assert!(chain.is_orphan_chain(), "{}", chain.render());
+        assert_eq!(orphan_chain_addrs(&src), vec![0x1000]);
     }
 
     #[test]

@@ -170,7 +170,8 @@ fn fill_ring(tracer: &mut ThreadTracer) {
 /// put/remove churn emits: a worker retires 64 nodes at heap-like
 /// addresses, then the service tracer (thread `u16::MAX`, as
 /// `StatCells::reclaim` uses) reclaims them as one run carrying each
-/// node's retire→reclaim latency.
+/// node's retire→reclaim latency. A retire only reads the clock, so
+/// the 64 are all stamped `retired_at`.
 fn fill_churn(
     recorder: &Recorder,
     worker: &mut ThreadTracer,
@@ -185,7 +186,7 @@ fn fill_churn(
             worker.emit(Hook::Retire, *node, held as u64 + 1);
         }
         service.emit_run(Hook::Reclaim, nodes.len(), |k, ts| {
-            (nodes[k], ts - (retired_at + k as u64))
+            (nodes[k], ts - retired_at)
         });
     }
 }
