@@ -12,8 +12,9 @@
 //! * [`wellformed`] — the extended (nesting-aware) well-formedness of §3.
 //! * [`spec`] — sequential specifications for sets, stacks, queues and
 //!   registers.
-//! * [`linearizability`] — a Wing–Gong style linearizability checker with
-//!   memoization, including completion of pending operations.
+//! * [`linearizability`] — an exact linearizability checker that reads
+//!   each object's history once, in order, including completion of
+//!   pending operations.
 //! * [`validity`] — pointer validity per Definition 4.1 (§4.2).
 //! * [`safety`] — the three conditions of Definition 4.2 that an SMR
 //!   scheme must satisfy when it permits unsafe accesses, including taint

@@ -8,11 +8,17 @@
 //! responses to a subset of pending operations and discarding the rest —
 //! into a linearizable complete history.
 //!
-//! The checker is a Wing–Gong style depth-first search over
-//! linearization orders, memoizing visited `(linearized-set, state)`
-//! pairs (Lowe's optimization), so it is exact but intended for the
-//! moderate histories produced by tests and the simulator (up to 128
-//! operations per object).
+//! Once each invocation is paired with its recorded return, the checker
+//! reads `H|O` once, in order, keeping a *frontier*: every
+//! configuration the history read so far can have left the object in. A
+//! configuration is a spec state plus the set of currently open
+//! operations that have already taken effect. At a response the frontier
+//! is closed under letting open operations take effect (a completed one
+//! with its recorded return, a pending one with any legal outcome), and
+//! only the configurations in which the responding operation took effect
+//! survive. `H|O` is linearizable iff the frontier never empties. The
+//! cost is bounded by the spec states times the subsets of operations
+//! open at once, not by the length of the history.
 
 use std::collections::HashSet;
 
@@ -21,17 +27,13 @@ use crate::ids::ObjectId;
 use crate::spec::SequentialSpec;
 use crate::wellformed;
 
-/// One operation extracted from a history projection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OpRec {
-    op: Op,
-    /// `None` when the operation is pending.
-    ret: Option<Ret>,
-    /// Event index of the invocation within the projection.
-    inv: usize,
-    /// Event index of the response; `usize::MAX` when pending.
-    res: usize,
-}
+/// An open operation: its invocation and its recorded return (`None`
+/// when the history leaves it pending).
+type OpenOp = (Op, Option<Ret>);
+
+/// A spec state plus the bitmask of open ops (by slot) that have taken
+/// effect.
+type Config<S> = (<S as SequentialSpec>::State, u64);
 
 /// Exact linearizability checker for a [`SequentialSpec`].
 ///
@@ -54,188 +56,93 @@ struct OpRec {
 #[derive(Debug)]
 pub struct Checker<'a, S: SequentialSpec> {
     spec: &'a S,
-    /// Maximum number of operations per object the checker accepts
-    /// before refusing (DFS is exponential in the worst case).
-    max_ops: usize,
 }
 
 impl<'a, S: SequentialSpec> Checker<'a, S> {
-    /// Creates a checker for `spec` with the default operation cap (128).
+    /// Creates a checker for `spec`.
     pub fn new(spec: &'a S) -> Self {
-        Checker { spec, max_ops: 128 }
-    }
-
-    /// Sets the maximum number of operations per object.
-    pub fn with_max_ops(mut self, max_ops: usize) -> Self {
-        self.max_ops = max_ops.min(128);
-        self
+        Checker { spec }
     }
 
     /// Checks the projection `H|object` for linearizability.
     ///
     /// # Panics
     ///
-    /// Panics if the projection holds more than the configured maximum
-    /// number of operations (128 hard cap, bitmask-bound).
+    /// Panics if more than 64 threads operate on `object`.
     pub fn is_linearizable_object(&self, history: &History, object: ObjectId) -> bool {
         let proj = history.per_object(object);
         if !wellformed::is_well_formed(&proj) {
             return false;
         }
-        // Extract per-thread operation sequences.
-        let mut per_thread: Vec<Vec<OpRec>> = Vec::new();
+        // A thread has at most one open op, so its index is its op's slot.
         let threads = proj.threads();
-        for &t in &threads {
-            let tp = proj.per_thread(t);
-            let mut ops = Vec::new();
-            let mut open: Option<(Op, usize)> = None;
-            for (i, e) in proj.events().iter().enumerate() {
-                if e.thread != t {
-                    continue;
-                }
-                match e.kind {
-                    EventKind::Invoke(op) => open = Some((op, i)),
-                    EventKind::Response(ret) => {
-                        let (op, inv) = open.take().expect("well-formed");
-                        ops.push(OpRec {
-                            op,
-                            ret: Some(ret),
-                            inv,
-                            res: i,
-                        });
+        assert!(threads.len() <= 64, "more than 64 threads on {object}");
+        let slot_of = |t| threads.binary_search(&t).expect("listed");
+        let mut open: Vec<Option<OpenOp>> = vec![None; threads.len()];
+        // Each op's recorded return, by its invocation's index.
+        let mut ret_of = vec![None; proj.len()];
+        let mut invoked = vec![0; threads.len()];
+        for (i, e) in proj.events().iter().enumerate() {
+            match e.kind {
+                EventKind::Invoke(_) => invoked[slot_of(e.thread)] = i,
+                EventKind::Response(ret) => ret_of[invoked[slot_of(e.thread)]] = Some(ret),
+            }
+        }
+        let mut frontier = HashSet::from([(self.spec.initial(), 0)]);
+        for (i, e) in proj.events().iter().enumerate() {
+            let slot = slot_of(e.thread);
+            match e.kind {
+                EventKind::Invoke(op) => open[slot] = Some((op, ret_of[i])),
+                EventKind::Response(_) => {
+                    frontier = self.take_effect(&frontier, &open, slot);
+                    open[slot] = None;
+                    if frontier.is_empty() {
+                        return false;
                     }
                 }
             }
-            if let Some((op, inv)) = open {
-                ops.push(OpRec {
-                    op,
-                    ret: None,
-                    inv,
-                    res: usize::MAX,
-                });
-            }
-            let _ = tp;
-            per_thread.push(ops);
         }
-        let flat: Vec<OpRec> = per_thread.iter().flatten().copied().collect();
-        let total = flat.len();
-        assert!(
-            total <= self.max_ops,
-            "history has {total} operations on {object}, cap is {}",
-            self.max_ops
-        );
-        if total == 0 {
-            return true;
-        }
-        // Global op ids: (thread index, op index) -> flat bit.
-        let mut bit_of: Vec<Vec<u32>> = Vec::new();
-        let mut next = 0u32;
-        for ops in &per_thread {
-            let mut v = Vec::new();
-            for _ in ops {
-                v.push(next);
-                next += 1;
-            }
-            bit_of.push(v);
-        }
-
-        let full: u128 = if total == 128 {
-            u128::MAX
-        } else {
-            (1u128 << total) - 1
-        };
-        let mut memo: HashSet<(u128, S::State)> = HashSet::new();
-        self.dfs(
-            &per_thread,
-            &bit_of,
-            0,
-            full,
-            self.spec.initial(),
-            &mut memo,
-        )
+        true
     }
 
-    /// Depth-first search for a valid linearization.
-    ///
-    /// `done` is the bitmask of linearized operations. Completed at
-    /// `done == full` *provided* every remaining (= none) op is handled;
-    /// pending operations may be dropped, which we model by allowing the
-    /// search to succeed once all *completed* operations are linearized
-    /// and every remaining operation is pending.
-    fn dfs(
+    /// The configurations reachable from `frontier` by letting open ops
+    /// take effect, kept once `slot`'s op has, with its bit cleared: the
+    /// response frees the slot.
+    fn take_effect(
         &self,
-        per_thread: &[Vec<OpRec>],
-        bit_of: &[Vec<u32>],
-        done: u128,
-        full: u128,
-        state: S::State,
-        memo: &mut HashSet<(u128, S::State)>,
-    ) -> bool {
-        if done == full {
-            return true;
-        }
-        // If all remaining operations are pending, we may drop them all.
-        let all_remaining_pending = per_thread.iter().enumerate().all(|(ti, ops)| {
-            ops.iter()
-                .enumerate()
-                .all(|(oi, rec)| done & (1u128 << bit_of[ti][oi]) != 0 || rec.ret.is_none())
-        });
-        if all_remaining_pending {
-            return true;
-        }
-        if !memo.insert((done, state.clone())) {
-            return false;
-        }
-        // min response index among un-linearized ops
-        let mut min_res = usize::MAX;
-        for (ti, ops) in per_thread.iter().enumerate() {
-            for (oi, rec) in ops.iter().enumerate() {
-                if done & (1u128 << bit_of[ti][oi]) == 0 {
-                    min_res = min_res.min(rec.res);
-                }
+        frontier: &HashSet<Config<S>>,
+        open: &[Option<OpenOp>],
+        slot: usize,
+    ) -> HashSet<Config<S>> {
+        let mut seen = frontier.clone();
+        let mut work: Vec<Config<S>> = frontier.iter().cloned().collect();
+        let mut kept = HashSet::new();
+        while let Some((state, done)) = work.pop() {
+            if done & (1 << slot) != 0 {
+                kept.insert((state, done & !(1 << slot)));
+                continue;
             }
-        }
-        // Candidates: each thread's first un-linearized op whose
-        // invocation precedes every un-linearized response.
-        for (ti, ops) in per_thread.iter().enumerate() {
-            let oi = match ops
-                .iter()
-                .enumerate()
-                .find(|(oi, _)| done & (1u128 << bit_of[ti][*oi]) == 0)
-            {
-                Some((oi, _)) => oi,
-                None => continue,
-            };
-            let rec = ops[oi];
-            if rec.inv > min_res {
-                continue; // would violate real-time order
-            }
-            let next_done = done | (1u128 << bit_of[ti][oi]);
-            match rec.ret {
-                Some(ret) => {
-                    if let Some(next_state) = self.spec.step(&state, &rec.op, &ret) {
-                        if self.dfs(per_thread, bit_of, next_done, full, next_state, memo) {
-                            return true;
-                        }
-                    }
-                }
-                None => {
-                    // Pending: either linearize with any legal outcome…
-                    for (_, next_state) in self.spec.outcomes(&state, &rec.op) {
-                        if self.dfs(per_thread, bit_of, next_done, full, next_state, memo) {
-                            return true;
-                        }
-                    }
-                    // …or drop it (skip): since a pending op is the last
-                    // of its thread, skipping = marking done without a
-                    // state change.
-                    if self.dfs(per_thread, bit_of, next_done, full, state.clone(), memo) {
-                        return true;
+            for (j, &o) in open.iter().enumerate() {
+                let Some((op, ret)) = o.filter(|_| done & (1 << j) == 0) else {
+                    continue;
+                };
+                let next: Vec<S::State> = match ret {
+                    Some(ret) => self.spec.step(&state, &op, &ret).into_iter().collect(),
+                    None => self
+                        .spec
+                        .outcomes(&state, &op)
+                        .into_iter()
+                        .map(|(_, s)| s)
+                        .collect(),
+                };
+                for s in next {
+                    if seen.insert((s.clone(), done | 1 << j)) {
+                        work.push((s, done | 1 << j));
                     }
                 }
             }
         }
-        false
+        kept
     }
 
     /// Checks every object appearing in `history` against the spec.
@@ -437,149 +344,59 @@ mod tests {
         assert!(Checker::new(&SetSpec).is_linearizable(&h));
     }
 
-    /// Brute-force reference: enumerate all interleavings of complete
-    /// operations and compare with the checker on tiny histories.
-    #[cfg(test)]
-    fn brute_force_set(h: &History, obj: ObjectId) -> bool {
-        use crate::spec::SequentialSpec as _;
-        #[derive(Clone, Copy)]
-        struct R {
-            op: Op,
-            ret: Ret,
-            inv: usize,
-            res: usize,
-        }
-        let proj = h.per_object(obj);
-        let mut recs: Vec<R> = Vec::new();
-        let mut open: std::collections::HashMap<ThreadId, (Op, usize)> = Default::default();
-        for (i, e) in proj.events().iter().enumerate() {
-            match e.kind {
-                EventKind::Invoke(op) => {
-                    open.insert(e.thread, (op, i));
-                }
-                EventKind::Response(ret) => {
-                    let (op, inv) = open.remove(&e.thread).unwrap();
-                    recs.push(R {
-                        op,
-                        ret,
-                        inv,
-                        res: i,
-                    });
-                }
+    /// A 10 000-op history of three threads on one set over keys 0..4,
+    /// each op linearized at its response; halfway through, the threads
+    /// drain and a solo `contains` runs. Returns the history and the
+    /// event index of that `contains`'s response.
+    fn long_history() -> (History, usize) {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let (mut h, mut solo) = (History::new(), 0);
+        let mut state = std::collections::BTreeSet::new();
+        let mut open: [Option<Op>; 3] = [None; 3];
+        let mut ops = 0;
+        while ops < 10_000 || open.iter().any(Option::is_some) {
+            let t = next(3) as usize;
+            if let Some(op) = open[t].take() {
+                let ret = match op {
+                    Op::Insert(k) => state.insert(k),
+                    Op::Delete(k) => state.remove(&k),
+                    Op::Contains(k) => state.contains(&k),
+                    _ => unreachable!(),
+                };
+                h.respond(ThreadId(t), SET, Ret::Bool(ret));
+            } else if ops == 5_000 && open.iter().all(Option::is_none) {
+                h.invoke(T0, SET, Op::Contains(1));
+                h.respond(T0, SET, Ret::Bool(state.contains(&1)));
+                (solo, ops) = (h.len() - 1, ops + 1);
+            } else if ops < 10_000 && ops != 5_000 {
+                let k = next(4) as i64;
+                let op = [Op::Insert(k), Op::Delete(k), Op::Contains(k)][next(3) as usize];
+                h.invoke(ThreadId(t), SET, op);
+                (open[t], ops) = (Some(op), ops + 1);
             }
         }
-        if !open.is_empty() {
-            panic!("brute force only handles complete histories");
-        }
-        fn perms(recs: &[R], used: &mut Vec<usize>, spec: &SetSpec) -> bool {
-            if used.len() == recs.len() {
-                return true;
-            }
-            for i in 0..recs.len() {
-                if used.contains(&i) {
-                    continue;
-                }
-                // real-time: no unused j with res(j) < inv(i)
-                if recs
-                    .iter()
-                    .enumerate()
-                    .any(|(j, rj)| !used.contains(&j) && j != i && rj.res < recs[i].inv)
-                {
-                    continue;
-                }
-                used.push(i);
-                // replay
-                let mut st = spec.initial();
-                let mut ok = true;
-                for &k in used.iter() {
-                    match spec.step(&st, &recs[k].op, &recs[k].ret) {
-                        Some(next) => st = next,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && perms(recs, used, spec) {
-                    return true;
-                }
-                used.pop();
-            }
-            false
-        }
-        perms(&recs, &mut Vec::new(), &SetSpec)
+        (h, solo)
     }
 
     #[test]
-    fn checker_matches_brute_force_on_random_histories() {
-        use std::collections::BTreeSet;
-        // Deterministic pseudo-random generation (no rand dependency in
-        // unit tests): simple LCG.
-        let mut seed = 0x12345678u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        for _case in 0..200 {
-            // Build a small concurrent history over keys {0,1} and 2 threads.
-            let mut h = History::new();
-            let mut model: Vec<Option<(Op, usize)>> = vec![None, None];
-            let mut state: BTreeSet<i64> = BTreeSet::new(); // a *plausible* serial state
-            let mut events = 0;
-            while events < 10 {
-                let t = next() % 2;
-                let tid = ThreadId(t);
-                match model[t] {
-                    None => {
-                        let op = match next() % 3 {
-                            0 => Op::Insert((next() % 2) as i64),
-                            1 => Op::Delete((next() % 2) as i64),
-                            _ => Op::Contains((next() % 2) as i64),
-                        };
-                        h.invoke(tid, SET, op);
-                        model[t] = Some((op, events));
-                        events += 1;
-                    }
-                    Some((op, _)) => {
-                        // Respond with a value that is sometimes right,
-                        // sometimes wrong, to exercise both verdicts.
-                        let truthful = next() % 4 != 0;
-                        let ret = match op {
-                            Op::Insert(k) => {
-                                let ok = state.insert(k);
-                                Ret::Bool(if truthful { ok } else { !ok })
-                            }
-                            Op::Delete(k) => {
-                                let ok = state.remove(&k);
-                                Ret::Bool(if truthful { ok } else { !ok })
-                            }
-                            Op::Contains(k) => {
-                                let ok = state.contains(&k);
-                                Ret::Bool(if truthful { ok } else { !ok })
-                            }
-                            _ => unreachable!(),
-                        };
-                        h.respond(tid, SET, ret);
-                        model[t] = None;
-                        events += 1;
-                    }
+    fn long_histories_are_judged_in_one_pass() {
+        let (h, solo) = long_history();
+        assert!(Checker::new(&SetSpec).is_linearizable(&h));
+        let mut flipped = History::new();
+        for (i, &e) in h.events().iter().enumerate() {
+            match e.kind {
+                EventKind::Response(Ret::Bool(b)) if i == solo => {
+                    flipped.respond(e.thread, e.object, Ret::Bool(!b))
                 }
+                _ => flipped.push(e),
             }
-            // Complete any pending ops with arbitrary answers.
-            for (t, slot) in model.iter().enumerate() {
-                if let Some((op, _)) = slot {
-                    let ret = match op {
-                        Op::Insert(_) | Op::Delete(_) | Op::Contains(_) => Ret::Bool(true),
-                        _ => Ret::Unit,
-                    };
-                    h.respond(ThreadId(t), SET, ret);
-                }
-            }
-            let fast = Checker::new(&SetSpec).is_linearizable(&h);
-            let slow = brute_force_set(&h, SET);
-            assert_eq!(fast, slow, "disagreement on history:\n{h}");
         }
+        assert!(!Checker::new(&SetSpec).is_linearizable(&flipped));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the formal-model crate.
 //!
 //! * the linearizability checker agrees with a brute-force reference on
-//!   arbitrary small concurrent histories;
+//!   arbitrary small concurrent histories, pending ops included;
 //! * histories generated by actually running a correct set are always
 //!   accepted; corrupting one response makes rejection possible and
 //!   never breaks the checker;
@@ -23,17 +23,17 @@ use proptest::prelude::*;
 
 const SET: ObjectId = ObjectId(1);
 
-/// Strategy: a small concurrent set history over 2 threads × keys {0,1},
-/// with responses that are sometimes wrong.
+/// Strategy: a small concurrent set history over 3 threads × keys {0,1},
+/// with responses that are sometimes wrong and ops left pending.
 fn history_strategy() -> impl Strategy<Value = History> {
     // Each step: (thread, op-weight, key, truthful)
     prop::collection::vec(
-        (0..2usize, 0..3u8, 0..2i64, prop::bool::weighted(0.8)),
+        (0..3usize, 0..3u8, 0..2i64, prop::bool::weighted(0.8)),
         0..12,
     )
     .prop_map(|steps| {
         let mut h = History::new();
-        let mut pending: [Option<Op>; 2] = [None, None];
+        let mut pending: [Option<Op>; 3] = [None; 3];
         let mut state = BTreeSet::new();
         for (t, w, k, truthful) in steps {
             let tid = ThreadId(t);
@@ -59,46 +59,44 @@ fn history_strategy() -> impl Strategy<Value = History> {
                 }
             }
         }
-        // Close any pending op so the brute force (complete
-        // histories only) applies.
-        for (t, p) in pending.into_iter().enumerate() {
-            if p.is_some() {
-                h.respond(ThreadId(t), SET, Ret::Bool(true));
-            }
-        }
         h
     })
 }
 
-/// Brute force: try every real-time-respecting permutation.
+/// Brute force: try every real-time-respecting order of the complete
+/// ops, each pending op either dropped or taking effect, with any
+/// outcome, after its invocation.
 fn brute_force(h: &History) -> bool {
     #[derive(Clone, Copy)]
     struct R {
         op: Op,
-        ret: Ret,
+        /// `None` when pending.
+        ret: Option<Ret>,
         inv: usize,
+        /// `usize::MAX` when pending.
         res: usize,
     }
     let mut recs: Vec<R> = Vec::new();
-    let mut open: std::collections::HashMap<ThreadId, (Op, usize)> = Default::default();
+    let mut open: std::collections::HashMap<ThreadId, usize> = Default::default();
     for (i, e) in h.events().iter().enumerate() {
         match e.kind {
             EventKind::Invoke(op) => {
-                open.insert(e.thread, (op, i));
-            }
-            EventKind::Response(ret) => {
-                let (op, inv) = open.remove(&e.thread).unwrap();
+                open.insert(e.thread, recs.len());
                 recs.push(R {
                     op,
-                    ret,
-                    inv,
-                    res: i,
+                    ret: None,
+                    inv: i,
+                    res: usize::MAX,
                 });
+            }
+            EventKind::Response(ret) => {
+                let r = &mut recs[open.remove(&e.thread).unwrap()];
+                (r.ret, r.res) = (Some(ret), i);
             }
         }
     }
     fn search(recs: &[R], used: &mut Vec<usize>, state: &BTreeSet<i64>) -> bool {
-        if used.len() == recs.len() {
+        if (0..recs.len()).all(|i| used.contains(&i) || recs[i].ret.is_none()) {
             return true;
         }
         for i in 0..recs.len() {
@@ -112,7 +110,15 @@ fn brute_force(h: &History) -> bool {
             {
                 continue;
             }
-            if let Some(next) = SetSpec.step(state, &recs[i].op, &recs[i].ret) {
+            let next: Vec<BTreeSet<i64>> = match recs[i].ret {
+                Some(ret) => SetSpec.step(state, &recs[i].op, &ret).into_iter().collect(),
+                None => SetSpec
+                    .outcomes(state, &recs[i].op)
+                    .into_iter()
+                    .map(|(_, s)| s)
+                    .collect(),
+            };
+            for next in next {
                 used.push(i);
                 if search(recs, used, &next) {
                     return true;

@@ -447,66 +447,6 @@ mod tests {
         let _ = list.insert(&mut ctx, i64::MAX);
     }
 
-    fn stress<S: Smr + SupportsUnlinkedTraversal + Sync>(smr: &S, threads: usize, per_thread: i64) {
-        let list = HarrisList::new(smr);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let list = &list;
-                s.spawn(move || {
-                    let mut ctx = smr.register().unwrap();
-                    let base = t as i64 * per_thread;
-                    for k in base..base + per_thread {
-                        assert!(list.insert(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(list.contains(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(list.delete(&mut ctx, k));
-                    }
-                    for _ in 0..4 {
-                        smr.flush(&mut ctx);
-                    }
-                });
-            }
-        });
-        assert!(list.is_empty());
-        // Contended churn on overlapping keys.
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let list = &list;
-                s.spawn(move || {
-                    let mut ctx = smr.register().unwrap();
-                    for round in 0..300i64 {
-                        let k = round % 10;
-                        if list.insert(&mut ctx, k) {
-                            let _ = list.delete(&mut ctx, k);
-                        }
-                        let _ = list.contains(&mut ctx, k);
-                    }
-                    for _ in 0..4 {
-                        smr.flush(&mut ctx);
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn stress_ebr() {
-        stress(&Ebr::new(8), 4, 250);
-    }
-
-    #[test]
-    fn stress_nbr() {
-        stress(&Nbr::with_threshold(8, 2, 32), 4, 250);
-    }
-
-    #[test]
-    fn stress_leak() {
-        stress(&Leak::new(8), 4, 250);
-    }
-
     #[test]
     fn marked_chain_unlinked_in_one_cas() {
         // Build 1→2→3, mark 1 and 2 without unlinking (simulating two

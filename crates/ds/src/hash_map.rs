@@ -260,33 +260,4 @@ mod tests {
         );
         a.end_op(&mut stalled);
     }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-    )]
-    fn concurrent_disjoint_and_contended() {
-        let smr = Hp::new(8, 3);
-        let map = HashMap::new(&smr, 32);
-        std::thread::scope(|s| {
-            for t in 0..4i64 {
-                let (map, smr) = (&map, &smr);
-                s.spawn(move || {
-                    let mut ctx = smr.register().unwrap();
-                    let base = t * 500;
-                    for k in base..base + 500 {
-                        assert_eq!(map.insert(&mut ctx, k, k), None);
-                    }
-                    for k in base..base + 500 {
-                        assert_eq!(map.remove(&mut ctx, k), Some(k));
-                    }
-                    for _ in 0..4 {
-                        smr.flush(&mut ctx);
-                    }
-                });
-            }
-        });
-        assert!(map.is_empty());
-    }
 }

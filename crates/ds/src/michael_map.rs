@@ -475,7 +475,6 @@ impl<S: Smr> Drop for MichaelMap<'_, S> {
 mod tests {
     use super::*;
     use crate::concurrent_set::check_set_semantics;
-    use crate::ConcurrentSet;
     use era_smr::ebr::Ebr;
     use era_smr::he::He;
     use era_smr::hp::Hp;
@@ -493,72 +492,6 @@ mod tests {
         check(&He::new(2, 3));
         check(&Ibr::new(2));
         check(&Leak::new(2));
-    }
-
-    /// `threads` threads on the map through [`ConcurrentSet`]:
-    /// disjoint key ranges whose every answer is exact, then same-key
-    /// churn in which only the round's winner deletes.
-    fn stress<S: Smr + Sync>(smr: &S, threads: usize, per_thread: i64) {
-        let map = MichaelMap::new(smr);
-        let set: &(dyn ConcurrentSet<Ctx = S::ThreadCtx> + Sync) = &map;
-        let flushed = |ctx: &mut S::ThreadCtx| {
-            for _ in 0..4 {
-                smr.flush(ctx);
-            }
-        };
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                s.spawn(move || {
-                    let mut ctx = set.ctx();
-                    let base = t as i64 * per_thread;
-                    for k in base..base + per_thread {
-                        assert!(set.insert(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(set.contains(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(set.delete(&mut ctx, k));
-                    }
-                    flushed(&mut ctx);
-                });
-            }
-        });
-        assert!(map.is_empty(), "all inserted keys deleted");
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(move || {
-                    let mut ctx = set.ctx();
-                    for _ in 0..200 {
-                        if set.insert(&mut ctx, 42) {
-                            assert!(set.delete(&mut ctx, 42));
-                        }
-                    }
-                    flushed(&mut ctx);
-                });
-            }
-        });
-        assert!(map.is_empty(), "{:?}", map.collect_entries());
-    }
-
-    #[test]
-    fn stress_hp() {
-        stress(&Hp::new(8, 3), 4, 250);
-    }
-
-    #[test]
-    fn stress_ebr() {
-        stress(&Ebr::new(8), 4, 250);
-    }
-
-    #[test]
-    fn stress_he() {
-        stress(&He::new(8, 3), 4, 250);
-    }
-
-    #[test]
-    fn stress_ibr() {
-        stress(&Ibr::new(8), 4, 250);
     }
 
     #[test]

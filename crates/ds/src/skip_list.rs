@@ -519,72 +519,6 @@ mod tests {
         assert!((300..=700).contains(&ones), "h=1 should be ~50%: {ones}");
     }
 
-    fn stress<S: Smr + EpochProtected + Sync>(smr: &S, threads: usize, per_thread: i64) {
-        let list = SkipList::new(smr);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let list = &list;
-                s.spawn(move || {
-                    let mut ctx = smr.register().unwrap();
-                    let base = t as i64 * per_thread;
-                    for k in base..base + per_thread {
-                        assert!(list.insert(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(list.contains(&mut ctx, k));
-                    }
-                    for k in base..base + per_thread {
-                        assert!(list.delete(&mut ctx, k));
-                    }
-                    for _ in 0..4 {
-                        smr.flush(&mut ctx);
-                    }
-                });
-            }
-        });
-        assert!(list.is_empty());
-        list.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn stress_disjoint_ebr() {
-        stress(&Ebr::new(8), 4, 300);
-    }
-
-    #[test]
-    fn stress_disjoint_leak() {
-        stress(&Leak::new(8), 4, 300);
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-    )]
-    fn stress_contended_keys() {
-        let smr = Ebr::new(8);
-        let list = SkipList::new(&smr);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let (list, smr) = (&list, &smr);
-                s.spawn(move || {
-                    let mut ctx = smr.register().unwrap();
-                    for round in 0..400i64 {
-                        let k = round % 16;
-                        if list.insert(&mut ctx, k) {
-                            let _ = list.delete(&mut ctx, k);
-                        }
-                        let _ = list.contains(&mut ctx, k);
-                    }
-                    for _ in 0..4 {
-                        smr.flush(&mut ctx);
-                    }
-                });
-            }
-        });
-        list.check_invariants().unwrap();
-    }
-
     #[test]
     #[should_panic(expected = "reserved sentinel keys")]
     fn sentinel_keys_rejected() {

@@ -18,8 +18,9 @@
 //! so a peak anywhere near `total_retired` means a fence bug silently
 //! stopped epoch/era advancement even though nothing crashed.
 //!
-//! NBR is exercised through `real_schemes.rs` (HarrisList + the
-//! neutralization hooks); its orderings were not touched.
+//! NBR is exercised through `era-ds`'s linearizability table
+//! (`HarrisList` and the maps under NBR's neutralization hooks); its
+//! orderings were not touched.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
