@@ -1099,7 +1099,9 @@ mod tests {
 
     #[test]
     fn dropped_contexts_release_their_rings() {
-        // Rings of 8, so each cycle's ops wrap them and `dropped` moves.
+        // Rings of 8, so each cycle's removes wrap them and `dropped`
+        // moves: a remove's `Retire` is recorded, while a put's and a
+        // get's hooks are only counted.
         let schemes: Vec<Hp> = (0..4).map(|_| Hp::new(4, 3)).collect();
         let cfg = KvConfig {
             ring_capacity: 8,
@@ -1112,9 +1114,10 @@ mod tests {
         let cycles = if cfg!(miri) { 20 } else { 1_000 };
         for cycle in 0..cycles {
             let mut ctx = store.register().unwrap();
-            for k in 0..32 {
+            for k in 0..64 {
                 store.put(&mut ctx, k, cycle).unwrap();
                 assert_eq!(store.get(&mut ctx, k), Some(cycle));
+                assert_eq!(store.remove(&mut ctx, k), Ok(Some(cycle)));
             }
             let before: Vec<u64> = (0..4)
                 .map(|s| {

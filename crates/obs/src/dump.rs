@@ -480,8 +480,8 @@ fn take_delta(r: &mut Reader<'_>, what: &'static str, base: &mut u64) -> Result<
 /// `ts` delta off the previous event's when it is not 0; thread and
 /// scheme when they differ from the last event with the same hook's;
 /// `a` and `b` as deltas off that event's ([`put_delta`]). Integers are
-/// [`put_varint`] LEB128. An EBR shard's `BeginOp`/`EndOp` is the tag
-/// alone once its epoch has been seen.
+/// [`put_varint`] LEB128. An event that repeats the last one of its
+/// hook at the same `ts` is the tag alone.
 #[derive(Debug)]
 pub(crate) struct Segment {
     /// Never past [`SEGMENT_BYTES`], so it never reallocates.
@@ -815,9 +815,10 @@ mod tests {
     #[test]
     fn tied_timestamps_decode_in_merge_key_order() {
         let mut src = SourceDump::new("ties");
-        // What a drain produces when per-operation events read the
-        // clock between two ticks: at ts 5, readers (by thread, each
-        // thread in emit order) before the event that ticked 5 → 6.
+        // What a drain produced while per-operation events were still
+        // recorded (an older dump): readers of the clock between two
+        // ticks at ts 5 (by thread, each thread in emit order) before
+        // the event that ticked 5 → 6.
         src.events = vec![
             ev(1, 5, Hook::BeginOp, 0, 0),
             ev(1, 5, Hook::Load, 1, 0),

@@ -15,12 +15,15 @@ use std::fmt;
 #[repr(u8)]
 pub enum Hook {
     /// `Smr::begin_op` / `SimScheme::begin_op`: an operation opened a
-    /// protected region.
+    /// protected region. Counted, never recorded (see
+    /// [`Hook::is_recorded`]).
     BeginOp = 0,
-    /// `Smr::end_op`: the protected region closed.
+    /// `Smr::end_op`: the protected region closed. Counted, never
+    /// recorded.
     EndOp = 1,
     /// `Smr::load`: a protected load of a shared pointer (`a` = slot,
-    /// `b` = observed pointer/address).
+    /// `b` = observed pointer/address). Counted, never recorded; dumps
+    /// written before that rule may still hold `Load` events.
     Load = 2,
     /// `Smr::retire`: a node was unlinked and handed to the scheme
     /// (`a` = address, `b` = retired-population after the call). It
@@ -146,11 +149,12 @@ impl Hook {
     /// Whether emitting this hook *advances* the recorder's logical
     /// clock (`true`) or merely *reads* it (`false`).
     ///
-    /// The per-operation hooks — the ones a scheme emits on every
-    /// operation or every protected load — and `Retire`, which a
-    /// writing operation emits, only read the clock, so no operation
-    /// writes a word another thread reads: the clock is written only
-    /// on the amortised reclamation path. Everything else (reclaim
+    /// `Reserve` and `Retire` — which an operation emits — only read
+    /// the clock, so no operation writes a word another thread reads:
+    /// the clock is written only on the amortised reclamation path.
+    /// `BeginOp`, `EndOp` and `Load` are readers too, though a live
+    /// tracer never stamps them ([`Hook::is_recorded`]); the rule
+    /// orders the ones an older dump holds. Everything else (reclaim
     /// runs, epoch advances, blame, adoption, faults, the navigator,
     /// the serving front-end, the simulator's oracle and driver)
     /// ticks. A reading event stamped `v` read the clock before the
@@ -164,6 +168,21 @@ impl Hook {
             self,
             Hook::BeginOp | Hook::EndOp | Hook::Load | Hook::Reserve | Hook::Retire
         )
+    }
+
+    /// Whether an emit of this hook is *recorded* — stamped and pushed
+    /// into the tracer's ring — or only *counted* in the tracer's own
+    /// hook counter (`false`).
+    ///
+    /// The per-operation hooks `BeginOp`, `EndOp` and `Load` are
+    /// counted, never recorded: every operation emits them, and what
+    /// their readers need — perf's replay, `era-view --summary`, the
+    /// tests — is how many there were, which
+    /// [`crate::Metrics::hook_count`] keeps exact. So an operation
+    /// that retires nothing and reserves nothing writes no ring slot
+    /// and reads no clock. Every other hook is recorded.
+    pub const fn is_recorded(self) -> bool {
+        !matches!(self, Hook::BeginOp | Hook::EndOp | Hook::Load)
     }
 }
 
@@ -253,8 +272,8 @@ impl fmt::Display for SchemeId {
 #[repr(C)]
 pub struct Event {
     /// Logical timestamp: unique among clock-advancing events, shared
-    /// by the reading events — per-operation hooks and retires — that
-    /// read the clock between two ticks (see [`Hook::advances_clock`]).
+    /// by the reading events — reservations and retires — that read
+    /// the clock between two ticks (see [`Hook::advances_clock`]).
     pub ts: u64,
     /// First hook-specific payload word.
     pub a: u64,
@@ -407,6 +426,12 @@ mod tests {
         let mut future = at(Hook::Load, 0);
         future.hook = 200;
         assert_eq!(future.merge_key(), (7, true, 0));
+    }
+
+    #[test]
+    fn only_the_per_operation_hooks_are_counted_and_not_recorded() {
+        let counted: Vec<Hook> = Hook::ALL.into_iter().filter(|h| !h.is_recorded()).collect();
+        assert_eq!(counted, [Hook::BeginOp, Hook::EndOp, Hook::Load]);
     }
 
     #[test]

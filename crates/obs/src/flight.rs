@@ -5,7 +5,10 @@
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
 //! and keeps, per source, the most recent drained events up to a count
-//! cap. They are stored packed, in the encoding a dump file stores them
+//! cap ([`DEFAULT_MAX_RETAINED`]). Those are the recorded events: an
+//! operation's own hooks are only counted ([`crate::Hook::is_recorded`]),
+//! so a shard's window is its retires, reclaims and protocol events.
+//! They are stored packed, in the encoding a dump file stores them
 //! in: a source's retained events are a queue of [`crate::dump`]'s
 //! fixed-size segments, in which an event is a tag byte plus only the
 //! fields that changed since the last event with its hook — one or two
@@ -43,10 +46,12 @@ use crate::event::Event;
 use crate::recorder::Recorder;
 
 /// Default cap on retained events per source. The oldest are trimmed —
-/// and counted — beyond this. Packed, an event of an EBR shard serving
-/// GETs takes about 1.5 bytes (at most 36), so a full source of them
-/// holds about 0.4 MB.
-pub const DEFAULT_MAX_RETAINED: usize = 1 << 18;
+/// and counted — beyond this. Operations are counted, not recorded, so
+/// a shard's retained events are its retires, reclaim runs and
+/// protocol events: packed, one of an EBR shard under churn takes about
+/// 5.4 bytes (at most 36), so a full source holds about 0.35 MB and
+/// covers about 214 k served operations of `net-churn-ebr` (E27).
+pub const DEFAULT_MAX_RETAINED: usize = 1 << 16;
 
 /// A source's retained events: packed segments, oldest first, of which
 /// the first `skip` events are trimmed and the rest are retained.
@@ -569,22 +574,6 @@ mod tests {
             assert!(retained.bytes() <= MAX_PACKED_EVENT * retained.len + SEGMENT_BYTES);
         }
         assert_eq!(retained.len, cap);
-        // EBR's per-operation stream: BeginOp(epoch)/EndOp, reading the
-        // clock, from a real tracer.
-        let recorder = Recorder::new(1);
-        let flight = FlightRecorder::single("ebr", &recorder).with_max_retained(cap);
-        let mut t = recorder.tracer(0, SchemeId::EBR);
-        for op in 0..2 * cap as u64 {
-            t.emit(Hook::BeginOp, op / 64 % 100, 0);
-            t.emit(Hook::EndOp, 0, 0);
-            if op % 512 == 0 {
-                t.emit(Hook::Advance, op / 64 % 100, 0);
-                flight.poll();
-            }
-        }
-        flight.poll();
-        assert_eq!(flight.lock()[0].retained.len, cap);
-        assert!(flight.packed_bytes() <= 2 * cap + SEGMENT_BYTES);
         // An EBR shard under churn: a worker's `Retire`s at heap-like
         // addresses, each 64 reclaimed as one run by the service tracer
         // (thread `u16::MAX`, as `StatCells::reclaim` emits them).
@@ -616,7 +605,7 @@ mod tests {
     fn small_polls_share_segments() {
         let polls = if cfg!(miri) { 1_000 } else { 100_000 };
         let recorder = Recorder::new(1);
-        let flight = FlightRecorder::single("idle", &recorder);
+        let flight = FlightRecorder::single("idle", &recorder).with_max_retained(polls as usize);
         let mut t = recorder.tracer(0, SchemeId::EBR);
         for i in 0..polls {
             t.emit(Hook::Sample, i, 0);

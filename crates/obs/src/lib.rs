@@ -14,11 +14,13 @@
 //!   contention — and a ring commits memory only as it fills.
 //! - **Global logical clock**: protocol events (reclaim, advance, … —
 //!   [`Hook::advances_clock`]) draw a timestamp with one `fetch_add(1)`;
-//!   per-operation events (`BeginOp`, `EndOp`, `Load`, `Reserve`) and
-//!   `Retire` only *read* it, so operations and retires write no
-//!   shared word. A drained trace is still one coherent timeline across
-//!   threads and schemes, ordered by [`Event::merge_key`], without
-//!   OS-clock skew.
+//!   `Reserve` and `Retire` only *read* it, so operations and retires
+//!   write no shared word. A drained trace is still one coherent
+//!   timeline across threads and schemes, ordered by
+//!   [`Event::merge_key`], without OS-clock skew.
+//! - **Counted, not recorded**: an operation's own hooks (`BeginOp`,
+//!   `EndOp`, `Load` — [`Hook::is_recorded`]) reach no ring and read
+//!   no clock; an emit of one bumps its tracer's hook counter.
 //! - **Aggregate metrics** ([`Metrics`]): always-exact counters beside
 //!   the lossy rings — per-hook call counts (summed over per-tracer,
 //!   single-writer blocks), a retire→reclaim latency

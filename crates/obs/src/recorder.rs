@@ -17,12 +17,17 @@
 //! serving front-end, the simulator's oracle and driver — draw a fresh
 //! timestamp with a `fetch_add`; a run of `n` of them
 //! ([`ThreadTracer::emit_run`], a reclaim batch) draws `n` consecutive
-//! ones with a single `fetch_add(n)`. `BeginOp`, `EndOp`, `Load`,
-//! `Reserve` and `Retire` stamp themselves with a plain *load* of it,
-//! so between two ticks the clock's cache line sits Shared in every
-//! core and neither an operation nor its retire writes anything another
-//! thread reads: the clock is written only on the amortised
-//! reclamation path.
+//! ones with a single `fetch_add(n)`. `Reserve` and `Retire` stamp
+//! themselves with a plain *load* of it, so between two ticks the
+//! clock's cache line sits Shared in every core and neither an
+//! operation nor its retire writes anything another thread reads: the
+//! clock is written only on the amortised reclamation path.
+//!
+//! `BeginOp`, `EndOp` and `Load` neither read the clock nor reach a
+//! ring: they are counted, never recorded ([`Hook::is_recorded`]). An
+//! emit of one bumps the tracer's own hook counter and returns, so an
+//! HP read stores nothing but its hazards, and an EBR read nothing but
+//! its pin.
 //!
 //! Ordering stays sound by the coherence of that single word: an event
 //! that happens-after a ticking event reads a strictly larger value,
@@ -49,8 +54,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// The logical clock, alone on its cache-line pair: per-operation
-/// emits only read it, so nothing else a recorder writes (metrics, the
+/// The logical clock, alone on its cache-line pair: reservations and
+/// retires only read it, so nothing else a recorder writes (metrics, the
 /// ring registry, the `Arc` counts) may share — and so invalidate —
 /// its line.
 #[derive(Debug)]
@@ -131,7 +136,7 @@ impl Recorder {
     }
 
     /// Current logical time: the timestamp the next protocol event
-    /// will be issued, and the one a per-operation event emitted now
+    /// will be issued, and the one a reservation or retire emitted now
     /// would carry. Never 0 on a live recorder; a read, never a tick.
     pub fn now(&self) -> u64 {
         self.core.clock.0.load(Ordering::Relaxed)
@@ -245,29 +250,33 @@ struct TracerInner {
 
 impl TracerInner {
     /// The single-event emit path into `ring`. `hook` is a constant at
-    /// every call site, so after inlining the clock branch is decided
-    /// at compile time.
+    /// every call site, so after inlining both the record branch and
+    /// the clock branch are decided at compile time.
     #[inline]
     fn record(&self, ring: &Ring, hook: Hook, a: u64, b: u64) {
+        self.hooks.bump(hook, 1);
+        if !hook.is_recorded() {
+            return;
+        }
         let clock = &self.recorder.clock.0;
         // SAFETY(ordering): Relaxed on both arms — the clock orders the
         // merged log by the coherence of this one word (module docs),
         // it publishes nothing; the ring's head publishes the event
         // itself. Only ticking protocol hooks pay the RMW: a
-        // per-operation hook or a retire must not write a
-        // recorder-shared word.
+        // reservation or a retire must not write a recorder-shared
+        // word.
         let ts = if hook.advances_clock() {
             clock.fetch_add(1, Ordering::Relaxed)
         } else {
             clock.load(Ordering::Relaxed)
         };
-        self.hooks.bump(hook, 1);
         ring.write(ts, hook as u8, a, b);
     }
 
     /// [`TracerInner::record`] into `thread`'s ring.
     fn record_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
-        if thread == self.ring.thread() {
+        // A counted hook reaches no ring, so it allocates none.
+        if thread == self.ring.thread() || !hook.is_recorded() {
             return self.record(&self.ring, hook, a, b);
         }
         let k = match self.others.iter().position(|r| r.thread() == thread) {
@@ -285,6 +294,10 @@ impl TracerInner {
     /// `payload(k, ts)`, stamped as [`TracerInner::record`] would stamp
     /// them one by one with nothing in between.
     fn record_run(&self, hook: Hook, n: usize, mut payload: impl FnMut(usize, u64) -> (u64, u64)) {
+        self.hooks.bump(hook, n as u64);
+        if !hook.is_recorded() {
+            return;
+        }
         let clock = &self.recorder.clock.0;
         let ticks = hook.advances_clock();
         // SAFETY(ordering): Relaxed, as in `record`. A run of protocol
@@ -301,7 +314,6 @@ impl TracerInner {
             let (a, b) = payload(k, ts);
             self.ring.write(ts, hook as u8, a, b);
         }
-        self.hooks.bump(hook, n as u64);
     }
 }
 
@@ -329,10 +341,12 @@ impl ThreadTracer {
     }
 
     /// Emits one event under this tracer's thread and scheme. Hot
-    /// path: a clock read (a clock `fetch_add` only for the ticking
-    /// protocol hooks, see [`Hook::advances_clock`]), a bump of this
-    /// tracer's own hook counter, and a push into this tracer's own
-    /// ring — for a reading hook, no store to anything another thread
+    /// path: a bump of this tracer's own hook counter — all a counted
+    /// hook (`BeginOp`, `EndOp`, `Load`; see [`Hook::is_recorded`])
+    /// costs — then, for a recorded one, a clock read (a clock
+    /// `fetch_add` only for the ticking protocol hooks, see
+    /// [`Hook::advances_clock`]) and a push into this tracer's own
+    /// ring. For a reading hook, no store to anything another thread
     /// reads. Never allocates, never blocks.
     #[inline]
     pub fn emit(&mut self, hook: Hook, a: u64, b: u64) {
@@ -348,8 +362,8 @@ impl ThreadTracer {
     /// `t0 + k`: the stamps are unique, no concurrent ticker lands
     /// inside the run, and a reading event tied with `t0` sorts before
     /// it — exactly as if the `n` events had been emitted one by one
-    /// with nothing in between. `payload` runs only on a live tracer:
-    /// a disabled one never calls it.
+    /// with nothing in between. `payload` runs only for a recorded
+    /// hook on a live tracer: a disabled one never calls it.
     #[inline]
     pub fn emit_run(
         &mut self,
@@ -365,10 +379,11 @@ impl ThreadTracer {
     }
 
     /// Emits with an explicit thread slot (for single-tracer producers
-    /// that multiplex several logical threads, like the simulator). An
-    /// event of another thread than the tracer's own goes into a ring
-    /// of that thread's, which the first such emit allocates and
-    /// registers with the recorder.
+    /// that multiplex several logical threads, like the simulator). A
+    /// recorded event of another thread than the tracer's own goes into
+    /// a ring of that thread's, which the first such emit allocates and
+    /// registers with the recorder; a counted hook is counted in this
+    /// tracer's block, whatever its thread.
     #[inline]
     pub fn emit_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
         if let Some(inner) = &mut self.inner {
@@ -405,14 +420,14 @@ mod tests {
         let mut t0 = rec.tracer(0, SchemeId::EBR);
         let mut t1 = rec.tracer(1, SchemeId::EBR);
         for i in 0..50 {
-            t0.emit(Hook::Load, i, 0);
+            t0.emit(Hook::Retire, i, 0);
             t1.emit(Hook::Reclaim, i, 0);
         }
         let log = rec.drain();
         assert_eq!(log.events.len(), 100);
         assert!(log.is_time_ordered());
         assert_eq!(log.with_hook(Hook::Reclaim).count(), 50);
-        assert_eq!(rec.metrics().hook_count(Hook::Load), 50);
+        assert_eq!(rec.metrics().hook_count(Hook::Retire), 50);
         // The merge key is a strict order here (distinct threads), and
         // the clock-advancing events alone have unique timestamps.
         assert!(log
@@ -478,6 +493,26 @@ mod tests {
         }
         assert_eq!(one.drain().events, three.drain().events);
         assert_eq!(one.ring_count(), 3);
+        for hook in hooks {
+            let count = |rec: &Recorder| rec.metrics().hook_count(hook);
+            assert_eq!(count(&one), count(&three), "{hook}");
+        }
+    }
+
+    #[test]
+    fn a_counted_hook_is_counted_and_reaches_no_ring() {
+        let rec = Recorder::new(4);
+        let mut t = rec.tracer(0, SchemeId::HP);
+        for hook in [Hook::BeginOp, Hook::Load, Hook::EndOp] {
+            t.emit(hook, 1, 2);
+            t.emit_for(3, hook, 1, 2);
+            t.emit_run(hook, 4, |_, _| {
+                unreachable!("a counted run reads no payload")
+            });
+            assert_eq!(rec.metrics().hook_count(hook), 6);
+        }
+        assert_eq!(rec.ring_count(), 1, "emit_for allocated no ring");
+        assert!(rec.drain().events.is_empty());
     }
 
     #[test]

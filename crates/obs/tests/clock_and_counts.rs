@@ -1,7 +1,8 @@
 //! The two contracts of the thread-private emit path (DESIGN §3.6):
 //! hook counts are exact although no thread shares a counter, and the
-//! merged log is causally ordered although the per-operation hooks and
-//! `Retire` only *read* the logical clock.
+//! merged log is causally ordered although `Reserve` and `Retire` only
+//! *read* the logical clock (and `BeginOp`, `EndOp` and `Load`, counted
+//! and never recorded, do not touch it).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -20,12 +21,12 @@ fn wait_for(turn: &AtomicUsize, value: usize) {
 }
 
 /// Where in `events` thread `thread` emitted `hook` #`i` (its `a`, or a
-/// `Load`'s `b`, is `i`).
+/// `Reserve`'s `b`, is `i`).
 fn position(events: &[Event], thread: u16, hook: Hook, i: usize) -> usize {
     events
         .iter()
         .position(|e| {
-            let payload = if hook == Hook::Load { e.b } else { e.a };
+            let payload = if hook == Hook::Reserve { e.b } else { e.a };
             e.thread == thread && e.hook == hook as u8 && payload == i as u64
         })
         .unwrap_or_else(|| panic!("{hook} #{i} of t{thread} missing"))
@@ -74,22 +75,33 @@ fn reading_hooks_do_not_advance_the_clock() {
         tracer.emit(Hook::EndOp, i, 0);
     }
     assert_eq!(recorder.now(), before, "a reading hook wrote the clock");
-    assert_eq!(recorder.metrics().hook_count(Hook::Load), 10_000);
-    assert_eq!(recorder.metrics().hook_count(Hook::Retire), 10_000);
-    // ...and every one of them is in the log, stamped `before`.
+    for hook in [
+        Hook::BeginOp,
+        Hook::Load,
+        Hook::Reserve,
+        Hook::Retire,
+        Hook::EndOp,
+    ] {
+        assert_eq!(recorder.metrics().hook_count(hook), 10_000, "{hook}");
+    }
+    // ...and every recorded one is in the log, stamped `before`; the
+    // counted ones are in no ring.
     let log = recorder.drain();
-    assert_eq!((log.events.len(), log.dropped), (50_001, 0));
+    assert_eq!((log.events.len(), log.dropped), (20_001, 0));
     assert!(log.events[1..].iter().all(|e| e.ts == before));
+    assert!(log.events[1..]
+        .chunks(2)
+        .all(|op| op[0].hook == Hook::Reserve as u8 && op[1].hook == Hook::Retire as u8));
     tracer.emit(Hook::Reclaim, 1, 0);
     assert_eq!(recorder.now(), before + 1, "a protocol hook ticks");
 }
 
 /// Thread A retires and ticks, hands off through a Release/Acquire
-/// flag, thread B loads and then reclaims: the merged log must show
-/// A.Retire < A.Advance < B.Load < B.Reclaim every time, while a third
-/// thread keeps both the clock and the tie-breaking busy. The edge
-/// A → B leaves from a ticker, so B's `Load` reads a later value and
-/// the order holds whatever the threads' slots.
+/// flag, thread B reserves and then reclaims: the merged log must show
+/// A.Retire < A.Advance < B.Reserve < B.Reclaim every time, while a
+/// third thread keeps both the clock and the tie-breaking busy. The
+/// edge A → B leaves from a ticker, so B's `Reserve` reads a later
+/// value and the order holds whatever the threads' slots.
 #[test]
 fn merged_log_respects_happens_before_across_threads() {
     let recorder = Recorder::new(3);
@@ -112,7 +124,7 @@ fn merged_log_respects_happens_before_across_threads() {
             let mut b = recorder.tracer(1, SchemeId::HP);
             for i in 0..HANDOFFS {
                 wait_for(2 * i + 1);
-                b.emit(Hook::Load, 0, i as u64);
+                b.emit(Hook::Reserve, 0, i as u64);
                 b.emit(Hook::Reclaim, i as u64, 0);
                 // SAFETY(ordering): Release — hands the turn back, as above.
                 turn.store(2 * i + 2, Ordering::Release);
@@ -121,7 +133,7 @@ fn merged_log_respects_happens_before_across_threads() {
         s.spawn(|| {
             let mut noise = recorder.tracer(2, SchemeId::HP);
             while turn.load(Ordering::Relaxed) != 2 * HANDOFFS {
-                noise.emit(Hook::Load, 0, u64::MAX);
+                noise.emit(Hook::Reserve, 0, u64::MAX);
                 noise.emit(Hook::Advance, 0, 0);
             }
         });
@@ -131,11 +143,11 @@ fn merged_log_respects_happens_before_across_threads() {
     for i in 0..HANDOFFS {
         let retire = position(0, Hook::Retire, i);
         let advance = position(0, Hook::Advance, i);
-        let load = position(1, Hook::Load, i);
+        let reserve = position(1, Hook::Reserve, i);
         let reclaim = position(1, Hook::Reclaim, i);
         assert!(
-            retire < advance && advance < load && load < reclaim,
-            "handoff {i}: {retire} {advance} {load} {reclaim}"
+            retire < advance && advance < reserve && reserve < reclaim,
+            "handoff {i}: {retire} {advance} {reserve} {reclaim}"
         );
     }
     assert!(log.is_time_ordered());
@@ -145,11 +157,12 @@ fn merged_log_respects_happens_before_across_threads() {
 /// tie-break cannot fake it: the `Retire` (a reading event) comes from
 /// the *higher* slot, the node's `Reclaim` — first or last of a run, as
 /// a scan frees it — from the lower one after a Release/Acquire hand-off,
-/// and then the retiring thread loads again. A third thread keeps the
-/// clock moving, so the reclaim's run only sometimes starts at the value
-/// the retire read. Every merged log must show Retire < Reclaim (a
-/// reader sorts before the ticker it ties with) and Reclaim < Load
-/// (the run's RMW left the clock past its stamps).
+/// and then the retiring thread loads again, which is recorded as the
+/// `Reserve` its publish emits. A third thread keeps the clock moving,
+/// so the reclaim's run only sometimes starts at the value the retire
+/// read. Every merged log must show Retire < Reclaim (a reader sorts
+/// before the ticker it ties with) and Reclaim < Reserve (the run's RMW
+/// left the clock past its stamps).
 #[test]
 fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
     const NOISE: u64 = u64::MAX;
@@ -167,7 +180,7 @@ fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
                 // retire happen-before the peer's reclaim.
                 turn.store(3 * i + 1, Ordering::Release);
                 wait_for(3 * i + 2);
-                retirer.emit(Hook::Load, 0, i as u64);
+                retirer.emit(Hook::Reserve, 0, i as u64);
                 // SAFETY(ordering): Release — hands the turn back, as above.
                 turn.store(3 * i + 3, Ordering::Release);
             }
@@ -190,7 +203,7 @@ fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
             let mut ticker = recorder.tracer(1, SchemeId::HP);
             while turn.load(Ordering::Relaxed) != 3 * HANDOFFS {
                 ticker.emit(Hook::Advance, NOISE, 0);
-                ticker.emit(Hook::Load, 0, NOISE);
+                ticker.emit(Hook::Reserve, 0, NOISE);
                 std::thread::yield_now();
             }
         });
@@ -202,10 +215,10 @@ fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
     for i in 0..HANDOFFS {
         let retire = position(2, Hook::Retire, i);
         let reclaim = position(0, Hook::Reclaim, i);
-        let load = position(2, Hook::Load, i);
+        let reserve = position(2, Hook::Reserve, i);
         assert!(
-            retire < reclaim && reclaim < load,
-            "handoff {i}: {retire} {reclaim} {load}"
+            retire < reclaim && reclaim < reserve,
+            "handoff {i}: {retire} {reclaim} {reserve}"
         );
         assert!(log.events[retire].ts <= log.events[reclaim].ts);
     }
@@ -227,7 +240,7 @@ fn a_run_takes_consecutive_ticks_no_concurrent_ticker_splits() {
     let mut runner = recorder.tracer(0, SchemeId::HP);
     let mut reader = recorder.tracer(2, SchemeId::HP);
     let t0 = recorder.now();
-    reader.emit(Hook::Load, 0, 0);
+    reader.emit(Hook::Reserve, 0, 0);
     runner.emit_run(Hook::Reclaim, RUN, |k, ts| (k as u64, ts));
     runner.emit_run(Hook::Reclaim, 0, |_, _| {
         unreachable!("an empty run reads no payload")
@@ -237,7 +250,7 @@ fn a_run_takes_consecutive_ticks_no_concurrent_ticker_splits() {
     assert_eq!(log.events.len(), RUN + 1);
     assert_eq!(
         (log.events[0].hook, log.events[0].ts),
-        (Hook::Load as u8, t0)
+        (Hook::Reserve as u8, t0)
     );
     for (k, e) in log.events[1..].iter().enumerate() {
         assert_eq!((e.hook, e.a), (Hook::Reclaim as u8, k as u64), "run order");
@@ -305,8 +318,8 @@ fn tied_logs() -> [Vec<Event>; 2] {
         for round in 0..40u64 {
             for (t, tracer) in tracers.iter_mut() {
                 tracer.emit(Hook::BeginOp, round, 0);
-                tracer.emit(Hook::Load, round, 1);
-                tracer.emit(Hook::Load, round, 2);
+                tracer.emit(Hook::Reserve, round, 1);
+                tracer.emit(Hook::Reserve, round, 2);
                 if (round + *t as u64).is_multiple_of(5) {
                     tracer.emit(Hook::Retire, round, 0);
                     tracer.emit(Hook::Reclaim, round, 0);

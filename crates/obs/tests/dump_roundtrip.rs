@@ -170,10 +170,10 @@ fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
     let mut late_thread = recorder.tracer(5, SchemeId::EBR);
     let mut early_thread = recorder.tracer(2, SchemeId::EBR);
     late_thread.emit(Hook::Advance, 1, 0);
-    late_thread.emit(Hook::BeginOp, 0, 0);
+    late_thread.emit(Hook::Reserve, 0, 1);
     flight.poll();
-    early_thread.emit(Hook::BeginOp, 0, 0);
-    early_thread.emit(Hook::Load, 1, 0xa0);
+    early_thread.emit(Hook::Reserve, 0, 1);
+    early_thread.emit(Hook::Reserve, 1, 0xa0);
     let retained = flight.snapshot();
     let events = &retained.sources[0].events;
     assert!(

@@ -25,7 +25,11 @@ fn retained_trimmed_and_dropped_add_up_to_every_event_emitted() {
                     for i in 0..PER_WRITER {
                         // Readers and tickers, so the merge key's
                         // clock flag is exercised within a thread.
-                        let hook = if i % 3 == 0 { Hook::Retire } else { Hook::Load };
+                        let hook = if i % 3 == 0 {
+                            Hook::Reclaim
+                        } else {
+                            Hook::Retire
+                        };
                         tracer.emit(hook, i, u64::from(w));
                         if i % 256 == 0 {
                             // Let the poller in, so some polls land

@@ -221,8 +221,9 @@ impl Smr for He {
     }
 
     fn begin_op(&self, ctx: &mut HeCtx) {
-        ctx.tracer
-            .emit(Hook::BeginOp, self.inner.era.load(Ordering::SeqCst), 0);
+        // HE reserves nothing until its first load; the hook is only
+        // counted, so it carries no era.
+        ctx.tracer.emit(Hook::BeginOp, 0, 0);
     }
 
     fn end_op(&self, ctx: &mut HeCtx) {

@@ -296,13 +296,6 @@ pub enum ChainLink {
         /// Logical timestamp.
         ts: u64,
     },
-    /// A protected load observed the node.
-    Loaded {
-        /// Logical timestamp.
-        ts: u64,
-        /// Loading thread slot.
-        thread: u16,
-    },
     /// The node was unlinked and handed to the scheme.
     Retired {
         /// Logical timestamp.
@@ -349,7 +342,6 @@ impl ChainLink {
     pub fn ts(&self) -> u64 {
         match *self {
             ChainLink::Allocated { ts }
-            | ChainLink::Loaded { ts, .. }
             | ChainLink::Retired { ts, .. }
             | ChainLink::Orphaned { ts, .. }
             | ChainLink::Adopted { ts, .. }
@@ -361,9 +353,6 @@ impl ChainLink {
     pub fn render(&self) -> String {
         match *self {
             ChainLink::Allocated { ts } => format!("[{ts:>8}] allocated"),
-            ChainLink::Loaded { ts, thread } => {
-                format!("[{ts:>8}] loaded under protection by t{thread}")
-            }
             ChainLink::Retired {
                 ts,
                 thread,
@@ -399,8 +388,10 @@ pub struct NodeChain {
 impl NodeChain {
     /// Reconstructs the chain for `addr` from a source's events.
     ///
-    /// Retire and Reclaim carry the address directly (`a` payload);
-    /// Load carries it in `b`. Orphaning is inferred: a `Fault` event
+    /// Retire and Reclaim carry the address directly (`a` payload); a
+    /// protected load is counted, not recorded, so it is no link (a
+    /// `Load` in a dump written before that rule is skipped).
+    /// Orphaning is inferred: a `Fault` event
     /// of the die-pinned kind, or an `Adopt` event, landing *between*
     /// the node's retire and its reclaim (or dump end) means the
     /// node's custody was in flight while a context died — exactly the
@@ -413,10 +404,6 @@ impl NodeChain {
         for e in &source.events {
             match Hook::from_u8(e.hook) {
                 Some(Hook::Alloc) if e.a == addr => links.push(ChainLink::Allocated { ts: e.ts }),
-                Some(Hook::Load) if e.b == addr => links.push(ChainLink::Loaded {
-                    ts: e.ts,
-                    thread: e.thread,
-                }),
                 Some(Hook::Retire) if e.a == addr => {
                     retire_ts.get_or_insert(e.ts);
                     links.push(ChainLink::Retired {
@@ -896,14 +883,14 @@ mod tests {
             .iter()
             .map(|l| match l {
                 ChainLink::Allocated { .. } => "alloc",
-                ChainLink::Loaded { .. } => "load",
                 ChainLink::Retired { .. } => "retire",
                 ChainLink::Orphaned { .. } => "orphan",
                 ChainLink::Adopted { .. } => "adopt",
                 ChainLink::Reclaimed { .. } => "reclaim",
             })
             .collect();
-        assert_eq!(kinds, vec!["retire", "load", "orphan", "adopt", "reclaim"]);
+        // The old dump's `Load` of the node is no link.
+        assert_eq!(kinds, vec!["retire", "orphan", "adopt", "reclaim"]);
         assert_eq!(orphan_chain_addrs(&src), vec![0x1000]);
         let rendered = chain.render();
         assert!(rendered.contains("ORPHANED"));

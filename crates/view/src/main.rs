@@ -25,6 +25,8 @@
 //!                       held to (enables Def-4.2 footprint checks)
 //! ```
 
+use std::error::Error;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use era_obs::dump::FlightDump;
@@ -127,7 +129,37 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-fn run(opts: &Options) -> Result<(), String> {
+/// Stdout that takes a closed pipe (`era-view … | head`) as the end of
+/// the output: every later write is dropped, and the exit code still
+/// reports the dump's or the report's verdict.
+struct Out<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> Write for Out<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match self.inner.write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                written => return written,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match self.inner.flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                flushed => return flushed,
+            }
+        }
+        Ok(())
+    }
+}
+
+fn run(opts: &Options, out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     // Verdict gating reads a scenarios report (JSON lines), not a
     // flight dump — branch before any .eraflt decoding.
     if let Mode::Verdicts = opts.mode {
@@ -135,9 +167,9 @@ fn run(opts: &Options) -> Result<(), String> {
             .map_err(|e| format!("cannot read `{}`: {e}", opts.path))?;
         let rows =
             era_view::scenario_verdicts(&text).map_err(|e| format!("`{}`: {e}", opts.path))?;
-        print!("{}", era_view::render_verdicts(&rows));
+        write!(out, "{}", era_view::render_verdicts(&rows))?;
         if rows.iter().any(|r| !r.pass) {
-            return Err("scenario report records failing verdicts (see table above)".to_string());
+            return Err("scenario report records failing verdicts (see table above)".into());
         }
         return Ok(());
     }
@@ -163,7 +195,8 @@ fn run(opts: &Options) -> Result<(), String> {
                     .join(", ")
             ),
             None => "dump contains no sources".to_string(),
-        });
+        }
+        .into());
     }
 
     match &opts.mode {
@@ -173,62 +206,66 @@ fn run(opts: &Options) -> Result<(), String> {
                     wall_unix_ms: dump.wall_unix_ms,
                     sources: sources.into_iter().cloned().collect(),
                 };
-                print!("{}", era_view::summarize(&scoped, opts.bound));
+                write!(out, "{}", era_view::summarize(&scoped, opts.bound))?;
             } else {
-                print!("{}", era_view::summarize(&dump, opts.bound));
+                write!(out, "{}", era_view::summarize(&dump, opts.bound))?;
             }
         }
         Mode::Timeline => {
             for source in sources {
-                println!("== source `{}` ==", source.label);
+                writeln!(out, "== source `{}` ==", source.label)?;
                 let mut shown = 0usize;
                 let mut matched = 0usize;
                 for e in opts.filter.apply(source) {
                     matched += 1;
                     if shown < opts.limit {
-                        println!("{}", render_event(e));
+                        writeln!(out, "{}", render_event(e))?;
                         shown += 1;
                     }
                 }
                 if matched > shown {
-                    println!("… {} more event(s) (raise --limit)", matched - shown);
+                    writeln!(out, "… {} more event(s) (raise --limit)", matched - shown)?;
                 }
                 if matched == 0 {
-                    println!("(no events match the filter)");
+                    writeln!(out, "(no events match the filter)")?;
                 }
                 let health = era_view::render_health_timeline(source);
                 if !health.is_empty() {
-                    println!("-- shard health --");
-                    print!("{health}");
+                    writeln!(out, "-- shard health --")?;
+                    write!(out, "{health}")?;
                 }
             }
         }
         Mode::Chain(target) => {
             for source in sources {
-                println!("== source `{}` ==", source.label);
+                writeln!(out, "== source `{}` ==", source.label)?;
                 let addrs = match target {
                     ChainTarget::Addr(a) => vec![*a],
                     ChainTarget::Auto => {
                         let found = orphan_chain_addrs(source);
                         if found.is_empty() {
-                            println!("(no complete retire→orphaned→adopt→reclaim chains)");
+                            writeln!(out, "(no complete retire→orphaned→adopt→reclaim chains)")?;
                         }
                         found
                     }
                 };
                 let shown = opts.limit.max(1);
                 for addr in addrs.iter().take(shown) {
-                    print!("{}", NodeChain::for_addr(source, *addr).render());
+                    write!(out, "{}", NodeChain::for_addr(source, *addr).render())?;
                 }
                 if addrs.len() > shown {
-                    println!("… {} more chain(s) (raise --limit)", addrs.len() - shown);
+                    writeln!(
+                        out,
+                        "… {} more chain(s) (raise --limit)",
+                        addrs.len() - shown
+                    )?;
                 }
             }
         }
         Mode::Verdicts => unreachable!("handled before dump decoding"),
         Mode::Blame => {
             for source in sources {
-                println!("== source `{}` ==", source.label);
+                writeln!(out, "== source `{}` ==", source.label)?;
                 match &source.metrics {
                     Some(metrics) => {
                         let mut rows: Vec<(usize, u64)> = metrics
@@ -239,19 +276,20 @@ fn run(opts: &Options) -> Result<(), String> {
                             .map(|(t, &c)| (t, c))
                             .collect();
                         if rows.is_empty() {
-                            println!("no blocked reclamation recorded");
+                            writeln!(out, "no blocked reclamation recorded")?;
                             continue;
                         }
                         rows.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
                         let total: u64 = rows.iter().map(|&(_, c)| c).sum();
                         for (t, c) in rows {
-                            println!(
+                            writeln!(
+                                out,
                                 "thread {t:>3}: blamed for {c} blocked reclamation attempt(s) ({:.1}%)",
                                 100.0 * c as f64 / total as f64
-                            );
+                            )?;
                         }
                     }
-                    None => println!("dump carries no metrics for this source"),
+                    None => writeln!(out, "dump carries no metrics for this source")?,
                 }
             }
         }
@@ -262,7 +300,7 @@ fn run(opts: &Options) -> Result<(), String> {
     // fail the run — lossy rings are expected under load).
     let hard_violation = sources_have_hard_violations(&dump, opts);
     if hard_violation {
-        return Err("dump records Def-4.2 violations (see report above)".to_string());
+        return Err("dump records Def-4.2 violations (see report above)".into());
     }
     Ok(())
 }
@@ -290,7 +328,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(&opts) {
+    let mut out = BufWriter::new(Out {
+        inner: io::stdout().lock(),
+        closed: false,
+    });
+    let ran = run(&opts, &mut out);
+    // The report reaches stdout before the verdict reaches stderr.
+    let flushed = out.flush();
+    match ran.and_then(|()| Ok(flushed?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("era-view: {msg}");

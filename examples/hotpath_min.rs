@@ -8,16 +8,18 @@
 //! probe (built identically on both sides, run interleaved A/B) to
 //! attribute throughput deltas to the scheme hot paths.
 //!
-//! The first two rows time the tracing substrate itself: one
-//! `ThreadTracer::emit(Hook::Load)` with one tracer running alone, and
-//! with two tracers of the *same* recorder emitting concurrently. The
-//! emit path writes only thread-private lines for per-operation hooks
-//! (DESIGN §3.6), so the second row must stay within 2× of the first;
-//! a shared word on that path shows up here as a 4–10× gap that a
-//! one-thread probe can never see. The row after them times what the
-//! emits are for: one HP operation (begin, two protected loads, end) on
-//! a stable word, recorder attached — four events and the work they
-//! record.
+//! The first two rows time the tracing substrate itself: one recorded
+//! `ThreadTracer::emit(Hook::Retire)` with one tracer running alone,
+//! and with two tracers of the *same* recorder emitting concurrently.
+//! A reading hook's emit writes only thread-private lines (DESIGN
+//! §3.6), so the second row must stay within 2× of the first; a shared
+//! word on that path shows up here as a 4–10× gap that a one-thread
+//! probe can never see. The third times a counted hook
+//! (`Hook::Load`): a bump of the tracer's own counter, no clock read
+//! and no ring write. The row after them times what the emits are for:
+//! one HP operation (begin, two protected loads, end) on a stable
+//! word, recorder attached — four counted hooks and the work they
+//! count.
 //!
 //! The `kv write` rows do the same for the write path a service runs:
 //! put/remove churn on a 4-shard HP `KvStore`, one thread alone and two
@@ -25,12 +27,12 @@
 //! well above the 1-thread one is a shard-wide word written per write
 //! (an admission counter, a per-node lock or clock tick on reclaim).
 //!
-//! The `flight poll` rows time the flight recorder's watchdog poll in
+//! The `flight poll` row times the flight recorder's watchdog poll in
 //! its steady state on a busy server: one source already at its
-//! retained-event cap, one full ring's worth of events to drain, so the
-//! poll appends a ring's worth and trims as much. One row drains an EBR
-//! shard's GETs, the other its put/remove churn; each also prints what
-//! a retained event costs packed.
+//! retained-event cap, one full ring's worth of an EBR shard's
+//! put/remove churn to drain, so the poll appends a ring's worth and
+//! trims as much. It also prints what a retained event costs packed.
+//! (An EBR shard's GETs record nothing: their hooks are counted.)
 //!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
@@ -92,49 +94,50 @@ fn measure(name: &str, lo: i64, span: i64, mut op: impl FnMut(i64) -> bool) {
     );
 }
 
-/// ns per emit of one burst of `EMITS_PER_REP` `Load` events.
-fn emit_burst(tracer: &mut ThreadTracer) -> f64 {
+/// ns per emit of one burst of `EMITS_PER_REP` calls of `emit(i)`.
+fn emit_burst(mut emit: impl FnMut(u64)) -> f64 {
     let start = Instant::now();
     for i in 0..EMITS_PER_REP {
-        tracer.emit(Hook::Load, i as u64, 0);
+        emit(i as u64);
     }
     start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
 }
 
-/// Min-of-reps ns/emit for one tracer alone and for two tracers of one
-/// recorder emitting at the same time. A two-thread repetition costs
-/// what its slower thread took, so a descheduled peer only ever adds
-/// time and the minimum still tracks the contended cost.
+/// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
+/// for two tracers of one recorder emitting at the same time, then of
+/// a counted `Load` alone. A two-thread repetition costs what its
+/// slower thread took, so a descheduled peer only ever adds time and
+/// the minimum still tracks the contended cost.
 fn bench_emit() {
     let recorder = Recorder::new(2);
     let mut first = recorder.tracer(0, SchemeId::NONE);
     let mut second = recorder.tracer(1, SchemeId::NONE);
-    let alone = (0..REPS)
-        .map(|_| emit_burst(&mut first))
-        .fold(f64::INFINITY, f64::min);
-    let together = (0..REPS)
-        .map(|_| {
-            let start = Barrier::new(2);
-            std::thread::scope(|s| {
-                let peer = s.spawn(|| {
-                    start.wait();
-                    emit_burst(&mut second)
-                });
+    let min_of_reps =
+        |rep: &mut dyn FnMut() -> f64| (0..REPS).map(|_| rep()).fold(f64::INFINITY, f64::min);
+    let alone = min_of_reps(&mut || emit_burst(|i| first.emit(Hook::Retire, i, 0)));
+    let together = min_of_reps(&mut || {
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let peer = s.spawn(|| {
                 start.wait();
-                emit_burst(&mut first).max(peer.join().expect("emit thread"))
-            })
+                emit_burst(|i| second.emit(Hook::Retire, i, 0))
+            });
+            start.wait();
+            emit_burst(|i| first.emit(Hook::Retire, i, 0)).max(peer.join().expect("emit thread"))
         })
-        .fold(f64::INFINITY, f64::min);
+    });
+    let counted = min_of_reps(&mut || emit_burst(|i| first.emit(Hook::Load, i, 0)));
     println!("emit 1 thread : min {alone:.1} ns/emit");
     println!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
     );
+    println!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
 }
 
 /// Min-of-reps ns per HP operation on a stable word: `begin_op`, two
-/// protected loads, `end_op`, recorder attached — four emits and the
-/// scheme work they record.
+/// protected loads, `end_op`, recorder attached — four counted hooks
+/// and the scheme work they count.
 fn bench_hp_op() {
     let hp = Hp::new(2, 3);
     let recorder = Recorder::new(2);
@@ -155,15 +158,6 @@ fn bench_hp_op() {
         })
         .fold(f64::INFINITY, f64::min);
     println!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
-}
-
-/// Fills `tracer`'s ring with `BeginOp(epoch)`/`EndOp` pairs, the
-/// per-operation stream of an EBR shard.
-fn fill_ring(tracer: &mut ThreadTracer) {
-    for op in 0..(DEFAULT_RING_CAPACITY / 2) as u64 {
-        tracer.emit(Hook::BeginOp, op / 64 % 100, 0);
-        tracer.emit(Hook::EndOp, 0, 0);
-    }
 }
 
 /// Fills two rings with a ring's worth of what an EBR shard under
@@ -301,16 +295,13 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 }
 
 fn main() {
-    println!("-- era-obs emit (Hook::Load, one recorder)");
+    println!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
     bench_emit();
     bench_hp_op();
     println!(
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
          one {DEFAULT_RING_CAPACITY}-event ring to drain)"
     );
-    let recorder = Recorder::new(1);
-    let mut tracer = recorder.tracer(0, SchemeId::EBR);
-    bench_flight_poll("ebr gets", &recorder, || fill_ring(&mut tracer));
     let recorder = Recorder::new(1);
     let mut worker = recorder.tracer(0, SchemeId::EBR);
     let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);

@@ -1,8 +1,8 @@
 //! The trace-clock contract (DESIGN §3.6) seen through real schemes and
-//! a real structure: operations and retires read the logical clock,
-//! only the amortised reclamation path advances it — and the merged log
-//! is still causally ordered, every node's `Retire` ahead of its
-//! `Reclaim`.
+//! a real structure: an operation's own hooks are counted and never
+//! recorded, retires read the logical clock, only the amortised
+//! reclamation path advances it — and the merged log is still causally
+//! ordered, every node's `Retire` ahead of its `Reclaim`.
 
 use std::collections::HashMap as StdHashMap;
 
@@ -27,16 +27,32 @@ fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &
             map.insert(&mut ctx, k, k);
         }
     }
-    let begun = recorder.metrics().hook_count(Hook::BeginOp);
+    let count = |hook| recorder.metrics().hook_count(hook);
     let ticked = || -> u64 {
         Hook::ALL
             .into_iter()
             .filter(|h| h.advances_clock())
-            .map(|h| recorder.metrics().hook_count(h))
+            .map(count)
             .sum()
     };
+    // What one `get` of each key counts: nothing writes the map while
+    // it is read, so a key's protected loads are the same every time.
+    let loads_of: Vec<u64> = {
+        let mut ctx = smr.register().expect("slot");
+        (0..KEYS)
+            .map(|k| {
+                let before = count(Hook::Load);
+                assert_eq!(map.get(&mut ctx, k), Some(k));
+                count(Hook::Load) - before
+            })
+            .collect()
+    };
+    let per_op = [Hook::BeginOp, Hook::Load, Hook::EndOp];
+    let counted = per_op.map(count);
+    recorder.drain();
 
-    // Read-only phase, two threads: the clock must not move at all.
+    // Read-only phase, two threads: the clock must not move at all, and
+    // nothing is recorded — an operation's hooks are only counted.
     let quiet = recorder.now();
     let ticked_at_quiet = ticked();
     std::thread::scope(|s| {
@@ -51,9 +67,25 @@ fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &
         }
     });
     assert_eq!(recorder.now(), quiet, "{name}: a read advanced the clock");
+    let log = recorder.drain();
+    assert!(
+        log.events.is_empty(),
+        "{name}: a read recorded {:?}",
+        log.events[0]
+    );
+    let ops = THREADS as u64 * READS_PER_THREAD as u64;
+    let loads: u64 = (0..THREADS as i64)
+        .flat_map(|t| (0..READS_PER_THREAD).map(move |i| (i + t) % KEYS))
+        .map(|k| loads_of[k as usize])
+        .sum();
+    let counted_since: Vec<u64> = per_op
+        .iter()
+        .zip(counted)
+        .map(|(&hook, was)| count(hook) - was)
+        .collect();
     assert_eq!(
-        recorder.metrics().hook_count(Hook::BeginOp) - begun,
-        THREADS as u64 * READS_PER_THREAD as u64,
+        counted_since,
+        [ops, loads, ops],
         "{name}: hook counts are exact without a shared counter"
     );
 
