@@ -30,15 +30,11 @@
 //!   with explicit `Stale`-rollback integration (the non-easy
 //!   integration VBR demands).
 //!
-//! All six implement [`ConcurrentSet`], the seam the `era-bench`
-//! driver and the model tests are generic over. Beside them:
-//!
-//! * [`treiber_stack`] — Treiber's stack, works with every scheme.
-//! * [`ms_queue`] — the Michael–Scott queue, works with every scheme.
-//!
-//! All structures implement integer-key *set* (or map/stack/queue)
-//! semantics matching `era_core::spec`, so the test suite checks them
-//! against the same sequential specifications the formal model uses.
+//! All five implement [`ConcurrentSet`], the seam the `era-bench`
+//! driver and the model tests are generic over, with integer-key *set*
+//! semantics matching `era_core::spec::SetSpec`, so the test suite
+//! checks them against the same sequential specification the formal
+//! model uses.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,16 +43,12 @@ pub mod concurrent_set;
 pub mod harris_list;
 pub mod hash_map;
 pub mod michael_map;
-pub mod ms_queue;
 pub mod skip_list;
-pub mod treiber_stack;
 pub mod vbr_list;
 
 pub use concurrent_set::ConcurrentSet;
 pub use harris_list::HarrisList;
 pub use hash_map::HashMap;
 pub use michael_map::MichaelMap;
-pub use ms_queue::MsQueue;
 pub use skip_list::SkipList;
-pub use treiber_stack::TreiberStack;
 pub use vbr_list::VbrList;

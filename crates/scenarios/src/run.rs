@@ -315,6 +315,10 @@ fn run_phase<S: Smr>(
         store.flush(&mut probe);
     }
     let done = AtomicBool::new(false);
+    // Raised once the stall reader holds its pin (or was refused a
+    // slot): the phase's load starts only then, so a short phase
+    // cannot finish before its adversary is in place.
+    let pinned = AtomicBool::new(phase.stall_shard.is_none());
     let restarts = AtomicU64::new(0);
     let total_ops = AtomicU64::new(0);
     let total_shed = AtomicU64::new(0);
@@ -351,29 +355,46 @@ fn run_phase<S: Smr>(
         // The Theorem 6.1 adversary: pinned inside the shard's domain,
         // restarting (and promptly re-stalling) whenever neutralized.
         if let Some(si) = phase.stall_shard {
-            let (done, restarts) = (&done, &restarts);
+            let (done, pinned, restarts) = (&done, &pinned, &restarts);
             s.spawn(move || {
                 let smr = store.scheme(si);
                 let mut ctx = loop {
                     // Same chaos tolerance as `register_retry`, at the
                     // single-scheme level; gives up when the phase ends
-                    // before a slot frees.
+                    // before a slot frees. A refused reader lets the
+                    // load start without it rather than hold it back.
                     match smr.register() {
                         Ok(ctx) => break ctx,
-                        Err(_) if done.load(Ordering::Acquire) => return,
-                        Err(_) => std::thread::sleep(Duration::from_micros(200)),
+                        Err(_) => {
+                            // SAFETY(ordering): Release — pairs with
+                            // the load's Acquire wait; nothing is
+                            // pinned, so nothing else rides on it.
+                            pinned.store(true, Ordering::Release);
+                            if done.load(Ordering::Acquire) {
+                                return;
+                            }
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
                     }
                 };
                 while !done.load(Ordering::Acquire) {
                     smr.begin_op(&mut ctx);
-                    let mut neutralized = false;
-                    while !done.load(Ordering::Relaxed) {
+                    // SAFETY(ordering): Release — the pin above
+                    // happens-before every op the load waits to issue.
+                    pinned.store(true, Ordering::Release);
+                    // `needs_restart` is polled once more after the
+                    // phase ends, so a neutralization that landed
+                    // while this thread was descheduled still counts.
+                    let neutralized = loop {
+                        let finished = done.load(Ordering::Acquire);
                         if smr.needs_restart(&mut ctx) {
-                            neutralized = true;
-                            break;
+                            break true;
+                        }
+                        if finished {
+                            break false;
                         }
                         std::hint::spin_loop();
-                    }
+                    };
                     smr.end_op(&mut ctx);
                     if neutralized {
                         // SAFETY(ordering): Relaxed — tally read after
@@ -385,12 +406,14 @@ fn run_phase<S: Smr>(
         }
 
         if phase.serve_net {
+            wait_for(&pinned);
             serve_phase(store, spec, pi, phase, &total_ops, &total_shed);
         } else {
             let workers: Vec<_> = (0..phase.threads)
                 .map(|t| {
-                    let (total_ops, total_shed) = (&total_ops, &total_shed);
+                    let (pinned, total_ops, total_shed) = (&pinned, &total_ops, &total_shed);
                     s.spawn(move || {
+                        wait_for(pinned);
                         let mut ctx: KvCtx<S> = register_retry(store, "worker");
                         let mut ops = 0u64;
                         let mut shed = 0u64;
@@ -425,7 +448,8 @@ fn run_phase<S: Smr>(
             // navigator/sampler/stall threads never exit their polling
             // loops and the scope deadlocks instead of failing.
             // SAFETY(ordering): Release — pairs with the stall
-            // harness's Relaxed polling loop.
+            // reader's Acquire poll, after which it reads
+            // `needs_restart` one last time.
             done.store(true, Ordering::Release);
             assert!(!worker_panic, "scenario worker panicked");
         }
@@ -450,6 +474,13 @@ fn run_phase<S: Smr>(
             .unwrap_or(0),
         healths: (0..store.shard_count()).map(|i| store.health(i)).collect(),
         restarts: restarts.load(Ordering::Relaxed),
+    }
+}
+
+/// Yields until `flag` is raised.
+fn wait_for(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::thread::yield_now();
     }
 }
 

@@ -1,6 +1,7 @@
 //! `run_scenario` end to end on a tiny spec, and the checked-in E8
 //! spec files against the parser.
 
+use era_chaos::{ChaosSmr, FaultAction, FaultPlan};
 use era_kv::KvStore;
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
 use era_scenarios::{PhaseSpec, ScenarioOutcome, ScenarioSpec};
@@ -57,6 +58,26 @@ fn tiny_spec_on_ebr_completes_drains_and_repeats() {
 #[test]
 fn tiny_spec_on_hp_completes_drains_and_repeats() {
     check(|| run(|cap| Hp::new(cap, 3)));
+}
+
+/// The phase's load waits for its stall reader to pin, so a reader
+/// that is refused a slot must release the load, not hold it back: a
+/// registration refusal armed during prefill lands on the reader,
+/// which is the phase's first registration, and the phase still runs
+/// every op and drains.
+#[test]
+fn a_refused_stall_reader_does_not_hold_the_phase_back() {
+    let mut spec = tiny();
+    spec.shards = 1;
+    spec.phases[0].threads = 1;
+    spec.phases[0].stall_shard = Some(0);
+    let plan = FaultPlan::new(1, vec![FaultAction::FailRegister { at_op: 1, count: 1 }]);
+    let schemes = vec![ChaosSmr::new(Ebr::new(scheme_capacity(&spec)), plan)];
+    let store = KvStore::new(&schemes, kv_config(&spec, era_obs::DEFAULT_RING_CAPACITY));
+    let outcome = run_scenario(&store, &spec, &RunOptions::default());
+    assert_eq!(schemes[0].faults_injected(), 1, "the refusal was armed");
+    assert_eq!(outcome.phases[0].ops, 500);
+    assert!(outcome.drained, "{outcome:?}");
 }
 
 #[test]

@@ -10,8 +10,7 @@
 //! * [`smr`] (`era-smr`) — real, concurrent reclamation schemes: EBR,
 //!   HP, HE, IBR, VBR, NBR and a leaking baseline.
 //! * [`ds`] (`era-ds`) — lock-free data structures integrated with the
-//!   schemes: Harris/Michael lists, Treiber stack, Michael–Scott queue,
-//!   hash map.
+//!   schemes: Harris/Michael lists, hash map, skip list, VBR list.
 //! * [`obs`] (`era-obs`) — lock-free event tracing, footprint metrics,
 //!   and JSON-lines run reports shared by the layers above.
 //! * [`kv`] (`era-kv`) — the serving layer: a sharded SMR-backed

@@ -431,6 +431,8 @@ mod chaos_wrapped {
         for k in 0..2_000i64 {
             assert_eq!(list.insert_if_absent(&mut ctx, k % 97, 0), None);
             assert_eq!(list.remove(&mut ctx, k % 97), Some(0));
+            // Reads keep answering while the plan's victims die pinned.
+            assert_eq!(list.get(&mut ctx, k % 97), None);
         }
         assert_eq!(smr.faults_injected(), 8, "all planned deaths fired");
         smr.quiesce(&mut ctx);

@@ -1,13 +1,11 @@
 //! Property-based integration tests: every structure against the
-//! `BTreeSet`/`Vec`/`VecDeque` reference model under random sequential
+//! `BTreeSet`/`BTreeMap` reference model under random sequential
 //! op sequences, plus invariants of the VBR arena and the
 //! linearizability checker.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
-use era::ds::{
-    ConcurrentSet, HarrisList, HashMap, MichaelMap, MsQueue, SkipList, TreiberStack, VbrList,
-};
+use era::ds::{ConcurrentSet, HarrisList, HashMap, MichaelMap, SkipList, VbrList};
 use era::smr::common::Smr;
 use era::smr::{ebr::Ebr, hp::Hp, leak::Leak, nbr::Nbr};
 use proptest::prelude::*;
@@ -112,40 +110,6 @@ proptest! {
         }
         let entries: Vec<(i64, i64)> = model.into_iter().collect();
         prop_assert_eq!(map.collect_entries(), entries);
-    }
-
-    #[test]
-    fn stack_matches_model(ops in prop::collection::vec((0..2u8, 0..100i64), 0..120)) {
-        let smr = Hp::new(2, 1);
-        let stack = TreiberStack::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        let mut model: Vec<i64> = Vec::new();
-        for (w, v) in ops {
-            if w == 0 {
-                stack.push(&mut ctx, v);
-                model.push(v);
-            } else {
-                prop_assert_eq!(stack.pop(&mut ctx), model.pop());
-            }
-        }
-        prop_assert_eq!(stack.len(), model.len());
-    }
-
-    #[test]
-    fn queue_matches_model(ops in prop::collection::vec((0..2u8, 0..100i64), 0..120)) {
-        let smr = Ebr::new(2);
-        let queue = MsQueue::new(&smr);
-        let mut ctx = smr.register().unwrap();
-        let mut model: VecDeque<i64> = VecDeque::new();
-        for (w, v) in ops {
-            if w == 0 {
-                queue.enqueue(&mut ctx, v);
-                model.push_back(v);
-            } else {
-                prop_assert_eq!(queue.dequeue(&mut ctx), model.pop_front());
-            }
-        }
-        prop_assert_eq!(queue.len(), model.len());
     }
 
     #[test]

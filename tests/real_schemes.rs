@@ -1,60 +1,14 @@
-//! Cross-crate integration tests of the *real* schemes and structures:
-//! the stack and queue under multi-threaded stress, plus the
+//! Cross-crate integration tests of the *real* schemes: the
 //! paper-level properties one can check on real hardware — footprint
 //! bounds, transparency (thread churn), and the drain-on-quiescence
 //! behaviour. Every (set × scheme) pair is judged linearizable under
 //! contention by `era-ds`'s own table test.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use era::ds::{MichaelMap, MsQueue, TreiberStack};
+use era::ds::MichaelMap;
 use era::smr::common::Smr;
 use era::smr::{ebr::Ebr, hp::Hp};
 
 const THREADS: usize = 4;
-
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-)]
-fn stack_and_queue_under_hp_and_ebr() {
-    let hp = Hp::new(THREADS + 1, 2);
-    let stack = TreiberStack::new(&hp);
-    let queue_smr = Ebr::new(THREADS + 1);
-    let queue = MsQueue::new(&queue_smr);
-    let popped = AtomicUsize::new(0);
-    let dequeued = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let (stack, queue, popped, dequeued, queue_smr, hp) =
-                (&stack, &queue, &popped, &dequeued, &queue_smr, &hp);
-            s.spawn(move || {
-                let mut sctx = hp.register().unwrap();
-                let mut qctx = queue_smr.register().unwrap();
-                for i in 0..500 {
-                    stack.push(&mut sctx, t as i64 * 1000 + i);
-                    queue.enqueue(&mut qctx, t as i64 * 1000 + i);
-                    if stack.pop(&mut sctx).is_some() {
-                        // SAFETY(ordering): Relaxed — pop/dequeue tallies
-                        // read after the scope joins every worker.
-                        popped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if queue.dequeue(&mut qctx).is_some() {
-                        dequeued.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                hp.flush(&mut sctx);
-                queue_smr.flush(&mut qctx);
-            });
-        }
-    });
-    assert_eq!(popped.load(Ordering::Relaxed) + stack.len(), THREADS * 500);
-    assert_eq!(
-        dequeued.load(Ordering::Relaxed) + queue.len(),
-        THREADS * 500
-    );
-}
 
 #[test]
 #[cfg_attr(
