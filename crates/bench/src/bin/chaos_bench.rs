@@ -128,6 +128,7 @@ struct Node {
 /// `p` must be the `Box::into_raw` pointer of a live `Node`; the SMR
 /// scheme passes it here exactly once.
 unsafe fn free_node(p: *mut u8) {
+    // SAFETY: the contract above: `p` is a live `Node`'s box, freed once.
     unsafe { drop(Box::from_raw(p as *mut Node)) }
 }
 

@@ -10,9 +10,12 @@
 //!   (footprint ≈ structure size: **weak** robustness, linear in
 //!   `max_active`), while HP stays constant and EBR keeps growing.
 //!
-//! Plus the VBR/NBR rows: VBR's retired population is identically zero
-//! (retire *is* reclaim); NBR's stays below its neutralization
-//! threshold.
+//! Plus the VBR/NBR rows, which run live update-heavy churn on Harris's
+//! list with **no** stalled reader: VBR's retired population is
+//! identically zero (retire *is* reclaim); NBR's row is its footprint
+//! under that churn alone. It measures no bound: against the stalled
+//! reader above, NBR traps every retire until it neutralizes without
+//! waiting (ROADMAP items 9a and 21).
 //!
 //! Usage: `robustness [churn_ops] [structure_size]` (defaults 40000, 512).
 
@@ -92,7 +95,7 @@ fn main() {
         "NBR".to_string(),
         r.peak_retired.to_string(),
         r.final_retired.to_string(),
-        "bounded by the neutralization threshold".to_string(),
+        "live churn, no stalled reader (stalled: ROADMAP 21)".to_string(),
     ]);
     let r = run_vbr(&spec);
     table.row([

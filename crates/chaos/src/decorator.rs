@@ -69,6 +69,7 @@ struct ChaosNode {
 /// `p` must be the `Box::into_raw` pointer of a live `ChaosNode`; the
 /// SMR scheme guarantees it is passed here exactly once.
 unsafe fn free_chaos_node(p: *mut u8) {
+    // SAFETY: the contract above: `p` is a live `ChaosNode`'s box, freed once.
     unsafe { drop(Box::from_raw(p as *mut ChaosNode)) }
 }
 
@@ -547,6 +548,14 @@ mod tests {
     use era_smr::ebr::Ebr;
     use era_smr::leak::Leak;
 
+    /// # Safety
+    ///
+    /// `p` must be a leaked `Box<u64>`, passed here exactly once.
+    unsafe fn free_u64(p: *mut u8) {
+        // SAFETY: the contract above.
+        unsafe { drop(Box::from_raw(p as *mut u64)) }
+    }
+
     fn spin<S: Smr>(smr: &S, ctx: &mut S::ThreadCtx, ops: usize) {
         for _ in 0..ops {
             smr.begin_op(ctx);
@@ -607,9 +616,6 @@ mod tests {
             let p = Box::into_raw(Box::new(0u64)) as *mut u8;
             // SAFETY: p is the Box::into_raw of the u64 above; retire
             // passes it to free_u64 exactly once.
-            unsafe fn free_u64(p: *mut u8) {
-                unsafe { drop(Box::from_raw(p as *mut u64)) }
-            }
             unsafe { smr.retire(ctx, p, std::ptr::null(), free_u64) };
         };
         for _ in 0..8 {
@@ -692,9 +698,6 @@ mod tests {
         let p = Box::into_raw(Box::new(7u64)) as *mut u8;
         // SAFETY: p is the Box::into_raw of the u64 above; retire
         // passes it to free_u64 exactly once.
-        unsafe fn free_u64(p: *mut u8) {
-            unsafe { drop(Box::from_raw(p as *mut u64)) }
-        }
         unsafe { smr.retire(&mut ctx, p, std::ptr::null(), free_u64) };
         smr.end_op(&mut ctx);
         smr.flush(&mut ctx); // swallowed by the window

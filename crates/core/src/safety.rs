@@ -256,11 +256,6 @@ impl SafetyChecker {
         &self.validity
     }
 
-    /// Index of the next step to be recorded (1-based like the paper).
-    pub fn next_step(&self) -> StepIndex {
-        StepIndex(self.step + 1)
-    }
-
     /// Records one event, advancing the step counter.
     pub fn record(&mut self, event: MemEvent) {
         self.step += 1;
@@ -366,25 +361,9 @@ impl SafetyChecker {
         }
     }
 
-    /// Pointer bookkeeping helper: record a *safe* read of a pointer
-    /// field: `dst := src_field` where `src_field` is the field variable.
-    ///
-    /// Equivalent to `record(PtrUpdate { var: dst, source: Copy(src_field) })`.
-    pub fn record_ptr_read(&mut self, dst: VarId, src_field: VarId) {
-        self.record(MemEvent::PtrUpdate {
-            var: dst,
-            source: PtrSource::Copy(src_field),
-        });
-    }
-
     /// The verdict so far.
     pub fn verdict(&self) -> &SafetyVerdict {
         &self.verdict
-    }
-
-    /// Consumes the checker, returning the final verdict.
-    pub fn into_verdict(self) -> SafetyVerdict {
-        self.verdict
     }
 }
 

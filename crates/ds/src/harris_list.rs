@@ -110,6 +110,7 @@ pub struct HarrisList<'s, S: Smr + SupportsUnlinkedTraversal> {
 // pointers are dereferenced only inside begin_op/end_op (or exclusively in
 // Drop), and the scheme itself carries the Sync/Send bounds.
 unsafe impl<S: Smr + SupportsUnlinkedTraversal + Sync> Sync for HarrisList<'_, S> {}
+// SAFETY: as for `Sync` above.
 unsafe impl<S: Smr + SupportsUnlinkedTraversal + Send> Send for HarrisList<'_, S> {}
 
 impl<S: Smr + SupportsUnlinkedTraversal> fmt::Debug for HarrisList<'_, S> {
@@ -152,16 +153,19 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
     fn search(&self, ctx: &mut S::ThreadCtx, key: i64) -> Window {
         'retry: loop {
             self.smr.enter_read_phase(ctx);
+            let mut pred: *const Node = self.head;
             // SAFETY: the whole walk runs inside the caller's begin_op on a scheme
             // with SupportsUnlinkedTraversal — marked/unlinked nodes remain
             // dereferenceable until a grace period passes (Def. 4.2 Condition 1),
             // and needs_restart is polled before trusting any read after a
             // potential neutralization.
-            let mut pred: *const Node = self.head;
             let mut pred_next = unsafe { (*pred).next.load(Ordering::SeqCst) }; // line 4
             let mut curr: *const Node = untagged(pred_next) as *const Node;
+            // SAFETY: `curr` was read from a node of the walk: see above.
             let mut curr_next = unsafe { (*curr).next.load(Ordering::SeqCst) }; // line 6
-                                                                                // line 7: traverse while curr is marked or key too small
+
+            // line 7: traverse while curr is marked or key too small.
+            // SAFETY: `curr` was read from a node of the walk: see above.
             while is_marked(curr_next) || unsafe { (*curr).key } < key {
                 if self.smr.needs_restart(ctx) {
                     continue 'retry; // neutralized: drop everything
@@ -174,6 +178,8 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                 if curr == self.tail {
                     break; // line 12
                 }
+                // SAFETY: the walk's argument above: `curr` stays dereferenceable
+                // even when marked or unlinked.
                 curr_next = unsafe { (*curr).next.load(Ordering::SeqCst) }; // line 13
             }
             // Write phase: reserve the window before any CAS.
@@ -184,6 +190,7 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
             }
             if pred_next == curr as usize {
                 // line 14: no marked chain between pred and curr
+                // SAFETY: `curr` is reserved and committed for this write phase.
                 if curr != self.tail && is_marked(unsafe { (*curr).next.load(Ordering::SeqCst) }) {
                     self.smr.clear_reservations(ctx);
                     continue 'retry; // lines 15–16
@@ -191,10 +198,12 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                 return Window { pred, curr }; // line 17
             }
             // line 18: unlink the whole marked chain [pred_next, curr)
+            // SAFETY: `pred` is reserved and committed for this write phase.
             if unsafe { &(*pred).next }
                 .compare_exchange(pred_next, curr as usize, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
+                // SAFETY: `curr` is reserved and committed for this write phase.
                 if curr != self.tail && is_marked(unsafe { (*curr).next.load(Ordering::SeqCst) }) {
                     self.smr.clear_reservations(ctx);
                     continue 'retry; // line 20
@@ -219,11 +228,15 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
         let mut node: *mut Node = std::ptr::null_mut();
         let result = loop {
             let w = self.search(ctx, key); // line 30
+
+            // SAFETY: `w.curr` comes from `search`, under this op's protection.
             if w.curr != self.tail && unsafe { (*w.curr).key } == key {
                 // lines 33–35: duplicate — retire the local node, if a
                 // failed CAS on an earlier round left one
                 self.smr.clear_reservations(ctx);
                 if !node.is_null() {
+                    // SAFETY: a failed CAS left `node` unshared, so it goes local →
+                    // retired (§4.1), exactly once.
                     unsafe {
                         self.smr
                             .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
@@ -233,9 +246,14 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
             }
             if node.is_null() {
                 node = Node::alloc(key, 0); // line 28, deferred
+
+                // SAFETY: `node` was just allocated and is not shared yet.
                 self.smr.init_header(ctx, unsafe { &(*node).header });
             }
+            // SAFETY: `node` stays unshared until the CAS below publishes it.
             unsafe { (*node).next.store(w.curr as usize, Ordering::SeqCst) }; // line 36
+
+            // SAFETY: `w.pred` is reserved and committed by `search`.
             let linked = unsafe { &(*w.pred).next }
                 .compare_exchange(
                     w.curr as usize,
@@ -259,14 +277,16 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
         self.smr.begin_op(ctx);
         let result = 'outer: loop {
             let w = self.search(ctx, key); // line 41
-                                           // SAFETY: w.pred/w.curr are protected by this op (search returned them
-                                           // under our begin_op); the mark CAS wins at most once, so the retire
-                                           // below happens exactly once per node.
+
+            // SAFETY: w.pred/w.curr are protected by this op (search returned them
+            // under our begin_op); the mark CAS wins at most once, so the retire
+            // below happens exactly once per node.
             if w.curr == self.tail || unsafe { (*w.curr).key } != key {
                 self.smr.clear_reservations(ctx);
                 break false; // lines 44–45
             }
             loop {
+                // SAFETY: `w.curr` is protected by this op: see above.
                 let succ_word = unsafe { (*w.curr).next.load(Ordering::SeqCst) };
                 if is_marked(succ_word) {
                     // line 46: concurrently deleted — retry the search
@@ -274,6 +294,7 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                     continue 'outer;
                 }
                 // line 48: logical deletion (mark curr's next)
+                // SAFETY: `w.curr` is protected by this op.
                 if unsafe { &(*w.curr).next }
                     .compare_exchange(
                         succ_word,
@@ -286,6 +307,7 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                     continue; // line 49
                 }
                 // line 50: try to unlink; otherwise a search() will
+                // SAFETY: `w.pred` is protected by this op.
                 let unlinked = unsafe { &(*w.pred).next }
                     .compare_exchange(
                         w.curr as usize,
@@ -300,6 +322,8 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                     self.smr.clear_reservations(ctx);
                 }
                 // line 52: the marker retires — exactly once per node
+                // SAFETY: the winning mark CAS above makes this op `w.curr`'s unique
+                // retirer; `w.curr` is still protected, so its header is readable.
                 unsafe {
                     self.smr
                         .retire(ctx, w.curr as *mut u8, &(*w.curr).header, DROP_NODE);
@@ -332,6 +356,7 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
             // SAFETY(ordering): SeqCst link loads keep the walk in the
             // retire-stamp SC chain (see `Smr::load`) — free on x86-TSO.
             let mut curr =
+                // SAFETY: the head sentinel is never retired.
                 untagged(unsafe { (*self.head).next.load(Ordering::SeqCst) }) as *const Node;
             loop {
                 if self.smr.needs_restart(ctx) {
@@ -340,7 +365,10 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
                 // The tail sentinel (key = i64::MAX, never retired)
                 // stops the walk without an explicit pointer compare:
                 // check_key rejects i64::MAX as a user key.
+                // SAFETY: op-scoped protection: the caller's `begin_op` keeps every
+                // node on the walk unreclaimed, marked or not.
                 let next = unsafe { (*curr).next.load(Ordering::SeqCst) };
+                // SAFETY: as above: `curr` is protected for the whole operation.
                 let ckey = unsafe { (*curr).key };
                 if ckey < key {
                     curr = untagged(next) as *const Node;
@@ -361,8 +389,10 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
         // so every reachable node is live.
         let mut node = untagged(unsafe { (*self.head).next.load(Ordering::SeqCst) }) as *const Node;
         while node != self.tail {
+            // SAFETY: as above: every reachable node is live.
             let next = unsafe { (*node).next.load(Ordering::SeqCst) };
             if !is_marked(next) {
+                // SAFETY: as above: every reachable node is live.
                 out.push(unsafe { (*node).key });
             }
             node = untagged(next) as *const Node;
@@ -389,6 +419,8 @@ impl<S: Smr + SupportsUnlinkedTraversal> Drop for HarrisList<'_, S> {
             // SAFETY: &mut self — exclusive access; marked nodes included, each
             // reachable node is freed exactly once, stopping at the tail sentinel.
             let next = untagged(unsafe { (*node).next.load(Ordering::SeqCst) }) as *mut Node;
+            // SAFETY: `node` is reachable only through this list, which `Drop`
+            // owns exclusively; each node is freed once.
             unsafe { drop_node(node as *mut u8) };
             if node == self.tail {
                 break;
@@ -477,12 +509,16 @@ mod tests {
         // without unlinking anything.
         assert!(list.contains(&mut ctx, 3));
         assert!(!list.contains(&mut ctx, 1));
+        // SAFETY: this thread alone uses the list, so every reachable node
+        // is live.
         unsafe {
             let first = untagged((*list.head).next.load(Ordering::SeqCst)) as *const Node;
             assert_eq!((*first).key, 1, "read-only contains must not unlink");
         }
         // A mutation's search() unlinks the whole chain in one CAS.
         assert!(!list.delete(&mut ctx, 0));
+        // SAFETY: this thread alone uses the list, so every reachable node
+        // is live.
         unsafe {
             let first = untagged((*list.head).next.load(Ordering::SeqCst)) as *const Node;
             assert_eq!((*first).key, 3, "marked chain must be physically unlinked");

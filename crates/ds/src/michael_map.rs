@@ -130,6 +130,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     fn find(&self, ctx: &mut S::ThreadCtx, key: i64) -> Window {
         'retry: loop {
             let mut prev: *const AtomicUsize = &self.head;
+            let mut cs = 0usize;
             // SAFETY: Michael-style hand-over-hand protection — `prev` always
             // points into a node protected by SLOT_PREV (or the head, which is
             // never freed), and `curr` was read from `prev` by a protected,
@@ -139,7 +140,6 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
             // any retire. Every deref below is of `curr` or `prev`; the
             // successor is only ever a CAS operand until the walk steps onto
             // it. Validation failures restart the walk.
-            let mut cs = 0usize;
             let mut curr_word = self.smr.load(ctx, cs, unsafe { &*prev });
             loop {
                 debug_assert!(!is_marked(curr_word));
@@ -155,6 +155,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 // link — enough for the mark check and the unlink CAS operand
                 // (the successor is not dereferenced here), and SeqCst keeps
                 // op-scoped schemes in the retire-stamp chain of `Smr::load`.
+                // SAFETY: `curr` is protected in slot `cs` (the walk's argument above).
                 let next_word = unsafe { (*node).next.load(Ordering::SeqCst) };
                 // Michael's re-validation (Fig. 9, line 13): curr must still
                 // be linked at prev once its link has been read, so a walk
@@ -165,28 +166,34 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 // a just-unlinked node stays linearizable and every
                 // mutation CAS below self-validates against `prev`.
                 if self.smr.kind().requires_validation()
+                    // SAFETY: `prev` is the head or lies in the node protected in SLOT_PREV.
                     && unsafe { &*prev }.load(Ordering::SeqCst) != curr_word
                 {
                     continue 'retry;
                 }
                 if is_marked(next_word) {
                     let succ = untagged(next_word);
+                    // SAFETY: `prev` is the head or lies in the node protected in SLOT_PREV.
                     if unsafe { &*prev }
                         .compare_exchange(curr_word, succ, Ordering::SeqCst, Ordering::SeqCst)
                         .is_err()
                     {
                         continue 'retry;
                     }
+                    // SAFETY: the unlink CAS above succeeded, so this walk is `curr`'s
+                    // unique retirer; `curr` is still protected, so its header is readable.
                     unsafe {
                         self.smr
                             .retire(ctx, curr_word as *mut u8, &(*node).header, DROP_NODE);
                     }
+                    // SAFETY: `prev`'s owner is still protected in SLOT_PREV (or is the head).
                     curr_word = self.smr.load(ctx, cs, unsafe { &*prev });
                     if is_marked(curr_word) {
                         continue 'retry;
                     }
                     continue;
                 }
+                // SAFETY: `curr` is protected in slot `cs`.
                 let ckey = unsafe { (*node).key };
                 if ckey >= key {
                     return Window {
@@ -203,12 +210,14 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 // until overwritten, and SLOT_PREV > cs keeps
                 // ascending-index scans sound.
                 self.smr.protect_alias(ctx, SLOT_PREV, cs, curr_word);
+                // SAFETY: `curr` is protected in slot `cs`, and now in SLOT_PREV too.
                 prev = unsafe { &(*node).next };
                 // Step onto the successor: the one protected load of this
                 // node. A mark here means curr was deleted after the plain
                 // read above — its link no longer proves the successor
                 // reachable, so the protection is void and the walk
                 // restarts (Michael never stands past a marked node).
+                // SAFETY: `prev` lies in the node just protected in SLOT_PREV.
                 curr_word = self.smr.load(ctx, 1 - cs, unsafe { &*prev });
                 if is_marked(curr_word) {
                     continue 'retry;
@@ -257,6 +266,8 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 if !node.is_null() {
                     // Lost a race after allocating: retire the
                     // never-shared local node (§4.1 allows local → retired).
+                    // SAFETY: `node` was never shared, so it goes local → retired
+                    // (§4.1), exactly once.
                     unsafe {
                         self.smr
                             .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
@@ -266,9 +277,13 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
             }
             if node.is_null() {
                 node = Node::alloc(key, value, 0);
+                // SAFETY: `node` was just allocated and is not shared yet.
                 self.smr.init_header(ctx, unsafe { &(*node).header });
             }
+            // SAFETY: `node` stays unshared until the CAS below publishes it.
             unsafe { (*node).next.store(w.curr_word, Ordering::SeqCst) };
+            // SAFETY: `w.prev` is the head or lies in the node `find` left
+            // protected in SLOT_PREV.
             if unsafe { &*w.prev }
                 .compare_exchange(
                     w.curr_word,
@@ -344,7 +359,10 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                     return None;
                 }
                 let node = word as *const Node;
+                // SAFETY: op-scoped protection: the caller's `begin_op` keeps every
+                // node on the walk unreclaimed (doc above).
                 let next = unsafe { (*node).next.load(Ordering::SeqCst) };
+                // SAFETY: as above: `node` is protected for the whole operation.
                 let ckey = unsafe { (*node).key };
                 if ckey < key {
                     word = untagged(next);
@@ -353,6 +371,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
                 if ckey != key || is_marked(next) {
                     return None;
                 }
+                // SAFETY: as above: `node` is protected for the whole operation.
                 return Some(unsafe { (*node).value.load(Ordering::SeqCst) });
             }
         }
@@ -381,7 +400,9 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
             if is_marked(next_word) {
                 continue;
             }
+            // SAFETY: `node` is protected by the slot `find` left armed for curr.
             let value = unsafe { (*node).value.load(Ordering::SeqCst) };
+            // SAFETY: as above: `node` is protected.
             if unsafe { &(*node).next }
                 .compare_exchange(
                     next_word,
@@ -393,10 +414,14 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
             {
                 continue;
             }
+            // SAFETY: `w.prev` is the head or lies in the node `find` left
+            // protected in SLOT_PREV.
             if unsafe { &*w.prev }
                 .compare_exchange(w.curr_word, next_word, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
+                // SAFETY: the winning unlink CAS makes this op `node`'s unique
+                // retirer; `node` is still protected, so its header is readable.
                 unsafe {
                     self.smr
                         .retire(ctx, w.curr_word as *mut u8, &(*node).header, DROP_NODE);
@@ -436,6 +461,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
             // writers, so every reachable node is live.
             let next = unsafe { (*node).next.load(Ordering::SeqCst) };
             if !is_marked(next) {
+                // SAFETY: as above: every reachable node is live.
                 out.push(unsafe { ((*node).key, (*node).value.load(Ordering::SeqCst)) });
             }
             word = untagged(next);
@@ -465,6 +491,8 @@ impl<S: Smr> Drop for MichaelMap<'_, S> {
             // SAFETY: &mut self — exclusive access; each reachable node is freed
             // exactly once.
             let next = unsafe { (*node).next.load(Ordering::SeqCst) };
+            // SAFETY: `node` is reachable only through this list, which `Drop`
+            // owns exclusively; each node is freed once.
             unsafe { drop_node(node as *mut u8) };
             word = untagged(next);
         }

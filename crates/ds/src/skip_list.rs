@@ -80,6 +80,7 @@ pub struct SkipList<'s, S: Smr + EpochProtected> {
 // the SMR scheme, which carries its own Sync/Send bounds; raw Node pointers
 // are only dereferenced under the epoch pin or exclusive access.
 unsafe impl<S: Smr + EpochProtected + Sync> Sync for SkipList<'_, S> {}
+// SAFETY: as for `Sync` above.
 unsafe impl<S: Smr + EpochProtected + Send> Send for SkipList<'_, S> {}
 
 impl<S: Smr + EpochProtected> fmt::Debug for SkipList<'_, S> {
@@ -148,6 +149,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
             // retired tower cannot be reclaimed while this op is pinned (Def. 4.2
             // Condition 1); marked nodes stay dereferenceable until unlinked + grace.
             for level in (0..MAX_HEIGHT).rev() {
+                // SAFETY: `pred` is the head or a node of this pinned walk.
                 let mut curr_word = unsafe { (*pred).next[level].load(Ordering::SeqCst) };
                 if is_marked(curr_word) {
                     // pred got deleted under us: start over.
@@ -155,10 +157,12 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                 }
                 loop {
                     let curr = untagged(curr_word) as *const Node;
+                    // SAFETY: `curr` was read from a node of this pinned walk.
                     let succ_word = unsafe { (*curr).next[level].load(Ordering::SeqCst) };
                     if is_marked(succ_word) {
                         // curr is logically deleted at this level:
                         // unlink it here and re-examine.
+                        // SAFETY: `pred` is a node of this pinned walk.
                         if unsafe { &(*pred).next[level] }
                             .compare_exchange(
                                 curr_word,
@@ -173,6 +177,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                         curr_word = untagged(succ_word);
                         continue;
                     }
+                    // SAFETY: `curr` is a node of this pinned walk.
                     if unsafe { (*curr).key } < key {
                         // succ_word is unmarked here (checked above), so
                         // it is a plain pointer to curr's successor.
@@ -186,6 +191,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                 }
             }
             let candidate = succs[0];
+            // SAFETY: `candidate` is a node of this pinned walk, or the tail.
             let found = (candidate != self.tail
                 && unsafe { (*candidate).key } == key
                 && !is_marked(unsafe { (*candidate).next[0].load(Ordering::SeqCst) }))
@@ -210,6 +216,8 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
         let result = 'retry: loop {
             let w = self.find(key);
             if w.found.is_some() {
+                // SAFETY: the node was never linked, so it goes local → retired
+                // (§4.1), exactly once.
                 unsafe {
                     self.smr
                         .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
@@ -218,8 +226,10 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
             }
             // Prepare the tower, then link level 0 (the linearization).
             for level in 0..height {
+                // SAFETY: `node` stays unshared until the CAS below publishes it.
                 unsafe { (*node).next[level].store(w.succs[level] as usize, Ordering::SeqCst) };
             }
+            // SAFETY: `w.preds[0]` comes from `find` under this op's pin.
             if unsafe { &(*w.preds[0]).next[0] }
                 .compare_exchange(
                     w.succs[0] as usize,
@@ -234,6 +244,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
             // Link the upper levels best-effort.
             for level in 1..height {
                 loop {
+                    // SAFETY: `node` is linked now, and pinned by this op.
                     let expected = unsafe { (*node).next[level].load(Ordering::SeqCst) };
                     if is_marked(expected) {
                         // Concurrently deleted before fully linked: the
@@ -246,6 +257,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                             // Point our level-`level` next at the fresh
                             // successor if it moved.
                             if expected != w2.succs[level] as usize
+                                // SAFETY: `node` is pinned by this op.
                                 && unsafe { &(*node).next[level] }
                                     .compare_exchange(
                                         expected,
@@ -257,6 +269,7 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                             {
                                 continue; // marked or changed: re-examine
                             }
+                            // SAFETY: `w2.preds` come from `find` under this op's pin.
                             if unsafe { &(*w2.preds[level]).next[level] }
                                 .compare_exchange(
                                     w2.succs[level] as usize,
@@ -295,10 +308,12 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
             // Mark the upper levels top-down (idempotent, cooperative).
             for level in (1..height).rev() {
                 loop {
+                    // SAFETY: as above: `node`'s tower stays dereferenceable.
                     let succ = unsafe { (*node).next[level].load(Ordering::SeqCst) };
                     if is_marked(succ) {
                         break;
                     }
+                    // SAFETY: as above: `node`'s tower stays dereferenceable.
                     let _ = unsafe { &(*node).next[level] }.compare_exchange(
                         succ,
                         with_mark(succ),
@@ -309,17 +324,21 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
             }
             // Level 0 decides the winner.
             loop {
+                // SAFETY: as above: `node`'s tower stays dereferenceable.
                 let succ = unsafe { (*node).next[0].load(Ordering::SeqCst) };
                 if is_marked(succ) {
                     // Someone else won the logical deletion.
                     break;
                 }
+                // SAFETY: as above: `node`'s tower stays dereferenceable.
                 if unsafe { &(*node).next[0] }
                     .compare_exchange(succ, with_mark(succ), Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
                     // We won: physically unlink via find, then retire.
                     let _ = self.find(key);
+                    // SAFETY: the winning level-0 mark makes this op `node`'s unique
+                    // retirer; `node` is still pinned, so its header is readable.
                     unsafe {
                         self.smr
                             .retire(ctx, node as *mut u8, &(*node).header, DROP_NODE);
@@ -345,14 +364,17 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
         // SAFETY: traversal is pinned by begin_op above (EpochProtected-only
         // structure), so every link leads to not-yet-reclaimed memory.
         for level in (0..MAX_HEIGHT).rev() {
+            // SAFETY: `pred` is the head or a node of this pinned traversal.
             let mut curr =
                 untagged(unsafe { (*pred).next[level].load(Ordering::SeqCst) }) as *const Node;
             loop {
+                // SAFETY: `curr` is a node of this pinned traversal.
                 let succ_word = unsafe { (*curr).next[level].load(Ordering::SeqCst) };
                 if is_marked(succ_word) {
                     curr = untagged(succ_word) as *const Node;
                     continue;
                 }
+                // SAFETY: `curr` is a node of this pinned traversal.
                 let ckey = unsafe { (*curr).key };
                 if ckey < key {
                     pred = curr;
@@ -378,8 +400,10 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
         let mut node =
             untagged(unsafe { (*self.head).next[0].load(Ordering::SeqCst) }) as *const Node;
         while node != self.tail {
+            // SAFETY: as above: every reachable node is live.
             let next = unsafe { (*node).next[0].load(Ordering::SeqCst) };
             if !is_marked(next) {
+                // SAFETY: as above: every reachable node is live.
                 out.push(unsafe { (*node).key });
             }
             node = untagged(next) as *const Node;
@@ -416,11 +440,13 @@ impl<'s, S: Smr + EpochProtected> SkipList<'s, S> {
                 untagged(unsafe { (*self.head).next[level].load(Ordering::SeqCst) }) as *const Node;
             let mut last = i64::MIN;
             while node != self.tail {
+                // SAFETY: as above: every reachable node is live.
                 let key = unsafe { (*node).key };
                 if key <= last {
                     return Err(format!("level-{level} order violated at key {key}"));
                 }
                 last = key;
+                // SAFETY: as above: every reachable node is live.
                 node =
                     untagged(unsafe { (*node).next[level].load(Ordering::SeqCst) }) as *const Node;
             }
@@ -438,6 +464,8 @@ impl<S: Smr + EpochProtected> Drop for SkipList<'_, S> {
             // (marked or not) is freed exactly once, sentinels included.
             let next = untagged(unsafe { (*node).next[0].load(Ordering::SeqCst) }) as *mut Node;
             let is_tail = node == self.tail;
+            // SAFETY: `node` is reachable only through this list, which `Drop`
+            // owns exclusively; each node is freed once.
             unsafe { drop_node(node as *mut u8) };
             if is_tail {
                 break;

@@ -19,7 +19,7 @@ pub fn publish(flag: &AtomicUsize) {
     flag.store(1, Ordering::Relaxed);
 }
 
-/// R1 + R3: the deref is justified *and* dominated by `begin_op`.
+/// R3: the deref is dominated by `begin_op`.
 fn traverse(list: &List, ctx: &mut GoodCtx) -> i64 {
     list.smr.begin_op(ctx);
     let node = list.head;
@@ -28,7 +28,7 @@ fn traverse(list: &List, ctx: &mut GoodCtx) -> i64 {
     unsafe { (*node).key }
 }
 
-/// R4: the impl emits BeginOp and Retire…
+/// R9: the file's one `impl Smr` sits under its `ERA-CLASS` header.
 impl Smr for Good {
     fn begin_op(&self, ctx: &mut GoodCtx) {
         self.tracer.emit(Hook::BeginOp, 0, 0);
@@ -42,10 +42,4 @@ impl Smr for Good {
     unsafe fn retire(&self, ptr: *mut u8) {
         self.tracer.emit(Hook::Retire, ptr as u64, 0);
     }
-}
-
-/// …and frees its garbage through the batch reclaim, which tallies it.
-fn collect(stats: &Stats, garbage: &mut Vec<Retired>) {
-    // SAFETY: a full grace period has passed; no reader can reach these.
-    unsafe { stats.reclaim(garbage.drain(..)) };
 }

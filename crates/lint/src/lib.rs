@@ -3,15 +3,18 @@
 //! The ERA theorem's premise is that reclamation-protocol misuse is
 //! subtle and adversarial (Figure 1): the mistakes that matter — a
 //! deref outside a protected region, a relaxed store whose fence
-//! pairing quietly rotted, an `unsafe` block whose justification lives
-//! only in a reviewer's head — are exactly the ones runtime oracles
+//! pairing quietly rotted — are exactly the ones runtime oracles
 //! catch *after* the fact. This crate checks them **before execution**,
 //! in the spirit of RCU's sparse-based address-space checker: the
-//! repo's written discipline (SAFETY comments, `SAFETY(ordering)`
-//! justifications, protect-before-deref in `era-ds`, the era-obs hook
-//! set, `#[must_use]` guards) becomes machine-checked facts.
+//! repo's written discipline (`SAFETY(ordering)` justifications and
+//! their fence pairings, protect-before-deref in `era-ds`, `#[must_use]`
+//! guards, each scheme's ERA class) becomes machine-checked facts.
+//! What rustc and clippy already state is theirs: a `// SAFETY:`
+//! comment on every `unsafe` block and `unsafe impl` is clippy's
+//! `undocumented_unsafe_blocks`, and a `# Safety` section on every
+//! `unsafe fn` its `missing_safety_doc` (both denied workspace-wide).
 //!
-//! The five rules are documented on [`Rule`] and mapped onto the
+//! The seven rules are documented on [`Rule`] and mapped onto the
 //! paper's definitions in DESIGN §3.10 (including the known
 //! false-negative envelope of the syntactic dominance check — this is
 //! a linter, not a verifier). The workspace builds offline, so the
@@ -218,7 +221,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(
             dir.join("bad_header.rs"),
-            "//@ expect: R42-no-such-rule\n//@ expect: R1\nfn f() { unsafe { g() } }\n",
+            "//@ expect: R42-no-such-rule\n//@ expect: R5\npub struct FooCtx;\n",
         )
         .unwrap();
         let results = run_fixtures(&dir);

@@ -1,8 +1,8 @@
 //! Structural view of one source file: function spans, `impl Smr`
 //! blocks and struct declarations, recovered from the token stream by
 //! brace matching — the minimum structure the rules need to reason
-//! about dominance ("earlier in the same function") and coverage
-//! ("somewhere in this impl block").
+//! about dominance ("earlier in the same function") and scheme files
+//! ("this file implements `Smr`").
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 
@@ -17,23 +17,9 @@ pub struct FnSpan {
     pub is_unsafe: bool,
     /// Token range of the body, `[open_brace, close_brace]` inclusive.
     pub body: (usize, usize),
-    /// The doc comment block above the signature contains `# Safety`.
-    pub doc_has_safety: bool,
     /// A well-formed `// LINT:` waiver ([`is_waiver`]) appears inside
     /// the body or directly above the signature.
     pub has_lint_waiver: bool,
-}
-
-/// One `impl Smr for …` block.
-#[derive(Debug)]
-pub struct ImplSmrSpan {
-    /// The implementing type's name (best-effort: first identifier
-    /// after `for`).
-    pub self_ty: String,
-    /// Line of the `impl` keyword.
-    pub line: usize,
-    /// Token range of the impl body, inclusive braces.
-    pub body: (usize, usize),
 }
 
 /// One `struct` declaration.
@@ -60,8 +46,8 @@ pub struct SourceFile {
     pub lexed: Lexed,
     /// Function spans, in source order (outer before inner).
     pub fns: Vec<FnSpan>,
-    /// `impl Smr for` blocks.
-    pub impl_smrs: Vec<ImplSmrSpan>,
+    /// Line of each `impl Smr for` block's `impl` keyword.
+    pub impl_smr_lines: Vec<usize>,
     /// Struct declarations.
     pub structs: Vec<StructDecl>,
 }
@@ -72,44 +58,21 @@ impl SourceFile {
         let lexed = lex(text);
         let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         let fns = find_fns(&lexed, &lines);
-        let impl_smrs = find_impl_smrs(&lexed.toks);
+        let impl_smr_lines = find_impl_smrs(&lexed.toks);
         let structs = find_structs(&lexed.toks, &lines);
         SourceFile {
             path: path.to_string(),
             lines,
             lexed,
             fns,
-            impl_smrs,
+            impl_smr_lines,
             structs,
         }
-    }
-
-    /// The innermost function whose body contains token `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.0 <= idx && idx <= f.body.1)
-            .min_by_key(|f| f.body.1 - f.body.0)
     }
 
     /// Comment text on `line` (empty when none).
     pub fn comment_on(&self, line: usize) -> &str {
         self.lexed.comment_on(line)
-    }
-
-    /// Whether any comment in `[line-window, line]` (clamped) contains
-    /// `needle`.
-    pub fn comment_in_window(&self, line: usize, window: usize, needle: &str) -> bool {
-        let lo = line.saturating_sub(window).max(1);
-        (lo..=line).any(|l| self.comment_on(l).contains(needle))
-    }
-
-    /// Whether the doc/attribute block directly above `line` contains a
-    /// `# Safety` heading — covers declarations that have no [`FnSpan`]
-    /// (bodyless trait methods, `unsafe trait`s, fn-pointer type
-    /// aliases).
-    pub fn doc_above_has_safety(&self, line: usize) -> bool {
-        doc_block_above(&self.lines, line).0
     }
 }
 
@@ -154,31 +117,15 @@ fn match_brace(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// Scans the doc/attribute block directly above `sig_line` for a
-/// `# Safety` heading, and for a `// LINT:` waiver ([`is_waiver`]).
-fn doc_block_above(lines: &[String], sig_line: usize) -> (bool, bool) {
-    let mut has_safety = false;
-    let mut has_waiver = false;
-    let mut l = sig_line.saturating_sub(1); // 1-based line above the signature
-    while l >= 1 {
-        let s = lines[l - 1].trim_start();
-        if s.starts_with("///")
-            || s.starts_with("//!")
-            || s.starts_with("#[")
-            || s.starts_with("//")
-        {
-            if s.contains("# Safety") {
-                has_safety = true;
-            }
-            if is_waiver(s) {
-                has_waiver = true;
-            }
-            l -= 1;
-        } else {
-            break;
-        }
-    }
-    (has_safety, has_waiver)
+/// Whether the doc/attribute block directly above `sig_line` holds a
+/// `// LINT:` waiver ([`is_waiver`]).
+fn waiver_above(lines: &[String], sig_line: usize) -> bool {
+    lines[..sig_line.saturating_sub(1)]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|s| s.starts_with("//") || s.starts_with("#["))
+        .any(is_waiver)
 }
 
 fn find_fns(lexed: &Lexed, lines: &[String]) -> Vec<FnSpan> {
@@ -221,7 +168,6 @@ fn find_fns(lexed: &Lexed, lines: &[String]) -> Vec<FnSpan> {
                 j += 1;
             }
             if let Some(body) = body {
-                let (doc_has_safety, waiver_above) = doc_block_above(lines, sig_line);
                 let body_waiver =
                     (toks[body.0].line..=toks[body.1].line).any(|l| is_waiver(lexed.comment_on(l)));
                 out.push(FnSpan {
@@ -229,8 +175,7 @@ fn find_fns(lexed: &Lexed, lines: &[String]) -> Vec<FnSpan> {
                     sig_line,
                     is_unsafe,
                     body,
-                    doc_has_safety,
-                    has_lint_waiver: waiver_above || body_waiver,
+                    has_lint_waiver: waiver_above(lines, sig_line) || body_waiver,
                 });
             }
         }
@@ -239,7 +184,7 @@ fn find_fns(lexed: &Lexed, lines: &[String]) -> Vec<FnSpan> {
     out
 }
 
-fn find_impl_smrs(toks: &[Tok]) -> Vec<ImplSmrSpan> {
+fn find_impl_smrs(toks: &[Tok]) -> Vec<usize> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -249,30 +194,18 @@ fn find_impl_smrs(toks: &[Tok]) -> Vec<ImplSmrSpan> {
             let mut j = i + 1;
             let mut last_ident = String::new();
             let mut trait_is_smr = false;
-            let mut self_ty = String::new();
-            let mut saw_for = false;
             while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
                 let t = &toks[j];
                 if t.is_ident("for") {
                     trait_is_smr = last_ident == "Smr";
-                    saw_for = true;
                 } else if t.kind == TokKind::Ident {
-                    if saw_for && self_ty.is_empty() {
-                        self_ty = t.text.clone();
-                    }
                     last_ident = t.text.clone();
                 }
                 j += 1;
             }
             if trait_is_smr && j < toks.len() && toks[j].is_punct('{') {
-                if let Some(close) = match_brace(toks, j) {
-                    out.push(ImplSmrSpan {
-                        self_ty,
-                        line: toks[i].line,
-                        body: (j, close),
-                    });
-                    i = j; // fns inside still get scanned by find_fns
-                }
+                out.push(toks[i].line);
+                i = j; // fns inside still get scanned by find_fns
             }
         }
         i += 1;
@@ -335,19 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn doc_safety_is_detected() {
-        let src = "/// Does a thing.\n///\n/// # Safety\n///\n/// Caller promises.\npub unsafe fn f() {}\n";
-        let f = SourceFile::parse("t.rs", src);
-        assert!(f.fns[0].doc_has_safety);
-    }
-
-    #[test]
     fn impl_smr_detection() {
         let src = "impl<S: Smr> Smr for Chaos<S> { fn x() {} }\nimpl Smr for Ebr { }\nimpl Ebr { }\nimpl Display for Ebr {}\n";
         let f = SourceFile::parse("t.rs", src);
-        assert_eq!(f.impl_smrs.len(), 2);
-        assert_eq!(f.impl_smrs[0].self_ty, "Chaos");
-        assert_eq!(f.impl_smrs[1].self_ty, "Ebr");
+        assert_eq!(f.impl_smr_lines, [1, 2]);
     }
 
     #[test]
@@ -357,19 +281,6 @@ mod tests {
         assert!(f.structs[0].has_must_use);
         assert!(f.structs[0].is_pub);
         assert!(!f.structs[1].has_must_use);
-    }
-
-    #[test]
-    fn enclosing_fn_picks_innermost() {
-        let src = "fn outer() { fn inner() { deref(); } }\n";
-        let f = SourceFile::parse("t.rs", src);
-        let idx = f
-            .lexed
-            .toks
-            .iter()
-            .position(|t| t.is_ident("deref"))
-            .unwrap();
-        assert_eq!(f.enclosing_fn(idx).unwrap().name, "inner");
     }
 
     #[test]

@@ -48,12 +48,12 @@ mod tests {
         };
         let fs = vec![
             finding(Rule::GuardMustUse, "b.rs", 2),
-            finding(Rule::SafetyComment, "a.rs", 1),
+            finding(Rule::OrderingJustification, "a.rs", 1),
         ];
         let t = render_table(&fs, 3);
-        let r1 = t.find("R1-safety-comment").unwrap();
+        let r2 = t.find("R2-ordering-justification").unwrap();
         let r5 = t.find("R5-guard-must-use").unwrap();
-        assert!(r1 < r5, "grouped in rule order:\n{t}");
+        assert!(r2 < r5, "grouped in rule order:\n{t}");
         assert!(t.contains("  b.rs:2  m"));
         assert!(t.ends_with("era-lint: 2 finding(s) across 3 file(s) scanned\n"));
     }

@@ -1,12 +1,13 @@
-//! The nine era-lint rules.
+//! The seven era-lint rules.
 //!
 //! Each rule turns one piece of the repo's reviewed-by-convention
-//! discipline into a machine-checked fact. R1–R5 are *syntactic*
-//! approximations over the token stream (DESIGN §3.10); R6/R7 run the
-//! flow-sensitive pointer life-cycle pass ([`crate::flow`]) over each
-//! function body; R8 is a **cross-file** pass over a whole check unit
-//! ([`check_unit`]) — the fence-pairing graph (same section). R9, the
-//! ERA scheme-obligation check, reads one scheme file at a time.
+//! discipline into a machine-checked fact that neither rustc nor clippy
+//! states. R2, R3 and R5 are *syntactic* approximations over the token
+//! stream (DESIGN §3.10); R6/R7 run the flow-sensitive pointer
+//! life-cycle pass ([`crate::flow`]) over each function body; R8 is a
+//! **cross-file** pass over a whole check unit ([`check_unit`]) — the
+//! fence-pairing graph (same section). R9, the ERA scheme-obligation
+//! check, reads one scheme file at a time.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +15,8 @@ use crate::flow::{self, FlowKind};
 use crate::lexer::TokKind;
 use crate::model::SourceFile;
 
-/// How many lines above a site a justifying comment may sit.
+/// How many lines above an atomic write its `SAFETY(ordering)`
+/// justification may sit (R2).
 const WINDOW: usize = 8;
 
 /// How many lines below a `PAIRS(…)` annotation its sync site may sit
@@ -25,16 +27,12 @@ const PAIR_WINDOW: usize = 16;
 /// The rules, in stable report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: every `unsafe` site carries a `SAFETY` comment.
-    SafetyComment,
     /// R2: atomic writes carry a `SAFETY(ordering)` justification
     /// (non-SeqCst everywhere; *all* writes inside `crates/smr`, where
     /// a SeqCst site must name its fence-pairing partner).
     OrderingJustification,
     /// R3: raw derefs in `crates/ds` are dominated by a protect call.
     ProtectBeforeDeref,
-    /// R4: every `impl Smr` emits (or delegates) the era-obs hook set.
-    HookCoverage,
     /// R5: guard types (`*Ctx`, `*Handle`, `*Guard`) are `#[must_use]`.
     GuardMustUse,
     /// R6: a protected pointer must not outlive (or be returned past)
@@ -54,11 +52,9 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, report order.
-    pub const ALL: [Rule; 9] = [
-        Rule::SafetyComment,
+    pub const ALL: [Rule; 7] = [
         Rule::OrderingJustification,
         Rule::ProtectBeforeDeref,
-        Rule::HookCoverage,
         Rule::GuardMustUse,
         Rule::GuardEscape,
         Rule::UseAfterRetire,
@@ -69,10 +65,8 @@ impl Rule {
     /// Stable identifier (used in the findings table and fixture headers).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::SafetyComment => "R1-safety-comment",
             Rule::OrderingJustification => "R2-ordering-justification",
             Rule::ProtectBeforeDeref => "R3-protect-before-deref",
-            Rule::HookCoverage => "R4-hook-coverage",
             Rule::GuardMustUse => "R5-guard-must-use",
             Rule::GuardEscape => "R6-guard-escape",
             Rule::UseAfterRetire => "R7-use-after-retire",
@@ -84,17 +78,11 @@ impl Rule {
     /// One-line description for `era-lint rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::SafetyComment => {
-                "every `unsafe` block/fn/impl carries a // SAFETY: comment (or a # Safety doc)"
-            }
             Rule::OrderingJustification => {
                 "atomic stores/RMWs carry SAFETY(ordering): non-SeqCst everywhere; all writes in crates/smr"
             }
             Rule::ProtectBeforeDeref => {
                 "in crates/ds, raw derefs are dominated by protect/begin_op (waive with // LINT: op-scoped)"
-            }
-            Rule::HookCoverage => {
-                "every `impl Smr` emits or delegates the BeginOp/Retire/reclaim hook set"
             }
             Rule::GuardMustUse => "guard types (*Ctx, *Handle, *Guard) are #[must_use]",
             Rule::GuardEscape => {
@@ -112,7 +100,7 @@ impl Rule {
         }
     }
 
-    /// Parses `"R1"`, `"r3"`, `"R2-ordering-justification"` or the
+    /// Parses `"R2"`, `"r3"`, `"R2-ordering-justification"` or the
     /// bare slug.
     pub fn parse(s: &str) -> Option<Rule> {
         let s = s.trim().to_ascii_lowercase();
@@ -164,18 +152,16 @@ pub fn check_file(file: &SourceFile, scope: Scope) -> Vec<Finding> {
     check_unit(std::slice::from_ref(file), scope)
 }
 
-/// Runs every rule against a check unit: the per-file rules R1–R7 and
-/// R9, then the cross-file R8 fence-pairing graph over the whole unit
-/// at once.
+/// Runs every rule against a check unit: the per-file rules R2, R3,
+/// R5–R7 and R9, then the cross-file R8 fence-pairing graph over the
+/// whole unit at once.
 pub fn check_unit(files: &[SourceFile], scope: Scope) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files {
-        r1_safety_comment(file, &mut out);
         r2_ordering(file, scope, &mut out);
         if scope == Scope::All || file.path.contains("crates/ds/") {
             r3_protect_before_deref(file, &mut out);
         }
-        r4_hook_coverage(file, &mut out);
         r5_guard_must_use(file, &mut out);
         if scope == Scope::All || FLOW_SCOPED.iter().any(|p| file.path.contains(p)) {
             r6_r7_lifecycle(file, &mut out);
@@ -195,76 +181,6 @@ fn finding(file: &SourceFile, rule: Rule, line: usize, message: impl Into<String
         path: file.path.clone(),
         line,
         message: message.into(),
-    }
-}
-
-/// R1 — every `unsafe` token is justified by a `SAFETY` comment within
-/// [`WINDOW`] lines above, a `# Safety` doc section on the enclosing
-/// (or declared) fn, or a fn-level `SAFETY` comment earlier in the same
-/// body (one argument may cover a whole traversal).
-fn r1_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let line = t.line;
-        if file.comment_in_window(line, WINDOW, "SAFETY") {
-            continue;
-        }
-        // `unsafe fn` / `unsafe impl` / `unsafe trait` declarations:
-        // a `# Safety` doc section is the canonical justification.
-        let next_decl = toks[i + 1..]
-            .iter()
-            .take(3)
-            .find(|n| n.is_ident("fn") || n.is_ident("impl") || n.is_ident("trait"));
-        if let Some(decl) = next_decl {
-            // Bodyless declarations (trait methods, `unsafe trait`s,
-            // fn-pointer type aliases) have no `FnSpan`; their `# Safety`
-            // doc block is read straight off the lines above.
-            if file.doc_above_has_safety(line) {
-                continue;
-            }
-            if decl.is_ident("fn") {
-                if file
-                    .fns
-                    .iter()
-                    .any(|f| f.is_unsafe && f.sig_line.abs_diff(line) <= 1 && f.doc_has_safety)
-                {
-                    continue;
-                }
-                out.push(finding(
-                    file,
-                    Rule::SafetyComment,
-                    line,
-                    "`unsafe fn` without a `# Safety` doc section or // SAFETY: comment",
-                ));
-            } else {
-                out.push(finding(
-                    file,
-                    Rule::SafetyComment,
-                    line,
-                    "`unsafe impl`/`unsafe trait` without a // SAFETY: comment or # Safety doc",
-                ));
-            }
-            continue;
-        }
-        // Unsafe block: enclosing-fn-level coverage.
-        if let Some(f) = file.enclosing_fn(i) {
-            if f.doc_has_safety {
-                continue;
-            }
-            let body_start = toks[f.body.0].line;
-            if (body_start..=line).any(|l| file.comment_on(l).contains("SAFETY")) {
-                continue;
-            }
-        }
-        out.push(finding(
-            file,
-            Rule::SafetyComment,
-            line,
-            "`unsafe` block without a // SAFETY: comment (within 8 lines, or fn-level)",
-        ));
     }
 }
 
@@ -408,7 +324,7 @@ fn deref_at(file: &SourceFile, idx: usize) -> bool {
 
 /// R3 — within each safe fn in `crates/ds`, the first raw deref must
 /// come after a protect-establishing call. `unsafe fn`s are exempt
-/// (their contract is the caller's, stated under R1); `// LINT:`
+/// (their contract is the caller's, stated in their `# Safety` doc); `// LINT:`
 /// waivers exempt the fn (op-scoped protection established by the
 /// caller, quiescent snapshots, exclusive `Drop` access).
 fn r3_protect_before_deref(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -434,70 +350,6 @@ fn r3_protect_before_deref(file: &SourceFile, out: &mut Vec<Finding>) {
                 }
                 break; // one finding per fn keeps the report readable
             }
-        }
-    }
-}
-
-/// R4 — each `impl Smr for T` must emit `Hook::BeginOp` and
-/// `Hook::Retire` (or delegate `begin_op`/`retire` to an inner scheme)
-/// and its file must free through the batch reclaim that traces and
-/// tallies (`.reclaim(…)`/`.reclaim_unless(…)`, or the bare tally
-/// `.on_reclaim(…)`) — or the impl delegates retire, inheriting the
-/// inner scheme's.
-fn r4_hook_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.lexed.toks;
-    let file_reclaims = toks.windows(2).any(|w| {
-        w[0].is_punct('.')
-            && ["reclaim", "reclaim_unless", "on_reclaim"]
-                .iter()
-                .any(|name| w[1].is_ident(name))
-    });
-    for im in &file.impl_smrs {
-        let (lo, hi) = im.body;
-        let slice = &toks[lo..=hi];
-        let hook = |name: &str| {
-            slice
-                .windows(4)
-                .any(|w| w[0].is_ident("Hook") && w[3].is_ident(name))
-        };
-        let delegates = |method: &str| {
-            slice
-                .windows(2)
-                .any(|w| w[0].is_punct('.') && w[1].is_ident(method))
-        };
-        if !(hook("BeginOp") || delegates("begin_op")) {
-            out.push(finding(
-                file,
-                Rule::HookCoverage,
-                im.line,
-                format!(
-                    "`impl Smr for {}` neither emits Hook::BeginOp nor delegates begin_op",
-                    im.self_ty
-                ),
-            ));
-        }
-        if !(hook("Retire") || delegates("retire")) {
-            out.push(finding(
-                file,
-                Rule::HookCoverage,
-                im.line,
-                format!(
-                    "`impl Smr for {}` neither emits Hook::Retire nor delegates retire",
-                    im.self_ty
-                ),
-            ));
-        }
-        if !(file_reclaims || delegates("retire")) {
-            out.push(finding(
-                file,
-                Rule::HookCoverage,
-                im.line,
-                format!(
-                    "`impl Smr for {}`: no reclaim/on_reclaim tally anywhere in this \
-                     file (reclaim events would not reach era-obs)",
-                    im.self_ty
-                ),
-            ));
         }
     }
 }
@@ -648,7 +500,7 @@ fn r8_fence_pairing(files: &[SourceFile], out: &mut Vec<Finding>) {
 /// era-smr's scheme registry holds is checked next to the registry, by
 /// its own tests.
 fn r9_scheme_obligation(file: &SourceFile, out: &mut Vec<Finding>) {
-    let Some(first_impl) = file.impl_smrs.first() else {
+    let Some(&impl_line) = file.impl_smr_lines.first() else {
         return;
     };
     let header = file
@@ -665,7 +517,7 @@ fn r9_scheme_obligation(file: &SourceFile, out: &mut Vec<Finding>) {
         out.push(finding(
             file,
             Rule::SchemeObligation,
-            first_impl.line,
+            impl_line,
             "file contains an `impl Smr` but no machine-readable \
              `// ERA-CLASS: <Name> <robust|weakly-robust|non-robust>` header",
         ));
@@ -743,7 +595,7 @@ mod tests {
 
     #[test]
     fn rule_parse_accepts_aliases() {
-        assert_eq!(Rule::parse("R1"), Some(Rule::SafetyComment));
+        assert_eq!(Rule::parse("R5"), Some(Rule::GuardMustUse));
         assert_eq!(Rule::parse("r3"), Some(Rule::ProtectBeforeDeref));
         assert_eq!(
             Rule::parse("R2-ordering-justification"),
@@ -751,28 +603,6 @@ mod tests {
         );
         assert_eq!(Rule::parse("guard-must-use"), Some(Rule::GuardMustUse));
         assert_eq!(Rule::parse("bogus"), None);
-    }
-
-    #[test]
-    fn r1_fires_and_is_satisfiable() {
-        let bad = run("a.rs", "fn f() { unsafe { g() } }");
-        assert_eq!(rules_of(&bad), vec![Rule::SafetyComment]);
-        let good = run(
-            "a.rs",
-            "fn f() {\n    // SAFETY: g has no preconditions.\n    unsafe { g() }\n}",
-        );
-        assert!(good.is_empty(), "{good:?}");
-        let doc = run(
-            "a.rs",
-            "/// # Safety\n/// Caller promises.\npub unsafe fn f() { unsafe { g() } }",
-        );
-        assert!(doc.is_empty(), "{doc:?}");
-    }
-
-    #[test]
-    fn r1_fn_level_comment_covers_later_sites() {
-        let src = "fn f() {\n    // SAFETY: every node on this walk is pinned.\n    let a = unsafe { x() };\n    let b = 1;\n    let c = 2;\n    let d = 3;\n    let e = 4;\n    let g = 5;\n    let h = 6;\n    let i = 7;\n    let j = 8;\n    let k = unsafe { y() };\n}";
-        assert!(run("a.rs", src).is_empty());
     }
 
     #[test]
@@ -828,22 +658,6 @@ mod tests {
         let src = "fn find(&self, ctx: &mut C) {\n    // SAFETY: head is always valid.\n    let w = self.smr.load(ctx, 0, unsafe { &*prev });\n}";
         let f = check_file(&SourceFile::parse("crates/ds/src/x.rs", src), Scope::Auto);
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn r4_missing_hooks_fire_per_gap() {
-        let bad = "// ERA-CLASS: Bad non-robust\nimpl Smr for Bad {\n    fn begin_op(&self) {}\n}";
-        let f = run("a.rs", bad);
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == Rule::HookCoverage));
-        let emits = "// ERA-CLASS: Good non-robust\nimpl Smr for Good {\n    fn begin_op(&self) { t.emit(Hook::BeginOp, 0, 0); }\n    fn retire(&self) { t.emit(Hook::Retire, 0, 0); }\n}\nfn tally() { stats.on_reclaim(1); }";
-        assert!(run("a.rs", emits).is_empty());
-        let batch = emits.replace("stats.on_reclaim(1)", "stats.reclaim(g.drain(..))");
-        assert!(run("a.rs", &batch).is_empty());
-        let named_only = emits.replace("stats.on_reclaim(1)", "let reclaim = 1");
-        assert_eq!(run("a.rs", &named_only).len(), 1, "a call, not a name");
-        let delegates = "// ERA-CLASS: Wrap non-robust\nimpl<S: Smr> Smr for Wrap<S> {\n    fn begin_op(&self) { self.inner.begin_op(ctx) }\n    fn retire(&self) { self.inner.retire(ctx) }\n}";
-        assert!(run("a.rs", delegates).is_empty());
     }
 
     #[test]

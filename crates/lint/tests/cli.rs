@@ -32,17 +32,21 @@ fn clean_file_exits_zero() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns processes")]
 fn finding_exits_one_and_names_its_rule() {
-    let out = lint(&["check", &fixture("missing_safety.rs")]);
+    let out = lint(&["check", &fixture("guard_not_must_use.rs")]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("R1-safety-comment — "), "{stdout}");
+    assert!(stdout.starts_with("R5-guard-must-use — "), "{stdout}");
     assert!(stdout.ends_with("era-lint: 1 finding(s) across 1 file(s) scanned\n"));
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "spawns processes")]
 fn second_path_is_a_usage_error() {
-    let out = lint(&["check", &fixture("missing_safety.rs"), &fixture("clean.rs")]);
+    let out = lint(&[
+        "check",
+        &fixture("guard_not_must_use.rs"),
+        &fixture("clean.rs"),
+    ]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(out.stdout.is_empty(), "nothing was checked: {out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("one PATH"));

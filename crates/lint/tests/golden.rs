@@ -27,11 +27,6 @@ fn only(rule: Rule) -> BTreeSet<Rule> {
 }
 
 #[test]
-fn missing_safety_trips_exactly_r1() {
-    assert_eq!(fired("missing_safety.rs"), only(Rule::SafetyComment));
-}
-
-#[test]
 fn unjustified_relaxed_trips_exactly_r2() {
     assert_eq!(
         fired("unjustified_relaxed.rs"),
@@ -64,11 +59,6 @@ fn malformed_waivers_trip_exactly_r3() {
     let findings = check_file(&SourceFile::parse("m.rs", &text), Scope::All);
     assert_eq!(findings.len(), 3, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == Rule::ProtectBeforeDeref));
-}
-
-#[test]
-fn missing_hook_trips_exactly_r4() {
-    assert_eq!(fired("missing_hook.rs"), only(Rule::HookCoverage));
 }
 
 #[test]
@@ -127,7 +117,7 @@ fn fixture_harness_agrees_with_headers() {
     // drift: the harness reads the //@ expect headers and reaches the
     // same verdicts.
     let results = run_fixtures(&fixtures_dir()).unwrap();
-    assert!(results.len() >= 18, "fixture tree shrank: {results:?}");
+    assert!(results.len() >= 16, "fixture tree shrank: {results:?}");
     for r in &results {
         assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
     }
@@ -137,11 +127,9 @@ fn fixture_harness_agrees_with_headers() {
 fn every_rule_has_at_least_one_firing_fixture() {
     let mut covered: BTreeSet<Rule> = BTreeSet::new();
     for f in [
-        "missing_safety.rs",
         "unjustified_relaxed.rs",
         "seqcst_unpaired.rs",
         "deref_without_protect.rs",
-        "missing_hook.rs",
         "guard_not_must_use.rs",
         "guard_escape.rs",
         "use_after_retire.rs",

@@ -193,11 +193,6 @@ impl HarrisSim {
         }
     }
 
-    /// The logical node `op`'s `curr` pointer references (diagnostics).
-    pub fn current_target(&self, op: &HarrisOp) -> Option<NodeId> {
-        self.sim.heap.target(&op.curr)
-    }
-
     fn restart(&mut self, op: &mut HarrisOp, scheme_forced: bool) {
         if scheme_forced {
             op.rollbacks += 1;

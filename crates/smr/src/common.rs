@@ -160,6 +160,8 @@ impl Retired {
     ///
     /// Caller promises `ptr` is exclusively owned garbage.
     pub unsafe fn free(self) {
+        // SAFETY: `drop_fn` frees exactly the allocation behind `ptr` (the
+        // retire contract), and the caller owns that garbage exclusively.
         unsafe { (self.drop_fn)(self.ptr) }
     }
 }
@@ -290,17 +292,20 @@ impl StatCells {
     }
 
     /// The retire every scheme records: pushes `ptr`'s [`Retired`]
-    /// record, stamped with the trace clock, onto `list` and counts it.
-    /// Returns the retired population ([`StatCells::on_retire`]).
+    /// record, stamped with the trace clock, onto `list`, counts it,
+    /// and emits `Hook::Retire` on the retiring thread's `tracer` with
+    /// the address and the retired population
+    /// ([`StatCells::on_retire`]).
     #[inline]
     pub fn retire_into(
         &self,
+        tracer: &mut ThreadTracer,
         list: &mut Vec<Retired>,
         ptr: *mut u8,
         birth_era: u64,
         retire_era: u64,
         drop_fn: DropFn,
-    ) -> usize {
+    ) {
         list.push(Retired {
             ptr,
             birth_era,
@@ -308,7 +313,8 @@ impl StatCells {
             drop_fn,
             retire_tick: self.stamp(),
         });
-        self.on_retire()
+        let held = self.on_retire();
+        tracer.emit(Hook::Retire, ptr as u64, held as u64);
     }
 
     /// Hands a dying context's `garbage` to the orphan pool. It runs
@@ -404,6 +410,7 @@ impl StatCells {
             });
         }
         for node in batch {
+            // SAFETY: the caller's contract covers every node of the batch.
             unsafe { node.free() }
         }
         self.on_reclaim(n);
@@ -431,6 +438,8 @@ impl StatCells {
             }
             !hold
         });
+        // SAFETY: what is left in `garbage` is what `held` did not hold
+        // back, which the caller's contract covers.
         unsafe { self.reclaim(garbage.drain(..)) };
         garbage.append(&mut kept);
     }
@@ -972,6 +981,7 @@ mod tests {
         assert_eq!((snap.retired_now, snap.total_reclaimed), (4, 6));
         // SAFETY: as above; an empty batch is a no-op.
         unsafe { s.reclaim(garbage.drain(..)) };
+        // SAFETY: the same empty batch again.
         unsafe { s.reclaim(garbage.drain(..)) };
         let snap = s.snapshot(0);
         assert_eq!((snap.retired_now, snap.total_reclaimed), (0, 10));

@@ -326,11 +326,9 @@ impl Smr for Ebr {
             unsafe { self.inner.stats.reclaim(ctx.lists[slot].drain(..)) };
             ctx.list_epochs[slot] = e;
         }
-        let held = self
-            .inner
+        self.inner
             .stats
-            .retire_into(&mut ctx.lists[slot], ptr, 0, e, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+            .retire_into(&mut ctx.tracer, &mut ctx.lists[slot], ptr, 0, e, drop_fn);
         ctx.retired_since_scan += 1;
         if ctx.retired_since_scan >= self.inner.retire_threshold {
             ctx.retired_since_scan = 0;
@@ -572,6 +570,7 @@ mod tests {
         // SAFETY: both calls must return false — nothing to restart.
         assert!(!unsafe { smr.neutralize(5) });
         drop(stalled);
+        // SAFETY: slot 0 is released now; there is nothing to restart.
         assert!(!unsafe { smr.neutralize(0) });
     }
 

@@ -340,11 +340,14 @@ impl Smr for He {
         // equals the true retire era must have its era covered by the
         // recorded `[birth, retire]` interval.
         let retire_era = self.inner.era.load(Ordering::SeqCst);
-        let held = self
-            .inner
-            .stats
-            .retire_into(&mut ctx.garbage, ptr, birth, retire_era, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+        self.inner.stats.retire_into(
+            &mut ctx.tracer,
+            &mut ctx.garbage,
+            ptr,
+            birth,
+            retire_era,
+            drop_fn,
+        );
         ctx.retires += 1;
         if ctx.retires.is_multiple_of(self.inner.era_frequency) {
             // SAFETY(ordering): SeqCst — the era bump pairs with the SeqCst
@@ -450,10 +453,14 @@ mod tests {
         // SAFETY(ordering): SeqCst unlink, then a unique retire; churn nodes
         // below are unpublished and theirs alone.
         shared.store(0, Ordering::SeqCst);
+        // SAFETY: `first` is unlinked above and retired once; its header
+        // lies inside the node, which is still live.
         unsafe { smr.retire(&mut worker, first as *mut u8, &(*first).0, free_node) };
         // …then churn 100 nodes born strictly after E.
         for i in 1..=100u64 {
             let n = alloc_node(&smr, &mut worker, i);
+            // SAFETY: `n` was never published; it is retired once, and its
+            // header lies inside the node.
             unsafe { smr.retire(&mut worker, n as *mut u8, &(*n).0, free_node) };
         }
         smr.flush(&mut worker);
@@ -504,6 +511,7 @@ mod tests {
                             // SAFETY: we own `old` via the winning swap; the op
                             // is pinned so the header read is covered.
                             let hdr = unsafe { &(*(old as *mut (SmrHeader, u64))).0 };
+                            // SAFETY: the winning swap makes this thread `old`'s unique retirer.
                             unsafe { smr.retire(&mut ctx, old as *mut u8, hdr, free_node) };
                         }
                         smr.end_op(&mut ctx);

@@ -164,11 +164,6 @@ impl Hp {
         }
     }
 
-    /// Hazard slots per thread.
-    pub fn slots_per_thread(&self) -> usize {
-        self.inner.k
-    }
-
     /// The worst-case retired-population bound: `threshold` per thread
     /// plus one node per hazard slot.
     pub fn robustness_bound(&self) -> usize {
@@ -278,11 +273,9 @@ impl Smr for Hp {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        let held = self
-            .inner
+        self.inner
             .stats
-            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+            .retire_into(&mut ctx.tracer, &mut ctx.garbage, ptr, 0, 0, drop_fn);
         if ctx.garbage.len() >= self.inner.scan_threshold {
             self.inner.scan(&mut ctx.garbage);
         }
@@ -358,10 +351,12 @@ mod tests {
         // SAFETY(ordering): SeqCst unlink; churn nodes below are unpublished,
         // each leaked Box retired exactly once.
         shared.store(0, Ordering::SeqCst);
+        // SAFETY: `pinned` is unlinked above; a leaked Box retired once.
         unsafe { smr.retire(&mut worker, pinned as *mut u8, std::ptr::null(), free_u64) };
         // Churn 1000 more nodes through.
         for i in 1..=1000u64 {
             let n = new_node(i);
+            // SAFETY: `n` was never published; a leaked Box retired once.
             unsafe { smr.retire(&mut worker, n as *mut u8, std::ptr::null(), free_u64) };
         }
         smr.flush(&mut worker);
@@ -397,6 +392,7 @@ mod tests {
         // N-th retire reaches the threshold and scans.
         unsafe { smr.retire(&mut writer, pinned as *mut u8, std::ptr::null(), free_u64) };
         for v in 1..N as u64 {
+            // SAFETY: never published; a leaked Box retired once.
             unsafe {
                 smr.retire(
                     &mut writer,

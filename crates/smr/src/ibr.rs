@@ -323,11 +323,14 @@ impl Smr for Ibr {
         // must not be satisfied early, or a reader's validated era
         // could fall outside the recorded `[birth, retire]` lifetime.
         let retire_era = self.inner.era.load(Ordering::SeqCst);
-        let held = self
-            .inner
-            .stats
-            .retire_into(&mut ctx.garbage, ptr, birth, retire_era, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+        self.inner.stats.retire_into(
+            &mut ctx.tracer,
+            &mut ctx.garbage,
+            ptr,
+            birth,
+            retire_era,
+            drop_fn,
+        );
         if ctx.garbage.len() >= self.inner.scan_threshold {
             self.inner.scan(&mut ctx.garbage);
         }

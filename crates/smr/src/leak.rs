@@ -132,11 +132,9 @@ impl Smr for Leak {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        let held = self
-            .inner
+        self.inner
             .stats
-            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+            .retire_into(&mut ctx.tracer, &mut ctx.garbage, ptr, 0, 0, drop_fn);
     }
 
     fn stats(&self) -> SmrStats {

@@ -270,11 +270,9 @@ impl Smr for Nbr {
         _header: *const SmrHeader,
         drop_fn: DropFn,
     ) {
-        let held = self
-            .inner
+        self.inner
             .stats
-            .retire_into(&mut ctx.garbage, ptr, 0, 0, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+            .retire_into(&mut ctx.tracer, &mut ctx.garbage, ptr, 0, 0, drop_fn);
         if ctx.garbage.len() >= self.inner.retire_threshold {
             self.inner.neutralize_and_reclaim(ctx.idx, &mut ctx.garbage);
         }
@@ -412,6 +410,8 @@ mod tests {
         assert_eq!(smr.stats().retired_now, 1, "reserved node must survive");
 
         // Writer can still safely read it.
+        // SAFETY: the writer's reservation keeps `node` unreclaimed, as
+        // the footprint assertion above shows.
         let v = unsafe { *(node as *const u64) };
         assert_eq!(v, 5);
 

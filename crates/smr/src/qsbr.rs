@@ -153,11 +153,6 @@ impl Qsbr {
         }
     }
 
-    /// The current grace period.
-    pub fn grace_period(&self) -> u64 {
-        self.inner.grace.load(Ordering::SeqCst)
-    }
-
     /// Announces that the calling thread holds **no** references into
     /// any structure managed by this instance, and attempts collection.
     ///
@@ -276,11 +271,9 @@ impl Smr for Qsbr {
         // SeqCst total order, bounding the stamp at ≥ any concurrent
         // reader's announced period so `stamp + 2` is a safe horizon.
         let g = self.inner.grace.load(Ordering::SeqCst);
-        let held = self
-            .inner
+        self.inner
             .stats
-            .retire_into(&mut ctx.garbage, ptr, 0, g, drop_fn);
-        ctx.tracer.emit(Hook::Retire, ptr as u64, held as u64);
+            .retire_into(&mut ctx.tracer, &mut ctx.garbage, ptr, 0, g, drop_fn);
         ctx.retired_since_scan += 1;
         if ctx.retired_since_scan >= self.inner.retire_threshold {
             ctx.retired_since_scan = 0;

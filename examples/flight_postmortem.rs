@@ -31,6 +31,7 @@ struct Node {
 /// `p` is the `Box::into_raw` pointer of a live `Node`, passed here
 /// exactly once by the scheme.
 unsafe fn free_node(p: *mut u8) {
+    // SAFETY: the contract above: `p` is a live `Node`'s box, freed once.
     unsafe { drop(Box::from_raw(p as *mut Node)) }
 }
 

@@ -66,6 +66,7 @@ fn alloc_node() -> *mut Node {
 /// mapped memory — "reclamation" here is the poison mark itself.
 unsafe fn poison_node(p: *mut u8) {
     let node = p as *const Node;
+    // SAFETY: the contract above; a node is never unmapped.
     unsafe { (*node).canary.store(POISON, Ordering::SeqCst) };
 }
 
@@ -103,12 +104,6 @@ where
     S: Smr + Sync,
     S::ThreadCtx: Send,
 {
-    // SAFETY (fn-level, covers every unsafe below): nodes come from
-    // alloc_node and are leaked, never unmapped, so every raw deref hits
-    // mapped memory; a node is retired exactly once, right after the
-    // SeqCst swap unlinks it; header references point into the node
-    // itself. The canary assertions check the SMR protocol, not memory
-    // validity.
     let smr = ChaosSmr::new(inner, armed_plan());
     // Flight recorder armed by default: a failing canary assertion
     // (a panic) leaves a replayable `.eraflt` post-mortem in the temp
@@ -122,6 +117,7 @@ where
     let mut main_ctx = smr.register().unwrap();
     for s in &shared {
         let node = alloc_node();
+        // SAFETY: `node` is fresh from `alloc_node`, and leaked.
         smr.init_header(&mut main_ctx, unsafe { &(*node).header });
         s.store(node as usize, Ordering::SeqCst);
     }
@@ -134,14 +130,19 @@ where
                 for i in 0..ITERS {
                     smr.begin_op(&mut ctx);
                     let fresh = alloc_node();
+                    // SAFETY: `fresh` is fresh from `alloc_node`, and leaked.
                     smr.init_header(&mut ctx, unsafe { &(*fresh).header });
                     let old = shared[(w + i) % SLOTS].swap(fresh as usize, Ordering::SeqCst);
                     let old_node = old as *const Node;
                     assert_ne!(
+                        // SAFETY: nodes are leaked, never unmapped: the read hits mapped
+                        // memory, and the canary checks the protocol.
                         unsafe { (*old_node).canary.load(Ordering::SeqCst) },
                         POISON,
                         "double reclamation: unlinked a node already poisoned"
                     );
+                    // SAFETY: the swap above unlinked `old`, so this thread retires it
+                    // exactly once; its header lies inside the node.
                     unsafe {
                         smr.retire(&mut ctx, old as *mut u8, &(*old_node).header, poison_node);
                     }
@@ -167,6 +168,8 @@ where
                     // trusted — exactly the NBR contract. Otherwise the
                     // canary must still be live.
                     if !smr.needs_restart(&mut ctx) {
+                        // SAFETY: nodes are leaked, never unmapped; the canary checks the
+                        // protocol, not memory validity.
                         let seen = unsafe { (*node).canary.load(Ordering::SeqCst) };
                         assert_eq!(
                             seen, CANARY,

@@ -165,7 +165,10 @@ fn navigator_bounds_footprint_under_stalled_reader() {
         "without the navigator the stalled shard must blow far past the \
          hard budget: peak {off_peak} vs budget {hard}"
     );
-    assert_eq!(off.neutralizations, 0);
+    assert_eq!(
+        off.neutralizations, 0,
+        "with the navigator off nothing may neutralize: {off:?}"
+    );
     // Sharding confines the incident: the reader pins shard 0's domain
     // only, so shard 1 keeps reclaiming while shard 0 blows up (E8).
     assert!(

@@ -63,17 +63,11 @@ fn alloc_node() -> *mut Node {
 /// mapped memory — "reclamation" here is the poison mark itself.
 unsafe fn poison_node(p: *mut u8) {
     let node = p as *const Node;
+    // SAFETY: the contract above; a node is never unmapped.
     unsafe { (*node).canary.store(POISON, Ordering::SeqCst) };
 }
 
 fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
-    // SAFETY (fn-level, covers every unsafe below): nodes come from
-    // alloc_node and are leaked, never unmapped, so every raw deref hits
-    // mapped memory; a node is retired exactly once, right after the
-    // SeqCst swap unlinks it; header references point into the node
-    // itself. The canary assertions check the SMR protocol, not memory
-    // validity.
-    //
     // Flight recorder armed by default (attached before any register,
     // per the Smr contract): a canary assertion leaves a replayable
     // `.eraflt` post-mortem in the temp dir; a clean run checks the
@@ -88,6 +82,7 @@ fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
         let mut ctx = smr.register().unwrap();
         for s in &shared {
             let node = alloc_node();
+            // SAFETY: `node` is fresh from `alloc_node`, and leaked.
             smr.init_header(&mut ctx, unsafe { &(*node).header });
             s.store(node as usize, Ordering::SeqCst);
         }
@@ -100,16 +95,21 @@ fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
                 for i in 0..ITERS {
                     smr.begin_op(&mut ctx);
                     let fresh = alloc_node();
+                    // SAFETY: `fresh` is fresh from `alloc_node`, and leaked.
                     smr.init_header(&mut ctx, unsafe { &(*fresh).header });
                     // SC swap = the unlink step: after it, no reader can
                     // newly reach `old`, so retiring it is well-formed.
                     let old = shared[(w + i) % SLOTS].swap(fresh as usize, Ordering::SeqCst);
                     let old_node = old as *const Node;
                     assert_ne!(
+                        // SAFETY: nodes are leaked, never unmapped: the read hits mapped
+                        // memory, and the canary checks the protocol.
                         unsafe { (*old_node).canary.load(Ordering::SeqCst) },
                         POISON,
                         "double reclamation: unlinked a node already poisoned"
                     );
+                    // SAFETY: the swap above unlinked `old`, so this thread retires it
+                    // exactly once; its header lies inside the node.
                     unsafe {
                         smr.retire(&mut ctx, old as *mut u8, &(*old_node).header, poison_node);
                     }
@@ -132,6 +132,8 @@ fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
                     // The protected load must keep the node unreclaimed
                     // until end_op — a POISON canary here means the
                     // relaxed orderings let a scan miss the protection.
+                    // SAFETY: nodes are leaked, never unmapped; the canary checks the
+                    // protocol, not memory validity.
                     let seen = unsafe { (*node).canary.load(Ordering::SeqCst) };
                     assert_eq!(
                         seen, CANARY,
