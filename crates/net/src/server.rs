@@ -381,7 +381,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         &self.flight
     }
 
-    /// The net-layer recorder (accept/shed events).
+    /// The net-layer recorder (accept/shed events). The flight
+    /// recorder holds it, so its events are read through
+    /// [`NetServer::flight`].
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -438,7 +440,10 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         Ok(self.counters.snapshot())
     }
 
-    /// Navigator ticks + periodic flight polls until shutdown.
+    /// Navigator ticks + periodic flight polls until shutdown. The
+    /// workers pack their own trace rings; a poll only takes the chunks
+    /// they published and trims the oldest, so it reads no ring a
+    /// worker is writing.
     fn watchdog_loop(&self) {
         let mut last_flight = Instant::now();
         while !self.ctl.stop.load(Ordering::SeqCst) {

@@ -783,9 +783,13 @@ fn zero_workers_is_one_worker_and_the_acceptor_keeps_its_own_slot() {
         handle.shutdown();
         run.join().expect("server thread");
     });
-    let log = server.recorder().drain();
-    let accepts: Vec<u16> = log
-        .with_hook(era_obs::Hook::Accept)
+    // The `net` recorder is the flight recorder's last source.
+    let dump = server.flight().snapshot();
+    let net = dump.sources.last().expect("the net source");
+    let accepts: Vec<u16> = net
+        .events
+        .iter()
+        .filter(|e| e.hook == era_obs::Hook::Accept as u8)
         .map(|e| e.thread)
         .collect();
     assert!(!accepts.is_empty(), "the accepted connection left no event");

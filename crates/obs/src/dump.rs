@@ -24,9 +24,10 @@
 //!   `era-view` renders it escaped); `hook_counts` is length-prefixed,
 //!   so appending a hook keeps older dumps decodable.
 //! - **Merged on decode** — the decoder sorts each source's events by
-//!   [`Event::merge_key`], the key the recorder's drain sorts by. The
-//!   sort is stable and events with equal keys come from one thread,
-//!   so a drained log comes back in exactly the order it went in.
+//!   [`Event::merge_key`], the key a recorder's drain and a flight
+//!   snapshot sort by. The sort is stable and events with equal keys
+//!   come from one thread, so a merged log comes back in exactly the
+//!   order it went in.
 //! - **Honest truncation** — every source carries its cumulative
 //!   ring-overwrite drop count and its cap-trim count, so a truncated
 //!   trace can never silently read as complete.
@@ -153,11 +154,11 @@ pub struct SourceDump {
     /// Cumulative events lost to ring overwrite before this snapshot.
     pub dropped: u64,
     /// Events trimmed off the front by the flight recorder's retention
-    /// cap (they happened, were drained, and were then let go to keep
+    /// cap (they happened, were kept, and were then let go to keep
     /// the newest — distinct from `dropped`, which the recorder never
     /// saw at all).
     pub trimmed: u64,
-    /// Drained events in ascending [`Event::merge_key`] order.
+    /// Recorded events in ascending [`Event::merge_key`] order.
     pub events: Vec<Event>,
     /// Aggregate metrics of the source's recorder, when captured.
     pub metrics: Option<MetricsDump>,
@@ -417,7 +418,7 @@ fn decode_source(r: &mut Reader<'_>) -> Result<SourceDump, DumpError> {
 // ----- packed segments --------------------------------------------------
 
 /// Bytes in one segment of packed events.
-pub(crate) const SEGMENT_BYTES: usize = 64 * 1024;
+const SEGMENT_BYTES: usize = 64 * 1024;
 
 /// The most bytes one packed event takes: the tag, an escaped hook
 /// byte, a 10-byte ts delta, a 3-byte thread, the scheme byte and two
@@ -458,11 +459,17 @@ pub(crate) struct Bases {
 /// Zigzag, because `ts` may step back a few ticks between polls (an
 /// event stamped before one poll but pushed after it is drained by the
 /// next), and such a step should cost a byte, not ten.
-fn put_delta(bytes: &mut Vec<u8>, value: u64, base: &mut u64) -> bool {
+#[inline]
+fn put_delta(
+    out: &mut [u8; MAX_PACKED_EVENT],
+    len: &mut usize,
+    value: u64,
+    base: &mut u64,
+) -> bool {
     let delta = value.wrapping_sub(*base) as i64;
     *base = value;
     if delta != 0 {
-        put_varint(bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+        put_varint_at(out, len, ((delta << 1) ^ (delta >> 63)) as u64);
     }
     delta != 0
 }
@@ -483,28 +490,16 @@ fn take_delta(r: &mut Reader<'_>, what: &'static str, base: &mut u64) -> Result<
 /// [`put_varint`] LEB128. An event that repeats the last one of its
 /// hook at the same `ts` is the tag alone.
 #[derive(Debug)]
-pub(crate) struct Segment {
+struct Segment {
     /// Never past [`SEGMENT_BYTES`], so it never reallocates.
-    pub(crate) bytes: Vec<u8>,
+    bytes: Vec<u8>,
     /// Events packed into `bytes`.
-    pub(crate) events: usize,
+    events: usize,
 }
 
 impl Segment {
     fn has_room(&self) -> bool {
         self.bytes.len() + MAX_PACKED_EVENT <= SEGMENT_BYTES
-    }
-
-    /// Appends every event but the first `skip` to `out`.
-    pub(crate) fn unpack_into(&self, skip: usize, out: &mut Vec<Event>) {
-        let mut r = Reader::new(&self.bytes);
-        let mut bases = Bases::default();
-        for k in 0..self.events {
-            let event = unpack(&mut r, &mut bases).expect("a segment holds whole packed events");
-            if k >= skip {
-                out.push(event);
-            }
-        }
     }
 }
 
@@ -512,7 +507,7 @@ impl Segment {
 /// segment's events so far left behind, and moves them past it. When
 /// that segment is full, or there is none, it first opens one on
 /// `fresh`'s buffer and zeroes `bases`.
-pub(crate) fn pack(
+fn pack(
     segments: &mut VecDeque<Segment>,
     bases: &mut Bases,
     e: &Event,
@@ -526,31 +521,54 @@ pub(crate) fn pack(
         *bases = Bases::default();
     }
     let segment = segments.back_mut().expect("just ensured");
-    let bytes = &mut segment.bytes;
+    pack_event(&mut segment.bytes, bases, e);
+    segment.events += 1;
+}
+
+/// Appends `e` to `bytes`, packed against `bases` (see [`Segment`] for
+/// the encoding), and moves `bases` past it. The event is written into
+/// room for the longest one and the rest cut off after: owners pack on
+/// their emit path, and a push per byte costs them more.
+#[inline]
+pub(crate) fn pack_event(bytes: &mut Vec<u8>, bases: &mut Bases, e: &Event) {
     let at = bytes.len();
+    bytes.resize(at + MAX_PACKED_EVENT, 0);
+    let out: &mut [u8; MAX_PACKED_EVENT] = (&mut bytes[at..]).try_into().expect("just resized");
+    let mut len = 1;
     let mut tag = e.hook.min(ESCAPE);
-    bytes.push(tag);
     if tag == ESCAPE {
-        bytes.push(e.hook);
+        out[1] = e.hook;
+        len = 2;
     }
-    if put_delta(bytes, e.ts, &mut bases.ts) {
+    if put_delta(out, &mut len, e.ts, &mut bases.ts) {
         tag |= HAS_TS;
     }
     let base = &mut bases.hooks[(e.hook & 31) as usize];
     if (e.thread, e.scheme) != (base.thread, base.scheme) {
         tag |= HAS_WHO;
-        put_varint(bytes, e.thread as u64);
-        bytes.push(e.scheme);
+        put_varint_at(out, &mut len, e.thread as u64);
+        out[len] = e.scheme;
+        len += 1;
         (base.thread, base.scheme) = (e.thread, e.scheme);
     }
-    if put_delta(bytes, e.a, &mut base.a) {
+    if put_delta(out, &mut len, e.a, &mut base.a) {
         tag |= HAS_A;
     }
-    if put_delta(bytes, e.b, &mut base.b) {
+    if put_delta(out, &mut len, e.b, &mut base.b) {
         tag |= HAS_B;
     }
-    bytes[at] = tag;
-    segment.events += 1;
+    out[0] = tag;
+    bytes.truncate(at + len);
+}
+
+/// Appends to `out` the `count` events [`pack_event`] packed into
+/// `bytes` from zeroed bases.
+pub(crate) fn unpack_into(bytes: &[u8], count: usize, out: &mut Vec<Event>) {
+    let mut r = Reader::new(bytes);
+    let mut bases = Bases::default();
+    out.extend(
+        (0..count).map(|_| unpack(&mut r, &mut bases).expect("packed bytes hold whole events")),
+    );
 }
 
 fn unpack(r: &mut Reader<'_>, bases: &mut Bases) -> Result<Event, DumpError> {
@@ -587,6 +605,19 @@ fn unpack(r: &mut Reader<'_>, bases: &mut Bases) -> Result<Event, DumpError> {
 }
 
 // ----- primitives -------------------------------------------------------
+
+/// Writes `value` as a LEB128 varint at `out[*len..]` and moves `len`
+/// past it.
+#[inline]
+fn put_varint_at(out: &mut [u8; MAX_PACKED_EVENT], len: &mut usize, mut value: u64) {
+    while value >= 0x80 {
+        out[*len] = value as u8 | 0x80;
+        value >>= 7;
+        *len += 1;
+    }
+    out[*len] = value as u8;
+    *len += 1;
+}
 
 /// Appends `value` as a LEB128 varint (1–10 bytes).
 pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {

@@ -4,29 +4,33 @@
 //!
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
-//! and keeps, per source, the most recent drained events up to a count
-//! cap ([`DEFAULT_MAX_RETAINED`]). Those are the recorded events: an
+//! and keeps, per source, the most recent events up to a count cap
+//! ([`DEFAULT_MAX_RETAINED`]). Those are the recorded events: an
 //! operation's own hooks are only counted ([`crate::Hook::is_recorded`]),
 //! so a shard's window is its retires, reclaims and protocol events.
-//! They are stored packed, in the encoding a dump file stores them
-//! in: a source's retained events are a queue of [`crate::dump`]'s
-//! fixed-size segments, in which an event is a tag byte plus only the
-//! fields that changed since the last event with its hook — one or two
-//! bytes for most, where an [`Event`] is 32. Each segment decodes on its
-//! own. A poll appends to the newest segment and drops whole segments
-//! off the front — it never moves retained bytes. This module holds only
-//! the retention policy: the segment queue, the count of trimmed events
-//! still at its front, the cap and the spare buffer.
+//!
+//! Holding a recorder makes each of its tracers pack its own rings
+//! ([`crate::Ring`]): a push that completes half a
+//! ring packs that half, from slots the writing thread just wrote, into
+//! an exactly-sized chunk in [`crate::dump`]'s segment encoding — a
+//! tag byte plus only the fields that changed since the last event with
+//! its hook, one or two bytes for most where an [`Event`] is 32 — and
+//! publishes it to the recorder's outbox. Each chunk decodes on its
+//! own. No reader touches a slot the writer is still writing, and a
+//! held ring is never overwritten before it is packed, so it drops
+//! nothing.
 //!
 //! Three ways events reach a dump:
 //!
-//! - [`poll`](FlightRecorder::poll) — periodic incremental drain
-//!   ([`Recorder::drain`]) into the retained buffer; call it from a
-//!   watchdog/sampler loop so a crash loses at most one ring of
-//!   un-drained events per thread.
-//! - [`snapshot`](FlightRecorder::snapshot) — explicit: drain whatever
-//!   is pending and assemble a [`FlightDump`] with each source's
-//!   retained events, metrics, stats, and honest drop/trim counts.
+//! - [`poll`](FlightRecorder::poll) — takes the published chunks, by
+//!   pointer, and trims whole chunks, oldest first, to the cap; call it
+//!   from a watchdog loop so chunks do not pile up between snapshots.
+//! - [`snapshot`](FlightRecorder::snapshot) — polls, adds each ring's
+//!   not-yet-packed rest (for a recorder held after the fact, its last
+//!   ring's worth), merges by [`Event::merge_key`] with ties in ring
+//!   creation order, as [`Recorder::drain`] does, and assembles a
+//!   [`FlightDump`] with each source's events after the trim, metrics,
+//!   stats, and honest drop/trim counts. It consumes nothing.
 //! - [`install_panic_hook`](FlightRecorder::install_panic_hook) — a
 //!   chained `std::panic` hook that writes the snapshot to a file as
 //!   the process dies, so a chaos-injected fault or a plain bug leaves
@@ -36,81 +40,86 @@ use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
-use crate::dump::{
-    pack, Bases, DumpStats, FlightDump, MetricsDump, Segment, SourceDump, SEGMENT_BYTES,
-};
+use crate::dump::{unpack_into, DumpStats, FlightDump, MetricsDump, SourceDump};
 use crate::event::Event;
 use crate::recorder::Recorder;
 
 /// Default cap on retained events per source. The oldest are trimmed —
-/// and counted — beyond this. Operations are counted, not recorded, so
-/// a shard's retained events are its retires, reclaim runs and
-/// protocol events: packed, one of an EBR shard under churn takes about
-/// 5.4 bytes (at most 36), so a full source holds about 0.35 MB and
-/// covers about 214 k served operations of `net-churn-ebr` (E27).
+/// whole chunks at a time, and counted — beyond this. Operations are
+/// counted, not recorded, so a shard's retained events are its retires,
+/// reclaim runs and protocol events: packed by their own ring's owner,
+/// one of an EBR shard under churn takes about 5.5 bytes (6.1 when the
+/// watchdog packed the merged log), so a full source holds about
+/// 0.36 MB and covers about 214 k served operations of `net-churn-ebr`
+/// (E27, E28).
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 16;
 
-/// A source's retained events: packed segments, oldest first, of which
-/// the first `skip` events are trimmed and the rest are retained.
-#[derive(Debug, Default)]
-struct Retained {
-    segments: VecDeque<Segment>,
-    /// What the newest segment packs its next event against. Closed
-    /// segments need none: they decode from zeroed bases.
-    bases: Bases,
-    /// Trimmed events still packed at the front of the oldest segment.
-    skip: usize,
-    /// Retained events: everything packed, less `skip`.
-    len: usize,
-    /// The buffer of the last segment dropped, for the next one opened.
-    spare: Option<Vec<u8>>,
+/// One ring's events, packed at once by its owner: half a ring, unless
+/// it is the first pack after a late hold or the rest of a ring whose
+/// tracer is gone.
+#[derive(Debug)]
+pub(crate) struct Chunk {
+    /// The events, packed from zeroed bases; sized to what they take.
+    pub(crate) bytes: Box<[u8]>,
+    pub(crate) events: usize,
+    /// The ring's [`crate::Ring`] creation order in its recorder.
+    pub(crate) ring: u64,
+    /// The ring position of the first event.
+    pub(crate) start: u64,
+    /// The merge key of the last event, the largest: one writer's keys
+    /// never go down.
+    pub(crate) last: (u64, bool, u16),
 }
 
-impl Retained {
-    /// Appends `events` (a drained log) and trims the oldest retained
-    /// events beyond `max`, as `extend` then `drain(..excess)` on a
-    /// `Vec` would. Returns how many were trimmed.
-    fn append(&mut self, events: &[Event], max: usize) -> u64 {
-        let excess = (self.len + events.len()).saturating_sub(max);
-        // The oldest `excess` go: packed ones first, then incoming ones
-        // that are never packed at all.
-        let old = excess.min(self.len);
-        self.skip += old;
-        while self.segments.front().is_some_and(|s| s.events <= self.skip) {
-            let front = self.segments.pop_front().expect("checked non-empty");
-            self.skip -= front.events;
-            let mut bytes = front.bytes;
-            bytes.clear();
-            self.spare = Some(bytes);
-        }
-        let kept = &events[excess - old..];
-        for e in kept {
-            pack(&mut self.segments, &mut self.bases, e, || {
-                self.spare
-                    .take()
-                    .unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES))
-            });
-        }
-        self.len = self.len + events.len() - excess;
-        excess as u64
+impl Chunk {
+    fn end(&self) -> u64 {
+        self.start + self.events as u64
+    }
+}
+
+/// A recorder's published chunks, oldest first. The lock is held only
+/// to push one chunk or to move them all out, once per half-ring on the
+/// owner's side and once per poll on the flight recorder's.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Outbox {
+    /// Whether a flight recorder holds the recorder.
+    held: AtomicBool,
+    chunks: Mutex<Vec<Chunk>>,
+}
+
+impl Outbox {
+    /// Whether the owners pack.
+    pub(crate) fn is_held(&self) -> bool {
+        // SAFETY(ordering): Acquire, paired with `set_held`'s Release:
+        // an owner that sees the hold sees the drainer's last cursor.
+        self.held.load(Ordering::Acquire)
     }
 
-    fn events(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut skip = self.skip;
-        for segment in &self.segments {
-            segment.unpack_into(skip, &mut out);
-            skip = 0;
-        }
-        out
+    /// Starts or ends a hold (under the recorder's ring lock, so no
+    /// drain runs across the change).
+    pub(crate) fn set_held(&self, held: bool) {
+        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
+        self.held.store(held, Ordering::Release);
     }
 
-    /// Bytes packed, trimmed events included until their segment goes.
-    fn bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.bytes.len()).sum()
+    /// Publishes `chunk` after every chunk published before it.
+    pub(crate) fn publish(&self, chunk: Chunk) {
+        self.lock().push(chunk);
+    }
+
+    /// Moves every published chunk to the end of `out`, oldest first.
+    pub(crate) fn take(&self, out: &mut Vec<Chunk>) {
+        out.append(&mut self.lock());
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Chunk>> {
+        // A push or a move leaves the list whole even if it panics, and
+        // the crash dump takes chunks from a panic hook.
+        self.chunks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -118,30 +127,135 @@ impl Retained {
 struct FlightSource {
     label: String,
     recorder: Recorder,
-    /// Drained-but-not-yet-dumped events, in drain order.
-    retained: Retained,
-    /// Events trimmed off `retained` by the count cap.
+    /// Chunks taken and not trimmed, oldest taken first.
+    chunks: VecDeque<Chunk>,
+    /// Events in `chunks`.
+    len: usize,
+    /// Per ring, by creation order: the position past the last event
+    /// taken (where the ring's packing started, before any).
+    cursors: Vec<u64>,
+    /// Events trimmed off `chunks` by the count cap.
     trimmed: u64,
+    /// The largest merge key among them: a snapshot leaves out every
+    /// event at or below it, so a dump is the merged log's suffix.
+    cut: Option<(u64, bool, u16)>,
+    /// Events the rings overwrote before their owners first packed (a
+    /// recorder held after its rings wrapped).
+    lost: u64,
     stats: Option<DumpStats>,
 }
 
 impl FlightSource {
-    /// Drains pending ring events into the retained buffer, trimming
-    /// the oldest past `max_retained`.
-    fn poll(&mut self, max_retained: usize) {
-        let log = self.recorder.drain();
-        self.trimmed += self.retained.append(&log.events, max_retained);
+    fn new(label: &str, recorder: &Recorder) -> FlightSource {
+        let mut source = FlightSource {
+            label: label.to_string(),
+            recorder: recorder.clone(),
+            chunks: VecDeque::new(),
+            len: 0,
+            cursors: Vec::new(),
+            trimmed: 0,
+            cut: None,
+            lost: 0,
+            stats: None,
+        };
+        for (ring, tail) in recorder.hold() {
+            *source.cursor(ring) = tail;
+        }
+        source
     }
 
-    fn to_source_dump(&self) -> SourceDump {
+    fn cursor(&mut self, ring: u64) -> &mut u64 {
+        let k = ring as usize;
+        if k >= self.cursors.len() {
+            self.cursors.resize(k + 1, 0);
+        }
+        &mut self.cursors[k]
+    }
+
+    /// Takes the published chunks and trims whole chunks, oldest first,
+    /// to `max_retained` events.
+    fn poll(&mut self, max_retained: usize) {
+        let mut taken = Vec::new();
+        self.recorder.take_chunks(&mut taken);
+        for chunk in taken {
+            let cursor = self.cursor(chunk.ring);
+            // A chunk an owner packed just before this hold began.
+            if chunk.end() <= *cursor {
+                continue;
+            }
+            let lost = chunk.start.saturating_sub(*cursor);
+            *cursor = chunk.end();
+            self.lost += lost;
+            self.len += chunk.events;
+            self.chunks.push_back(chunk);
+        }
+        while self.len > max_retained {
+            let front = self.chunks.pop_front().expect("len > 0");
+            self.len -= front.events;
+            self.trimmed += front.events as u64;
+            self.cut = self.cut.max(Some(front.last));
+        }
+    }
+
+    fn snapshot(&mut self, max_retained: usize) -> SourceDump {
+        self.poll(max_retained);
+        // Each ring's events past its cursor. A push that overwrote one
+        // of them while it was copied was preceded by the pack that
+        // holds it, so a second poll takes that chunk, and what the
+        // chunks now hold comes off the copy.
+        let mut rests = Vec::new();
+        self.recorder.for_each_ring(|ring| {
+            let cursor = self
+                .cursors
+                .get(ring.order() as usize)
+                .copied()
+                .unwrap_or(0);
+            let mut events = Vec::new();
+            let (first, _) = ring.copy_since(cursor, &mut events);
+            rests.push((ring.order(), first, events));
+        });
+        self.poll(max_retained);
+        let mut pending_lost = 0;
+        for (ring, first, events) in &mut rests {
+            let cursor = *self.cursor(*ring);
+            let covered = cursor.saturating_sub(*first).min(events.len() as u64);
+            events.drain(..covered as usize);
+            *first += covered;
+            pending_lost += *first - cursor.min(*first);
+        }
+        // Ring creation order, then push order; a stable sort by merge
+        // key keeps it among equal keys, as `Recorder::drain` does.
+        let mut runs: Vec<(u64, u64, Vec<Event>)> = self
+            .chunks
+            .iter()
+            .map(|c| {
+                let mut events = Vec::with_capacity(c.events);
+                unpack_into(&c.bytes, c.events, &mut events);
+                (c.ring, c.start, events)
+            })
+            .collect();
+        runs.extend(rests);
+        runs.sort_by_key(|&(ring, start, _)| (ring, start));
+        let mut events: Vec<Event> = runs.into_iter().flat_map(|(_, _, e)| e).collect();
+        events.sort_by_key(Event::merge_key);
+        let cut = self.cut;
+        let below_cut = events.partition_point(|e| cut.is_some_and(|c| e.merge_key() <= c));
+        let excess = (events.len() - below_cut).saturating_sub(max_retained);
+        events.drain(..below_cut + excess);
         SourceDump {
             label: self.label.clone(),
-            dropped: self.recorder.dropped(),
-            trimmed: self.trimmed,
-            events: self.retained.events(),
+            dropped: self.recorder.dropped() + self.lost + pending_lost,
+            trimmed: self.trimmed + (below_cut + excess) as u64,
+            events,
             metrics: Some(MetricsDump::capture(self.recorder.metrics())),
             stats: self.stats,
         }
+    }
+}
+
+impl Drop for FlightSource {
+    fn drop(&mut self) {
+        self.recorder.release();
     }
 }
 
@@ -182,15 +296,15 @@ impl FlightRecorder {
     /// Registers a recorder as a dump source; returns its index (for
     /// [`set_stats`](Self::set_stats)). Labels identify schemes or
     /// shards in `era-view`; they need not be unique but should be.
+    ///
+    /// From here on the recorder's tracers pack their own rings and
+    /// [`Recorder::drain`] returns none of its events; events it holds
+    /// already reach the first snapshot, up to a ring's worth per ring.
+    /// A recorder feeds one flight recorder at a time, until that one
+    /// drops.
     pub fn add_source(&self, label: &str, recorder: &Recorder) -> usize {
         let mut sources = self.lock();
-        sources.push(FlightSource {
-            label: label.to_string(),
-            recorder: recorder.clone(),
-            retained: Retained::default(),
-            trimmed: 0,
-            stats: None,
-        });
+        sources.push(FlightSource::new(label, recorder));
         sources.len() - 1
     }
 
@@ -203,10 +317,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Drains every source's pending ring events into the retained
-    /// buffers. Call periodically (a sampler loop, an op-count stride)
-    /// so ring overwrite — not the flight layer — is the only place
-    /// history can be lost before the cap.
+    /// Takes every source's published chunks and trims whole chunks,
+    /// oldest first, to the cap. Call periodically (a watchdog loop, an
+    /// op-count stride) so published chunks do not pile up unbounded
+    /// between snapshots.
     pub fn poll(&self) {
         for source in self.lock().iter_mut() {
             source.poll(self.max_retained);
@@ -215,18 +329,21 @@ impl FlightRecorder {
 
     /// Bytes the retained events of every source take packed.
     pub fn packed_bytes(&self) -> usize {
-        self.lock().iter().map(|s| s.retained.bytes()).sum()
+        let sources = self.lock();
+        let chunks = sources.iter().flat_map(|s| &s.chunks);
+        chunks.map(|c| c.bytes.len()).sum()
     }
 
-    /// Drains pending events and assembles the dump: per source, the
-    /// retained events, a metrics capture, the latest stats, and the
-    /// drop/trim accounting.
+    /// Polls and assembles the dump: per source, the newest events up
+    /// to the cap — retained chunks and the rings' unpacked rest,
+    /// merged — a metrics capture, the latest stats, and the drop/trim
+    /// accounting.
     pub fn snapshot(&self) -> FlightDump {
-        self.poll();
-        let sources = self.lock();
+        let mut sources = self.lock();
+        let sources = sources.iter_mut();
         FlightDump {
             wall_unix_ms: unix_ms(),
-            sources: sources.iter().map(|s| s.to_source_dump()).collect(),
+            sources: sources.map(|s| s.snapshot(self.max_retained)).collect(),
         }
     }
 
@@ -296,8 +413,10 @@ fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dump::MAX_PACKED_EVENT;
+    use crate::dump::{pack_event, Bases, MAX_PACKED_EVENT};
     use crate::event::{Hook, SchemeId};
+    use crate::ring::{Ring, MAX_TS};
+    use crate::DEFAULT_RING_CAPACITY;
     use proptest::prelude::*;
 
     #[test]
@@ -355,18 +474,22 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn memory_cap_trims_oldest_and_counts_them() {
-        let recorder = Recorder::new(2);
-        let flight = FlightRecorder::single("s", &recorder).with_max_retained(16);
-        let mut t = recorder.tracer(0, SchemeId::NONE);
-        for i in 0..64 {
-            t.emit(Hook::Sample, i, 0);
+        // Rings of 8 pack chunks of 4, which the poll trims; a ring of
+        // 4096 packs none, and the snapshot trims its unpacked rest.
+        for capacity in [8, DEFAULT_RING_CAPACITY] {
+            let recorder = Recorder::with_ring_capacity(2, capacity);
+            let flight = FlightRecorder::single("s", &recorder).with_max_retained(16);
+            let mut t = recorder.tracer(0, SchemeId::NONE);
+            for i in 0..64 {
+                t.emit(Hook::Sample, i, 0);
+            }
+            flight.poll();
+            let dump = flight.snapshot();
+            let src = &dump.sources[0];
+            assert_eq!(src.events.len(), 16);
+            assert_eq!(src.trimmed, 48);
+            assert_eq!(src.events.first().unwrap().a, 48, "newest survive");
         }
-        flight.poll();
-        let dump = flight.snapshot();
-        let src = &dump.sources[0];
-        assert_eq!(src.events.len(), 16);
-        assert_eq!(src.trimmed, 48);
-        assert_eq!(src.events.first().unwrap().a, 48, "newest survive");
     }
 
     #[test]
@@ -411,14 +534,32 @@ mod tests {
         })
     }
 
+    /// What `pack` hands over of the events `ring` holds unpacked.
+    fn pack_all(ring: &Ring) -> Vec<Chunk> {
+        let mut chunks = Vec::new();
+        ring.pack(|c| chunks.push(c));
+        chunks
+    }
+
+    fn unpack(chunks: &[Chunk]) -> Vec<Event> {
+        let mut out = Vec::new();
+        for c in chunks {
+            unpack_into(&c.bytes, c.events, &mut out);
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
-        /// The packed buffer retains, trims and counts exactly what the
-        /// `Vec` it replaced did: the model below is that `Vec`'s poll,
-        /// fed by a second recorder that sees the same emits.
+        /// Whatever the rings, the polls and the cap, a snapshot is the
+        /// newest events of the log one drain of the same emits merges,
+        /// at most the cap of them and all of them under it, and every
+        /// other event is counted trimmed: held rings drop nothing. The
+        /// model is a recorder no flight recorder holds, with rings
+        /// that never wrap.
         #[test]
-        fn packed_buffer_matches_the_vec_it_replaced(
+        fn a_snapshot_is_the_newest_suffix_of_the_merged_log(
             ops in prop::collection::vec(
                 (
                     0..6u8,
@@ -440,91 +581,72 @@ mod tests {
             let recorder = Recorder::with_ring_capacity(4, ring);
             let flight = FlightRecorder::single("p", &recorder).with_max_retained(max);
             let mut tracer = recorder.tracer(0, SchemeId(scheme));
-            let model_recorder = Recorder::with_ring_capacity(4, ring);
+            let model_recorder = Recorder::with_ring_capacity(4, 512);
             let mut model_tracer = model_recorder.tracer(0, SchemeId(scheme));
-            let mut model: Vec<Event> = Vec::new();
-            let mut model_trimmed = 0u64;
-            let mut model_poll = |model: &mut Vec<Event>| {
-                model.extend(model_recorder.drain().events);
-                if model.len() > max {
-                    let excess = model.len() - max;
-                    model_trimmed += excess as u64;
-                    model.drain(..excess);
-                }
-            };
             for (op, thread, hook, a, b) in ops {
                 if op == 0 {
                     flight.poll();
-                    model_poll(&mut model);
                 } else {
                     tracer.emit_for(thread, Hook::ALL[hook], a, b);
                     model_tracer.emit_for(thread, Hook::ALL[hook], a, b);
                 }
             }
             // What `snapshot` does, without its wall-clock read.
-            flight.poll();
-            model_poll(&mut model);
-            let src = flight.lock()[0].to_source_dump();
-            prop_assert_eq!(src.events, model);
-            prop_assert_eq!(src.trimmed, model_trimmed);
-            prop_assert_eq!(src.dropped, model_recorder.dropped());
+            let src = flight.lock()[0].snapshot(max);
+            let model = model_recorder.drain().events;
+            let kept = src.events.len();
+            prop_assert!(kept <= max);
+            if model.len() <= max {
+                prop_assert_eq!(kept, model.len());
+            }
+            prop_assert_eq!(&src.events[..], &model[model.len() - kept..]);
+            prop_assert_eq!(src.trimmed, (model.len() - kept) as u64);
+            prop_assert_eq!(src.dropped, 0);
         }
     }
 
     /// Large events — every hook, the escaped ones and a raw byte past
-    /// `Hook::ALL` included, threads up to `u16::MAX`, words up to
-    /// `u64::MAX`, `ts` stepping back — so that the retained events span
-    /// several segments, under a cap whose trims land mid-segment and
-    /// drop whole front segments. Nothing may carry over a boundary:
-    /// each segment decodes on its own.
+    /// `Hook::ALL` included, the service thread slot, words up to
+    /// `u64::MAX`, `ts` stepping back and jumping half the range — come
+    /// back from an owner's chunks bit for bit: each chunk decodes on
+    /// its own, from zeroed bases.
     #[test]
-    fn segment_boundaries_and_front_drops_match_the_vec_model() {
+    fn owner_chunks_round_trip_extreme_events() {
         let hooks: Vec<u8> = (0..Hook::COUNT as u8).chain([200]).collect();
+        let ring = Ring::with_owner(64, u16::MAX, SchemeId(u8::MAX), 0);
         let mut rng = 7u64;
         let mut ts = 0u64;
-        let events: Vec<Event> = (0..24_000usize)
-            .map(|k| {
-                let r = lcg(&mut rng);
-                ts = match k % 4 {
-                    0 => ts.wrapping_sub(3),
-                    1 => ts ^ 1 << 63,
-                    _ => ts.wrapping_add(r >> 61),
-                };
-                let word = |w: u64| if w.is_multiple_of(7) { u64::MAX } else { w };
-                let thread = if r & 1 == 0 {
-                    u16::MAX
-                } else {
-                    (r >> 16) as u16
-                };
-                let a = word(r.rotate_left(17));
-                let b = word(r.rotate_left(41));
-                let mut e = event(ts, thread, hooks[k % hooks.len()], a, b);
-                e.scheme = (r >> 8) as u8;
-                e
-            })
-            .collect();
-        let cap = 12_500;
-        let mut retained = Retained::default();
-        let mut model: Vec<Event> = Vec::new();
-        let (mut trimmed, mut model_trimmed) = (0u64, 0u64);
-        let (mut mid_segment, mut most_segments) = (false, 0);
-        for batch in events.chunks(3_001) {
-            trimmed += retained.append(batch, cap);
-            model.extend_from_slice(batch);
-            let excess = model.len().saturating_sub(cap);
-            model.drain(..excess);
-            model_trimmed += excess as u64;
-            assert_eq!(retained.events(), model);
-            assert_eq!(trimmed, model_trimmed);
-            mid_segment |= retained.skip > 0;
-            most_segments = most_segments.max(retained.segments.len());
+        let mut pushed = Vec::new();
+        let mut chunks = Vec::new();
+        let n = if cfg!(miri) { 600 } else { 6_000usize };
+        for k in 0..n {
+            let r = lcg(&mut rng);
+            ts = match k % 4 {
+                0 => ts.wrapping_sub(3),
+                1 => ts ^ 1 << 55,
+                _ => ts.wrapping_add(r >> 61),
+            } & MAX_TS;
+            let word = |w: u64| if w.is_multiple_of(7) { u64::MAX } else { w };
+            let mut e = event(
+                ts,
+                u16::MAX,
+                hooks[k % hooks.len()],
+                word(r.rotate_left(17)),
+                word(r),
+            );
+            e.scheme = u8::MAX;
+            ring.push(e);
+            pushed.push(e);
+            if k % 32 == 31 {
+                chunks.extend(pack_all(&ring));
+            }
         }
-        assert!(most_segments >= 5, "only {most_segments} segments");
-        assert!(mid_segment, "no trim landed mid-segment");
-        // Every event was packed (each batch is under the cap), so fewer
-        // packed now means front segments went.
-        let packed: usize = retained.segments.iter().map(|s| s.events).sum();
-        assert!(packed < events.len(), "no front segment was dropped");
+        chunks.extend(pack_all(&ring));
+        assert_eq!(chunks.len(), n.div_ceil(32));
+        assert!(chunks
+            .iter()
+            .all(|c| c.bytes.len() <= MAX_PACKED_EVENT * c.events));
+        assert_eq!(unpack(&chunks), pushed);
     }
 
     #[test]
@@ -532,19 +654,25 @@ mod tests {
         let events = [
             event(100, 0, Hook::BeginOp as u8, 1, 0),
             event(97, 0, Hook::Load as u8, 2, 0),
-            event(0, u16::MAX, 200, u64::MAX, 0),
-            event(u64::MAX, 1, Hook::Retire as u8, 0, u64::MAX),
-            event(1 << 63, 2, Hook::Reclaim as u8, 3, 4),
-            event(5, 3, Hook::EndOp as u8, 0, 0),
+            event(0, 0, 200, u64::MAX, 0),
+            event(MAX_TS, 0, Hook::Retire as u8, 0, u64::MAX),
+            event(1 << 55, 0, Hook::Reclaim as u8, 3, 4),
+            event(5, 0, Hook::EndOp as u8, 0, 0),
         ];
-        let mut retained = Retained::default();
-        retained.append(&events, 64);
-        assert_eq!(retained.events(), events);
+        let ring = Ring::with_owner(8, 0, SchemeId::EBR, 0);
+        events.iter().for_each(|&e| ring.push(e));
+        assert_eq!(unpack(&pack_all(&ring)), events);
         // The same `Load`, stamped 3 ticks before the `BeginOp` or with it.
         let bytes_with_load_at = |ts| {
-            let mut retained = Retained::default();
-            retained.append(&[events[0], event(ts, 0, Hook::Load as u8, 2, 0)], 64);
-            retained.bytes()
+            let mut bytes = Vec::new();
+            let mut bases = Bases::default();
+            pack_event(&mut bytes, &mut bases, &events[0]);
+            pack_event(
+                &mut bytes,
+                &mut bases,
+                &event(ts, 0, Hook::Load as u8, 2, 0),
+            );
+            bytes.len()
         };
         assert_eq!(
             bytes_with_load_at(97),
@@ -554,26 +682,20 @@ mod tests {
     }
 
     #[test]
-    fn worst_case_ebr_and_churn_streams_stay_within_their_byte_bounds() {
+    fn worst_case_and_churn_streams_stay_within_their_byte_bounds() {
         let cap = if cfg!(miri) { 256 } else { 1 << 12 };
         // Every field at its longest: an escaped hook, `ts` and both words
-        // half the range off the last, the thread alternating between two
-        // 3-byte values. After the first, each is `MAX_PACKED_EVENT` bytes.
-        let worst = |k: u64| {
-            let flip = (k & 1) << 63;
-            event(flip, u16::MAX - (k & 1) as u16, 200, flip, flip)
-        };
-        let mut retained = Retained::default();
-        retained.append(&[worst(0)], cap);
-        let first = retained.bytes();
-        retained.append(&[worst(1)], cap);
-        assert_eq!(retained.bytes() - first, MAX_PACKED_EVENT);
-        for poll in 0..3 * cap / 100 {
-            let batch: Vec<Event> = (0..100).map(|k| worst((poll * 100 + k) as u64)).collect();
-            retained.append(&batch, cap);
-            assert!(retained.bytes() <= MAX_PACKED_EVENT * retained.len + SEGMENT_BYTES);
+        // half the range off the last. After the first, each takes
+        // `MAX_PACKED_EVENT` bytes less the 3-byte thread its ring omits.
+        let ring = Ring::with_owner(cap, u16::MAX, SchemeId::EBR, 0);
+        for k in 0..cap as u64 {
+            let flip = (k & 1) << 55;
+            ring.push(event(flip, u16::MAX, 200, flip << 8, flip << 8));
         }
-        assert_eq!(retained.len, cap);
+        let chunks = pack_all(&ring);
+        let bytes = chunks[0].bytes.len();
+        assert!(bytes <= MAX_PACKED_EVENT * cap, "{bytes} bytes");
+        assert_eq!(unpack(&chunks).len(), cap);
         // An EBR shard under churn: a worker's `Retire`s at heap-like
         // addresses, each 64 reclaimed as one run by the service tracer
         // (thread `u16::MAX`, as `StatCells::reclaim` emits them).
@@ -583,7 +705,7 @@ mod tests {
         let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);
         let mut rng = 1u64;
         let mut nodes = [0u64; 64];
-        for round in 0..2 * cap / 128 {
+        for round in 0..4 * cap / 128 {
             let retired_at = recorder.now();
             for (held, node) in nodes.iter_mut().enumerate() {
                 *node = 0x7f3a_0000_0000 + (lcg(&mut rng) >> 50) * 64;
@@ -597,12 +719,13 @@ mod tests {
             }
         }
         flight.poll();
-        assert_eq!(flight.lock()[0].retained.len, cap);
-        assert!(flight.packed_bytes() <= 6 * cap + SEGMENT_BYTES);
+        let retained = flight.lock()[0].len;
+        assert!(retained <= cap && retained > cap - DEFAULT_RING_CAPACITY / 2);
+        assert!(flight.packed_bytes() <= 6 * retained);
     }
 
     #[test]
-    fn small_polls_share_segments() {
+    fn a_chunk_is_half_a_ring_whatever_the_polls() {
         let polls = if cfg!(miri) { 1_000 } else { 100_000 };
         let recorder = Recorder::new(1);
         let flight = FlightRecorder::single("idle", &recorder).with_max_retained(polls as usize);
@@ -612,13 +735,30 @@ mod tests {
             flight.poll();
         }
         let sources = flight.lock();
-        let retained = &sources[0].retained;
-        assert_eq!(retained.len, polls as usize);
-        let bytes = retained.bytes();
-        assert!(
-            retained.segments.len() <= bytes.div_ceil(SEGMENT_BYTES) + 1,
-            "{} segments for {bytes} bytes",
-            retained.segments.len()
-        );
+        let half = DEFAULT_RING_CAPACITY / 2;
+        assert_eq!(sources[0].len, polls as usize / half * half);
+        assert!(sources[0].chunks.iter().all(|c| c.events == half));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
+    fn a_held_recorder_drains_nothing_until_its_flight_recorder_drops() {
+        let recorder = Recorder::with_ring_capacity(1, 8);
+        let mut t = recorder.tracer(0, SchemeId::HP);
+        let flight = FlightRecorder::single("held", &recorder);
+        for i in 0..100 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        assert!(recorder.drain().events.is_empty());
+        let src = &flight.snapshot().sources[0];
+        assert_eq!((src.events.len(), src.dropped), (100, 0), "no overwrite");
+        drop(flight);
+        // Packing stopped: the ring drains from where its owner packed.
+        for i in 100..103 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let a: Vec<u64> = recorder.drain().events.iter().map(|e| e.a).collect();
+        assert_eq!(a, [100, 101, 102]);
+        assert_eq!(recorder.dropped(), 0);
     }
 }

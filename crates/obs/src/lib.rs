@@ -36,12 +36,14 @@
 //!   chaos runs) and the one reader ([`Json`]) every crate that takes
 //!   such a record back in goes through.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
-//!   that drains the rings into packed segments (the newest events per
-//!   source, up to a count cap), snapshots them (plus metrics and scheme
-//!   counters) into a compact binary `.eraflt` dump — on demand or from
-//!   a chained panic hook — and reads such dumps back for the `era-view`
-//!   timeline CLI. One codec, `dump`'s packed segment, is the encoding
-//!   both in memory and on disk.
+//!   over the rings. While it holds a recorder, each ring's owner packs
+//!   its own events, half a ring at a time, into packed chunks; the
+//!   flight recorder keeps the newest per source, up to a count cap,
+//!   snapshots them (plus metrics and scheme counters) into a compact
+//!   binary `.eraflt` dump — on demand or from a chained panic hook —
+//!   and reads such dumps back for the `era-view` timeline CLI. One
+//!   codec, `dump`'s packed segment, is the encoding both in memory and
+//!   on disk.
 //!
 //! ## Usage sketch
 //!

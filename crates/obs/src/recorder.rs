@@ -8,6 +8,12 @@
 //! merges every ring into one log ordered by [`Event::merge_key`], and
 //! lets go of a ring whose tracer is gone once it has drained it.
 //!
+//! A [`crate::FlightRecorder`] that holds a recorder reads it another
+//! way: each tracer packs its own rings, half a ring at a time, and
+//! publishes the chunks to the recorder's outbox, which the flight
+//! recorder takes from. A held recorder has no drainer, and
+//! [`Recorder::drain`] returns no events from it.
+//!
 //! # The clock
 //!
 //! The clock is one shared word, and the emit path is written so that
@@ -45,6 +51,7 @@
 //! every emit is one branch on a local `Option`.
 
 use crate::event::{Event, Hook, SchemeId};
+use crate::flight::{Chunk, Outbox};
 use crate::metrics::{HookCounts, Metrics};
 use crate::ring::Ring;
 
@@ -68,16 +75,21 @@ struct RecorderCore {
     metrics: Metrics,
     rings: Mutex<Rings>,
     ring_capacity: usize,
+    /// Where the owners of a held recorder's rings publish their chunks.
+    outbox: Outbox,
 }
 
 /// The rings a recorder drains.
 #[derive(Debug, Default)]
 struct Rings {
     /// Every ring a live tracer may still write, and any not yet
-    /// drained since its tracer dropped, in creation order.
+    /// drained (or, held, packed) since its tracer dropped, in creation
+    /// order.
     live: Vec<Arc<Ring>>,
     /// The `dropped` of every ring let go of.
     released_dropped: u64,
+    /// Rings created so far: the next one's [`Ring::order`].
+    created: u64,
 }
 
 impl Rings {
@@ -90,8 +102,11 @@ impl RecorderCore {
     /// Allocates and registers a ring for `thread`'s events under
     /// `scheme`.
     fn ring(&self, thread: u16, scheme: SchemeId) -> Arc<Ring> {
-        let ring = Arc::new(Ring::with_owner(self.ring_capacity, thread, scheme));
-        self.lock_rings().live.push(Arc::clone(&ring));
+        let mut rings = self.lock_rings();
+        let order = rings.created;
+        rings.created += 1;
+        let ring = Arc::new(Ring::with_owner(self.ring_capacity, thread, scheme, order));
+        rings.live.push(Arc::clone(&ring));
         ring
     }
 
@@ -126,6 +141,7 @@ impl Recorder {
                 metrics: Metrics::new(max_threads),
                 rings: Mutex::default(),
                 ring_capacity,
+                outbox: Outbox::default(),
             }),
         }
     }
@@ -166,11 +182,21 @@ impl Recorder {
     /// [`TraceLog::dropped`] — nothing is lost silently. A ring whose
     /// tracer has dropped is drained one last time and let go of, its
     /// losses kept in the cumulative [`Recorder::dropped`].
+    ///
+    /// While a [`crate::FlightRecorder`] holds this recorder, its events
+    /// are the flight recorder's: the log holds none of them.
     pub fn drain(&self) -> TraceLog {
         let mut rings = self.core.lock_rings();
+        if self.core.outbox.is_held() {
+            return TraceLog {
+                events: Vec::new(),
+                dropped: rings.dropped(),
+            };
+        }
         let Rings {
             live,
             released_dropped,
+            ..
         } = &mut *rings;
         let mut events = Vec::new();
         live.retain_mut(|ring| {
@@ -205,6 +231,58 @@ impl Recorder {
     /// [`Recorder::drain`].
     pub fn ring_count(&self) -> usize {
         self.core.lock_rings().live.len()
+    }
+
+    /// Hands this recorder to a flight recorder: from now on each
+    /// ring's owner packs it. Returns each live ring's
+    /// `(order, first position not yet drained)`, where its packing
+    /// starts. Chunks a previous holder left behind are dropped.
+    pub(crate) fn hold(&self) -> Vec<(u64, u64)> {
+        let rings = self.core.lock_rings();
+        debug_assert!(!self.core.outbox.is_held(), "a recorder held twice");
+        self.core.outbox.take(&mut Vec::new());
+        self.core.outbox.set_held(true);
+        rings.live.iter().map(|r| (r.order(), r.tail())).collect()
+    }
+
+    /// Ends [`Recorder::hold`]: owners stop packing, and chunks nobody
+    /// took are dropped.
+    pub(crate) fn release(&self) {
+        let _rings = self.core.lock_rings();
+        self.core.outbox.set_held(false);
+        self.core.outbox.take(&mut Vec::new());
+    }
+
+    /// Appends to `out` every chunk published since the last take,
+    /// oldest first, then the rest of each ring whose tracer is gone —
+    /// no one writes it any more — packed here, and lets go of it.
+    pub(crate) fn take_chunks(&self, out: &mut Vec<Chunk>) {
+        let mut rests = Vec::new();
+        let mut rings = self.core.lock_rings();
+        let Rings {
+            live,
+            released_dropped,
+            ..
+        } = &mut *rings;
+        live.retain_mut(|ring| {
+            // Unique (an Acquire check): its tracer is gone, so every
+            // push, and every chunk its tracer published, happened
+            // before this pack and the take below.
+            if Arc::get_mut(ring).is_none() {
+                return true;
+            }
+            ring.pack(|chunk| rests.push(chunk));
+            *released_dropped += ring.dropped();
+            false
+        });
+        drop(rings);
+        self.core.outbox.take(out);
+        out.append(&mut rests);
+    }
+
+    /// Calls `f` on every ring the recorder holds, in creation order.
+    pub(crate) fn for_each_ring(&self, f: impl FnMut(&Ring)) {
+        self.core.lock_rings().live.iter().map(|r| &**r).for_each(f);
     }
 }
 
@@ -249,6 +327,18 @@ struct TracerInner {
 }
 
 impl TracerInner {
+    /// A push into `ring` completed half of it: if a flight recorder
+    /// holds the recorder, pack what this tracer has not packed yet and
+    /// publish it. Once per half-ring, so out of line.
+    #[cold]
+    #[inline(never)]
+    fn half_done(&self, ring: &Ring) {
+        let outbox = &self.recorder.outbox;
+        if outbox.is_held() {
+            ring.pack(|chunk| outbox.publish(chunk));
+        }
+    }
+
     /// The single-event emit path into `ring`. `hook` is a constant at
     /// every call site, so after inlining both the record branch and
     /// the clock branch are decided at compile time.
@@ -270,7 +360,9 @@ impl TracerInner {
         } else {
             clock.load(Ordering::Relaxed)
         };
-        ring.write(ts, hook as u8, a, b);
+        if ring.write(ts, hook as u8, a, b) {
+            self.half_done(ring);
+        }
     }
 
     /// [`TracerInner::record`] into `thread`'s ring.
@@ -312,7 +404,9 @@ impl TracerInner {
         for k in 0..n {
             let ts = if ticks { t0 + k as u64 } else { t0 };
             let (a, b) = payload(k, ts);
-            self.ring.write(ts, hook as u8, a, b);
+            if self.ring.write(ts, hook as u8, a, b) {
+                self.half_done(&self.ring);
+            }
         }
     }
 }

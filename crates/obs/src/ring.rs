@@ -28,24 +28,52 @@
 //! keeps exactly its newest `capacity` events. The 64-bit head never
 //! wraps, so there is no ABA window.
 //!
+//! # Owner packing
+//!
+//! While a [`crate::FlightRecorder`] holds the ring's recorder, the
+//! ring has no drainer: each time a push completes a half of the ring,
+//! its owner packs every event it has not packed yet — the half it just
+//! wrote — from its own slots into one [`Chunk`] and publishes it, and
+//! the flight recorder takes chunks, never slots. That one push in a
+//! half-ring allocates the chunk and takes the outbox's lock for one
+//! `Vec::push`; every other push is the five stores above. The owner packs a
+//! half before it starts overwriting the other, so such a ring loses
+//! nothing to overwrite; only a recorder held after its rings wrapped
+//! loses what they overwrote before their owner's first pack. A
+//! snapshot copies the unpacked rest with the drainer's torn check, and
+//! consumes nothing.
+//!
 //! Slots are allocated zeroed at an alignment of 8, which the system
 //! allocator serves with `calloc`: a ring commits its pages as the
 //! writer first touches them, so a ring that records a few events
 //! costs a page, not `24 × capacity` bytes.
 
+use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
+use crate::dump::{pack_event, Bases};
 use crate::event::{Event, SchemeId};
+use crate::flight::Chunk;
 
 /// One event: `ts << 8 | hook`, `a`, `b`.
 type Slot = [AtomicU64; 3];
+
+thread_local! {
+    /// The buffer this thread packs into before a chunk is copied out
+    /// at its exact size: one per thread, whatever the number of rings
+    /// it owns, reused while it lives.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The largest timestamp a slot holds: `ts` shares its word with the
 /// hook byte. That is 7·10^16 protocol ticks, which no run reaches.
 pub(crate) const MAX_TS: u64 = (1 << 56) - 1;
 
 /// Fixed-capacity drop-oldest event buffer of one owner. See the
-/// module docs for the single-writer / single-drainer contract.
+/// module docs for the single-writer / single-drainer contract. While a
+/// [`crate::FlightRecorder`] holds its recorder it has no drainer: its
+/// owner packs it every half ring ("Owner packing"), and it drops
+/// nothing.
 ///
 /// Aligned to its own cache-line pair: `head` is stored on every push,
 /// and rings are small heap objects allocated back to back (one per
@@ -59,7 +87,10 @@ pub struct Ring {
     mask: u64,
     thread: u16,
     scheme: SchemeId,
-    /// First position the drainer has not yet consumed.
+    /// The ring's place in its recorder's creation order.
+    order: u64,
+    /// First position the drainer has not yet consumed; once the
+    /// recorder is held, the first one the owner has not yet packed.
     tail: AtomicU64,
     /// Events overwritten or torn before the drainer could copy them.
     dropped: AtomicU64,
@@ -70,13 +101,13 @@ impl Ring {
     /// Creates a ring of thread slot 0 with no scheme, holding
     /// `capacity` events (rounded up to a power of two, minimum 8).
     pub fn new(capacity: usize) -> Ring {
-        Ring::with_owner(capacity, 0, SchemeId::NONE)
+        Ring::with_owner(capacity, 0, SchemeId::NONE, 0)
     }
 
-    /// Creates a ring for the events of thread slot `thread` under
-    /// `scheme`, holding `capacity` events (rounded up to a power of
-    /// two, minimum 8).
-    pub(crate) fn with_owner(capacity: usize, thread: u16, scheme: SchemeId) -> Ring {
+    /// Creates the `order`-th ring of a recorder, for the events of
+    /// thread slot `thread` under `scheme`, holding `capacity` events
+    /// (rounded up to a power of two, minimum 8).
+    pub(crate) fn with_owner(capacity: usize, thread: u16, scheme: SchemeId, order: u64) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
         // SAFETY: an all-zero `AtomicU64` is a valid 0 (it has the
         // in-memory representation of a `u64`).
@@ -86,6 +117,7 @@ impl Ring {
             mask: (cap - 1) as u64,
             thread,
             scheme,
+            order,
             tail: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots,
@@ -105,6 +137,16 @@ impl Ring {
     /// The scheme every event of this ring carries.
     pub(crate) fn scheme(&self) -> SchemeId {
         self.scheme
+    }
+
+    /// The ring's place in its recorder's creation order.
+    pub(crate) fn order(&self) -> u64 {
+        self.order
+    }
+
+    /// The first position not yet drained (or, held, not yet packed).
+    pub(crate) fn tail(&self) -> u64 {
+        self.tail.load(Ordering::Relaxed)
     }
 
     /// Total events ever pushed (completed pushes).
@@ -135,8 +177,9 @@ impl Ring {
     }
 
     /// [`Ring::push`] of the ring owner's event `(ts, hook, a, b)`.
+    /// Returns whether it completed a half of the ring.
     #[inline]
-    pub(crate) fn write(&self, ts: u64, hook: u8, a: u64, b: u64) {
+    pub(crate) fn write(&self, ts: u64, hook: u8, a: u64, b: u64) -> bool {
         debug_assert!(ts <= MAX_TS, "trace timestamp {ts} past 2^56 - 1");
         let head = self.head.load(Ordering::Relaxed);
         // SAFETY(ordering) PAIRS(ring-publish): Release on the odd head,
@@ -158,6 +201,91 @@ impl Ring {
         // SAFETY(ordering): Release — the even head publishes the three
         // words to a drainer's Acquire head load.
         self.head.store(head + 2, Ordering::Release);
+        // Twice the pushes is a multiple of the capacity exactly when
+        // the pushes are a multiple of half of it.
+        (head + 2) & self.mask == 0
+    }
+
+    /// The event at position `pos`, as its slot holds it now.
+    fn event(&self, pos: u64) -> Event {
+        let [word, a, b] = &self.slots[(pos & self.mask) as usize];
+        // SAFETY(ordering): Relaxed — the head loads around a copy
+        // order it (ring-publish), and the owner reads its own stores.
+        let word = word.load(Ordering::Relaxed);
+        Event {
+            ts: word >> 8,
+            a: a.load(Ordering::Relaxed),
+            b: b.load(Ordering::Relaxed),
+            thread: self.thread,
+            scheme: self.scheme.0,
+            hook: word as u8,
+            _pad: 0,
+        }
+    }
+
+    /// Copies positions from `cursor` on — at most the newest capacity
+    /// — into `out`, in push order, skipping any a push overwrote while
+    /// they were copied. Returns the position of the first event
+    /// appended and the position past the last: `out` gained exactly
+    /// the events between them. Any thread may call this, and it
+    /// consumes nothing: a snapshot reads a held ring's unpacked events
+    /// so.
+    pub(crate) fn copy_since(&self, cursor: u64, out: &mut Vec<Event>) -> (u64, u64) {
+        // SAFETY(ordering) PAIRS(ring-publish): Acquire on the head load
+        // makes every completed push's words visible; the Acquire fence
+        // after the copy makes a push whose words it read visible in the
+        // head re-load, which then discards the slot.
+        let done = self.head.load(Ordering::Acquire) >> 1;
+        let cap = self.capacity() as u64;
+        // Anything older than one capacity behind head is already
+        // overwritten (or about to be).
+        let lo = cursor.max(done.saturating_sub(cap)).min(done);
+        let before = out.len();
+        out.extend((lo..done).map(|pos| self.event(pos)));
+        fence(Ordering::Acquire);
+        // Push `p` overwrites position `p - cap`: every position below
+        // `started - cap` may have been copied torn.
+        let started = (self.head.load(Ordering::Relaxed) + 1) >> 1;
+        let torn = started.saturating_sub(cap).clamp(lo, done) - lo;
+        out.drain(before..before + torn as usize);
+        (lo + torn, done)
+    }
+
+    /// Packs the events not yet packed — at most the newest capacity —
+    /// into one [`Chunk`] sized exactly to what they take, hands it to
+    /// `publish`, and only then marks them packed. Owner-side: only the
+    /// thread that pushes may call this, or any thread once that one is
+    /// gone for good.
+    pub(crate) fn pack(&self, publish: impl FnOnce(Chunk)) {
+        // Relaxed on both: the owner reads its own stores; a thread
+        // packing for a gone owner is ordered after it by the `Arc`.
+        let done = self.head.load(Ordering::Relaxed) >> 1;
+        let lo = self.tail().max(done.saturating_sub(self.capacity() as u64));
+        if lo == done {
+            return;
+        }
+        let pack_into = |scratch: &mut Vec<u8>| -> Box<[u8]> {
+            scratch.clear();
+            let mut bases = Bases::default();
+            for pos in lo..done {
+                pack_event(scratch, &mut bases, &self.event(pos));
+            }
+            scratch.as_slice().into()
+        };
+        let bytes = SCRATCH
+            .try_with(|scratch| pack_into(&mut scratch.borrow_mut()))
+            .unwrap_or_else(|_| pack_into(&mut Vec::new()));
+        publish(Chunk {
+            bytes,
+            events: (done - lo) as usize,
+            ring: self.order,
+            start: lo,
+            // One writer's events never go down in merge key.
+            last: self.event(done - 1).merge_key(),
+        });
+        // SAFETY(ordering): Relaxed — once held, the tail is the owner's
+        // own cursor; nothing is published through it.
+        self.tail.store(done, Ordering::Relaxed);
     }
 
     /// Copies every event the drainer has not yet seen into `out`, in
@@ -165,48 +293,17 @@ impl Ring {
     /// at most one thread may drain (the recorder serializes this).
     /// Returns the number of events appended.
     pub fn drain_into(&self, out: &mut Vec<Event>) -> usize {
-        // SAFETY(ordering) PAIRS(ring-publish): Acquire on the head load
-        // makes every completed push's words visible; the Acquire fence
-        // after the copy makes a push whose words it read visible in the
-        // head re-load, which then discards the slot.
-        let done = self.head.load(Ordering::Acquire) >> 1;
-        let cursor = self.tail.load(Ordering::Relaxed);
-        let cap = self.capacity() as u64;
-        // Anything older than one capacity behind head is already
-        // overwritten (or about to be).
-        let lo = cursor.max(done.saturating_sub(cap));
-        let before = out.len();
-        out.extend((lo..done).map(|pos| {
-            let [word, a, b] = &self.slots[(pos & self.mask) as usize];
-            let word = word.load(Ordering::Relaxed);
-            Event {
-                ts: word >> 8,
-                a: a.load(Ordering::Relaxed),
-                b: b.load(Ordering::Relaxed),
-                thread: self.thread,
-                scheme: self.scheme.0,
-                hook: word as u8,
-                _pad: 0,
-            }
-        }));
-        fence(Ordering::Acquire);
-        // Push `p` overwrites position `p - cap`: every position below
-        // `started - cap` may have been copied torn.
-        let started = (self.head.load(Ordering::Relaxed) + 1) >> 1;
-        let torn = started.saturating_sub(cap).clamp(lo, done) - lo;
-        if torn > 0 {
-            out.drain(before..before + torn as usize);
-        }
+        let cursor = self.tail();
+        let (first, done) = self.copy_since(cursor, out);
         // SAFETY(ordering): Relaxed — tail and dropped are only written
         // by the single drainer (the recorder serializes drains) and
         // only advisory to readers; no data is published through them.
         self.tail.store(done, Ordering::Relaxed);
-        let lost = lo - cursor + torn;
-        if lost > 0 {
+        if first > cursor {
             // SAFETY(ordering): Relaxed, as above.
-            self.dropped.fetch_add(lost, Ordering::Relaxed);
+            self.dropped.fetch_add(first - cursor, Ordering::Relaxed);
         }
-        out.len() - before
+        (done - first) as usize
     }
 }
 
@@ -294,7 +391,7 @@ mod tests {
     fn extreme_fields_drain_bit_identical() {
         // The service slot, an unknown hook byte (it sorts as a ticker),
         // every payload bit and the largest timestamp a slot holds.
-        let ring = Ring::with_owner(8, u16::MAX, SchemeId(u8::MAX));
+        let ring = Ring::with_owner(8, u16::MAX, SchemeId(u8::MAX), 0);
         let mut extreme = Event::new(
             u16::MAX,
             SchemeId(u8::MAX),

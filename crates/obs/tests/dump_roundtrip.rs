@@ -157,36 +157,38 @@ proptest! {
     }
 }
 
-/// A drain merges only what it takes, so a later poll can drain an
-/// event that sorts before the last one an earlier poll took: here two
-/// reading events of one clock value, the higher thread's polled first.
-/// The recorder retains them in poll order; a dump decodes them in
-/// [`Event::merge_key`] order, as one drain of both would have.
+/// A later poll can take an event that sorts before the last one an
+/// earlier poll took: here two reading events of one clock value, the
+/// higher thread's polled first. A snapshot merges what every poll took
+/// in [`Event::merge_key`] order, as one drain of both would have; and
+/// a dump that lists them in poll order, as one written before owners
+/// packed their rings did, decodes in that order too.
 #[test]
 #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
 fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
-    let recorder = Recorder::new(8);
+    let recorder = Recorder::with_ring_capacity(8, 8);
     let flight = FlightRecorder::single("polls", &recorder);
     let mut late_thread = recorder.tracer(5, SchemeId::EBR);
     let mut early_thread = recorder.tracer(2, SchemeId::EBR);
     late_thread.emit(Hook::Advance, 1, 0);
     late_thread.emit(Hook::Reserve, 0, 1);
+    late_thread.emit(Hook::Reserve, 0, 2);
+    late_thread.emit(Hook::Reserve, 0, 3);
     flight.poll();
     early_thread.emit(Hook::Reserve, 0, 1);
     early_thread.emit(Hook::Reserve, 1, 0xa0);
-    let retained = flight.snapshot();
-    let events = &retained.sources[0].events;
-    assert!(
-        events[1].merge_key() > events[2].merge_key(),
-        "poll order is merge order: vacuous"
-    );
-
-    let mut merged = events.clone();
-    merged.sort_by_key(Event::merge_key);
-    let decoded = FlightDump::decode(&retained.encode()).expect("own encoding decodes");
-    assert_eq!(decoded.sources[0].events, merged);
+    let snapshot = flight.snapshot();
+    let merged = &snapshot.sources[0].events;
     let threads: Vec<u16> = merged.iter().map(|e| e.thread).collect();
-    assert_eq!(threads, [5, 2, 2, 5]);
+    assert_eq!(threads, [5, 2, 2, 5, 5, 5]);
+    assert!(merged
+        .windows(2)
+        .all(|w| w[0].merge_key() <= w[1].merge_key()));
+
+    let mut polled = snapshot.clone();
+    polled.sources[0].events = [0, 3, 4, 5, 1, 2].map(|k| merged[k]).to_vec();
+    let decoded = FlightDump::decode(&polled.encode()).expect("own encoding decodes");
+    assert_eq!(&decoded.sources[0].events, merged);
 }
 
 /// The deterministic dump frozen as `tests/fixtures/golden_v2.eraflt`.

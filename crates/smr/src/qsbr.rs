@@ -251,9 +251,10 @@ impl Smr for Qsbr {
         ctx.tracer.emit(Hook::BeginOp, g, 0);
     }
 
-    fn end_op(&self, _ctx: &mut QsbrCtx) {
-        // Deliberately empty: QSBR does not know when references die —
-        // only the application's quiescent() calls say so.
+    fn end_op(&self, ctx: &mut QsbrCtx) {
+        // Traced, and nothing more: QSBR does not know when references
+        // die — only the application's quiescent() calls say so.
+        ctx.tracer.emit(Hook::EndOp, 0, 0);
     }
 
     /// # Safety

@@ -73,12 +73,11 @@ fn assert_traced(name: &str, run: ([u64; 4], u64, usize), end_ops: u64, frees: u
 
 #[test]
 fn every_scheme_traces_each_hook_once_per_call() {
-    // (scheme, EndOps traced, nodes the flush frees). QSBR's `end_op` is
-    // empty: only a quiescent point ends its protection. Leak frees
+    // (scheme, EndOps traced, nodes the flush frees). Leak frees
     // nothing until it drops.
     let rows = [
         (SchemeKind::Ebr, 1, 1),
-        (SchemeKind::Qsbr, 0, 1),
+        (SchemeKind::Qsbr, 1, 1),
         (SchemeKind::Hp, 1, 1),
         (SchemeKind::He, 1, 1),
         (SchemeKind::Ibr, 1, 1),

@@ -14,7 +14,10 @@
 //! A reading hook's emit writes only thread-private lines (DESIGN
 //! §3.6), so the second row must stay within 2× of the first; a shared
 //! word on that path shows up here as a 4–10× gap that a one-thread
-//! probe can never see. The third times a counted hook
+//! probe can never see. The third times the same emits on a recorder a
+//! `FlightRecorder` holds, so the tracer also packs each half-ring it
+//! completes into a chunk: its gap to the first row is the owner's
+//! packing, amortised per event. The fourth times a counted hook
 //! (`Hook::Load`): a bump of the tracer's own counter, no clock read
 //! and no ring write. The row after them times what the emits are for:
 //! one HP operation (begin, two protected loads, end) on a stable
@@ -29,10 +32,11 @@
 //!
 //! The `flight poll` row times the flight recorder's watchdog poll in
 //! its steady state on a busy server: one source already at its
-//! retained-event cap, one full ring's worth of an EBR shard's
-//! put/remove churn to drain, so the poll appends a ring's worth and
-//! trims as much. It also prints what a retained event costs packed.
-//! (An EBR shard's GETs record nothing: their hooks are counted.)
+//! retained-event cap, its owners having packed one full ring's worth
+//! of an EBR shard's put/remove churn, so the poll takes a ring's worth
+//! of chunks and trims as many. It also prints what a retained event
+//! costs packed. (An EBR shard's GETs record nothing: their hooks are
+//! counted.)
 //!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
@@ -104,10 +108,12 @@ fn emit_burst(mut emit: impl FnMut(u64)) -> f64 {
 }
 
 /// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
-/// for two tracers of one recorder emitting at the same time, then of
-/// a counted `Load` alone. A two-thread repetition costs what its
-/// slower thread took, so a descheduled peer only ever adds time and
-/// the minimum still tracks the contended cost.
+/// for two tracers of one recorder emitting at the same time, then for
+/// one tracer whose recorder a flight recorder holds (polled between
+/// repetitions, as a watchdog would), then of a counted `Load` alone.
+/// A two-thread repetition costs what its slower thread took, so a
+/// descheduled peer only ever adds time and the minimum still tracks
+/// the contended cost.
 fn bench_emit() {
     let recorder = Recorder::new(2);
     let mut first = recorder.tracer(0, SchemeId::NONE);
@@ -127,10 +133,22 @@ fn bench_emit() {
         })
     });
     let counted = min_of_reps(&mut || emit_burst(|i| first.emit(Hook::Load, i, 0)));
+    let held = Recorder::new(1);
+    let flight = FlightRecorder::single("held", &held);
+    let mut owner = held.tracer(0, SchemeId::NONE);
+    let packing = min_of_reps(&mut || {
+        flight.poll();
+        emit_burst(|i| owner.emit(Hook::Retire, i, 0))
+    });
     println!("emit 1 thread : min {alone:.1} ns/emit");
     println!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
+    );
+    println!(
+        "emit + owner pack, amortised (Hook::Retire, flight-held recorder): \
+         min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row)",
+        packing - alone
     );
     println!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
 }
@@ -186,8 +204,8 @@ fn fill_churn(
 }
 
 /// Min-of-reps ns per `FlightRecorder::poll` of one source holding
-/// `DEFAULT_MAX_RETAINED` events, `fill` giving it one full ring's
-/// worth to drain before each, and the bytes a retained event takes.
+/// `DEFAULT_MAX_RETAINED` events, `fill` having its owners pack one
+/// full ring's worth before each, and the bytes a retained event takes.
 fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
     let flight = FlightRecorder::single("shard0", recorder);
     for _ in 0..DEFAULT_MAX_RETAINED / DEFAULT_RING_CAPACITY {
@@ -203,7 +221,7 @@ fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
         })
         .fold(f64::INFINITY, f64::min);
     println!(
-        "flight poll, {name}: min {best:.0} ns/poll ({:.1} ns per drained event, \
+        "flight poll, {name}: min {best:.0} ns/poll ({:.2} ns per taken event, \
          {:.2} B per retained event)",
         best / DEFAULT_RING_CAPACITY as f64,
         flight.packed_bytes() as f64 / DEFAULT_MAX_RETAINED as f64
@@ -300,7 +318,7 @@ fn main() {
     bench_hp_op();
     println!(
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
-         one {DEFAULT_RING_CAPACITY}-event ring to drain)"
+         one {DEFAULT_RING_CAPACITY}-event ring's worth of chunks to take)"
     );
     let recorder = Recorder::new(1);
     let mut worker = recorder.tracer(0, SchemeId::EBR);
