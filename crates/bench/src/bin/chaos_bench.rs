@@ -13,7 +13,7 @@
 //!
 //! Usage:
 //!   chaos_bench [--seed N] [--ops N] [--faults N]
-//!               [--scheme all|ebr|hp|he|ibr|nbr|qsbr|vbr|leak]
+//!               [--scheme all|ebr|hp|he|ibr|nbr|vbr|leak]
 //!               [--report out.jsonl] [--flight-dump out.eraflt]
 //!
 //! Defaults: seed 0xC4A05, 20000 ops, 24 faults, all schemes. A flight
@@ -30,7 +30,7 @@ use era_chaos::{ChaosArena, ChaosSmr, FaultPlan};
 use era_obs::report::{write_jsonl, JsonObject};
 use era_obs::{DumpStats, FlightRecorder, Hook, Recorder};
 use era_smr::common::{Smr, SmrHeader, SmrStats};
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr};
+use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
 
 struct Options {
     seed: u64,
@@ -167,7 +167,6 @@ fn run_scheme<S: Smr>(
         }
         let _ = smr.needs_restart(&mut ctx);
         smr.end_op(&mut ctx);
-        smr.quiescent_point(&mut ctx);
         if i % 16 == 0 {
             smr.flush(&mut ctx);
         }
@@ -185,7 +184,6 @@ fn run_scheme<S: Smr>(
     while reclaims && smr.stats().retired_now > 0 && recovery_rounds < MAX_RECOVERY_ROUNDS {
         smr.begin_op(&mut ctx);
         smr.end_op(&mut ctx);
-        smr.quiescent_point(&mut ctx);
         smr.flush(&mut ctx);
         recovery_rounds += 1;
     }
@@ -317,15 +315,6 @@ fn main() {
             &flight,
         ));
     }
-    if want("qsbr") {
-        records.push(run_scheme(
-            "QSBR",
-            Qsbr::with_threshold(cap, 64),
-            &opts,
-            true,
-            &flight,
-        ));
-    }
     if want("leak") {
         records.push(run_scheme("Leak", Leak::new(cap), &opts, false, &flight));
     }
@@ -334,7 +323,7 @@ fn main() {
     }
     if records.is_empty() {
         eprintln!(
-            "unknown --scheme {} (use all|ebr|hp|he|ibr|nbr|qsbr|vbr|leak)",
+            "unknown --scheme {} (use all|ebr|hp|he|ibr|nbr|vbr|leak)",
             opts.scheme
         );
         std::process::exit(2);

@@ -17,7 +17,7 @@ use era_bench::runner::stall_churn_michael;
 use era_core::era::reference_matrix;
 use era_core::robustness::{classify, RobustnessObservation};
 use era_sim::theorem::measured_matrix;
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, qsbr::Qsbr};
+use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr};
 
 fn main() {
     let rounds: usize = std::env::args()
@@ -67,7 +67,6 @@ fn main() {
     classify_real!("HP", Hp::with_threshold(4, 3, 16));
     classify_real!("HE", He::with_params(4, 3, 16, 8));
     classify_real!("IBR", Ibr::with_params(4, 16, 8));
-    classify_real!("QSBR", Qsbr::with_threshold(4, 16));
     println!("{table}");
     println!(
         "EBR's peak grows with the churn (not even weakly robust); the \

@@ -23,7 +23,7 @@ use era_bench::parse_arg;
 use era_bench::runner::{run_harris, run_vbr, stall_churn_michael};
 use era_bench::table::Table;
 use era_bench::workload::{KeyDist, WorkloadSpec, UPDATE_HEAVY};
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, nbr::Nbr, qsbr::Qsbr};
+use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, nbr::Nbr};
 
 fn main() {
     let churn: usize = std::env::args()
@@ -69,13 +69,7 @@ fn main() {
         run!("HP", Hp::with_threshold(4, 3, 16));
         run!("HE", He::with_params(4, 3, 16, 8));
         run!("IBR", Ibr::with_params(4, 16, 8));
-        run!("QSBR", Qsbr::with_threshold(4, 16));
-        println!("{table}");
-        println!(
-            "(QSBR note: the generic harness never calls quiescent(), so \
-             nothing drains even after the unstall — exactly the \
-             integration burden that keeps QSBR out of Definition 5.3.)\n"
-        );
+        println!("{table}\n");
     }
 
     println!("--- schemes without the protect/epoch dichotomy ---");

@@ -86,8 +86,8 @@ fn figure1_rows_are_the_distinct_checkpoint_rounds() {
         let got: Vec<usize> = rows.iter().map(|r| r[0].parse().unwrap()).collect();
         assert_eq!(got, labels, "figure1 {rounds}");
         assert!(
-            rows.iter().all(|r| r.len() == 9),
-            "a count for each of the 8 schemes: {rows:?}"
+            rows.iter().all(|r| r.len() == 8),
+            "a count for each of the 7 schemes: {rows:?}"
         );
     }
 }

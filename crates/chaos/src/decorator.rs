@@ -514,10 +514,6 @@ impl<S: Smr> Smr for ChaosSmr<S> {
         unsafe { self.inner.neutralize(slot) }
     }
 
-    fn quiescent_point(&self, ctx: &mut S::ThreadCtx) {
-        self.inner.quiescent_point(ctx);
-    }
-
     fn stats(&self) -> SmrStats {
         self.inner.stats()
     }

@@ -11,8 +11,8 @@
 //!   `era-obs`). Same plan + same single-threaded
 //!   workload ⇒ same fault log and same final
 //!   [`SmrStats`](era_smr::SmrStats), twice over.
-//! * [`ChaosSmr`] — an [`Smr`](era_smr::Smr) decorator for the seven
-//!   pointer-based schemes (EBR, HP, HE, IBR, NBR, QSBR, leak). It
+//! * [`ChaosSmr`] — an [`Smr`](era_smr::Smr) decorator for the six
+//!   pointer-based schemes (EBR, HP, HE, IBR, NBR, leak). It
 //!   delegates every call and fires plan actions off a global op
 //!   clock: die-pinned context drops (with orphaned canary garbage),
 //!   stalled announcements, delayed/reordered flushes, injected

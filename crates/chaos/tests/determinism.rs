@@ -15,7 +15,6 @@ use era_smr::hp::Hp;
 use era_smr::ibr::Ibr;
 use era_smr::leak::Leak;
 use era_smr::nbr::Nbr;
-use era_smr::qsbr::Qsbr;
 
 const SEED: u64 = 0xE6A_CA05;
 const HORIZON: u64 = 256;
@@ -57,7 +56,6 @@ fn run<S: Smr>(inner: S, plan: FaultPlan) -> (Vec<era_chaos::FaultRecord>, SmrSt
         }
         let _ = smr.needs_restart(&mut ctx);
         smr.end_op(&mut ctx);
-        smr.quiescent_point(&mut ctx);
         if i % 7 == 0 {
             smr.flush(&mut ctx);
         }
@@ -66,7 +64,6 @@ fn run<S: Smr>(inner: S, plan: FaultPlan) -> (Vec<era_chaos::FaultRecord>, SmrSt
     for _ in 0..8 {
         smr.begin_op(&mut ctx);
         smr.end_op(&mut ctx);
-        smr.quiescent_point(&mut ctx);
         smr.flush(&mut ctx);
     }
     (smr.fault_log(), smr.stats())
@@ -111,11 +108,6 @@ fn ibr_replays_identically() {
 #[test]
 fn nbr_replays_identically() {
     assert_deterministic(|| Nbr::with_threshold(8, 2, 4));
-}
-
-#[test]
-fn qsbr_replays_identically() {
-    assert_deterministic(|| Qsbr::with_threshold(8, 4));
 }
 
 #[test]

@@ -338,7 +338,7 @@ impl<'s, S: Smr + SupportsUnlinkedTraversal> HarrisList<'s, S> {
     /// `contains(key)` — Algorithm 1 restricts searches to lines 23–26
     /// (a `search` call), but Harris's model never *requires* a search
     /// to help unlink, and every scheme this list's type bound admits
-    /// is op-scoped (EBR/QSBR/NBR/leak — no per-node protection), so
+    /// is op-scoped (EBR/NBR/leak — no per-node protection), so
     /// the read path here is the wait-free raw-link walk Herlihy &
     /// Shavit prove linearizable for this list family: follow `next`
     /// words — through marked chains — and decide from the first node

@@ -15,7 +15,7 @@
 //! per node visited, Michael's own count (2004, Fig. 9) — so three
 //! hazard slots suffice: two alternate on `curr`, one holds the node
 //! owning `prev`. Under op-scoped schemes
-//! (EBR/QSBR/NBR/leak) lookups take a read-only fast path that skips
+//! (EBR/NBR/leak) lookups take a read-only fast path that skips
 //! the hazard discipline entirely — see [`MichaelMap::get`].
 //!
 //! Nodes carry a mutable value word next to the immutable key. `get`
@@ -321,7 +321,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     }
 
     /// Read-only lookup for op-scoped protection schemes
-    /// (`kind().requires_validation() == false`: EBR/QSBR/NBR/leak).
+    /// (`kind().requires_validation() == false`: EBR/NBR/leak).
     ///
     /// Michael notes searches need not help unlink (and Herlihy &
     /// Shavit prove the wait-free variant linearizable for exactly this
@@ -339,7 +339,7 @@ impl<'s, S: Smr> MichaelMap<'s, S> {
     /// land in between, and either value is a linearizable answer.
     ///
     /// Restart-based schemes (NBR, or a watchdog-neutralized
-    /// EBR/QSBR) void the global protection when they neutralize a
+    /// EBR) void the global protection when they neutralize a
     /// thread, so the loop polls [`Smr::needs_restart`] every hop —
     /// a relaxed self-flag load — and rewalks from the head.
     // LINT: op-scoped — callers hold begin_op (see `get`); the whole point of

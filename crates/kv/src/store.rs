@@ -334,9 +334,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
         let sh = &self.shards[si];
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx); // op boundary: ack any pending neutralization
-        let v = sh.map.get(tctx, key);
-        sh.smr.quiescent_point(tctx);
-        v
+        sh.map.get(tctx, key)
     }
 
     /// Inserts or updates `key`; returns the previous value.
@@ -352,7 +350,6 @@ impl<'s, S: Smr> KvStore<'s, S> {
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let prev = sh.map.insert(tctx, key, value);
-        sh.smr.quiescent_point(tctx);
         sh.finish_write(counted);
         Ok(prev)
     }
@@ -370,7 +367,6 @@ impl<'s, S: Smr> KvStore<'s, S> {
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let prev = sh.map.remove(tctx, key);
-        sh.smr.quiescent_point(tctx);
         sh.finish_write(counted);
         Ok(prev)
     }
@@ -389,7 +385,6 @@ impl<'s, S: Smr> KvStore<'s, S> {
         let tctx = &mut ctx.ctxs[si];
         let _ = sh.smr.needs_restart(tctx);
         let v = sh.map.fetch_add(tctx, key, delta);
-        sh.smr.quiescent_point(tctx);
         sh.finish_write(counted);
         Ok(v)
     }
@@ -401,7 +396,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// One pass in item order routes each item once. A shard's share
     /// (its *group*) pays **one** admission decision and one
     /// `needs_restart` poll, both at its first routed item, and one
-    /// quiescent point at the end of the batch, instead of one of each
+    /// `finish_write` at the end of the batch, instead of one of each
     /// per item. Items apply in batch order, so two writes to the same
     /// key keep their order and the last one wins. Results come back
     /// in item order: the previous value per item, or
@@ -435,14 +430,8 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 _ => Ok(sh.map.insert(tctx, key, value)),
             });
         }
-        for ((sh, tctx), group) in self
-            .shards
-            .iter()
-            .zip(ctxs.iter_mut())
-            .zip(groups.iter_mut())
-        {
+        for (sh, group) in self.shards.iter().zip(groups.iter_mut()) {
             if let Group::Admitted { counted } = *group {
-                sh.smr.quiescent_point(tctx);
                 sh.finish_write(counted);
             }
             *group = Group::Unseen;
@@ -508,30 +497,29 @@ impl<'s, S: Smr> KvStore<'s, S> {
         Ok(())
     }
 
-    /// One idle-maintenance pass for this context: a quiescent point
-    /// and a flush on every shard, so garbage retired through `ctx`
-    /// does not sit in its local lists while the thread has no
-    /// traffic. Long-lived serving threads (the `era-net` worker pool)
-    /// call this whenever they idle out of a read — without it, a
-    /// quiet server pins its own backlog forever: reclamation only
-    /// runs inside write operations, and an overloaded shard that has
-    /// started shedding writes would never see another one.
+    /// One idle-maintenance pass for this context: a flush on every
+    /// shard, so garbage retired through `ctx` does not sit in its
+    /// local lists while the thread has no traffic. Long-lived serving
+    /// threads (the `era-net` worker pool) call this whenever they idle
+    /// out of a read — without it, a quiet server pins its own backlog
+    /// forever: reclamation only runs inside write operations, and an
+    /// overloaded shard that has started shedding writes would never
+    /// see another one.
     pub fn maintain(&self, ctx: &mut KvCtx<S>) {
         for (si, sh) in self.shards.iter().enumerate() {
             let tctx = &mut ctx.ctxs[si];
             let _ = sh.smr.needs_restart(tctx);
-            sh.smr.quiescent_point(tctx);
             sh.smr.flush(tctx);
         }
     }
 
     /// Graceful shutdown: repeatedly cycles every shard through an
-    /// (empty) operation, a quiescent point, and a flush — with a
-    /// navigator tick per round so quarantined shards can recover —
-    /// until the whole store's `retired_now` drains to 0 or
-    /// `max_rounds` passes. Returns whether the drain completed; the
-    /// only way it cannot is garbage pinned by a context outside this
-    /// caller's control (a live stalled reader).
+    /// (empty) operation and a flush — with a navigator tick per round
+    /// so quarantined shards can recover — until the whole store's
+    /// `retired_now` drains to 0 or `max_rounds` passes. Returns
+    /// whether the drain completed; the only way it cannot is garbage
+    /// pinned by a context outside this caller's control (a live
+    /// stalled reader).
     pub fn drain(&self, ctx: &mut KvCtx<S>, max_rounds: usize) -> bool {
         for _ in 0..max_rounds.max(1) {
             for (si, sh) in self.shards.iter().enumerate() {
@@ -539,7 +527,6 @@ impl<'s, S: Smr> KvStore<'s, S> {
                 let _ = sh.smr.needs_restart(tctx);
                 sh.smr.begin_op(tctx);
                 sh.smr.end_op(tctx);
-                sh.smr.quiescent_point(tctx);
                 sh.smr.flush(tctx);
             }
             self.navigator_tick();
@@ -684,7 +671,6 @@ mod tests {
     use super::*;
     use era_smr::ebr::Ebr;
     use era_smr::hp::Hp;
-    use era_smr::qsbr::Qsbr;
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -787,18 +773,6 @@ mod tests {
         let mut ctx = store.register().unwrap();
         assert_eq!(store.put(&mut ctx, 1, 10), Ok(None));
         assert_eq!(store.get(&mut ctx, 1), Some(10));
-
-        let schemes: Vec<Qsbr> = (0..2).map(|_| Qsbr::new(4)).collect();
-        let store = KvStore::new(&schemes, KvConfig::default());
-        let mut ctx = store.register().unwrap();
-        assert_eq!(store.put(&mut ctx, 1, 10), Ok(None));
-        assert_eq!(store.remove(&mut ctx, 1), Ok(Some(10)));
-        // The facade's quiescent_point calls keep QSBR draining without
-        // the caller ever seeing the scheme-specific API.
-        for _ in 0..4 {
-            let _ = store.get(&mut ctx, 1);
-        }
-        assert_eq!(store.stats().retired_now, 0, "{}", store.stats());
     }
 
     #[test]

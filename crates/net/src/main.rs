@@ -1,7 +1,7 @@
 //! `era-net serve` — run the TCP front-end over a fresh sharded store.
 //!
 //! Usage:
-//!   era-net serve [--addr 127.0.0.1:0] [--scheme ebr|qsbr|hp|he|ibr|nbr]
+//!   era-net serve [--addr 127.0.0.1:0] [--scheme ebr|hp|he|ibr|nbr]
 //!                 [--shards N] [--workers N] [--soft N] [--hard N]
 //!                 [--duration SECS] [--addr-file PATH]
 //!                 [--flight-dump out.eraflt]
@@ -51,9 +51,10 @@ fn parse_options() -> Options {
     match args.next().as_deref() {
         Some("serve") => {}
         Some(other) => bad_args(&format!("unknown subcommand {other} (only `serve` exists)")),
-        None => bad_args(
-            "usage: era-net serve [--addr HOST:PORT] [--scheme ebr|qsbr|hp|he|ibr|nbr] ...",
-        ),
+        None => bad_args(&format!(
+            "usage: era-net serve [--addr HOST:PORT] [--scheme {}] ...",
+            SchemeKind::cli_names()
+        )),
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -62,7 +63,8 @@ fn parse_options() -> Options {
                 let s: String = value(&mut args, "--scheme");
                 opts.scheme = SchemeKind::parse(&s).unwrap_or_else(|| {
                     bad_args(&format!(
-                        "unknown --scheme {s} (use ebr|qsbr|hp|he|ibr|nbr)"
+                        "unknown --scheme {s} (use {})",
+                        SchemeKind::cli_names()
                     ))
                 });
             }

@@ -37,7 +37,7 @@ pub enum Hook {
     /// [`Hook::advances_clock`], so this counts the reclaims, epoch
     /// advances, … in between, not operations and not retires).
     Reclaim = 4,
-    /// A reservation was published (HP/HE/IBR protect, EBR/QSBR pin;
+    /// A reservation was published (HP/HE/IBR protect, EBR pin;
     /// `a` = slot, `b` = value/era).
     Reserve = 5,
     /// A restart was requested (NBR neutralization, VBR version check;
@@ -211,8 +211,7 @@ impl SchemeId {
     pub const IBR: SchemeId = SchemeId(4);
     /// Neutralization-based reclamation.
     pub const NBR: SchemeId = SchemeId(5);
-    /// Quiescent-state-based reclamation.
-    pub const QSBR: SchemeId = SchemeId(6);
+    // Byte 6 was QSBR's: old dumps may carry it, so it is never reused.
     /// Version-based reclamation.
     pub const VBR: SchemeId = SchemeId(7);
     /// The no-reclamation (leak) baseline.
@@ -226,7 +225,6 @@ impl SchemeId {
             3 => "he",
             4 => "ibr",
             5 => "nbr",
-            6 => "qsbr",
             7 => "vbr",
             8 => "leak",
             _ => "none",
@@ -239,7 +237,6 @@ impl SchemeId {
     pub fn from_name(name: &str) -> SchemeId {
         let lower = name.to_ascii_lowercase();
         for id in [
-            SchemeId::QSBR, // check before EBR: "qsbr" does not contain "ebr"… but be explicit
             SchemeId::EBR,
             SchemeId::HE, // check before HP: "he" vs "hp" are distinct prefixes anyway
             SchemeId::HP,
@@ -442,7 +439,6 @@ mod tests {
             ("HE", SchemeId::HE),
             ("IBR(2GEIBR)", SchemeId::IBR),
             ("NBR", SchemeId::NBR),
-            ("QSBR", SchemeId::QSBR),
             ("VBR", SchemeId::VBR),
             ("Leak", SchemeId::LEAK),
             ("mystery", SchemeId::NONE),

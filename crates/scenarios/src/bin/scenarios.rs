@@ -1,13 +1,13 @@
 //! Campaign CLI: run one named scenario, a spec file, or the whole
-//! built-in campaign over one scheme or all six.
+//! built-in campaign over one scheme or all five.
 //!
 //! Usage:
-//!   scenarios [--scenario NAME]... [--scheme ebr|qsbr|hp|he|ibr|nbr|all]...
+//!   scenarios [--scenario NAME]... [--scheme ebr|hp|he|ibr|nbr|all]...
 //!             [--spec FILE] [--list] [--smoke]
 //!             [--report out.jsonl] [--flight-dir DIR]
 //!             [--ring-capacity N]
 //!
-//! Defaults: the whole campaign over all six pointer-based schemes
+//! Defaults: the whole campaign over all five reclaiming schemes
 //! (repeat `--scheme` to pick several) and the workspace's default
 //! ring capacity. A malformed value exits 2 naming its flag.
 //! Exit status is non-zero when any run's verdict is `fail` — a
@@ -71,7 +71,7 @@ fn parse_options() -> Options {
                         opts.schemes.push(kind);
                     }
                 } else {
-                    eprintln!("unknown --scheme {s} (use ebr|qsbr|hp|he|ibr|nbr|all)");
+                    eprintln!("unknown --scheme {s} (use {}|all)", SchemeKind::cli_names());
                     std::process::exit(2);
                 }
             }

@@ -13,8 +13,8 @@ use crate::spec::{ChaosSpec, PhaseSpec, ScenarioSpec};
 
 /// Base spec shared by the campaign: two reclaimer domains, the
 /// navigator's default budgets, and a Def-4.2 bound sized so robust
-/// schemes clear it ~5× under while a stalled EBR/QSBR blows through
-/// it ~5× over.
+/// schemes clear it ~5× under while a stalled EBR blows through it
+/// ~5× over.
 fn base(name: &str, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         name: name.to_string(),
@@ -106,7 +106,7 @@ fn oversubscribed() -> ScenarioSpec {
 
 /// The headline: a reader stalls inside a protected region with the
 /// navigator **off** while churn hammers its shard. Robust schemes
-/// keep `retired_peak` under the bound regardless; EBR/QSBR must blow
+/// keep `retired_peak` under the bound regardless; EBR must blow
 /// through it (the `blowout-visible` invariant asserts the theorem's
 /// negative direction) and recover only after the epilogue heal +
 /// drain.

@@ -4,7 +4,7 @@
 //! scheme bounds the memory an adversarial schedule can trap: stalled
 //! or dead readers may hold *some* retired nodes hostage, but the
 //! total stays within a bound independent of how long the stall lasts.
-//! Non-robust schemes (EBR, QSBR) have no such bound — one stalled
+//! A non-robust scheme (EBR) has no such bound — one stalled
 //! reader freezes the epoch and the footprint grows with every retire.
 //!
 //! A scenario run turns that statement into executable checks over the
@@ -22,10 +22,10 @@
 //!
 //! Which row applies is the scheme's class in the one registry,
 //! [`SchemeKind::class`]: HP, HE and NBR are robust (Def. 5.1) and IBR
-//! weakly robust (Def. 5.2), so all four are held to the bound; EBR and
-//! QSBR bound nothing. VBR is robust per the paper but arena-based — it
+//! weakly robust (Def. 5.2), so all four are held to the bound; EBR
+//! bounds nothing. VBR is robust per the paper but arena-based — it
 //! does not implement the node-granularity `Smr` trait, so campaigns
-//! cover the six pointer-based schemes ([`SchemeKind::RECLAIMING`]) and
+//! cover the five reclaiming schemes ([`SchemeKind::RECLAIMING`]) and
 //! DESIGN §3.13 records the exclusion.
 
 use era_kv::ShardHealth;

@@ -711,87 +711,6 @@ impl SimScheme for SimNbr {
     }
 }
 
-// ---------------------------------------------------------------------
-// QSBR
-// ---------------------------------------------------------------------
-
-/// Simulated quiescent-state-based reclamation.
-///
-/// Reclamation waits for every thread to pass an application-announced
-/// quiescent point. Data-structure operations never announce one (that
-/// is the application's job — the integration burden that makes QSBR
-/// not easily integrated), so in harness runs that do not call
-/// [`SimQsbr::quiescent_all`] the retired population only grows:
-/// the measured profile is *wide applicability only*.
-#[derive(Debug)]
-pub struct SimQsbr {
-    grace: u64,
-    /// Latest grace period each thread has announced (None = in-op,
-    /// not yet quiescent in the current period).
-    announced: Vec<u64>,
-    retired: Vec<(NodeId, u64)>,
-}
-
-impl SimQsbr {
-    /// Creates the scheme for `threads` threads.
-    pub fn new(threads: usize) -> Self {
-        SimQsbr {
-            grace: 2,
-            announced: vec![u64::MAX; threads],
-            retired: Vec::new(),
-        }
-    }
-
-    fn try_advance_and_collect(&mut self, heap: &mut SimHeap) {
-        if self.announced.iter().all(|&a| a >= self.grace) {
-            self.grace += 1;
-        }
-        let grace = self.grace;
-        let (free, keep): (Vec<_>, Vec<_>) =
-            self.retired.drain(..).partition(|&(_, g)| g + 2 <= grace);
-        for (node, _) in free {
-            heap.reclaim(node, false).expect("retired node reclaimable");
-        }
-        self.retired = keep;
-    }
-
-    /// The application-side quiescent announcement for `tid`.
-    pub fn quiescent(&mut self, heap: &mut SimHeap, tid: ThreadId) {
-        self.announced[tid.0] = self.grace;
-        self.try_advance_and_collect(heap);
-    }
-}
-
-impl SimScheme for SimQsbr {
-    fn name(&self) -> &'static str {
-        "QSBR"
-    }
-
-    fn interface(&self) -> SchemeInterface {
-        // quiescent() calls go wherever the application can prove it
-        // holds no references: an arbitrary code location.
-        SchemeInterface::new("QSBR")
-            .call_site(CallSite::RetireReplacement)
-            .call_site(CallSite::Arbitrary)
-    }
-
-    fn begin_op(&mut self, _heap: &mut SimHeap, tid: ThreadId) {
-        // Entering an operation ends any standing quiescence.
-        self.announced[tid.0] = self.grace.saturating_sub(1);
-    }
-
-    fn end_op(&mut self, _heap: &mut SimHeap, _tid: ThreadId) {
-        // Deliberately empty: only quiescent() says "no references".
-    }
-
-    fn retire(&mut self, heap: &mut SimHeap, _tid: ThreadId, node: NodeId) {
-        heap.retire(node)
-            .expect("plain implementation retires correctly");
-        self.retired.push((node, self.grace));
-        self.try_advance_and_collect(heap);
-    }
-}
-
 /// Constructs every simulated scheme, for experiment sweeps.
 pub fn all_schemes(threads: usize) -> Vec<Box<dyn SimScheme>> {
     vec![
@@ -801,7 +720,6 @@ pub fn all_schemes(threads: usize) -> Vec<Box<dyn SimScheme>> {
         Box::new(SimIbr::new(threads)),
         Box::new(SimVbr::new()),
         Box::new(SimNbr::new(threads, 1)),
-        Box::new(SimQsbr::new(threads)),
         Box::new(SimLeak),
     ]
 }
@@ -824,15 +742,11 @@ mod tests {
     #[test]
     fn static_interfaces_match_paper_classification() {
         let easy = ["EBR", "HP", "HE", "IBR", "Leak"];
-        let rollback_free_but_hard = ["QSBR"];
         for scheme in all_schemes(2) {
             let verdict = check_easy_integration(&scheme.interface());
             if easy.contains(&scheme.name()) {
                 assert!(verdict.is_easy(), "{} should be easy", scheme.name());
                 assert!(!scheme.uses_rollbacks());
-            } else if rollback_free_but_hard.contains(&scheme.name()) {
-                assert!(!verdict.is_easy(), "{} should not be easy", scheme.name());
-                assert!(!scheme.uses_rollbacks(), "{}", scheme.name());
             } else {
                 assert!(!verdict.is_easy(), "{} should not be easy", scheme.name());
                 assert!(scheme.uses_rollbacks());
@@ -1026,31 +940,6 @@ mod tests {
     #[test]
     fn all_schemes_constructor_covers_the_matrix() {
         let names: Vec<&str> = all_schemes(2).iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            vec!["EBR", "HP", "HE", "IBR", "VBR", "NBR", "QSBR", "Leak"]
-        );
-    }
-
-    #[test]
-    fn qsbr_reclaims_only_at_quiescent_points() {
-        let mut heap = SimHeap::new();
-        let mut q = SimQsbr::new(2);
-        q.begin_op(&mut heap, T0);
-        let (_l, n) = alloc_shared(&mut heap, 1);
-        q.retire(&mut heap, T0, n);
-        q.end_op(&mut heap, T0);
-        // No quiescent announcements: nothing is ever reclaimed.
-        for _ in 0..10 {
-            q.begin_op(&mut heap, T0);
-            q.end_op(&mut heap, T0);
-        }
-        assert_eq!(heap.sample().retired, 1);
-        // Both threads announce quiescence repeatedly: it drains.
-        for _ in 0..4 {
-            q.quiescent(&mut heap, T0);
-            q.quiescent(&mut heap, T1);
-        }
-        assert_eq!(heap.sample().retired, 0);
+        assert_eq!(names, vec!["EBR", "HP", "HE", "IBR", "VBR", "NBR", "Leak"]);
     }
 }

@@ -313,11 +313,6 @@ pub fn measured_matrix(rounds: usize) -> EraMatrix {
             rounds,
         ),
         profile(
-            "QSBR",
-            move || Box::new(crate::schemes::SimQsbr::new(threads)) as _,
-            rounds,
-        ),
-        profile(
             "Leak",
             move || Box::new(crate::schemes::SimLeak) as _,
             rounds,
@@ -421,7 +416,7 @@ mod tests {
         let m = measured_matrix(256);
         println!("{m}");
         m.check_theorem().expect("no scheme may beat Theorem 6.1");
-        assert_eq!(m.len(), 8);
+        assert_eq!(m.len(), 7);
         // Every scheme achieved at least... its two expected properties:
         for row in m.rows() {
             assert!(

@@ -717,21 +717,6 @@ pub trait Smr: Send + Sync {
         false
     }
 
-    /// Announces that the calling thread holds **no** references into
-    /// any protected structure right now. A no-op for every scheme
-    /// except QSBR, whose grace periods cannot end without it.
-    ///
-    /// This is deliberately *not* part of the Def. 5.3 easy-integration
-    /// surface: only the application can know its threads are quiescent
-    /// (a data structure calling this on its own would be unsound for
-    /// callers that hold iterators). Service layers such as era-kv call
-    /// it at their operation boundaries, where the facade guarantees
-    /// values are copied out — that call-site knowledge is precisely
-    /// the integration burden QSBR trades for its low overhead.
-    fn quiescent_point(&self, ctx: &mut Self::ThreadCtx) {
-        let _ = ctx;
-    }
-
     /// Footprint counters.
     #[must_use = "stats() is pure observation; discarding the snapshot loses the measurement"]
     fn stats(&self) -> SmrStats;

@@ -11,7 +11,6 @@
 //! | [`he`] | Hazard eras (Ramalhete & Correia) | easy + robust, **not** widely applicable |
 //! | [`ibr`] | Interval-based reclamation (Wen et al., 2GE) | easy + weakly robust, **not** widely applicable |
 //! | [`nbr`] | Neutralization-based reclamation (Singh et al.), cooperative variant | robust + widely applicable, **not** easy |
-//! | [`qsbr`] | Quiescent-state-based reclamation (RCU-style) | widely applicable **only** (quiescent points are arbitrary-location insertions; stalls block reclamation) |
 //! | [`vbr`] | Version-based reclamation (Sheffi et al.), arena variant | robust + widely applicable, **not** easy |
 //! | [`leak`] | No reclamation (baseline) | easy + strongly applicable, unbounded footprint |
 //!
@@ -75,7 +74,6 @@ pub mod hp;
 pub mod ibr;
 pub mod leak;
 pub mod nbr;
-pub mod qsbr;
 pub mod registry;
 pub mod vbr;
 

@@ -28,8 +28,6 @@ use era_obs::SchemeId;
 pub enum SchemeKind {
     /// [`crate::ebr::Ebr`].
     Ebr,
-    /// [`crate::qsbr::Qsbr`].
-    Qsbr,
     /// [`crate::hp::Hp`].
     Hp,
     /// [`crate::he::He`].
@@ -48,9 +46,8 @@ pub enum SchemeKind {
 
 /// `(kind, display name, trace id, class, requires validation)`, in
 /// declaration order.
-const TABLE: [(SchemeKind, &str, SchemeId, RobustnessVerdict, bool); 8] = [
+const TABLE: [(SchemeKind, &str, SchemeId, RobustnessVerdict, bool); 7] = [
     (SchemeKind::Ebr, "EBR", SchemeId::EBR, NotRobust, false),
-    (SchemeKind::Qsbr, "QSBR", SchemeId::QSBR, NotRobust, false),
     (SchemeKind::Hp, "HP", SchemeId::HP, Robust, true),
     (SchemeKind::He, "HE", SchemeId::HE, Robust, true),
     (SchemeKind::Ibr, "IBR", SchemeId::IBR, WeaklyRobust, true),
@@ -60,16 +57,15 @@ const TABLE: [(SchemeKind, &str, SchemeId, RobustnessVerdict, bool); 8] = [
 ];
 
 impl SchemeKind {
-    /// The six reclaiming schemes with an [`Smr`](crate::Smr) impl: what
+    /// The five reclaiming schemes with an [`Smr`](crate::Smr) impl: what
     /// the scenario campaign runs and `--scheme` accepts.
-    pub const RECLAIMING: [SchemeKind; 6] = [
-        Self::Ebr,
-        Self::Qsbr,
-        Self::Hp,
-        Self::He,
-        Self::Ibr,
-        Self::Nbr,
-    ];
+    pub const RECLAIMING: [SchemeKind; 5] = [Self::Ebr, Self::Hp, Self::He, Self::Ibr, Self::Nbr];
+
+    /// The [`SchemeKind::parse`] names, `|`-separated, for usage and
+    /// error text.
+    pub fn cli_names() -> String {
+        Self::RECLAIMING.map(|kind| kind.id().name()).join("|")
+    }
 
     /// Display name for reports (`"EBR"`, …, `"Leak"`).
     pub fn name(self) -> &'static str {
@@ -91,7 +87,7 @@ impl SchemeKind {
     /// link words after a protected load before trusting the protection
     /// (Michael's traversal discipline), and `load` may spin.
     ///
-    /// Schemes protected by operation brackets alone (EBR/QSBR/NBR/leak)
+    /// Schemes protected by operation brackets alone (EBR/NBR/leak)
     /// say `false`, and structures may elide their per-step
     /// re-validation when traversing under them — a validated link is
     /// only a *protection* requirement, never a linearizability one
@@ -106,8 +102,8 @@ impl SchemeKind {
         TABLE.iter().find(|row| row.2 == id).map(|row| row.0)
     }
 
-    /// Parses a lower-case CLI name (`"ebr"`, `"qsbr"`, `"hp"`, `"he"`,
-    /// `"ibr"`, `"nbr"`); only [`SchemeKind::RECLAIMING`] kinds parse.
+    /// Parses a lower-case CLI name (`"ebr"`, `"hp"`, `"he"`, `"ibr"`,
+    /// `"nbr"`); only [`SchemeKind::RECLAIMING`] kinds parse.
     pub fn parse(name: &str) -> Option<SchemeKind> {
         SchemeKind::RECLAIMING
             .into_iter()
@@ -137,10 +133,6 @@ macro_rules! with_scheme {
         match $kind {
             $crate::SchemeKind::Ebr => {
                 let $make = &|threads: usize, _slots: usize| $crate::ebr::Ebr::new(threads);
-                $body
-            }
-            $crate::SchemeKind::Qsbr => {
-                let $make = &|threads: usize, _slots: usize| $crate::qsbr::Qsbr::new(threads);
                 $body
             }
             $crate::SchemeKind::Hp => {
@@ -191,15 +183,17 @@ mod tests {
     fn class_agrees_with_reference_matrix_and_headers() {
         let matrix = reference_matrix();
         for row in matrix.rows() {
-            let kind = kinds().find(|k| k.name() == row.scheme).unwrap();
+            let kind = kinds().find(|k| k.name() == row.scheme);
+            let kind = kind.unwrap_or_else(|| panic!("matrix row {} has no kind", row.scheme));
             assert_eq!(kind.class(), row.robustness, "{}", row.scheme);
         }
-        assert_eq!(matrix.len(), 7, "every kind but QSBR has a matrix row");
-        assert_eq!(SchemeKind::Qsbr.class(), NotRobust);
+        for kind in kinds() {
+            let row = matrix.rows().iter().find(|row| row.scheme == kind.name());
+            assert!(row.is_some(), "{} has no matrix row", kind.name());
+        }
 
         let headers = [
             (SchemeKind::Ebr, include_str!("ebr.rs")),
-            (SchemeKind::Qsbr, include_str!("qsbr.rs")),
             (SchemeKind::Hp, include_str!("hp.rs")),
             (SchemeKind::He, include_str!("he.rs")),
             (SchemeKind::Ibr, include_str!("ibr.rs")),

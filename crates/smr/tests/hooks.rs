@@ -28,9 +28,8 @@ unsafe fn free_node(p: *mut u8) {
 }
 
 /// Attaches a recorder, then drives register → begin_op → load →
-/// end_op → retire → flush on one thread, with the two quiescent points
-/// QSBR's grace period needs before the flush (a no-op elsewhere). Returns
-/// the traced `[BeginOp, EndOp, Retire, Reclaim]` counts, the scheme's
+/// end_op → retire → flush on one thread. Returns the traced
+/// `[BeginOp, EndOp, Retire, Reclaim]` counts, the scheme's
 /// `total_reclaimed` and the nodes freed meanwhile.
 fn drive<S: Smr>(smr: &S) -> ([u64; 4], u64, usize) {
     let freed_before = FREED.load(Ordering::Relaxed);
@@ -49,8 +48,6 @@ fn drive<S: Smr>(smr: &S) -> ([u64; 4], u64, usize) {
     // SAFETY: `node` is unlinked above and retired once; its header
     // lies inside it.
     unsafe { smr.retire(&mut ctx, node as *mut u8, &(*node).0, free_node) };
-    smr.quiescent_point(&mut ctx);
-    smr.quiescent_point(&mut ctx);
     smr.flush(&mut ctx);
     let counts = [Hook::BeginOp, Hook::EndOp, Hook::Retire, Hook::Reclaim]
         .map(|h| recorder.metrics().hook_count(h));
@@ -77,7 +74,6 @@ fn every_scheme_traces_each_hook_once_per_call() {
     // nothing until it drops.
     let rows = [
         (SchemeKind::Ebr, 1, 1),
-        (SchemeKind::Qsbr, 1, 1),
         (SchemeKind::Hp, 1, 1),
         (SchemeKind::He, 1, 1),
         (SchemeKind::Ibr, 1, 1),

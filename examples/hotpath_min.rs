@@ -46,6 +46,7 @@
 //! Run with: `cargo run --release --example hotpath_min`
 
 use std::hint::black_box;
+use std::io::{ErrorKind, Write};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Barrier;
 use std::time::Instant;
@@ -67,6 +68,21 @@ const OPS_PER_REP: usize = 100_000;
 const REPS: usize = 31;
 const EMITS_PER_REP: usize = 1 << 20;
 const WRITES_PER_REP: usize = 1 << 16;
+
+/// `println!` that takes a closed stdout (`hotpath_min | head`) as the
+/// end of the output: the run stops there and exits 0.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        print_row(format_args!($($arg)*))
+    };
+}
+
+fn print_row(row: std::fmt::Arguments<'_>) {
+    match writeln!(std::io::stdout(), "{row}") {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.expect("failed printing to stdout"),
+    }
+}
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -90,7 +106,7 @@ fn measure(name: &str, lo: i64, span: i64, mut op: impl FnMut(i64) -> bool) {
         times.push(start.elapsed().as_secs_f64() * 1e9 / OPS_PER_REP as f64);
     }
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    println!(
+    out!(
         "{name}: min {:.1} ns/op  p25 {:.1}  median {:.1}  (sink {sink})",
         times[0],
         times[REPS / 4],
@@ -140,17 +156,17 @@ fn bench_emit() {
         flight.poll();
         emit_burst(|i| owner.emit(Hook::Retire, i, 0))
     });
-    println!("emit 1 thread : min {alone:.1} ns/emit");
-    println!(
+    out!("emit 1 thread : min {alone:.1} ns/emit");
+    out!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
     );
-    println!(
+    out!(
         "emit + owner pack, amortised (Hook::Retire, flight-held recorder): \
          min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row)",
         packing - alone
     );
-    println!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
+    out!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
 }
 
 /// Min-of-reps ns per HP operation on a stable word: `begin_op`, two
@@ -175,7 +191,7 @@ fn bench_hp_op() {
             start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
         })
         .fold(f64::INFINITY, f64::min);
-    println!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
+    out!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
 }
 
 /// Fills two rings with a ring's worth of what an EBR shard under
@@ -220,7 +236,7 @@ fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
             start.elapsed().as_secs_f64() * 1e9
         })
         .fold(f64::INFINITY, f64::min);
-    println!(
+    out!(
         "flight poll, {name}: min {best:.0} ns/poll ({:.2} ns per taken event, \
          {:.2} B per retained event)",
         best / DEFAULT_RING_CAPACITY as f64,
@@ -264,8 +280,8 @@ fn bench_kv_write() {
             })
         })
         .fold(f64::INFINITY, f64::min);
-    println!("kv write 1 thread : min {alone:.1} ns/op");
-    println!(
+    out!("kv write 1 thread : min {alone:.1} ns/op");
+    out!(
         "kv write 2 threads: min {together:.1} ns/op  ({:.2}x the 1-thread row)",
         together / alone
     );
@@ -290,7 +306,7 @@ fn bench_load<S: Smr>(name: &str, smr: &S) {
         })
         .fold(f64::INFINITY, f64::min);
     smr.end_op(&mut ctx);
-    println!("{name} load: min {best:.1} ns/load");
+    out!("{name} load: min {best:.1} ns/load");
 }
 
 fn bench_michael<S: Smr>(name: &str, smr: &S, key_range: i64) {
@@ -313,10 +329,10 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 }
 
 fn main() {
-    println!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
+    out!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
     bench_emit();
     bench_hp_op();
-    println!(
+    out!(
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
          one {DEFAULT_RING_CAPACITY}-event ring's worth of chunks to take)"
     );
@@ -327,15 +343,15 @@ fn main() {
     bench_flight_poll("ebr churn", &recorder, || {
         fill_churn(&recorder, &mut worker, &mut service, &mut rng)
     });
-    println!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
+    out!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
     bench_kv_write();
-    println!("-- smr load (one protected load of a stable word, recorder attached)");
+    out!("-- smr load (one protected load of a stable word, recorder attached)");
     bench_load("hp ", &Hp::new(2, 3));
     bench_load("he ", &He::new(2, 3));
     bench_load("ibr", &Ibr::new(2));
     bench_load("ebr", &Ebr::new(2));
     for kr in [16i64, 32, 64, 128, 1024] {
-        println!("-- key_range {kr}");
+        out!("-- key_range {kr}");
         bench_michael("michael+ebr ", &Ebr::new(2), kr);
         // Acceptance probe for era-chaos: an empty-plan ChaosSmr is one
         // relaxed increment + one load per begin_op, so this row must

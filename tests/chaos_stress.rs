@@ -9,7 +9,7 @@
 //! (garbage adopted and reclaimed while a survivor still held it
 //! protected) trips a deterministic assertion instead of a segfault.
 //! Robustness is checked on the schemes the paper classes as robust
-//! under live threads (EBR/QSBR/IBR with everyone advancing, NBR via
+//! under live threads (EBR/IBR with everyone advancing, NBR via
 //! its restart protocol): `retired_peak` must stay inside a
 //! navigator-style hard budget even with dead contexts orphaning
 //! garbage mid-run.
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use era::chaos::{ChaosSmr, FaultAction, FaultPlan};
 use era::obs::{FlightDump, FlightRecorder, Hook, Recorder};
 use era::smr::common::{Smr, SmrHeader};
-use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr};
+use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
 
 const CANARY: u64 = 0xA11A_C0DE_CAFE_F00D;
 const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -147,7 +147,6 @@ where
                         smr.retire(&mut ctx, old as *mut u8, &(*old_node).header, poison_node);
                     }
                     smr.end_op(&mut ctx);
-                    smr.quiescent_point(&mut ctx);
                 }
                 for _ in 0..4 {
                     smr.flush(&mut ctx);
@@ -177,7 +176,6 @@ where
                         );
                     }
                     smr.end_op(&mut ctx);
-                    smr.quiescent_point(&mut ctx);
                 }
             });
         }
@@ -191,7 +189,6 @@ where
     for _ in 0..64 {
         smr.begin_op(&mut main_ctx);
         smr.end_op(&mut main_ctx);
-        smr.quiescent_point(&mut main_ctx);
         smr.flush(&mut main_ctx);
     }
     // The clean-exit dump must replay: every injected death shows up
@@ -243,16 +240,6 @@ fn assert_recovered(st: &era::smr::SmrStats, scheme: &str) {
 fn ebr_survives_chaos_with_bounded_footprint() {
     let st = hammer("ebr", Ebr::with_threshold(CAPACITY, THRESHOLD));
     assert_recovered(&st, "EBR");
-}
-
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-)]
-fn qsbr_survives_chaos_with_bounded_footprint() {
-    let st = hammer("qsbr", Qsbr::with_threshold(CAPACITY, THRESHOLD));
-    assert_recovered(&st, "QSBR");
 }
 
 #[test]

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use era::ds::MichaelMap;
 use era::smr::common::{Smr, SmrHeader};
-use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, qsbr::Qsbr, vbr};
+use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, vbr};
 use era::smr::{with_scheme, SchemeKind};
 
 /// Begin an op, load through a protected slot, then drop the context
@@ -79,31 +79,6 @@ fn nbr_recovers_after_a_thread_dies_pinned() {
     die_pinned(&smr);
     let (_, now) = churn_and_drain(&smr, 2_000);
     assert_eq!(now, 0, "dead thread counts as quiescent for neutralization");
-}
-
-#[test]
-fn qsbr_recovers_after_a_thread_dies_pinned() {
-    let smr = Qsbr::with_threshold(4, 8);
-    die_pinned(&smr);
-    // QSBR still needs the LIVE thread to announce quiescence.
-    let list = MichaelMap::new(&smr);
-    let mut ctx = smr.register().expect("slot");
-    for k in 0..500i64 {
-        assert_eq!(list.insert_if_absent(&mut ctx, k % 31, 0), None);
-        assert_eq!(list.remove(&mut ctx, k % 31), Some(0));
-        if k % 16 == 0 {
-            smr.quiescent(&mut ctx);
-        }
-    }
-    for _ in 0..4 {
-        smr.quiescent(&mut ctx);
-        smr.flush(&mut ctx);
-    }
-    assert_eq!(
-        smr.stats().retired_now,
-        0,
-        "a departed thread is permanently quiescent"
-    );
 }
 
 #[test]
@@ -183,7 +158,6 @@ fn orphaned_garbage_is_adopted_not_leaked() {
                 }
                 smr.begin_op(&mut survivor);
                 smr.end_op(&mut survivor);
-                smr.quiescent_point(&mut survivor);
                 smr.flush(&mut survivor);
             }
             let st = smr.stats();
@@ -277,32 +251,6 @@ fn repeated_deaths_do_not_erode_capacity() {
     sixteen_sequential_deaths(&He::with_params(2, 3, 8, 4), true);
     sixteen_sequential_deaths(&Ibr::with_params(2, 8, 4), true);
     sixteen_sequential_deaths(&Nbr::with_threshold(2, 2, 8), true);
-}
-
-#[test]
-fn qsbr_repeated_deaths_do_not_erode_capacity() {
-    // QSBR's drain needs explicit quiescence announcements from the
-    // survivor, so it gets its own churn loop.
-    let smr = Qsbr::with_threshold(2, 8);
-    for _ in 0..16 {
-        die_pinned(&smr);
-    }
-    let a = smr.register().expect("slot after 16 deaths");
-    let b = smr.register().expect("second slot after 16 deaths");
-    assert!(smr.register().is_err(), "capacity grew past 2");
-    drop((a, b));
-    let list = MichaelMap::new(&smr);
-    let mut ctx = smr.register().unwrap();
-    for k in 0..500i64 {
-        assert_eq!(list.insert_if_absent(&mut ctx, k % 31, 0), None);
-        assert_eq!(list.remove(&mut ctx, k % 31), Some(0));
-        smr.quiescent(&mut ctx);
-    }
-    for _ in 0..4 {
-        smr.quiescent(&mut ctx);
-        smr.flush(&mut ctx);
-    }
-    assert_eq!(smr.stats().retired_now, 0, "{}", smr.stats());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Seeded interleaving stress for the store's maintenance surfaces:
-//! `maintain` (idle-thread quiescent pass), `heal` (context
+//! `maintain` (idle-thread flush pass), `heal` (context
 //! swap-and-adopt after a death or neutralization), and `drain`
 //! (shutdown) all racing against live churn on one shard.
 //!
@@ -16,7 +16,6 @@ use era::kv::{KvConfig, KvStore};
 use era::smr::common::{Smr, SmrStats};
 use era::smr::ebr::Ebr;
 use era::smr::hp::Hp;
-use era::smr::qsbr::Qsbr;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,12 +115,6 @@ fn stress<S: Smr>(schemes: &[S], seed: u64) {
 fn maintain_heal_drain_race_ebr() {
     let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(8)).collect();
     stress(&schemes, 0xAB5E_0001);
-}
-
-#[test]
-fn maintain_heal_drain_race_qsbr() {
-    let schemes: Vec<Qsbr> = (0..2).map(|_| Qsbr::new(8)).collect();
-    stress(&schemes, 0xAB5E_0002);
 }
 
 #[test]

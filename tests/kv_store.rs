@@ -11,7 +11,6 @@ use era::kv::{KvConfig, KvError, KvStore};
 use era::obs::DEFAULT_RING_CAPACITY;
 use era::smr::common::Smr;
 use era::smr::ebr::Ebr;
-use era::smr::qsbr::Qsbr;
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
 use era_scenarios::{PhaseSpec, ScenarioSpec};
 use proptest::prelude::*;
@@ -75,7 +74,7 @@ proptest! {
     #[test]
     fn keys_land_on_their_routed_shard(raw in prop::collection::vec(-500i64..500, 1..40)) {
         let keys: std::collections::BTreeSet<i64> = raw.into_iter().collect();
-        let schemes: Vec<Qsbr> = (0..3).map(|_| Qsbr::new(2)).collect();
+        let schemes: Vec<Ebr> = (0..3).map(|_| Ebr::new(2)).collect();
         let store = KvStore::new(&schemes, KvConfig::default());
         let mut ctx = store.register().unwrap();
         for &k in &keys {
@@ -188,19 +187,6 @@ fn navigator_bounds_footprint_under_stalled_reader() {
         "navigator must bound the stalled shard's footprint: \
          on={on_peak} off={off_peak}"
     );
-}
-
-/// QSBR integrates into the store through `quiescent_point` alone, and
-/// the navigator's neutralization (announcing on the victim's behalf)
-/// bounds it the same way.
-#[test]
-fn navigator_bounds_qsbr_too() {
-    let spec = stall_spec(11, 9_000, 8_000, true);
-    let schemes: Vec<Qsbr> = (0..2).map(|_| Qsbr::new(scheme_capacity(&spec))).collect();
-    let store = KvStore::new(&schemes, kv_config(&spec, DEFAULT_RING_CAPACITY));
-    let outcome = run_scenario(&store, &spec, &RunOptions::default());
-    assert!(outcome.neutralizations >= 1, "{outcome:?}");
-    assert!(outcome.phases[0].restarts >= 1, "{outcome:?}");
 }
 
 /// A neutralized direct client observes exactly one restart signal, at

@@ -1,7 +1,7 @@
 //! Ordering-downgrade regression net: multi-thread protect / retire /
 //! reclaim hammering for every scheme whose memory orderings were
 //! relaxed from blanket `SeqCst` to `Acquire`/`Release`/`Relaxed` +
-//! explicit fences (EBR, QSBR, HP, HE, IBR).
+//! explicit fences (EBR, HP, HE, IBR).
 //!
 //! The harness publishes nodes through a small array of shared slots.
 //! Writers swap fresh nodes in and retire the displaced ones; readers
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use era::obs::{FlightDump, FlightRecorder, Hook, Recorder};
 use era::smr::common::{Smr, SmrHeader};
-use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, qsbr::Qsbr};
+use era::smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr};
 
 /// Value a live node's canary holds from allocation to reclamation.
 const CANARY: u64 = 0xA11A_C0DE_CAFE_F00D;
@@ -114,7 +114,6 @@ fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
                         smr.retire(&mut ctx, old as *mut u8, &(*old_node).header, poison_node);
                     }
                     smr.end_op(&mut ctx);
-                    smr.quiescent_point(&mut ctx);
                 }
                 for _ in 0..4 {
                     smr.flush(&mut ctx);
@@ -140,7 +139,6 @@ fn hammer<S: Smr + Sync>(label: &str, smr: &S) -> era::smr::SmrStats {
                         "use-after-free: protected node was reclaimed under a reader"
                     );
                     smr.end_op(&mut ctx);
-                    smr.quiescent_point(&mut ctx);
                 }
             });
         }
@@ -229,20 +227,6 @@ fn ebr_protect_retire_reclaim() {
         hammer(
             "ebr",
             &Ebr::with_threshold(WRITERS + READERS + 1, THRESHOLD),
-        )
-    });
-}
-
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "spawns OS threads / reads wall-clock; run natively (EXPERIMENTS E11)"
-)]
-fn qsbr_protect_retire_reclaim() {
-    assert_bounded_peak_with_retry("QSBR", || {
-        hammer(
-            "qsbr",
-            &Qsbr::with_threshold(WRITERS + READERS + 1, THRESHOLD),
         )
     });
 }

@@ -104,14 +104,6 @@ fn figure2_separates_protect_based_from_the_rest() {
                 assert!(out.rollbacks > 0, "{name} survives via rollbacks");
                 assert!(out.t1_completed, "{name}");
             }
-            "QSBR" => {
-                // No quiescent announcements in the schedule: nothing is
-                // reclaimed, so nothing can go wrong — the footprint is
-                // the casualty, not safety.
-                assert!(out.safe(), "{name}: {out}");
-                assert!(!out.node43_reclaimed, "{name}");
-                assert!(out.t1_completed, "{name}");
-            }
             other => panic!("unexpected scheme {other}"),
         }
     }
@@ -141,16 +133,6 @@ fn measured_and_reference_matrices_respect_theorem_6_1() {
                 assert!(!row.easy_integration);
                 assert!(row.robustness.is_weakly_robust());
                 assert!(row.applicability.is_wide());
-            }
-            "QSBR" => {
-                // Only ONE property: the theorem is an upper bound.
-                assert!(
-                    !row.easy_integration,
-                    "quiescent points are arbitrary insertions"
-                );
-                assert!(!row.robustness.is_weakly_robust());
-                assert!(row.applicability.is_wide());
-                assert_eq!(row.property_count(), 1);
             }
             other => panic!("unexpected scheme {other}"),
         }
