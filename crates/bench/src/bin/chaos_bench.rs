@@ -30,7 +30,7 @@ use era_chaos::{ChaosArena, ChaosSmr, FaultPlan};
 use era_obs::report::{write_jsonl, JsonObject};
 use era_obs::{DumpStats, FlightRecorder, Hook, Recorder};
 use era_smr::common::{Smr, SmrHeader, SmrStats};
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr};
+use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr, leak::Leak, nbr::Nbr, SchemeKind};
 
 struct Options {
     seed: u64,
@@ -65,6 +65,20 @@ fn parse_options() -> Options {
                 std::process::exit(2);
             }
         }
+    }
+    // Every registry kind runs here, VBR and Leak included.
+    let names: Vec<_> = SchemeKind::RECLAIMING
+        .into_iter()
+        .chain([SchemeKind::Vbr, SchemeKind::Leak])
+        .map(|kind| kind.id().name())
+        .collect();
+    if opts.scheme != "all" && !names.contains(&opts.scheme.as_str()) {
+        eprintln!(
+            "unknown --scheme {} (use all|{})",
+            opts.scheme,
+            names.join("|")
+        );
+        std::process::exit(2);
     }
     opts
 }
@@ -320,13 +334,6 @@ fn main() {
     }
     if want("vbr") {
         records.push(run_vbr(&opts, &flight));
-    }
-    if records.is_empty() {
-        eprintln!(
-            "unknown --scheme {} (use all|ebr|hp|he|ibr|nbr|vbr|leak)",
-            opts.scheme
-        );
-        std::process::exit(2);
     }
 
     let mut table = Table::new(

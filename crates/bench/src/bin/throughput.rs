@@ -1,6 +1,6 @@
 //! Experiment E5 — **throughput scalability** of every (structure ×
 //! scheme) pair, the standard SMR evaluation shape of the works the
-//! paper surveys (IBR [45], NBR [39], VBR [37]).
+//! paper surveys (IBR \[45\], NBR \[39\], VBR \[37\]).
 //!
 //! Prints Mops/s for Michael's list (all pointer-based schemes),
 //! Harris's list (EBR/NBR/Leak — the type system excludes the rest) and

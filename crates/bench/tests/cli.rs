@@ -1,6 +1,7 @@
 //! The experiment binaries as processes: a malformed number, a value
 //! out of range or an unknown argument exits 2 naming its flag or
-//! position instead of running with a default,
+//! position instead of running with a default, and an unknown
+//! `chaos_bench --scheme` before anything is printed,
 //! `figure1` labels each trajectory row with the round it shows, and
 //! the checked-in artifacts are gates: `chaos_bench` at its defaults
 //! reproduces `BENCH_chaos_baseline.json` (E10), and `figure1 50` and
@@ -63,6 +64,17 @@ fn malformed_numbers_exit_2_naming_the_flag_or_position() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(what), "{bin} {args:?}: {stderr}");
     }
+}
+
+/// `qsbr` is no registry kind: refused before the E10 banner.
+#[test]
+#[cfg_attr(miri, ignore = "spawns processes")]
+fn chaos_bench_refuses_an_unknown_scheme_before_printing() {
+    let out = run(env!("CARGO_BIN_EXE_chaos_bench"), &["--scheme", "qsbr"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown --scheme qsbr"), "{stderr}");
 }
 
 #[test]

@@ -25,8 +25,8 @@
 //!
 //! Injections go through the schemes' **public surface only**, so a
 //! chaos run exercises exactly the guarantees production code relies
-//! on: slot release on death, orphan adoption ([`Hook::Adopt`]
-//! (era_obs::Hook)), bounded footprint under stalls. Fired faults are
+//! on: slot release on death, orphan adoption
+//! ([`Hook::Adopt`](era_obs::Hook)), bounded footprint under stalls. Fired faults are
 //! logged ([`ChaosSmr::fault_log`]) and emitted as
 //! [`Hook::Fault`](era_obs::Hook) events under [`CHAOS_THREAD`].
 

@@ -7,7 +7,7 @@
 //! implementation's progress guarantee. It is **strongly applicable**
 //! when applicable to *every* plain implementation (EBR, Appendix A) and
 //! **widely applicable** when applicable to every *access-aware*
-//! implementation — the class of Singh et al. [39]: implementations
+//! implementation — the class of Singh et al. \[39\]: implementations
 //! divisible into alternating read-only and write phases obeying the
 //! permitted-pointer discipline formalized in Appendix C and implemented
 //! here by [`AccessAwareChecker`].

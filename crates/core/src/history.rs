@@ -256,7 +256,7 @@ impl History {
     /// An operation is *complete* when its matching response is present;
     /// a history is complete when all operations are (§3).
     ///
-    /// With nesting (§3, well-formed histories after [4]) matching is
+    /// With nesting (§3, well-formed histories after \[4\]) matching is
     /// per `⟨T,O⟩`: within each such projection events must alternate
     /// invoke/response, so completeness is simply "no projection ends on
     /// an un-responded invocation".

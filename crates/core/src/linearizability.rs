@@ -1,4 +1,4 @@
-//! Linearizability checking (§3, Herlihy & Wing [25]).
+//! Linearizability checking (§3, Herlihy & Wing \[25\]).
 //!
 //! A complete history `H` is linearizable if it is well-formed and, for
 //! every object `O`, the object's sequential specification contains a

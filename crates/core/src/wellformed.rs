@@ -1,4 +1,4 @@
-//! Extended well-formedness of histories (§3, following Attiya et al. [4]).
+//! Extended well-formedness of histories (§3, following Attiya et al. \[4\]).
 //!
 //! The classical definition of well-formed histories assumes each thread
 //! alternates invocations and *immediately* matching responses. That is

@@ -1,4 +1,4 @@
-//! Harris's lock-free linked list [19] — Algorithm 1 of the paper.
+//! Harris's lock-free linked list \[19\] — Algorithm 1 of the paper.
 //!
 //! The defining behaviour (and the crux of the ERA theorem): the
 //! `search` traversal does **not** stop at marked nodes — it walks

@@ -55,9 +55,9 @@ pub struct KvConfig {
     /// ([`era_obs::DEFAULT_RING_CAPACITY`]) holds a few hundred
     /// milliseconds of traced traffic; soak-length scenario runs raise
     /// it so the flight recorder's retained window is not all
-    /// `trace_dropped`. A ring costs 24 B × capacity, committed as its
-    /// events are written, and each thread registered on a shard has
-    /// one.
+    /// `trace_dropped`. A ring commits the pages its writer has
+    /// touched: at most 24 B × capacity, and a page or two for a ring
+    /// that never records. Each thread registered on a shard has one.
     pub ring_capacity: usize,
 }
 

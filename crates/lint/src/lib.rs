@@ -72,7 +72,7 @@ pub struct CheckReport {
 }
 
 /// Recursively collects `.rs` files under `root`, skipping
-/// [`SKIP_DIRS`]. A `root` that is itself a file is returned as-is.
+/// `SKIP_DIRS`. A `root` that is itself a file is returned as-is.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     if root.is_file() {

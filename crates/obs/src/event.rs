@@ -286,17 +286,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// A zeroed placeholder (what empty ring slots hold).
-    pub const EMPTY: Event = Event {
-        ts: 0,
-        a: 0,
-        b: 0,
-        thread: 0,
-        scheme: 0,
-        hook: 0,
-        _pad: 0,
-    };
-
     /// Builds an event; `ts` is filled in by the tracer.
     pub fn new(thread: u16, scheme: SchemeId, hook: Hook, a: u64, b: u64) -> Event {
         Event {

@@ -11,7 +11,7 @@
 //!   slot (the ring holds the thread and scheme once; a drain restores
 //!   the 32-byte [`Event`]). A push is five stores to words only that
 //!   thread writes — no allocation, no locks, no cross-thread
-//!   contention — and a ring commits memory only as it fills.
+//!   contention — and a ring commits only the pages its writer has touched.
 //! - **Global logical clock**: protocol events (reclaim, advance, … —
 //!   [`Hook::advances_clock`]) draw a timestamp with one `fetch_add(1)`;
 //!   `Reserve` and `Retire` only *read* it, so operations and retires

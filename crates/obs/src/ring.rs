@@ -43,12 +43,15 @@
 //! snapshot copies the unpacked rest with the drainer's torn check, and
 //! consumes nothing.
 //!
-//! Slots are allocated zeroed at an alignment of 8, which the system
-//! allocator serves with `calloc`: a ring commits its pages as the
-//! writer first touches them, so a ring that records a few events
-//! costs a page, not `24 × capacity` bytes.
+//! Slots are allocated uninitialised, so the allocator zero-fills
+//! nothing: a ring commits the pages its writer has touched, at most
+//! `24 × capacity` bytes, and a ring that never records costs a page
+//! or two. The writer initialises a slot on the ring's first lap and
+//! stores into it on every later one; nothing reads a position at or
+//! past `head`, so no slot is read before it is written.
 
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::dump::{pack_event, Bases};
@@ -94,7 +97,9 @@ pub struct Ring {
     tail: AtomicU64,
     /// Events overwritten or torn before the drainer could copy them.
     dropped: AtomicU64,
-    slots: Box<[Slot]>,
+    /// Position `p` lives in slot `p & mask`. Slot `i` is initialised
+    /// once position `i`, on the first lap, has been pushed.
+    slots: Box<[MaybeUninit<Slot>]>,
 }
 
 impl Ring {
@@ -109,9 +114,7 @@ impl Ring {
     /// (rounded up to a power of two, minimum 8).
     pub(crate) fn with_owner(capacity: usize, thread: u16, scheme: SchemeId, order: u64) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
-        // SAFETY: an all-zero `AtomicU64` is a valid 0 (it has the
-        // in-memory representation of a `u64`).
-        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(cap).assume_init() };
+        let slots = Box::new_uninit_slice(cap);
         Ring {
             head: AtomicU64::new(0),
             mask: (cap - 1) as u64,
@@ -190,14 +193,29 @@ impl Ring {
         // odd one, and discards the slot.
         self.head.store(head + 1, Ordering::Release);
         fence(Ordering::Release);
-        let slot = &self.slots[((head >> 1) & self.mask) as usize];
-        // SAFETY(ordering): Relaxed — the words publish through the head
-        // stores around them (ring-publish), never on their own.
-        slot[0].store(ts << 8 | u64::from(hook), Ordering::Relaxed);
-        // SAFETY(ordering): Relaxed, as above.
-        slot[1].store(a, Ordering::Relaxed);
-        // SAFETY(ordering): Relaxed, as above.
-        slot[2].store(b, Ordering::Relaxed);
+        let pos = head >> 1;
+        let slot = &self.slots[(pos & self.mask) as usize];
+        let word = ts << 8 | u64::from(hook);
+        if pos <= self.mask {
+            let words = [AtomicU64::new(word), AtomicU64::new(a), AtomicU64::new(b)];
+            // SAFETY: the ring's first lap, so this slot has never been
+            // written and no thread reads it: a reader reads positions
+            // below the head it loaded, and this is the only position
+            // in the slot that is at most `pos`. The slot's atomics make
+            // it interior-mutable, so writing through `&self` is allowed,
+            // and the even head store below publishes the write.
+            unsafe { slot.as_ptr().cast_mut().write(words) };
+        } else {
+            // SAFETY: the first lap initialised every slot.
+            let slot = unsafe { slot.assume_init_ref() };
+            // SAFETY(ordering): Relaxed — the words publish through the
+            // head stores around them (ring-publish), never on their own.
+            slot[0].store(word, Ordering::Relaxed);
+            // SAFETY(ordering): Relaxed, as above.
+            slot[1].store(a, Ordering::Relaxed);
+            // SAFETY(ordering): Relaxed, as above.
+            slot[2].store(b, Ordering::Relaxed);
+        }
         // SAFETY(ordering): Release — the even head publishes the three
         // words to a drainer's Acquire head load.
         self.head.store(head + 2, Ordering::Release);
@@ -206,9 +224,11 @@ impl Ring {
         (head + 2) & self.mask == 0
     }
 
-    /// The event at position `pos`, as its slot holds it now.
+    /// The event at position `pos`, as its slot holds it now. `pos`
+    /// must be below a head the caller has loaded.
     fn event(&self, pos: u64) -> Event {
-        let [word, a, b] = &self.slots[(pos & self.mask) as usize];
+        // SAFETY: `pos` has been pushed, so its slot was initialised.
+        let [word, a, b] = unsafe { self.slots[(pos & self.mask) as usize].assume_init_ref() };
         // SAFETY(ordering): Relaxed — the head loads around a copy
         // order it (ring-publish), and the owner reads its own stores.
         let word = word.load(Ordering::Relaxed);

@@ -1,4 +1,4 @@
-//! Small-step interpreter for Michael's lock-free linked list [30] —
+//! Small-step interpreter for Michael's lock-free linked list \[30\] —
 //! the modification of Harris's list "originally designated to fit HP"
 //! (§6).
 //!

@@ -1,4 +1,4 @@
-//! Epoch-based reclamation (EBR) — Fraser [16], Harris [19], Brown [8].
+//! Epoch-based reclamation (EBR) — Fraser \[16\], Harris \[19\], Brown \[8\].
 //!
 //! The scheme the paper proves *strongly applicable* (Appendix A) and
 //! uses as the canonical easily-integrated scheme (§5.2): the execution
@@ -15,7 +15,7 @@
 //!
 //! # Hot-path engineering
 //!
-//! The announce path is amortized DEBRA-style (Brown [8]): `end_op`
+//! The announce path is amortized DEBRA-style (Brown \[8\]): `end_op`
 //! leaves the announcement *standing* while it still matches the global
 //! epoch, and `begin_op` takes a fence-free fast path when it finds its
 //! own standing announcement current. This is sound because the
@@ -338,7 +338,7 @@ impl Smr for Ebr {
     }
 
     /// Force-unpins slot `slot`: its announcement is overwritten with
-    /// [`QUIESCENT`], so the epoch can advance past it. The victim
+    /// `QUIESCENT`, so the epoch can advance past it. The victim
     /// learns about it on its next [`Smr::needs_restart`] poll.
     /// # Safety
     /// The caller (watchdog) must ensure the victim thread observes its

@@ -1,4 +1,4 @@
-//! Hazard eras (HE) — Ramalhete & Correia [36].
+//! Hazard eras (HE) — Ramalhete & Correia \[36\].
 //!
 //! HE replaces HP's per-pointer addresses with per-pointer *eras*: a
 //! global era clock advances as nodes are allocated and retired; every

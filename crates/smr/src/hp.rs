@@ -1,4 +1,4 @@
-//! Hazard pointers (HP) — Michael [32].
+//! Hazard pointers (HP) — Michael \[32\].
 //!
 //! Each thread owns `k` single-writer *hazard* slots. A protected load
 //! publishes the target address in a slot and re-reads the source word;
@@ -245,7 +245,7 @@ impl Smr for Hp {
     /// protection of the source, so no fence and no re-read are needed.
     /// See [`Smr::protect_alias`] for the contract (in particular
     /// `dst_slot > src_slot`, which the ascending-index scan order in
-    /// [`HpInner::hazard_snapshot`] turns into a visibility guarantee).
+    /// `HpInner::hazard_snapshot` turns into a visibility guarantee).
     fn protect_alias(&self, ctx: &mut HpCtx, dst_slot: usize, src_slot: usize, word: usize) {
         assert!(dst_slot < self.inner.k, "hazard slot out of range");
         debug_assert!(

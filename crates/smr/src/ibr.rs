@@ -1,4 +1,4 @@
-//! Interval-based reclamation (IBR) — Wen et al. [45], the 2GE
+//! Interval-based reclamation (IBR) — Wen et al. \[45\], the 2GE
 //! (two-global-epoch, tagged) variant.
 //!
 //! Each thread reserves an *interval* of eras `[lower, upper]` instead

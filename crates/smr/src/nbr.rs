@@ -1,5 +1,5 @@
 //! Neutralization-based reclamation (NBR) — Singh, Brown & Mashtizadeh
-//! [39], **cooperative variant**.
+//! \[39\], **cooperative variant**.
 //!
 //! Real NBR divides every operation into read-only and write phases
 //! (the access-aware discipline of Appendix C), lets read phases run

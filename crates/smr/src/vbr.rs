@@ -1,4 +1,4 @@
-//! Version-based reclamation (VBR) — Sheffi, Herlihy & Petrank [37],
+//! Version-based reclamation (VBR) — Sheffi, Herlihy & Petrank \[37\],
 //! arena variant.
 //!
 //! VBR is fully optimistic: nodes are reclaimed (returned to a

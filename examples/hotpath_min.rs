@@ -8,7 +8,13 @@
 //! probe (built identically on both sides, run interleaved A/B) to
 //! attribute throughput deltas to the scheme hot paths.
 //!
-//! The first two rows time the tracing substrate itself: one recorded
+//! The first row is what the tracing substrate costs in memory before
+//! it records anything: the resident set a freshly created ring adds
+//! (`VmRSS`, Linux only), averaged over 64 tracers that never emit. Its
+//! slots are allocated uninitialised, so it commits a page or two, not
+//! the 96 KiB of a zero-filled ring of the default capacity.
+//!
+//! The next two rows time the tracing substrate itself: one recorded
 //! `ThreadTracer::emit(Hook::Retire)` with one tracer running alone,
 //! and with two tracers of the *same* recorder emitting concurrently.
 //! A reading hook's emit writes only thread-private lines (DESIGN
@@ -121,6 +127,34 @@ fn emit_burst(mut emit: impl FnMut(u64)) -> f64 {
         emit(i as u64);
     }
     start.elapsed().as_secs_f64() * 1e9 / EMITS_PER_REP as f64
+}
+
+/// This process's resident set in KB, if `/proc/self/status` says.
+fn vm_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The resident KB each of 64 freshly created tracers' rings adds
+/// before it records anything. Run first, while the heap has no freed
+/// (already committed) memory for the rings to reuse.
+fn bench_ring_commit() {
+    const TRACERS: u16 = 64;
+    let Some(before) = vm_rss_kb() else {
+        return;
+    };
+    let recorder = Recorder::new(usize::from(TRACERS));
+    let tracers: Vec<_> = (0..TRACERS)
+        .map(|thread| recorder.tracer(thread, SchemeId::NONE))
+        .collect();
+    let after = vm_rss_kb().unwrap_or(before);
+    out!(
+        "ring commit: {:.1} KB VmRSS per fresh, never-written ring \
+         ({TRACERS} tracers, {DEFAULT_RING_CAPACITY} events each)",
+        after.saturating_sub(before) as f64 / f64::from(TRACERS)
+    );
+    drop(tracers);
 }
 
 /// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
@@ -330,6 +364,7 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 
 fn main() {
     out!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
+    bench_ring_commit();
     bench_emit();
     bench_hp_op();
     out!(
