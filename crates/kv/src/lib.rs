@@ -15,9 +15,11 @@
 //!   independent reclaimer domains mean a stalled reader pins exactly
 //!   one shard's garbage, turning the theorem's worst case from a
 //!   whole-service outage into a per-shard incident.
-//! * [`ShardHealth`] + [`KvStore::navigator_tick`] — the navigator. A
-//!   watchdog polls each shard's always-on footprint metrics against
-//!   configured budgets ([`KvConfig::retired_soft`] /
+//! * [`ShardHealth`] + [`KvStore::navigator_tick`] — the navigator.
+//!   Each tick (one ticker at a time; the serving workers step it
+//!   every few hundred writes they answer, the scenario driver from
+//!   a ticking thread) reads each shard's always-on footprint metrics
+//!   against configured budgets ([`KvConfig::retired_soft`] /
 //!   [`KvConfig::retired_hard`]) and walks a three-state machine:
 //!   `Robust` (native behaviour) → `Degrading` (admission control
 //!   sheds writes with [`KvError::Overloaded`]: robustness bought by

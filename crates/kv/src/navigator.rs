@@ -31,6 +31,7 @@
 //! fact.
 
 use std::sync::atomic::Ordering;
+use std::sync::TryLockError;
 
 use era_obs::Hook;
 use era_smr::Smr;
@@ -98,10 +99,13 @@ impl std::fmt::Display for ShardHealth {
 /// (the first attempt fires on entry). Retrying matters because a
 /// neutralized-and-restarted reader that stalls again re-pins the
 /// shard; the budget is re-enforced each time it is re-crossed. The
-/// interval bounds the sawtooth amplitude — garbage accrued between
-/// attempts is `retire_rate × interval × poll_period` on top of the
-/// hard budget — so it is kept short; its only job is to give the
-/// victim a few polls to act on the restart signal first.
+/// interval bounds the sawtooth amplitude: garbage accrued between
+/// attempts rides on top of the hard budget, and a served store
+/// (`era-net`, which ticks once per `NAV_EVERY` = 512 write frames a
+/// worker answers) takes at most `NEUTRALIZE_RETRY_TICKS × NAV_EVERY`
+/// writes per worker that wins the tick, `workers ×` that in all,
+/// between two attempts. It is kept short; its only job is to give
+/// the victim a few ticks to act on the restart signal first.
 const NEUTRALIZE_RETRY_TICKS: u32 = 8;
 
 /// Pure classification step with hysteresis: escalate when `retired`
@@ -152,14 +156,27 @@ pub(crate) fn classify(cur: ShardHealth, retired: usize, soft: usize, hard: usiz
 }
 
 impl<'s, S: Smr> KvStore<'s, S> {
-    /// One watchdog pass over every shard: sample footprint, classify,
+    /// One navigator pass over every shard: sample footprint, classify,
     /// emit transitions, and neutralize the blamed pin on shards whose
-    /// hard budget is blown. Callers run this from a dedicated thread
-    /// at whatever poll interval suits them (the workload driver uses
-    /// a few hundred microseconds); it is cheap — a stats snapshot and
-    /// a blame-counter scan per shard — and entirely read-side except
-    /// for the reaction itself.
-    pub fn navigator_tick(&self) {
+    /// hard budget is blown. It is cheap — a stats snapshot and a
+    /// blame-counter scan per shard — and entirely read-side except for
+    /// the reaction itself.
+    ///
+    /// Any thread may call it at any pace: `era-net`'s workers step it
+    /// every `NAV_EVERY` writes they answer and when they idle, the
+    /// scenario driver from a ticking thread, [`KvStore::drain`] once
+    /// per round. One store-level try-lock admits one ticker at a time;
+    /// a call that finds another tick running skips it and returns
+    /// `false` (that tick classifies the same footprint), and `true`
+    /// once it has ticked.
+    pub fn navigator_tick(&self) -> bool {
+        let _ticker = match self.tick_lock.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => return false,
+            // A ticker that panicked left only per-shard atomics behind,
+            // each consistent on its own: tick on.
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        };
         // Budgets are read once per tick (not per shard) so one tick
         // applies a consistent envelope even while a scenario is
         // swapping budgets concurrently.
@@ -182,7 +199,8 @@ impl<'s, S: Smr> KvStore<'s, S> {
             }
             if next == ShardHealth::Violating {
                 // SAFETY(ordering): Relaxed — tick counter private to
-                // the single navigator thread.
+                // the one ticker `tick_lock` admits; the lock orders
+                // successive tickers.
                 let ticks = sh.violating_ticks.fetch_add(1, Ordering::Relaxed);
                 if ticks % NEUTRALIZE_RETRY_TICKS == 0 {
                     if let Some(slot) = self.blamed_slot(i) {
@@ -199,10 +217,12 @@ impl<'s, S: Smr> KvStore<'s, S> {
                     }
                 }
             } else {
-                // SAFETY(ordering): Relaxed — navigator-private reset.
+                // SAFETY(ordering): Relaxed — ticker-private reset, as
+                // above.
                 sh.violating_ticks.store(0, Ordering::Relaxed);
             }
         }
+        true
     }
 
     /// The thread slot to neutralize on shard `i`: the slot whose blame
@@ -308,5 +328,35 @@ mod tests {
         }
         store.navigator_tick();
         assert_eq!(store.health(0), ShardHealth::Robust);
+    }
+
+    #[test]
+    fn a_tick_skips_while_another_holds_the_lock() {
+        let schemes: Vec<Ebr> = vec![Ebr::with_threshold(4, 1)];
+        let cfg = KvConfig {
+            retired_soft: 4,
+            retired_hard: 16,
+            ..KvConfig::default()
+        };
+        let store = KvStore::new(&schemes, cfg);
+        let mut ctx = store.register().unwrap();
+        let smr = store.scheme(0);
+        let mut pin = smr.register().unwrap();
+        era_smr::Smr::begin_op(smr, &mut pin);
+        for k in 0..32 {
+            store.put(&mut ctx, k, k).unwrap();
+            store.remove(&mut ctx, k).unwrap();
+        }
+        let samples = || store.recorder(0).metrics().hook_count(Hook::Sample);
+        {
+            let _ticker = store.tick_lock.lock().unwrap();
+            assert!(!store.navigator_tick(), "a second ticker got in");
+            assert_eq!(store.health(0), ShardHealth::Robust);
+            assert_eq!((samples(), store.nav_counters().0), (0, 0));
+        }
+        assert!(store.navigator_tick());
+        assert_eq!(store.health(0), ShardHealth::Violating);
+        assert_eq!((samples(), store.nav_counters().0), (1, 1));
+        era_smr::Smr::end_op(smr, &mut pin);
     }
 }

@@ -191,6 +191,10 @@ pub struct KvStore<'s, S: Smr> {
     /// rebuilding the store.
     pub(crate) soft_budget: AtomicUsize,
     pub(crate) hard_budget: AtomicUsize,
+    /// Held for one [`KvStore::navigator_tick`]: the one-ticker rule
+    /// the per-shard navigator state (`violating_ticks`, `last_blame`,
+    /// the health word's read-classify-store) relies on.
+    pub(crate) tick_lock: Mutex<()>,
 }
 
 impl<S: Smr> fmt::Debug for KvStore<'_, S> {
@@ -244,6 +248,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
             shard_mul: (u64::MAX / u64::from(n)).wrapping_add(1),
             soft_budget: AtomicUsize::new(0),
             hard_budget: AtomicUsize::new(0),
+            tick_lock: Mutex::new(()),
         };
         store.set_budgets(cfg.retired_soft, cfg.retired_hard);
         store

@@ -4,12 +4,24 @@
 //! ## Thread shape
 //!
 //! [`NetServer::run`] blocks the calling thread on `accept()` and
-//! spawns (scoped) one watchdog thread — navigator ticks plus flight
-//! polls — and `workers` worker threads. Accepted connections go into
-//! a bounded queue; each worker pops a connection and serves it to
-//! completion, so a connection's requests are answered **in order** by
-//! construction (and connection `workers + 1` waits for a worker while
-//! the first `workers` stay open).
+//! spawns (scoped) `workers` worker threads, and no other. Accepted
+//! connections go into a bounded queue; each worker pops a connection
+//! and serves it to completion, so a connection's requests are
+//! answered **in order** by construction (and connection `workers + 1`
+//! waits for a worker while the first `workers` stay open).
+//!
+//! The workers also run the navigator. Each counts the write frames it
+//! answers — applied, batched, shed or timed out — across connections,
+//! and steps [`KvStore::navigator_tick`] once every [`NAV_EVERY`] of
+//! them, after the turn's replies have left; every 128th step also
+//! polls the flight recorder. A worker that idles out of a queue wait
+//! or a read steps too, beside its idle maintenance, so a quiet or
+//! shedding server still de-escalates and trims. Reads add no
+//! footprint and step nothing: a GET-only stream leaves the navigator
+//! and the flight recorder untouched. Between two neutralization
+//! attempts on a `Violating` shard a worker that wins the tick lock
+//! answers at most `NEUTRALIZE_RETRY_TICKS × NAV_EVERY` writes, and
+//! the pool `workers ×` that.
 //!
 //! ## A connection: one socket, two buffers
 //!
@@ -109,8 +121,13 @@ const QUEUE_DEPTH: usize = 64;
 /// `DeadlineExceeded` frames (doubled for a `Quarantined` shard).
 const RETRY_AFTER_MS: u32 = 50;
 
-/// Navigator tick period of the watchdog thread.
-const NAV_POLL: Duration = Duration::from_micros(200);
+/// Write frames a worker answers per navigator step (see the module
+/// docs' "Thread shape").
+pub const NAV_EVERY: u64 = 512;
+
+/// Navigator steps per flight-recorder poll: at `net-churn-ebr`'s write
+/// rate, about one poll per 25 ms.
+const FLIGHT_POLL_STEPS: u64 = 128;
 
 /// Server-side clamp on `SCAN` limits.
 const SCAN_LIMIT: u32 = 1024;
@@ -412,8 +429,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     }
 
     /// Serves until [`NetHandle::shutdown`] is called. Blocks the
-    /// calling thread (the acceptor) and scopes the watchdog + worker
-    /// threads under it.
+    /// calling thread (the acceptor) and scopes the worker threads
+    /// under it; the workers also step the navigator and poll the
+    /// flight recorder (module docs, "Thread shape").
     ///
     /// # Errors
     ///
@@ -431,7 +449,6 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             })?);
         }
         std::thread::scope(|s| {
-            s.spawn(|| self.watchdog_loop());
             for (w, mut ctx) in worker_ctxs.into_iter().enumerate() {
                 s.spawn(move || self.worker_loop(w as u16, &mut ctx));
             }
@@ -440,20 +457,29 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         Ok(self.counters.snapshot())
     }
 
-    /// Navigator ticks + periodic flight polls until shutdown. The
-    /// workers pack their own trace rings; a poll only takes the chunks
-    /// they published and trims the oldest, so it reads no ring a
-    /// worker is writing.
-    fn watchdog_loop(&self) {
-        let mut last_flight = Instant::now();
-        while !self.ctl.stop.load(Ordering::SeqCst) {
+    /// Steps the navigator once for every multiple of [`NAV_EVERY`] in
+    /// `(before, after]`, a worker's write count before and after one
+    /// turn, and polls the flight recorder every `FLIGHT_POLL_STEPS`th
+    /// step. The workers pack their own trace rings; a poll only takes
+    /// the chunks they published and trims the oldest, so it reads no
+    /// ring a worker is writing.
+    fn step(&self, before: u64, after: u64) {
+        for step in before / NAV_EVERY + 1..=after / NAV_EVERY {
             self.store.navigator_tick();
-            if last_flight.elapsed() >= Duration::from_millis(25) {
+            if step % FLIGHT_POLL_STEPS == 0 {
                 self.flight.poll();
-                last_flight = Instant::now();
             }
-            std::thread::sleep(NAV_POLL);
         }
+    }
+
+    /// What a worker does when it idles out of a queue wait or a read:
+    /// flush its retire lists (see [`KvStore::maintain`]), step the
+    /// navigator and poll the flight recorder, so a server whose writes
+    /// stopped or are all shed still de-escalates and trims.
+    fn idle(&self, ctx: &mut KvCtx<S>) {
+        self.store.maintain(ctx);
+        self.store.navigator_tick();
+        self.flight.poll();
     }
 
     fn accept_loop(&self) {
@@ -492,11 +518,17 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             self.queue_cond.notify_one();
         }
         // Shutdown: wake every parked worker so they observe the flag.
+        // Taking the queue lock first means a worker that read the flag
+        // clear under it is already waiting, so it cannot miss the
+        // wake-up and sleep out a whole read timeout.
+        drop(self.queue.lock().unwrap_or_else(|e| e.into_inner()));
         self.queue_cond.notify_all();
     }
 
     fn worker_loop(&self, worker: u16, ctx: &mut KvCtx<S>) {
         let mut tracer = self.recorder.tracer(worker, SchemeId::NONE);
+        // Write frames this worker has answered, over every connection.
+        let mut writes = 0u64;
         loop {
             let conn = {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -513,19 +545,17 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                         .unwrap_or_else(|e| e.into_inner());
                     q = guard;
                     if timed_out.timed_out() {
-                        // Idle maintenance: flush this worker's retire
-                        // lists so a quiet server drains its backlog
-                        // (see KvStore::maintain). The queue lock is
-                        // released around the flush.
+                        // The queue lock is released around the idle
+                        // step.
                         drop(q);
-                        self.store.maintain(ctx);
+                        self.idle(ctx);
                         q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
                     }
                 }
             };
             match conn {
                 Some(stream) => {
-                    let _ = self.serve_conn(stream, ctx, &mut tracer);
+                    let _ = self.serve_conn(stream, ctx, &mut tracer, &mut writes);
                     // SAFETY(ordering): Relaxed — telemetry tally.
                     self.counters.served.fetch_add(1, Ordering::Relaxed);
                 }
@@ -535,22 +565,30 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     }
 
     /// Serves one connection to completion. Each turn answers every
-    /// whole frame one read brought in, writes the replies once (not
-    /// at all if the read brought only part of a frame), and reads
-    /// again.
+    /// whole frame one read brought in, adding its write frames to
+    /// `writes`, writes the replies once (not at all if the read
+    /// brought only part of a frame), steps the navigator if the turn
+    /// crossed a multiple of [`NAV_EVERY`], and reads again.
     fn serve_conn(
         &self,
         stream: TcpStream,
         ctx: &mut KvCtx<S>,
         tracer: &mut ThreadTracer,
+        writes: &mut u64,
     ) -> io::Result<()> {
         let mut conn = Conn::new(stream, self.cfg.read_timeout)?;
         // A `PUT` run never holds more frames than `rbuf` does.
         let mut items: Vec<(i64, i64)> = Vec::with_capacity(RBUF_LEN / PUT_FRAME_LEN);
         loop {
-            let open = self.answer_buffered(ctx, &mut conn, &mut items, tracer)?;
-            conn.flush(&self.ctl.stop, &self.counters.writes)?;
-            if !open {
+            let before = *writes;
+            let turn = self
+                .answer_buffered(ctx, &mut conn, &mut items, tracer, writes)
+                .and_then(|open| {
+                    conn.flush(&self.ctl.stop, &self.counters.writes)?;
+                    Ok(open)
+                });
+            self.step(before, *writes);
+            if !turn? {
                 return Ok(());
             }
             match conn.fill()? {
@@ -561,9 +599,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                     if self.ctl.stop.load(Ordering::SeqCst) {
                         return Ok(());
                     }
-                    // The connection is open but quiet — same idle
-                    // maintenance as a worker parked on the queue.
-                    self.store.maintain(ctx);
+                    // The connection is open but quiet — the same
+                    // idle step as a worker parked on the queue.
+                    self.idle(ctx);
                 }
             }
         }
@@ -574,13 +612,16 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     /// collect in `items` and are answered as one run; two or more go
     /// through the store's per-shard batch path. Returns `false` once
     /// an undecodable frame has been answered `Malformed`, behind the
-    /// replies to every frame before it: the connection closes.
+    /// replies to every frame before it: the connection closes. Every
+    /// write frame answered (`PUT`, `REMOVE`, `INCR`, whatever the
+    /// answer) adds one to `writes`.
     fn answer_buffered(
         &self,
         ctx: &mut KvCtx<S>,
         conn: &mut Conn,
         items: &mut Vec<(i64, i64)>,
         tracer: &mut ThreadTracer,
+        writes: &mut u64,
     ) -> io::Result<bool> {
         let mut frames = 0u64;
         let turn = loop {
@@ -609,11 +650,14 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                     .encode(&mut conn.wbuf);
                 }
             }
+            *writes += items.len() as u64;
             items.clear();
             match next {
                 Ok(Some(req)) => {
                     self.respond(ctx, &req, tracer).encode(&mut conn.wbuf);
                     frames += 1;
+                    *writes +=
+                        u64::from(matches!(req, Request::Remove { .. } | Request::Incr { .. }));
                 }
                 Ok(None) => break Ok(true),
                 Err(_) => {
@@ -916,8 +960,8 @@ mod tests {
         assert!(cfg.degraded_deadline < Duration::from_secs(1));
         // The serving constants every caller runs with.
         assert_eq!(
-            (QUEUE_DEPTH, RETRY_AFTER_MS, NAV_POLL, SCAN_LIMIT),
-            (64, 50, Duration::from_micros(200), 1024)
+            (QUEUE_DEPTH, RETRY_AFTER_MS, NAV_EVERY, SCAN_LIMIT),
+            (64, 50, 512, 1024)
         );
         // The Degrading-path schedule is jittered but still bounded:
         // no single wait exceeds the ceiling, so the number of sleeps

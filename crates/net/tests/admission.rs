@@ -159,9 +159,10 @@ fn violating_shard_sheds_remote_writes_serves_reads_then_heals() {
         }
         // Phase 3 — recovery. Advance the chaos op clock past the
         // stall window with reads (each begin_op ticks the clock),
-        // then drain the shard and heal this thread's context. The
-        // server's own watchdog keeps classifying; once footprint
-        // falls below half the soft budget the shard re-opens.
+        // then drain the shard and heal this thread's context. Each
+        // drain round ticks the navigator, as do the server's idle
+        // workers; once footprint falls below half the soft budget the
+        // shard re-opens.
         let mut ctx = store.register().expect("test ctx");
         for _ in 0..(STALL_AT + STALL_FOR + 16) {
             let _ = store.get(&mut ctx, 3);

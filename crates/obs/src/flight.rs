@@ -24,7 +24,9 @@
 //!
 //! - [`poll`](FlightRecorder::poll) — takes the published chunks, by
 //!   pointer, and trims whole chunks, oldest first, to the cap; call it
-//!   from a watchdog loop so chunks do not pile up between snapshots.
+//!   at some stride of the work that publishes them (`era-net`'s
+//!   workers poll every 128th navigator step, and when they idle) so
+//!   chunks do not pile up between snapshots.
 //! - [`snapshot`](FlightRecorder::snapshot) — polls, adds each ring's
 //!   not-yet-packed rest (for a recorder held after the fact, its last
 //!   ring's worth), merges by [`Event::merge_key`] with ties in ring
@@ -318,9 +320,9 @@ impl FlightRecorder {
     }
 
     /// Takes every source's published chunks and trims whole chunks,
-    /// oldest first, to the cap. Call periodically (a watchdog loop, an
-    /// op-count stride) so published chunks do not pile up unbounded
-    /// between snapshots.
+    /// oldest first, to the cap. Call periodically (an op-count stride,
+    /// as `era-net`'s workers do, or a timer) so published chunks do
+    /// not pile up unbounded between snapshots.
     pub fn poll(&self) {
         for source in self.lock().iter_mut() {
             source.poll(self.max_retained);

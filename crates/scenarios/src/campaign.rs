@@ -185,7 +185,7 @@ fn budget_squeeze() -> ScenarioSpec {
 }
 
 /// The store serves real TCP traffic mid-scenario: an in-process
-/// `era-net` server (its watchdog replacing the phase navigator) with
+/// `era-net` server (its workers stepping the navigator) with
 /// pipelined client connections, framed by local warm-up and
 /// cool-down phases.
 fn net_storm() -> ScenarioSpec {

@@ -3,9 +3,9 @@
 //! phase by phase, with the adversities each phase declares, then
 //! evaluates the per-scheme robustness invariants.
 //!
-//! Each phase runs under one `std::thread::scope`: a navigator watchdog
-//! thread (unless the phase serves TCP — the net server's own watchdog
-//! replaces it), a footprint sampler, an optional Theorem-6.1
+//! Each phase runs under one `std::thread::scope`: a navigator ticking
+//! thread (unless the phase serves TCP — the net server's workers step
+//! the navigator on the writes they answer), a footprint sampler, an optional Theorem-6.1
 //! adversarial stalled reader, and seeded workers. Worker RNG streams
 //! derive from `spec.seed` and the `(phase, worker)` pair, so the same
 //! spec reproduces the same schedule of operations — and, because the
@@ -324,7 +324,7 @@ fn run_phase<S: Smr>(
     let total_shed = AtomicU64::new(0);
 
     std::thread::scope(|s| {
-        // The net server runs its own watchdog; otherwise the phase
+        // The net server's workers step the navigator; otherwise the phase
         // gets a navigator thread only when the spec asks for one —
         // navigator-off phases are the baseline where a non-robust
         // scheme's footprint grows untouched.

@@ -55,14 +55,15 @@ pub struct PhaseSpec {
     /// admission-control event, unlike tick-timing-dependent
     /// `Degrading` sheds.
     pub quarantine_shard: Option<usize>,
-    /// Run a navigator watchdog thread during this phase. Off, the
+    /// Run a navigator ticking thread during this phase. Off, the
     /// store never degrades — the baseline that lets a non-robust
     /// scheme's footprint grow without interference.
     pub navigator: bool,
     /// Serve this phase through an in-process `era-net` TCP server
     /// (workers registered against the same store) with
     /// [`PhaseSpec::threads`] pipelining client connections; the
-    /// server's own watchdog replaces the phase navigator thread.
+    /// server's workers step the navigator on the writes they answer,
+    /// in place of the phase's ticking thread.
     pub serve_net: bool,
     /// Navigator budget override `(soft, hard)` applied when the phase
     /// starts; `None` re-applies the scenario's base budgets.

@@ -36,6 +36,14 @@
 //! well above the 1-thread one is a shard-wide word written per write
 //! (an admission counter, a per-node lock or clock tick on reclaim).
 //!
+//! The `navigator tick` row prices what a served write pays for the
+//! navigator: `era-net`'s workers step `KvStore::navigator_tick` once
+//! per `NAV_EVERY` write frames they answer, and poll the flight
+//! recorder every 128th step. It times that on a 4-shard EBR store
+//! whose recorders a `FlightRecorder` holds, as the server arms them,
+//! and prints ns per tick and ns per write (÷ `NAV_EVERY`). The
+//! target is under 1 ns per write.
+//!
 //! The `flight poll` row times the flight recorder's watchdog poll in
 //! its steady state on a busy server: one source already at its
 //! retained-event cap, its owners having packed one full ring's worth
@@ -69,6 +77,7 @@ use era::smr::hp::Hp;
 use era::smr::ibr::Ibr;
 use era::smr::leak::Leak;
 use era::smr::nbr::Nbr;
+use era_net::NAV_EVERY;
 
 const OPS_PER_REP: usize = 100_000;
 const REPS: usize = 31;
@@ -321,6 +330,41 @@ fn bench_kv_write() {
     );
 }
 
+/// Min-of-reps ns per `KvStore::navigator_tick` of a robust 4-shard EBR
+/// store with some footprint, its recorders held by a `FlightRecorder`
+/// that every 128th tick polls, as an `era-net` worker steps them.
+fn bench_navigator_tick() {
+    const TICKS: usize = 1 << 14;
+    let schemes: Vec<Ebr> = (0..4).map(|_| Ebr::new(4)).collect();
+    let store = KvStore::new(&schemes, KvConfig::default());
+    let flight = FlightRecorder::new();
+    for i in 0..store.shard_count() {
+        flight.add_source(&format!("shard{i}"), store.recorder(i));
+    }
+    let mut ctx = store.register().expect("capacity");
+    for k in 0..1024 {
+        store.put(&mut ctx, k, k).expect("robust shard admits");
+        store.remove(&mut ctx, k).expect("robust shard admits");
+    }
+    let best = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for tick in 1..=TICKS {
+                store.navigator_tick();
+                if tick % 128 == 0 {
+                    flight.poll();
+                }
+            }
+            start.elapsed().as_secs_f64() * 1e9 / TICKS as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    out!(
+        "navigator tick (4 EBR shards): min {best:.0} ns/tick, {:.3} ns per write \
+         (one tick per {NAV_EVERY} writes)",
+        best / NAV_EVERY as f64
+    );
+}
+
 /// Min-of-reps ns per protected load of a stable word, inside one
 /// operation, tracer armed.
 fn bench_load<S: Smr>(name: &str, smr: &S) {
@@ -380,6 +424,8 @@ fn main() {
     });
     out!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
     bench_kv_write();
+    out!("-- navigator tick (a served write's share: one tick per {NAV_EVERY} writes)");
+    bench_navigator_tick();
     out!("-- smr load (one protected load of a stable word, recorder attached)");
     bench_load("hp ", &Hp::new(2, 3));
     bench_load("he ", &He::new(2, 3));
