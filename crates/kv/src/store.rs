@@ -51,13 +51,16 @@ pub struct KvConfig {
     /// Blame slots per shard recorder; must be ≥ the schemes' thread
     /// capacity for neutralization to target the right slot.
     pub max_threads: usize,
-    /// Event-ring capacity of each shard's recorder. The default
-    /// ([`era_obs::DEFAULT_RING_CAPACITY`]) holds a few hundred
-    /// milliseconds of traced traffic; soak-length scenario runs raise
-    /// it so the flight recorder's retained window is not all
-    /// `trace_dropped`. A ring commits the pages its writer has
-    /// touched: at most 24 B × capacity, and a page or two for a ring
-    /// that never records. Each thread registered on a shard has one.
+    /// Event-ring capacity of each shard's recorder: how many of its
+    /// newest events an unheld ring keeps for [`era_obs::Recorder::drain`].
+    /// A ring a flight recorder holds drops nothing whatever its
+    /// capacity — its owner packs it for the flight recorder, whose cap
+    /// is the retention — and one of more than [`era_obs::HELD_WINDOW`]
+    /// stages its events in a window of that many slots. A ring commits
+    /// the pages its writer has touched: at most 24 B × capacity
+    /// unheld, 24 B × [`era_obs::HELD_WINDOW`] plus a page or two held,
+    /// and a page or two for a ring that never records. Each thread
+    /// registered on a shard has one.
     pub ring_capacity: usize,
 }
 

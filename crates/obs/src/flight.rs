@@ -10,12 +10,16 @@
 //! so a shard's window is its retires, reclaims and protocol events.
 //!
 //! Holding a recorder makes each of its tracers pack its own rings
-//! ([`crate::Ring`]): a push that completes half a
-//! ring packs that half, from slots the writing thread just wrote, into
-//! an exactly-sized chunk in [`crate::dump`]'s segment encoding — a
-//! tag byte plus only the fields that changed since the last event with
-//! its hook, one or two bytes for most where an [`Event`] is 32 — and
-//! publishes it to the recorder's outbox. Each chunk decodes on its
+//! ([`crate::Ring`]). A held ring of more than [`crate::HELD_WINDOW`]
+//! slots — the default capacity — stages its events in a window of
+//! that many slots rather than in its whole ring: retention is the cap
+//! below, not the ring, so the ring's own slots would buy no history. A
+//! push that completes half the window (half the ring, for a smaller
+//! ring) packs that half, from slots the writing thread just wrote,
+//! into an exactly-sized chunk in [`crate::dump`]'s segment encoding —
+//! a tag byte plus only the fields that changed since the last event
+//! with its hook, one or two bytes for most where an [`Event`] is 32 —
+//! and publishes it to the recorder's outbox. Each chunk decodes on its
 //! own. No reader touches a slot the writer is still writing, and a
 //! held ring is never overwritten before it is packed, so it drops
 //! nothing.
@@ -52,14 +56,15 @@ use crate::recorder::Recorder;
 /// Default cap on retained events per source. The oldest are trimmed —
 /// whole chunks at a time, and counted — beyond this. Operations are
 /// counted, not recorded, so a shard's retained events are its retires,
-/// reclaim runs and protocol events: packed by their own ring's owner,
-/// one of an EBR shard under churn takes about 5.5 bytes (6.1 when the
-/// watchdog packed the merged log), so a full source holds about
-/// 0.36 MB and covers about 214 k served operations of `net-churn-ebr`
-/// (E27, E28).
+/// reclaim runs and protocol events: packed by their own ring's owner
+/// in chunks of 256, one of an EBR shard under churn takes about
+/// 5.5 bytes (6.1 when the watchdog packed the merged log), so a full
+/// source holds about 0.36 MB and covers about 214 k served operations
+/// of `net-churn-ebr` (E27, E28, E31).
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 16;
 
-/// One ring's events, packed at once by its owner: half a ring, unless
+/// One ring's events, packed at once by its owner: half a window (half
+/// a ring, for a ring of at most [`crate::HELD_WINDOW`] slots), unless
 /// it is the first pack after a late hold or the rest of a ring whose
 /// tracer is gone.
 #[derive(Debug)]
@@ -83,8 +88,8 @@ impl Chunk {
 }
 
 /// A recorder's published chunks, oldest first. The lock is held only
-/// to push one chunk or to move them all out, once per half-ring on the
-/// owner's side and once per poll on the flight recorder's.
+/// to push one chunk or to move them all out, once per half window on
+/// the owner's side and once per poll on the flight recorder's.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub(crate) struct Outbox {
@@ -417,7 +422,7 @@ mod tests {
     use super::*;
     use crate::dump::{pack_event, Bases, MAX_PACKED_EVENT};
     use crate::event::{Hook, SchemeId};
-    use crate::ring::{Ring, MAX_TS};
+    use crate::ring::{Ring, HELD_WINDOW, MAX_TS};
     use crate::DEFAULT_RING_CAPACITY;
     use proptest::prelude::*;
 
@@ -722,12 +727,12 @@ mod tests {
         }
         flight.poll();
         let retained = flight.lock()[0].len;
-        assert!(retained <= cap && retained > cap - DEFAULT_RING_CAPACITY / 2);
+        assert!(retained <= cap && retained > cap - HELD_WINDOW / 2);
         assert!(flight.packed_bytes() <= 6 * retained);
     }
 
     #[test]
-    fn a_chunk_is_half_a_ring_whatever_the_polls() {
+    fn a_chunk_is_half_a_window_whatever_the_polls() {
         let polls = if cfg!(miri) { 1_000 } else { 100_000 };
         let recorder = Recorder::new(1);
         let flight = FlightRecorder::single("idle", &recorder).with_max_retained(polls as usize);
@@ -737,9 +742,57 @@ mod tests {
             flight.poll();
         }
         let sources = flight.lock();
-        let half = DEFAULT_RING_CAPACITY / 2;
+        let half = HELD_WINDOW / 2;
         assert_eq!(sources[0].len, polls as usize / half * half);
         assert!(sources[0].chunks.iter().all(|c| c.events == half));
+    }
+
+    /// Single-threaded, no wall clock, sized for Miri. On a ring of
+    /// 2 048: 1 500 events with no holder, then a hold and 1 060 more,
+    /// then a release and 300 more. The owner's first pack after the
+    /// hold, at the next half window (1 536), takes all 1 536 in one
+    /// chunk and moves the ring into its window, which it packs every
+    /// half window, so at 2 560 everything is packed: the snapshot
+    /// holds every event once, and a drain after the release starts
+    /// where the owner's last pack ended.
+    #[test]
+    fn every_event_comes_back_once_across_the_switch_and_the_release() {
+        let payloads = |events: &[Event]| events.iter().map(|e| e.a).collect::<Vec<_>>();
+        let recorder = Recorder::with_ring_capacity(1, 2_048);
+        let mut t = recorder.tracer(0, SchemeId::EBR);
+        for i in 0..1_500 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let flight = FlightRecorder::single("switch", &recorder);
+        for i in 1_500..2_560 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let chunks: Vec<usize> = {
+            let mut sources = flight.lock();
+            sources[0].poll(DEFAULT_MAX_RETAINED);
+            sources[0].chunks.iter().map(|c| c.events).collect()
+        };
+        let half = HELD_WINDOW / 2;
+        assert_eq!(chunks, [1_536, half, half, half, half]);
+        let src = flight.lock()[0].snapshot(DEFAULT_MAX_RETAINED);
+        assert_eq!(payloads(&src.events), (0..2_560).collect::<Vec<_>>());
+        assert_eq!((src.dropped, src.trimmed), (0, 0));
+        drop(flight);
+        for i in 2_560..2_860 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let log = recorder.drain();
+        assert_eq!(payloads(&log.events), (2_560..2_860).collect::<Vec<_>>());
+        assert_eq!(log.dropped, 0);
+        // Released, the ring stays in its window: a drain sees at most
+        // the window's newest events, and counts the rest dropped.
+        for i in 2_860..4_000 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let log = recorder.drain();
+        let kept = 4_000 - HELD_WINDOW as u64;
+        assert_eq!(payloads(&log.events), (kept..4_000).collect::<Vec<_>>());
+        assert_eq!(log.dropped, kept - 2_860);
     }
 
     #[test]

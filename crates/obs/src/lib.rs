@@ -37,7 +37,9 @@
 //!   such a record back in goes through.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
 //!   over the rings. While it holds a recorder, each ring's owner packs
-//!   its own events, half a ring at a time, into packed chunks; the
+//!   its own events into packed chunks, half a [`HELD_WINDOW`]-slot
+//!   window at a time — a held ring stages its events there, so it
+//!   commits the window, not its whole ring; the
 //!   flight recorder keeps the newest per source, up to a count cap,
 //!   snapshots them (plus metrics and scheme counters) into a compact
 //!   binary `.eraflt` dump — on demand or from a chained panic hook —
@@ -74,4 +76,4 @@ pub use metrics::{
     Counter, HighWater, HistogramSnapshot, Log2Histogram, Metrics, HISTOGRAM_BUCKETS,
 };
 pub use recorder::{Recorder, ThreadTracer, TraceLog, DEFAULT_RING_CAPACITY};
-pub use ring::Ring;
+pub use ring::{Ring, HELD_WINDOW};

@@ -9,9 +9,12 @@
 //! lets go of a ring whose tracer is gone once it has drained it.
 //!
 //! A [`crate::FlightRecorder`] that holds a recorder reads it another
-//! way: each tracer packs its own rings, half a ring at a time, and
-//! publishes the chunks to the recorder's outbox, which the flight
-//! recorder takes from. A held recorder has no drainer, and
+//! way: each tracer packs its own rings and publishes the chunks to the
+//! recorder's outbox, which the flight recorder takes from. A held ring
+//! of the default capacity stages its events in a window of
+//! [`crate::HELD_WINDOW`] slots, packed every half window (256 events),
+//! instead of writing through its whole ring; a smaller ring is packed
+//! every half ring. A held recorder has no drainer, and
 //! [`Recorder::drain`] returns no events from it.
 //!
 //! # The clock
@@ -133,7 +136,10 @@ impl Recorder {
         Recorder::with_ring_capacity(max_threads, DEFAULT_RING_CAPACITY)
     }
 
-    /// A recorder whose tracers get rings of `ring_capacity` events.
+    /// A recorder whose tracers get rings of `ring_capacity` events: an
+    /// unheld ring keeps its newest `ring_capacity` of them. Once held,
+    /// one of more than [`crate::HELD_WINDOW`] stages its events in a
+    /// window of that many slots instead ([`Ring`]'s "The held window").
     pub fn with_ring_capacity(max_threads: usize, ring_capacity: usize) -> Recorder {
         Recorder {
             core: Arc::new(RecorderCore {
@@ -184,7 +190,10 @@ impl Recorder {
     /// losses kept in the cumulative [`Recorder::dropped`].
     ///
     /// While a [`crate::FlightRecorder`] holds this recorder, its events
-    /// are the flight recorder's: the log holds none of them.
+    /// are the flight recorder's: the log holds none of them. A ring that
+    /// moved into its window while held stays there once released, so
+    /// a drain after that sees at most [`crate::HELD_WINDOW`] of its
+    /// newest events, and counts the rest dropped.
     pub fn drain(&self) -> TraceLog {
         let mut rings = self.core.lock_rings();
         if self.core.outbox.is_held() {
@@ -327,15 +336,19 @@ struct TracerInner {
 }
 
 impl TracerInner {
-    /// A push into `ring` completed half of it: if a flight recorder
-    /// holds the recorder, pack what this tracer has not packed yet and
-    /// publish it. Once per half-ring, so out of line.
+    /// `ring` is at a pack boundary — its first push is next, or a push
+    /// completed half of it (of its window, for a ring that has one):
+    /// if a flight recorder holds the recorder, pack what this tracer
+    /// has not packed yet, publish it, and, for a ring with a window,
+    /// stage every later push there ([`Ring`]'s "The held window").
+    /// Once per half window (or half ring), so out of line.
     #[cold]
     #[inline(never)]
     fn half_done(&self, ring: &Ring) {
         let outbox = &self.recorder.outbox;
         if outbox.is_held() {
             ring.pack(|chunk| outbox.publish(chunk));
+            ring.stage_in_window();
         }
     }
 
@@ -360,9 +373,7 @@ impl TracerInner {
         } else {
             clock.load(Ordering::Relaxed)
         };
-        if ring.write(ts, hook as u8, a, b) {
-            self.half_done(ring);
-        }
+        ring.write(ts, hook as u8, a, b, |ring| self.half_done(ring));
     }
 
     /// [`TracerInner::record`] into `thread`'s ring.
@@ -404,9 +415,8 @@ impl TracerInner {
         for k in 0..n {
             let ts = if ticks { t0 + k as u64 } else { t0 };
             let (a, b) = payload(k, ts);
-            if self.ring.write(ts, hook as u8, a, b) {
-                self.half_done(&self.ring);
-            }
+            self.ring
+                .write(ts, hook as u8, a, b, |ring| self.half_done(ring));
         }
     }
 }

@@ -19,36 +19,68 @@
 //!   to `head`, `fence(Release)`, store the three words, store
 //!   `2n + 2` to `head`;
 //! - drainer: load `head` (Acquire), copy every position it has not
-//!   seen that one capacity can still hold, `fence(Acquire)`, re-load
-//!   `head`, and discard — counting it dropped — every copied position
-//!   whose slot a push begun by then has started to overwrite.
+//!   seen that the ring still holds (one capacity back, or one window
+//!   back once it moved into its window, below), `fence(Acquire)`,
+//!   re-load `head`, and discard — counting it dropped — every copied
+//!   position whose slot a push begun by then has started to overwrite.
 //!
 //! A copy that read any word of a later push sees that push's odd head
 //! on the re-load, so a torn event is never returned. A quiescent ring
-//! keeps exactly its newest `capacity` events. The 64-bit head never
+//! keeps exactly its newest `capacity` events (one in its held window,
+//! below, its newest [`HELD_WINDOW`]). The 64-bit head never
 //! wraps, so there is no ABA window.
 //!
 //! # Owner packing
 //!
 //! While a [`crate::FlightRecorder`] holds the ring's recorder, the
-//! ring has no drainer: each time a push completes a half of the ring,
-//! its owner packs every event it has not packed yet — the half it just
-//! wrote — from its own slots into one [`Chunk`] and publishes it, and
-//! the flight recorder takes chunks, never slots. That one push in a
-//! half-ring allocates the chunk and takes the outbox's lock for one
-//! `Vec::push`; every other push is the five stores above. The owner packs a
-//! half before it starts overwriting the other, so such a ring loses
-//! nothing to overwrite; only a recorder held after its rings wrapped
-//! loses what they overwrote before their owner's first pack. A
-//! snapshot copies the unpacked rest with the drainer's torn check, and
-//! consumes nothing.
+//! ring has no drainer: at each pack boundary its owner packs every
+//! event it has not packed yet into one [`Chunk`] and publishes it, and
+//! the flight recorder takes chunks, never slots. A pack boundary is
+//! the ring's first push and every push that completes half of the
+//! ring — half of its window (below), for a ring that has one; that one
+//! push allocates the chunk and takes the outbox's lock for one
+//! `Vec::push`, and every other push is the five stores above. The
+//! owner packs a half before it starts overwriting the other, so such
+//! a ring loses nothing to overwrite; only a recorder held after its
+//! rings wrapped loses what they overwrote before their owner's first
+//! pack. A snapshot copies the unpacked rest with the drainer's torn
+//! check, and consumes nothing.
+//!
+//! # The held window
+//!
+//! A held ring keeps no history — the flight recorder does — so its
+//! slots only stage events until their owner packs them. A ring of
+//! more than [`HELD_WINDOW`] slots therefore has a *window* of
+//! [`HELD_WINDOW`] slots past its own, in the same allocation. The
+//! first time its owner finds the recorder held at a pack boundary, it
+//! packs everything not yet packed — up to a ring's worth: the
+//! late-hold pack above — and stores the *switch*, the next position,
+//! before it writes that position. Every position from the switch on
+//! lives in window slot `pos & (HELD_WINDOW - 1)`, so from then on the
+//! owner packs every [`HELD_WINDOW`]` / 2` events and never writes the
+//! ring's own slots again. A ring held from its creation, or held while
+//! still empty, switches before its first write and commits only the
+//! window's pages; one that recorded before the hold switches within
+//! half a window of it. The switch is one word the owner stores once;
+//! the head's Release publishes it with the next push, and every
+//! reader maps a position through it: below it, the ring's own slot,
+//! whose torn check is the ring's capacity; from it on, the window's,
+//! whose torn check is the window's size. The positions before the
+//! switch are never overwritten after it.
+//!
+//! A ring stays in its window when its recorder is released: an
+//! unheld drain after that sees at most [`HELD_WINDOW`] of its newest
+//! events. A ring never held, and a ring of at most [`HELD_WINDOW`]
+//! slots, never switches and keeps its newest `capacity` events.
 //!
 //! Slots are allocated uninitialised, so the allocator zero-fills
 //! nothing: a ring commits the pages its writer has touched, at most
-//! `24 × capacity` bytes, and a ring that never records costs a page
-//! or two. The writer initialises a slot on the ring's first lap and
-//! stores into it on every later one; nothing reads a position at or
-//! past `head`, so no slot is read before it is written.
+//! `24 × capacity` bytes before its switch and the window's `24 ×`
+//! [`HELD_WINDOW`] after, and a ring that never records costs a page
+//! or two. The writer initialises a slot on the first lap of the
+//! ring's own slots or of its window, and stores into it on every
+//! later one; nothing reads a position at or past `head`, so no slot
+//! is read before it is written.
 
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
@@ -60,6 +92,15 @@ use crate::flight::Chunk;
 
 /// One event: `ts << 8 | hook`, `a`, `b`.
 type Slot = [AtomicU64; 3];
+
+/// The slots a held ring of a larger capacity stages its events in
+/// (module docs, "The held window"); it packs every half of them.
+pub const HELD_WINDOW: usize = 512;
+
+const WINDOW_MASK: u64 = HELD_WINDOW as u64 - 1;
+
+/// The switch of a ring that has not moved into its window.
+const NO_SWITCH: u64 = u64::MAX;
 
 thread_local! {
     /// The buffer this thread packs into before a chunk is copied out
@@ -75,8 +116,9 @@ pub(crate) const MAX_TS: u64 = (1 << 56) - 1;
 /// Fixed-capacity drop-oldest event buffer of one owner. See the
 /// module docs for the single-writer / single-drainer contract. While a
 /// [`crate::FlightRecorder`] holds its recorder it has no drainer: its
-/// owner packs it every half ring ("Owner packing"), and it drops
-/// nothing.
+/// owner packs it every half ring ("Owner packing"), or every half
+/// window once it stages in its window ("The held window"), and it
+/// drops nothing.
 ///
 /// Aligned to its own cache-line pair: `head` is stored on every push,
 /// and rings are small heap objects allocated back to back (one per
@@ -97,8 +139,14 @@ pub struct Ring {
     tail: AtomicU64,
     /// Events overwritten or torn before the drainer could copy them.
     dropped: AtomicU64,
-    /// Position `p` lives in slot `p & mask`. Slot `i` is initialised
-    /// once position `i`, on the first lap, has been pushed.
+    /// The first position staged in the window, or `NO_SWITCH`. Only
+    /// the owner stores it, once, before it writes that position.
+    switch: AtomicU64,
+    /// A position `p` below the switch lives in slot `p & mask`, one at
+    /// or past it in window slot `capacity + (p & WINDOW_MASK)`: the
+    /// window is the last [`HELD_WINDOW`] slots of a ring of more than
+    /// that capacity, and absent from a smaller one. A slot is
+    /// initialised once the first position it holds has been pushed.
     slots: Box<[MaybeUninit<Slot>]>,
 }
 
@@ -114,7 +162,8 @@ impl Ring {
     /// (rounded up to a power of two, minimum 8).
     pub(crate) fn with_owner(capacity: usize, thread: u16, scheme: SchemeId, order: u64) -> Ring {
         let cap = capacity.max(8).next_power_of_two();
-        let slots = Box::new_uninit_slice(cap);
+        let window = if cap > HELD_WINDOW { HELD_WINDOW } else { 0 };
+        let slots = Box::new_uninit_slice(cap + window);
         Ring {
             head: AtomicU64::new(0),
             mask: (cap - 1) as u64,
@@ -123,11 +172,12 @@ impl Ring {
             order,
             tail: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            switch: AtomicU64::new(NO_SWITCH),
             slots,
         }
     }
 
-    /// Slot count.
+    /// Slot count of the ring's own slots, the window not included.
     pub fn capacity(&self) -> usize {
         self.mask as usize + 1
     }
@@ -176,33 +226,49 @@ impl Ring {
             (self.thread, self.scheme.0),
             "an event pushed into another owner's ring"
         );
-        self.write(event.ts, event.hook, event.a, event.b);
+        self.write(event.ts, event.hook, event.a, event.b, |_| ());
     }
 
-    /// [`Ring::push`] of the ring owner's event `(ts, hook, a, b)`.
-    /// Returns whether it completed a half of the ring.
+    /// [`Ring::push`] of the ring owner's event `(ts, hook, a, b)`,
+    /// calling `boundary` at each pack boundary: before the ring's first
+    /// push, and after a push that completes a half of the ring — of the
+    /// window, for a ring that has one.
     #[inline]
-    pub(crate) fn write(&self, ts: u64, hook: u8, a: u64, b: u64) -> bool {
+    pub(crate) fn write(&self, ts: u64, hook: u8, a: u64, b: u64, boundary: impl Fn(&Ring)) {
         debug_assert!(ts <= MAX_TS, "trace timestamp {ts} past 2^56 - 1");
         let head = self.head.load(Ordering::Relaxed);
+        if head == 0 {
+            boundary(self);
+        }
+        // Relaxed: the owner reads its own store.
+        let switch = self.switch.load(Ordering::Relaxed);
         // SAFETY(ordering) PAIRS(ring-publish): Release on the odd head,
         // so a drainer whose Acquire load reads it sees every earlier
-        // push's words; the Release fence then orders this store before
-        // the word stores below, so a drainer that copied any of them
-        // and then runs its Acquire fence re-reads a head at least this
-        // odd one, and discards the slot.
+        // push's words and the switch; the Release fence then orders
+        // this store before the word stores below, so a drainer that
+        // copied any of them and then runs its Acquire fence re-reads a
+        // head at least this odd one, and discards the slot.
         self.head.store(head + 1, Ordering::Release);
         fence(Ordering::Release);
         let pos = head >> 1;
-        let slot = &self.slots[(pos & self.mask) as usize];
+        let (index, first_lap) = if pos < switch {
+            (pos & self.mask, pos <= self.mask)
+        } else {
+            (
+                self.mask + 1 + (pos & WINDOW_MASK),
+                pos - switch <= WINDOW_MASK,
+            )
+        };
+        let slot = &self.slots[index as usize];
         let word = ts << 8 | u64::from(hook);
-        if pos <= self.mask {
+        if first_lap {
             let words = [AtomicU64::new(word), AtomicU64::new(a), AtomicU64::new(b)];
-            // SAFETY: the ring's first lap, so this slot has never been
-            // written and no thread reads it: a reader reads positions
-            // below the head it loaded, and this is the only position
-            // in the slot that is at most `pos`. The slot's atomics make
-            // it interior-mutable, so writing through `&self` is allowed,
+            // SAFETY: the first lap of the ring's own slots or of its
+            // window, so this slot has never been written and no thread
+            // reads it: a reader reads positions below the head it
+            // loaded, and this is the only position mapped to the slot
+            // that is at most `pos`. The slot's atomics make it
+            // interior-mutable, so writing through `&self` is allowed,
             // and the even head store below publishes the write.
             unsafe { slot.as_ptr().cast_mut().write(words) };
         } else {
@@ -219,16 +285,53 @@ impl Ring {
         // SAFETY(ordering): Release — the even head publishes the three
         // words to a drainer's Acquire head load.
         self.head.store(head + 2, Ordering::Release);
-        // Twice the pushes is a multiple of the capacity exactly when
-        // the pushes are a multiple of half of it.
-        (head + 2) & self.mask == 0
+        // Twice the pushes is a multiple of the ring's (or the window's)
+        // size exactly when the pushes are a multiple of half of it.
+        if (head + 2) & self.mask.min(WINDOW_MASK) == 0 {
+            boundary(self);
+        }
     }
 
-    /// The event at position `pos`, as its slot holds it now. `pos`
-    /// must be below a head the caller has loaded.
-    fn event(&self, pos: u64) -> Event {
+    /// Owner-side, at a pack boundary of a held ring with nothing left
+    /// unpacked: a ring with a window stages every later push there
+    /// (module docs, "The held window"). Idempotent.
+    pub(crate) fn stage_in_window(&self) {
+        // Relaxed loads: the owner reads its own stores.
+        if self.slots.len() > self.capacity() && self.switch.load(Ordering::Relaxed) == NO_SWITCH {
+            let next = self.head.load(Ordering::Relaxed) >> 1;
+            // SAFETY(ordering): Relaxed — the next push's Release head
+            // store publishes the switch (ring-publish).
+            self.switch.store(next, Ordering::Relaxed);
+        }
+    }
+
+    /// The oldest position the ring still holds once `begun` pushes
+    /// have begun, given its `switch`: a ring's worth back before the
+    /// switch; after it, the ring's last lap before the switch while
+    /// the window holds every later position, and a window's worth
+    /// back once the window wrapped.
+    fn oldest(&self, begun: u64, switch: u64) -> u64 {
+        let window = HELD_WINDOW as u64;
+        if begun <= switch {
+            begun.saturating_sub(self.capacity() as u64)
+        } else if begun - switch <= window {
+            switch.saturating_sub(self.capacity() as u64)
+        } else {
+            begun - window
+        }
+    }
+
+    /// The event at position `pos`, as its slot holds it now, mapped
+    /// through `switch`. `pos` must be below a head the caller has
+    /// loaded, and `switch` loaded after it.
+    fn event(&self, pos: u64, switch: u64) -> Event {
+        let index = if pos < switch {
+            pos & self.mask
+        } else {
+            self.mask + 1 + (pos & WINDOW_MASK)
+        };
         // SAFETY: `pos` has been pushed, so its slot was initialised.
-        let [word, a, b] = unsafe { self.slots[(pos & self.mask) as usize].assume_init_ref() };
+        let [word, a, b] = unsafe { self.slots[index as usize].assume_init_ref() };
         // SAFETY(ordering): Relaxed — the head loads around a copy
         // order it (ring-publish), and the owner reads its own stores.
         let word = word.load(Ordering::Relaxed);
@@ -243,36 +346,37 @@ impl Ring {
         }
     }
 
-    /// Copies positions from `cursor` on — at most the newest capacity
-    /// — into `out`, in push order, skipping any a push overwrote while
-    /// they were copied. Returns the position of the first event
+    /// Copies positions from `cursor` on — at most what the ring still
+    /// holds — into `out`, in push order, skipping any a push overwrote
+    /// while they were copied. Returns the position of the first event
     /// appended and the position past the last: `out` gained exactly
     /// the events between them. Any thread may call this, and it
     /// consumes nothing: a snapshot reads a held ring's unpacked events
     /// so.
     pub(crate) fn copy_since(&self, cursor: u64, out: &mut Vec<Event>) -> (u64, u64) {
         // SAFETY(ordering) PAIRS(ring-publish): Acquire on the head load
-        // makes every completed push's words visible; the Acquire fence
-        // after the copy makes a push whose words it read visible in the
-        // head re-load, which then discards the slot.
+        // makes every completed push's words visible, and the switch of
+        // any position below it; the Acquire fence after the copy makes
+        // a push whose words it read visible in the head re-load, and
+        // its switch in the switch re-load, which then discard the slot.
         let done = self.head.load(Ordering::Acquire) >> 1;
-        let cap = self.capacity() as u64;
-        // Anything older than one capacity behind head is already
-        // overwritten (or about to be).
-        let lo = cursor.max(done.saturating_sub(cap)).min(done);
+        let switch = self.switch.load(Ordering::Relaxed);
+        // Anything older is already overwritten (or about to be).
+        let lo = cursor.max(self.oldest(done, switch)).min(done);
         let before = out.len();
-        out.extend((lo..done).map(|pos| self.event(pos)));
+        out.extend((lo..done).map(|pos| self.event(pos, switch)));
         fence(Ordering::Acquire);
-        // Push `p` overwrites position `p - cap`: every position below
-        // `started - cap` may have been copied torn.
+        // Every position below what the pushes begun by now leave held
+        // may have been copied torn.
         let started = (self.head.load(Ordering::Relaxed) + 1) >> 1;
-        let torn = started.saturating_sub(cap).clamp(lo, done) - lo;
+        let switch = self.switch.load(Ordering::Relaxed);
+        let torn = self.oldest(started, switch).clamp(lo, done) - lo;
         out.drain(before..before + torn as usize);
         (lo + torn, done)
     }
 
-    /// Packs the events not yet packed — at most the newest capacity —
-    /// into one [`Chunk`] sized exactly to what they take, hands it to
+    /// Packs the events not yet packed — at most what the ring still
+    /// holds — into one [`Chunk`] sized exactly to what they take, hands it to
     /// `publish`, and only then marks them packed. Owner-side: only the
     /// thread that pushes may call this, or any thread once that one is
     /// gone for good.
@@ -280,7 +384,8 @@ impl Ring {
         // Relaxed on both: the owner reads its own stores; a thread
         // packing for a gone owner is ordered after it by the `Arc`.
         let done = self.head.load(Ordering::Relaxed) >> 1;
-        let lo = self.tail().max(done.saturating_sub(self.capacity() as u64));
+        let switch = self.switch.load(Ordering::Relaxed);
+        let lo = self.tail().max(self.oldest(done, switch));
         if lo == done {
             return;
         }
@@ -288,7 +393,7 @@ impl Ring {
             scratch.clear();
             let mut bases = Bases::default();
             for pos in lo..done {
-                pack_event(scratch, &mut bases, &self.event(pos));
+                pack_event(scratch, &mut bases, &self.event(pos, switch));
             }
             scratch.as_slice().into()
         };
@@ -301,7 +406,7 @@ impl Ring {
             ring: self.order,
             start: lo,
             // One writer's events never go down in merge key.
-            last: self.event(done - 1).merge_key(),
+            last: self.event(done - 1, switch).merge_key(),
         });
         // SAFETY(ordering): Relaxed — once held, the tail is the owner's
         // own cursor; nothing is published through it.

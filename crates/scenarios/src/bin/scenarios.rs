@@ -9,7 +9,12 @@
 //!
 //! Defaults: the whole campaign over all five reclaiming schemes
 //! (repeat `--scheme` to pick several) and the workspace's default
-//! ring capacity. A malformed value exits 2 naming its flag.
+//! ring capacity. `--ring-capacity` sizes each shard's trace rings. No
+//! flight recorder holds them during a run, so each keeps its newest N
+//! events, and those are what a failure dump (`--flight-dir`) holds of
+//! it: the default drops events on multi-second runs. (The rings
+//! `era-net serve` holds from bind drop nothing at any capacity.)
+//! A malformed value exits 2 naming its flag.
 //! Exit status is non-zero when any run's verdict is `fail` — a
 //! robust scheme past its bound, a non-robust scheme that *failed* to
 //! blow the bound under a stall, residue after drain, an unhealthy

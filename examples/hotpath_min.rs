@@ -12,7 +12,14 @@
 //! it records anything: the resident set a freshly created ring adds
 //! (`VmRSS`, Linux only), averaged over 64 tracers that never emit. Its
 //! slots are allocated uninitialised, so it commits a page or two, not
-//! the 96 KiB of a zero-filled ring of the default capacity.
+//! the 96 KiB of a zero-filled ring of the default capacity. The second
+//! is what a ring of the default capacity commits once a
+//! `FlightRecorder` holds it and it has wrapped: 64 tracers of a held
+//! recorder, each emitting two rings' worth of `Retire`s. A held ring
+//! stages its events in its `HELD_WINDOW` = 512-slot window, so the
+//! target is at most 16 KB a ring (the window's 12 KiB and the pages
+//! around it), where a ring its owner writes all through commits its
+//! 96 KiB.
 //!
 //! The next two rows time the tracing substrate itself: one recorded
 //! `ThreadTracer::emit(Hook::Retire)` with one tracer running alone,
@@ -21,9 +28,9 @@
 //! §3.6), so the second row must stay within 2× of the first; a shared
 //! word on that path shows up here as a 4–10× gap that a one-thread
 //! probe can never see. The third times the same emits on a recorder a
-//! `FlightRecorder` holds, so the tracer also packs each half-ring it
-//! completes into a chunk: its gap to the first row is the owner's
-//! packing, amortised per event. The fourth times a counted hook
+//! `FlightRecorder` holds, so the tracer also packs each half window
+//! (256 events) it completes into a chunk: its gap to the first row is
+//! the owner's packing, amortised per event. The fourth times a counted hook
 //! (`Hook::Load`): a bump of the tracer's own counter, no clock read
 //! and no ring write. The row after them times what the emits are for:
 //! one HP operation (begin, two protected loads, end) on a stable
@@ -44,13 +51,13 @@
 //! and prints ns per tick and ns per write (÷ `NAV_EVERY`). The
 //! target is under 1 ns per write.
 //!
-//! The `flight poll` row times the flight recorder's watchdog poll in
-//! its steady state on a busy server: one source already at its
-//! retained-event cap, its owners having packed one full ring's worth
-//! of an EBR shard's put/remove churn, so the poll takes a ring's worth
-//! of chunks and trims as many. It also prints what a retained event
-//! costs packed. (An EBR shard's GETs record nothing: their hooks are
-//! counted.)
+//! The `flight poll` row times the flight recorder's poll in its
+//! steady state on a busy server: one source already at its
+//! retained-event cap, its two owners having packed 4 096 events of an
+//! EBR shard's put/remove churn in half-window chunks, 16 chunks of 256,
+//! so the poll takes those 16 and trims as many. It also prints what a
+//! retained event costs packed. (An EBR shard's GETs record nothing:
+//! their hooks are counted.)
 //!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
@@ -69,7 +76,9 @@ use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelMap};
 use era::kv::{KvConfig, KvCtx, KvStore};
 use era::obs::flight::DEFAULT_MAX_RETAINED;
-use era::obs::{FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer, DEFAULT_RING_CAPACITY};
+use era::obs::{
+    FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer, DEFAULT_RING_CAPACITY, HELD_WINDOW,
+};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
 use era::smr::he::He;
@@ -166,10 +175,41 @@ fn bench_ring_commit() {
     drop(tracers);
 }
 
+/// The resident KB each of 64 rings of a held recorder adds once it has
+/// taken two rings' worth of `Retire`s. The flight recorder keeps
+/// `DEFAULT_RING_CAPACITY` events and is polled after each tracer, so
+/// the chunks it frees are reused and what grows is the rings.
+fn bench_held_ring_commit() {
+    const TRACERS: u16 = 64;
+    let Some(before) = vm_rss_kb() else {
+        return;
+    };
+    let recorder = Recorder::new(usize::from(TRACERS));
+    let flight = FlightRecorder::single("held", &recorder).with_max_retained(DEFAULT_RING_CAPACITY);
+    let mut tracers: Vec<_> = (0..TRACERS)
+        .map(|thread| recorder.tracer(thread, SchemeId::NONE))
+        .collect();
+    for tracer in &mut tracers {
+        for i in 0..2 * DEFAULT_RING_CAPACITY as u64 {
+            tracer.emit(Hook::Retire, i, 0);
+        }
+        flight.poll();
+    }
+    let after = vm_rss_kb().unwrap_or(before);
+    out!(
+        "held ring commit: {:.1} KB VmRSS per held ring after a wrap \
+         ({TRACERS} tracers, {DEFAULT_RING_CAPACITY} events each, {} emitted; target <= 16)",
+        after.saturating_sub(before) as f64 / f64::from(TRACERS),
+        2 * DEFAULT_RING_CAPACITY
+    );
+    drop(tracers);
+}
+
 /// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
 /// for two tracers of one recorder emitting at the same time, then for
 /// one tracer whose recorder a flight recorder holds (polled between
-/// repetitions, as a watchdog would), then of a counted `Load` alone.
+/// repetitions, as a server worker polls it), then of a counted `Load`
+/// alone.
 /// A two-thread repetition costs what its slower thread took, so a
 /// descheduled peer only ever adds time and the minimum still tracks
 /// the contended cost.
@@ -237,8 +277,9 @@ fn bench_hp_op() {
     out!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
 }
 
-/// Fills two rings with a ring's worth of what an EBR shard under
-/// put/remove churn emits: a worker retires 64 nodes at heap-like
+/// Fills two held rings with 4 096 events of what an EBR shard under
+/// put/remove churn emits, which their owners pack as 16 half-window
+/// chunks of 256: a worker retires 64 nodes at heap-like
 /// addresses, then the service tracer (thread `u16::MAX`, as
 /// `StatCells::reclaim` uses) reclaims them as one run carrying each
 /// node's retire→reclaim latency. A retire only reads the clock, so
@@ -263,8 +304,9 @@ fn fill_churn(
 }
 
 /// Min-of-reps ns per `FlightRecorder::poll` of one source holding
-/// `DEFAULT_MAX_RETAINED` events, `fill` having its owners pack one
-/// full ring's worth before each, and the bytes a retained event takes.
+/// `DEFAULT_MAX_RETAINED` events, `fill` having its owners pack
+/// `DEFAULT_RING_CAPACITY` events before each, and the bytes a retained
+/// event takes.
 fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
     let flight = FlightRecorder::single("shard0", recorder);
     for _ in 0..DEFAULT_MAX_RETAINED / DEFAULT_RING_CAPACITY {
@@ -409,11 +451,13 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     out!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
     bench_ring_commit();
+    bench_held_ring_commit();
     bench_emit();
     bench_hp_op();
     out!(
         "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
-         one {DEFAULT_RING_CAPACITY}-event ring's worth of chunks to take)"
+         {DEFAULT_RING_CAPACITY} events in chunks of {} to take)",
+        HELD_WINDOW / 2
     );
     let recorder = Recorder::new(1);
     let mut worker = recorder.tracer(0, SchemeId::EBR);
