@@ -184,12 +184,6 @@ fn run_scheme<S: Smr>(
         if i % 16 == 0 {
             smr.flush(&mut ctx);
         }
-        // Periodic incremental drain into the flight buffer, so ring
-        // overwrite (not the flight layer) is the only loss channel
-        // and a crash loses at most one stride of events.
-        if i % 512 == 0 {
-            flight.poll();
-        }
     }
     // Recovery: release every chaos-held pin, then count the flush
     // rounds needed to drain the retired population.
@@ -203,7 +197,6 @@ fn run_scheme<S: Smr>(
     }
     let st = smr.stats();
     flight.set_stats(source, dump_stats(&st));
-    flight.poll();
     ChaosRunRecord {
         scheme: name.to_string(),
         seed: opts.seed,
@@ -238,16 +231,12 @@ fn run_vbr(opts: &Options, flight: &FlightRecorder) -> ChaosRunRecord {
             let h = live.remove(0);
             let _ = arena.retire(h);
         }
-        if i % 512 == 0 {
-            flight.poll();
-        }
     }
     for h in live.drain(..) {
         let _ = arena.retire(h);
     }
     let st = arena.stats();
     flight.set_stats(source, dump_stats(&st));
-    flight.poll();
     ChaosRunRecord {
         scheme: "VBR".to_string(),
         seed: opts.seed,

@@ -16,11 +16,12 @@
 //!   one shard's garbage, turning the theorem's worst case from a
 //!   whole-service outage into a per-shard incident.
 //! * [`ShardHealth`] + [`KvStore::navigator_tick`] — the navigator.
-//!   Each tick (one ticker at a time; the serving workers step it
-//!   every few hundred writes they answer, the scenario driver from
-//!   a ticking thread) reads each shard's always-on footprint metrics
-//!   against configured budgets ([`KvConfig::retired_soft`] /
-//!   [`KvConfig::retired_hard`]) and walks a three-state machine:
+//!   Each tick (one ticker at a time; a thread that writes steps it
+//!   through [`KvStore::navigate`] once every [`NAV_EVERY`] of its own
+//!   writes, so nothing ticks on a timer) reads each shard's always-on
+//!   footprint metrics against configured budgets
+//!   ([`KvConfig::retired_soft`] / [`KvConfig::retired_hard`]) and
+//!   walks a three-state machine:
 //!   `Robust` (native behaviour) → `Degrading` (admission control
 //!   sheds writes with [`KvError::Overloaded`]: robustness bought by
 //!   narrowing applicability) → `Violating` (the blamed pin is
@@ -29,8 +30,8 @@
 //!   [`Hook::Navigate`](era_obs::Hook) event.
 //! * [`workload`] — the YCSB-style workload vocabulary (A/B/C and
 //!   churn mixes, uniform and zipfian keys). The one driver over a
-//!   store — phases, stall injection, the navigator loop, run records
-//!   — is `era-scenarios`' `run_scenario`.
+//!   store — phases, stall injection, run records — is
+//!   `era-scenarios`' `run_scenario`.
 //!
 //! ## The navigator contract
 //!
@@ -55,6 +56,6 @@ pub mod navigator;
 pub mod store;
 pub mod workload;
 
-pub use navigator::ShardHealth;
+pub use navigator::{ShardHealth, NAV_EVERY};
 pub use store::{KvConfig, KvCtx, KvError, KvStore, NAVIGATOR_THREAD};
 pub use workload::{KeyDist, KvMix, KvOpKind};

@@ -36,7 +36,7 @@ use std::sync::TryLockError;
 use era_obs::Hook;
 use era_smr::Smr;
 
-use crate::store::KvStore;
+use crate::store::{KvCtx, KvStore};
 
 /// Live health class of one shard, the runtime analogue of
 /// [`era_core::robustness::RobustnessVerdict`].
@@ -95,17 +95,23 @@ impl std::fmt::Display for ShardHealth {
     }
 }
 
+/// Writes per navigator step: [`KvStore::navigate`] ticks once for
+/// every multiple of it that a context's write count crosses.
+pub const NAV_EVERY: u64 = 512;
+
 /// Ticks spent `Violating` between repeated neutralization attempts
 /// (the first attempt fires on entry). Retrying matters because a
 /// neutralized-and-restarted reader that stalls again re-pins the
 /// shard; the budget is re-enforced each time it is re-crossed. The
 /// interval bounds the sawtooth amplitude: garbage accrued between
-/// attempts rides on top of the hard budget, and a served store
-/// (`era-net`, which ticks once per `NAV_EVERY` = 512 write frames a
-/// worker answers) takes at most `NEUTRALIZE_RETRY_TICKS × NAV_EVERY`
-/// writes per worker that wins the tick, `workers ×` that in all,
-/// between two attempts. It is kept short; its only job is to give
-/// the victim a few ticks to act on the restart signal first.
+/// attempts rides on top of the hard budget. A store stepped by
+/// [`KvStore::navigate`] takes at most `NEUTRALIZE_RETRY_TICKS ×
+/// NAV_EVERY` write calls per context that wins the tick between two
+/// attempts, and `contexts ×` that in all. A write call counts whether
+/// it lands or is refused, so a Degrading write retried, or a shed
+/// `put_batch` item put again on its own, counts once per call. It is
+/// kept short; its only job is to give the victim a few ticks to act on
+/// the restart signal first.
 const NEUTRALIZE_RETRY_TICKS: u32 = 8;
 
 /// Pure classification step with hysteresis: escalate when `retired`
@@ -162,10 +168,10 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// blame-counter scan per shard — and entirely read-side except for
     /// the reaction itself.
     ///
-    /// Any thread may call it at any pace: `era-net`'s workers step it
-    /// every `NAV_EVERY` writes they answer and when they idle, the
-    /// scenario driver from a ticking thread, [`KvStore::drain`] once
-    /// per round. One store-level try-lock admits one ticker at a time;
+    /// Any thread may call it at any pace: [`KvStore::navigate`] steps
+    /// it on a context's own writes, `era-net`'s workers also call it
+    /// when they idle, and [`KvStore::drain`] once per round. One
+    /// store-level try-lock admits one ticker at a time;
     /// a call that finds another tick running skips it and returns
     /// `false` (that tick classifies the same footprint), and `true`
     /// once it has ticked.
@@ -223,6 +229,22 @@ impl<'s, S: Smr> KvStore<'s, S> {
             }
         }
         true
+    }
+
+    /// Steps the navigator once for every multiple of [`NAV_EVERY`] that
+    /// `ctx`'s write count — its `put`, `remove` and `incr` calls and
+    /// its `put_batch` items, applied or refused — has crossed since
+    /// this context's last call. Reads count nothing, so a read-only
+    /// stream never ticks. The thread that writes pays for the
+    /// navigator, amortised over its own writes: nothing runs on a
+    /// timer. A tick that finds another one running is skipped
+    /// ([`KvStore::navigator_tick`]).
+    pub fn navigate(&self, ctx: &mut KvCtx<S>) {
+        let (from, to) = (ctx.navigated / NAV_EVERY, ctx.writes / NAV_EVERY);
+        ctx.navigated = ctx.writes;
+        for _ in from..to {
+            self.navigator_tick();
+        }
     }
 
     /// The thread slot to neutralize on shard `i`: the slot whose blame
@@ -328,6 +350,61 @@ mod tests {
         }
         store.navigator_tick();
         assert_eq!(store.health(0), ShardHealth::Robust);
+    }
+
+    /// `k × NAV_EVERY` write calls — `put`, `remove`, `incr` and
+    /// `put_batch` items, some refused by a quarantined shard — step
+    /// the navigator exactly `k` times: one `Sample` per shard each. A
+    /// `get` counts nothing, however many there are.
+    #[test]
+    fn navigate_ticks_once_per_nav_every_writes_and_never_on_reads() {
+        let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(4)).collect();
+        let store = KvStore::new(&schemes, KvConfig::default());
+        let mut ctx = store.register().unwrap();
+        let samples = || -> Vec<u64> {
+            (0..2)
+                .map(|i| store.recorder(i).metrics().hook_count(Hook::Sample))
+                .collect()
+        };
+        for i in 0..10_000 {
+            let _ = store.get(&mut ctx, i);
+            store.navigate(&mut ctx);
+        }
+        assert_eq!(samples(), [0, 0], "reads stepped the navigator");
+        let mut writes = 0u64;
+        for k in 1..=3u64 {
+            // Each tick re-opens the quiet shard; close it again, so
+            // every round has writes it refuses.
+            store.quarantine(1);
+            let sheds = store.nav_counters().2;
+            while writes < k * NAV_EVERY {
+                let key = writes as i64;
+                match writes % 4 {
+                    0 => _ = store.put(&mut ctx, key, 1),
+                    1 => _ = store.remove(&mut ctx, key - 1),
+                    2 => _ = store.incr(&mut ctx, key, 1),
+                    _ => {
+                        let n = (k * NAV_EVERY - writes).min(3);
+                        let items: Vec<(i64, i64)> = (0..n as i64).map(|j| (key + j, j)).collect();
+                        store.put_batch(&mut ctx, &items);
+                        writes += n - 1;
+                    }
+                }
+                writes += 1;
+                if writes < k * NAV_EVERY {
+                    store.navigate(&mut ctx);
+                    assert_eq!(samples(), [k - 1; 2], "a step before write {writes}");
+                }
+            }
+            assert!(store.nav_counters().2 > sheds, "no write was refused");
+            store.navigate(&mut ctx);
+            assert_eq!(samples(), [k; 2], "{k} × {NAV_EVERY} writes");
+        }
+        // One call that crosses two multiples steps twice.
+        let items: Vec<(i64, i64)> = (0..2 * NAV_EVERY as i64).map(|j| (j, j)).collect();
+        store.put_batch(&mut ctx, &items);
+        store.navigate(&mut ctx);
+        assert_eq!(samples(), [5, 5]);
     }
 
     #[test]

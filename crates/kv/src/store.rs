@@ -135,6 +135,12 @@ pub(crate) struct Shard<'s, S: Smr> {
 #[must_use = "a KvCtx owns per-shard SMR registrations: dropping it releases every shard slot and orphans in-flight garbage"]
 pub struct KvCtx<S: Smr> {
     pub(crate) ctxs: Vec<S::ThreadCtx>,
+    /// Writes this context has asked of the store, applied or refused:
+    /// one per `put`, `remove` and `incr` call, one per `put_batch`
+    /// item. Thread-private, like the context.
+    pub(crate) writes: u64,
+    /// `writes` at this context's last [`KvStore::navigate`].
+    pub(crate) navigated: u64,
     /// Each shard's standing in the running [`KvStore::put_batch`]
     /// call, sized at [`KvStore::register`] so a batch allocates
     /// nothing for it. Thread-private: only this context's batches
@@ -304,6 +310,8 @@ impl<'s, S: Smr> KvStore<'s, S> {
         }
         Ok(KvCtx {
             ctxs,
+            writes: 0,
+            navigated: 0,
             groups: vec![Group::Unseen; self.shards.len()],
         })
     }
@@ -352,6 +360,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// [`KvError::Overloaded`] when the target shard is degraded and
     /// its admission queue is full.
     pub fn put(&self, ctx: &mut KvCtx<S>, key: i64, value: i64) -> Result<Option<i64>, KvError> {
+        ctx.writes += 1;
         let si = self.shard_of(key);
         let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
@@ -369,6 +378,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// [`KvError::Overloaded`] under the same conditions as
     /// [`KvStore::put`].
     pub fn remove(&self, ctx: &mut KvCtx<S>, key: i64) -> Result<Option<i64>, KvError> {
+        ctx.writes += 1;
         let si = self.shard_of(key);
         let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
@@ -387,6 +397,7 @@ impl<'s, S: Smr> KvStore<'s, S> {
     /// [`KvError::Overloaded`] under the same conditions as
     /// [`KvStore::put`].
     pub fn incr(&self, ctx: &mut KvCtx<S>, key: i64, delta: i64) -> Result<Option<i64>, KvError> {
+        ctx.writes += 1;
         let si = self.shard_of(key);
         let counted = self.admit_write(si)?;
         let sh = &self.shards[si];
@@ -415,7 +426,13 @@ impl<'s, S: Smr> KvStore<'s, S> {
         ctx: &mut KvCtx<S>,
         items: &[(i64, i64)],
     ) -> Vec<Result<Option<i64>, KvError>> {
-        let KvCtx { ctxs, groups } = ctx;
+        let KvCtx {
+            ctxs,
+            writes,
+            groups,
+            ..
+        } = ctx;
+        *writes += items.len() as u64;
         // Reset on entry as well as on exit: a batch that unwound
         // mid-way leaves no admission standing for the next one.
         groups.fill(Group::Unseen);

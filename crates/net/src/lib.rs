@@ -40,4 +40,4 @@ pub use proto::{
     read_frame, split_frame, write_request, write_response, ErrorCode, ErrorReply, ProtoError,
     Request, Response, StatsReply, MAX_FRAME, MAX_REQUEST_FRAME,
 };
-pub use server::{NetConfig, NetHandle, NetServer, ServeStats, NAV_EVERY};
+pub use server::{NetConfig, NetHandle, NetServer, ServeStats};

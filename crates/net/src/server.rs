@@ -10,18 +10,20 @@
 //! answered **in order** by construction (and connection `workers + 1`
 //! waits for a worker while the first `workers` stay open).
 //!
-//! The workers also run the navigator. Each counts the write frames it
-//! answers — applied, batched, shed or timed out — across connections,
-//! and steps [`KvStore::navigator_tick`] once every [`NAV_EVERY`] of
-//! them, after the turn's replies have left; every 128th step also
-//! polls the flight recorder. A worker that idles out of a queue wait
-//! or a read steps too, beside its idle maintenance, so a quiet or
-//! shedding server still de-escalates and trims. Reads add no
-//! footprint and step nothing: a GET-only stream leaves the navigator
-//! and the flight recorder untouched. Between two neutralization
-//! attempts on a `Violating` shard a worker that wins the tick lock
-//! answers at most `NEUTRALIZE_RETRY_TICKS × NAV_EVERY` writes, and
-//! the pool `workers ×` that.
+//! The workers also run the navigator, on the store's own count of
+//! their writes: after each turn's replies have left, a worker calls
+//! [`KvStore::navigate`], which ticks once for every
+//! [`era_kv::NAV_EVERY`] store write calls its context has made —
+//! applied, batched or refused, a Degrading retry once per attempt. A
+//! write the server sheds without calling the store (a `Violating` or
+//! `Quarantined` shard) counts nothing; it adds no footprint either. A
+//! worker that idles out of a queue wait or a read ticks once, beside
+//! its idle maintenance, so a quiet or shedding server still
+//! de-escalates. Reads add no footprint and step nothing: a GET-only
+//! stream leaves the navigator untouched. The flight recorder needs no
+//! step: each shard's tracers trim what they publish to its cap. The
+//! sawtooth bound between two neutralization attempts is stated in
+//! store write calls (`navigator.rs`' `NEUTRALIZE_RETRY_TICKS`).
 //!
 //! ## A connection: one socket, two buffers
 //!
@@ -120,14 +122,6 @@ const QUEUE_DEPTH: usize = 64;
 /// `retry_after_ms` hint attached to `Overloaded` and
 /// `DeadlineExceeded` frames (doubled for a `Quarantined` shard).
 const RETRY_AFTER_MS: u32 = 50;
-
-/// Write frames a worker answers per navigator step (see the module
-/// docs' "Thread shape").
-pub const NAV_EVERY: u64 = 512;
-
-/// Navigator steps per flight-recorder poll: at `net-churn-ebr`'s write
-/// rate, about one poll per 25 ms.
-const FLIGHT_POLL_STEPS: u64 = 128;
 
 /// Server-side clamp on `SCAN` limits.
 const SCAN_LIMIT: u32 = 1024;
@@ -411,7 +405,6 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     ///
     /// Any filesystem error from writing `path`.
     pub fn write_flight(&self, path: &Path) -> io::Result<()> {
-        self.flight.poll();
         for i in 0..self.store.shard_count() {
             let st = self.store.scheme(i).stats();
             self.flight.set_stats(
@@ -430,8 +423,8 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
 
     /// Serves until [`NetHandle::shutdown`] is called. Blocks the
     /// calling thread (the acceptor) and scopes the worker threads
-    /// under it; the workers also step the navigator and poll the
-    /// flight recorder (module docs, "Thread shape").
+    /// under it; the workers also step the navigator (module docs,
+    /// "Thread shape").
     ///
     /// # Errors
     ///
@@ -457,29 +450,13 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         Ok(self.counters.snapshot())
     }
 
-    /// Steps the navigator once for every multiple of [`NAV_EVERY`] in
-    /// `(before, after]`, a worker's write count before and after one
-    /// turn, and polls the flight recorder every `FLIGHT_POLL_STEPS`th
-    /// step. The workers pack their own trace rings; a poll only takes
-    /// the chunks they published and trims the oldest, so it reads no
-    /// ring a worker is writing.
-    fn step(&self, before: u64, after: u64) {
-        for step in before / NAV_EVERY + 1..=after / NAV_EVERY {
-            self.store.navigator_tick();
-            if step % FLIGHT_POLL_STEPS == 0 {
-                self.flight.poll();
-            }
-        }
-    }
-
     /// What a worker does when it idles out of a queue wait or a read:
-    /// flush its retire lists (see [`KvStore::maintain`]), step the
-    /// navigator and poll the flight recorder, so a server whose writes
-    /// stopped or are all shed still de-escalates and trims.
+    /// flush its retire lists (see [`KvStore::maintain`]) and tick the
+    /// navigator, so a server whose writes stopped or are all shed
+    /// still de-escalates.
     fn idle(&self, ctx: &mut KvCtx<S>) {
         self.store.maintain(ctx);
         self.store.navigator_tick();
-        self.flight.poll();
     }
 
     fn accept_loop(&self) {
@@ -527,8 +504,6 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
 
     fn worker_loop(&self, worker: u16, ctx: &mut KvCtx<S>) {
         let mut tracer = self.recorder.tracer(worker, SchemeId::NONE);
-        // Write frames this worker has answered, over every connection.
-        let mut writes = 0u64;
         loop {
             let conn = {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -555,7 +530,7 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
             };
             match conn {
                 Some(stream) => {
-                    let _ = self.serve_conn(stream, ctx, &mut tracer, &mut writes);
+                    let _ = self.serve_conn(stream, ctx, &mut tracer);
                     // SAFETY(ordering): Relaxed — telemetry tally.
                     self.counters.served.fetch_add(1, Ordering::Relaxed);
                 }
@@ -565,29 +540,27 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     }
 
     /// Serves one connection to completion. Each turn answers every
-    /// whole frame one read brought in, adding its write frames to
-    /// `writes`, writes the replies once (not at all if the read
-    /// brought only part of a frame), steps the navigator if the turn
-    /// crossed a multiple of [`NAV_EVERY`], and reads again.
+    /// whole frame one read brought in, writes the replies once (not at
+    /// all if the read brought only part of a frame), steps the
+    /// navigator on the turn's writes ([`KvStore::navigate`]), and
+    /// reads again.
     fn serve_conn(
         &self,
         stream: TcpStream,
         ctx: &mut KvCtx<S>,
         tracer: &mut ThreadTracer,
-        writes: &mut u64,
     ) -> io::Result<()> {
         let mut conn = Conn::new(stream, self.cfg.read_timeout)?;
         // A `PUT` run never holds more frames than `rbuf` does.
         let mut items: Vec<(i64, i64)> = Vec::with_capacity(RBUF_LEN / PUT_FRAME_LEN);
         loop {
-            let before = *writes;
             let turn = self
-                .answer_buffered(ctx, &mut conn, &mut items, tracer, writes)
+                .answer_buffered(ctx, &mut conn, &mut items, tracer)
                 .and_then(|open| {
                     conn.flush(&self.ctl.stop, &self.counters.writes)?;
                     Ok(open)
                 });
-            self.step(before, *writes);
+            self.store.navigate(ctx);
             if !turn? {
                 return Ok(());
             }
@@ -612,16 +585,13 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
     /// collect in `items` and are answered as one run; two or more go
     /// through the store's per-shard batch path. Returns `false` once
     /// an undecodable frame has been answered `Malformed`, behind the
-    /// replies to every frame before it: the connection closes. Every
-    /// write frame answered (`PUT`, `REMOVE`, `INCR`, whatever the
-    /// answer) adds one to `writes`.
+    /// replies to every frame before it: the connection closes.
     fn answer_buffered(
         &self,
         ctx: &mut KvCtx<S>,
         conn: &mut Conn,
         items: &mut Vec<(i64, i64)>,
         tracer: &mut ThreadTracer,
-        writes: &mut u64,
     ) -> io::Result<bool> {
         let mut frames = 0u64;
         let turn = loop {
@@ -650,14 +620,11 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
                     .encode(&mut conn.wbuf);
                 }
             }
-            *writes += items.len() as u64;
             items.clear();
             match next {
                 Ok(Some(req)) => {
                     self.respond(ctx, &req, tracer).encode(&mut conn.wbuf);
                     frames += 1;
-                    *writes +=
-                        u64::from(matches!(req, Request::Remove { .. } | Request::Incr { .. }));
                 }
                 Ok(None) => break Ok(true),
                 Err(_) => {
@@ -960,7 +927,7 @@ mod tests {
         assert!(cfg.degraded_deadline < Duration::from_secs(1));
         // The serving constants every caller runs with.
         assert_eq!(
-            (QUEUE_DEPTH, RETRY_AFTER_MS, NAV_EVERY, SCAN_LIMIT),
+            (QUEUE_DEPTH, RETRY_AFTER_MS, era_kv::NAV_EVERY, SCAN_LIMIT),
             (64, 50, 512, 1024)
         );
         // The Degrading-path schedule is jittered but still bounded:

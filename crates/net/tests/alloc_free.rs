@@ -10,13 +10,13 @@
 //! test, which a process-wide count would charge to the server.
 //!
 //! Nothing in the server is time-driven: the worker steps the
-//! navigator and polls the flight recorder only on the writes it
-//! answers and when it idles out of a read, and a GET stream does
-//! neither. So serving GETs allocates nothing at all. A run of `PUT`s
-//! goes through `KvStore::put_batch`, whose result `Vec` is the one
-//! allocation a run may make; the navigator steps and flight polls
-//! the writes pace (and a trace ring's chunks the owner packs) may
-//! add a few more.
+//! navigator only on the store's count of its writes and when it idles
+//! out of a read, and a GET stream does neither. So serving GETs
+//! allocates nothing at all. A run of `PUT`s goes through
+//! `KvStore::put_batch`, whose result `Vec` is the one allocation a run
+//! may make; the navigator steps the writes pace (and the chunks a
+//! trace ring's owner packs and trims as it publishes) may add a few
+//! more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};

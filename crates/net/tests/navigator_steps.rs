@@ -15,9 +15,9 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use era_kv::{KvConfig, KvStore};
+use era_kv::{KvConfig, KvStore, NAV_EVERY};
 use era_net::proto::read_frame;
-use era_net::{NetConfig, NetServer, Request, Response, NAV_EVERY};
+use era_net::{NetConfig, NetServer, Request, Response};
 use era_obs::Hook;
 use era_smr::ebr::Ebr;
 

@@ -24,19 +24,22 @@
 //! held ring is never overwritten before it is packed, so it drops
 //! nothing.
 //!
-//! Three ways events reach a dump:
+//! The outbox is the retained store: under the lock it takes to
+//! publish a chunk, the owner trims whole chunks, oldest first, to the
+//! source's cap, and counts them. Nothing polls it, so a source held
+//! for a whole run and never read costs the cap, not the run. A ring
+//! whose tracer is gone is packed into the outbox and let go of when
+//! the recorder next creates a ring, and at each snapshot.
 //!
-//! - [`poll`](FlightRecorder::poll) — takes the published chunks, by
-//!   pointer, and trims whole chunks, oldest first, to the cap; call it
-//!   at some stride of the work that publishes them (`era-net`'s
-//!   workers poll every 128th navigator step, and when they idle) so
-//!   chunks do not pile up between snapshots.
-//! - [`snapshot`](FlightRecorder::snapshot) — polls, adds each ring's
-//!   not-yet-packed rest (for a recorder held after the fact, its last
-//!   ring's worth), merges by [`Event::merge_key`] with ties in ring
-//!   creation order, as [`Recorder::drain`] does, and assembles a
-//!   [`FlightDump`] with each source's events after the trim, metrics,
-//!   stats, and honest drop/trim counts. It consumes nothing.
+//! Two ways events reach a dump:
+//!
+//! - [`snapshot`](FlightRecorder::snapshot) — copies the outbox's
+//!   retained chunks, by pointer, adds each ring's not-yet-packed rest
+//!   (for a recorder held after the fact, its last ring's worth), merges
+//!   by [`Event::merge_key`] with ties in ring creation order, as
+//!   [`Recorder::drain`] does, and assembles a [`FlightDump`] with each
+//!   source's events after the trim, metrics, stats, and honest
+//!   drop/trim counts. It consumes nothing.
 //! - [`install_panic_hook`](FlightRecorder::install_panic_hook) — a
 //!   chained `std::panic` hook that writes the snapshot to a file as
 //!   the process dies, so a chaos-injected fault or a plain bug leaves
@@ -66,11 +69,11 @@ pub const DEFAULT_MAX_RETAINED: usize = 1 << 16;
 /// One ring's events, packed at once by its owner: half a window (half
 /// a ring, for a ring of at most [`crate::HELD_WINDOW`] slots), unless
 /// it is the first pack after a late hold or the rest of a ring whose
-/// tracer is gone.
-#[derive(Debug)]
+/// tracer is gone. A clone shares the bytes.
+#[derive(Debug, Clone)]
 pub(crate) struct Chunk {
     /// The events, packed from zeroed bases; sized to what they take.
-    pub(crate) bytes: Box<[u8]>,
+    pub(crate) bytes: Arc<[u8]>,
     pub(crate) events: usize,
     /// The ring's [`crate::Ring`] creation order in its recorder.
     pub(crate) ring: u64,
@@ -87,61 +90,30 @@ impl Chunk {
     }
 }
 
-/// A recorder's published chunks, oldest first. The lock is held only
-/// to push one chunk or to move them all out, once per half window on
-/// the owner's side and once per poll on the flight recorder's.
+/// A held recorder's retained chunks. The lock is held to add one chunk
+/// and trim — once per half window, on the owner's side — or to copy
+/// the list, once per snapshot.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub(crate) struct Outbox {
     /// Whether a flight recorder holds the recorder.
     held: AtomicBool,
-    chunks: Mutex<Vec<Chunk>>,
+    retained: Mutex<Retained>,
 }
 
-impl Outbox {
-    /// Whether the owners pack.
-    pub(crate) fn is_held(&self) -> bool {
-        // SAFETY(ordering): Acquire, paired with `set_held`'s Release:
-        // an owner that sees the hold sees the drainer's last cursor.
-        self.held.load(Ordering::Acquire)
-    }
-
-    /// Starts or ends a hold (under the recorder's ring lock, so no
-    /// drain runs across the change).
-    pub(crate) fn set_held(&self, held: bool) {
-        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
-        self.held.store(held, Ordering::Release);
-    }
-
-    /// Publishes `chunk` after every chunk published before it.
-    pub(crate) fn publish(&self, chunk: Chunk) {
-        self.lock().push(chunk);
-    }
-
-    /// Moves every published chunk to the end of `out`, oldest first.
-    pub(crate) fn take(&self, out: &mut Vec<Chunk>) {
-        out.append(&mut self.lock());
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Vec<Chunk>> {
-        // A push or a move leaves the list whole even if it panics, and
-        // the crash dump takes chunks from a panic hook.
-        self.chunks.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[derive(Debug)]
-struct FlightSource {
-    label: String,
-    recorder: Recorder,
-    /// Chunks taken and not trimmed, oldest taken first.
+/// What a held recorder's owners have published, trimmed to the cap.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Retained {
+    /// The cap on `len`.
+    max: usize,
+    /// Published and not trimmed, oldest published first.
     chunks: VecDeque<Chunk>,
     /// Events in `chunks`.
     len: usize,
     /// Per ring, by creation order: the position past the last event
-    /// taken (where the ring's packing started, before any).
+    /// published (where the ring's packing started, before any).
     cursors: Vec<u64>,
-    /// Events trimmed off `chunks` by the count cap.
+    /// Events trimmed off `chunks` by the cap.
     trimmed: u64,
     /// The largest merge key among them: a snapshot leaves out every
     /// event at or below it, so a dump is the merged log's suffix.
@@ -149,29 +121,14 @@ struct FlightSource {
     /// Events the rings overwrote before their owners first packed (a
     /// recorder held after its rings wrapped).
     lost: u64,
-    stats: Option<DumpStats>,
 }
 
-impl FlightSource {
-    fn new(label: &str, recorder: &Recorder) -> FlightSource {
-        let mut source = FlightSource {
-            label: label.to_string(),
-            recorder: recorder.clone(),
-            chunks: VecDeque::new(),
-            len: 0,
-            cursors: Vec::new(),
-            trimmed: 0,
-            cut: None,
-            lost: 0,
-            stats: None,
-        };
-        for (ring, tail) in recorder.hold() {
-            *source.cursor(ring) = tail;
-        }
-        source
+impl Retained {
+    fn cursor(&self, ring: u64) -> u64 {
+        self.cursors.get(ring as usize).copied().unwrap_or(0)
     }
 
-    fn cursor(&mut self, ring: u64) -> &mut u64 {
+    fn cursor_mut(&mut self, ring: u64) -> &mut u64 {
         let k = ring as usize;
         if k >= self.cursors.len() {
             self.cursors.resize(k + 1, 0);
@@ -179,52 +136,115 @@ impl FlightSource {
         &mut self.cursors[k]
     }
 
-    /// Takes the published chunks and trims whole chunks, oldest first,
-    /// to `max_retained` events.
-    fn poll(&mut self, max_retained: usize) {
-        let mut taken = Vec::new();
-        self.recorder.take_chunks(&mut taken);
-        for chunk in taken {
-            let cursor = self.cursor(chunk.ring);
-            // A chunk an owner packed just before this hold began.
-            if chunk.end() <= *cursor {
-                continue;
-            }
-            let lost = chunk.start.saturating_sub(*cursor);
-            *cursor = chunk.end();
-            self.lost += lost;
-            self.len += chunk.events;
-            self.chunks.push_back(chunk);
+    fn add(&mut self, chunk: Chunk) {
+        let cursor = self.cursor_mut(chunk.ring);
+        let start = *cursor;
+        // A chunk an owner packed just before this hold began.
+        if chunk.end() <= start {
+            return;
         }
-        while self.len > max_retained {
+        *cursor = chunk.end();
+        self.lost += chunk.start.saturating_sub(start);
+        self.len += chunk.events;
+        self.chunks.push_back(chunk);
+        self.trim();
+    }
+
+    /// Trims whole chunks, oldest first, to `max` events.
+    fn trim(&mut self) {
+        while self.len > self.max {
             let front = self.chunks.pop_front().expect("len > 0");
             self.len -= front.events;
             self.trimmed += front.events as u64;
             self.cut = self.cut.max(Some(front.last));
         }
     }
+}
 
-    fn snapshot(&mut self, max_retained: usize) -> SourceDump {
-        self.poll(max_retained);
+impl Outbox {
+    /// Whether the owners pack.
+    pub(crate) fn is_held(&self) -> bool {
+        // SAFETY(ordering): Acquire, paired with `hold`'s Release: an
+        // owner that sees the hold sees the drainer's last cursor.
+        self.held.load(Ordering::Acquire)
+    }
+
+    /// Starts a hold retaining at most `max` events, each ring's packing
+    /// starting at its `(order, position)` in `starts`; whatever a
+    /// previous hold retained is dropped. Under the recorder's ring
+    /// lock, so no drain runs across the change.
+    pub(crate) fn hold(&self, max: usize, starts: impl Iterator<Item = (u64, u64)>) {
+        let mut retained = self.lock();
+        *retained = Retained {
+            max,
+            ..Retained::default()
+        };
+        for (ring, start) in starts {
+            *retained.cursor_mut(ring) = start;
+        }
+        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
+        self.held.store(true, Ordering::Release);
+    }
+
+    /// Ends a hold: owners stop packing, and what it retained is dropped.
+    pub(crate) fn release(&self) {
+        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
+        self.held.store(false, Ordering::Release);
+        *self.lock() = Retained::default();
+    }
+
+    /// Adds `chunk` after every chunk published before it, and trims.
+    pub(crate) fn publish(&self, chunk: Chunk) {
+        self.lock().add(chunk);
+    }
+
+    /// Sets the cap, and trims to it.
+    fn set_max(&self, max: usize) {
+        let mut retained = self.lock();
+        retained.max = max;
+        retained.trim();
+    }
+
+    /// Each ring's position past its last event published, by creation
+    /// order.
+    pub(crate) fn cursors(&self) -> Vec<u64> {
+        self.lock().cursors.clone()
+    }
+
+    /// A copy of what is retained; the chunks' bytes are shared.
+    fn retained(&self) -> Retained {
+        self.lock().clone()
+    }
+
+    fn packed_bytes(&self) -> usize {
+        self.lock().chunks.iter().map(|c| c.bytes.len()).sum()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Retained> {
+        // A push or a trim leaves the list whole even if it panics, and
+        // the crash dump copies it from a panic hook.
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[derive(Debug)]
+struct FlightSource {
+    label: String,
+    recorder: Recorder,
+    stats: Option<DumpStats>,
+}
+
+impl FlightSource {
+    fn snapshot(&self) -> SourceDump {
         // Each ring's events past its cursor. A push that overwrote one
         // of them while it was copied was preceded by the pack that
-        // holds it, so a second poll takes that chunk, and what the
-        // chunks now hold comes off the copy.
-        let mut rests = Vec::new();
-        self.recorder.for_each_ring(|ring| {
-            let cursor = self
-                .cursors
-                .get(ring.order() as usize)
-                .copied()
-                .unwrap_or(0);
-            let mut events = Vec::new();
-            let (first, _) = ring.copy_since(cursor, &mut events);
-            rests.push((ring.order(), first, events));
-        });
-        self.poll(max_retained);
+        // holds it, so the retained list, copied after, holds that
+        // chunk, and what the chunks hold comes off the copy.
+        let mut rests = self.recorder.unpacked();
+        let retained = self.recorder.outbox().retained();
         let mut pending_lost = 0;
         for (ring, first, events) in &mut rests {
-            let cursor = *self.cursor(*ring);
+            let cursor = retained.cursor(*ring);
             let covered = cursor.saturating_sub(*first).min(events.len() as u64);
             events.drain(..covered as usize);
             *first += covered;
@@ -232,7 +252,7 @@ impl FlightSource {
         }
         // Ring creation order, then push order; a stable sort by merge
         // key keeps it among equal keys, as `Recorder::drain` does.
-        let mut runs: Vec<(u64, u64, Vec<Event>)> = self
+        let mut runs: Vec<(u64, u64, Vec<Event>)> = retained
             .chunks
             .iter()
             .map(|c| {
@@ -245,14 +265,14 @@ impl FlightSource {
         runs.sort_by_key(|&(ring, start, _)| (ring, start));
         let mut events: Vec<Event> = runs.into_iter().flat_map(|(_, _, e)| e).collect();
         events.sort_by_key(Event::merge_key);
-        let cut = self.cut;
+        let cut = retained.cut;
         let below_cut = events.partition_point(|e| cut.is_some_and(|c| e.merge_key() <= c));
-        let excess = (events.len() - below_cut).saturating_sub(max_retained);
+        let excess = (events.len() - below_cut).saturating_sub(retained.max);
         events.drain(..below_cut + excess);
         SourceDump {
             label: self.label.clone(),
-            dropped: self.recorder.dropped() + self.lost + pending_lost,
-            trimmed: self.trimmed + (below_cut + excess) as u64,
+            dropped: self.recorder.dropped() + retained.lost + pending_lost,
+            trimmed: retained.trimmed + (below_cut + excess) as u64,
             events,
             metrics: Some(MetricsDump::capture(self.recorder.metrics())),
             stats: self.stats,
@@ -286,9 +306,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Overrides the per-source retained-event cap (builder style).
+    /// Overrides the per-source retained-event cap (builder style), for
+    /// the sources already added too.
     pub fn with_max_retained(mut self, max_retained: usize) -> Self {
         self.max_retained = max_retained.max(1);
+        for source in self.lock().iter() {
+            source.recorder.outbox().set_max(self.max_retained);
+        }
         self
     }
 
@@ -304,14 +328,19 @@ impl FlightRecorder {
     /// [`set_stats`](Self::set_stats)). Labels identify schemes or
     /// shards in `era-view`; they need not be unique but should be.
     ///
-    /// From here on the recorder's tracers pack their own rings and
-    /// [`Recorder::drain`] returns none of its events; events it holds
-    /// already reach the first snapshot, up to a ring's worth per ring.
-    /// A recorder feeds one flight recorder at a time, until that one
-    /// drops.
+    /// From here on the recorder's tracers pack their own rings into
+    /// its outbox, trimmed to the cap, and [`Recorder::drain`] returns
+    /// none of its events; events it holds already reach the first
+    /// snapshot, up to a ring's worth per ring. A recorder feeds one
+    /// flight recorder at a time, until that one drops.
     pub fn add_source(&self, label: &str, recorder: &Recorder) -> usize {
+        recorder.hold(self.max_retained);
         let mut sources = self.lock();
-        sources.push(FlightSource::new(label, recorder));
+        sources.push(FlightSource {
+            label: label.to_string(),
+            recorder: recorder.clone(),
+            stats: None,
+        });
         sources.len() - 1
     }
 
@@ -324,33 +353,23 @@ impl FlightRecorder {
         }
     }
 
-    /// Takes every source's published chunks and trims whole chunks,
-    /// oldest first, to the cap. Call periodically (an op-count stride,
-    /// as `era-net`'s workers do, or a timer) so published chunks do
-    /// not pile up unbounded between snapshots.
-    pub fn poll(&self) {
-        for source in self.lock().iter_mut() {
-            source.poll(self.max_retained);
-        }
-    }
-
-    /// Bytes the retained events of every source take packed.
+    /// Bytes the retained chunks of every source take packed.
     pub fn packed_bytes(&self) -> usize {
         let sources = self.lock();
-        let chunks = sources.iter().flat_map(|s| &s.chunks);
-        chunks.map(|c| c.bytes.len()).sum()
+        sources
+            .iter()
+            .map(|s| s.recorder.outbox().packed_bytes())
+            .sum()
     }
 
-    /// Polls and assembles the dump: per source, the newest events up
-    /// to the cap — retained chunks and the rings' unpacked rest,
-    /// merged — a metrics capture, the latest stats, and the drop/trim
-    /// accounting.
+    /// Assembles the dump: per source, the newest events up to the cap
+    /// — retained chunks and the rings' unpacked rest, merged — a
+    /// metrics capture, the latest stats, and the drop/trim accounting.
     pub fn snapshot(&self) -> FlightDump {
-        let mut sources = self.lock();
-        let sources = sources.iter_mut();
+        let sources = self.lock();
         FlightDump {
             wall_unix_ms: unix_ms(),
-            sources: sources.map(|s| s.snapshot(self.max_retained)).collect(),
+            sources: sources.iter().map(FlightSource::snapshot).collect(),
         }
     }
 
@@ -460,14 +479,16 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
-    fn poll_then_snapshot_does_not_duplicate_events() {
-        let recorder = Recorder::new(2);
+    fn published_chunks_and_unpacked_rests_do_not_overlap() {
+        // A ring of 8 publishes every 4 events: each snapshot reads
+        // chunks and the ring's unpacked rest, and consumes neither.
+        let recorder = Recorder::with_ring_capacity(2, 8);
         let flight = FlightRecorder::single("s", &recorder);
         let mut t = recorder.tracer(0, SchemeId::HP);
         for i in 0..10 {
             t.emit(Hook::Retire, i, 0);
         }
-        flight.poll();
+        assert_eq!(flight.snapshot().sources[0].events.len(), 10);
         for i in 10..25 {
             t.emit(Hook::Retire, i, 0);
         }
@@ -481,8 +502,9 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn memory_cap_trims_oldest_and_counts_them() {
-        // Rings of 8 pack chunks of 4, which the poll trims; a ring of
-        // 4096 packs none, and the snapshot trims its unpacked rest.
+        // Rings of 8 pack chunks of 4, which their owner trims as it
+        // publishes them; a ring of 4096 packs none, and the snapshot
+        // trims its unpacked rest.
         for capacity in [8, DEFAULT_RING_CAPACITY] {
             let recorder = Recorder::with_ring_capacity(2, capacity);
             let flight = FlightRecorder::single("s", &recorder).with_max_retained(16);
@@ -490,7 +512,6 @@ mod tests {
             for i in 0..64 {
                 t.emit(Hook::Sample, i, 0);
             }
-            flight.poll();
             let dump = flight.snapshot();
             let src = &dump.sources[0];
             assert_eq!(src.events.len(), 16);
@@ -559,12 +580,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
-        /// Whatever the rings, the polls and the cap, a snapshot is the
-        /// newest events of the log one drain of the same emits merges,
-        /// at most the cap of them and all of them under it, and every
-        /// other event is counted trimmed: held rings drop nothing. The
-        /// model is a recorder no flight recorder holds, with rings
-        /// that never wrap.
+        /// Whatever the rings, the snapshots between emits and the cap, a
+        /// snapshot is the newest events of the log one drain of the
+        /// same emits merges, at most the cap of them and all of them
+        /// under it, and every other event is counted trimmed: held
+        /// rings drop nothing. The model is a recorder no flight
+        /// recorder holds, with rings that never wrap.
         #[test]
         fn a_snapshot_is_the_newest_suffix_of_the_merged_log(
             ops in prop::collection::vec(
@@ -590,16 +611,21 @@ mod tests {
             let mut tracer = recorder.tracer(0, SchemeId(scheme));
             let model_recorder = Recorder::with_ring_capacity(4, 512);
             let mut model_tracer = model_recorder.tracer(0, SchemeId(scheme));
+            let mut recorded = 0u64;
             for (op, thread, hook, a, b) in ops {
                 if op == 0 {
-                    flight.poll();
+                    // What `snapshot` does, without its wall-clock read.
+                    let src = flight.lock()[0].snapshot();
+                    prop_assert!(src.events.len() <= max);
+                    prop_assert_eq!(src.events.len() as u64 + src.trimmed, recorded);
+                    prop_assert_eq!(src.dropped, 0);
                 } else {
+                    recorded += u64::from(Hook::ALL[hook].is_recorded());
                     tracer.emit_for(thread, Hook::ALL[hook], a, b);
                     model_tracer.emit_for(thread, Hook::ALL[hook], a, b);
                 }
             }
-            // What `snapshot` does, without its wall-clock read.
-            let src = flight.lock()[0].snapshot(max);
+            let src = flight.lock()[0].snapshot();
             let model = model_recorder.drain().events;
             let kept = src.events.len();
             prop_assert!(kept <= max);
@@ -712,7 +738,7 @@ mod tests {
         let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);
         let mut rng = 1u64;
         let mut nodes = [0u64; 64];
-        for round in 0..4 * cap / 128 {
+        for _ in 0..4 * cap / 128 {
             let retired_at = recorder.now();
             for (held, node) in nodes.iter_mut().enumerate() {
                 *node = 0x7f3a_0000_0000 + (lcg(&mut rng) >> 50) * 64;
@@ -721,30 +747,64 @@ mod tests {
             service.emit_run(Hook::Reclaim, nodes.len(), |k, ts| {
                 (nodes[k], ts - (retired_at + k as u64))
             });
-            if round % 16 == 0 {
-                flight.poll();
-            }
         }
-        flight.poll();
-        let retained = flight.lock()[0].len;
+        let retained = flight.lock()[0].recorder.outbox().retained().len;
         assert!(retained <= cap && retained > cap - HELD_WINDOW / 2);
         assert!(flight.packed_bytes() <= 6 * retained);
     }
 
+    /// The chunks a snapshot reads are its owner's, half a window each:
+    /// a snapshot packs nothing, whatever the number of them.
     #[test]
-    fn a_chunk_is_half_a_window_whatever_the_polls() {
-        let polls = if cfg!(miri) { 1_000 } else { 100_000 };
+    fn a_chunk_is_half_a_window_whatever_the_snapshots() {
+        let events = if cfg!(miri) { 600 } else { 4_096 };
         let recorder = Recorder::new(1);
-        let flight = FlightRecorder::single("idle", &recorder).with_max_retained(polls as usize);
+        let flight = FlightRecorder::single("idle", &recorder).with_max_retained(events as usize);
         let mut t = recorder.tracer(0, SchemeId::EBR);
-        for i in 0..polls {
+        for i in 0..events {
             t.emit(Hook::Sample, i, 0);
-            flight.poll();
+            if i % 7 == 0 {
+                let src = flight.lock()[0].snapshot();
+                assert_eq!(src.events.len() as u64, i + 1);
+            }
         }
-        let sources = flight.lock();
+        let retained = flight.lock()[0].recorder.outbox().retained();
         let half = HELD_WINDOW / 2;
-        assert_eq!(sources[0].len, polls as usize / half * half);
-        assert!(sources[0].chunks.iter().all(|c| c.events == half));
+        assert_eq!(retained.len, events as usize / half * half);
+        assert!(retained.chunks.iter().all(|c| c.events == half));
+    }
+
+    /// A held recorder whose tracers come and go — 1 000 of them, each
+    /// emitting and dropping, and no snapshot in between — holds the
+    /// rings of the live tracers only, and the next snapshot accounts
+    /// for every event: retained, trimmed or dropped.
+    #[test]
+    fn a_held_recorders_gone_tracers_are_released_without_a_snapshot() {
+        let (tracers, per) = if cfg!(miri) { (50, 40) } else { (1_000, 300) };
+        let recorder = Recorder::with_ring_capacity(2, 64);
+        let flight = FlightRecorder::single("churn", &recorder).with_max_retained(4_096);
+        let mut kept = recorder.tracer(0, SchemeId::EBR);
+        for k in 0..tracers {
+            let mut t = recorder.tracer(1, SchemeId::EBR);
+            for i in 0..per {
+                t.emit(Hook::Retire, i, k);
+            }
+            kept.emit(Hook::Reclaim, k, 0);
+            drop(t);
+            assert!(
+                recorder.ring_count() <= 2,
+                "{} rings",
+                recorder.ring_count()
+            );
+        }
+        let src = flight.lock()[0].snapshot();
+        assert_eq!(recorder.ring_count(), 1, "only the live tracer's ring");
+        assert_eq!(
+            src.events.len() as u64 + src.trimmed + src.dropped,
+            tracers * (per + 1)
+        );
+        assert_eq!(src.dropped, 0);
+        assert!(src.events.len() <= 4_096);
     }
 
     /// Single-threaded, no wall clock, sized for Miri. On a ring of
@@ -767,14 +827,11 @@ mod tests {
         for i in 1_500..2_560 {
             t.emit(Hook::Retire, i, 0);
         }
-        let chunks: Vec<usize> = {
-            let mut sources = flight.lock();
-            sources[0].poll(DEFAULT_MAX_RETAINED);
-            sources[0].chunks.iter().map(|c| c.events).collect()
-        };
+        let retained = flight.lock()[0].recorder.outbox().retained();
+        let chunks: Vec<usize> = retained.chunks.iter().map(|c| c.events).collect();
         let half = HELD_WINDOW / 2;
         assert_eq!(chunks, [1_536, half, half, half, half]);
-        let src = flight.lock()[0].snapshot(DEFAULT_MAX_RETAINED);
+        let src = flight.lock()[0].snapshot();
         assert_eq!(payloads(&src.events), (0..2_560).collect::<Vec<_>>());
         assert_eq!((src.dropped, src.trimmed), (0, 0));
         drop(flight);

@@ -40,8 +40,8 @@
 //!   its own events into packed chunks, half a [`HELD_WINDOW`]-slot
 //!   window at a time — a held ring stages its events there, so it
 //!   commits the window, not its whole ring; the
-//!   flight recorder keeps the newest per source, up to a count cap,
-//!   snapshots them (plus metrics and scheme counters) into a compact
+//!   owners trim what they publish to the newest per source, up to a
+//!   count cap, so nothing polls; the flight recorder snapshots them (plus metrics and scheme counters) into a compact
 //!   binary `.eraflt` dump — on demand or from a chained panic hook —
 //!   and reads such dumps back for the `era-view` timeline CLI. One
 //!   codec, `dump`'s packed segment, is the encoding both in memory and

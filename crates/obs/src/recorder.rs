@@ -10,7 +10,8 @@
 //!
 //! A [`crate::FlightRecorder`] that holds a recorder reads it another
 //! way: each tracer packs its own rings and publishes the chunks to the
-//! recorder's outbox, which the flight recorder takes from. A held ring
+//! recorder's outbox, which keeps the newest of them up to the flight
+//! recorder's cap, trimmed as they are published. A held ring
 //! of the default capacity stages its events in a window of
 //! [`crate::HELD_WINDOW`] slots, packed every half window (256 events),
 //! instead of writing through its whole ring; a smaller ring is packed
@@ -54,7 +55,7 @@
 //! every emit is one branch on a local `Option`.
 
 use crate::event::{Event, Hook, SchemeId};
-use crate::flight::{Chunk, Outbox};
+use crate::flight::Outbox;
 use crate::metrics::{HookCounts, Metrics};
 use crate::ring::Ring;
 
@@ -78,7 +79,8 @@ struct RecorderCore {
     metrics: Metrics,
     rings: Mutex<Rings>,
     ring_capacity: usize,
-    /// Where the owners of a held recorder's rings publish their chunks.
+    /// Where the owners of a held recorder's rings publish their chunks,
+    /// and where they are retained.
     outbox: Outbox,
 }
 
@@ -99,13 +101,39 @@ impl Rings {
     fn dropped(&self) -> u64 {
         self.released_dropped + self.live.iter().map(|r| r.dropped()).sum::<u64>()
     }
+
+    /// Packs the rest of each ring whose tracer is gone — no one writes
+    /// it any more — into `outbox`, and lets go of it.
+    fn release_gone(&mut self, outbox: &Outbox) {
+        let Rings {
+            live,
+            released_dropped,
+            ..
+        } = self;
+        live.retain_mut(|ring| {
+            // Unique (an Acquire check): its tracer is gone, so every
+            // push, and every chunk its tracer published, happened
+            // before this pack.
+            if Arc::get_mut(ring).is_none() {
+                return true;
+            }
+            ring.pack(|chunk| outbox.publish(chunk));
+            *released_dropped += ring.dropped();
+            false
+        });
+    }
 }
 
 impl RecorderCore {
     /// Allocates and registers a ring for `thread`'s events under
-    /// `scheme`.
+    /// `scheme`. A held recorder first lets go of the rings whose
+    /// tracer is gone, so one that issues tracers for a whole run holds
+    /// only the live ones.
     fn ring(&self, thread: u16, scheme: SchemeId) -> Arc<Ring> {
         let mut rings = self.lock_rings();
+        if self.outbox.is_held() {
+            rings.release_gone(&self.outbox);
+        }
         let order = rings.created;
         rings.created += 1;
         let ring = Arc::new(Ring::with_owner(self.ring_capacity, thread, scheme, order));
@@ -237,61 +265,50 @@ impl Recorder {
 
     /// Rings the recorder holds: one per thread slot a live tracer
     /// writes for, plus any whose tracer dropped since the last
-    /// [`Recorder::drain`].
+    /// [`Recorder::drain`] (held: since the last ring it created or the
+    /// last snapshot).
     pub fn ring_count(&self) -> usize {
         self.core.lock_rings().live.len()
     }
 
-    /// Hands this recorder to a flight recorder: from now on each
-    /// ring's owner packs it. Returns each live ring's
-    /// `(order, first position not yet drained)`, where its packing
-    /// starts. Chunks a previous holder left behind are dropped.
-    pub(crate) fn hold(&self) -> Vec<(u64, u64)> {
+    /// Hands this recorder to a flight recorder that retains at most
+    /// `max` of its events: from now on each ring's owner packs it into
+    /// the outbox, starting at its first position not yet drained.
+    /// Whatever a previous holder retained is dropped.
+    pub(crate) fn hold(&self, max: usize) {
         let rings = self.core.lock_rings();
         debug_assert!(!self.core.outbox.is_held(), "a recorder held twice");
-        self.core.outbox.take(&mut Vec::new());
-        self.core.outbox.set_held(true);
-        rings.live.iter().map(|r| (r.order(), r.tail())).collect()
+        let starts = rings.live.iter().map(|r| (r.order(), r.tail()));
+        self.core.outbox.hold(max, starts);
     }
 
-    /// Ends [`Recorder::hold`]: owners stop packing, and chunks nobody
-    /// took are dropped.
+    /// Ends [`Recorder::hold`]: owners stop packing, and what the
+    /// outbox retained is dropped.
     pub(crate) fn release(&self) {
         let _rings = self.core.lock_rings();
-        self.core.outbox.set_held(false);
-        self.core.outbox.take(&mut Vec::new());
+        self.core.outbox.release();
     }
 
-    /// Appends to `out` every chunk published since the last take,
-    /// oldest first, then the rest of each ring whose tracer is gone —
-    /// no one writes it any more — packed here, and lets go of it.
-    pub(crate) fn take_chunks(&self, out: &mut Vec<Chunk>) {
-        let mut rests = Vec::new();
+    /// Where a held recorder's chunks are retained.
+    pub(crate) fn outbox(&self) -> &Outbox {
+        &self.core.outbox
+    }
+
+    /// Lets go of each ring whose tracer is gone once it is packed into
+    /// the outbox, then copies every other ring's events past its
+    /// outbox cursor: per ring, in creation order, `(order, position of
+    /// the first event copied, events)`.
+    pub(crate) fn unpacked(&self) -> Vec<(u64, u64, Vec<Event>)> {
         let mut rings = self.core.lock_rings();
-        let Rings {
-            live,
-            released_dropped,
-            ..
-        } = &mut *rings;
-        live.retain_mut(|ring| {
-            // Unique (an Acquire check): its tracer is gone, so every
-            // push, and every chunk its tracer published, happened
-            // before this pack and the take below.
-            if Arc::get_mut(ring).is_none() {
-                return true;
-            }
-            ring.pack(|chunk| rests.push(chunk));
-            *released_dropped += ring.dropped();
-            false
+        rings.release_gone(&self.core.outbox);
+        let cursors = self.core.outbox.cursors();
+        let rests = rings.live.iter().map(|ring| {
+            let cursor = cursors.get(ring.order() as usize).copied().unwrap_or(0);
+            let mut events = Vec::new();
+            let (first, _) = ring.copy_since(cursor, &mut events);
+            (ring.order(), first, events)
         });
-        drop(rings);
-        self.core.outbox.take(out);
-        out.append(&mut rests);
-    }
-
-    /// Calls `f` on every ring the recorder holds, in creation order.
-    pub(crate) fn for_each_ring(&self, f: impl FnMut(&Ring)) {
-        self.core.lock_rings().live.iter().map(|r| &**r).for_each(f);
+        rests.collect()
     }
 }
 

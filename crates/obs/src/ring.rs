@@ -35,15 +35,15 @@
 //! While a [`crate::FlightRecorder`] holds the ring's recorder, the
 //! ring has no drainer: at each pack boundary its owner packs every
 //! event it has not packed yet into one [`Chunk`] and publishes it, and
-//! the flight recorder takes chunks, never slots. A pack boundary is
+//! the flight recorder keeps chunks, never slots. A pack boundary is
 //! the ring's first push and every push that completes half of the
 //! ring — half of its window (below), for a ring that has one; that one
-//! push allocates the chunk and takes the outbox's lock for one
-//! `Vec::push`, and every other push is the five stores above. The
-//! owner packs a half before it starts overwriting the other, so such
-//! a ring loses nothing to overwrite; only a recorder held after its
-//! rings wrapped loses what they overwrote before their owner's first
-//! pack. A snapshot copies the unpacked rest with the drainer's torn
+//! push allocates the chunk and takes the outbox's lock to append it
+//! and trim the oldest to the cap, and every other push is the five
+//! stores above. The owner packs a half before it starts overwriting
+//! the other, so such a ring loses nothing to overwrite; only a
+//! recorder held after its rings wrapped loses what they overwrote
+//! before their owner's first pack. A snapshot copies the unpacked rest with the drainer's torn
 //! check, and consumes nothing.
 //!
 //! # The held window
@@ -85,6 +85,7 @@
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::dump::{pack_event, Bases};
 use crate::event::{Event, SchemeId};
@@ -389,7 +390,7 @@ impl Ring {
         if lo == done {
             return;
         }
-        let pack_into = |scratch: &mut Vec<u8>| -> Box<[u8]> {
+        let pack_into = |scratch: &mut Vec<u8>| -> Arc<[u8]> {
             scratch.clear();
             let mut bases = Bases::default();
             for pos in lo..done {

@@ -157,24 +157,25 @@ proptest! {
     }
 }
 
-/// A later poll can take an event that sorts before the last one an
-/// earlier poll took: here two reading events of one clock value, the
-/// higher thread's polled first. A snapshot merges what every poll took
-/// in [`Event::merge_key`] order, as one drain of both would have; and
-/// a dump that lists them in poll order, as one written before owners
-/// packed their rings did, decodes in that order too.
+/// A later chunk, or a ring's unpacked rest, can hold an event that
+/// sorts before the last one an earlier chunk holds: here two reading
+/// events of one clock value, the higher thread's published first (a
+/// ring of 8 publishes every 4 events) and the lower's still in its
+/// ring. A snapshot merges chunks and rests in [`Event::merge_key`]
+/// order, as one drain of both would have; and a dump that lists them
+/// in publish order, as one written before owners packed their rings
+/// did, decodes in that order too.
 #[test]
 #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
-fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
+fn a_later_chunk_of_an_earlier_stamp_decodes_in_merge_key_order() {
     let recorder = Recorder::with_ring_capacity(8, 8);
-    let flight = FlightRecorder::single("polls", &recorder);
+    let flight = FlightRecorder::single("published", &recorder);
     let mut late_thread = recorder.tracer(5, SchemeId::EBR);
     let mut early_thread = recorder.tracer(2, SchemeId::EBR);
     late_thread.emit(Hook::Advance, 1, 0);
     late_thread.emit(Hook::Reserve, 0, 1);
     late_thread.emit(Hook::Reserve, 0, 2);
     late_thread.emit(Hook::Reserve, 0, 3);
-    flight.poll();
     early_thread.emit(Hook::Reserve, 0, 1);
     early_thread.emit(Hook::Reserve, 1, 0xa0);
     let snapshot = flight.snapshot();
@@ -185,9 +186,9 @@ fn a_later_poll_of_an_earlier_stamp_decodes_in_merge_key_order() {
         .windows(2)
         .all(|w| w[0].merge_key() <= w[1].merge_key()));
 
-    let mut polled = snapshot.clone();
-    polled.sources[0].events = [0, 3, 4, 5, 1, 2].map(|k| merged[k]).to_vec();
-    let decoded = FlightDump::decode(&polled.encode()).expect("own encoding decodes");
+    let mut published = snapshot.clone();
+    published.sources[0].events = [0, 3, 4, 5, 1, 2].map(|k| merged[k]).to_vec();
+    let decoded = FlightDump::decode(&published.encode()).expect("own encoding decodes");
     assert_eq!(&decoded.sources[0].events, merged);
 }
 

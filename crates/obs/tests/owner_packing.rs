@@ -1,7 +1,7 @@
-//! A held recorder's owners pack their own rings while another thread
-//! polls and snapshots: every event a tracer emits is retained or
-//! trimmed exactly once, none is dropped, and each snapshot is the
-//! newest suffix of the merged log. A recorder held after its rings
+//! A held recorder's owners pack their own rings, publish the chunks
+//! and trim the outbox to its cap while another thread snapshots: every
+//! event a tracer emits is retained or trimmed exactly once, none is
+//! dropped, and each snapshot is the newest suffix of the merged log. A recorder held after its rings
 //! wrapped shows the last ring's worth and counts the rest dropped.
 
 use std::collections::HashSet;
@@ -44,8 +44,9 @@ fn check_suffix(src: &SourceDump) {
 
 #[test]
 #[cfg_attr(miri, ignore = "threads and wall clock")]
-fn owners_pack_while_a_third_thread_polls_and_snapshots() {
-    // Rings of 64 pack every 32 events; the cap trims whole chunks.
+fn owners_publish_and_trim_while_a_third_thread_snapshots() {
+    // Rings of 64 pack every 32 events; each publish trims whole
+    // chunks to the cap, under the lock a snapshot copies them under.
     let recorder = Recorder::with_ring_capacity(OWNERS as usize, 64);
     let flight = FlightRecorder::single("owners", &recorder).with_max_retained(2_000);
     let snapshots = AtomicU64::new(0);
@@ -75,7 +76,6 @@ fn owners_pack_while_a_third_thread_polls_and_snapshots() {
             .collect();
         let observer = s.spawn(|| {
             while !done.load(Ordering::Acquire) {
-                flight.poll();
                 check_suffix(&flight.snapshot().sources[0]);
                 // SAFETY(ordering): Relaxed — a progress count the
                 // owners only read to know when to stop.
@@ -134,7 +134,6 @@ fn a_late_hold_keeps_the_last_rings_worth_and_counts_the_rest_dropped() {
     for i in 200..300 {
         t.emit(Hook::Retire, i, 0);
     }
-    flight.poll();
     let src = &flight.snapshot().sources[0];
     assert_eq!(payloads(&src.events), (160..300).collect::<Vec<_>>());
     assert_eq!((src.dropped, src.trimmed), (160, 0));

@@ -3,10 +3,13 @@
 //! phase by phase, with the adversities each phase declares, then
 //! evaluates the per-scheme robustness invariants.
 //!
-//! Each phase runs under one `std::thread::scope`: a navigator ticking
-//! thread (unless the phase serves TCP — the net server's workers step
-//! the navigator on the writes they answer), a footprint sampler, an optional Theorem-6.1
-//! adversarial stalled reader, and seeded workers. Worker RNG streams
+//! Each phase runs under one `std::thread::scope`: a footprint sampler,
+//! an optional Theorem-6.1 adversarial stalled reader, and seeded
+//! workers — or, for a phase that serves TCP, an in-process server and
+//! its clients. Nothing ticks the navigator on a timer: in a phase that
+//! runs it, each worker steps it on its own writes
+//! ([`KvStore::navigate`], once per [`era_kv::NAV_EVERY`] of them), as
+//! the server's workers do on the writes they answer. Worker RNG streams
 //! derive from `spec.seed` and the `(phase, worker)` pair, so the same
 //! spec reproduces the same schedule of operations — and, because the
 //! invariants are stated over the schemes' exact counters rather than
@@ -27,7 +30,7 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 use crate::invariant::{evaluate, EvalInput, InvariantOutcome};
 use crate::spec::{PhaseSpec, ScenarioSpec};
 
-/// How often the navigator and footprint sampler threads poll.
+/// How often the footprint sampler samples.
 const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Worker threads a serve-net phase's in-process server registers.
@@ -281,9 +284,9 @@ pub fn run_scenario<S: Smr>(
     }
 }
 
-/// One phase under `std::thread::scope`: navigator + sampler + optional
-/// stall reader + workers (or an in-process TCP server with client
-/// load).
+/// One phase under `std::thread::scope`: sampler + optional stall
+/// reader + workers that step the navigator on their writes when the
+/// phase runs it (or an in-process TCP server with client load).
 fn run_phase<S: Smr>(
     store: &KvStore<'_, S>,
     spec: &ScenarioSpec,
@@ -296,12 +299,12 @@ fn run_phase<S: Smr>(
     let phase_started = Instant::now();
     if let Some(si) = phase.quarantine_shard {
         store.quarantine(si);
-        // Deterministic admission probe: no navigator thread is
-        // running yet, so the shard cannot recover between the
-        // quarantine and these writes — each one must be refused by
-        // the store's own admission control (counted as a shed). The
-        // phase's workers then pile their own sheds on top as timing
-        // allows.
+        // Deterministic admission probe: the probe does not step the
+        // navigator and no worker runs yet, so the shard cannot recover
+        // between the quarantine and these writes — each one must be
+        // refused by the store's own admission control (counted as a
+        // shed). The phase's workers then pile their own sheds on top
+        // until their writes step a tick that re-opens the shard.
         let mut probe = register_retry(store, "quarantine probe");
         let mut probed = 0;
         let mut key = phase.key_lo as i64;
@@ -324,19 +327,6 @@ fn run_phase<S: Smr>(
     let total_shed = AtomicU64::new(0);
 
     std::thread::scope(|s| {
-        // The net server's workers step the navigator; otherwise the phase
-        // gets a navigator thread only when the spec asks for one —
-        // navigator-off phases are the baseline where a non-robust
-        // scheme's footprint grows untouched.
-        if phase.navigator && !phase.serve_net {
-            s.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    store.navigator_tick();
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            });
-        }
-
         // Footprint sampler: the focus shard's live retired count,
         // stamped with wall-clock since scenario start.
         s.spawn(|| {
@@ -417,6 +407,9 @@ fn run_phase<S: Smr>(
                         let mut ctx: KvCtx<S> = register_retry(store, "worker");
                         let mut ops = 0u64;
                         let mut shed = 0u64;
+                        // Navigator-off phases are the baseline where a
+                        // non-robust scheme's footprint grows untouched.
+                        let navigate = phase.navigator;
                         for (key, kind) in worker_ops(spec, pi, t, phase) {
                             let refused = match kind {
                                 KvOpKind::Get => {
@@ -426,6 +419,9 @@ fn run_phase<S: Smr>(
                                 KvOpKind::Put => store.put(&mut ctx, key, key).is_err(),
                                 KvOpKind::Remove => store.remove(&mut ctx, key).is_err(),
                             };
+                            if navigate {
+                                store.navigate(&mut ctx);
+                            }
                             if refused {
                                 shed += 1;
                                 std::thread::yield_now();
@@ -445,8 +441,8 @@ fn run_phase<S: Smr>(
                 worker_panic |= w.join().is_err();
             }
             // Publish `done` BEFORE propagating a worker panic, or the
-            // navigator/sampler/stall threads never exit their polling
-            // loops and the scope deadlocks instead of failing.
+            // sampler and stall threads never exit their polling loops
+            // and the scope deadlocks instead of failing.
             // SAFETY(ordering): Release — pairs with the stall
             // reader's Acquire poll, after which it reads
             // `needs_restart` one last time.
@@ -594,7 +590,6 @@ fn write_failure_dump<S: Smr>(store: &KvStore<'_, S>, path: &std::path::Path) ->
     for i in 0..store.shard_count() {
         flight.add_source(&format!("shard{i}"), store.recorder(i));
     }
-    flight.poll();
     for i in 0..store.shard_count() {
         let st = store.scheme(i).stats();
         flight.set_stats(

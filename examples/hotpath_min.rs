@@ -28,9 +28,11 @@
 //! §3.6), so the second row must stay within 2× of the first; a shared
 //! word on that path shows up here as a 4–10× gap that a one-thread
 //! probe can never see. The third times the same emits on a recorder a
-//! `FlightRecorder` holds, so the tracer also packs each half window
-//! (256 events) it completes into a chunk: its gap to the first row is
-//! the owner's packing, amortised per event. The fourth times a counted hook
+//! `FlightRecorder` holds, its source already at its retained-event
+//! cap, so the tracer also packs each half window (256 events) it
+//! completes into a chunk, publishes it and trims the oldest chunk off
+//! the outbox: its gap to the first row is the owner's packing and
+//! trimming, amortised per event. The fourth times a counted hook
 //! (`Hook::Load`): a bump of the tracer's own counter, no clock read
 //! and no ring write. The row after them times what the emits are for:
 //! one HP operation (begin, two protected loads, end) on a stable
@@ -43,21 +45,13 @@
 //! well above the 1-thread one is a shard-wide word written per write
 //! (an admission counter, a per-node lock or clock tick on reclaim).
 //!
-//! The `navigator tick` row prices what a served write pays for the
-//! navigator: `era-net`'s workers step `KvStore::navigator_tick` once
-//! per `NAV_EVERY` write frames they answer, and poll the flight
-//! recorder every 128th step. It times that on a 4-shard EBR store
-//! whose recorders a `FlightRecorder` holds, as the server arms them,
-//! and prints ns per tick and ns per write (÷ `NAV_EVERY`). The
+//! The `navigator tick` row prices what a write pays for the
+//! navigator: `KvStore::navigate` steps `KvStore::navigator_tick` once
+//! per `NAV_EVERY` writes of the context that calls it, as `era-net`'s
+//! workers and the scenario workers do. It times ticks on a 4-shard EBR
+//! store whose recorders a `FlightRecorder` holds, as the server arms
+//! them, and prints ns per tick and ns per write (÷ `NAV_EVERY`). The
 //! target is under 1 ns per write.
-//!
-//! The `flight poll` row times the flight recorder's poll in its
-//! steady state on a busy server: one source already at its
-//! retained-event cap, its two owners having packed 4 096 events of an
-//! EBR shard's put/remove churn in half-window chunks, 16 chunks of 256,
-//! so the poll takes those 16 and trims as many. It also prints what a
-//! retained event costs packed. (An EBR shard's GETs record nothing:
-//! their hooks are counted.)
 //!
 //! The `smr load` rows time one protected [`Smr::load`] of a
 //! word nobody changes, recorder attached as `KvStore::new` attaches
@@ -74,11 +68,8 @@ use std::time::Instant;
 
 use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelMap};
-use era::kv::{KvConfig, KvCtx, KvStore};
-use era::obs::flight::DEFAULT_MAX_RETAINED;
-use era::obs::{
-    FlightRecorder, Hook, Recorder, SchemeId, ThreadTracer, DEFAULT_RING_CAPACITY, HELD_WINDOW,
-};
+use era::kv::{KvConfig, KvCtx, KvStore, NAV_EVERY};
+use era::obs::{FlightRecorder, Hook, Recorder, SchemeId, DEFAULT_RING_CAPACITY};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
 use era::smr::he::He;
@@ -86,7 +77,6 @@ use era::smr::hp::Hp;
 use era::smr::ibr::Ibr;
 use era::smr::leak::Leak;
 use era::smr::nbr::Nbr;
-use era_net::NAV_EVERY;
 
 const OPS_PER_REP: usize = 100_000;
 const REPS: usize = 31;
@@ -177,7 +167,7 @@ fn bench_ring_commit() {
 
 /// The resident KB each of 64 rings of a held recorder adds once it has
 /// taken two rings' worth of `Retire`s. The flight recorder keeps
-/// `DEFAULT_RING_CAPACITY` events and is polled after each tracer, so
+/// `DEFAULT_RING_CAPACITY` events, trimmed as each owner publishes, so
 /// the chunks it frees are reused and what grows is the rings.
 fn bench_held_ring_commit() {
     const TRACERS: u16 = 64;
@@ -185,7 +175,8 @@ fn bench_held_ring_commit() {
         return;
     };
     let recorder = Recorder::new(usize::from(TRACERS));
-    let flight = FlightRecorder::single("held", &recorder).with_max_retained(DEFAULT_RING_CAPACITY);
+    let _flight =
+        FlightRecorder::single("held", &recorder).with_max_retained(DEFAULT_RING_CAPACITY);
     let mut tracers: Vec<_> = (0..TRACERS)
         .map(|thread| recorder.tracer(thread, SchemeId::NONE))
         .collect();
@@ -193,7 +184,6 @@ fn bench_held_ring_commit() {
         for i in 0..2 * DEFAULT_RING_CAPACITY as u64 {
             tracer.emit(Hook::Retire, i, 0);
         }
-        flight.poll();
     }
     let after = vm_rss_kb().unwrap_or(before);
     out!(
@@ -207,9 +197,8 @@ fn bench_held_ring_commit() {
 
 /// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
 /// for two tracers of one recorder emitting at the same time, then for
-/// one tracer whose recorder a flight recorder holds (polled between
-/// repetitions, as a server worker polls it), then of a counted `Load`
-/// alone.
+/// one tracer whose recorder a flight recorder holds at its cap, then
+/// of a counted `Load` alone.
 /// A two-thread repetition costs what its slower thread took, so a
 /// descheduled peer only ever adds time and the minimum still tracks
 /// the contended cost.
@@ -233,12 +222,12 @@ fn bench_emit() {
     });
     let counted = min_of_reps(&mut || emit_burst(|i| first.emit(Hook::Load, i, 0)));
     let held = Recorder::new(1);
-    let flight = FlightRecorder::single("held", &held);
+    let _flight = FlightRecorder::single("held", &held);
     let mut owner = held.tracer(0, SchemeId::NONE);
-    let packing = min_of_reps(&mut || {
-        flight.poll();
-        emit_burst(|i| owner.emit(Hook::Retire, i, 0))
-    });
+    // A burst is 16 caps' worth: after the first, every publish timed
+    // trims a chunk.
+    emit_burst(|i| owner.emit(Hook::Retire, i, 0));
+    let packing = min_of_reps(&mut || emit_burst(|i| owner.emit(Hook::Retire, i, 0)));
     out!("emit 1 thread : min {alone:.1} ns/emit");
     out!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
@@ -246,7 +235,7 @@ fn bench_emit() {
     );
     out!(
         "emit + owner pack, amortised (Hook::Retire, flight-held recorder): \
-         min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row)",
+         min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row, source at its cap)",
         packing - alone
     );
     out!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
@@ -275,58 +264,6 @@ fn bench_hp_op() {
         })
         .fold(f64::INFINITY, f64::min);
     out!("hp op (begin, two loads, end), recorder attached: min {best:.1} ns/op");
-}
-
-/// Fills two held rings with 4 096 events of what an EBR shard under
-/// put/remove churn emits, which their owners pack as 16 half-window
-/// chunks of 256: a worker retires 64 nodes at heap-like
-/// addresses, then the service tracer (thread `u16::MAX`, as
-/// `StatCells::reclaim` uses) reclaims them as one run carrying each
-/// node's retire→reclaim latency. A retire only reads the clock, so
-/// the 64 are all stamped `retired_at`.
-fn fill_churn(
-    recorder: &Recorder,
-    worker: &mut ThreadTracer,
-    service: &mut ThreadTracer,
-    rng: &mut u64,
-) {
-    let mut nodes = [0u64; 64];
-    for _ in 0..DEFAULT_RING_CAPACITY / (2 * nodes.len()) {
-        let retired_at = recorder.now();
-        for (held, node) in nodes.iter_mut().enumerate() {
-            *node = 0x7f3a_0000_0000 + lcg(rng) % (1 << 14) * 64;
-            worker.emit(Hook::Retire, *node, held as u64 + 1);
-        }
-        service.emit_run(Hook::Reclaim, nodes.len(), |k, ts| {
-            (nodes[k], ts - retired_at)
-        });
-    }
-}
-
-/// Min-of-reps ns per `FlightRecorder::poll` of one source holding
-/// `DEFAULT_MAX_RETAINED` events, `fill` having its owners pack
-/// `DEFAULT_RING_CAPACITY` events before each, and the bytes a retained
-/// event takes.
-fn bench_flight_poll(name: &str, recorder: &Recorder, mut fill: impl FnMut()) {
-    let flight = FlightRecorder::single("shard0", recorder);
-    for _ in 0..DEFAULT_MAX_RETAINED / DEFAULT_RING_CAPACITY {
-        fill();
-        flight.poll();
-    }
-    let best = (0..REPS)
-        .map(|_| {
-            fill();
-            let start = Instant::now();
-            flight.poll();
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .fold(f64::INFINITY, f64::min);
-    out!(
-        "flight poll, {name}: min {best:.0} ns/poll ({:.2} ns per taken event, \
-         {:.2} B per retained event)",
-        best / DEFAULT_RING_CAPACITY as f64,
-        flight.packed_bytes() as f64 / DEFAULT_MAX_RETAINED as f64
-    );
 }
 
 /// ns per write of one burst of `WRITES_PER_REP` writes: put then
@@ -373,8 +310,8 @@ fn bench_kv_write() {
 }
 
 /// Min-of-reps ns per `KvStore::navigator_tick` of a robust 4-shard EBR
-/// store with some footprint, its recorders held by a `FlightRecorder`
-/// that every 128th tick polls, as an `era-net` worker steps them.
+/// store with some footprint, its recorders held by a `FlightRecorder`,
+/// as `era-net` arms them.
 fn bench_navigator_tick() {
     const TICKS: usize = 1 << 14;
     let schemes: Vec<Ebr> = (0..4).map(|_| Ebr::new(4)).collect();
@@ -391,11 +328,8 @@ fn bench_navigator_tick() {
     let best = (0..REPS)
         .map(|_| {
             let start = Instant::now();
-            for tick in 1..=TICKS {
+            for _ in 0..TICKS {
                 store.navigator_tick();
-                if tick % 128 == 0 {
-                    flight.poll();
-                }
             }
             start.elapsed().as_secs_f64() * 1e9 / TICKS as f64
         })
@@ -454,18 +388,6 @@ fn main() {
     bench_held_ring_commit();
     bench_emit();
     bench_hp_op();
-    out!(
-        "-- flight poll (one source at its {DEFAULT_MAX_RETAINED}-event cap, \
-         {DEFAULT_RING_CAPACITY} events in chunks of {} to take)",
-        HELD_WINDOW / 2
-    );
-    let recorder = Recorder::new(1);
-    let mut worker = recorder.tracer(0, SchemeId::EBR);
-    let mut service = recorder.tracer(u16::MAX, SchemeId::EBR);
-    let mut rng = 1;
-    bench_flight_poll("ebr churn", &recorder, || {
-        fill_churn(&recorder, &mut worker, &mut service, &mut rng)
-    });
     out!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");
     bench_kv_write();
     out!("-- navigator tick (a served write's share: one tick per {NAV_EVERY} writes)");
