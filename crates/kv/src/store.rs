@@ -51,17 +51,6 @@ pub struct KvConfig {
     /// Blame slots per shard recorder; must be ≥ the schemes' thread
     /// capacity for neutralization to target the right slot.
     pub max_threads: usize,
-    /// Event-ring capacity of each shard's recorder: how many of its
-    /// newest events an unheld ring keeps for [`era_obs::Recorder::drain`].
-    /// A ring a flight recorder holds drops nothing whatever its
-    /// capacity — its owner packs it for the flight recorder, whose cap
-    /// is the retention — and one of more than [`era_obs::HELD_WINDOW`]
-    /// stages its events in a window of that many slots. A ring commits
-    /// the pages its writer has touched: at most 24 B × capacity
-    /// unheld, 24 B × [`era_obs::HELD_WINDOW`] plus a page or two held,
-    /// and a page or two for a ring that never records. Each thread
-    /// registered on a shard has one.
-    pub ring_capacity: usize,
 }
 
 impl Default for KvConfig {
@@ -72,7 +61,6 @@ impl Default for KvConfig {
             retired_hard: 2048,
             admission_depth: 4,
             max_threads: 16,
-            ring_capacity: era_obs::DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -233,7 +221,9 @@ impl<'s, S: Smr> KvStore<'s, S> {
         let shards = schemes
             .iter()
             .map(|smr| {
-                let recorder = Recorder::with_ring_capacity(cfg.max_threads, cfg.ring_capacity);
+                // Nothing reads a shard's trace until a flight recorder
+                // adds it as a source, which sets its cap.
+                let recorder = Recorder::with_max_retained(cfg.max_threads, 0);
                 smr.attach_recorder(&recorder);
                 let nav_tracer = Mutex::new(recorder.tracer(NAVIGATOR_THREAD, smr.kind().id()));
                 CachePadded::new(Shard {
@@ -611,7 +601,11 @@ impl<'s, S: Smr> KvStore<'s, S> {
         self.shards[shard].smr
     }
 
-    /// The recorder observing `shard`: its metrics and event rings.
+    /// The recorder observing `shard`: its metrics and event rings. It
+    /// retains no events — each thread's 512-slot ring only stages them,
+    /// and counts each half it fills trimmed — until a
+    /// [`era_obs::FlightRecorder`] adds it as a source and so sets its
+    /// cap on retained events.
     pub fn recorder(&self, shard: usize) -> &Recorder {
         &self.shards[shard].recorder
     }
@@ -1098,44 +1092,46 @@ mod tests {
 
     #[test]
     fn dropped_contexts_release_their_rings() {
-        // Rings of 8, so each cycle's removes wrap them and `dropped`
-        // moves: a remove's `Retire` is recorded, while a put's and a
-        // get's hooks are only counted.
+        // The shard recorders retain nothing: each cycle's removes fill
+        // rings whose halves are only counted trimmed. A remove's
+        // `Retire` is recorded, while a put's and a get's hooks are only
+        // counted.
         let schemes: Vec<Hp> = (0..4).map(|_| Hp::new(4, 3)).collect();
-        let cfg = KvConfig {
-            ring_capacity: 8,
-            ..KvConfig::default()
-        };
-        let store = KvStore::new(&schemes, cfg);
+        let store = KvStore::new(&schemes, KvConfig::default());
         let rings = |s: usize| store.recorder(s).ring_count();
         // The service and navigator tracers' rings.
         let idle: Vec<usize> = (0..4).map(rings).collect();
         let cycles = if cfg!(miri) { 20 } else { 1_000 };
         for cycle in 0..cycles {
             let mut ctx = store.register().unwrap();
+            for (s, &idle) in idle.iter().enumerate() {
+                // Creating this context's ring let go of the last one's.
+                assert!(
+                    rings(s) <= idle + 1,
+                    "cycle {cycle}: shard {s} kept a dead ring"
+                );
+            }
             for k in 0..64 {
                 store.put(&mut ctx, k, cycle).unwrap();
                 assert_eq!(store.get(&mut ctx, k), Some(cycle));
                 assert_eq!(store.remove(&mut ctx, k), Ok(Some(cycle)));
             }
-            let before: Vec<u64> = (0..4)
-                .map(|s| {
-                    store.recorder(s).drain();
-                    store.recorder(s).dropped()
-                })
-                .collect();
-            drop(ctx);
-            for (s, &dropped) in before.iter().enumerate() {
-                store.recorder(s).drain();
-                assert_eq!(
-                    rings(s),
-                    idle[s],
-                    "cycle {cycle}: shard {s} kept a dead ring"
-                );
-                assert_eq!(store.recorder(s).dropped(), dropped, "losses stay counted");
-            }
         }
-        assert!((0..4).all(|s| store.recorder(s).dropped() > 0));
+        let recorded = |s: usize| -> u64 {
+            let metrics = store.recorder(s).metrics();
+            let hooks = Hook::ALL.iter().filter(|h| h.is_recorded());
+            hooks.map(|&h| metrics.hook_count(h)).sum()
+        };
+        for (s, &idle) in idle.iter().enumerate() {
+            let log = store.recorder(s).drain();
+            assert!(log.events.is_empty(), "shard {s} retained events");
+            // The halves the owners counted, and the rests the drain
+            // trimmed: every event once.
+            assert_eq!(log.trimmed, recorded(s), "shard {s}");
+            assert_eq!(rings(s), idle, "shard {s} kept a dead ring");
+            assert_eq!(store.recorder(s).dropped(), 0);
+        }
+        assert!((0..4).all(|s| recorded(s) > 512), "the rings wrapped");
     }
 
     #[test]

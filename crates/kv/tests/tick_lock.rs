@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use era_kv::{KvConfig, KvStore, ShardHealth};
-use era_obs::Hook;
+use era_obs::{FlightRecorder, Hook};
 use era_smr::ebr::Ebr;
 use era_smr::Smr;
 
@@ -39,11 +39,13 @@ fn two_tickers_count_each_transition_once() {
     let cfg = KvConfig {
         retired_soft: 4,
         retired_hard: 16,
-        // Holds every Sample and Navigate the incidents emit.
-        ring_capacity: 1 << 17,
         ..KvConfig::default()
     };
     let store = KvStore::new(&schemes, cfg);
+    // Holds every event the incidents emit: the tickers' Samples and
+    // Navigates, and the churner's Retires and Reclaims (≈ 175 000).
+    let flight = FlightRecorder::new().with_max_retained(1 << 18);
+    flight.add_source("shard0", store.recorder(0));
     let smr = store.scheme(0);
     // The step the churner has opened, and the ticks taken for it; a
     // step of `u64::MAX` ends the tickers.
@@ -124,6 +126,7 @@ fn two_tickers_count_each_transition_once() {
     // One Sample per tick that got in, and none for one that skipped.
     assert_eq!(recorder.metrics().hook_count(Hook::Sample), ticked);
     let log = recorder.drain();
+    assert_eq!(log.trimmed, 0, "the cap trimmed events");
     let chain: Vec<(u64, u64)> = log
         .with_hook(Hook::Navigate)
         .map(|e| (e.b >> 8, e.b & 0xFF))

@@ -351,9 +351,9 @@ impl<'a, 's, S: Smr> NetServer<'a, 's, S> {
         };
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // The `net` recorder (accept/shed events) gets the store's ring
-        // size, like every shard recorder.
-        let recorder = Recorder::with_ring_capacity(cfg.workers + 2, store.config().ring_capacity);
+        // The `net` recorder (accept/shed events); `add_source` sets its
+        // cap, and every shard recorder's, to the flight recorder's.
+        let recorder = Recorder::new(cfg.workers + 2);
         let flight = Arc::new(FlightRecorder::new());
         for i in 0..store.shard_count() {
             flight.add_source(&format!("shard{i}"), store.recorder(i));

@@ -5,9 +5,9 @@
 //! plus only the fields that changed since the last event with its
 //! hook — one or two bytes for most, where an [`Event`] is 32 — and
 //! every segment decodes from zeroed delta bases, so each decodes on
-//! its own. The [`crate::flight::FlightRecorder`] retains its events as
-//! a queue of segments; a dump stores a source's events as segments
-//! packed by the same code.
+//! its own. A recorder's log retains its events as a queue of
+//! segments ([`crate::flight`]); a dump stores a source's events as
+//! segments packed by the same code.
 //!
 //! A **dump** is what the flight recorder writes on panic or on an
 //! explicit snapshot, and what the `era-view` CLI reads back. The
@@ -151,7 +151,8 @@ impl MetricsDump {
 pub struct SourceDump {
     /// Human-readable source label ("EBR", "shard3", …).
     pub label: String,
-    /// Cumulative events lost to ring overwrite before this snapshot.
+    /// Cumulative events lost to ring overwrite before this snapshot
+    /// (0 since rings are packed before they are overwritten, E33).
     pub dropped: u64,
     /// Events trimmed off the front by the flight recorder's retention
     /// cap (they happened, were kept, and were then let go to keep

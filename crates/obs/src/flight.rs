@@ -1,208 +1,190 @@
 //! The crash-safe flight recorder: a persistence layer over
-//! [`Recorder`] that turns volatile trace rings into replayable
-//! `.eraflt` dump files ([`crate::dump`]).
+//! [`Recorder`] that turns its retained trace into replayable `.eraflt`
+//! dump files ([`crate::dump`]), and the log it reads.
+//!
+//! Every recorder keeps a *log*: the chunks its rings' owners publish,
+//! each the half ring (256 events) an owner just filled, packed from
+//! its own slots in [`crate::dump`]'s segment encoding — a tag byte plus
+//! only the fields that changed since the last event with its hook, one
+//! or two bytes for most where an [`Event`] is 32 — sized exactly and
+//! decodable on its own. Under the lock it takes to publish, the owner
+//! trims whole chunks, oldest first, to the recorder's cap on retained
+//! events and counts them, so nothing polls the log and a recorder
+//! nobody reads costs the cap, not the run. At cap 0 the owner packs
+//! nothing and only counts the half trimmed.
+//!
+//! A read — [`Recorder::drain`], or a source's part of a snapshot —
+//! merges the retained chunks, shared by pointer, with each ring's
+//! unpacked rest by [`Event::merge_key`], ties in ring creation order,
+//! and returns the newest up to the cap above the largest key trimmed:
+//! a suffix of the merged log. A drain then takes what it returned out
+//! of the log; a snapshot consumes nothing. Every event is returned,
+//! retained or counted trimmed: no ring drops any.
 //!
 //! A [`FlightRecorder`] owns a set of *sources* — labelled recorders
 //! (one per scheme in `chaos_bench`, one per shard in `era-net serve`) —
-//! and keeps, per source, the most recent events up to a count cap
-//! ([`DEFAULT_MAX_RETAINED`]). Those are the recorded events: an
-//! operation's own hooks are only counted ([`crate::Hook::is_recorded`]),
-//! so a shard's window is its retires, reclaims and protocol events.
-//!
-//! Holding a recorder makes each of its tracers pack its own rings
-//! ([`crate::Ring`]). A held ring of more than [`crate::HELD_WINDOW`]
-//! slots — the default capacity — stages its events in a window of
-//! that many slots rather than in its whole ring: retention is the cap
-//! below, not the ring, so the ring's own slots would buy no history. A
-//! push that completes half the window (half the ring, for a smaller
-//! ring) packs that half, from slots the writing thread just wrote,
-//! into an exactly-sized chunk in [`crate::dump`]'s segment encoding —
-//! a tag byte plus only the fields that changed since the last event
-//! with its hook, one or two bytes for most where an [`Event`] is 32 —
-//! and publishes it to the recorder's outbox. Each chunk decodes on its
-//! own. No reader touches a slot the writer is still writing, and a
-//! held ring is never overwritten before it is packed, so it drops
-//! nothing.
-//!
-//! The outbox is the retained store: under the lock it takes to
-//! publish a chunk, the owner trims whole chunks, oldest first, to the
-//! source's cap, and counts them. Nothing polls it, so a source held
-//! for a whole run and never read costs the cap, not the run. A ring
-//! whose tracer is gone is packed into the outbox and let go of when
-//! the recorder next creates a ring, and at each snapshot.
-//!
-//! Two ways events reach a dump:
-//!
-//! - [`snapshot`](FlightRecorder::snapshot) — copies the outbox's
-//!   retained chunks, by pointer, adds each ring's not-yet-packed rest
-//!   (for a recorder held after the fact, its last ring's worth), merges
-//!   by [`Event::merge_key`] with ties in ring creation order, as
-//!   [`Recorder::drain`] does, and assembles a [`FlightDump`] with each
-//!   source's events after the trim, metrics, stats, and honest
-//!   drop/trim counts. It consumes nothing.
-//! - [`install_panic_hook`](FlightRecorder::install_panic_hook) — a
-//!   chained `std::panic` hook that writes the snapshot to a file as
-//!   the process dies, so a chaos-injected fault or a plain bug leaves
-//!   a post-mortem artifact next to its `FaultPlan` JSON.
+//! and sets each one's cap to its own ([`DEFAULT_MAX_RETAINED`] by
+//! default). Events reach a dump by
+//! [`snapshot`](FlightRecorder::snapshot), which reads every source as
+//! above, and by [`install_panic_hook`](FlightRecorder::install_panic_hook),
+//! a chained `std::panic` hook that writes the snapshot to a file as
+//! the process dies, so a chaos-injected fault or a plain bug leaves a
+//! post-mortem artifact next to its `FaultPlan` JSON.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
 use crate::dump::{unpack_into, DumpStats, FlightDump, MetricsDump, SourceDump};
 use crate::event::Event;
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, TraceLog};
+use crate::ring::Ring;
 
-/// Default cap on retained events per source. The oldest are trimmed —
-/// whole chunks at a time, and counted — beyond this. Operations are
-/// counted, not recorded, so a shard's retained events are its retires,
-/// reclaim runs and protocol events: packed by their own ring's owner
-/// in chunks of 256, one of an EBR shard under churn takes about
-/// 5.5 bytes (6.1 when the watchdog packed the merged log), so a full
-/// source holds about 0.36 MB and covers about 214 k served operations
-/// of `net-churn-ebr` (E27, E28, E31).
+/// Default cap on retained events per recorder; the oldest are trimmed
+/// — whole chunks at a time, and counted — beyond it. A shard's
+/// retained events are its retires, reclaim runs and protocol events
+/// (operations are counted, not recorded), about 5.5 bytes each on an
+/// EBR shard under churn, so a full log holds about 0.36 MB and covers
+/// about 214 k served operations of `net-churn-ebr` (E27, E28, E31).
 pub const DEFAULT_MAX_RETAINED: usize = 1 << 16;
 
-/// One ring's events, packed at once by its owner: half a window (half
-/// a ring, for a ring of at most [`crate::HELD_WINDOW`] slots), unless
-/// it is the first pack after a late hold or the rest of a ring whose
-/// tracer is gone. A clone shares the bytes.
+/// A merge key: [`Event::merge_key`].
+type Key = (u64, bool, u16);
+
+/// One ring's events, packed at once by its owner: half a ring, or the
+/// rest of a ring whose tracer is gone. A clone shares the bytes.
 #[derive(Debug, Clone)]
-pub(crate) struct Chunk {
+struct Chunk {
     /// The events, packed from zeroed bases; sized to what they take.
-    pub(crate) bytes: Arc<[u8]>,
-    pub(crate) events: usize,
-    /// The ring's [`crate::Ring`] creation order in its recorder.
-    pub(crate) ring: u64,
+    bytes: Arc<[u8]>,
+    events: usize,
+    /// The ring's creation order in its recorder.
+    ring: u64,
     /// The ring position of the first event.
-    pub(crate) start: u64,
+    start: u64,
+    /// The first events a drain took before the chunk was published.
+    skip: usize,
     /// The merge key of the last event, the largest: one writer's keys
     /// never go down.
-    pub(crate) last: (u64, bool, u16),
+    last: Key,
 }
 
-impl Chunk {
-    fn end(&self) -> u64 {
-        self.start + self.events as u64
-    }
-}
-
-/// A held recorder's retained chunks. The lock is held to add one chunk
-/// and trim — once per half window, on the owner's side — or to copy
-/// the list, once per snapshot.
-#[derive(Debug, Default)]
+/// A recorder's log. The lock is held to add one chunk and trim — once
+/// per half ring, on the owner's side — or to copy the list, once per
+/// read.
+#[derive(Debug)]
 #[repr(align(128))]
 pub(crate) struct Outbox {
-    /// Whether a flight recorder holds the recorder.
-    held: AtomicBool,
+    /// The cap on retained events; 0 packs nothing. An owner reads it
+    /// without the lock.
+    max: AtomicUsize,
     retained: Mutex<Retained>,
 }
 
-/// What a held recorder's owners have published, trimmed to the cap.
+/// What a recorder's owners have published, trimmed to the cap.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct Retained {
-    /// The cap on `len`.
-    max: usize,
+struct Retained {
     /// Published and not trimmed, oldest published first.
     chunks: VecDeque<Chunk>,
-    /// Events in `chunks`.
+    /// Events in `chunks`, skips left out.
     len: usize,
     /// Per ring, by creation order: the position past the last event
-    /// published (where the ring's packing started, before any).
+    /// published.
     cursors: Vec<u64>,
-    /// Events trimmed off `chunks` by the cap.
+    /// Per ring: the position past the last event a drain took.
+    taken: Vec<u64>,
+    /// Events trimmed by the cap.
     trimmed: u64,
-    /// The largest merge key among them: a snapshot leaves out every
-    /// event at or below it, so a dump is the merged log's suffix.
-    cut: Option<(u64, bool, u16)>,
-    /// Events the rings overwrote before their owners first packed (a
-    /// recorder held after its rings wrapped).
-    lost: u64,
+    /// The largest merge key among them: a read leaves out every event
+    /// at or below it, so it returns a suffix of the merged log.
+    cut: Option<Key>,
+}
+
+/// Ring `ring`'s entry of a per-ring position list.
+fn at(positions: &mut Vec<u64>, ring: u64) -> &mut u64 {
+    let k = ring as usize;
+    if k >= positions.len() {
+        positions.resize(k + 1, 0);
+    }
+    &mut positions[k]
+}
+
+fn get(positions: &[u64], ring: u64) -> u64 {
+    positions.get(ring as usize).copied().unwrap_or(0)
 }
 
 impl Retained {
-    fn cursor(&self, ring: u64) -> u64 {
-        self.cursors.get(ring as usize).copied().unwrap_or(0)
-    }
-
-    fn cursor_mut(&mut self, ring: u64) -> &mut u64 {
-        let k = ring as usize;
-        if k >= self.cursors.len() {
-            self.cursors.resize(k + 1, 0);
-        }
-        &mut self.cursors[k]
-    }
-
-    fn add(&mut self, chunk: Chunk) {
-        let cursor = self.cursor_mut(chunk.ring);
-        let start = *cursor;
-        // A chunk an owner packed just before this hold began.
-        if chunk.end() <= start {
-            return;
-        }
-        *cursor = chunk.end();
-        self.lost += chunk.start.saturating_sub(start);
-        self.len += chunk.events;
-        self.chunks.push_back(chunk);
-        self.trim();
+    /// Counts `events` ending at merge key `last` trimmed.
+    fn count_trimmed(&mut self, events: usize, last: Key) {
+        self.trimmed += events as u64;
+        self.cut = self.cut.max(Some(last));
     }
 
     /// Trims whole chunks, oldest first, to `max` events.
-    fn trim(&mut self) {
-        while self.len > self.max {
+    fn trim(&mut self, max: usize) {
+        while self.len > max {
             let front = self.chunks.pop_front().expect("len > 0");
-            self.len -= front.events;
-            self.trimmed += front.events as u64;
-            self.cut = self.cut.max(Some(front.last));
+            self.len -= front.events - front.skip;
+            self.count_trimmed(front.events - front.skip, front.last);
         }
     }
 }
 
 impl Outbox {
-    /// Whether the owners pack.
-    pub(crate) fn is_held(&self) -> bool {
-        // SAFETY(ordering): Acquire, paired with `hold`'s Release: an
-        // owner that sees the hold sees the drainer's last cursor.
-        self.held.load(Ordering::Acquire)
-    }
-
-    /// Starts a hold retaining at most `max` events, each ring's packing
-    /// starting at its `(order, position)` in `starts`; whatever a
-    /// previous hold retained is dropped. Under the recorder's ring
-    /// lock, so no drain runs across the change.
-    pub(crate) fn hold(&self, max: usize, starts: impl Iterator<Item = (u64, u64)>) {
-        let mut retained = self.lock();
-        *retained = Retained {
-            max,
-            ..Retained::default()
-        };
-        for (ring, start) in starts {
-            *retained.cursor_mut(ring) = start;
+    /// An empty log retaining at most `max` events.
+    pub(crate) fn new(max: usize) -> Outbox {
+        Outbox {
+            max: AtomicUsize::new(max),
+            retained: Mutex::default(),
         }
-        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
-        self.held.store(true, Ordering::Release);
     }
 
-    /// Ends a hold: owners stop packing, and what it retained is dropped.
-    pub(crate) fn release(&self) {
-        // SAFETY(ordering): Release, paired with `is_held`'s Acquire.
-        self.held.store(false, Ordering::Release);
-        *self.lock() = Retained::default();
-    }
-
-    /// Adds `chunk` after every chunk published before it, and trims.
-    pub(crate) fn publish(&self, chunk: Chunk) {
-        self.lock().add(chunk);
+    /// Publishes `ring`'s events from position `lo` to its head: packed
+    /// into one chunk, trimming the log to the cap, or, while the cap
+    /// is 0, counted trimmed. Owner-side (or for a ring whose owner is
+    /// gone), with every position below `lo` already published.
+    pub(crate) fn publish(&self, ring: &Ring, lo: u64) {
+        let done = ring.pushed();
+        if lo == done {
+            return;
+        }
+        // SAFETY(ordering): Relaxed — a cap changed meanwhile only
+        // decides whether this half is packed or counted; both keep the
+        // accounting exact.
+        let bytes = (self.max.load(Ordering::Relaxed) > 0).then(|| ring.pack(lo, done));
+        let last = ring.event(done - 1).merge_key();
+        let mut retained = self.lock();
+        *at(&mut retained.cursors, ring.order) = done;
+        let skip = get(&retained.taken, ring.order).clamp(lo, done) - lo;
+        let fresh = (done - lo - skip) as usize;
+        match bytes {
+            _ if fresh == 0 => {}
+            Some(bytes) => {
+                retained.len += fresh;
+                retained.chunks.push_back(Chunk {
+                    bytes,
+                    events: (done - lo) as usize,
+                    ring: ring.order,
+                    start: lo,
+                    skip: skip as usize,
+                    last,
+                });
+                retained.trim(self.max.load(Ordering::Relaxed));
+            }
+            None => retained.count_trimmed(fresh, last),
+        }
     }
 
     /// Sets the cap, and trims to it.
-    fn set_max(&self, max: usize) {
+    pub(crate) fn set_max(&self, max: usize) {
         let mut retained = self.lock();
-        retained.max = max;
-        retained.trim();
+        // SAFETY(ordering): Relaxed — the lock orders it against the
+        // trims; an owner that reads the old cap still counts exactly.
+        self.max.store(max, Ordering::Relaxed);
+        retained.trim(max);
     }
 
     /// Each ring's position past its last event published, by creation
@@ -211,9 +193,59 @@ impl Outbox {
         self.lock().cursors.clone()
     }
 
-    /// A copy of what is retained; the chunks' bytes are shared.
-    fn retained(&self) -> Retained {
-        self.lock().clone()
+    /// Merges the retained chunks with `rests` — per ring, `(creation
+    /// order, position of the first event, the unpacked events copied
+    /// from its cursor)` — by merge key, ties in ring creation order,
+    /// and returns the newest up to the cap above the cut; every other
+    /// event is counted trimmed. With `take`, what it read leaves the
+    /// log: the chunks go, and each ring's rest is marked taken.
+    pub(crate) fn read(&self, rests: Vec<(u64, u64, Vec<Event>)>, take: bool) -> TraceLog {
+        let mut retained = self.lock();
+        let mut runs = Vec::with_capacity(rests.len() + retained.chunks.len());
+        for (ring, first, mut events) in rests {
+            // A chunk published since the rest was copied holds its
+            // front, and so does an earlier drain's take.
+            let done = first + events.len() as u64;
+            let from = get(&retained.cursors, ring).max(get(&retained.taken, ring));
+            let covered = from.clamp(first, done) - first;
+            events.drain(..covered as usize);
+            if take {
+                let taken = at(&mut retained.taken, ring);
+                *taken = done.max(*taken);
+            }
+            runs.push((ring, first + covered, events));
+        }
+        let chunks = if take {
+            retained.len = 0;
+            std::mem::take(&mut retained.chunks)
+        } else {
+            retained.chunks.clone()
+        };
+        let (mut trimmed, cut) = (retained.trimmed, retained.cut);
+        drop(retained);
+        runs.extend(chunks.iter().map(|c| {
+            let mut events = Vec::with_capacity(c.events);
+            unpack_into(&c.bytes, c.events, &mut events);
+            events.drain(..c.skip);
+            (c.ring, c.start + c.skip as u64, events)
+        }));
+        // Ring creation order, then push order; a stable sort by merge
+        // key keeps it among equal keys.
+        runs.sort_by_key(|&(ring, start, _)| (ring, start));
+        let mut events: Vec<Event> = runs.into_iter().flat_map(|(_, _, e)| e).collect();
+        events.sort_by_key(Event::merge_key);
+        let below_cut = events.partition_point(|e| cut.is_some_and(|c| e.merge_key() <= c));
+        let max = self.max.load(Ordering::Relaxed);
+        let gone = below_cut + (events.len() - below_cut).saturating_sub(max);
+        if take && gone > 0 {
+            let mut retained = self.lock();
+            retained.count_trimmed(gone, events[gone - 1].merge_key());
+            trimmed = retained.trimmed;
+        } else {
+            trimmed += gone as u64;
+        }
+        events.drain(..gone);
+        TraceLog { events, trimmed }
     }
 
     fn packed_bytes(&self) -> usize {
@@ -236,53 +268,15 @@ struct FlightSource {
 
 impl FlightSource {
     fn snapshot(&self) -> SourceDump {
-        // Each ring's events past its cursor. A push that overwrote one
-        // of them while it was copied was preceded by the pack that
-        // holds it, so the retained list, copied after, holds that
-        // chunk, and what the chunks hold comes off the copy.
-        let mut rests = self.recorder.unpacked();
-        let retained = self.recorder.outbox().retained();
-        let mut pending_lost = 0;
-        for (ring, first, events) in &mut rests {
-            let cursor = retained.cursor(*ring);
-            let covered = cursor.saturating_sub(*first).min(events.len() as u64);
-            events.drain(..covered as usize);
-            *first += covered;
-            pending_lost += *first - cursor.min(*first);
-        }
-        // Ring creation order, then push order; a stable sort by merge
-        // key keeps it among equal keys, as `Recorder::drain` does.
-        let mut runs: Vec<(u64, u64, Vec<Event>)> = retained
-            .chunks
-            .iter()
-            .map(|c| {
-                let mut events = Vec::with_capacity(c.events);
-                unpack_into(&c.bytes, c.events, &mut events);
-                (c.ring, c.start, events)
-            })
-            .collect();
-        runs.extend(rests);
-        runs.sort_by_key(|&(ring, start, _)| (ring, start));
-        let mut events: Vec<Event> = runs.into_iter().flat_map(|(_, _, e)| e).collect();
-        events.sort_by_key(Event::merge_key);
-        let cut = retained.cut;
-        let below_cut = events.partition_point(|e| cut.is_some_and(|c| e.merge_key() <= c));
-        let excess = (events.len() - below_cut).saturating_sub(retained.max);
-        events.drain(..below_cut + excess);
+        let log = self.recorder.read(false);
         SourceDump {
             label: self.label.clone(),
-            dropped: self.recorder.dropped() + retained.lost + pending_lost,
-            trimmed: retained.trimmed + (below_cut + excess) as u64,
-            events,
+            dropped: self.recorder.dropped(),
+            trimmed: log.trimmed,
+            events: log.events,
             metrics: Some(MetricsDump::capture(self.recorder.metrics())),
             stats: self.stats,
         }
-    }
-}
-
-impl Drop for FlightSource {
-    fn drop(&mut self) {
-        self.recorder.release();
     }
 }
 
@@ -324,17 +318,15 @@ impl FlightRecorder {
         flight
     }
 
-    /// Registers a recorder as a dump source; returns its index (for
-    /// [`set_stats`](Self::set_stats)). Labels identify schemes or
+    /// Registers a recorder as a dump source and sets its cap on
+    /// retained events to this flight recorder's; returns its index
+    /// (for [`set_stats`](Self::set_stats)). Labels identify schemes or
     /// shards in `era-view`; they need not be unique but should be.
-    ///
-    /// From here on the recorder's tracers pack their own rings into
-    /// its outbox, trimmed to the cap, and [`Recorder::drain`] returns
-    /// none of its events; events it holds already reach the first
-    /// snapshot, up to a ring's worth per ring. A recorder feeds one
-    /// flight recorder at a time, until that one drops.
+    /// What the recorder's log holds already reaches the first
+    /// snapshot; a recorder whose cap was 0 holds only its rings'
+    /// unpacked rests.
     pub fn add_source(&self, label: &str, recorder: &Recorder) -> usize {
-        recorder.hold(self.max_retained);
+        recorder.outbox().set_max(self.max_retained);
         let mut sources = self.lock();
         sources.push(FlightSource {
             label: label.to_string(),
@@ -343,7 +335,6 @@ impl FlightRecorder {
         });
         sources.len() - 1
     }
-
     /// Attaches the latest scheme counters to source `idx` (they ride
     /// along in every subsequent snapshot). Out-of-range indices are
     /// ignored — the flight recorder never panics on its caller.
@@ -363,8 +354,8 @@ impl FlightRecorder {
     }
 
     /// Assembles the dump: per source, the newest events up to the cap
-    /// — retained chunks and the rings' unpacked rest, merged — a
-    /// metrics capture, the latest stats, and the drop/trim accounting.
+    /// — retained chunks and the rings' unpacked rests, merged — a
+    /// metrics capture, the latest stats, and the trim count.
     pub fn snapshot(&self) -> FlightDump {
         let sources = self.lock();
         FlightDump {
@@ -441,8 +432,7 @@ mod tests {
     use super::*;
     use crate::dump::{pack_event, Bases, MAX_PACKED_EVENT};
     use crate::event::{Hook, SchemeId};
-    use crate::ring::{Ring, HELD_WINDOW, MAX_TS};
-    use crate::DEFAULT_RING_CAPACITY;
+    use crate::ring::{Ring, HALF, MAX_TS, SLOTS};
     use proptest::prelude::*;
 
     #[test]
@@ -480,43 +470,47 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn published_chunks_and_unpacked_rests_do_not_overlap() {
-        // A ring of 8 publishes every 4 events: each snapshot reads
+        // The owner publishes every 256 events: each snapshot reads
         // chunks and the ring's unpacked rest, and consumes neither.
-        let recorder = Recorder::with_ring_capacity(2, 8);
+        let recorder = Recorder::new(2);
         let flight = FlightRecorder::single("s", &recorder);
         let mut t = recorder.tracer(0, SchemeId::HP);
-        for i in 0..10 {
+        for i in 0..300 {
             t.emit(Hook::Retire, i, 0);
         }
-        assert_eq!(flight.snapshot().sources[0].events.len(), 10);
-        for i in 10..25 {
+        assert_eq!(flight.snapshot().sources[0].events.len(), 300);
+        for i in 300..1_000 {
             t.emit(Hook::Retire, i, 0);
         }
         let dump = flight.snapshot();
-        assert_eq!(dump.sources[0].events.len(), 25);
+        assert_eq!(dump.sources[0].events.len(), 1_000);
         let mut payloads: Vec<u64> = dump.sources[0].events.iter().map(|e| e.a).collect();
         payloads.dedup();
-        assert_eq!(payloads, (0..25).collect::<Vec<_>>());
+        assert_eq!(payloads, (0..1_000).collect::<Vec<_>>());
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
     fn memory_cap_trims_oldest_and_counts_them() {
-        // Rings of 8 pack chunks of 4, which their owner trims as it
-        // publishes them; a ring of 4096 packs none, and the snapshot
-        // trims its unpacked rest.
-        for capacity in [8, DEFAULT_RING_CAPACITY] {
-            let recorder = Recorder::with_ring_capacity(2, capacity);
+        // 64 events stay in the ring, and the snapshot trims its
+        // unpacked rest; of 1 000, the owner trims each chunk of 256 as
+        // it publishes it, and the snapshot trims the rest.
+        for emitted in [64, 1_000] {
+            let recorder = Recorder::new(2);
             let flight = FlightRecorder::single("s", &recorder).with_max_retained(16);
             let mut t = recorder.tracer(0, SchemeId::NONE);
-            for i in 0..64 {
+            for i in 0..emitted {
                 t.emit(Hook::Sample, i, 0);
             }
             let dump = flight.snapshot();
             let src = &dump.sources[0];
             assert_eq!(src.events.len(), 16);
-            assert_eq!(src.trimmed, 48);
-            assert_eq!(src.events.first().unwrap().a, 48, "newest survive");
+            assert_eq!(src.trimmed, emitted - 16);
+            assert_eq!(
+                src.events.first().unwrap().a,
+                emitted - 16,
+                "newest survive"
+            );
         }
     }
 
@@ -562,17 +556,24 @@ mod tests {
         })
     }
 
-    /// What `pack` hands over of the events `ring` holds unpacked.
-    fn pack_all(ring: &Ring) -> Vec<Chunk> {
-        let mut chunks = Vec::new();
-        ring.pack(|c| chunks.push(c));
-        chunks
+    /// Pushes `e` into `ring` with no pack boundary.
+    fn push(ring: &Ring, e: Event) {
+        ring.write(e.ts, e.hook, e.a, e.b, |_| ());
     }
 
-    fn unpack(chunks: &[Chunk]) -> Vec<Event> {
+    /// `ring`'s events from `lo` to its head, packed, and `lo` moved
+    /// past them.
+    fn pack_from(ring: &Ring, lo: &mut u64) -> (Arc<[u8]>, usize) {
+        let done = ring.pushed();
+        let packed = (ring.pack(*lo, done), (done - *lo) as usize);
+        *lo = done;
+        packed
+    }
+
+    fn unpack(chunks: &[(Arc<[u8]>, usize)]) -> Vec<Event> {
         let mut out = Vec::new();
-        for c in chunks {
-            unpack_into(&c.bytes, c.events, &mut out);
+        for (bytes, events) in chunks {
+            unpack_into(bytes, *events, &mut out);
         }
         out
     }
@@ -583,9 +584,8 @@ mod tests {
         /// Whatever the rings, the snapshots between emits and the cap, a
         /// snapshot is the newest events of the log one drain of the
         /// same emits merges, at most the cap of them and all of them
-        /// under it, and every other event is counted trimmed: held
-        /// rings drop nothing. The model is a recorder no flight
-        /// recorder holds, with rings that never wrap.
+        /// under it, and every other event is counted trimmed: rings
+        /// drop nothing. The model is a recorder that trims nothing.
         #[test]
         fn a_snapshot_is_the_newest_suffix_of_the_merged_log(
             ops in prop::collection::vec(
@@ -600,16 +600,15 @@ mod tests {
                     word(),
                     word(),
                 ),
-                0..400,
+                0..if cfg!(miri) { 300 } else { 1_500 },
             ),
-            max in 1..65usize,
-            ring in 8..33usize,
+            max in 1..600usize,
             scheme in 0..9u8,
         ) {
-            let recorder = Recorder::with_ring_capacity(4, ring);
+            let recorder = Recorder::new(4);
             let flight = FlightRecorder::single("p", &recorder).with_max_retained(max);
             let mut tracer = recorder.tracer(0, SchemeId(scheme));
-            let model_recorder = Recorder::with_ring_capacity(4, 512);
+            let model_recorder = Recorder::with_max_retained(4, usize::MAX);
             let mut model_tracer = model_recorder.tracer(0, SchemeId(scheme));
             let mut recorded = 0u64;
             for (op, thread, hook, a, b) in ops {
@@ -646,11 +645,12 @@ mod tests {
     #[test]
     fn owner_chunks_round_trip_extreme_events() {
         let hooks: Vec<u8> = (0..Hook::COUNT as u8).chain([200]).collect();
-        let ring = Ring::with_owner(64, u16::MAX, SchemeId(u8::MAX), 0);
+        let ring = Ring::new(u16::MAX, SchemeId(u8::MAX), 0);
         let mut rng = 7u64;
         let mut ts = 0u64;
         let mut pushed = Vec::new();
         let mut chunks = Vec::new();
+        let mut lo = 0;
         let n = if cfg!(miri) { 600 } else { 6_000usize };
         for k in 0..n {
             let r = lcg(&mut rng);
@@ -668,17 +668,17 @@ mod tests {
                 word(r),
             );
             e.scheme = u8::MAX;
-            ring.push(e);
+            push(&ring, e);
             pushed.push(e);
             if k % 32 == 31 {
-                chunks.extend(pack_all(&ring));
+                chunks.push(pack_from(&ring, &mut lo));
             }
         }
-        chunks.extend(pack_all(&ring));
+        chunks.push(pack_from(&ring, &mut lo));
         assert_eq!(chunks.len(), n.div_ceil(32));
         assert!(chunks
             .iter()
-            .all(|c| c.bytes.len() <= MAX_PACKED_EVENT * c.events));
+            .all(|(bytes, events)| bytes.len() <= MAX_PACKED_EVENT * events));
         assert_eq!(unpack(&chunks), pushed);
     }
 
@@ -692,9 +692,9 @@ mod tests {
             event(1 << 55, 0, Hook::Reclaim as u8, 3, 4),
             event(5, 0, Hook::EndOp as u8, 0, 0),
         ];
-        let ring = Ring::with_owner(8, 0, SchemeId::EBR, 0);
-        events.iter().for_each(|&e| ring.push(e));
-        assert_eq!(unpack(&pack_all(&ring)), events);
+        let ring = Ring::new(0, SchemeId::EBR, 0);
+        events.iter().for_each(|&e| push(&ring, e));
+        assert_eq!(unpack(&[pack_from(&ring, &mut 0)]), events);
         // The same `Load`, stamped 3 ticks before the `BeginOp` or with it.
         let bytes_with_load_at = |ts| {
             let mut bytes = Vec::new();
@@ -716,22 +716,25 @@ mod tests {
 
     #[test]
     fn worst_case_and_churn_streams_stay_within_their_byte_bounds() {
-        let cap = if cfg!(miri) { 256 } else { 1 << 12 };
         // Every field at its longest: an escaped hook, `ts` and both words
         // half the range off the last. After the first, each takes
         // `MAX_PACKED_EVENT` bytes less the 3-byte thread its ring omits.
-        let ring = Ring::with_owner(cap, u16::MAX, SchemeId::EBR, 0);
-        for k in 0..cap as u64 {
+        let ring = Ring::new(u16::MAX, SchemeId::EBR, 0);
+        for k in 0..SLOTS as u64 {
             let flip = (k & 1) << 55;
-            ring.push(event(flip, u16::MAX, 200, flip << 8, flip << 8));
+            push(&ring, event(flip, u16::MAX, 200, flip << 8, flip << 8));
         }
-        let chunks = pack_all(&ring);
-        let bytes = chunks[0].bytes.len();
-        assert!(bytes <= MAX_PACKED_EVENT * cap, "{bytes} bytes");
-        assert_eq!(unpack(&chunks).len(), cap);
+        let chunk = pack_from(&ring, &mut 0);
+        assert!(
+            chunk.0.len() <= MAX_PACKED_EVENT * SLOTS,
+            "{} bytes",
+            chunk.0.len()
+        );
+        assert_eq!(unpack(&[chunk]).len(), SLOTS);
         // An EBR shard under churn: a worker's `Retire`s at heap-like
         // addresses, each 64 reclaimed as one run by the service tracer
         // (thread `u16::MAX`, as `StatCells::reclaim` emits them).
+        let cap = if cfg!(miri) { 256 } else { 1 << 12 };
         let recorder = Recorder::new(1);
         let flight = FlightRecorder::single("churn", &recorder).with_max_retained(cap);
         let mut worker = recorder.tracer(0, SchemeId::EBR);
@@ -748,15 +751,15 @@ mod tests {
                 (nodes[k], ts - (retired_at + k as u64))
             });
         }
-        let retained = flight.lock()[0].recorder.outbox().retained().len;
-        assert!(retained <= cap && retained > cap - HELD_WINDOW / 2);
+        let retained = recorder.outbox().lock().len;
+        assert!(retained <= cap && retained > cap - HALF as usize);
         assert!(flight.packed_bytes() <= 6 * retained);
     }
 
-    /// The chunks a snapshot reads are its owner's, half a window each:
+    /// The chunks a snapshot reads are its owner's, half a ring each:
     /// a snapshot packs nothing, whatever the number of them.
     #[test]
-    fn a_chunk_is_half_a_window_whatever_the_snapshots() {
+    fn a_chunk_is_half_a_ring_whatever_the_snapshots() {
         let events = if cfg!(miri) { 600 } else { 4_096 };
         let recorder = Recorder::new(1);
         let flight = FlightRecorder::single("idle", &recorder).with_max_retained(events as usize);
@@ -768,10 +771,9 @@ mod tests {
                 assert_eq!(src.events.len() as u64, i + 1);
             }
         }
-        let retained = flight.lock()[0].recorder.outbox().retained();
-        let half = HELD_WINDOW / 2;
-        assert_eq!(retained.len, events as usize / half * half);
-        assert!(retained.chunks.iter().all(|c| c.events == half));
+        let retained = recorder.outbox().lock().clone();
+        assert_eq!(retained.len as u64, events / HALF * HALF);
+        assert!(retained.chunks.iter().all(|c| c.events as u64 == HALF));
     }
 
     /// A held recorder whose tracers come and go — 1 000 of them, each
@@ -781,7 +783,7 @@ mod tests {
     #[test]
     fn a_held_recorders_gone_tracers_are_released_without_a_snapshot() {
         let (tracers, per) = if cfg!(miri) { (50, 40) } else { (1_000, 300) };
-        let recorder = Recorder::with_ring_capacity(2, 64);
+        let recorder = Recorder::new(2);
         let flight = FlightRecorder::single("churn", &recorder).with_max_retained(4_096);
         let mut kept = recorder.tracer(0, SchemeId::EBR);
         for k in 0..tracers {
@@ -807,70 +809,33 @@ mod tests {
         assert!(src.events.len() <= 4_096);
     }
 
-    /// Single-threaded, no wall clock, sized for Miri. On a ring of
-    /// 2 048: 1 500 events with no holder, then a hold and 1 060 more,
-    /// then a release and 300 more. The owner's first pack after the
-    /// hold, at the next half window (1 536), takes all 1 536 in one
-    /// chunk and moves the ring into its window, which it packs every
-    /// half window, so at 2 560 everything is packed: the snapshot
-    /// holds every event once, and a drain after the release starts
-    /// where the owner's last pack ended.
+    /// Single-threaded, no wall clock, sized for Miri: a drain takes
+    /// what it returns — the chunks and the ring's unpacked rest — out
+    /// of the log, and a snapshot only reads it. The chunk the owner
+    /// publishes next starts inside what the drain took, and only its
+    /// untaken events come back.
     #[test]
-    fn every_event_comes_back_once_across_the_switch_and_the_release() {
+    fn a_drain_takes_what_a_snapshot_only_reads() {
         let payloads = |events: &[Event]| events.iter().map(|e| e.a).collect::<Vec<_>>();
-        let recorder = Recorder::with_ring_capacity(1, 2_048);
-        let mut t = recorder.tracer(0, SchemeId::EBR);
-        for i in 0..1_500 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let flight = FlightRecorder::single("switch", &recorder);
-        for i in 1_500..2_560 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let retained = flight.lock()[0].recorder.outbox().retained();
-        let chunks: Vec<usize> = retained.chunks.iter().map(|c| c.events).collect();
-        let half = HELD_WINDOW / 2;
-        assert_eq!(chunks, [1_536, half, half, half, half]);
-        let src = flight.lock()[0].snapshot();
-        assert_eq!(payloads(&src.events), (0..2_560).collect::<Vec<_>>());
-        assert_eq!((src.dropped, src.trimmed), (0, 0));
-        drop(flight);
-        for i in 2_560..2_860 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let log = recorder.drain();
-        assert_eq!(payloads(&log.events), (2_560..2_860).collect::<Vec<_>>());
-        assert_eq!(log.dropped, 0);
-        // Released, the ring stays in its window: a drain sees at most
-        // the window's newest events, and counts the rest dropped.
-        for i in 2_860..4_000 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let log = recorder.drain();
-        let kept = 4_000 - HELD_WINDOW as u64;
-        assert_eq!(payloads(&log.events), (kept..4_000).collect::<Vec<_>>());
-        assert_eq!(log.dropped, kept - 2_860);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
-    fn a_held_recorder_drains_nothing_until_its_flight_recorder_drops() {
-        let recorder = Recorder::with_ring_capacity(1, 8);
+        let recorder = Recorder::new(1);
+        let flight = FlightRecorder::single("s", &recorder);
         let mut t = recorder.tracer(0, SchemeId::HP);
-        let flight = FlightRecorder::single("held", &recorder);
-        for i in 0..100 {
+        for i in 0..300 {
             t.emit(Hook::Retire, i, 0);
         }
+        let src = flight.lock()[0].snapshot();
+        assert_eq!(payloads(&src.events), (0..300).collect::<Vec<_>>());
+        let log = recorder.drain();
+        assert_eq!(payloads(&log.events), (0..300).collect::<Vec<_>>());
+        assert!(flight.lock()[0].snapshot().events.is_empty());
+        for i in 300..600 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let src = flight.lock()[0].snapshot();
+        assert_eq!(payloads(&src.events), (300..600).collect::<Vec<_>>());
+        let log = recorder.drain();
+        assert_eq!(payloads(&log.events), (300..600).collect::<Vec<_>>());
+        assert_eq!((log.trimmed, src.trimmed, src.dropped), (0, 0, 0));
         assert!(recorder.drain().events.is_empty());
-        let src = &flight.snapshot().sources[0];
-        assert_eq!((src.events.len(), src.dropped), (100, 0), "no overwrite");
-        drop(flight);
-        // Packing stopped: the ring drains from where its owner packed.
-        for i in 100..103 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let a: Vec<u64> = recorder.drain().events.iter().map(|e| e.a).collect();
-        assert_eq!(a, [100, 101, 102]);
-        assert_eq!(recorder.dropped(), 0);
     }
 }

@@ -6,12 +6,15 @@
 //!
 //! ## Design
 //!
-//! - **Per-thread rings** ([`Ring`]): each instrumented thread writes
-//!   its events into its own drop-oldest ring, three atomic words a
-//!   slot (the ring holds the thread and scheme once; a drain restores
-//!   the 32-byte [`Event`]). A push is five stores to words only that
-//!   thread writes — no allocation, no locks, no cross-thread
-//!   contention — and a ring commits only the pages its writer has touched.
+//! - **Per-thread rings**: each instrumented thread writes its events
+//!   into its own 512-slot ring, three atomic words a slot (the ring
+//!   holds the thread and scheme once; a read restores the 32-byte
+//!   [`Event`]). A push is five stores to words only that thread writes
+//!   — no allocation, no locks, no cross-thread contention — and a ring
+//!   commits only the pages its writer has touched. One push in 256
+//!   also packs the half ring it completed into its recorder's log,
+//!   which keeps the newest up to the recorder's one size option, its
+//!   cap on retained events; a cap of 0 packs nothing.
 //! - **Global logical clock**: protocol events (reclaim, advance, … —
 //!   [`Hook::advances_clock`]) draw a timestamp with one `fetch_add(1)`;
 //!   `Reserve` and `Retire` only *read* it, so operations and retires
@@ -22,7 +25,7 @@
 //!   `EndOp`, `Load` — [`Hook::is_recorded`]) reach no ring and read
 //!   no clock; an emit of one bumps its tracer's hook counter.
 //! - **Aggregate metrics** ([`Metrics`]): always-exact counters beside
-//!   the lossy rings — per-hook call counts (summed over per-tracer,
+//!   the capped log — per-hook call counts (summed over per-tracer,
 //!   single-writer blocks), a retire→reclaim latency
 //!   [`Log2Histogram`], a footprint [`HighWater`] mark, and per-thread
 //!   *blame* counters attributing blocked reclamation to the stalled
@@ -36,16 +39,12 @@
 //!   chaos runs) and the one reader ([`Json`]) every crate that takes
 //!   such a record back in goes through.
 //! - **Flight recorder** ([`flight`], [`dump`]): a crash-safe layer
-//!   over the rings. While it holds a recorder, each ring's owner packs
-//!   its own events into packed chunks, half a [`HELD_WINDOW`]-slot
-//!   window at a time — a held ring stages its events there, so it
-//!   commits the window, not its whole ring; the
-//!   owners trim what they publish to the newest per source, up to a
-//!   count cap, so nothing polls; the flight recorder snapshots them (plus metrics and scheme counters) into a compact
-//!   binary `.eraflt` dump — on demand or from a chained panic hook —
-//!   and reads such dumps back for the `era-view` timeline CLI. One
-//!   codec, `dump`'s packed segment, is the encoding both in memory and
-//!   on disk.
+//!   over the recorders' logs. It sets each source's cap to its own and
+//!   snapshots the sources (plus metrics and scheme counters) into a
+//!   compact binary `.eraflt` dump — on demand or from a chained panic
+//!   hook — and reads such dumps back for the `era-view` timeline CLI.
+//!   One codec, `dump`'s packed segment, is the encoding both in memory
+//!   and on disk.
 //!
 //! ## Usage sketch
 //!
@@ -75,5 +74,4 @@ pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, HighWater, HistogramSnapshot, Log2Histogram, Metrics, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{Recorder, ThreadTracer, TraceLog, DEFAULT_RING_CAPACITY};
-pub use ring::{Ring, HELD_WINDOW};
+pub use recorder::{Recorder, ThreadTracer, TraceLog};

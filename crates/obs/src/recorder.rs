@@ -1,22 +1,16 @@
 //! The [`Recorder`] facade and per-thread [`ThreadTracer`] handles.
 //!
 //! A `Recorder` owns the global logical clock, the aggregate
-//! [`Metrics`], and one [`Ring`] per thread slot each issued tracer
-//! writes for. Tracers are the only write path: each holds an
-//! exclusive `Arc` to its own rings and its own hook-counter block, so
-//! the single-writer contract is enforced by construction. Draining
-//! merges every ring into one log ordered by [`Event::merge_key`], and
-//! lets go of a ring whose tracer is gone once it has drained it.
-//!
-//! A [`crate::FlightRecorder`] that holds a recorder reads it another
-//! way: each tracer packs its own rings and publishes the chunks to the
-//! recorder's outbox, which keeps the newest of them up to the flight
-//! recorder's cap, trimmed as they are published. A held ring
-//! of the default capacity stages its events in a window of
-//! [`crate::HELD_WINDOW`] slots, packed every half window (256 events),
-//! instead of writing through its whole ring; a smaller ring is packed
-//! every half ring. A held recorder has no drainer, and
-//! [`Recorder::drain`] returns no events from it.
+//! [`Metrics`], one ring per thread slot each issued tracer writes for,
+//! and the log its rings publish to. Tracers are the only write path:
+//! each holds an exclusive `Arc` to its own rings and its own
+//! hook-counter block, so the single-writer contract is enforced by
+//! construction. Each ring is a 512-slot staging buffer its owner packs
+//! every half ring (256 events) into a chunk of the log, which keeps
+//! the newest of them up to the recorder's cap on retained events,
+//! trimmed as they are published ([`crate::flight`]). [`Recorder::drain`]
+//! merges the log and every ring's unpacked rest into one log ordered
+//! by [`Event::merge_key`], and takes what it returns out of the log.
 //!
 //! # The clock
 //!
@@ -55,15 +49,12 @@
 //! every emit is one branch on a local `Option`.
 
 use crate::event::{Event, Hook, SchemeId};
-use crate::flight::Outbox;
+use crate::flight::{Outbox, DEFAULT_MAX_RETAINED};
 use crate::metrics::{HookCounts, Metrics};
-use crate::ring::Ring;
+use crate::ring::{Ring, HALF};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Default per-thread ring capacity (events).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// The logical clock, alone on its cache-line pair: reservations and
 /// retires only read it, so nothing else a recorder writes (metrics, the
@@ -78,47 +69,34 @@ struct RecorderCore {
     clock: Clock,
     metrics: Metrics,
     rings: Mutex<Rings>,
-    ring_capacity: usize,
-    /// Where the owners of a held recorder's rings publish their chunks,
-    /// and where they are retained.
+    /// Where the owners of the rings publish their chunks, and where
+    /// they are retained.
     outbox: Outbox,
 }
 
-/// The rings a recorder drains.
+/// The rings a recorder reads.
 #[derive(Debug, Default)]
 struct Rings {
-    /// Every ring a live tracer may still write, and any not yet
-    /// drained (or, held, packed) since its tracer dropped, in creation
-    /// order.
+    /// Every ring a live tracer may still write, and any whose tracer
+    /// dropped since it was last published, in creation order.
     live: Vec<Arc<Ring>>,
-    /// The `dropped` of every ring let go of.
-    released_dropped: u64,
     /// Rings created so far: the next one's [`Ring::order`].
     created: u64,
 }
 
 impl Rings {
-    fn dropped(&self) -> u64 {
-        self.released_dropped + self.live.iter().map(|r| r.dropped()).sum::<u64>()
-    }
-
-    /// Packs the rest of each ring whose tracer is gone — no one writes
-    /// it any more — into `outbox`, and lets go of it.
+    /// Publishes the rest of each ring whose tracer is gone — no one
+    /// writes it any more — to `outbox`, and lets go of it.
     fn release_gone(&mut self, outbox: &Outbox) {
-        let Rings {
-            live,
-            released_dropped,
-            ..
-        } = self;
-        live.retain_mut(|ring| {
+        self.live.retain_mut(|ring| {
             // Unique (an Acquire check): its tracer is gone, so every
             // push, and every chunk its tracer published, happened
-            // before this pack.
+            // before this publish.
             if Arc::get_mut(ring).is_none() {
                 return true;
             }
-            ring.pack(|chunk| outbox.publish(chunk));
-            *released_dropped += ring.dropped();
+            // Every half the owner completed, it published.
+            outbox.publish(ring, ring.pushed() & !(HALF - 1));
             false
         });
     }
@@ -126,23 +104,21 @@ impl Rings {
 
 impl RecorderCore {
     /// Allocates and registers a ring for `thread`'s events under
-    /// `scheme`. A held recorder first lets go of the rings whose
-    /// tracer is gone, so one that issues tracers for a whole run holds
-    /// only the live ones.
+    /// `scheme`, first letting go of the rings whose tracer is gone, so
+    /// a recorder that issues tracers for a whole run holds only the
+    /// live ones.
     fn ring(&self, thread: u16, scheme: SchemeId) -> Arc<Ring> {
         let mut rings = self.lock_rings();
-        if self.outbox.is_held() {
-            rings.release_gone(&self.outbox);
-        }
+        rings.release_gone(&self.outbox);
         let order = rings.created;
         rings.created += 1;
-        let ring = Arc::new(Ring::with_owner(self.ring_capacity, thread, scheme, order));
+        let ring = Arc::new(Ring::new(thread, scheme, order));
         rings.live.push(Arc::clone(&ring));
         ring
     }
 
     fn lock_rings(&self) -> MutexGuard<'_, Rings> {
-        // The crash dump drains from a panic hook: inherit the list
+        // The crash dump reads from a panic hook: inherit the list
         // rather than propagate a poison.
         self.rings
             .lock()
@@ -158,24 +134,25 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder with blame slots for `max_threads` and the default
-    /// ring capacity.
+    /// A recorder with blame slots for `max_threads` that retains its
+    /// newest [`DEFAULT_MAX_RETAINED`] events.
     pub fn new(max_threads: usize) -> Recorder {
-        Recorder::with_ring_capacity(max_threads, DEFAULT_RING_CAPACITY)
+        Recorder::with_max_retained(max_threads, DEFAULT_MAX_RETAINED)
     }
 
-    /// A recorder whose tracers get rings of `ring_capacity` events: an
-    /// unheld ring keeps its newest `ring_capacity` of them. Once held,
-    /// one of more than [`crate::HELD_WINDOW`] stages its events in a
-    /// window of that many slots instead ([`Ring`]'s "The held window").
-    pub fn with_ring_capacity(max_threads: usize, ring_capacity: usize) -> Recorder {
+    /// A recorder that retains its newest `max_retained` events, in
+    /// the chunks its owners pack every half ring, trimmed whole as
+    /// they are published. At 0 it packs nothing: each half ring is
+    /// counted trimmed, and only the rings' unpacked rests are ever
+    /// read. A [`crate::FlightRecorder`] sets the cap to its own when
+    /// it adds the recorder.
+    pub fn with_max_retained(max_threads: usize, max_retained: usize) -> Recorder {
         Recorder {
             core: Arc::new(RecorderCore {
                 clock: Clock(AtomicU64::new(1)),
                 metrics: Metrics::new(max_threads),
                 rings: Mutex::default(),
-                ring_capacity,
-                outbox: Outbox::default(),
+                outbox: Outbox::new(max_retained),
             }),
         }
     }
@@ -207,108 +184,55 @@ impl Recorder {
         }
     }
 
-    /// Drains every ring and returns the merged log, ordered by
+    /// Returns the merged log — the retained chunks and every ring's
+    /// unpacked rest, the newest up to the cap — ordered by
     /// [`Event::merge_key`] (ascending `ts`; see the module docs for
-    /// what a tie means). Safe to call while writers are active
-    /// (in-flight events appear in a later drain); safe to call
-    /// repeatedly: the ring cursors advance past everything drained,
-    /// so each event is returned once or counted in
-    /// [`TraceLog::dropped`] — nothing is lost silently. A ring whose
-    /// tracer has dropped is drained one last time and let go of, its
-    /// losses kept in the cumulative [`Recorder::dropped`].
-    ///
-    /// While a [`crate::FlightRecorder`] holds this recorder, its events
-    /// are the flight recorder's: the log holds none of them. A ring that
-    /// moved into its window while held stays there once released, so
-    /// a drain after that sees at most [`crate::HELD_WINDOW`] of its
-    /// newest events, and counts the rest dropped.
+    /// what a tie means), and takes it out of the log. Safe to call
+    /// while writers are active (in-flight events appear in a later
+    /// drain) and repeatedly: each event is returned once or counted in
+    /// [`TraceLog::trimmed`] — nothing is lost silently. A ring whose
+    /// tracer has dropped is published one last time and let go of.
     pub fn drain(&self) -> TraceLog {
-        let mut rings = self.core.lock_rings();
-        if self.core.outbox.is_held() {
-            return TraceLog {
-                events: Vec::new(),
-                dropped: rings.dropped(),
-            };
-        }
-        let Rings {
-            live,
-            released_dropped,
-            ..
-        } = &mut *rings;
-        let mut events = Vec::new();
-        live.retain_mut(|ring| {
-            // Unique (an Acquire check): its tracer is gone and every
-            // push happened before this drain, which empties it.
-            let released = Arc::get_mut(ring).is_some();
-            ring.drain_into(&mut events);
-            if released {
-                *released_dropped += ring.dropped();
-            }
-            !released
-        });
-        let dropped = rings.dropped();
-        drop(rings);
-        // Stable, over rings concatenated in creation order: events
-        // equal in the key keep their ring position, so the same
-        // ring contents always merge to the same log.
-        events.sort_by_key(Event::merge_key);
-        TraceLog { events, dropped }
+        self.read(true)
     }
 
-    /// Cumulative events lost to ring overwrite across the session, as
-    /// counted at drain time (call after a drain for an up-to-date
-    /// figure). Lets run reports surface truncation without consuming
-    /// the rings themselves.
+    /// Events lost to ring overwrite: 0, since every ring is packed
+    /// before it is overwritten. Kept for the run reports that print
+    /// it.
     pub fn dropped(&self) -> u64 {
-        self.core.lock_rings().dropped()
+        0
     }
 
     /// Rings the recorder holds: one per thread slot a live tracer
-    /// writes for, plus any whose tracer dropped since the last
-    /// [`Recorder::drain`] (held: since the last ring it created or the
-    /// last snapshot).
+    /// writes for, plus any whose tracer dropped since the last ring it
+    /// created or the last read.
     pub fn ring_count(&self) -> usize {
         self.core.lock_rings().live.len()
     }
 
-    /// Hands this recorder to a flight recorder that retains at most
-    /// `max` of its events: from now on each ring's owner packs it into
-    /// the outbox, starting at its first position not yet drained.
-    /// Whatever a previous holder retained is dropped.
-    pub(crate) fn hold(&self, max: usize) {
-        let rings = self.core.lock_rings();
-        debug_assert!(!self.core.outbox.is_held(), "a recorder held twice");
-        let starts = rings.live.iter().map(|r| (r.order(), r.tail()));
-        self.core.outbox.hold(max, starts);
-    }
-
-    /// Ends [`Recorder::hold`]: owners stop packing, and what the
-    /// outbox retained is dropped.
-    pub(crate) fn release(&self) {
-        let _rings = self.core.lock_rings();
-        self.core.outbox.release();
-    }
-
-    /// Where a held recorder's chunks are retained.
+    /// The recorder's log.
     pub(crate) fn outbox(&self) -> &Outbox {
         &self.core.outbox
     }
 
-    /// Lets go of each ring whose tracer is gone once it is packed into
-    /// the outbox, then copies every other ring's events past its
-    /// outbox cursor: per ring, in creation order, `(order, position of
-    /// the first event copied, events)`.
-    pub(crate) fn unpacked(&self) -> Vec<(u64, u64, Vec<Event>)> {
+    /// Lets go of each ring whose tracer is gone once it is published,
+    /// copies every other ring's events past its log cursor, and
+    /// merges them with the log ([`Outbox::read`]); `take` takes what
+    /// it returns out of the log.
+    pub(crate) fn read(&self, take: bool) -> TraceLog {
+        // Held throughout: one read at a time, and no ring created or
+        // let go of across one.
         let mut rings = self.core.lock_rings();
-        rings.release_gone(&self.core.outbox);
-        let cursors = self.core.outbox.cursors();
+        let outbox = &self.core.outbox;
+        rings.release_gone(outbox);
+        let cursors = outbox.cursors();
         let rests = rings.live.iter().map(|ring| {
-            let cursor = cursors.get(ring.order() as usize).copied().unwrap_or(0);
+            let cursor = cursors.get(ring.order as usize).copied().unwrap_or(0);
             let mut events = Vec::new();
-            let (first, _) = ring.copy_since(cursor, &mut events);
-            (ring.order(), first, events)
+            let first = ring.copy_since(cursor, &mut events);
+            (ring.order, first, events)
         });
-        rests.collect()
+        outbox.read(rests.collect(), take)
     }
 }
 
@@ -324,8 +248,8 @@ pub struct TraceLog {
     /// Events in ascending [`Event::merge_key`] order (so ascending,
     /// not strictly ascending, `ts`).
     pub events: Vec<Event>,
-    /// Cumulative events lost to ring overwrite across the session.
-    pub dropped: u64,
+    /// Cumulative events the recorder's cap trimmed across the session.
+    pub trimmed: u64,
 }
 
 impl TraceLog {
@@ -353,20 +277,12 @@ struct TracerInner {
 }
 
 impl TracerInner {
-    /// `ring` is at a pack boundary — its first push is next, or a push
-    /// completed half of it (of its window, for a ring that has one):
-    /// if a flight recorder holds the recorder, pack what this tracer
-    /// has not packed yet, publish it, and, for a ring with a window,
-    /// stage every later push there ([`Ring`]'s "The held window").
-    /// Once per half window (or half ring), so out of line.
+    /// `ring` completed half of itself: publish that half to the log.
+    /// Once per 256 events, so out of line.
     #[cold]
     #[inline(never)]
     fn half_done(&self, ring: &Ring) {
-        let outbox = &self.recorder.outbox;
-        if outbox.is_held() {
-            ring.pack(|chunk| outbox.publish(chunk));
-            ring.stage_in_window();
-        }
+        self.recorder.outbox.publish(ring, ring.pushed() - HALF);
     }
 
     /// The single-event emit path into `ring`. `hook` is a constant at
@@ -396,13 +312,13 @@ impl TracerInner {
     /// [`TracerInner::record`] into `thread`'s ring.
     fn record_for(&mut self, thread: u16, hook: Hook, a: u64, b: u64) {
         // A counted hook reaches no ring, so it allocates none.
-        if thread == self.ring.thread() || !hook.is_recorded() {
+        if thread == self.ring.thread || !hook.is_recorded() {
             return self.record(&self.ring, hook, a, b);
         }
-        let k = match self.others.iter().position(|r| r.thread() == thread) {
+        let k = match self.others.iter().position(|r| r.thread == thread) {
             Some(k) => k,
             None => {
-                let ring = self.recorder.ring(thread, self.ring.scheme());
+                let ring = self.recorder.ring(thread, self.ring.scheme);
                 self.others.push(ring);
                 self.others.len() - 1
             }
@@ -638,7 +554,9 @@ mod tests {
 
     #[test]
     fn a_dropped_tracers_rings_go_after_their_last_drain() {
-        let rec = Recorder::with_ring_capacity(2, 8);
+        // Each gone ring is published as one chunk of 20, and the cap
+        // of 32 trims the first whole.
+        let rec = Recorder::with_max_retained(2, 32);
         let _kept = rec.tracer(0, SchemeId::HP);
         let mut gone = rec.tracer(1, SchemeId::HP);
         for i in 0..20 {
@@ -646,11 +564,40 @@ mod tests {
             gone.emit_for(2, Hook::Retire, i, 0);
         }
         drop(gone);
-        assert_eq!(rec.ring_count(), 3, "undrained rings stay");
+        assert_eq!(rec.ring_count(), 3, "unread rings stay");
         let log = rec.drain();
-        assert_eq!((log.events.len(), log.dropped), (16, 24));
+        assert_eq!((log.events.len(), log.trimmed), (20, 20));
         assert_eq!(rec.ring_count(), 1);
-        assert!(rec.drain().events.is_empty());
-        assert_eq!(rec.dropped(), 24, "their losses stay counted");
+        let log = rec.drain();
+        assert!(log.events.is_empty());
+        assert_eq!(log.trimmed, 20, "the trims stay counted");
+    }
+
+    #[test]
+    fn a_drain_returns_every_event_of_many_laps() {
+        // 24 laps of one 512-slot ring: its owner packed every half
+        // before it overwrote it, so the drain loses none.
+        let rec = Recorder::new(1);
+        let mut t = rec.tracer(0, SchemeId::EBR);
+        for i in 0..3 * 4_096 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let log = rec.drain();
+        let payloads: Vec<u64> = log.events.iter().map(|e| e.a).collect();
+        assert_eq!(payloads, (0..3 * 4_096).collect::<Vec<_>>());
+        assert_eq!((log.trimmed, rec.dropped()), (0, 0));
+    }
+
+    #[test]
+    fn a_recorder_that_retains_nothing_counts_every_event_trimmed() {
+        let rec = Recorder::with_max_retained(1, 0);
+        let mut t = rec.tracer(0, SchemeId::EBR);
+        for i in 0..1_000 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let log = rec.drain();
+        assert!(log.events.is_empty());
+        assert_eq!(log.trimmed, 1_000);
+        assert!(rec.outbox().cursors() == [768], "three halves counted");
     }
 }

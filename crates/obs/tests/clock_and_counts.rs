@@ -63,7 +63,7 @@ fn hook_counts_are_exact_after_the_tracers_are_gone() {
 
 #[test]
 fn reading_hooks_do_not_advance_the_clock() {
-    let recorder = Recorder::with_ring_capacity(1, 1 << 16);
+    let recorder = Recorder::with_max_retained(1, 1 << 16);
     let mut tracer = recorder.tracer(0, SchemeId::HP);
     tracer.emit(Hook::Advance, 1, 0);
     let before = recorder.now();
@@ -87,7 +87,7 @@ fn reading_hooks_do_not_advance_the_clock() {
     // ...and every recorded one is in the log, stamped `before`; the
     // counted ones are in no ring.
     let log = recorder.drain();
-    assert_eq!((log.events.len(), log.dropped), (20_001, 0));
+    assert_eq!((log.events.len(), log.trimmed), (20_001, 0));
     assert!(log.events[1..].iter().all(|e| e.ts == before));
     assert!(log.events[1..]
         .chunks(2)
@@ -104,7 +104,9 @@ fn reading_hooks_do_not_advance_the_clock() {
 /// value and the order holds whatever the threads' slots.
 #[test]
 fn merged_log_respects_happens_before_across_threads() {
-    let recorder = Recorder::new(3);
+    // The noise emits until the hand-offs end, and the cap, which all
+    // three threads' rings share, trims none of it.
+    let recorder = Recorder::with_max_retained(3, usize::MAX);
     let turn = AtomicUsize::new(0);
     let wait_for = |value: usize| wait_for(&turn, value);
     std::thread::scope(|s| {
@@ -135,6 +137,9 @@ fn merged_log_respects_happens_before_across_threads() {
             while turn.load(Ordering::Relaxed) != 2 * HANDOFFS {
                 noise.emit(Hook::Reserve, 0, u64::MAX);
                 noise.emit(Hook::Advance, 0, 0);
+                // Paced to the hand-offs, as the next test's ticker is:
+                // every noise event is retained and searched.
+                std::thread::yield_now();
             }
         });
     });
@@ -166,7 +171,7 @@ fn merged_log_respects_happens_before_across_threads() {
 #[test]
 fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
     const NOISE: u64 = u64::MAX;
-    let recorder = Recorder::with_ring_capacity(3, 1 << 16);
+    let recorder = Recorder::with_max_retained(3, usize::MAX);
     let turn = AtomicUsize::new(0);
     let wait_for = |value: usize| wait_for(&turn, value);
     std::thread::scope(|s| {
@@ -208,7 +213,7 @@ fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
             }
         });
     });
-    // The ticker's own ring may overflow; the two under test cannot.
+    // The ticker emits until the hand-offs end; the cap trims none of it.
     let log = recorder.drain();
     assert!(log.is_time_ordered());
     let position = |thread: u16, hook: Hook, i: usize| position(&log.events, thread, hook, i);
@@ -259,7 +264,7 @@ fn a_run_takes_consecutive_ticks_no_concurrent_ticker_splits() {
     assert_eq!(recorder.metrics().hook_count(Hook::Reclaim), RUN as u64);
 
     // Raced: every run is gapless, and no `Advance` lands inside one.
-    let recorder = Recorder::with_ring_capacity(2, 1 << 16);
+    let recorder = Recorder::with_max_retained(2, 1 << 16);
     let runs_done = AtomicUsize::new(0);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -279,7 +284,7 @@ fn a_run_takes_consecutive_ticks_no_concurrent_ticker_splits() {
         }
     });
     let log = recorder.drain();
-    assert_eq!(log.dropped, 0);
+    assert_eq!(log.trimmed, 0);
     let mut ticks: Vec<u64> = log.events.iter().map(|e| e.ts).collect();
     let total = ticks.len();
     ticks.dedup();

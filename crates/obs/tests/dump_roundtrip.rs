@@ -158,9 +158,9 @@ proptest! {
 }
 
 /// A later chunk, or a ring's unpacked rest, can hold an event that
-/// sorts before the last one an earlier chunk holds: here two reading
-/// events of one clock value, the higher thread's published first (a
-/// ring of 8 publishes every 4 events) and the lower's still in its
+/// sorts before the last one an earlier chunk holds: here reading
+/// events of one clock value, the higher thread's published first (its
+/// owner publishes every 256 events) and the lower's still in its
 /// ring. A snapshot merges chunks and rests in [`Event::merge_key`]
 /// order, as one drain of both would have; and a dump that lists them
 /// in publish order, as one written before owners packed their rings
@@ -168,26 +168,28 @@ proptest! {
 #[test]
 #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
 fn a_later_chunk_of_an_earlier_stamp_decodes_in_merge_key_order() {
-    let recorder = Recorder::with_ring_capacity(8, 8);
+    let recorder = Recorder::new(8);
     let flight = FlightRecorder::single("published", &recorder);
     let mut late_thread = recorder.tracer(5, SchemeId::EBR);
     let mut early_thread = recorder.tracer(2, SchemeId::EBR);
     late_thread.emit(Hook::Advance, 1, 0);
-    late_thread.emit(Hook::Reserve, 0, 1);
-    late_thread.emit(Hook::Reserve, 0, 2);
-    late_thread.emit(Hook::Reserve, 0, 3);
+    for b in 1..256 {
+        late_thread.emit(Hook::Reserve, 0, b);
+    }
     early_thread.emit(Hook::Reserve, 0, 1);
     early_thread.emit(Hook::Reserve, 1, 0xa0);
     let snapshot = flight.snapshot();
     let merged = &snapshot.sources[0].events;
     let threads: Vec<u16> = merged.iter().map(|e| e.thread).collect();
-    assert_eq!(threads, [5, 2, 2, 5, 5, 5]);
+    let expected: Vec<u16> = [5, 2, 2].into_iter().chain([5; 255]).collect();
+    assert_eq!(threads, expected);
     assert!(merged
         .windows(2)
         .all(|w| w[0].merge_key() <= w[1].merge_key()));
 
     let mut published = snapshot.clone();
-    published.sources[0].events = [0, 3, 4, 5, 1, 2].map(|k| merged[k]).to_vec();
+    let publish_order = std::iter::once(0).chain(3..258).chain([1, 2]);
+    published.sources[0].events = publish_order.map(|k| merged[k]).collect();
     let decoded = FlightDump::decode(&published.encode()).expect("own encoding decodes");
     assert_eq!(&decoded.sources[0].events, merged);
 }

@@ -1,8 +1,8 @@
 //! The flight recorder's accounting while writers run and another
-//! thread snapshots: every event a tracer emits ends up retained,
-//! trimmed by the cap as its owner publishes, or counted as dropped by
-//! its ring — exactly one of the three — and every snapshot keeps each
-//! thread's events in the order it emitted them.
+//! thread snapshots: every event a tracer emits ends up retained or
+//! trimmed by the cap as its owner publishes — exactly one of the two,
+//! and none dropped — and every snapshot keeps each thread's events in
+//! the order it emitted them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -30,8 +30,8 @@ fn check_order(src: &SourceDump) {
 #[test]
 #[cfg_attr(miri, ignore = "threads and wall clock")]
 fn retained_trimmed_and_dropped_add_up_to_every_event_emitted() {
-    // Small rings and a small cap, so all three outcomes happen.
-    let recorder = Recorder::with_ring_capacity(WRITERS as usize, 64);
+    // A small cap, so both outcomes happen.
+    let recorder = Recorder::new(WRITERS as usize);
     let flight = FlightRecorder::single("acct", &recorder).with_max_retained(500);
     let done = AtomicBool::new(false);
     let snapshots = std::thread::scope(|s| {
@@ -89,6 +89,7 @@ fn retained_trimmed_and_dropped_add_up_to_every_event_emitted() {
         u64::from(WRITERS) * PER_WRITER,
         "every event is retained, trimmed or dropped"
     );
+    assert_eq!(src.dropped, 0, "a ring dropped events");
     assert!(src.events.len() <= 500);
     check_order(src);
 }

@@ -1,21 +1,19 @@
-//! What a held trace ring commits once it has wrapped.
+//! What a trace ring commits once it has wrapped.
 //!
-//! A held ring keeps no history — the flight recorder does — so a ring
-//! of the default capacity stages its events in a window of
-//! `HELD_WINDOW` slots, past its own in the same uninitialised
-//! allocation, and never writes its own slots when it was created
-//! held or was empty when held. 64 tracers on a held recorder of the
-//! default capacity each emit 2^14 `Retire`s, four times around a
-//! ring, and the process's resident set must rise by less than 2 MiB:
-//! 64 windows of 12 KiB, the pages around them and the chunks the flight
-//! recorder retains. Rings that commit what their owner writes through
-//! would take 64 × 96 KiB = 6 MiB.
+//! A ring keeps no history — its recorder's log does — so every ring
+//! is a 512-slot staging buffer in one uninitialised allocation, and
+//! its owner packs each half before it overwrites it. 64 tracers of a
+//! recorder a flight recorder holds each emit 2^14 `Retire`s, 32 times
+//! around a ring, and the process's resident set must rise by less
+//! than 2 MiB: 64 rings of 12 KiB, the pages around them and the chunks
+//! the flight recorder retains. Rings that keep 4 096 events each would
+//! take 64 × 96 KiB = 6 MiB.
 //!
 //! The measurement is the process's `VmRSS`, so the binary runs without
 //! the test harness (`harness = false` in `Cargo.toml`): no libtest
 //! thread allocates beside it, and no other test shares its heap.
 
-use era_obs::{FlightRecorder, Hook, Recorder, SchemeId, DEFAULT_RING_CAPACITY};
+use era_obs::{FlightRecorder, Hook, Recorder, SchemeId};
 
 const TRACERS: u16 = 64;
 const EVENTS: u64 = 1 << 14;
@@ -38,16 +36,16 @@ fn main() {
         return;
     };
     let recorder = Recorder::new(usize::from(TRACERS));
-    // Half the rings exist, empty, when the hold begins; half are
-    // created held.
+    // Half the rings exist, empty, when the source is added; half are
+    // created after.
     let mut tracers: Vec<_> = (0..TRACERS / 2)
         .map(|thread| recorder.tracer(thread, SchemeId::EBR))
         .collect();
     let flight = FlightRecorder::single("held", &recorder);
     tracers.extend((TRACERS / 2..TRACERS).map(|thread| recorder.tracer(thread, SchemeId::EBR)));
     for tracer in &mut tracers {
-        // Each publish trims the outbox to the cap, so the retained
-        // chunks stay a few hundred KB.
+        // Each publish trims the log to the cap, so the retained chunks
+        // stay a few hundred KB.
         for i in 0..EVENTS {
             tracer.emit(Hook::Retire, i, 0);
         }
@@ -56,13 +54,13 @@ fn main() {
     let dump = flight.snapshot();
     let src = &dump.sources[0];
     println!(
-        "held_ring_memory: VmRSS +{rise} KB for {TRACERS} held rings of \
-         {DEFAULT_RING_CAPACITY} events after {EVENTS} emits each \
+        "held_ring_memory: VmRSS +{rise} KB for {TRACERS} rings of 512 \
+         slots after {EVENTS} emits each \
          ({:.1} KB per ring, {} B packed retained)",
         rise as f64 / f64::from(TRACERS),
         flight.packed_bytes()
     );
-    assert_eq!(src.dropped, 0, "a held ring dropped events");
+    assert_eq!(src.dropped, 0, "a ring dropped events");
     assert_eq!(
         src.events.len() as u64 + src.trimmed,
         u64::from(TRACERS) * EVENTS,
@@ -70,7 +68,7 @@ fn main() {
     );
     assert!(
         rise < LIMIT_KB,
-        "{TRACERS} held rings committed {rise} KB, {LIMIT_KB} KB allowed"
+        "{TRACERS} rings committed {rise} KB, {LIMIT_KB} KB allowed"
     );
     drop(tracers);
 }

@@ -1,15 +1,15 @@
-//! What a held source costs when nothing reads it.
+//! What a source costs when nothing reads it.
 //!
-//! A held recorder's owners publish their chunks to its outbox and trim
-//! it to the flight recorder's cap as they do, so a source held for a
+//! A recorder's owners publish their chunks to its log and trim it to
+//! the flight recorder's cap as they do, so a source recording for a
 //! whole run and never snapshotted keeps the cap's worth of events, not
-//! the run's. One held tracer emits 2^20 `Retire`s at heap-like
+//! the run's. One tracer emits 2^20 `Retire`s at heap-like
 //! addresses, an epoch `Advance` after every 64, and nothing reads the
 //! source until the end: the process's
 //! resident set must rise by less than 1 MiB — the cap's 2^16 events at
-//! a few bytes each, the ring's window and the pages around them. An
-//! outbox that kept every chunk until someone took them would hold the
-//! whole run, a few MB.
+//! a few bytes each, the ring and the pages around them. A log that
+//! kept every chunk until someone took them would hold the whole run,
+//! a few MB.
 //!
 //! The measurement is the process's `VmRSS`, so the binary runs without
 //! the test harness (`harness = false` in `Cargo.toml`): no libtest
@@ -58,11 +58,11 @@ fn main() {
     let dump = flight.snapshot();
     let src = &dump.sources[0];
     println!(
-        "outbox_memory: VmRSS +{rise} KB after {EVENTS} emits on one held, unread \
+        "outbox_memory: VmRSS +{rise} KB after {EVENTS} emits on one unread \
          source ({packed} B packed retained, {:.1} B/event)",
         packed as f64 / src.events.len().max(1) as f64
     );
-    assert_eq!(src.dropped, 0, "a held ring dropped events");
+    assert_eq!(src.dropped, 0, "a ring dropped events");
     assert_eq!(
         src.events.len() as u64 + src.trimmed,
         EVENTS + EVENTS / 64,

@@ -1,8 +1,10 @@
-//! A held recorder's owners pack their own rings, publish the chunks
-//! and trim the outbox to its cap while another thread snapshots: every
+//! A recorder's owners pack their own rings, publish the chunks and
+//! trim the log to its cap while another thread snapshots — copying
+//! each ring's unpacked rest as its owner writes and packs it: every
 //! event a tracer emits is retained or trimmed exactly once, none is
-//! dropped, and each snapshot is the newest suffix of the merged log. A recorder held after its rings
-//! wrapped shows the last ring's worth and counts the rest dropped.
+//! dropped, and each snapshot is the newest suffix of the merged log.
+//! A source added after its recorder recorded shows everything the
+//! recorder's log retained, less what a drain took.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,7 +21,7 @@ const RUN: usize = 16;
 /// of its payloads — a snapshot cuts the merged log by merge key, and
 /// one thread's keys never go down.
 fn check_suffix(src: &SourceDump) {
-    assert_eq!(src.dropped, 0, "a held ring dropped events");
+    assert_eq!(src.dropped, 0, "a ring dropped events");
     assert!(
         src.events
             .windows(2)
@@ -45,9 +47,9 @@ fn check_suffix(src: &SourceDump) {
 #[test]
 #[cfg_attr(miri, ignore = "threads and wall clock")]
 fn owners_publish_and_trim_while_a_third_thread_snapshots() {
-    // Rings of 64 pack every 32 events; each publish trims whole
-    // chunks to the cap, under the lock a snapshot copies them under.
-    let recorder = Recorder::with_ring_capacity(OWNERS as usize, 64);
+    // Owners pack every 256 events; each publish trims whole chunks to
+    // the cap, under the lock a snapshot copies them under.
+    let recorder = Recorder::new(OWNERS as usize);
     let flight = FlightRecorder::single("owners", &recorder).with_max_retained(2_000);
     let snapshots = AtomicU64::new(0);
     let done = AtomicBool::new(false);
@@ -117,39 +119,32 @@ fn owners_publish_and_trim_while_a_third_thread_snapshots() {
 
 #[test]
 #[cfg_attr(miri, ignore = "reads wall clock (SystemTime)")]
-fn a_late_hold_keeps_the_last_rings_worth_and_counts_the_rest_dropped() {
+fn a_late_source_shows_what_its_recorders_log_retained() {
     let payloads = |events: &[Event]| events.iter().map(|e| e.a).collect::<Vec<_>>();
-    // Never drained: 200 events in a ring of 64 before the hold.
-    let recorder = Recorder::with_ring_capacity(1, 64);
+    // Never drained: 1 000 events, four times around a ring, before
+    // the source is added.
+    let recorder = Recorder::new(1);
     let mut t = recorder.tracer(0, SchemeId::HP);
-    for i in 0..200 {
+    for i in 0..1_000 {
         t.emit(Hook::Retire, i, 0);
     }
     let flight = FlightRecorder::single("late", &recorder);
     let src = &flight.snapshot().sources[0];
-    assert_eq!(payloads(&src.events), (136..200).collect::<Vec<_>>());
-    assert_eq!((src.dropped, src.trimmed), (136, 0));
-    // The owner's first pack, at position 224, starts a ring's worth
-    // back; from then on nothing is lost.
-    for i in 200..300 {
-        t.emit(Hook::Retire, i, 0);
-    }
-    let src = &flight.snapshot().sources[0];
-    assert_eq!(payloads(&src.events), (160..300).collect::<Vec<_>>());
-    assert_eq!((src.dropped, src.trimmed), (160, 0));
+    assert_eq!(payloads(&src.events), (0..1_000).collect::<Vec<_>>());
+    assert_eq!((src.dropped, src.trimmed), (0, 0));
 
-    // Drained up to 10 first: the hold starts there.
-    let recorder = Recorder::with_ring_capacity(1, 64);
+    // Drained up to 10 first: the source starts there.
+    let recorder = Recorder::new(1);
     let mut t = recorder.tracer(0, SchemeId::HP);
     for i in 0..10 {
         t.emit(Hook::Retire, i, 0);
     }
     assert_eq!(recorder.drain().events.len(), 10);
-    for i in 10..110 {
+    for i in 10..1_000 {
         t.emit(Hook::Retire, i, 0);
     }
     let flight = FlightRecorder::single("drained", &recorder);
     let src = &flight.snapshot().sources[0];
-    assert_eq!(payloads(&src.events), (46..110).collect::<Vec<_>>());
-    assert_eq!(src.dropped, 36);
+    assert_eq!(payloads(&src.events), (10..1_000).collect::<Vec<_>>());
+    assert_eq!((src.dropped, src.trimmed), (0, 0));
 }

@@ -7,15 +7,15 @@
 //! created pins that: a counting `#[global_allocator]` tallies what
 //! `alloc_zeroed` is asked for, per thread, so tests running beside
 //! this one add nothing to it. Zero-filled slots would request
-//! `24 × capacity` bytes per ring (98 304 at the default capacity).
+//! 24 × 512 = 12 288 bytes per ring.
 //!
-//! The drain tests are single-threaded and small, so Miri runs them
-//! and reports any read of a slot the writer has not written.
+//! The drain test is single-threaded and small, so Miri runs it and
+//! reports any read of a slot the writer has not written.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use era_obs::{Event, Hook, Recorder, Ring, SchemeId};
+use era_obs::{Hook, Recorder, SchemeId, ThreadTracer};
 
 struct Counting;
 
@@ -69,39 +69,35 @@ fn creating_tracers_requests_no_zeroed_bytes() {
     drop(tracers);
 }
 
-fn ev(n: u64) -> Event {
-    let mut e = Event::new(0, SchemeId::NONE, Hook::Sample, n, !n);
-    e.ts = n;
-    e
-}
-
-/// Pushes `range` into `ring` and drains it, returning what came out.
-fn push_then_drain(ring: &Ring, range: std::ops::Range<u64>) -> Vec<Event> {
+/// Emits `range` through `tracer` and drains `recorder`, returning the
+/// payloads that came out.
+fn emit_then_drain(
+    recorder: &Recorder,
+    tracer: &mut ThreadTracer,
+    range: std::ops::Range<u64>,
+) -> Vec<(u64, u64)> {
     for n in range {
-        ring.push(ev(n));
+        tracer.emit(Hook::Sample, n, !n);
     }
-    let mut out = Vec::new();
-    ring.drain_into(&mut out);
-    out
+    let log = recorder.drain();
+    assert_eq!(log.trimmed, 0);
+    log.events.iter().map(|e| (e.a, e.b)).collect()
 }
 
 #[test]
-fn a_ring_of_eight_drains_exactly_what_was_pushed_on_every_lap() {
-    let ring = Ring::new(8);
-    assert_eq!(ring.capacity(), 8);
+fn a_ring_drains_exactly_what_was_pushed_on_every_lap() {
+    let recorder = Recorder::new(1);
+    let mut tracer = recorder.tracer(0, SchemeId::NONE);
+    let expected = |range: std::ops::Range<u64>| range.map(|n| (n, !n)).collect::<Vec<_>>();
+    let mut drain = |range| emit_then_drain(&recorder, &mut tracer, range);
     // Right after creation: no slot written, none read.
-    assert_eq!(push_then_drain(&ring, 0..0), []);
+    assert_eq!(drain(0..0), []);
     // Part of the first lap: the unwritten slots stay unread.
-    assert_eq!(
-        push_then_drain(&ring, 0..5),
-        (0..5).map(ev).collect::<Vec<_>>()
-    );
-    // The rest of the first lap and on round twice more: only the
-    // newest eight survive, the rest counted dropped.
-    assert_eq!(
-        push_then_drain(&ring, 5..23),
-        (15..23).map(ev).collect::<Vec<_>>()
-    );
-    assert_eq!(ring.dropped(), 10);
-    assert_eq!(ring.pushed(), 23);
+    assert_eq!(drain(0..5), expected(0..5));
+    // Past the first pack boundary, still on the first lap.
+    assert_eq!(drain(5..300), expected(5..300));
+    // Round the 512-slot ring and into its second lap: the owner packed
+    // every half before it overwrote it, so nothing is lost.
+    assert_eq!(drain(300..700), expected(300..700));
+    assert_eq!(drain(700..1_300), expected(700..1_300));
 }

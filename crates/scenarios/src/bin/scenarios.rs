@@ -5,16 +5,12 @@
 //!   scenarios [--scenario NAME]... [--scheme ebr|hp|he|ibr|nbr|all]...
 //!             [--spec FILE] [--list] [--smoke]
 //!             [--report out.jsonl] [--flight-dir DIR]
-//!             [--ring-capacity N]
 //!
 //! Defaults: the whole campaign over all five reclaiming schemes
-//! (repeat `--scheme` to pick several) and the workspace's default
-//! ring capacity. `--ring-capacity` sizes each shard's trace rings. No
-//! flight recorder holds them during a run, so each keeps its newest N
-//! events, and those are what a failure dump (`--flight-dir`) holds of
-//! it: the default drops events on multi-second runs. (The rings
-//! `era-net serve` holds from bind drop nothing at any capacity.)
-//! A malformed value exits 2 naming its flag.
+//! (repeat `--scheme` to pick several). With `--flight-dir`, a flight
+//! recorder holds every shard's recorder from the start of each run,
+//! and a failing run's dump holds each shard's newest 2^16 events. A
+//! missing or malformed value, or an unknown flag, exits 2 naming it.
 //! Exit status is non-zero when any run's verdict is `fail` — a
 //! robust scheme past its bound, a non-robust scheme that *failed* to
 //! blow the bound under a stall, residue after drain, an unhealthy
@@ -43,7 +39,6 @@ struct Options {
     smoke: bool,
     report: Option<PathBuf>,
     flight_dir: Option<PathBuf>,
-    ring_capacity: usize,
 }
 
 fn parse_options() -> Options {
@@ -55,7 +50,6 @@ fn parse_options() -> Options {
         smoke: false,
         report: None,
         flight_dir: None,
-        ring_capacity: era_obs::DEFAULT_RING_CAPACITY,
     };
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -87,13 +81,6 @@ fn parse_options() -> Options {
             "--flight-dir" => {
                 opts.flight_dir = Some(PathBuf::from(value(&mut args, "--flight-dir")))
             }
-            "--ring-capacity" => {
-                let v = value(&mut args, "--ring-capacity");
-                opts.ring_capacity = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--ring-capacity {v} is not a number");
-                    std::process::exit(2);
-                })
-            }
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -118,7 +105,7 @@ fn run_store<S: Smr>(schemes: Vec<S>, spec: &ScenarioSpec, opts: &Options) -> Sc
             ))
         }),
     };
-    let cfg = kv_config(spec, opts.ring_capacity);
+    let cfg = kv_config(spec);
     if let Some((target, plan)) = spec.chaos_plan() {
         let wrapped: Vec<ChaosSmr<S>> = schemes
             .into_iter()

@@ -49,18 +49,19 @@ const DRAIN_ROUNDS: usize = 512;
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Where to write a `.eraflt` flight dump when the run fails
-    /// (`None` disables dumping).
+    /// (`None` disables dumping). When set, a flight recorder holds
+    /// every shard's recorder from the start of the run, so the dump
+    /// holds each shard's newest events.
     pub flight_dump: Option<PathBuf>,
 }
 
 /// The store configuration a scenario implies: one scheme per shard,
-/// budgets and ring capacity from the spec/flags.
-pub fn kv_config(spec: &ScenarioSpec, ring_capacity: usize) -> KvConfig {
+/// budgets from the spec.
+pub fn kv_config(spec: &ScenarioSpec) -> KvConfig {
     KvConfig {
         retired_soft: spec.soft,
         retired_hard: spec.hard,
         max_threads: scheme_capacity(spec),
-        ring_capacity,
         ..KvConfig::default()
     }
 }
@@ -128,8 +129,8 @@ pub struct ScenarioOutcome {
     pub sheds: u64,
     /// Orphan adoptions (`Hook::Adopt`) summed over shards.
     pub adoptions: u64,
-    /// Trace events dropped by the shard rings (soak-length runs with
-    /// small rings report the loss instead of hiding it).
+    /// Trace events lost to ring overwrite by the shard recorders: 0,
+    /// since every ring is packed before it is overwritten.
     pub trace_dropped: u64,
     /// Whether the epilogue drain reached `retired_now == 0`.
     pub drained: bool,
@@ -181,6 +182,13 @@ pub fn run_scenario<S: Smr>(
     let started = Instant::now();
     let focus = spec.focus_shard();
     let curve: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
+    let flight = opts.flight_dump.as_ref().map(|_| {
+        let flight = FlightRecorder::new();
+        for i in 0..store.shard_count() {
+            flight.add_source(&format!("shard{i}"), store.recorder(i));
+        }
+        flight
+    });
 
     // Prefill from a short-lived context (slot returns before phase 1).
     {
@@ -256,11 +264,9 @@ pub fn run_scenario<S: Smr>(
     let pass = invariants.iter().all(|o| o.ok);
 
     let mut flight_dump = None;
-    if !pass {
-        if let Some(path) = &opts.flight_dump {
-            if write_failure_dump(store, path) {
-                flight_dump = Some(path.clone());
-            }
+    if let (false, Some(path), Some(flight)) = (pass, &opts.flight_dump, &flight) {
+        if write_failure_dump(store, flight, path) {
+            flight_dump = Some(path.clone());
         }
     }
 
@@ -582,14 +588,15 @@ fn worker_ops(
     .take(phase.ops_per_thread)
 }
 
-/// Writes a `.eraflt` dump of every shard's retained trace + exact
-/// stats; returns whether the write succeeded (failure to dump must
-/// not mask the scenario verdict).
-fn write_failure_dump<S: Smr>(store: &KvStore<'_, S>, path: &std::path::Path) -> bool {
-    let flight = FlightRecorder::new();
-    for i in 0..store.shard_count() {
-        flight.add_source(&format!("shard{i}"), store.recorder(i));
-    }
+/// Writes a `.eraflt` dump of every shard's retained trace (`flight`
+/// holds the shards' recorders, in shard order) + exact stats; returns
+/// whether the write succeeded (failure to dump must not mask the
+/// scenario verdict).
+fn write_failure_dump<S: Smr>(
+    store: &KvStore<'_, S>,
+    flight: &FlightRecorder,
+    path: &std::path::Path,
+) -> bool {
     for i in 0..store.shard_count() {
         let st = store.scheme(i).stats();
         flight.set_stats(

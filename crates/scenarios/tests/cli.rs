@@ -1,5 +1,6 @@
-//! `scenarios` as a process: a bad flag value exits 2 naming the flag
-//! instead of falling back to a default.
+//! `scenarios` as a process: a bad flag value, a missing one or an
+//! unknown flag exits 2 naming the flag instead of falling back to a
+//! default.
 
 use std::process::Command;
 
@@ -7,9 +8,9 @@ use std::process::Command;
 #[cfg_attr(miri, ignore = "spawns processes")]
 fn bad_values_exit_2_naming_the_flag() {
     for (args, flag) in [
-        (&["--ring-capacity", "x"][..], "--ring-capacity"),
-        (&["--ring-capacity", "4k"][..], "--ring-capacity"),
         (&["--scheme", "vbr"][..], "--scheme"),
+        (&["--report"][..], "--report"),
+        (&["--ring-capacity", "4096"][..], "--ring-capacity"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_scenarios"))
             .args(args)

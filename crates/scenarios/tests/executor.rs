@@ -31,7 +31,7 @@ fn run<S: Smr>(make: impl Fn(usize) -> S) -> ScenarioOutcome {
     let schemes: Vec<S> = (0..spec.shards)
         .map(|_| make(scheme_capacity(&spec)))
         .collect();
-    let store = KvStore::new(&schemes, kv_config(&spec, era_obs::DEFAULT_RING_CAPACITY));
+    let store = KvStore::new(&schemes, kv_config(&spec));
     run_scenario(&store, &spec, &RunOptions::default())
 }
 
@@ -73,7 +73,7 @@ fn a_refused_stall_reader_does_not_hold_the_phase_back() {
     spec.phases[0].stall_shard = Some(0);
     let plan = FaultPlan::new(1, vec![FaultAction::FailRegister { at_op: 1, count: 1 }]);
     let schemes = vec![ChaosSmr::new(Ebr::new(scheme_capacity(&spec)), plan)];
-    let store = KvStore::new(&schemes, kv_config(&spec, era_obs::DEFAULT_RING_CAPACITY));
+    let store = KvStore::new(&schemes, kv_config(&spec));
     let outcome = run_scenario(&store, &spec, &RunOptions::default());
     assert_eq!(schemes[0].faults_injected(), 1, "the refusal was armed");
     assert_eq!(outcome.phases[0].ops, 500);

@@ -432,14 +432,14 @@ mod tests {
     fn traced_figure1_logs_every_scheme() {
         for scheme in crate::schemes::all_schemes(2) {
             let name = scheme.name();
-            // A ring big enough that nothing drops: the counts below
-            // are exact.
-            let rec = era_obs::Recorder::with_ring_capacity(4, 1 << 16);
+            // A cap big enough that nothing is trimmed: the counts
+            // below are exact.
+            let rec = era_obs::Recorder::with_max_retained(4, 1 << 16);
             let out = run_figure1_traced(scheme, 32, &rec);
             let log = rec.drain();
             assert!(!log.events.is_empty(), "{name}: traced run must log");
             assert!(log.is_time_ordered(), "{name}");
-            assert_eq!(log.dropped, 0, "{name}: ring sized for the run");
+            assert_eq!(log.trimmed, 0, "{name}: cap sized for the run");
             // Every phase transition of the construction is on record.
             let phases: Vec<u64> = log.with_hook(Hook::Phase).map(|e| e.a).collect();
             assert_eq!(phases, vec![0, 1, 2, 3, 4, 5], "{name}");

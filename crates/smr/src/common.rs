@@ -702,7 +702,10 @@ pub trait Smr: Send + Sync {
     /// slot was registered; schemes without the capability (HP-family,
     /// leak) return `false` and the watchdog must degrade some other
     /// way. After a successful call, the victim's next
-    /// [`Smr::needs_restart`] poll returns `true` exactly once.
+    /// [`Smr::needs_restart`] poll returns `true` exactly once, and the
+    /// victim's earlier announcement no longer holds reclamation back,
+    /// even if the victim restarts at once: a restart must not re-pin
+    /// what the stall pinned.
     ///
     /// # Safety
     ///

@@ -338,8 +338,11 @@ impl Smr for Ebr {
     }
 
     /// Force-unpins slot `slot`: its announcement is overwritten with
-    /// `QUIESCENT`, so the epoch can advance past it. The victim
-    /// learns about it on its next [`Smr::needs_restart`] poll.
+    /// `QUIESCENT`, and the epoch is advanced once past it, so a victim
+    /// that restarts at once announces the newer epoch rather than the
+    /// one its stall left current, and the garbage retired in that
+    /// epoch can age out. The victim learns about it on its next
+    /// [`Smr::needs_restart`] poll.
     /// # Safety
     /// The caller (watchdog) must ensure the victim thread observes its
     /// neutralized flag before trusting any pointer read in the current
@@ -354,6 +357,7 @@ impl Smr for Ebr {
         self.inner.neutralized[slot].store(true, Ordering::SeqCst);
         self.inner.announcements[slot].store(QUIESCENT, Ordering::SeqCst);
         self.inner.stats.event(Hook::Restart, slot as u64, 0);
+        self.inner.try_advance();
         true
     }
 
@@ -572,6 +576,43 @@ mod tests {
         drop(stalled);
         // SAFETY: slot 0 is released now; there is nothing to restart.
         assert!(!unsafe { smr.neutralize(0) });
+    }
+
+    #[test]
+    fn a_neutralized_reader_that_restarts_at_once_holds_nothing_back() {
+        // The reader is pinned, and the worker's retires pile up one
+        // epoch past its announcement. The reader is neutralized, and
+        // restarts before the worker takes another step, so it
+        // announces the epoch its stall left current. Once `neutralize`
+        // has returned, that earlier announcement must no longer hold
+        // the pile back while the worker churns on.
+        let smr = Ebr::with_threshold(2, 1);
+        let mut reader = smr.register().unwrap();
+        smr.begin_op(&mut reader);
+        let mut worker = smr.register().unwrap();
+        let churn = |worker: &mut EbrCtx, from: u64| {
+            for i in from..from + 100 {
+                smr.begin_op(worker);
+                retire_one(&smr, worker, i);
+                smr.end_op(worker);
+            }
+        };
+        churn(&mut worker, 0);
+        let pinned = smr.stats().retired_now;
+        assert!(pinned >= 99, "the stall holds the pile: {}", smr.stats());
+
+        // SAFETY: the reader polls needs_restart and restarts before
+        // it reads anything (neutralize contract).
+        assert!(unsafe { smr.neutralize(0) }, "slot 0 is registered");
+        assert!(smr.needs_restart(&mut reader), "victim must see restart");
+        smr.begin_op(&mut reader);
+        churn(&mut worker, 100);
+        let st = smr.stats();
+        assert!(
+            st.total_reclaimed >= pinned as u64,
+            "the pile outlived the neutralization: {st}"
+        );
+        smr.end_op(&mut reader);
     }
 
     #[test]

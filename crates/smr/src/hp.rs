@@ -409,7 +409,7 @@ mod tests {
         );
 
         let log = recorder.drain();
-        assert_eq!(log.dropped, 0);
+        assert_eq!(log.trimmed, 0);
         let retired_at = |addr: u64| {
             log.events
                 .iter()

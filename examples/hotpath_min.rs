@@ -11,33 +11,32 @@
 //! The first row is what the tracing substrate costs in memory before
 //! it records anything: the resident set a freshly created ring adds
 //! (`VmRSS`, Linux only), averaged over 64 tracers that never emit. Its
-//! slots are allocated uninitialised, so it commits a page or two, not
-//! the 96 KiB of a zero-filled ring of the default capacity. The second
-//! is what a ring of the default capacity commits once a
-//! `FlightRecorder` holds it and it has wrapped: 64 tracers of a held
-//! recorder, each emitting two rings' worth of `Retire`s. A held ring
-//! stages its events in its `HELD_WINDOW` = 512-slot window, so the
-//! target is at most 16 KB a ring (the window's 12 KiB and the pages
-//! around it), where a ring its owner writes all through commits its
-//! 96 KiB.
+//! 512 slots are allocated uninitialised, so it commits a page or two,
+//! not the 12 KiB of a zero-filled ring (target <= 5.3 KB). The second
+//! is what a ring commits once it has wrapped: 64 tracers of a recorder
+//! that retains 4 096 events, each emitting 8 192 `Retire`s. Every
+//! ring is a 512-slot buffer its owner packs every half ring, so the
+//! target is at most 16 KB a ring (its 12 KiB and the pages around it).
 //!
 //! The next two rows time the tracing substrate itself: one recorded
 //! `ThreadTracer::emit(Hook::Retire)` with one tracer running alone,
-//! and with two tracers of the *same* recorder emitting concurrently.
-//! A reading hook's emit writes only thread-private lines (DESIGN
+//! and with two tracers of the *same* recorder emitting concurrently,
+//! on a recorder that retains nothing, as a `KvStore` shard's does: a
+//! ring write, and once per half ring a trim count under the log's
+//! lock. A reading hook's emit writes only thread-private lines (DESIGN
 //! §3.6), so the second row must stay within 2× of the first; a shared
 //! word on that path shows up here as a 4–10× gap that a one-thread
-//! probe can never see. The third times the same emits on a recorder a
-//! `FlightRecorder` holds, its source already at its retained-event
-//! cap, so the tracer also packs each half window (256 events) it
-//! completes into a chunk, publishes it and trims the oldest chunk off
-//! the outbox: its gap to the first row is the owner's packing and
-//! trimming, amortised per event. The fourth times a counted hook
-//! (`Hook::Load`): a bump of the tracer's own counter, no clock read
-//! and no ring write. The row after them times what the emits are for:
-//! one HP operation (begin, two protected loads, end) on a stable
-//! word, recorder attached — four counted hooks and the work they
-//! count.
+//! probe can never see. The third is the price of a recorded event on
+//! a recorder that retains — `Recorder::new`'s 2^16, already at its
+//! cap, as `era-net`'s and the flight recorder's sources are — where
+//! the tracer also packs each half ring (256 events) it completes into
+//! a chunk, publishes it and trims the oldest chunk off the log: its
+//! gap to the first row is the owner's packing and trimming, amortised
+//! per event. The fourth times a counted hook (`Hook::Load`): a bump of
+//! the tracer's own counter, no clock read and no ring write. The row
+//! after them times what the emits are for: one HP operation (begin,
+//! two protected loads, end) on a stable word, recorder attached —
+//! four counted hooks and the work they count.
 //!
 //! The `kv write` rows do the same for the write path a service runs:
 //! put/remove churn on a 4-shard HP `KvStore`, one thread alone and two
@@ -69,7 +68,7 @@ use std::time::Instant;
 use era::chaos::ChaosSmr;
 use era::ds::{HarrisList, MichaelMap};
 use era::kv::{KvConfig, KvCtx, KvStore, NAV_EVERY};
-use era::obs::{FlightRecorder, Hook, Recorder, SchemeId, DEFAULT_RING_CAPACITY};
+use era::obs::{FlightRecorder, Hook, Recorder, SchemeId};
 use era::smr::common::{Smr, SupportsUnlinkedTraversal};
 use era::smr::ebr::Ebr;
 use era::smr::he::He;
@@ -159,51 +158,50 @@ fn bench_ring_commit() {
     let after = vm_rss_kb().unwrap_or(before);
     out!(
         "ring commit: {:.1} KB VmRSS per fresh, never-written ring \
-         ({TRACERS} tracers, {DEFAULT_RING_CAPACITY} events each)",
+         ({TRACERS} tracers, 512 slots each; target <= 5.3)",
         after.saturating_sub(before) as f64 / f64::from(TRACERS)
     );
     drop(tracers);
 }
 
-/// The resident KB each of 64 rings of a held recorder adds once it has
-/// taken two rings' worth of `Retire`s. The flight recorder keeps
-/// `DEFAULT_RING_CAPACITY` events, trimmed as each owner publishes, so
-/// the chunks it frees are reused and what grows is the rings.
-fn bench_held_ring_commit() {
+/// The resident KB each of 64 rings adds once it has taken 16 laps'
+/// worth of `Retire`s. The recorder keeps 4 096 events, trimmed as each
+/// owner publishes, so the chunks it frees are reused and what grows is
+/// the rings.
+fn bench_wrapped_ring_commit() {
     const TRACERS: u16 = 64;
+    const RETAINED: usize = 4_096;
     let Some(before) = vm_rss_kb() else {
         return;
     };
-    let recorder = Recorder::new(usize::from(TRACERS));
-    let _flight =
-        FlightRecorder::single("held", &recorder).with_max_retained(DEFAULT_RING_CAPACITY);
+    let recorder = Recorder::with_max_retained(usize::from(TRACERS), RETAINED);
     let mut tracers: Vec<_> = (0..TRACERS)
         .map(|thread| recorder.tracer(thread, SchemeId::NONE))
         .collect();
     for tracer in &mut tracers {
-        for i in 0..2 * DEFAULT_RING_CAPACITY as u64 {
+        for i in 0..2 * RETAINED as u64 {
             tracer.emit(Hook::Retire, i, 0);
         }
     }
     let after = vm_rss_kb().unwrap_or(before);
     out!(
-        "held ring commit: {:.1} KB VmRSS per held ring after a wrap \
-         ({TRACERS} tracers, {DEFAULT_RING_CAPACITY} events each, {} emitted; target <= 16)",
+        "ring commit after a wrap: {:.1} KB VmRSS per ring \
+         ({TRACERS} tracers, {} emitted each, {RETAINED} retained; target <= 16)",
         after.saturating_sub(before) as f64 / f64::from(TRACERS),
-        2 * DEFAULT_RING_CAPACITY
+        2 * RETAINED
     );
     drop(tracers);
 }
 
 /// Min-of-reps ns/emit of a recorded `Retire` for one tracer alone and
-/// for two tracers of one recorder emitting at the same time, then for
-/// one tracer whose recorder a flight recorder holds at its cap, then
-/// of a counted `Load` alone.
+/// for two tracers of one recorder emitting at the same time, on a
+/// recorder that retains nothing, then for one tracer of a recorder at
+/// its cap, then of a counted `Load` alone.
 /// A two-thread repetition costs what its slower thread took, so a
 /// descheduled peer only ever adds time and the minimum still tracks
 /// the contended cost.
 fn bench_emit() {
-    let recorder = Recorder::new(2);
+    let recorder = Recorder::with_max_retained(2, 0);
     let mut first = recorder.tracer(0, SchemeId::NONE);
     let mut second = recorder.tracer(1, SchemeId::NONE);
     let min_of_reps =
@@ -221,21 +219,20 @@ fn bench_emit() {
         })
     });
     let counted = min_of_reps(&mut || emit_burst(|i| first.emit(Hook::Load, i, 0)));
-    let held = Recorder::new(1);
-    let _flight = FlightRecorder::single("held", &held);
-    let mut owner = held.tracer(0, SchemeId::NONE);
+    let retaining = Recorder::new(1);
+    let mut owner = retaining.tracer(0, SchemeId::NONE);
     // A burst is 16 caps' worth: after the first, every publish timed
     // trims a chunk.
     emit_burst(|i| owner.emit(Hook::Retire, i, 0));
     let packing = min_of_reps(&mut || emit_burst(|i| owner.emit(Hook::Retire, i, 0)));
-    out!("emit 1 thread : min {alone:.1} ns/emit");
+    out!("emit 1 thread : min {alone:.1} ns/emit  (target <= 2.9)");
     out!(
         "emit 2 threads: min {together:.1} ns/emit  ({:.2}x the 1-thread row)",
         together / alone
     );
     out!(
-        "emit + owner pack, amortised (Hook::Retire, flight-held recorder): \
-         min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row, source at its cap)",
+        "emit + owner pack, amortised (Hook::Retire, recorder at its cap): \
+         min {packing:.1} ns/emit  (+{:.1} ns over the 1-thread row; target <= 14.7)",
         packing - alone
     );
     out!("emit counted (Hook::Load), 1 thread: min {counted:.1} ns/emit");
@@ -385,7 +382,7 @@ fn bench_harris<S: Smr + SupportsUnlinkedTraversal>(name: &str, smr: &S, key_ran
 fn main() {
     out!("-- era-obs emit (Hook::Retire recorded, Hook::Load counted; one recorder)");
     bench_ring_commit();
-    bench_held_ring_commit();
+    bench_wrapped_ring_commit();
     bench_emit();
     bench_hp_op();
     out!("-- kv write, 1 vs 2 threads (put/remove churn, 4 HP shards, disjoint keys)");

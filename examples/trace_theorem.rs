@@ -31,9 +31,9 @@ fn main() {
 
     for scheme in all_schemes(2) {
         let name = scheme.name().to_string();
-        // A generous ring so the whole construction fits: the acceptance
-        // bar below insists on `dropped == 0`.
-        let recorder = Recorder::with_ring_capacity(4, 1 << 16);
+        // A generous cap so the whole construction fits: the acceptance
+        // bar below insists on `trimmed == 0`.
+        let recorder = Recorder::with_max_retained(4, 1 << 16);
         let outcome = run_figure1_traced(scheme, rounds, &recorder);
         let log = recorder.drain();
         assert!(
@@ -41,7 +41,7 @@ fn main() {
             "{name}: drained trace must be timestamp-ordered"
         );
         assert!(!log.events.is_empty(), "{name}: trace must be non-empty");
-        assert_eq!(log.dropped, 0, "{name}: ring sized to keep every event");
+        assert_eq!(log.trimmed, 0, "{name}: cap sized to keep every event");
 
         let checks = log.with_hook(Hook::OracleCheck).count();
         println!(

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use era::kv::{KvConfig, KvError, KvStore};
-use era::obs::DEFAULT_RING_CAPACITY;
 use era::smr::common::Smr;
 use era::smr::ebr::Ebr;
 use era_scenarios::run::{kv_config, run_scenario, scheme_capacity, RunOptions};
@@ -148,7 +147,7 @@ fn navigator_bounds_footprint_under_stalled_reader() {
     let run = |navigator_on: bool| {
         let spec = stall_spec(7, 0, ops_per_thread, navigator_on);
         let schemes: Vec<Ebr> = (0..2).map(|_| Ebr::new(scheme_capacity(&spec))).collect();
-        let store = KvStore::new(&schemes, kv_config(&spec, DEFAULT_RING_CAPACITY));
+        let store = KvStore::new(&schemes, kv_config(&spec));
         let outcome = run_scenario(&store, &spec, &RunOptions::default());
         let peaks: Vec<usize> = store
             .shard_stats()

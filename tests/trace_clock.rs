@@ -18,7 +18,7 @@ const READS_PER_THREAD: i64 = if cfg!(miri) { 200 } else { 5_000 };
 
 fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &S) {
     let name = smr.kind().name();
-    let recorder = Recorder::with_ring_capacity(THREADS + 2, 1 << 16);
+    let recorder = Recorder::with_max_retained(THREADS + 2, 1 << 16);
     smr.attach_recorder(&recorder);
     let map = HashMap::new(smr, 64);
     {
@@ -120,7 +120,7 @@ fn clock_is_read_by_operations_and_advanced_by_reclamation<S: Smr + Sync>(smr: &
     );
 
     let log = recorder.drain();
-    assert_eq!(log.dropped, 0, "{name}: ring sized to keep the whole run");
+    assert_eq!(log.trimmed, 0, "{name}: cap sized to keep the whole run");
     assert!(log
         .events
         .windows(2)
