@@ -31,7 +31,7 @@
 //! the process dies, so a chaos-injected fault or a plain bug leaves a
 //! post-mortem artifact next to its `FaultPlan` JSON.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,7 +41,7 @@ use std::time::SystemTime;
 use crate::dump::{unpack_into, DumpStats, FlightDump, MetricsDump, SourceDump};
 use crate::event::Event;
 use crate::recorder::{Recorder, TraceLog};
-use crate::ring::Ring;
+use crate::ring::{Ring, HALF};
 
 /// Default cap on retained events per recorder; the oldest are trimmed
 /// — whole chunks at a time, and counted — beyond it. A shard's
@@ -91,11 +91,9 @@ struct Retained {
     chunks: VecDeque<Chunk>,
     /// Events in `chunks`, skips left out.
     len: usize,
-    /// Per ring, by creation order: the position past the last event
-    /// published.
-    cursors: Vec<u64>,
-    /// Per ring: the position past the last event a drain took.
-    taken: Vec<u64>,
+    /// Per ring, by creation order, from its first publish or take
+    /// until it is let go of: only live rings have an entry.
+    marks: BTreeMap<u64, Marks>,
     /// Events trimmed by the cap.
     trimmed: u64,
     /// The largest merge key among them: a read leaves out every event
@@ -103,17 +101,13 @@ struct Retained {
     cut: Option<Key>,
 }
 
-/// Ring `ring`'s entry of a per-ring position list.
-fn at(positions: &mut Vec<u64>, ring: u64) -> &mut u64 {
-    let k = ring as usize;
-    if k >= positions.len() {
-        positions.resize(k + 1, 0);
-    }
-    &mut positions[k]
-}
-
-fn get(positions: &[u64], ring: u64) -> u64 {
-    positions.get(ring as usize).copied().unwrap_or(0)
+/// Where one ring stands in its recorder's log.
+#[derive(Debug, Default, Clone, Copy)]
+struct Marks {
+    /// The position past the last event published.
+    published: u64,
+    /// The position past the last event a drain took.
+    taken: u64,
 }
 
 impl Retained {
@@ -157,8 +151,9 @@ impl Outbox {
         let bytes = (self.max.load(Ordering::Relaxed) > 0).then(|| ring.pack(lo, done));
         let last = ring.event(done - 1).merge_key();
         let mut retained = self.lock();
-        *at(&mut retained.cursors, ring.order) = done;
-        let skip = get(&retained.taken, ring.order).clamp(lo, done) - lo;
+        let marks = retained.marks.entry(ring.order).or_default();
+        marks.published = done;
+        let skip = marks.taken.clamp(lo, done) - lo;
         let fresh = (done - lo - skip) as usize;
         match bytes {
             _ if fresh == 0 => {}
@@ -187,15 +182,17 @@ impl Outbox {
         retained.trim(max);
     }
 
-    /// Each ring's position past its last event published, by creation
-    /// order.
-    pub(crate) fn cursors(&self) -> Vec<u64> {
-        self.lock().cursors.clone()
+    /// Publishes the rest of `ring`, whose tracer is gone, and forgets
+    /// it: no one writes or reads it any more.
+    pub(crate) fn let_go(&self, ring: &Ring) {
+        // Every half the owner completed, it published.
+        self.publish(ring, ring.pushed() & !(HALF - 1));
+        self.lock().marks.remove(&ring.order);
     }
 
     /// Merges the retained chunks with `rests` — per ring, `(creation
-    /// order, position of the first event, the unpacked events copied
-    /// from its cursor)` — by merge key, ties in ring creation order,
+    /// order, position of the first event, the events copied from its
+    /// last lap)`, of which it keeps the unpacked rest — by merge key, ties in ring creation order,
     /// and returns the newest up to the cap above the cut; every other
     /// event is counted trimmed. With `take`, what it read leaves the
     /// log: the chunks go, and each ring's rest is marked taken.
@@ -203,15 +200,16 @@ impl Outbox {
         let mut retained = self.lock();
         let mut runs = Vec::with_capacity(rests.len() + retained.chunks.len());
         for (ring, first, mut events) in rests {
-            // A chunk published since the rest was copied holds its
-            // front, and so does an earlier drain's take.
+            // The log holds what the ring published, before the copy
+            // or since, and an earlier drain took its front: keep what
+            // is past both.
             let done = first + events.len() as u64;
-            let from = get(&retained.cursors, ring).max(get(&retained.taken, ring));
-            let covered = from.clamp(first, done) - first;
+            let marks = retained.marks.get(&ring).copied().unwrap_or_default();
+            let covered = marks.published.max(marks.taken).clamp(first, done) - first;
             events.drain(..covered as usize);
             if take {
-                let taken = at(&mut retained.taken, ring);
-                *taken = done.max(*taken);
+                let marks = retained.marks.entry(ring).or_default();
+                marks.taken = done.max(marks.taken);
             }
             runs.push((ring, first + covered, events));
         }
@@ -324,7 +322,10 @@ impl FlightRecorder {
     /// shards in `era-view`; they need not be unique but should be.
     /// What the recorder's log holds already reaches the first
     /// snapshot; a recorder whose cap was 0 holds only its rings'
-    /// unpacked rests.
+    /// unpacked rests. The cap belongs to the recorder and outlives
+    /// this flight recorder: once it drops, the recorder's owners keep
+    /// packing and retaining up to the cap for as long as the recorder
+    /// lives, so add a recorder whose life ends with the reads.
     pub fn add_source(&self, label: &str, recorder: &Recorder) -> usize {
         recorder.outbox().set_max(self.max_retained);
         let mut sources = self.lock();
@@ -807,6 +808,60 @@ mod tests {
         );
         assert_eq!(src.dropped, 0);
         assert!(src.events.len() <= 4_096);
+    }
+
+    #[test]
+    fn a_recorder_that_retains_nothing_counts_every_event_trimmed() {
+        let recorder = Recorder::with_max_retained(1, 0);
+        let mut t = recorder.tracer(0, SchemeId::EBR);
+        for i in 0..1_000 {
+            t.emit(Hook::Retire, i, 0);
+        }
+        let retained = recorder.outbox().lock().clone();
+        assert_eq!(
+            (retained.trimmed, retained.len),
+            (768, 0),
+            "three halves counted"
+        );
+        let log = recorder.drain();
+        assert!(log.events.is_empty());
+        assert_eq!(log.trimmed, 1_000);
+    }
+
+    /// A recorder whose tracers come and go keeps log marks for its
+    /// live rings only — at cap 0, as a store shard's, and at a cap
+    /// that packs, with or without drains and snapshots between — so
+    /// 1 000 rings created and let go of leave nothing behind, and the
+    /// accounting stays exact.
+    #[test]
+    fn a_churning_recorder_marks_only_its_live_rings() {
+        let (tracers, per) = if cfg!(miri) { (40, 40) } else { (1_000, 300) };
+        for (max, read_every) in [(0, 0), (0, 7), (4_096, 0), (4_096, 7)] {
+            let recorder = Recorder::with_max_retained(2, max);
+            let mut kept = recorder.tracer(0, SchemeId::EBR);
+            let mut returned = 0;
+            for k in 0..tracers {
+                let mut t = recorder.tracer(1, SchemeId::EBR);
+                for i in 0..per {
+                    t.emit(Hook::Retire, i, k);
+                }
+                kept.emit(Hook::Reclaim, k, 0);
+                drop(t);
+                if read_every > 0 && k % read_every == 0 {
+                    let take = k % 2 == 0;
+                    let log = recorder.read(take);
+                    returned += if take { log.events.len() as u64 } else { 0 };
+                }
+                let marks = recorder.outbox().lock().marks.len();
+                let rings = recorder.ring_count();
+                assert!(marks <= rings, "cap {max}: {marks} marks, {rings} rings");
+            }
+            let log = recorder.drain();
+            assert_eq!(recorder.ring_count(), 1, "only the live tracer's ring");
+            assert!(recorder.outbox().lock().marks.len() <= 1);
+            returned += log.events.len() as u64;
+            assert_eq!(returned + log.trimmed, tracers * (per + 1), "cap {max}");
+        }
     }
 
     /// Single-threaded, no wall clock, sized for Miri: a drain takes

@@ -95,8 +95,7 @@ impl Rings {
             if Arc::get_mut(ring).is_none() {
                 return true;
             }
-            // Every half the owner completed, it published.
-            outbox.publish(ring, ring.pushed() & !(HALF - 1));
+            outbox.let_go(ring);
             false
         });
     }
@@ -216,20 +215,18 @@ impl Recorder {
     }
 
     /// Lets go of each ring whose tracer is gone once it is published,
-    /// copies every other ring's events past its log cursor, and
-    /// merges them with the log ([`Outbox::read`]); `take` takes what
-    /// it returns out of the log.
+    /// copies every other ring's last lap, and merges its unpacked rest
+    /// with the log ([`Outbox::read`]); `take` takes what it returns
+    /// out of the log.
     pub(crate) fn read(&self, take: bool) -> TraceLog {
         // Held throughout: one read at a time, and no ring created or
         // let go of across one.
         let mut rings = self.core.lock_rings();
         let outbox = &self.core.outbox;
         rings.release_gone(outbox);
-        let cursors = outbox.cursors();
         let rests = rings.live.iter().map(|ring| {
-            let cursor = cursors.get(ring.order as usize).copied().unwrap_or(0);
             let mut events = Vec::new();
-            let first = ring.copy_since(cursor, &mut events);
+            let first = ring.copy_lap(&mut events);
             (ring.order, first, events)
         });
         outbox.read(rests.collect(), take)
@@ -490,7 +487,7 @@ mod tests {
         for i in 40..100 {
             t.emit(Hook::Retire, i, 0);
         }
-        // The cursor advanced past the first drain: the second returns
+        // The log marked what the first drain took: the second returns
         // only what came after it.
         let next = rec.drain();
         assert_eq!(next.events.len(), 60, "no duplicates, no losses");
@@ -586,18 +583,5 @@ mod tests {
         let payloads: Vec<u64> = log.events.iter().map(|e| e.a).collect();
         assert_eq!(payloads, (0..3 * 4_096).collect::<Vec<_>>());
         assert_eq!((log.trimmed, rec.dropped()), (0, 0));
-    }
-
-    #[test]
-    fn a_recorder_that_retains_nothing_counts_every_event_trimmed() {
-        let rec = Recorder::with_max_retained(1, 0);
-        let mut t = rec.tracer(0, SchemeId::EBR);
-        for i in 0..1_000 {
-            t.emit(Hook::Retire, i, 0);
-        }
-        let log = rec.drain();
-        assert!(log.events.is_empty());
-        assert_eq!(log.trimmed, 1_000);
-        assert!(rec.outbox().cursors() == [768], "three halves counted");
     }
 }

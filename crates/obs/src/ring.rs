@@ -15,8 +15,9 @@
 //! event is ever lost to overwrite. Every other push is five stores to
 //! words the owner alone writes.
 //!
-//! Any thread may copy the events past the last boundary, the
-//! *unpacked rest*, while the owner writes. The head is the seqlock:
+//! Any thread may copy the ring's last lap while the owner writes; a
+//! read keeps of it the events past the last boundary, the *unpacked
+//! rest*. The head is the seqlock:
 //! it holds twice the number of pushes and is odd while one is in
 //! flight.
 //!
@@ -180,18 +181,18 @@ impl Ring {
         }
     }
 
-    /// Copies positions from `cursor` on — at most what the ring still
-    /// holds — into `out`, in push order, skipping any a push overwrote
-    /// while they were copied. Returns the position of the first event
+    /// Copies what the ring still holds, its last lap at most, into
+    /// `out`, in push order, skipping any position a push overwrote
+    /// while it was copied. Returns the position of the first event
     /// appended: `out` gained exactly the events from it to the head.
     /// Any thread may call this, and it consumes nothing.
-    pub(crate) fn copy_since(&self, cursor: u64, out: &mut Vec<Event>) -> u64 {
+    pub(crate) fn copy_lap(&self, out: &mut Vec<Event>) -> u64 {
         // SAFETY(ordering) PAIRS(ring-publish): Acquire on the head load
         // makes every completed push's words visible; the Acquire fence
         // after the copy makes a push whose words it read visible in the
         // head re-load, which then discards the slot.
         let done = self.head.load(Ordering::Acquire) >> 1;
-        let lo = cursor.max(done.saturating_sub(SLOTS as u64)).min(done);
+        let lo = done.saturating_sub(SLOTS as u64);
         let before = out.len();
         out.extend((lo..done).map(|pos| self.event(pos)));
         fence(Ordering::Acquire);
@@ -258,7 +259,7 @@ mod tests {
             ring.write(e.ts, e.hook, e.a, e.b, |_| ());
         }
         let mut out = Vec::new();
-        assert_eq!(ring.copy_since(0, &mut out), 0);
+        assert_eq!(ring.copy_lap(&mut out), 0);
         assert_eq!(out, [extreme, zero]);
         assert_eq!(out[0].merge_key(), (MAX_TS, true, u16::MAX));
     }
@@ -270,7 +271,7 @@ mod tests {
             ring.write(n, Hook::Sample as u8, n, !n, |_| ());
         }
         let mut out = Vec::new();
-        assert_eq!(ring.copy_since(50, &mut out), 100);
+        assert_eq!(ring.copy_lap(&mut out), 100);
         assert_eq!(out.len(), SLOTS);
         assert!(out.iter().zip(100..).all(|(e, n)| (e.a, e.b) == (n, !n)));
     }

@@ -4,6 +4,7 @@
 //! *read* the logical clock (and `BeginOp`, `EndOp` and `Load`, counted
 //! and never recorded, do not touch it).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use era_obs::{Event, FlightDump, Hook, Recorder, SchemeId, SourceDump};
@@ -11,6 +12,10 @@ use era_obs::{Event, FlightDump, Hook, Recorder, SchemeId, SourceDump};
 const THREADS: usize = 4;
 const ROUNDS: u64 = if cfg!(miri) { 50 } else { 5_000 };
 const HANDOFFS: usize = if cfg!(miri) { 20 } else { 1_000 };
+/// The noise pairs emitted back to back from each hand-off turn on: a
+/// whole ring of events, packed and published while the turn is in
+/// flight.
+const NOISE_PER_TURN: usize = if cfg!(miri) { 8 } else { 256 };
 
 /// Spins until `turn` holds `value`; the Acquire load pairs with the
 /// hand-off's Release store.
@@ -20,15 +25,27 @@ fn wait_for(turn: &AtomicUsize, value: usize) {
     }
 }
 
-/// Where in `events` thread `thread` emitted `hook` #`i` (its `a`, or a
-/// `Reserve`'s `b`, is `i`).
-fn position(events: &[Event], thread: u16, hook: Hook, i: usize) -> usize {
-    events
-        .iter()
-        .position(|e| {
-            let payload = if hook == Hook::Reserve { e.b } else { e.a };
-            e.thread == thread && e.hook == hook as u8 && payload == i as u64
-        })
+/// Where in `events` each thread first emitted each hook with each
+/// payload (its `a`, or a `Reserve`'s `b`): one pass, so a log with
+/// millions of noise events is as cheap to search as one without.
+fn positions(events: &[Event]) -> HashMap<(u16, u8, u64), usize> {
+    let mut index = HashMap::new();
+    for (k, e) in events.iter().enumerate() {
+        let payload = if e.hook == Hook::Reserve as u8 {
+            e.b
+        } else {
+            e.a
+        };
+        index.entry((e.thread, e.hook, payload)).or_insert(k);
+    }
+    index
+}
+
+/// Where in the log `index` was built from thread `thread` emitted
+/// `hook` #`i` (its payload is `i`).
+fn position(index: &HashMap<(u16, u8, u64), usize>, thread: u16, hook: Hook, i: usize) -> usize {
+    *index
+        .get(&(thread, hook as u8, i as u64))
         .unwrap_or_else(|| panic!("{hook} #{i} of t{thread} missing"))
 }
 
@@ -104,8 +121,8 @@ fn reading_hooks_do_not_advance_the_clock() {
 /// value and the order holds whatever the threads' slots.
 #[test]
 fn merged_log_respects_happens_before_across_threads() {
-    // The noise emits until the hand-offs end, and the cap, which all
-    // three threads' rings share, trims none of it.
+    // The cap, which all three threads' rings share, trims none of the
+    // noise.
     let recorder = Recorder::with_max_retained(3, usize::MAX);
     let turn = AtomicUsize::new(0);
     let wait_for = |value: usize| wait_for(&turn, value);
@@ -133,18 +150,33 @@ fn merged_log_respects_happens_before_across_threads() {
             }
         });
         s.spawn(|| {
+            // Unpaced within a turn: a burst starts as each turn is
+            // handed over and races the peer's wake-up. It is bounded
+            // per turn only so that the log, which keeps all of it,
+            // stays bounded too: at most a ring of noise per hand-off.
             let mut noise = recorder.tracer(2, SchemeId::HP);
-            while turn.load(Ordering::Relaxed) != 2 * HANDOFFS {
+            let (mut seen, mut left) = (usize::MAX, 0);
+            loop {
+                let now = turn.load(Ordering::Relaxed);
+                if now == 2 * HANDOFFS {
+                    break;
+                }
+                if now != seen {
+                    (seen, left) = (now, NOISE_PER_TURN);
+                }
+                if left == 0 {
+                    std::hint::spin_loop();
+                    continue;
+                }
                 noise.emit(Hook::Reserve, 0, u64::MAX);
                 noise.emit(Hook::Advance, 0, 0);
-                // Paced to the hand-offs, as the next test's ticker is:
-                // every noise event is retained and searched.
-                std::thread::yield_now();
+                left -= 1;
             }
         });
     });
     let log = recorder.drain();
-    let position = |thread: u16, hook: Hook, i: usize| position(&log.events, thread, hook, i);
+    let index = positions(&log.events);
+    let position = |thread: u16, hook: Hook, i: usize| position(&index, thread, hook, i);
     for i in 0..HANDOFFS {
         let retire = position(0, Hook::Retire, i);
         let advance = position(0, Hook::Advance, i);
@@ -216,7 +248,8 @@ fn a_retire_precedes_its_reclaim_and_a_later_load_follows_it() {
     // The ticker emits until the hand-offs end; the cap trims none of it.
     let log = recorder.drain();
     assert!(log.is_time_ordered());
-    let position = |thread: u16, hook: Hook, i: usize| position(&log.events, thread, hook, i);
+    let index = positions(&log.events);
+    let position = |thread: u16, hook: Hook, i: usize| position(&index, thread, hook, i);
     for i in 0..HANDOFFS {
         let retire = position(2, Hook::Retire, i);
         let reclaim = position(0, Hook::Reclaim, i);

@@ -51,7 +51,9 @@ pub struct RunOptions {
     /// Where to write a `.eraflt` flight dump when the run fails
     /// (`None` disables dumping). When set, a flight recorder holds
     /// every shard's recorder from the start of the run, so the dump
-    /// holds each shard's newest events.
+    /// holds each shard's newest events. The shards keep the flight
+    /// recorder's cap after the run: build one store per run, as the
+    /// `scenarios` binary does.
     pub flight_dump: Option<PathBuf>,
 }
 
