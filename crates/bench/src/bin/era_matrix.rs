@@ -7,17 +7,17 @@
 //!    every simulated scheme (robustness classified from scaling runs,
 //!    applicability from the safety oracle, easy integration from the
 //!    static Definition 5.3 interface plus observed roll-backs);
-//! 3. robustness of the **real** `era-smr` schemes from stalled-thread
-//!    churn at increasing scales.
+//! 3. robustness of every **real** `era-smr` scheme under a parked
+//!    reader, measured over two sweeps next to its registry class.
 //!
 //! Usage: `era_matrix [rounds]` (default 256).
 
 use era_bench::parse_arg;
-use era_bench::runner::stall_churn_michael;
+use era_bench::runner::{measured_class, FIXED_SIZE_SWEEP};
+use era_bench::table::Table;
 use era_core::era::reference_matrix;
-use era_core::robustness::{classify, RobustnessObservation};
 use era_sim::theorem::measured_matrix;
-use era_smr::{ebr::Ebr, he::He, hp::Hp, ibr::Ibr};
+use era_smr::SchemeKind;
 
 fn main() {
     let rounds: usize = std::env::args()
@@ -41,36 +41,33 @@ fn main() {
         Err(v) => panic!("measurement pipeline broken: {v}"),
     }
 
-    println!("--- Real-scheme robustness (stalled reader, churn at 4 scales) ---");
-    let scales = [2_000usize, 8_000, 32_000, 128_000];
-    let mut table = era_bench::table::Table::new(["scheme", "peaks (per scale)", "classification"]);
-    macro_rules! classify_real {
-        ($name:literal, $make:expr) => {{
-            let mut obs = Vec::new();
-            let mut peaks = Vec::new();
-            for &scale in &scales {
-                let smr = $make;
-                let report = stall_churn_michael(&smr, $name, 64, scale, false);
-                peaks.push(report.peak_retired.to_string());
-                obs.push(RobustnessObservation {
-                    scale: scale as u64,
-                    threads: 2,
-                    peak_retired: report.peak_retired,
-                    peak_max_active: 64 + 64, // structure + churn window
-                });
-            }
-            let verdict = classify(&obs);
-            table.row([$name.to_string(), peaks.join(" "), verdict.to_string()]);
-        }};
+    println!("--- Real-scheme robustness (parked reader, `runner::measured_class`) ---");
+    let mut table = Table::new([
+        "scheme",
+        "peaks (size 64, churn 500 1000 2000)",
+        "peaks (size = churn 128 512 2048)",
+        "measured",
+        "registry",
+    ]);
+    for kind in SchemeKind::RECLAIMING.into_iter().chain([SchemeKind::Leak]) {
+        let (class, runs) = measured_class(kind);
+        let peaks: Vec<_> = runs
+            .iter()
+            .map(|run| run.0.peak_retired.to_string())
+            .collect();
+        let (fixed, growing) = peaks.split_at(FIXED_SIZE_SWEEP.len());
+        table.row([
+            kind.name().to_string(),
+            fixed.join(" "),
+            growing.join(" "),
+            class.to_string(),
+            kind.class().to_string(),
+        ]);
     }
-    classify_real!("EBR", Ebr::with_threshold(4, 16));
-    classify_real!("HP", Hp::with_threshold(4, 3, 16));
-    classify_real!("HE", He::with_params(4, 3, 16, 8));
-    classify_real!("IBR", Ibr::with_params(4, 16, 8));
     println!("{table}");
     println!(
-        "EBR's peak grows with the churn (not even weakly robust); the \
-         protect-based schemes stay bounded — and pay for it with Harris-list \
-         applicability (see F2)."
+        "A footprint that follows the churn is not robust; one that follows \
+         the structure is weakly robust. HE and NBR measure weaker than the \
+         paper (ROADMAP 5b, 21)."
     );
 }

@@ -1,17 +1,17 @@
 //! # era-bench — experiment harness for the ERA theorem reproduction
 //!
 //! Shared machinery for the experiment binaries (`figure1`, `figure2`,
-//! `era_matrix`, `robustness`, `throughput`, `chaos_bench`,
-//! `net_bench`). See `EXPERIMENTS.md` at the workspace root for the
-//! experiment index (which paper artifact each binary regenerates).
+//! `era_matrix`, `throughput`, `chaos_bench`, `net_bench`). See
+//! `EXPERIMENTS.md` at the workspace root for the experiment index
+//! (which paper artifact each binary regenerates).
 //!
 //! * [`workload`] — seeded per-thread operation streams over
 //!   [`era_kv::KvMix`] (the read-heavy and update-heavy mixes) and
 //!   [`era_kv::KeyDist`];
 //! * [`runner`] — one throughput driver, generic over
 //!   [`era_ds::ConcurrentSet`], with a one-line entry point per
-//!   structure, plus the stalled-thread robustness harness of
-//!   Definition 5.1 measurements;
+//!   structure, plus the parked-reader robustness harness that
+//!   measures each scheme's Definition 5.1/5.2 class;
 //! * [`table`] — plain-text table rendering for the binaries;
 //! * [`parse_arg`] — the binaries' one command-line value parser, and
 //!   [`DistArgs`] their one `--dist`/`--theta` pair.
@@ -26,7 +26,7 @@ pub mod runner;
 pub mod table;
 pub mod workload;
 
-pub use runner::{run_harris, run_michael, run_skiplist, run_vbr, RunStats, StallReport};
+pub use runner::{run_harris, run_michael, run_skiplist, run_vbr, RunStats};
 pub use workload::WorkloadSpec;
 
 /// `value` parsed as `T`. A missing or malformed value prints a line

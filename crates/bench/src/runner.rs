@@ -1,10 +1,12 @@
-//! Throughput runners and the stalled-thread robustness harness.
+//! Throughput runners and the parked-reader robustness harness.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use era_core::robustness::{classify, RobustnessObservation, RobustnessVerdict};
 use era_ds::{ConcurrentSet, HarrisList, MichaelMap, SkipList, VbrList};
 use era_smr::common::{EpochProtected, Smr, SmrStats, SupportsUnlinkedTraversal};
+use era_smr::{with_scheme, SchemeKind};
 
 use crate::workload::{KvOpKind, WorkloadSpec};
 
@@ -127,122 +129,99 @@ pub fn run_vbr(spec: &WorkloadSpec) -> RunStats {
     drive(&list, spec, || list.arena().stats(), |_| {})
 }
 
-/// Outcome of one stalled-thread churn experiment (the Definition 5.1
-/// measurement behind Figure 1's engine).
-#[derive(Debug, Clone)]
-pub struct StallReport {
-    /// Scheme name.
-    pub scheme: &'static str,
-    /// Structure size at the moment of the stall.
-    pub structure_size: usize,
-    /// Churn operations executed while the thread was stalled.
-    pub churn_ops: usize,
-    /// Samples of the retired population, one per ~1k churn ops.
-    pub retired_series: Vec<usize>,
-    /// Peak retired population during the stall.
-    pub peak_retired: usize,
-    /// Retired population after un-stalling and flushing.
-    pub final_retired: usize,
+/// Definition 5.1's stalled thread as a parked context: a reader that
+/// takes no steps is a `ThreadCtx` nobody calls, so the experiment runs
+/// on the calling thread alone.
+///
+/// Prefills `size` keys into a [`MichaelMap`], registers a reader
+/// that begins an operation and makes one protected load (pinning what
+/// the scheme pins: the epoch, an era, a hazard), then churns
+/// `remove(k); insert_if_absent(k)` over the prefilled keys `churn`
+/// times on a second context, reading `retired_now` after every op.
+/// Retiring the pre-stall cohort separates the three classes: EBR's
+/// footprint follows the churn, HE's and IBR's the structure, HP's
+/// neither. Returns the observation at scale `churn` over the two
+/// contexts, with `peak_max_active` counted from the ops' results, and
+/// the retired count left once the reader's operation ends and the
+/// worker flushes.
+pub fn parked_churn<S: Smr>(smr: &S, size: usize, churn: usize) -> (RobustnessObservation, usize) {
+    let map = MichaelMap::new(smr);
+    let mut worker = smr.register().expect("worker registration");
+    let mut active = (0..size as i64)
+        .filter(|&k| map.insert_if_absent(&mut worker, k, 0).is_none())
+        .count();
+    let mut peak_active = active;
+    let mut reader = smr.register().expect("reader registration");
+    smr.begin_op(&mut reader);
+    // The target word is empty: the pin itself is what matters.
+    let _ = smr.load(&mut reader, 0, &AtomicUsize::new(0));
+    let mut peak_retired = 0;
+    for i in 0..churn {
+        let k = (i % size.max(1)) as i64;
+        if map.remove(&mut worker, k).is_some() {
+            active -= 1;
+        }
+        peak_retired = peak_retired.max(smr.stats().retired_now);
+        if map.insert_if_absent(&mut worker, k, 0).is_none() {
+            active += 1;
+            peak_active = peak_active.max(active);
+        }
+        peak_retired = peak_retired.max(smr.stats().retired_now);
+    }
+    smr.end_op(&mut reader);
+    for _ in 0..8 {
+        smr.flush(&mut worker);
+    }
+    let observation = RobustnessObservation {
+        scale: churn as u64,
+        threads: 2,
+        peak_retired,
+        peak_max_active: peak_active,
+    };
+    (observation, smr.stats().retired_now)
 }
 
-/// Runs the stalled-reader churn experiment on a [`MichaelMap`]:
+/// `(size, churn)` of each [`parked_churn`] run behind
+/// [`measured_class`]. [`classify`] fits the footprint against the
+/// scale only, so each sweep is a witness against a stronger class
+/// than the other can see: at a fixed size a footprint that follows
+/// the churn is not robust, and growing the structure with the churn
+/// shows weak robustness only once the structure dominates the
+/// schemes' ≈ 64-node scan threshold (below that HE and IBR read
+/// robust).
+pub const FIXED_SIZE_SWEEP: [(usize, usize); 3] = [(64, 500), (64, 1_000), (64, 2_000)];
+/// See [`FIXED_SIZE_SWEEP`].
+pub const GROWING_SIZE_SWEEP: [(usize, usize); 3] = [(128, 128), (512, 512), (2_048, 2_048)];
+
+/// `kind`'s robustness measured on shipped code, at its registry
+/// defaults over two contexts: the weaker of [`classify`]'s verdicts
+/// on the two sweeps, and every run's [`parked_churn`] result,
+/// [`FIXED_SIZE_SWEEP`]'s first.
 ///
-/// 1. prefill `structure_size` keys;
-/// 2. a reader thread begins an operation, performs one protected load
-///    (pinning whatever the scheme pins: the epoch, an era, a hazard)
-///    and stalls;
-/// 3. a worker churns `churn_ops` insert/delete pairs, sampling the
-///    retired population — with `overlap = false` over keys disjoint
-///    from the structure, with `overlap = true` over the prefilled keys
-///    themselves (retiring the pre-stall cohort, which HE/IBR pin:
-///    their footprint then scales with the structure size — the weak
-///    robustness of Definition 5.2 — while EBR scales with the churn
-///    and HP stays constant);
-/// 4. the reader un-stalls; a final flush shows what was recoverable.
-pub fn stall_churn_michael<S: Smr + Sync>(
-    smr: &S,
-    scheme: &'static str,
-    structure_size: usize,
-    churn_ops: usize,
-    overlap: bool,
-) -> StallReport {
-    let list = MichaelMap::new(smr);
-    {
-        let mut ctx = smr.register().expect("prefill registration");
-        for k in 0..structure_size as i64 {
-            list.insert_if_absent(&mut ctx, k, 0);
-        }
-    }
-    let stalled = AtomicBool::new(true);
-    let pinned = AtomicBool::new(false);
-    let reader_done = AtomicBool::new(false);
-    let dummy = AtomicUsize::new(0);
-    let mut series = Vec::new();
-    std::thread::scope(|s| {
-        let (stalled, pinned, reader_done, dummy) = (&stalled, &pinned, &reader_done, &dummy);
-        s.spawn(move || {
-            let mut ctx = smr.register().expect("reader registration");
-            smr.begin_op(&mut ctx);
-            // One protected load inside the operation pins the scheme's
-            // protection unit: EBR's announced epoch, HE/IBR's published
-            // era, an HP hazard slot. The target word is empty — the pin
-            // itself is what matters.
-            let _ = smr.load(&mut ctx, 0, dummy);
-            pinned.store(true, Ordering::SeqCst);
-            while stalled.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            smr.end_op(&mut ctx);
-            reader_done.store(true, Ordering::SeqCst);
-        });
-        while !pinned.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-        }
-        let mut ctx = smr.register().expect("worker registration");
-        let base = structure_size as i64 + 10;
-        for i in 0..churn_ops {
-            let k = if overlap {
-                (i % structure_size.max(1)) as i64
-            } else {
-                base + (i % 64) as i64
-            };
-            if overlap {
-                let _ = list.remove(&mut ctx, k);
-                let _ = list.insert_if_absent(&mut ctx, k, 0);
-            } else {
-                let _ = list.insert_if_absent(&mut ctx, k, 0);
-                let _ = list.remove(&mut ctx, k);
-            }
-            if i % 1_000 == 0 {
-                series.push(smr.stats().retired_now);
-            }
-        }
-        series.push(smr.stats().retired_now);
-        stalled.store(false, Ordering::SeqCst);
-        // Wait until the reader's operation has actually ended, then
-        // drain what is now reclaimable.
-        while !reader_done.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        for _ in 0..8 {
-            smr.flush(&mut ctx);
-        }
-    });
-    let peak = series.iter().copied().max().unwrap_or(0);
-    StallReport {
-        scheme,
-        structure_size,
-        churn_ops,
-        retired_series: series,
-        peak_retired: peak,
-        final_retired: smr.stats().retired_now,
-    }
+/// # Panics
+///
+/// On [`SchemeKind::Vbr`], which [`with_scheme!`] cannot build.
+pub fn measured_class(
+    kind: SchemeKind,
+) -> (RobustnessVerdict, Vec<(RobustnessObservation, usize)>) {
+    let runs: Vec<_> = FIXED_SIZE_SWEEP
+        .iter()
+        .chain(&GROWING_SIZE_SWEEP)
+        .map(|&(size, churn)| with_scheme!(kind, make => parked_churn(&make(2, 3), size, churn)))
+        .collect();
+    let weaker = runs
+        .chunks(FIXED_SIZE_SWEEP.len())
+        .map(|sweep| classify(&sweep.iter().map(|run| run.0).collect::<Vec<_>>()).verdict)
+        .max()
+        .expect("two sweeps");
+    (weaker, runs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{WorkloadSpec, UPDATE_HEAVY};
+    use era_core::robustness::RobustnessVerdict::{NotRobust, WeaklyRobust};
     use era_smr::ebr::Ebr;
     use era_smr::hp::Hp;
     use era_smr::leak::Leak;
@@ -309,52 +288,91 @@ mod tests {
         assert_eq!(stats.final_retired as u64, stats.total_retired);
     }
 
-    #[test]
-    fn stall_churn_shows_ebr_unbounded_hp_bounded() {
-        let ebr = Ebr::with_threshold(4, 16);
-        let r1 = stall_churn_michael(&ebr, "EBR", 64, 5_000, false);
-        assert!(
-            r1.peak_retired >= 4_000,
-            "EBR under stall must accumulate: {}",
-            r1.peak_retired
-        );
-        assert!(
-            r1.final_retired < 200,
-            "unstalling drains: {}",
-            r1.final_retired
-        );
+    /// The kinds whose measured class is not `kind.class()`, with that
+    /// class and the ROADMAP item that closes the gap. A row leaves
+    /// this list when its item lands, and fails until it does.
+    const DISAGREES: [(SchemeKind, RobustnessVerdict, &str); 2] = [
+        (
+            SchemeKind::He,
+            WeaklyRobust,
+            "5b: the reader's era pins the cohort",
+        ),
+        (
+            SchemeKind::Nbr,
+            NotRobust,
+            "21: a parked reader traps every retire",
+        ),
+    ];
 
-        let hp = Hp::with_threshold(4, 3, 16);
-        let r2 = stall_churn_michael(&hp, "HP", 64, 5_000, false);
+    /// `(kind, peaks over FIXED_SIZE_SWEEP, peaks over GROWING_SIZE_SWEEP)`,
+    /// for every kind `with_scheme!` builds.
+    const PEAKS: [(SchemeKind, [usize; 3], [usize; 3]); 6] = [
+        (SchemeKind::Ebr, [500, 1_000, 2_000], [128, 512, 2_048]),
+        (SchemeKind::Hp, [63, 63, 63], [63, 63, 63]),
+        (SchemeKind::He, [127, 127, 127], [128, 512, 2_048]),
+        (SchemeKind::Ibr, [128, 128, 128], [128, 512, 2_048]),
+        (SchemeKind::Nbr, [500, 1_000, 2_000], [128, 512, 2_048]),
+        (SchemeKind::Leak, [500, 1_000, 2_000], [128, 512, 2_048]),
+    ];
+
+    /// Measures `kind` and holds it to its `PEAKS` row and its class:
+    /// its `DISAGREES` entry if it has one, else the registry's.
+    fn assert_measured(kind: SchemeKind) {
+        let (_, fixed, growing) = *PEAKS.iter().find(|row| row.0 == kind).unwrap();
+        let (class, runs) = measured_class(kind);
+        let name = kind.name();
+        let peaks: Vec<_> = runs.iter().map(|run| run.0.peak_retired).collect();
+        assert_eq!(peaks, [fixed, growing].concat(), "{name}: peaks");
+        let sweeps = FIXED_SIZE_SWEEP.iter().chain(&GROWING_SIZE_SWEEP);
+        for (&(size, churn), &(obs, left)) in sweeps.zip(&runs) {
+            assert_eq!(
+                obs.peak_max_active, size,
+                "{name}: the structure stays whole"
+            );
+            // Leak frees nothing; every other kind drains once the
+            // reader's operation ends.
+            let kept = if kind == SchemeKind::Leak { churn } else { 0 };
+            assert_eq!(
+                left, kept,
+                "{name}: retired after release at {size}/{churn}"
+            );
+        }
+        match DISAGREES.iter().find(|row| row.0 == kind) {
+            Some(&(_, listed, item)) => {
+                assert_eq!(class, listed, "{name}: measured class ({item})");
+                assert_ne!(
+                    class,
+                    kind.class(),
+                    "{name}: agrees now; take it off DISAGREES"
+                );
+            }
+            None => assert_eq!(class, kind.class(), "{name}: measured class"),
+        }
+    }
+
+    #[test]
+    fn parked_reader_measures_each_registry_class() {
+        assert_eq!(
+            PEAKS.len(),
+            SchemeKind::RECLAIMING.len() + 1,
+            "every kind but VBR"
+        );
+        for (kind, _, _) in PEAKS {
+            if kind != SchemeKind::Nbr {
+                assert_measured(kind);
+            }
+        }
+        let (_, fixed, growing) = *PEAKS.iter().find(|row| row.0 == SchemeKind::Hp).unwrap();
+        let bound = Hp::new(2, 3).robustness_bound();
         assert!(
-            r2.peak_retired <= hp.robustness_bound(),
-            "HP stays bounded: {} vs {}",
-            r2.peak_retired,
-            hp.robustness_bound()
+            fixed.iter().chain(&growing).all(|&peak| peak <= bound),
+            "HP: peaks within {bound}"
         );
     }
 
     #[test]
-    fn overlapping_churn_pins_the_cohort_under_he() {
-        use era_smr::he::He;
-        // HE pins the pre-stall cohort (≈ structure size) but not the
-        // churn — between HP's constant and EBR's unbounded footprint.
-        let he = He::with_params(4, 3, 16, 1);
-        let r = stall_churn_michael(&he, "HE", 256, 5_000, true);
-        assert!(
-            r.peak_retired >= 200,
-            "the pre-stall cohort is pinned: {}",
-            r.peak_retired
-        );
-        assert!(
-            r.peak_retired <= 256 + 64,
-            "but only the cohort: {}",
-            r.peak_retired
-        );
-        assert!(
-            r.final_retired < 64,
-            "unstalling drains: {}",
-            r.final_retired
-        );
+    #[ignore = "ROADMAP 21: ≈3 ms give-up per reclaim; CI runs it in release"]
+    fn parked_reader_measures_nbr() {
+        assert_measured(SchemeKind::Nbr);
     }
 }

@@ -65,8 +65,9 @@ impl RobustnessObservation {
     }
 }
 
-/// Robustness classification per Definitions 5.1/5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Robustness classification per Definitions 5.1/5.2, ordered
+/// strongest first: the weaker of two verdicts is their `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RobustnessVerdict {
     /// Definition 5.1 — retired footprint is `o(max_active) · N`.
     Robust,
@@ -170,6 +171,11 @@ fn loglog_slope(points: &[(f64, f64)]) -> f64 {
 /// Requirements: at least 3 observations and at least a 4× spread
 /// between the smallest and largest scale; otherwise the verdict is
 /// [`RobustnessVerdict::Inconclusive`].
+///
+/// The fit is against `scale` only, so across the sweep the structure
+/// must dominate the scheme's additive threshold (a scan or retire
+/// batch): otherwise that constant hides the growth, and weak
+/// robustness reads as robust.
 ///
 /// # Example
 ///
